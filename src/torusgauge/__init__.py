@@ -23,9 +23,7 @@ from .forms import (
     BilinearCell,
     Form,
     PLPath,
-    boundary,
     integrate_cell,
-    integrate_chain,
     integrate_path,
     integrate_simplex,
 )
@@ -58,12 +56,10 @@ __all__ = [
     "Scalar",
     "TorusGaugeError",
     "U1Function",
-    "boundary",
     "constant_mod",
     "constant_mod_free",
     "cos2pi",
     "integrate_cell",
-    "integrate_chain",
     "integrate_path",
     "integrate_simplex",
     "parse_expr",

@@ -64,21 +64,6 @@ from .vectors import basis_vec
 DEFAULT_COHOMOLOGY_SAMPLES = 100
 DEFAULT_ASSOCIATIVITY_SAMPLES = 50
 
-COMMANDS = (
-    "check-cocycle",
-    "check-connection",
-    "section",
-    "twist2",
-    "twist3",
-    "pentagon",
-    "flux",
-    "sym-product",
-    "cohomology",
-    "operators",
-    "stokes-selftest",
-)
-
-
 class ConfigError(TorusGaugeError):
     pass
 
@@ -176,39 +161,47 @@ def _sample_vectors(rnd, d, count, dens=(1, 2, 3, 4)):
     return [rand_vector(rnd, d, num=3, dens=dens) for _ in range(count)]
 
 
-def _need_kind(scn, kind, command):
-    if scn is None:
-        raise ConfigError(f"{command} needs --config")
-    if scn.kind != kind:
-        raise ConfigError(f"{command} needs a {kind!r} scenario, got {scn.kind!r}")
+def _count_param(scn, key, default):
+    n = scn.params.get(key, default)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ConfigError(f"params {key!r} must be a nonnegative integer, got {n!r}")
+    return n
+
+
+def _sample_lattice_tuples(rnd, r, d, parts, cap):
+    """Up to cap tuples of parts vectors in {-r..r}^d: the picks (and rnd draws)
+    of rnd.sample over the full lexicographic product, or all of it if it holds
+    at most cap, decoded from sampled indices without building the product.
+    """
+    base = 2 * r + 1
+    n = base ** (parts * d)
+    if n > sys.maxsize:
+        raise ConfigError(f"cannot sample from {base}^{parts * d} lattice tuples")
+    out = []
+    for i in rnd.sample(range(n), cap) if n > cap else range(n):
+        digits = []
+        for _ in range(parts * d):
+            i, q = divmod(i, base)
+            digits.append(q - r)
+        digits.reverse()
+        out.append(tuple(tuple(digits[p * d : (p + 1) * d]) for p in range(parts)))
+    return out
 
 
 # -- command handlers --------------------------------------------------------
 
 
 def cmd_check_cocycle(scn, rnd, tol, values):
-    if scn is None:
-        raise ConfigError("check-cocycle needs --config")
     d = scn.data.d
     if scn.kind == "line":
-        r = scn.params.get("range", 2)
-        span = [v for v in itertools.product(range(-r, r + 1), repeat=d)]
-        pairs = list(itertools.product(span, repeat=2))
-        cap = scn.params.get("samples", 400)
-        if len(pairs) > cap:
-            pairs = rnd.sample(pairs, cap)
+        r = _count_param(scn, "range", 2)
+        pairs = _sample_lattice_tuples(rnd, r, d, 2, _count_param(scn, "samples", 400))
         return [check_line_cocycle(scn.data, pairs, tol)]
-    span = [v for v in itertools.product((-1, 0, 1), repeat=d)]
-    cap = scn.params.get("samples", 200)
-    triples = list(itertools.product(span, repeat=3))
-    if len(triples) > cap:
-        triples = rnd.sample(triples, cap)
+    triples = _sample_lattice_tuples(rnd, 1, d, 3, _count_param(scn, "samples", 200))
     return [check_gerbe_cocycle(scn.data, triples, tol)]
 
 
 def cmd_check_connection(scn, rnd, tol, values):
-    if scn is None:
-        raise ConfigError("check-connection needs --config")
     if scn.kind == "line":
         rep, B = check_connection(scn.data, tol)
         values["curvature"] = repr(B)
@@ -219,8 +212,6 @@ def cmd_check_connection(scn, rnd, tol, values):
 
 
 def cmd_section(scn, rnd, tol, values):
-    if scn is None:
-        raise ConfigError("section needs --config")
     d = scn.data.d
     vecs = _vectors(scn, _sample_vectors(rnd, d, 3))
     reports = []
@@ -240,8 +231,6 @@ def cmd_section(scn, rnd, tol, values):
 
 
 def cmd_twist2(scn, rnd, tol, values):
-    if scn is None:
-        raise ConfigError("twist2 needs --config")
     d = scn.data.d
     vecs = _vectors(scn, _sample_vectors(rnd, d, 4))
     phases = {}
@@ -264,7 +253,6 @@ def cmd_twist2(scn, rnd, tol, values):
 
 
 def cmd_twist3(scn, rnd, tol, values):
-    _need_kind(scn, "gerbe", "twist3")
     d = scn.data.d
     vecs = _vectors(scn, _sample_vectors(rnd, d, 3))
     phases = {}
@@ -272,23 +260,23 @@ def cmd_twist3(scn, rnd, tol, values):
     tuples = [tuple(gens[:3])] if len(gens) >= 3 else []
     for i in range(len(vecs) - 2):
         tuples.append((vecs[i], vecs[i + 1], vecs[i + 2]))
+    rep = CheckReport("associator_descends")
     for u, v, w in tuples:
         key = ";".join(map(_vec_str, (u, v, w)))
-        phases[key] = str(associator(scn.data, u, v, w).exponent)
-    values["twist3"] = phases
-    rep = CheckReport("associator_descends")
-    for (key, _s), (u, v, w) in zip(sorted(phases.items()), tuples):
+        if key in phases:
+            continue
         om = associator(scn.data, u, v, w)
+        phases[key] = str(om.exponent)
         ok = all(
             (om.translate(tuple(-x for x in basis_vec(d, a))) / om).is_one(tol)
             for a in range(1, d + 1)
         )
         rep.add(key, ok)
+    values["twist3"] = phases
     return [rep]
 
 
 def cmd_pentagon(scn, rnd, tol, values):
-    _need_kind(scn, "gerbe", "pentagon")
     d = scn.data.d
     reports = []
     if d >= 3:
@@ -308,7 +296,6 @@ def cmd_pentagon(scn, rnd, tol, values):
 
 
 def cmd_flux(scn, rnd, tol, values):
-    _need_kind(scn, "gerbe", "flux")
     classes = flux_class(scn.data, tol)
     values["flux"] = {"(" + ",".join(map(str, k)) + ")": n for k, n in sorted(classes.items())}
     rep = CheckReport("flux_quantization")
@@ -318,7 +305,6 @@ def cmd_flux(scn, rnd, tol, values):
 
 
 def cmd_sym_product(scn, rnd, tol, values):
-    _need_kind(scn, "line", "sym-product")
     d = scn.data.d
     n = scn.params.get("samples", DEFAULT_ASSOCIATIVITY_SAMPLES)
     rep = CheckReport("lift_associativity")
@@ -359,8 +345,6 @@ def cmd_sym_product(scn, rnd, tol, values):
 
 
 def cmd_cohomology(scn, rnd, tol, values):
-    if scn is None:
-        raise ConfigError("cohomology needs --config")
     d = scn.data.d
     n = scn.params.get("samples", DEFAULT_COHOMOLOGY_SAMPLES)
     if scn.kind == "line":
@@ -378,7 +362,6 @@ def cmd_cohomology(scn, rnd, tol, values):
 
 
 def cmd_operators(scn, rnd, tol, values):
-    _need_kind(scn, "line", "operators")
     flux_list = scn.params.get("flux_list", [1, 2, 3, 4])
     rep = CheckReport("operator_cocycle")
     worst = 0.0
@@ -416,19 +399,41 @@ def cmd_stokes_selftest(scn, rnd, tol, values):
     return [rep]
 
 
+def _needs(handler, kind, connection=False):
+    """Declare the scenario kind (None: no config, "any", "line", "gerbe") that
+    handler needs, and whether a line must carry a connection; run() checks it.
+    Kept on the function so that HANDLERS maps commands straight to functions
+    that a wrapper (such as the benchmark's tracer) can rebind.
+    """
+    handler.kind = kind
+    handler.connection = connection
+    return handler
+
+
 HANDLERS = {
-    "check-cocycle": cmd_check_cocycle,
-    "check-connection": cmd_check_connection,
-    "section": cmd_section,
-    "twist2": cmd_twist2,
-    "twist3": cmd_twist3,
-    "pentagon": cmd_pentagon,
-    "flux": cmd_flux,
-    "sym-product": cmd_sym_product,
-    "cohomology": cmd_cohomology,
-    "operators": cmd_operators,
-    "stokes-selftest": cmd_stokes_selftest,
+    "check-cocycle": _needs(cmd_check_cocycle, "any"),
+    "check-connection": _needs(cmd_check_connection, "any", connection=True),
+    "section": _needs(cmd_section, "any", connection=True),
+    "twist2": _needs(cmd_twist2, "any", connection=True),
+    "twist3": _needs(cmd_twist3, "gerbe"),
+    "pentagon": _needs(cmd_pentagon, "gerbe"),
+    "flux": _needs(cmd_flux, "gerbe"),
+    "sym-product": _needs(cmd_sym_product, "line", connection=True),
+    "cohomology": _needs(cmd_cohomology, "any", connection=True),
+    "operators": _needs(cmd_operators, "line"),
+    "stokes-selftest": _needs(cmd_stokes_selftest, None),
 }
+
+
+def _check_needs(command, handler, scn):
+    if handler.kind is None:
+        return
+    if scn is None:
+        raise ConfigError(f"{command} needs --config")
+    if handler.kind not in ("any", scn.kind):
+        raise ConfigError(f"{command} needs a {handler.kind!r} scenario, got {scn.kind!r}")
+    if handler.connection and scn.kind == "line" and scn.data.connection is None:
+        raise ConfigError(f"{command} needs a line scenario with a connection")
 
 
 def build_parser():
@@ -436,7 +441,7 @@ def build_parser():
         prog="torusgauge",
         description="verification suites for torus gauge cocycle data",
     )
-    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("command", choices=HANDLERS)
     p.add_argument("--config", help="scenario config (JSON)")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument("--json", dest="json_path", help="write the report to this path")
@@ -463,6 +468,7 @@ def run(argv=None):
         if args.config:
             scn = load_scenario(args.config)
         handler = HANDLERS[args.command]
+        _check_needs(args.command, handler, scn)
     except (ConfigError, TorusGaugeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

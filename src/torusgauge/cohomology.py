@@ -16,7 +16,6 @@ Evaluators must be pure; samples may be checked in any order.
 
 from __future__ import annotations
 
-from .polytrig import U1Function
 from .reports import CheckReport, phase_item
 from .scalar import DEFAULT_TOL
 from .vectors import as_vec, vadd
@@ -40,19 +39,6 @@ class GroupCochain:
                 f"degree-{self.degree} cochain called with {len(args)} arguments"
             )
         return self.evaluator(tuple(as_vec(v) for v in args))
-
-    @staticmethod
-    def constant_one(degree, dim):
-        return GroupCochain(degree, dim, lambda args: U1Function.one(dim))
-
-    def is_normalized(self, samples, tol=DEFAULT_TOL):
-        """Degenerate tuples (some argument zero) must evaluate to 1."""
-        for args in samples:
-            if not any(all(x == 0 for x in v) for v in args):
-                continue
-            if not self(*args).is_one(tol):
-                return False
-        return True
 
 
 def coboundary(c):

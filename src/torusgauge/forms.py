@@ -1,16 +1,21 @@
-"""Exterior calculus over the polynomial-trig ring and exact simplex integration.
+"""Exterior calculus over the polynomial-trig ring and exact integration.
 
 Differential forms store only strictly increasing index tuples, so
-antisymmetry is structural.  Simplices are affine images of the parameter
-domain 0 <= t_k <= ... <= t_1 <= 1; with edge vectors (v_1, ..., v_k) and top
-vertex x the image is the ordered simplex
+antisymmetry is structural.
+
+Every integral -- over a simplex, a bilinear cell or a unit cube -- runs
+through one kernel, _iterated_integral: pull omega back along the affine
+parametrisation p_0 + sum_j t_j v_j, antidifferentiate in t_k, ..., t_1 in
+turn, substituting each upper limit, and drop the parameter axes.  The
+parameter domain is either the simplex 0 <= t_k <= ... <= t_1 <= 1, whose
+image with top vertex x is the ordered simplex
 
     [x - v_1 - ... - v_k, x - v_2 - ... - v_k, ..., x - v_k, x]
 
-and the parametrization (t_1, ..., t_k) -> p_0 + sum t_j v_j carries the
-standard orientation of that vertex ordering.  Base points may be symbolic
-(offsets against an unspecified x), in which case integrals return PolyTrig
-functions of x; integrals over concretely based chains return Scalars.
+with the standard orientation of that vertex ordering, or the unit box
+0 <= t_j <= 1, which tiles bilinear cells and unit cubes.  Base points may be
+symbolic (offsets against an unspecified x), in which case integrals return
+PolyTrig functions of x; concretely based integrals return Scalars.
 
 Everything here is exact: integration is iterated closed-form
 antidifferentiation, never quadrature.
@@ -169,15 +174,10 @@ class Form:
             raise DimensionError("map does not land in the form's space")
         out = {}
         for J in combinations(range(m.in_dim), self.degree):
-            acc = PolyTrig.zero(m.in_dim)
-            for I, f in self.comps.items():
-                minor = [[m.lin[i][j] for j in J] for i in I]
-                dd = det(minor)
-                if dd == 0:
-                    continue
-                acc = acc + f._pullback(m.lin, m.trans, m.in_dim).expand_phases().scale(dd)
-            if acc.terms:
-                out[J] = acc
+            cols = [tuple(row[j] for row in m.lin) for j in J]
+            g = _pulled_coefficient(self, cols, m.lin, m.trans, m.in_dim).expand_phases()
+            if g.terms:
+                out[J] = g
         return Form(m.in_dim, self.degree, out)
 
     def translate(self, v):
@@ -290,85 +290,63 @@ def integrate_simplex(omega, simplex):
 
     Returns a PolyTrig in the base variables for symbolic simplices and a
     Scalar for concretely based ones.  Linear in omega, additive over chains,
-    odd under orientation reversal.
+    odd under orientation reversal.  A 0-simplex is a point: the integral is
+    the value there.
     """
-    k = simplex.k
-    d = simplex.dim
-    if omega.dim != d:
+    if omega.dim != simplex.dim:
         raise DimensionError("form and simplex live in different spaces")
-    if omega.degree != k:
-        raise DegreeError(f"cannot integrate a {omega.degree}-form over a {k}-simplex")
-    if k == 0:
-        f = omega.comps.get((), PolyTrig.zero(d))
-        if simplex.symbolic:
-            # value at x + top
-            return translate_fn(f, vneg_vec(simplex.top)).scale(simplex.sign)
-        return _eval_exact(f, simplex.top) * Scalar.exact(simplex.sign)
+    if omega.degree != simplex.k:
+        raise DegreeError(f"cannot integrate a {omega.degree}-form over a {simplex.k}-simplex")
+    out = _iterated_integral(
+        omega, simplex.edges, simplex.vertices()[0], simplex.symbolic, nested=True
+    )
+    if simplex.symbolic:
+        return out.scale(simplex.sign)
+    return out * Scalar.exact(simplex.sign)
 
-    verts = simplex.vertices()
-    p0 = verts[0]
-    sym = simplex.symbolic
-    ext = d + k if sym else k
-    toff = d if sym else 0
 
-    # affine parameter map M(x, t) = [x +] p0 + sum_j t_j v_j
-    lin = []
-    for i in range(d):
-        row = [Fraction(0)] * ext
-        if sym:
-            row[i] = Fraction(1)
-        for j, e in enumerate(simplex.edges):
-            row[toff + j] = e[i]
-        lin.append(tuple(row))
-    trans = [Scalar.exact(p0[i]) for i in range(d)]
+def _pulled_coefficient(omega, edges, lin, trans, ext):
+    """Coefficient sum_I det(minor_I) f_I o M of dt_1^...^dt_k in M^* omega.
 
-    g = PolyTrig.zero(ext)
+    M(y) = lin y + trans; edges[j] is the column of lin that t_j multiplies.
+    """
+    g = None
     for I, f in omega.comps.items():
-        minor = [[simplex.edges[j][i] for j in range(k)] for i in I]
-        dd = det(minor)
+        dd = det([[e[i] for e in edges] for i in I])
         if dd == 0:
             continue
-        g = g + f._pullback(tuple(lin), tuple(trans), ext).scale(dd)
+        term = f._pullback(lin, trans, ext)
+        if dd != 1:
+            term = term.scale(dd)
+        g = term if g is None else g + term
+    return PolyTrig.zero(ext) if g is None else g
 
-    # iterated integral over 0 <= t_k <= ... <= t_1 <= 1
+
+def _iterated_integral(omega, edges, p0, symbolic, nested):
+    """Integral of omega over p0 + sum_j t_j edges[j], t on the simplex if nested, else the box.
+
+    A PolyTrig in the base point x if symbolic, else a Scalar; unsigned.
+    """
+    d = omega.dim
+    k = len(edges)
+    toff = d if symbolic else 0
+    lin = tuple(
+        tuple(Fraction(int(a == i)) for a in range(toff)) + tuple(e[i] for e in edges)
+        for i in range(d)
+    )
+    trans = tuple(Scalar.exact(x) for x in p0)
+    g = _pulled_coefficient(omega, edges, lin, trans, toff + k)
     for j in range(k, 0, -1):
         axis = toff + j
         g = g.antiderivative(axis, normalize=True)
-        if j > 1:
+        if nested and j > 1:
             g = g.substitute(axis, {axis - 1: Fraction(1)}, Fraction(0))
         else:
             g = g.substitute(axis, {}, Fraction(1))
-
-    if sym:
-        out = g.drop_axes(list(range(1, d + 1))).expand_phases()
-        return out.scale(simplex.sign)
-    out = g.drop_axes([]).expand_phases()
-    return out.constant_term() * Scalar.exact(simplex.sign)
-
-
-def vneg_vec(v):
-    return tuple(-x for x in v)
-
-
-def _eval_exact(f, point):
-    """Exact evaluation of an exact PolyTrig at a rational point (may go tier F)."""
-    d = f.dim
-    cur = f
-    for a in range(1, d + 1):
-        cur = cur.substitute(a, {}, Fraction(point[a - 1]))
-    cur = cur.expand_phases()
-    return cur.constant_term()
-
-
-def integrate_chain(omega, chain):
-    """Sum of integrals over a list of simplices (a formal chain)."""
-    total = None
-    for s in chain:
-        val = integrate_simplex(omega, s)
-        total = val if total is None else total + val
-    if total is None:
-        raise ValueError("empty chain")
-    return total
+    if k:
+        g = g.drop_axes(list(range(1, toff + 1)))
+    g = g.expand_phases()
+    return g if symbolic else g.constant_term()
 
 
 class PLPath:
@@ -511,31 +489,8 @@ def integrate_cell(omega, cell):
     g2 = cell.gamma_prime.vertices
     total = PolyTrig.zero(d)
     for a, b in zip(g1, g1[1:]):
-        u = vsub(b, a)
         for c, e in zip(g2, g2[1:]):
-            w = vsub(e, c)
-            ext = d + 2
-            lin = []
-            for i in range(d):
-                row = [Fraction(0)] * ext
-                row[i] = Fraction(1)
-                row[d] = u[i]
-                row[d + 1] = w[i]
-                lin.append(tuple(row))
-            trans = [Scalar.exact(vadd(a, c)[i]) for i in range(d)]
-            g = PolyTrig.zero(ext)
-            for (i1, i2), f in omega.comps.items():
-                dd = u[i1] * w[i2] - u[i2] * w[i1]
-                if dd == 0:
-                    continue
-                g = g + f._pullback(tuple(lin), tuple(trans), ext).scale(dd)
-            for axis in (d + 2, d + 1):
-                g = g.antiderivative(axis, normalize=True)
-                g = g.substitute(axis, {}, Fraction(1))
-            total = total + g.drop_axes(list(range(1, d + 1))).expand_phases()
+            total = total + _iterated_integral(
+                omega, (vsub(b, a), vsub(e, c)), vadd(a, c), symbolic=True, nested=False
+            )
     return total
-
-
-def boundary(simplex):
-    """Alternating-sign faces of an affine simplex."""
-    return simplex.boundary()

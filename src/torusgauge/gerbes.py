@@ -26,11 +26,11 @@ import itertools
 from fractions import Fraction
 
 from .errors import DegreeError, DimensionError, QuantizationError
-from .forms import AffineSimplex, Form, integrate_path, integrate_simplex
+from .forms import AffineSimplex, Form, _iterated_integral, integrate_path, integrate_simplex
 from .polytrig import PolyTrig, U1Function, constant_mod_free, translate
 from .reports import CheckReport, phase_item
 from .scalar import DEFAULT_TOL, Scalar
-from .vectors import as_vec, basis_vec, vadd, vneg
+from .vectors import as_vec, basis_vec, vadd, vneg, vzero
 
 from .magnetic import _vec_label
 
@@ -171,24 +171,8 @@ def flux_class(gerbe, tol=DEFAULT_TOL):
 
 def _integrate_unit_cube(H, face):
     """Exact integral of a 3-form over the unit cube spanned by the face axes."""
-    d = H.dim
-    axes = [a - 1 for a in face]
-    lin = []
-    for i in range(d):
-        row = [Fraction(0)] * 3
-        for j, a in enumerate(axes):
-            if i == a:
-                row[j] = Fraction(1)
-        lin.append(tuple(row))
-    trans = [Scalar.zero()] * d
-    f = H.comps.get(tuple(axes), None)
-    if f is None:
-        return Scalar.zero()
-    g = f._pullback(tuple(lin), tuple(trans), 3)
-    for axis in (3, 2, 1):
-        g = g.antiderivative(axis, normalize=True)
-        g = g.substitute(axis, {}, Fraction(1))
-    return g.drop_axes([]).expand_phases().constant_term()
+    edges = [basis_vec(H.dim, a) for a in face]
+    return _iterated_integral(H, edges, vzero(H.dim), symbolic=False, nested=False)
 
 
 class HigherSection:

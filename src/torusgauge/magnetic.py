@@ -190,9 +190,10 @@ def holonomy_exponent(line, loop, on_torus=False, tol=DEFAULT_TOL):
         if any(w.denominator != 1 for w in wind):
             raise PathError("loop does not close on the torus")
         base = integrate_path(A, loop, symbolic=False)
-        from .forms import _eval_exact
-
-        jump = _eval_exact(line.phi(tuple(int(w) for w in wind)), loop.start)
+        jump = integrate_simplex(
+            Form.from_scalar(line.phi(tuple(int(w) for w in wind))),
+            AffineSimplex.from_edges([], base=loop.start),
+        )
         return base + jump
     if not loop.closed:
         raise PathError("holonomy needs a closed loop")

@@ -184,13 +184,6 @@ class PolyTrig:
         key = ((0,) * self.dim, MODE_NONE, _zero_freq(self.dim), Fraction(0))
         return self.terms.get(key, Scalar.zero())
 
-    def as_scalar(self, tol=0.0):
-        """The value of a constant PolyTrig; raises if nonconstant beyond tol."""
-        c = constant_mod_free(self, tol)
-        if c is None:
-            raise ValueError("PolyTrig is not constant")
-        return c
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -613,13 +606,6 @@ def translate(f, v):
     """The shifted function x -> f(x - v)."""
     m = AffineMap.translation([-Fraction(x) for x in v])
     return pullback_fn(f, m)
-
-
-def antiderivative_1d(f):
-    """F with F' = f and F(0) = 0 for a one-variable PolyTrig."""
-    if f.dim != 1:
-        raise DimensionError("antiderivative_1d expects a one-variable function")
-    return f.antiderivative(1)
 
 
 def constant_mod_free(f, tol=DEFAULT_TOL):

@@ -50,10 +50,6 @@ class CheckReport:
         return f"CheckReport({self.identity}: {state})"
 
 
-def residue_str(scalar):
-    return str(scalar)
-
-
 def phase_item(report, label, residue, tol=DEFAULT_TOL, note=None):
     """Record a mod-2*pi residue check: passes iff residue is a 2*pi multiple.
 
@@ -63,5 +59,5 @@ def phase_item(report, label, residue, tol=DEFAULT_TOL, note=None):
         report.add(label, False, residue="nonconstant", note=note)
         return False
     ok = residue.in_two_pi_Z(tol)
-    report.add(label, ok, residue=residue_str(residue.mod_two_pi()), note=note)
+    report.add(label, ok, residue=str(residue.mod_two_pi()), note=note)
     return ok

@@ -47,12 +47,6 @@ class Scalar:
         return Scalar({pi_pow: q}, float(q) * math.pi**pi_pow, 0.0)
 
     @staticmethod
-    def from_pi_map(m):
-        pi = {k: _as_fraction(v) for k, v in m.items() if v != 0}
-        val = sum(float(q) * math.pi**k for k, q in pi.items())
-        return Scalar(pi, val, 0.0)
-
-    @staticmethod
     def approx(v, tol=DEFAULT_TOL):
         return Scalar(None, float(v), tol)
 

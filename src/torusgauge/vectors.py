@@ -21,15 +21,6 @@ def vneg(a):
     return tuple(-x for x in a)
 
 
-def vscale(c, a):
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
-def vdot(a, b):
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 def vzero(d):
     return (Fraction(0),) * d
 

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -35,7 +34,3 @@ def gerbe_2d():
 @pytest.fixture
 def rnd():
     return random.Random(20240811)
-
-
-def rational_vec(rnd, d, num=3, dens=(1, 2, 3, 4)):
-    return tuple(Fraction(rnd.randint(-num, num), rnd.choice(dens)) for _ in range(d))

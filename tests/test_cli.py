@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 
@@ -191,3 +192,70 @@ def test_gerbe_section_and_twist3(tmp_path, capsys):
         )
         capsys.readouterr()
         assert code == 0, cmd
+
+
+def write_config(tmp_path, doc, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"schema": 1, **doc}))
+    return str(path)
+
+
+def test_line_without_connection_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"dimension": 2, "kind": "line", "cocycle": {"2": "2*pi*x1"}})
+    for cmd in ("section", "twist2", "sym-product", "cohomology", "check-connection"):
+        assert run([cmd, "--config", cfg]) == 2, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err, cmd
+    # the cocycle law needs no connection
+    assert run(["check-cocycle", "--config", cfg]) == 0
+    capsys.readouterr()
+
+
+def test_twist3_labels_match_their_triples(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "dimension": 3,
+            "kind": "gerbe",
+            "curving": {"2,3": "2*pi*x1 + x1^2"},
+            "params": {"vectors": [[0, 0, 1], [0, 0, 2], [1, 0, 0], [0, 1, 0]]},
+        },
+    )
+    code, report = run_cmd(tmp_path, "twist3", "--config", cfg)
+    capsys.readouterr()
+    assert code == 1
+    status = {i["label"]: i["status"] for i in report["checks"][0]["items"]}
+    # H = (2*pi + 2*x1) dx1^dx2^dx3: only the degenerate triple has a
+    # translation-invariant associator
+    assert status == {
+        "(0,0,1);(0,0,2);(1,0,0)": "pass",
+        "(0,0,2);(1,0,0);(0,1,0)": "fail",
+        "(1,0,0);(0,1,0);(0,0,1)": "fail",
+    }
+    assert set(report["values"]["twist3"]) == set(status)
+
+
+def test_check_cocycle_rejects_bad_counts(tmp_path, capsys):
+    for params in ({"samples": -5}, {"samples": 2.5}, {"samples": "10"},
+                   {"range": -1}, {"range": 1.5}, {"range": 10**6}):
+        cfg = write_config(tmp_path, {"dimension": 3, "kind": "line", "params": params})
+        assert run(["check-cocycle", "--config", cfg]) == 2, params
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), params
+
+
+def test_check_cocycle_samples_without_building_all_pairs(tmp_path, capsys):
+    # (2*4 + 1)^6 = 531441 pairs of lattice vectors; only 400 are checked
+    cfg = write_config(
+        tmp_path, {"dimension": 3, "kind": "line", "params": {"range": 4, "samples": 400}}
+    )
+    tracemalloc.start()
+    try:
+        code, report = run_cmd(tmp_path, "check-cocycle", "--config", cfg, "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert len(report["checks"][0]["items"]) == 400
+    assert peak < 8 * 2**20

@@ -274,15 +274,6 @@ def test_u1_periodicity():
     assert not U1Function(parse_expr("pi*x1", 2)).is_periodic()
 
 
-def test_antiderivative_1d_contract():
-    from torusgauge.polytrig import antiderivative_1d
-
-    f = parse_expr("x1^2", 1)
-    assert antiderivative_1d(f) == parse_expr("1/3*x1^3", 1)
-    with pytest.raises(DimensionError):
-        antiderivative_1d(parse_expr("x1", 2))
-
-
 def test_affine_map_composition_associative():
     m1 = AffineMap([[1, 1], [0, 1]], [Fraction(1, 2), 0])
     m2 = AffineMap([[0, 1], [1, 0]], [1, Fraction(1, 3)])
