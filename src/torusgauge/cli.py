@@ -90,9 +90,15 @@ def _parse_pair(key):
     return (_parse_axis(parts[0]), _parse_axis(parts[1]))
 
 
-def _parse_form(d, comps, degree):
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _parse_form(d, comps, degree, what):
     out = {}
-    for key, text in comps.items():
+    for key, text in _object(comps, what).items():
         idx = tuple(_parse_axis(p) for p in key.split(","))
         if len(idx) != degree:
             raise ConfigError(f"component {key!r} has wrong degree (want {degree})")
@@ -108,28 +114,28 @@ def load_scenario(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    _object(doc, f"config {path}")
     try:
         if doc.get("schema", 1) != 1:
             raise ConfigError(f"unsupported config schema {doc.get('schema')!r}")
         d = int(doc["dimension"])
         kind = doc["kind"]
         name = doc.get("name", "scenario")
-        params = doc.get("params", {})
+        params = _object(doc.get("params", {}), "params")
+        cocycle = _object(doc.get("cocycle", {}), "cocycle")
         if kind == "line":
-            gens = {_parse_axis(k): parse_expr(v, d) for k, v in doc.get("cocycle", {}).items()}
+            gens = {_parse_axis(k): parse_expr(v, d) for k, v in cocycle.items()}
             conn = None
             if "connection" in doc:
-                conn = _parse_form(d, doc["connection"], 1)
+                conn = _parse_form(d, doc["connection"], 1, "connection")
             data = LineData(d, gens, conn)
         elif kind == "gerbe":
-            pair_exps = {
-                _parse_pair(k): parse_expr(v, d) for k, v in doc.get("cocycle", {}).items()
-            }
+            pair_exps = {_parse_pair(k): parse_expr(v, d) for k, v in cocycle.items()}
             gen_conns = {
-                _parse_axis(k): _parse_form(d, comps, 1)
-                for k, comps in doc.get("connection", {}).items()
+                _parse_axis(k): _parse_form(d, comps, 1, f"connection {k!r}")
+                for k, comps in _object(doc.get("connection", {}), "connection").items()
             }
-            curving = _parse_form(d, doc.get("curving", {}), 2)
+            curving = _parse_form(d, doc.get("curving", {}), 2, "curving")
             data = GerbeData(d, pair_exps, gen_conns, curving)
         else:
             raise ConfigError(f"unknown scenario kind {kind!r}")
@@ -161,10 +167,10 @@ def _sample_vectors(rnd, d, count, dens=(1, 2, 3, 4)):
     return [rand_vector(rnd, d, num=3, dens=dens) for _ in range(count)]
 
 
-def _count_param(scn, key, default):
+def _count_param(scn, key, default, least=0):
     n = scn.params.get(key, default)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ConfigError(f"params {key!r} must be a nonnegative integer, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise ConfigError(f"params {key!r} must be an integer >= {least}, got {n!r}")
     return n
 
 
@@ -278,6 +284,7 @@ def cmd_twist3(scn, rnd, tol, values):
 
 def cmd_pentagon(scn, rnd, tol, values):
     d = scn.data.d
+    n = _count_param(scn, "samples", DEFAULT_ASSOCIATIVITY_SAMPLES)
     reports = []
     if d >= 3:
         e1, e2, e3 = (basis_vec(d, a) for a in (1, 2, 3))
@@ -285,7 +292,6 @@ def cmd_pentagon(scn, rnd, tol, values):
         res = constant_mod_free(om.exponent, tol)
         values["associator_e1_e2_e3"] = str(om.exponent) if res is None else str(res)
         reports.append(pentagon_check(scn.data, e1, e2, e3, tol))
-    n = scn.params.get("samples", DEFAULT_ASSOCIATIVITY_SAMPLES)
     agg = CheckReport("pentagon_relation")
     for _ in range(n):
         u, v, w = (rand_vector(rnd, d, num=3, dens=(1, 2, 3, 4)) for _ in range(3))
@@ -306,7 +312,8 @@ def cmd_flux(scn, rnd, tol, values):
 
 def cmd_sym_product(scn, rnd, tol, values):
     d = scn.data.d
-    n = scn.params.get("samples", DEFAULT_ASSOCIATIVITY_SAMPLES)
+    n = _count_param(scn, "samples", DEFAULT_ASSOCIATIVITY_SAMPLES)
+    m = _count_param(scn, "equivalence_samples", 25)
     rep = CheckReport("lift_associativity")
     for i in range(n):
         elems = [
@@ -328,7 +335,6 @@ def cmd_sym_product(scn, rnd, tol, values):
         and (lift_product(unit, a, scn.data).gauge / a.gauge).is_one(tol),
     )
     reports = [rep]
-    m = scn.params.get("equivalence_samples", 25)
     eq = CheckReport("lift_equivalence")
     for i in range(m):
         end = rand_vector(rnd, d, num=2, dens=(1, 2))
@@ -346,7 +352,7 @@ def cmd_sym_product(scn, rnd, tol, values):
 
 def cmd_cohomology(scn, rnd, tol, values):
     d = scn.data.d
-    n = scn.params.get("samples", DEFAULT_COHOMOLOGY_SAMPLES)
+    n = _count_param(scn, "samples", DEFAULT_COHOMOLOGY_SAMPLES)
     if scn.kind == "line":
         data = scn.data
 
@@ -363,6 +369,12 @@ def cmd_cohomology(scn, rnd, tol, values):
 
 def cmd_operators(scn, rnd, tol, values):
     flux_list = scn.params.get("flux_list", [1, 2, 3, 4])
+    if not isinstance(flux_list, list) or not flux_list or not all(
+        isinstance(N, int) and not isinstance(N, bool) and N > 0 for N in flux_list
+    ):
+        raise ConfigError(
+            f"params 'flux_list' must be a nonempty list of positive integers, got {flux_list!r}"
+        )
     rep = CheckReport("operator_cocycle")
     worst = 0.0
     for N in flux_list:
@@ -386,7 +398,7 @@ def cmd_operators(scn, rnd, tol, values):
 
 
 def cmd_stokes_selftest(scn, rnd, tol, values):
-    count = 50 if scn is None else scn.params.get("samples", 50)
+    count = 50 if scn is None else _count_param(scn, "samples", 50, least=1)
     rep = CheckReport("stokes")
     for d in (2, 3):
         for k in (1, 2, 3):

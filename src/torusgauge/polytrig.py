@@ -29,6 +29,7 @@ MODE_NONE = 0
 MODE_COS = 1
 MODE_SIN = 2
 
+_ZERO = Fraction(0)
 _QUARTER = Fraction(1, 4)
 _HALF = Fraction(1, 2)
 
@@ -315,17 +316,56 @@ class PolyTrig:
         return out
 
     def substitute(self, axis, coeffs, const):
-        """Replace x_axis by sum(coeffs[j] * x_j) + const (j 1-based); keeps dim."""
+        """Replace x_axis by another variable or by a rational constant; keeps dim.
+
+        Two shapes are accepted (axes 1-based):
+        - coeffs == {b: 1} and const == 0, with b != axis: x_axis -> x_b;
+        - coeffs == {} and const an int or Fraction r: x_axis -> r.
+        Any other shape raises ValueError.  Each term's key is rewritten
+        directly; the terms and coefficients, float shadows included, are
+        those of the affine pullback by the same substitution.
+        """
+        if not 1 <= axis <= self.dim:
+            raise DimensionError(f"axis {axis} out of range for dimension {self.dim}")
         a = axis - 1
-        rows = []
-        for i in range(self.dim):
-            if i == a:
-                rows.append(tuple(Fraction(coeffs.get(j + 1, 0)) for j in range(self.dim)))
-            else:
-                rows.append(tuple(Fraction(1 if j == i else 0) for j in range(self.dim)))
-        trans = [Scalar.zero()] * self.dim
-        trans[a] = Scalar.coerce(const)
-        return self._pullback(tuple(rows), tuple(trans), self.dim)
+        b = r = None
+        if coeffs:
+            if len(coeffs) != 1 or const != 0:
+                raise ValueError("substitute takes x_axis -> x_b or x_axis -> constant")
+            ((b, k),) = coeffs.items()
+            if k != 1 or b == axis or not 1 <= b <= self.dim:
+                raise ValueError(f"cannot substitute x{axis} -> {k}*x{b}")
+            b -= 1
+        elif isinstance(const, (int, Fraction)):
+            r = Fraction(const)
+        else:
+            raise ValueError(f"substitution constant must be rational, got {const!r}")
+        acc = _Acc(self.dim)
+        for (alpha, mode, freq, phase), c in self.terms.items():
+            e, f = alpha[a], freq[a]
+            if e and r == 0:
+                continue
+            if mode != MODE_NONE or any(alpha):
+                # an affine pullback multiplies c by exact factors, recomputing its shadow
+                c = c.reshadowed()
+            if e:
+                al = list(alpha)
+                al[a] = 0
+                if b is not None:
+                    al[b] += e
+                elif r != 1:
+                    c = c * Scalar.exact(r**e)
+                alpha = tuple(al)
+            if f:
+                fr = list(freq)
+                fr[a] = _ZERO
+                if b is not None:
+                    fr[b] += f
+                else:
+                    phase = phase + f * r
+                freq = tuple(fr)
+            acc.put(alpha, mode, freq, phase, c)
+        return acc.done()
 
     # -- pullback ----------------------------------------------------------
 

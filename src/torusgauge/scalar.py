@@ -18,6 +18,11 @@ DROP_EPS = 1e-15
 _TWO_PI = 2.0 * math.pi
 
 
+def _shadow(pi):
+    """The float shadow of an exact value, summed in pi's order as products do."""
+    return sum(float(q) * math.pi**k for k, q in pi.items())
+
+
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
@@ -135,8 +140,7 @@ class Scalar:
                         pi.pop(k, None)
                     else:
                         pi[k] = r
-            val = sum(float(q) * math.pi**k for k, q in pi.items())
-            return Scalar(pi, val, 0.0)
+            return Scalar(pi, _shadow(pi), 0.0)
         tol = abs(self.val) * other.tol + abs(other.val) * self.tol + self.tol * other.tol
         return Scalar(None, self.val * other.val, tol)
 
@@ -150,10 +154,20 @@ class Scalar:
         if self.is_exact and other.is_exact and len(other.pi) == 1:
             ((m, q),) = other.pi.items()
             pi = {k - m: r / q for k, r in self.pi.items()}
-            val = sum(float(r) * math.pi**k for k, r in pi.items())
-            return Scalar(pi, val, 0.0)
+            return Scalar(pi, _shadow(pi), 0.0)
         tol = (self.tol + abs(self.val / other.val) * other.tol) / abs(other.val)
         return Scalar(None, self.val / other.val, tol)
+
+    def reshadowed(self):
+        """The same value, with an exact scalar's float shadow recomputed from pi.
+
+        Sums add shadows while products recompute them, so the last bit of
+        the shadow depends on how an exact value was built; this gives the
+        shadow a product by an exact 1 would.
+        """
+        if self.pi is None:
+            return self
+        return Scalar(self.pi, _shadow(self.pi), 0.0)
 
     def __float__(self):
         return self.val

@@ -259,3 +259,69 @@ def test_check_cocycle_samples_without_building_all_pairs(tmp_path, capsys):
     assert code == 0
     assert len(report["checks"][0]["items"]) == 400
     assert peak < 8 * 2**20
+
+
+LINE = {
+    "dimension": 2,
+    "kind": "line",
+    "cocycle": {"2": "2*pi*x1"},
+    "connection": {"1": "-2*pi*x2"},
+}
+GERBE = {"dimension": 3, "kind": "gerbe", "curving": {"2,3": "2*pi*x1"}}
+
+
+def assert_config_error(capsys, argv, what):
+    assert run(argv) == 2, what
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:"), what
+
+
+def test_top_level_array_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([{"schema": 1, **LINE}]))
+    assert_config_error(capsys, ["check-cocycle", "--config", str(path)], "array")
+
+
+def test_non_object_sections_are_config_errors(tmp_path, capsys):
+    cases = [
+        ("check-cocycle", {**LINE, "params": [1]}),
+        ("check-cocycle", {**LINE, "cocycle": ["2*pi*x1"]}),
+        ("check-connection", {**LINE, "connection": ["-2*pi*x2"]}),
+        ("flux", {**GERBE, "params": ["samples"]}),
+        ("flux", {**GERBE, "cocycle": ["2*pi*x3"]}),
+        ("flux", {**GERBE, "connection": [{"3": "2*pi*x2"}]}),
+        ("flux", {**GERBE, "connection": {"1": ["2*pi*x2"]}}),
+        ("flux", {**GERBE, "curving": ["2*pi*x1"]}),
+    ]
+    for command, doc in cases:
+        cfg = write_config(tmp_path, doc)
+        assert_config_error(capsys, [command, "--config", cfg], (command, doc))
+
+
+def test_sample_counts_are_validated(tmp_path, capsys):
+    reads = [
+        ("pentagon", GERBE, "samples"),
+        ("sym-product", LINE, "samples"),
+        ("sym-product", LINE, "equivalence_samples"),
+        ("cohomology", LINE, "samples"),
+        ("cohomology", GERBE, "samples"),
+        ("stokes-selftest", LINE, "samples"),
+    ]
+    for command, doc, key in reads:
+        for bad in ("x", -3, 2.5, None, True):
+            cfg = write_config(tmp_path, {**doc, "params": {key: bad}})
+            assert_config_error(capsys, [command, "--config", cfg], (command, key, bad))
+    # a self-test of no samples would pass having tested nothing
+    cfg = write_config(tmp_path, {**LINE, "params": {"samples": 0}})
+    assert_config_error(capsys, ["stokes-selftest", "--config", cfg], "stokes 0")
+    cfg = write_config(tmp_path, {**LINE, "params": {"samples": 1}})
+    code, report = run_cmd(tmp_path, "stokes-selftest", "--config", cfg)
+    capsys.readouterr()
+    assert code == 0
+    assert report["checks"][0]["items"][0]["label"] == "d=2 k=1 (1 samples)"
+
+
+def test_operators_rejects_bad_flux_list(tmp_path, capsys):
+    for bad in ([], [2.5], [0], [-1], [True], [1, "2"], "x", 3, {}, None):
+        cfg = write_config(tmp_path, {**LINE, "params": {"flux_list": bad}})
+        assert_config_error(capsys, ["operators", "--config", cfg], bad)

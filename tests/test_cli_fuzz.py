@@ -1,0 +1,59 @@
+"""Bounded config fuzzer: malformed configs keep the CLI's exit-code contract.
+
+Each example takes a bundled scenario, breaks it in one place and runs one
+command in process.  Whatever the config says, run() must return 0, 1, 2 or
+3 and let no exception escape.
+"""
+
+import contextlib
+import copy
+import io
+import json
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torusgauge.cli import HANDLERS, run
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BAD_VALUES = [-1, 0, "x", 2.5, [], {}, None]
+# keep every command cheap on the unbroken config
+CHEAP_PARAMS = {"samples": 2, "equivalence_samples": 1, "flux_list": [1]}
+PARAM_KEYS = ("samples", "equivalence_samples", "range", "vectors", "flux_list")
+
+
+def _base(name):
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    doc["params"] = {**doc["params"], **CHEAP_PARAMS}
+    return doc
+
+
+BASES = {name: _base(name) for name in ("zero_line", "constant_flux_m1")}
+
+
+@st.composite
+def broken_configs(draw):
+    doc = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
+    how = draw(st.sampled_from(("type", "key", "param")))
+    if how == "type":
+        return draw(st.sampled_from(BAD_VALUES + [[doc], "config"]))
+    value = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+    if how == "key":
+        doc[draw(st.sampled_from(sorted(doc)))] = value
+    else:
+        doc["params"][draw(st.sampled_from(PARAM_KEYS))] = value
+    return doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(doc=broken_configs(), command=st.sampled_from(sorted(HANDLERS)))
+def test_broken_configs_keep_the_exit_code_contract(tmp_path_factory, doc, command):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([command, "--config", str(path)])
+    assert code in (0, 1, 2, 3), (code, command, doc)
+    if code == 2:
+        assert err.getvalue().startswith("config error:"), (command, doc)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -282,3 +283,78 @@ def test_affine_map_composition_associative():
     a = pullback_fn(f, m1.compose(m2).compose(m3))
     b = pullback_fn(f, m1.compose(m2.compose(m3)))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# limit substitution
+
+
+def _substitution_pullback(f, axis, coeffs, const):
+    """Reference: x_axis -> sum(coeffs[j] x_j) + const as a generic affine pullback."""
+    rows = [
+        tuple(
+            Fraction(coeffs.get(j + 1, 0) if i == axis - 1 else int(i == j))
+            for j in range(f.dim)
+        )
+        for i in range(f.dim)
+    ]
+    trans = [Scalar.zero()] * f.dim
+    trans[axis - 1] = Scalar.coerce(const)
+    return f._pullback(tuple(rows), tuple(trans), f.dim)
+
+
+def _rand_rational_polytrig(r, d):
+    """Terms with rational frequencies and phases, exact coefficients built as
+    sums (so their float shadows are not recomputed from pi) and one tier-F one."""
+    f = PolyTrig.zero(d)
+    for n in range(5):
+        alpha = tuple(r.randint(0, 2) for _ in range(d))
+        if n == 0:
+            c = Scalar.approx(r.uniform(-3, 3), 1e-12)
+        else:
+            c = Scalar.exact(Fraction(r.randint(-9, 9), r.randint(1, 7)), r.randint(-1, 1))
+            c = c + Scalar.exact(Fraction(r.randint(1, 9), r.randint(1, 7)), r.randint(0, 2))
+        if n % 3 == 2:
+            f = f + PolyTrig.monomial(d, alpha, c)
+            continue
+        freq = [Fraction(r.randint(-3, 3), r.choice((1, 2, 3))) for _ in range(d)]
+        phase = Fraction(r.randint(-5, 5), r.choice((1, 3, 4, 5, 6)))
+        f = f + PolyTrig.monomial(d, alpha) * PolyTrig.trig(d, 1 + n % 2, freq, phase, c)
+    return f
+
+
+def test_substitute_matches_affine_pullback():
+    r = random.Random(31)
+    for d in (2, 3):
+        for _ in range(40):
+            f = _rand_rational_polytrig(r, d)
+            a = r.randint(1, d)
+            b = r.choice([j for j in range(1, d + 1) if j != a])
+            for coeffs, const in (
+                ({b: Fraction(1)}, Fraction(0)),
+                ({}, Fraction(0)),
+                ({}, Fraction(1)),
+                ({}, Fraction(1, 3)),
+            ):
+                got = f.substitute(a, coeffs, const)
+                want = _substitution_pullback(f, a, coeffs, const)
+                assert list(got.terms) == list(want.terms)
+                for key, c in got.terms.items():
+                    w = want.terms[key]
+                    assert (c.pi, c.val, c.tol) == (w.pi, w.val, w.tol), (key, coeffs, const)
+
+
+def test_substitute_rejects_other_shapes():
+    f = parse_expr("x1*x2 + cos(2*pi*(x1 - x2))", 2)
+    for axis, coeffs, const in (
+        (1, {2: Fraction(2)}, Fraction(0)),
+        (1, {2: Fraction(1)}, Fraction(1)),
+        (1, {1: Fraction(1)}, Fraction(0)),
+        (1, {2: Fraction(1), 1: Fraction(1)}, Fraction(0)),
+        (1, {}, Scalar.exact(1, 1)),
+        (1, {}, 0.5),
+    ):
+        with pytest.raises(ValueError):
+            f.substitute(axis, coeffs, const)
+    with pytest.raises(DimensionError):
+        f.substitute(3, {}, Fraction(0))
