@@ -49,7 +49,7 @@ from .magnetic import (
     verify_projective_relation,
 )
 from .polytrig import constant_mod_free
-from .reports import CheckReport
+from .reports import CheckReport, vec_label
 from .sampling import (
     rand_based_path,
     rand_periodic_gauge,
@@ -159,10 +159,6 @@ def _vectors(scn, default):
     return out
 
 
-def _vec_str(v):
-    return "(" + ",".join(str(x) for x in v) + ")"
-
-
 def _sample_vectors(rnd, d, count, dens=(1, 2, 3, 4)):
     return [rand_vector(rnd, d, num=3, dens=dens) for _ in range(count)]
 
@@ -224,11 +220,11 @@ def cmd_section(scn, rnd, tol, values):
     sections = {}
     for v in vecs:
         if scn.kind == "line":
-            sections[_vec_str(v)] = str(translation_section(scn.data, v).exponent)
+            sections[vec_label(v)] = str(translation_section(scn.data, v).exponent)
             reports.append(check_section_membership(scn.data, v, tol))
         else:
             sec = gerbe_translation_section(scn.data, v)
-            sections[_vec_str(v)] = {
+            sections[vec_label(v)] = {
                 f"e{a}": str(g.exponent) for a, g in sorted(sec.g.items())
             }
             reports.append(check_section_constraint(scn.data, v, tol=tol))
@@ -242,7 +238,7 @@ def cmd_twist2(scn, rnd, tol, values):
     phases = {}
     reports = []
     for v, vp in itertools.combinations(vecs, 2):
-        key = _vec_str(v) + ";" + _vec_str(vp)
+        key = vec_label(v) + ";" + vec_label(vp)
         if scn.kind == "line":
             c = two_cocycle(scn.data, v, vp)
             phases[key] = str(c.exponent)
@@ -268,7 +264,7 @@ def cmd_twist3(scn, rnd, tol, values):
         tuples.append((vecs[i], vecs[i + 1], vecs[i + 2]))
     rep = CheckReport("associator_descends")
     for u, v, w in tuples:
-        key = ";".join(map(_vec_str, (u, v, w)))
+        key = ";".join(map(vec_label, (u, v, w)))
         if key in phases:
             continue
         om = associator(scn.data, u, v, w)

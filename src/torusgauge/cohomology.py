@@ -16,7 +16,7 @@ Evaluators must be pure; samples may be checked in any order.
 
 from __future__ import annotations
 
-from .reports import CheckReport, phase_item
+from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL
 from .vectors import as_vec, vadd
 
@@ -67,8 +67,7 @@ def is_cocycle(c, samples, tol=DEFAULT_TOL, identity="cochain_cocycle"):
     report = CheckReport(identity)
     for args in samples:
         val = dc(*args)
-        label = "; ".join("(" + ",".join(str(x) for x in as_vec(v)) + ")" for v in args)
-        phase_item(report, label, val.residue(tol), tol)
+        phase_item(report, vec_label(*map(as_vec, args)), val.residue(tol), tol)
     return report
 
 
@@ -80,6 +79,5 @@ def is_coboundary_of(c, b, samples, tol=DEFAULT_TOL):
     report = CheckReport("cochain_coboundary")
     for args in samples:
         val = c(*args) / db(*args)
-        label = "; ".join("(" + ",".join(str(x) for x in as_vec(v)) + ")" for v in args)
-        phase_item(report, label, val.residue(tol), tol)
+        phase_item(report, vec_label(*map(as_vec, args)), val.residue(tol), tol)
     return report

@@ -308,7 +308,8 @@ def integrate_simplex(omega, simplex):
 def _pulled_coefficient(omega, edges, lin, trans, ext):
     """Coefficient sum_I det(minor_I) f_I o M of dt_1^...^dt_k in M^* omega.
 
-    M(y) = lin y + trans; edges[j] is the column of lin that t_j multiplies.
+    M(y) = lin y + trans, both rational; edges[j] is the column of lin that t_j
+    multiplies.
     """
     g = None
     for I, f in omega.comps.items():
@@ -334,8 +335,7 @@ def _iterated_integral(omega, edges, p0, symbolic, nested):
         tuple(Fraction(int(a == i)) for a in range(toff)) + tuple(e[i] for e in edges)
         for i in range(d)
     )
-    trans = tuple(Scalar.exact(x) for x in p0)
-    g = _pulled_coefficient(omega, edges, lin, trans, toff + k)
+    g = _pulled_coefficient(omega, edges, lin, p0, toff + k)
     for j in range(k, 0, -1):
         axis = toff + j
         g = g.antiderivative(axis, normalize=True)

@@ -28,11 +28,9 @@ from fractions import Fraction
 from .errors import DegreeError, DimensionError, QuantizationError
 from .forms import AffineSimplex, Form, _iterated_integral, integrate_path, integrate_simplex
 from .polytrig import PolyTrig, U1Function, constant_mod_free, translate
-from .reports import CheckReport, phase_item
+from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
 from .vectors import as_vec, basis_vec, vadd, vneg, vzero
-
-from .magnetic import _vec_label
 
 
 class GerbeData:
@@ -107,7 +105,7 @@ def check_gerbe_cocycle(gerbe, triples, tol=DEFAULT_TOL):
             - gerbe.phi(i, jk)
             - translate(gerbe.phi(j, k), vneg(as_vec(i)))
         )
-        phase_item(report, _vec_label(i, j, k), constant_mod_free(slack, tol), tol)
+        phase_item(report, vec_label(i, j, k), constant_mod_free(slack, tol), tol)
     return report
 
 
@@ -127,7 +125,7 @@ def check_gerbe_connection(gerbe, pairs=None, tol=DEFAULT_TOL):
             - gerbe.connection(i)
             - gerbe.connection(j).translate(vneg(as_vec(i)))
         )
-        report.add(f"cocycle vs connections {_vec_label(i, j)}", (dphi - rhs).is_zero(tol))
+        report.add(f"cocycle vs connections {vec_label(i, j)}", (dphi - rhs).is_zero(tol))
     B = gerbe.curving
     for a in range(1, d + 1):
         e = basis_vec(d, a)
@@ -220,7 +218,7 @@ def check_section_constraint(gerbe, v, pairs=None, tol=DEFAULT_TOL):
             - th_ij
             - translate(phi, v)
         )
-        phase_item(report, _vec_label(i, j), constant_mod_free(slack, tol), tol)
+        phase_item(report, vec_label(i, j), constant_mod_free(slack, tol), tol)
     return report
 
 
@@ -249,7 +247,7 @@ def pentagon_check(gerbe, u, v, w, tol=DEFAULT_TOL):
         + composition_phase(gerbe, vadd(u, v), w).exponent
         + composition_phase(gerbe, u, v).exponent
     )
-    phase_item(report, _vec_label(u, v, w), constant_mod_free(lhs - rhs, tol), tol)
+    phase_item(report, vec_label(u, v, w), constant_mod_free(lhs - rhs, tol), tol)
     return report
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import DimensionError, PathError, TorusGaugeError
 from .forms import AffineSimplex, Form, PLPath, integrate_path, integrate_simplex
 from .polytrig import PolyTrig, U1Function, constant_mod_free, translate
-from .reports import CheckReport, phase_item
+from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
 from .vectors import as_vec, basis_vec, vadd, vneg, vzero
 
@@ -34,10 +34,6 @@ GAUGE_NOTE = (
     "connection identities are invariant under adding a constant 1-form to A"
     " (gauge freedom); constant shifts are accepted"
 )
-
-
-def _vec_label(*vecs):
-    return "; ".join("(" + ",".join(str(x) for x in v) + ")" for v in vecs)
 
 
 class LineData:
@@ -108,7 +104,7 @@ def check_line_cocycle(line, pairs, tol=DEFAULT_TOL):
             + translate(line.phi(j), vneg(as_vec(i)))
             - line.phi(tuple(a + b for a, b in zip(i, j)))
         )
-        phase_item(report, _vec_label(i, j), constant_mod_free(slack, tol), tol)
+        phase_item(report, vec_label(i, j), constant_mod_free(slack, tol), tol)
     return report
 
 
@@ -170,7 +166,7 @@ def verify_projective_relation(line, v, vp, tol=DEFAULT_TOL):
     th_sum = translation_section(line, vadd(v, vp)).exponent
     c = two_cocycle(line, v, vp)
     slack = th_v + translate(th_vp, v) - c.exponent - th_sum
-    phase_item(report, _vec_label(v, vp), constant_mod_free(slack, tol), tol)
+    phase_item(report, vec_label(v, vp), constant_mod_free(slack, tol), tol)
     return report, c
 
 

@@ -13,8 +13,9 @@ internals of pullbacks and iterated integration, where they keep intermediate
 results exact.
 
 The ring is closed under +, *, partial derivatives, pullback along affine
-maps, and antidifferentiation in one variable.  All values are immutable
-after construction and safe to share across threads.
+maps with rational linear part and translation, and antidifferentiation in
+one variable.  All values are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -322,8 +323,8 @@ class PolyTrig:
         - coeffs == {b: 1} and const == 0, with b != axis: x_axis -> x_b;
         - coeffs == {} and const an int or Fraction r: x_axis -> r.
         Any other shape raises ValueError.  Each term's key is rewritten
-        directly; the terms and coefficients, float shadows included, are
-        those of the affine pullback by the same substitution.
+        directly; the terms and coefficients are those of the affine pullback
+        by the same substitution.
         """
         if not 1 <= axis <= self.dim:
             raise DimensionError(f"axis {axis} out of range for dimension {self.dim}")
@@ -345,9 +346,6 @@ class PolyTrig:
             e, f = alpha[a], freq[a]
             if e and r == 0:
                 continue
-            if mode != MODE_NONE or any(alpha):
-                # an affine pullback multiplies c by exact factors, recomputing its shadow
-                c = c.reshadowed()
             if e:
                 al = list(alpha)
                 al[a] = 0
@@ -370,9 +368,11 @@ class PolyTrig:
     # -- pullback ----------------------------------------------------------
 
     def _pullback(self, lin, trans, in_dim):
-        """f(L y + t) where lin has shape (self.dim, in_dim); exact when it can be."""
+        """f(L y + t); lin has shape (self.dim, in_dim), lin and trans are rational."""
         acc = _Acc(in_dim)
         lin_cols = [[lin[i][j] for j in range(in_dim)] for i in range(self.dim)]
+        zeros = (0,) * in_dim
+        zero_freq = _zero_freq(in_dim)
         cache = {}
         for (alpha, mode, freq, phase), c in self.terms.items():
             poly = None
@@ -383,47 +383,30 @@ class PolyTrig:
                 fac = cache.get(key)
                 if fac is None:
                     row = _Acc(in_dim)
-                    base = (0,) * in_dim
                     for j, l in enumerate(lin_cols[i]):
                         if l != 0:
                             al = tuple(1 if jj == j else 0 for jj in range(in_dim))
-                            row.put(al, MODE_NONE, _zero_freq(in_dim), Fraction(0), Scalar.exact(l))
-                    row.put(base, MODE_NONE, _zero_freq(in_dim), Fraction(0), trans[i])
+                            row.put(al, MODE_NONE, zero_freq, _ZERO, Scalar.exact(l))
+                    row.put(zeros, MODE_NONE, zero_freq, _ZERO, Scalar.exact(trans[i]))
                     fac = row.done() ** e
                     cache[key] = fac
                 poly = fac if poly is None else poly * fac
             if mode == MODE_NONE:
-                trig = None
+                nf = zero_freq
             else:
+                # q.(L y + t) + phase = (L^T q).y + (q.t + phase)
                 nf = tuple(
-                    sum((freq[i] * lin[i][j] for i in range(self.dim)), Fraction(0))
+                    sum((freq[i] * lin[i][j] for i in range(self.dim)), _ZERO)
                     for j in range(in_dim)
                 )
-                delta = Scalar.zero()
-                for i in range(self.dim):
-                    if freq[i] != 0:
-                        delta = delta + trans[i] * Scalar.exact(freq[i])
-                if delta.is_rational():
-                    trig = PolyTrig.trig(in_dim, mode, nf, phase + delta.rational_value())
-                else:
-                    # irrational or float phase shift: expand with numeric factors
-                    ang = 2.0 * _math.pi * delta.val
-                    tol = 2.0 * _math.pi * delta.tol + 1e-14
-                    cosd = Scalar.approx(_math.cos(ang), tol)
-                    sind = Scalar.approx(_math.sin(ang), tol)
-                    base_cos = PolyTrig.trig(in_dim, MODE_COS, nf, phase)
-                    base_sin = PolyTrig.trig(in_dim, MODE_SIN, nf, phase)
-                    if mode == MODE_COS:
-                        trig = base_cos.scale(cosd) - base_sin.scale(sind)
-                    else:
-                        trig = base_sin.scale(cosd) + base_cos.scale(sind)
-            term = PolyTrig.const(in_dim, c)
-            if poly is not None:
-                term = term * poly
-            if trig is not None:
-                term = term * trig
-            for k, q in term.terms.items():
-                acc.put(k[0], k[1], k[2], k[3], q)
+                for f, t in zip(freq, trans):
+                    if f != 0:
+                        phase = phase + f * t
+            if poly is None:
+                acc.put(zeros, mode, nf, phase, c)
+            else:
+                for (al, _, _, _), q in poly.terms.items():
+                    acc.put(al, mode, nf, phase, c * q)
         return acc.done()
 
     def expand_phases(self):
@@ -577,13 +560,17 @@ def _term_sort_key(key):
 
 
 class AffineMap:
-    """Affine map y -> L y + t with rational linear part and Scalar translation."""
+    """Affine map y -> L y + t with rational linear part and rational translation.
+
+    A translation entry may be an int, a Fraction or a rational Scalar; a
+    float or a pi-valued Scalar raises ValueError.
+    """
 
     __slots__ = ("lin", "trans", "out_dim", "in_dim")
 
     def __init__(self, lin, trans):
         self.lin = tuple(tuple(Fraction(v) for v in row) for row in lin)
-        self.trans = tuple(Scalar.coerce(t) for t in trans)
+        self.trans = tuple(_rational(t) for t in trans)
         self.out_dim = len(self.lin)
         self.in_dim = len(self.lin[0]) if self.lin else 0
         if len(self.trans) != self.out_dim:
@@ -612,22 +599,30 @@ class AffineMap:
             raise DimensionError("maps are not composable")
         lin = [
             [
-                sum((self.lin[i][k] * other.lin[k][j] for k in range(self.in_dim)), Fraction(0))
+                sum((self.lin[i][k] * other.lin[k][j] for k in range(self.in_dim)), _ZERO)
                 for j in range(other.in_dim)
             ]
             for i in range(self.out_dim)
         ]
-        trans = []
-        for i in range(self.out_dim):
-            t = self.trans[i]
-            for k in range(self.in_dim):
-                if self.lin[i][k] != 0:
-                    t = t + other.trans[k] * Scalar.exact(self.lin[i][k])
-            trans.append(t)
+        trans = [
+            self.trans[i]
+            + sum((self.lin[i][k] * other.trans[k] for k in range(self.in_dim)), _ZERO)
+            for i in range(self.out_dim)
+        ]
         return AffineMap(lin, trans)
 
     def __repr__(self):
         return f"AffineMap(out={self.out_dim}, in={self.in_dim})"
+
+
+def _rational(t):
+    if isinstance(t, Scalar):
+        if not t.is_rational():
+            raise ValueError(f"translation must be rational, got {t}")
+        return t.rational_value()
+    if isinstance(t, (int, Fraction)):
+        return Fraction(t)
+    raise ValueError(f"translation must be rational, got {t!r}")
 
 
 def pullback_fn(f, m):

@@ -31,7 +31,8 @@ class CheckReport:
 
     @property
     def passed(self):
-        return all(it.passed for it in self.items)
+        """True iff the report checked something and every item passed."""
+        return bool(self.items) and all(it.passed for it in self.items)
 
     def add(self, label, passed, residue=None, note=None):
         self.items.append(CheckItem(label, passed, residue, note))
@@ -48,6 +49,11 @@ class CheckReport:
         n_fail = sum(1 for it in self.items if not it.passed)
         state = "pass" if self.passed else f"FAIL ({n_fail}/{len(self.items)})"
         return f"CheckReport({self.identity}: {state})"
+
+
+def vec_label(*vecs):
+    """Item label for a tuple of vectors: "(a,b); (c,d)"."""
+    return "; ".join("(" + ",".join(str(x) for x in v) + ")" for v in vecs)
 
 
 def phase_item(report, label, residue, tol=DEFAULT_TOL, note=None):

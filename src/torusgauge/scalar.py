@@ -1,10 +1,12 @@
 """Two-tier scalars: exact rational combinations of integer powers of pi, or floats.
 
 Tier E stores a finite map {pi exponent -> Fraction}; arithmetic on this tier
-never loses precision.  Tier F stores a float together with an absolute
-tolerance that is propagated (conservatively) through arithmetic.  Mixing the
-tiers degrades to tier F.  Powers of pi are linearly independent over the
-rationals, so tier E zero- and membership-tests are decidable termwise.
+never loses precision.  Its float shadow ``val`` is a function of that map
+alone, computed on first read, so equal exact values have equal shadows however
+they were built.  Tier F stores a float together with an absolute tolerance
+that is propagated (conservatively) through arithmetic.  Mixing the tiers
+degrades to tier F.  Powers of pi are linearly independent over the rationals,
+so tier E zero- and membership-tests are decidable termwise.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _shadow(pi):
-    """The float shadow of an exact value, summed in pi's order as products do."""
-    return sum(float(q) * math.pi**k for k, q in pi.items())
+    """The float shadow of an exact value, summed in increasing powers of pi."""
+    return sum((float(q) * math.pi**k for k, q in sorted(pi.items())), 0.0)
 
 
 def _as_fraction(x):
@@ -34,13 +36,21 @@ def _as_fraction(x):
 class Scalar:
     """An exact (rational * pi^m combination) or toleranced-float number."""
 
-    __slots__ = ("pi", "val", "tol")
+    __slots__ = ("pi", "_val", "tol")
 
     def __init__(self, pi, val, tol):
         # pi: dict[int, Fraction] (tier E, canonical: no zero entries) or None (tier F)
+        # _val: the tier-F float; on tier E None until val first computes _shadow(pi)
         self.pi = pi
-        self.val = val
+        self._val = val
         self.tol = tol
+
+    @property
+    def val(self):
+        v = self._val
+        if v is None:
+            v = self._val = _shadow(self.pi)
+        return v
 
     # -- constructors ------------------------------------------------------
 
@@ -49,7 +59,7 @@ class Scalar:
         q = _as_fraction(q)
         if q == 0:
             return Scalar({}, 0.0, 0.0)
-        return Scalar({pi_pow: q}, float(q) * math.pi**pi_pow, 0.0)
+        return Scalar({pi_pow: q}, None, 0.0)
 
     @staticmethod
     def approx(v, tol=DEFAULT_TOL):
@@ -111,7 +121,7 @@ class Scalar:
                     pi.pop(k, None)
                 else:
                     pi[k] = r
-            return Scalar(pi, self.val + other.val, 0.0)
+            return Scalar(pi, None, 0.0)
         return Scalar(None, self.val + other.val, self.tol + other.tol)
 
     def __radd__(self, other):
@@ -119,7 +129,7 @@ class Scalar:
 
     def __neg__(self):
         if self.is_exact:
-            return Scalar({k: -q for k, q in self.pi.items()}, -self.val, 0.0)
+            return Scalar({k: -q for k, q in self.pi.items()}, None, 0.0)
         return Scalar(None, -self.val, self.tol)
 
     def __sub__(self, other):
@@ -140,7 +150,7 @@ class Scalar:
                         pi.pop(k, None)
                     else:
                         pi[k] = r
-            return Scalar(pi, _shadow(pi), 0.0)
+            return Scalar(pi, None, 0.0)
         tol = abs(self.val) * other.tol + abs(other.val) * self.tol + self.tol * other.tol
         return Scalar(None, self.val * other.val, tol)
 
@@ -154,20 +164,9 @@ class Scalar:
         if self.is_exact and other.is_exact and len(other.pi) == 1:
             ((m, q),) = other.pi.items()
             pi = {k - m: r / q for k, r in self.pi.items()}
-            return Scalar(pi, _shadow(pi), 0.0)
+            return Scalar(pi, None, 0.0)
         tol = (self.tol + abs(self.val / other.val) * other.tol) / abs(other.val)
         return Scalar(None, self.val / other.val, tol)
-
-    def reshadowed(self):
-        """The same value, with an exact scalar's float shadow recomputed from pi.
-
-        Sums add shadows while products recompute them, so the last bit of
-        the shadow depends on how an exact value was built; this gives the
-        shadow a product by an exact 1 would.
-        """
-        if self.pi is None:
-            return self
-        return Scalar(self.pi, _shadow(self.pi), 0.0)
 
     def __float__(self):
         return self.val

@@ -2,6 +2,7 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import pytest
 
 from torusgauge.cli import run
 
@@ -325,3 +326,29 @@ def test_operators_rejects_bad_flux_list(tmp_path, capsys):
     for bad in ([], [2.5], [0], [-1], [True], [1, "2"], "x", 3, {}, None):
         cfg = write_config(tmp_path, {**LINE, "params": {"flux_list": bad}})
         assert_config_error(capsys, ["operators", "--config", cfg], bad)
+
+
+FLAT_GERBE_2D = {"dimension": 2, "kind": "gerbe"}
+
+
+@pytest.mark.parametrize(
+    "command, doc, params",
+    [
+        ("pentagon", GERBE, {"samples": 0}),
+        ("cohomology", LINE, {"samples": 0}),
+        ("cohomology", GERBE, {"samples": 0}),
+        ("check-cocycle", LINE, {"samples": 0}),
+        ("check-cocycle", GERBE, {"samples": 0}),
+        ("flux", FLAT_GERBE_2D, {}),
+        ("twist3", FLAT_GERBE_2D, {"vectors": [["1/2", "0"]]}),
+        ("sym-product", LINE, {"equivalence_samples": 0}),
+    ],
+)
+def test_empty_report_fails(tmp_path, capsys, command, doc, params):
+    # a check with no items tested nothing, so it must not pass
+    cfg = write_config(tmp_path, {**doc, "params": params})
+    code, report = run_cmd(tmp_path, command, "--config", cfg)
+    capsys.readouterr()
+    assert code == 1
+    assert report["status"] == "fail"
+    assert any(not chk["items"] for chk in report["checks"])

@@ -187,6 +187,42 @@ def test_pullback_rejects_fractional_frequency():
         pullback_fn(f, m)
 
 
+def _rand_phased_polytrig(r, d):
+    """Polynomial and trig terms with integer frequencies and rational phases."""
+    f = PolyTrig.zero(d)
+    for n in range(4):
+        alpha = tuple(r.randint(0, 2) for _ in range(d))
+        c = Scalar.exact(Fraction(r.randint(-9, 9), r.randint(1, 5)), r.randint(0, 1))
+        poly = PolyTrig.monomial(d, alpha, c)
+        if n % 2:
+            f = f + poly
+            continue
+        freq = [r.randint(-2, 2) for _ in range(d)]
+        phase = Fraction(r.randint(-5, 5), r.choice((1, 3, 4, 5, 7)))
+        f = f + poly * PolyTrig.trig(d, 1 + n % 4 // 2, freq, phase)
+    return f
+
+
+def test_pullback_matches_composition_pointwise():
+    r = random.Random(41)
+    for _ in range(40):
+        out_dim, in_dim = r.randint(1, 3), r.randint(1, 3)
+        f = _rand_phased_polytrig(r, out_dim)
+        lin = [[r.randint(-2, 2) for _ in range(in_dim)] for _ in range(out_dim)]
+        trans = [Fraction(r.randint(-7, 7), r.randint(1, 6)) for _ in range(out_dim)]
+        g = pullback_fn(f, AffineMap(lin, trans))
+        for _ in range(3):
+            y = [r.uniform(-1.5, 1.5) for _ in range(in_dim)]
+            x = [sum(l * yj for l, yj in zip(row, y)) + float(t) for row, t in zip(lin, trans)]
+            assert math.isclose(g.eval_float(y), f.eval_float(x), rel_tol=1e-9, abs_tol=1e-9)
+
+
+def test_affine_map_rejects_irrational_translations():
+    for bad in (Scalar.exact(1, 1), 0.5):
+        with pytest.raises(ValueError):
+            AffineMap([[1]], [bad])
+
+
 def test_identity_map_acts_trivially():
     r = rng(12)
     m = AffineMap.identity(2)
@@ -298,8 +334,8 @@ def _substitution_pullback(f, axis, coeffs, const):
         )
         for i in range(f.dim)
     ]
-    trans = [Scalar.zero()] * f.dim
-    trans[axis - 1] = Scalar.coerce(const)
+    trans = [Fraction(0)] * f.dim
+    trans[axis - 1] = Fraction(const)
     return f._pullback(tuple(rows), tuple(trans), f.dim)
 
 

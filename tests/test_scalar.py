@@ -54,6 +54,19 @@ def test_mod_two_pi_stays_exact():
     assert r2.pi == {1: Fraction(1)}
 
 
+def test_mod_two_pi_of_two_pi_multiples_is_zero():
+    # the float shadow is a function of the value, so 2*k*pi reduces to 0 for every k
+    for k in range(1, 61):
+        assert str(Scalar.exact(2 * k, 1).mod_two_pi()) == "0", k
+
+
+def test_float_shadow_depends_only_on_the_value():
+    summed = Scalar.exact(Fraction(1, 3), 1) + Scalar.exact(Fraction(4, 3), 1)
+    multiplied = Scalar.exact(Fraction(5, 3)) * Scalar.exact(1, 1)
+    assert summed.pi == multiplied.pi
+    assert summed.val == multiplied.val == float(Fraction(5, 3)) * math.pi
+
+
 def test_trig_tables():
     assert cos2pi(Fraction(1, 3)).pi == {0: Fraction(-1, 2)}
     assert sin2pi(Fraction(1, 12)).pi == {0: Fraction(1, 2)}
