@@ -240,9 +240,8 @@ def cmd_twist2(scn, rnd, tol, values):
     for v, vp in itertools.combinations(vecs, 2):
         key = vec_label(v) + ";" + vec_label(vp)
         if scn.kind == "line":
-            c = two_cocycle(scn.data, v, vp)
+            rep, c = verify_projective_relation(scn.data, v, vp, tol)
             phases[key] = str(c.exponent)
-            rep, _c = verify_projective_relation(scn.data, v, vp, tol)
             reports.append(rep)
         else:
             phases[key] = str(composition_phase(scn.data, v, vp).exponent)

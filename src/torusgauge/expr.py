@@ -100,17 +100,20 @@ class _Complex:
         )
 
     def __pow__(self, n):
-        out = _Complex.real(PolyTrig.const(self.re.dim, 1))
-        for _ in range(n):
+        if n == 0:
+            return _Complex.real(PolyTrig.const(self.re.dim, 1))
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
 
-def _freq_and_const(arg, d, pos, two_pi_scaled):
+def freq_and_const(arg, d, two_pi_scaled, pos=0):
     """Split an affine argument into (k, c) with k integral.
 
     For cos/sin the argument reads 2*pi*(k.x) + c; for exp2pii it reads
-    k.x + c directly.
+    k.x + c directly.  Raises FrequencyError on any other shape; pos is the
+    parser offset quoted in its message.
     """
     freq = [0] * d
     const = Scalar.zero()
@@ -260,11 +263,11 @@ class _Parser:
             if not arg.im.is_zero():
                 raise NonRealExpressionError("trig argument must be real")
             if val in ("cos", "sin"):
-                freq, const = _freq_and_const(arg.re, self.d, pos, two_pi_scaled=True)
+                freq, const = freq_and_const(arg.re, self.d, True, pos)
                 mode = MODE_COS if val == "cos" else MODE_SIN
                 return _Complex.real(_trig_from(self.d, mode, freq, const)), False
             # exp2pii(u) = cos(2*pi*u) + i*sin(2*pi*u) with u = k.x + c
-            freq, const = _freq_and_const(arg.re, self.d, pos, two_pi_scaled=False)
+            freq, const = freq_and_const(arg.re, self.d, False, pos)
             two_pi_const = const * Scalar.exact(2, 1)
             re_ = _trig_from(self.d, MODE_COS, freq, two_pi_const)
             im_ = _trig_from(self.d, MODE_SIN, freq, two_pi_const)

@@ -82,11 +82,6 @@ class Form:
 
     # -- basics ------------------------------------------------------------
 
-    def coefficient(self, idx):
-        """Coefficient of dx_idx for a 1-based strictly increasing tuple."""
-        key = tuple(a - 1 for a in idx)
-        return self.comps.get(key, PolyTrig.zero(self.dim))
-
     def is_zero(self, tol=0.0):
         return all(f.is_zero(tol) for f in self.comps.values())
 
@@ -338,7 +333,7 @@ def _iterated_integral(omega, edges, p0, symbolic, nested):
     g = _pulled_coefficient(omega, edges, lin, p0, toff + k)
     for j in range(k, 0, -1):
         axis = toff + j
-        g = g.antiderivative(axis, normalize=True)
+        g = g.antiderivative(axis)
         if nested and j > 1:
             g = g.substitute(axis, {axis - 1: Fraction(1)}, Fraction(0))
         else:
@@ -363,10 +358,6 @@ class PLPath:
             if len(v) != d:
                 raise DimensionError("path vertices of mixed dimension")
         self.vertices = tuple(vertices)
-
-    @staticmethod
-    def straight(start, end):
-        return PLPath([start, end])
 
     @staticmethod
     def constant(point):

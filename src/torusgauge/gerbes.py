@@ -10,6 +10,9 @@ A gerbe is presented by exponents phi_{i,j} of the 2-cocycle, a family of
 so the curvature H = dB is translation invariant and descends to the torus.
 Cocycle exponents and connection forms are stored on generators and extended
 multilinearly: phi_{i,j} = sum_{a,b} i_a j_b psi_{ab} and A_i = sum_a i_a A_a.
+The translation section at v is likewise its generator gauges
+g_{e_a} = exp(i int_{[x - v, x]} A_a), extended linearly like A_i:
+g_i = prod_a g_{e_a}^{i_a}.
 Any presentation differing from a word-synthesized one is absorbed by the
 mod-2*pi equality used in every check, and nonconforming data still fails the
 verification suite.
@@ -31,6 +34,20 @@ from .polytrig import PolyTrig, U1Function, constant_mod_free, translate
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
 from .vectors import as_vec, basis_vec, vadd, vneg, vzero
+
+
+def _combine(zero, weighted):
+    """zero + sum of x.scale(c) over the (c, x) in weighted with integer c != 0."""
+    acc = zero
+    for c, x in weighted:
+        if c:
+            acc = acc + x.scale(Fraction(c))
+    return acc
+
+
+def _generator_pairs(d):
+    gens = [tuple(int(x) for x in basis_vec(d, a)) for a in range(1, d + 1)]
+    return list(itertools.product(gens, gens))
 
 
 class GerbeData:
@@ -60,19 +77,14 @@ class GerbeData:
             raise DegreeError("curving must be a 2-form")
         self.curving = curving
 
-    def psi(self, a, b):
-        return self.pair_exponents.get((a, b), PolyTrig.zero(self.d))
-
     def phi(self, i, j):
         """Exponent of f_{i,j} for arbitrary integer vectors (bilinear extension)."""
         i = tuple(int(x) for x in i)
         j = tuple(int(x) for x in j)
-        acc = PolyTrig.zero(self.d)
-        for (a, b), psi in self.pair_exponents.items():
-            c = i[a - 1] * j[b - 1]
-            if c:
-                acc = acc + psi.scale(Fraction(c))
-        return acc
+        return _combine(
+            PolyTrig.zero(self.d),
+            ((i[a - 1] * j[b - 1], psi) for (a, b), psi in self.pair_exponents.items()),
+        )
 
     def gen_connection(self, a):
         return self.gen_connections.get(a, Form.zero(self.d, 1))
@@ -80,11 +92,9 @@ class GerbeData:
     def connection(self, i):
         """A_i for an arbitrary integer vector (linear extension)."""
         i = tuple(int(x) for x in i)
-        acc = Form.zero(self.d, 1)
-        for a, form in self.gen_connections.items():
-            if i[a - 1]:
-                acc = acc + form.scale(Fraction(i[a - 1]))
-        return acc
+        return _combine(
+            Form.zero(self.d, 1), ((i[a - 1], form) for a, form in self.gen_connections.items())
+        )
 
     def curvature(self):
         return self.curving.d()
@@ -114,8 +124,7 @@ def check_gerbe_connection(gerbe, pairs=None, tol=DEFAULT_TOL):
     report = CheckReport("gerbe_connection")
     d = gerbe.d
     if pairs is None:
-        gens = [tuple(int(x) for x in basis_vec(d, a)) for a in range(1, d + 1)]
-        pairs = list(itertools.product(gens, gens))
+        pairs = _generator_pairs(d)
     for i, j in pairs:
         ij = tuple(a + b for a, b in zip(i, j))
         phi = gerbe.phi(i, j)
@@ -174,13 +183,23 @@ def _integrate_unit_cube(H, face):
 
 
 class HigherSection:
-    """Section datum at translation v: one U(1) function per generator."""
+    """Section datum at translation v: its generator gauges g = {a: g_{e_a}}.
+
+    The gauge at any integer vector i is their linear extension,
+    g_i = prod_a g_{e_a}^{i_a}, in the same way as A_i = sum_a i_a A_a.
+    """
 
     __slots__ = ("v", "g")
 
     def __init__(self, v, g):
         self.v = as_vec(v)
         self.g = dict(g)
+
+    def exponent(self, i):
+        """Exponent of g_i = sum_a i_a (exponent of g_{e_a})."""
+        i = tuple(int(x) for x in i)
+        zero = PolyTrig.zero(len(self.v))
+        return _combine(zero, ((i[a - 1], g.exponent) for a, g in self.g.items()))
 
 
 def section_gauge(gerbe, i, v):
@@ -190,8 +209,9 @@ def section_gauge(gerbe, i, v):
 
 
 def gerbe_translation_section(gerbe, v):
+    seg = AffineSimplex.from_edges([as_vec(v)])
     gens = {
-        a: section_gauge(gerbe, tuple(int(x) for x in basis_vec(gerbe.d, a)), v)
+        a: U1Function(integrate_simplex(gerbe.gen_connection(a), seg))
         for a in range(1, gerbe.d + 1)
     }
     return HigherSection(v, gens)
@@ -200,16 +220,15 @@ def gerbe_translation_section(gerbe, v):
 def check_section_constraint(gerbe, v, pairs=None, tol=DEFAULT_TOL):
     """f_{i,j}(x) g_i(x) g_j(x+i) = g_{i+j}(x) f_{i,j}(x-v), exactly in exponents."""
     v = as_vec(v)
-    d = gerbe.d
     report = CheckReport("section_constraint")
     if pairs is None:
-        gens = [tuple(int(x) for x in basis_vec(d, a)) for a in range(1, d + 1)]
-        pairs = list(itertools.product(gens, gens))
+        pairs = _generator_pairs(gerbe.d)
+    section = gerbe_translation_section(gerbe, v)
     for i, j in pairs:
         ij = tuple(a + b for a, b in zip(i, j))
-        th_i = section_gauge(gerbe, i, v).exponent
-        th_j = section_gauge(gerbe, j, v).exponent
-        th_ij = section_gauge(gerbe, ij, v).exponent
+        th_i = section.exponent(i)
+        th_j = section.exponent(j)
+        th_ij = section.exponent(ij)
         phi = gerbe.phi(i, j)
         slack = (
             phi

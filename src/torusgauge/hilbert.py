@@ -23,9 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, PeriodicityError, TorusGaugeError
-from .polytrig import MODE_NONE
-from .scalar import Scalar
+from .errors import DimensionError, FrequencyError, PeriodicityError, TorusGaugeError
+from .expr import freq_and_const
 
 UNITARITY_TOL = 1e-12
 
@@ -149,28 +148,6 @@ class ThetaBasis:
         return bool(w.min() > tol)
 
 
-def _exact_fourier_mode(exponent):
-    """If exponent = 2*pi*(k.x) + c with k integral, return (k, phase c)."""
-    k = [0, 0]
-    const = Scalar.zero()
-    for (alpha, mode, _f, _p), c in exponent.terms.items():
-        if mode != MODE_NONE:
-            return None
-        nz = [i for i, e in enumerate(alpha) if e]
-        if not nz:
-            const = const + c
-            continue
-        if len(nz) > 1 or alpha[nz[0]] != 1:
-            return None
-        if not (c.is_exact and set(c.pi) == {1}):
-            return None
-        q = c.pi[1] / 2
-        if q.denominator != 1:
-            return None
-        k[nz[0]] = int(q)
-    return (tuple(k), const)
-
-
 def multiplication_operator(g, cutoff, grid=None):
     """Matrix of multiplication by g on Fourier modes |k|_inf <= cutoff on T^2.
 
@@ -185,9 +162,11 @@ def multiplication_operator(g, cutoff, grid=None):
     modes = [(k1, k2) for k1 in range(-cutoff, cutoff + 1) for k2 in range(-cutoff, cutoff + 1)]
     index = {k: i for i, k in enumerate(modes)}
     M = np.zeros((len(modes), len(modes)), dtype=complex)
-    exact = _exact_fourier_mode(g.exponent)
-    if exact is not None:
-        k0, const = exact
+    try:
+        k0, const = freq_and_const(g.exponent, 2, two_pi_scaled=True)
+    except FrequencyError:
+        pass  # not a single mode: FFT below
+    else:
         amp = cmath.exp(1j * float(const))
         for k in modes:
             kk = (k[0] + k0[0], k[1] + k0[1])

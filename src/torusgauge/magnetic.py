@@ -288,7 +288,7 @@ def lift_equivalence_check(line, gamma, alpha, phi, probe, tol=DEFAULT_TOL):
     p2 = lift_product(a2, probe, line)
     same_endpoint = p1.endpoint == p2.endpoint
     slack = p1.invariant_exponent(line) - p2.invariant_exponent(line)
-    ok = phase_item(report, "product invariance", constant_mod_free(slack, tol), tol)
+    phase_item(report, "product invariance", constant_mod_free(slack, tol), tol)
     report.add("endpoints agree", same_endpoint)
     # the two representatives themselves act identically
     slack0 = a1.invariant_exponent(line) - a2.invariant_exponent(line)

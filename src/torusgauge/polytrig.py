@@ -261,8 +261,10 @@ class PolyTrig:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are not in the ring")
-        out = PolyTrig.const(self.dim, 1)
-        for _ in range(n):
+        if n == 0:
+            return PolyTrig.const(self.dim, 1)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -285,8 +287,8 @@ class PolyTrig:
                 acc.put(alpha, MODE_COS, freq, phase, c * Scalar.exact(2 * freq[a], 1))
         return acc.done()
 
-    def antiderivative(self, axis, normalize=True):
-        """F with dF/dx_axis = self; F vanishes at x_axis = 0 when normalize."""
+    def antiderivative(self, axis):
+        """F with dF/dx_axis = self and F = 0 at x_axis = 0."""
         if not 1 <= axis <= self.dim:
             raise DimensionError(f"axis {axis} out of range for dimension {self.dim}")
         a = axis - 1
@@ -312,9 +314,7 @@ class PolyTrig:
                     break
                 n -= 1
         out = acc.done()
-        if normalize:
-            out = out - out.substitute(axis, {}, Fraction(0))
-        return out
+        return out - out.substitute(axis, {}, Fraction(0))
 
     def substitute(self, axis, coeffs, const):
         """Replace x_axis by another variable or by a rational constant; keeps dim.

@@ -5,7 +5,7 @@ import pytest
 
 from torusgauge.errors import QuantizationError
 from torusgauge.expr import parse_expr
-from torusgauge.forms import Form, PLPath
+from torusgauge.forms import Form, PLPath, integrate_simplex
 from torusgauge.gerbes import (
     GerbeData,
     associator,
@@ -152,6 +152,31 @@ def test_section_zero_connection_trivial():
     g = GerbeData(3, {}, {}, Form.zero(3, 2))
     s = gerbe_translation_section(g, (Fraction(1, 2), 0, Fraction(1, 3)))
     assert all(u.is_one() for u in s.g.values())
+
+
+def test_section_gauges_extend_linearly(gerbe_m2, rnd):
+    from torusgauge.sampling import rand_gerbe_data
+
+    for g in (gerbe_m2, rand_gerbe_data(rnd)):
+        v = rational_vec3(rnd)
+        section = gerbe_translation_section(g, v)
+        for i in itertools.product(range(-2, 3), repeat=3):
+            assert section.exponent(i) == section_gauge(g, i, v).exponent
+
+
+def test_section_constraint_integrates_each_generator_once(gerbe_m1, monkeypatch):
+    import torusgauge.gerbes as gerbes
+
+    calls = []
+
+    def counting(omega, simplex):
+        calls.append(simplex)
+        return integrate_simplex(omega, simplex)
+
+    monkeypatch.setattr(gerbes, "integrate_simplex", counting)
+    v = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    assert check_section_constraint(gerbe_m1, v).passed
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -1,0 +1,53 @@
+"""Reports stay byte-identical: SHA-256 of (exit code, stdout) per bundled job.
+
+A change that alters a report on purpose regenerates the digests with
+
+    PYTHONPATH=src python tests/test_report_digests.py --write
+
+and says in CHANGES.md why the bytes moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from torusgauge.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
+COMMANDS = ("section", "twist2", "twist3", "check-connection", "flux")
+SEEDS = (0, 7)
+
+
+def jobs():
+    for scenario in sorted((ROOT / "scenarios").glob("*.json")):
+        for command in COMMANDS:
+            for seed in SEEDS:
+                yield f"{command} {scenario.stem} seed={seed}", [
+                    command, "--config", str(scenario), "--seed", str(seed)
+                ]
+
+
+def digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+def current_digests():
+    return {name: digest(argv) for name, argv in jobs()}
+
+
+def test_reports_match_recorded_digests():
+    want = json.loads(DIGESTS.read_text())
+    got = current_digests()
+    changed = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    assert not changed, "report bytes changed: " + ", ".join(changed)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    DIGESTS.write_text(json.dumps(current_digests(), indent=1, sort_keys=True) + "\n")
