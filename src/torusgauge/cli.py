@@ -7,7 +7,8 @@ as floats with tolerances otherwise.  Runs are deterministic byte for byte
 for fixed seed and config.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 the config could not be
-read or parsed, 3 a flux quantization violation.
+read or parsed or asks for more work than MAX_COUNT allows, 3 a flux
+quantization violation.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ from .vectors import basis_vec
 
 DEFAULT_COHOMOLOGY_SAMPLES = 100
 DEFAULT_ASSOCIATIVITY_SAMPLES = 50
+# Work bound on config counts: the largest `samples`, `equivalence_samples`
+# or `range`, and the largest number of operator pairs (sum of N**4 over
+# `flux_list`) that `operators` checks.  A config over it is a config error.
+MAX_COUNT = 10_000
+# Largest scenario dimension: term keys and generator pairs grow with it.
+MAX_DIMENSION = 8
 
 class ConfigError(TorusGaugeError):
     pass
@@ -119,6 +126,8 @@ def load_scenario(path):
         if doc.get("schema", 1) != 1:
             raise ConfigError(f"unsupported config schema {doc.get('schema')!r}")
         d = int(doc["dimension"])
+        if not 1 <= d <= MAX_DIMENSION:
+            raise ConfigError(f"dimension must be in [1, {MAX_DIMENSION}], got {d}")
         kind = doc["kind"]
         name = doc.get("name", "scenario")
         params = _object(doc.get("params", {}), "params")
@@ -139,7 +148,7 @@ def load_scenario(path):
             data = GerbeData(d, pair_exps, gen_conns, curving)
         else:
             raise ConfigError(f"unknown scenario kind {kind!r}")
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     return Scenario(name, kind, data, params)
 
@@ -165,8 +174,10 @@ def _sample_vectors(rnd, d, count, dens=(1, 2, 3, 4)):
 
 def _count_param(scn, key, default, least=0):
     n = scn.params.get(key, default)
-    if not isinstance(n, int) or isinstance(n, bool) or n < least:
-        raise ConfigError(f"params {key!r} must be an integer >= {least}, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or not least <= n <= MAX_COUNT:
+        raise ConfigError(
+            f"params {key!r} must be an integer in [{least}, {MAX_COUNT}], got {n!r}"
+        )
     return n
 
 
@@ -227,7 +238,7 @@ def cmd_section(scn, rnd, tol, values):
             sections[vec_label(v)] = {
                 f"e{a}": str(g.exponent) for a, g in sorted(sec.g.items())
             }
-            reports.append(check_section_constraint(scn.data, v, tol=tol))
+            reports.append(check_section_constraint(scn.data, v, tol=tol, section=sec))
     values["sections"] = sections
     return reports
 
@@ -369,6 +380,10 @@ def cmd_operators(scn, rnd, tol, values):
     ):
         raise ConfigError(
             f"params 'flux_list' must be a nonempty list of positive integers, got {flux_list!r}"
+        )
+    if sum(N**4 for N in flux_list) > MAX_COUNT:
+        raise ConfigError(
+            f"params 'flux_list' asks for more than {MAX_COUNT} operator pairs: {flux_list!r}"
         )
     rep = CheckReport("operator_cocycle")
     worst = 0.0

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegreeError, DimensionError, PathError
-from .polytrig import PolyTrig, translate as translate_fn
+from .polytrig import AffineMap, PolyTrig, translate as translate_fn
 from .scalar import Scalar
 from .vectors import as_vec, det, vadd, vsub, vzero
 
@@ -326,18 +326,17 @@ def _iterated_integral(omega, edges, p0, symbolic, nested):
     d = omega.dim
     k = len(edges)
     toff = d if symbolic else 0
-    lin = tuple(
-        tuple(Fraction(int(a == i)) for a in range(toff)) + tuple(e[i] for e in edges)
-        for i in range(d)
+    m = AffineMap(
+        [[int(a == i) for a in range(toff)] + [e[i] for e in edges] for i in range(d)], p0
     )
-    g = _pulled_coefficient(omega, edges, lin, p0, toff + k)
+    g = _pulled_coefficient(omega, edges, m.lin, m.trans, m.in_dim)
     for j in range(k, 0, -1):
         axis = toff + j
         g = g.antiderivative(axis)
         if nested and j > 1:
-            g = g.substitute(axis, {axis - 1: Fraction(1)}, Fraction(0))
+            g = g.substitute(axis, {axis - 1: 1}, 0)
         else:
-            g = g.substitute(axis, {}, Fraction(1))
+            g = g.substitute(axis, {}, 1)
     if k:
         g = g.drop_axes(list(range(1, toff + 1)))
     g = g.expand_phases()

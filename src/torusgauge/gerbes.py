@@ -217,13 +217,17 @@ def gerbe_translation_section(gerbe, v):
     return HigherSection(v, gens)
 
 
-def check_section_constraint(gerbe, v, pairs=None, tol=DEFAULT_TOL):
-    """f_{i,j}(x) g_i(x) g_j(x+i) = g_{i+j}(x) f_{i,j}(x-v), exactly in exponents."""
+def check_section_constraint(gerbe, v, pairs=None, tol=DEFAULT_TOL, section=None):
+    """f_{i,j}(x) g_i(x) g_j(x+i) = g_{i+j}(x) f_{i,j}(x-v), exactly in exponents.
+
+    section is gerbe_translation_section(gerbe, v), built here if None.
+    """
     v = as_vec(v)
     report = CheckReport("section_constraint")
     if pairs is None:
         pairs = _generator_pairs(gerbe.d)
-    section = gerbe_translation_section(gerbe, v)
+    if section is None:
+        section = gerbe_translation_section(gerbe, v)
     for i, j in pairs:
         ij = tuple(a + b for a, b in zip(i, j))
         th_i = section.exponent(i)

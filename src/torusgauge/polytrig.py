@@ -5,12 +5,15 @@ A PolyTrig is a finite sum of terms
     c * x^alpha * {1, cos, sin}(2*pi*(q.x + phase))
 
 with two-tier coefficients c (see scalar.Scalar), integer monomial exponents
-alpha, rational frequency vectors q and rational phases.  Values exposed to
-callers are canonical: phases are expanded away and frequencies are integer
-vectors, so the basis functions are linearly independent and zero tests are
-termwise.  Rational frequencies and phases are carried only through the
-internals of pullbacks and iterated integration, where they keep intermediate
-results exact.
+alpha, rational frequency vectors q and rational phases, stored in a dict
+keyed by (alpha, mode, q, phase).  Values exposed to callers are canonical:
+phases are expanded away and frequencies are integer vectors, so the basis
+functions are linearly independent and zero tests are termwise; their keys
+hold only ints (q a tuple of ints, phase 0).  Rational frequencies and phases
+are carried only through the internals of pullbacks and iterated integration,
+where they keep intermediate results exact; there a non-integral entry is a
+Fraction.  Since n == Fraction(n) and both hash alike, a key built with
+Fractions finds the same term, only more slowly (see _Acc).
 
 The ring is closed under +, *, partial derivatives, pullback along affine
 maps with rational linear part and translation, and antidifferentiation in
@@ -30,44 +33,53 @@ MODE_NONE = 0
 MODE_COS = 1
 MODE_SIN = 2
 
-_ZERO = Fraction(0)
 _QUARTER = Fraction(1, 4)
 _HALF = Fraction(1, 2)
 
 
-def _zero_freq(d):
-    return (Fraction(0),) * d
-
-
 class _Acc:
-    """Accumulator of canonical terms."""
+    """Accumulator of canonical terms.
 
-    __slots__ = ("d", "terms")
+    put() is the one place where term keys (alpha, mode, freq, phase) are
+    canonicalised.  A polynomial term's key is (alpha, MODE_NONE, (0,)*d, 0).
+    A trig term has its first nonzero frequency positive and its phase in
+    [0, 1/4); each frequency entry and the phase is an int when integral (so
+    an integral phase is 0) and a Fraction only when it really is not.  Since
+    hash(n) == hash(Fraction(n)) and n == Fraction(n), a lookup with either
+    representation finds the same term; int keys just hash far faster.
+    """
+
+    __slots__ = ("d", "terms", "zero_freq")
 
     def __init__(self, d):
         self.d = d
         self.terms = {}
+        self.zero_freq = (0,) * d
 
     def put(self, alpha, mode, freq, phase, coeff):
         if coeff.is_zero():
             return
-        if mode != MODE_NONE:
-            if all(f == 0 for f in freq):
-                # constant trig folds into the coefficient
-                coeff = coeff * (cos2pi(phase) if mode == MODE_COS else sin2pi(phase))
-                mode, freq, phase = MODE_NONE, _zero_freq(self.d), Fraction(0)
-                if coeff.is_zero():
-                    return
-            else:
-                for f in freq:
-                    if f != 0:
-                        if f < 0:
-                            freq = tuple(-x for x in freq)
-                            phase = -phase
-                            if mode == MODE_SIN:
-                                coeff = -coeff
-                        break
-                phase = phase % 1
+        if mode != MODE_NONE and not any(freq):
+            # constant trig folds into the coefficient
+            coeff = coeff * (cos2pi(phase) if mode == MODE_COS else sin2pi(phase))
+            if coeff.is_zero():
+                return
+            mode = MODE_NONE
+        if mode == MODE_NONE:
+            freq, phase = self.zero_freq, 0
+        else:
+            if Fraction in map(type, freq):
+                freq = tuple(map(_int_if_integral, freq))
+            for f in freq:
+                if f != 0:
+                    if f < 0:
+                        freq = tuple(-x for x in freq)
+                        phase = -phase
+                        if mode == MODE_SIN:
+                            coeff = -coeff
+                    break
+            phase %= 1
+            if phase:
                 if phase >= _HALF:
                     phase -= _HALF
                     coeff = -coeff
@@ -78,6 +90,7 @@ class _Acc:
                         coeff = -coeff
                     else:
                         mode = MODE_COS
+            phase = phase or 0
         key = (alpha, mode, freq, phase)
         prev = self.terms.get(key)
         tot = coeff if prev is None else prev + coeff
@@ -108,7 +121,7 @@ class PolyTrig:
     @staticmethod
     def const(d, c):
         acc = _Acc(d)
-        acc.put((0,) * d, MODE_NONE, _zero_freq(d), Fraction(0), Scalar.coerce(c))
+        acc.put((0,) * d, MODE_NONE, acc.zero_freq, 0, Scalar.coerce(c))
         return acc.done()
 
     @staticmethod
@@ -118,17 +131,17 @@ class PolyTrig:
             raise DimensionError(f"axis {axis} out of range for dimension {d}")
         alpha = tuple(1 if i == axis - 1 else 0 for i in range(d))
         acc = _Acc(d)
-        acc.put(alpha, MODE_NONE, _zero_freq(d), Fraction(0), Scalar.one())
+        acc.put(alpha, MODE_NONE, acc.zero_freq, 0, Scalar.one())
         return acc.done()
 
     @staticmethod
     def monomial(d, alpha, c=1):
         acc = _Acc(d)
-        acc.put(tuple(alpha), MODE_NONE, _zero_freq(d), Fraction(0), Scalar.coerce(c))
+        acc.put(tuple(alpha), MODE_NONE, acc.zero_freq, 0, Scalar.coerce(c))
         return acc.done()
 
     @staticmethod
-    def trig(d, mode, freq, phase=Fraction(0), c=1):
+    def trig(d, mode, freq, phase=0, c=1):
         """c * cos or sin(2*pi*(freq.x + phase)); freq entries rational."""
         acc = _Acc(d)
         freq = tuple(Fraction(f) for f in freq)
@@ -139,11 +152,11 @@ class PolyTrig:
 
     @staticmethod
     def cos_freq(d, freq, c=1):
-        return PolyTrig.trig(d, MODE_COS, freq, Fraction(0), c)
+        return PolyTrig.trig(d, MODE_COS, freq, 0, c)
 
     @staticmethod
     def sin_freq(d, freq, c=1):
-        return PolyTrig.trig(d, MODE_SIN, freq, Fraction(0), c)
+        return PolyTrig.trig(d, MODE_SIN, freq, 0, c)
 
     # -- structure ---------------------------------------------------------
 
@@ -183,7 +196,8 @@ class PolyTrig:
         return True
 
     def constant_term(self):
-        key = ((0,) * self.dim, MODE_NONE, _zero_freq(self.dim), Fraction(0))
+        zeros = (0,) * self.dim
+        key = (zeros, MODE_NONE, zeros, 0)
         return self.terms.get(key, Scalar.zero())
 
     # -- arithmetic --------------------------------------------------------
@@ -232,7 +246,7 @@ class PolyTrig:
                 alpha = tuple(x + y for x, y in zip(a1, a2))
                 c = c1 * c2
                 if m1 == MODE_NONE and m2 == MODE_NONE:
-                    acc.put(alpha, MODE_NONE, q1, Fraction(0), c)
+                    acc.put(alpha, MODE_NONE, q1, 0, c)
                 elif m1 == MODE_NONE:
                     acc.put(alpha, m2, q2, p2, c)
                 elif m2 == MODE_NONE:
@@ -314,7 +328,7 @@ class PolyTrig:
                     break
                 n -= 1
         out = acc.done()
-        return out - out.substitute(axis, {}, Fraction(0))
+        return out - out.substitute(axis, {}, 0)
 
     def substitute(self, axis, coeffs, const):
         """Replace x_axis by another variable or by a rational constant; keeps dim.
@@ -338,7 +352,7 @@ class PolyTrig:
                 raise ValueError(f"cannot substitute x{axis} -> {k}*x{b}")
             b -= 1
         elif isinstance(const, (int, Fraction)):
-            r = Fraction(const)
+            r = const
         else:
             raise ValueError(f"substitution constant must be rational, got {const!r}")
         acc = _Acc(self.dim)
@@ -356,7 +370,7 @@ class PolyTrig:
                 alpha = tuple(al)
             if f:
                 fr = list(freq)
-                fr[a] = _ZERO
+                fr[a] = 0
                 if b is not None:
                     fr[b] += f
                 else:
@@ -371,8 +385,7 @@ class PolyTrig:
         """f(L y + t); lin has shape (self.dim, in_dim), lin and trans are rational."""
         acc = _Acc(in_dim)
         lin_cols = [[lin[i][j] for j in range(in_dim)] for i in range(self.dim)]
-        zeros = (0,) * in_dim
-        zero_freq = _zero_freq(in_dim)
+        zeros = acc.zero_freq
         cache = {}
         for (alpha, mode, freq, phase), c in self.terms.items():
             poly = None
@@ -386,17 +399,17 @@ class PolyTrig:
                     for j, l in enumerate(lin_cols[i]):
                         if l != 0:
                             al = tuple(1 if jj == j else 0 for jj in range(in_dim))
-                            row.put(al, MODE_NONE, zero_freq, _ZERO, Scalar.exact(l))
-                    row.put(zeros, MODE_NONE, zero_freq, _ZERO, Scalar.exact(trans[i]))
+                            row.put(al, MODE_NONE, zeros, 0, Scalar.exact(l))
+                    row.put(zeros, MODE_NONE, zeros, 0, Scalar.exact(trans[i]))
                     fac = row.done() ** e
                     cache[key] = fac
                 poly = fac if poly is None else poly * fac
             if mode == MODE_NONE:
-                nf = zero_freq
+                nf = zeros
             else:
                 # q.(L y + t) + phase = (L^T q).y + (q.t + phase)
                 nf = tuple(
-                    sum((freq[i] * lin[i][j] for i in range(self.dim)), _ZERO)
+                    sum(freq[i] * lin[i][j] for i in range(self.dim))
                     for j in range(in_dim)
                 )
                 for f, t in zip(freq, trans):
@@ -420,11 +433,11 @@ class PolyTrig:
                 continue
             cd, sd = cos2pi(phase), sin2pi(phase)
             if mode == MODE_COS:
-                acc.put(alpha, MODE_COS, freq, Fraction(0), c * cd)
-                acc.put(alpha, MODE_SIN, freq, Fraction(0), -(c * sd))
+                acc.put(alpha, MODE_COS, freq, 0, c * cd)
+                acc.put(alpha, MODE_SIN, freq, 0, -(c * sd))
             else:
-                acc.put(alpha, MODE_SIN, freq, Fraction(0), c * cd)
-                acc.put(alpha, MODE_COS, freq, Fraction(0), c * sd)
+                acc.put(alpha, MODE_SIN, freq, 0, c * cd)
+                acc.put(alpha, MODE_COS, freq, 0, c * sd)
         return acc.done()
 
     def drop_axes(self, keep):
@@ -563,13 +576,15 @@ class AffineMap:
     """Affine map y -> L y + t with rational linear part and rational translation.
 
     A translation entry may be an int, a Fraction or a rational Scalar; a
-    float or a pi-valued Scalar raises ValueError.
+    float or a pi-valued Scalar raises ValueError.  Integral entries of lin
+    and trans are stored as ints, so pullbacks of integral data stay in int
+    arithmetic.
     """
 
     __slots__ = ("lin", "trans", "out_dim", "in_dim")
 
     def __init__(self, lin, trans):
-        self.lin = tuple(tuple(Fraction(v) for v in row) for row in lin)
+        self.lin = tuple(tuple(_int_if_integral(v) for v in row) for row in lin)
         self.trans = tuple(_rational(t) for t in trans)
         self.out_dim = len(self.lin)
         self.in_dim = len(self.lin[0]) if self.lin else 0
@@ -599,14 +614,14 @@ class AffineMap:
             raise DimensionError("maps are not composable")
         lin = [
             [
-                sum((self.lin[i][k] * other.lin[k][j] for k in range(self.in_dim)), _ZERO)
+                sum(self.lin[i][k] * other.lin[k][j] for k in range(self.in_dim))
                 for j in range(other.in_dim)
             ]
             for i in range(self.out_dim)
         ]
         trans = [
             self.trans[i]
-            + sum((self.lin[i][k] * other.trans[k] for k in range(self.in_dim)), _ZERO)
+            + sum(self.lin[i][k] * other.trans[k] for k in range(self.in_dim))
             for i in range(self.out_dim)
         ]
         return AffineMap(lin, trans)
@@ -615,13 +630,22 @@ class AffineMap:
         return f"AffineMap(out={self.out_dim}, in={self.in_dim})"
 
 
+def _int_if_integral(q):
+    """The rational q as an int when integral, else as a Fraction."""
+    if q.__class__ is not int:
+        q = q if q.__class__ is Fraction else Fraction(q)
+        if q.denominator == 1:
+            return q.numerator
+    return q
+
+
 def _rational(t):
     if isinstance(t, Scalar):
         if not t.is_rational():
             raise ValueError(f"translation must be rational, got {t}")
-        return t.rational_value()
+        return _int_if_integral(t.rational_value())
     if isinstance(t, (int, Fraction)):
-        return Fraction(t)
+        return _int_if_integral(t)
     raise ValueError(f"translation must be rational, got {t!r}")
 
 
@@ -639,7 +663,7 @@ def pullback_fn(f, m):
 
 def translate(f, v):
     """The shifted function x -> f(x - v)."""
-    m = AffineMap.translation([-Fraction(x) for x in v])
+    m = AffineMap.translation([-_int_if_integral(x) for x in v])
     return pullback_fn(f, m)
 
 

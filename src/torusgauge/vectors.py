@@ -6,7 +6,7 @@ from fractions import Fraction
 
 
 def as_vec(v):
-    return tuple(Fraction(x) for x in v)
+    return tuple(x if x.__class__ is Fraction else Fraction(x) for x in v)
 
 
 def vadd(a, b):

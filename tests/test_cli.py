@@ -1,10 +1,12 @@
+import importlib
 import json
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from torusgauge.cli import run
+from torusgauge.cli import MAX_COUNT, run
+from torusgauge.forms import integrate_simplex
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -352,3 +354,64 @@ def test_empty_report_fails(tmp_path, capsys, command, doc, params):
     assert code == 1
     assert report["status"] == "fail"
     assert any(not chk["items"] for chk in report["checks"])
+
+
+def test_section_builds_each_gerbe_section_once(monkeypatch, capsys):
+    import torusgauge.gerbes as gerbes
+
+    calls = []
+
+    def counting(omega, simplex):
+        calls.append(simplex)
+        return integrate_simplex(omega, simplex)
+
+    monkeypatch.setattr(gerbes, "integrate_simplex", counting)
+    cfg = str(SCENARIOS / "constant_flux_m1.json")
+    assert run(["section", "--config", cfg, "--seed", "0"]) == 0
+    capsys.readouterr()
+    # one segment integral per generator for each of the 3 vectors
+    assert len(calls) == 9
+
+
+def _forbid_work(monkeypatch):
+    """Make any integral or operator matrix raise: the run must stop before work."""
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("cli", "forms", "gerbes", "hilbert", "magnetic", "sampling"):
+        module = importlib.import_module(f"torusgauge.{name}")
+        for attr in ("integrate_simplex", "translation_matrix"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, tripwire)
+
+
+def test_counts_over_the_work_bound_are_config_errors(tmp_path, capsys, monkeypatch):
+    _forbid_work(monkeypatch)
+    cases = [
+        ("pentagon", GERBE, {"samples": 10**9}),
+        ("cohomology", LINE, {"samples": 10**9}),
+        ("cohomology", GERBE, {"samples": 10**9}),
+        ("check-cocycle", LINE, {"samples": 10**9}),
+        ("check-cocycle", GERBE, {"samples": 10**9}),
+        ("check-cocycle", LINE, {"range": MAX_COUNT + 1}),
+        ("sym-product", LINE, {"samples": 10**9}),
+        ("sym-product", LINE, {"equivalence_samples": 10**9}),
+        ("stokes-selftest", LINE, {"samples": 10**9}),
+        ("operators", LINE, {"flux_list": [200]}),
+        ("operators", LINE, {"flux_list": [10] * 2}),
+    ]
+    for command, doc, params in cases:
+        cfg = write_config(tmp_path, {**doc, "params": params})
+        assert_config_error(capsys, [command, "--config", cfg], (command, params))
+    # the bundled flux list stays within the bound
+    doc = json.loads((SCENARIOS / "landau_n1.json").read_text())
+    assert sum(N**4 for N in doc["params"]["flux_list"]) == 2275 <= MAX_COUNT
+
+
+def test_dimension_is_bounded(tmp_path, capsys, monkeypatch):
+    _forbid_work(monkeypatch)
+    for bad in (9, 10**4, 0, float("inf")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**LINE, "dimension": bad}))
+        assert_config_error(capsys, ["section", "--config", str(cfg)], bad)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from torusgauge.cli import HANDLERS, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-BAD_VALUES = [-1, 0, "x", 2.5, [], {}, None]
+BAD_VALUES = [-1, 0, "x", 2.5, [], {}, None, 10**9]
 # keep every command cheap on the unbroken config
 CHEAP_PARAMS = {"samples": 2, "equivalence_samples": 1, "flux_list": [1]}
 PARAM_KEYS = ("samples", "equivalence_samples", "range", "vectors", "flux_list")

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,10 @@ from torusgauge.errors import (
     NonRealExpressionError,
 )
 from torusgauge.expr import parse_expr, print_expr
+from torusgauge.forms import integrate_simplex
 from torusgauge.polytrig import (
+    MODE_COS,
+    MODE_NONE,
     AffineMap,
     PolyTrig,
     U1Function,
@@ -19,7 +24,7 @@ from torusgauge.polytrig import (
     pullback_fn,
     translate,
 )
-from torusgauge.sampling import rand_polytrig, rng
+from torusgauge.sampling import rand_form, rand_polytrig, rand_simplex, rng
 from torusgauge.scalar import Scalar
 
 # ---------------------------------------------------------------------------
@@ -394,3 +399,63 @@ def test_substitute_rejects_other_shapes():
             f.substitute(axis, coeffs, const)
     with pytest.raises(DimensionError):
         f.substitute(3, {}, Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# canonical term keys
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _scenario_exprs():
+    for path in sorted(SCENARIOS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        d = doc["dimension"]
+        texts = list(doc["cocycle"].values())
+        for comps in (doc.get("connection", {}), doc.get("curving", {})):
+            for v in comps.values():
+                texts.extend(v.values() if isinstance(v, dict) else [v])
+        for text in texts:
+            yield parse_expr(text, d)
+
+
+def _public_results():
+    yield from _scenario_exprs()
+    r = rng(23)
+    for d in (1, 2, 3):
+        for step in (1, 2):
+            f = rand_polytrig(r, d, freq_step=step, n_terms=4)
+            yield f
+            yield translate(f, [Fraction(r.randint(-5, 5), r.choice((1, 2, 3))) for _ in range(d)])
+            lin = [[Fraction(r.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
+            trans = [Fraction(r.randint(-7, 7), r.randint(1, 6)) for _ in range(d)]
+            yield pullback_fn(f, AffineMap(lin, trans))
+        for degree in range(d):
+            yield from rand_form(r, d, degree).d().comps.values()
+    for k in (1, 2, 3):
+        for den in (2, 3, 5):
+            omega = rand_form(r, 3, k)
+            yield integrate_simplex(omega, rand_simplex(r, 3, k, den=den))
+
+
+def test_public_results_have_int_only_keys():
+    seen = 0
+    for f in _public_results():
+        for _alpha, _mode, freq, phase in f.terms:
+            assert all(type(q) is int for q in freq), (f, freq)
+            assert type(phase) is int and phase == 0, (f, phase)
+            seen += 1
+    assert seen > 100
+
+
+def test_mixed_int_and_fraction_keys_meet():
+    a = PolyTrig.trig(2, MODE_COS, (Fraction(2), 1)) + PolyTrig.trig(2, MODE_COS, (2, 1))
+    assert len(a.terms) == 1
+    assert not (PolyTrig.trig(2, MODE_COS, (Fraction(1), 0)) - PolyTrig.cos_freq(2, (1, 0))).terms
+    f = PolyTrig.const(2, 5) + PolyTrig.cos_freq(2, (1, 0))
+    assert f.constant_term().pi == {0: 5}
+    g = PolyTrig.var(2, 1).substitute(1, {}, Fraction(3))
+    assert g.terms[((0, 0), MODE_NONE, (Fraction(0), Fraction(0)), Fraction(0))].pi == {0: 3}
+    ((_, _, freq, _),) = PolyTrig.trig(2, MODE_COS, (Fraction(1, 2), 1)).terms
+    assert freq == (Fraction(1, 2), 1) and type(freq[0]) is Fraction and type(freq[1]) is int

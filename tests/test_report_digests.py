@@ -20,15 +20,17 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 COMMANDS = ("section", "twist2", "twist3", "check-connection", "flux")
 SEEDS = (0, 7)
+# slower commands, pinned at seed 0 only
+SEED0_COMMANDS = ("pentagon", "cohomology", "check-cocycle")
 
 
 def jobs():
+    runs = [(c, s) for c in COMMANDS for s in SEEDS] + [(c, 0) for c in SEED0_COMMANDS]
     for scenario in sorted((ROOT / "scenarios").glob("*.json")):
-        for command in COMMANDS:
-            for seed in SEEDS:
-                yield f"{command} {scenario.stem} seed={seed}", [
-                    command, "--config", str(scenario), "--seed", str(seed)
-                ]
+        for command, seed in runs:
+            yield f"{command} {scenario.stem} seed={seed}", [
+                command, "--config", str(scenario), "--seed", str(seed)
+            ]
 
 
 def digest(argv):
@@ -49,5 +51,8 @@ def test_reports_match_recorded_digests():
     assert not changed, "report bytes changed: " + ", ".join(changed)
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        print(f"usage: {sys.argv[0]} --write", file=sys.stderr)
+        sys.exit(2)
     DIGESTS.write_text(json.dumps(current_digests(), indent=1, sort_keys=True) + "\n")
