@@ -49,7 +49,7 @@ from .magnetic import (
     two_cocycle,
     verify_projective_relation,
 )
-from .polytrig import constant_mod_free
+from .polytrig import MODE_NONE, PolyTrig, constant_mod_free
 from .reports import CheckReport, vec_label
 from .sampling import (
     rand_based_path,
@@ -59,7 +59,7 @@ from .sampling import (
     stokes_defect,
     stokes_sample,
 )
-from .scalar import DEFAULT_TOL
+from .scalar import DEFAULT_TOL, Scalar
 from .vectors import basis_vec
 
 DEFAULT_COHOMOLOGY_SAMPLES = 100
@@ -373,8 +373,37 @@ def cmd_cohomology(scn, rnd, tol, values):
     return [associator_cocycle_check(scn.data, samples, tol)]
 
 
+def _landau_flux(line):
+    """N if line lives on T^2 with constant curvature 2*pi*N dx1^dx2 for an
+    integer N >= 1, else None.
+
+    The curvature coefficient d_1 A_2 - d_2 A_1 is compared termwise: its
+    nonconstant terms must cancel, and its constant term is 2*pi*N.
+    """
+    if line.d != 2:
+        return None
+    comps = line.connection.comps
+    p = comps.get((1,), PolyTrig.zero(2)).partial(1).terms  # d_1 A_2
+    q = comps.get((0,), PolyTrig.zero(2)).partial(2).terms  # d_2 A_1
+    const = ((0, 0), MODE_NONE, (0, 0), 0)
+    zero = Scalar.zero()
+    for key in p.keys() | q.keys():
+        if key != const and not p.get(key, zero).equals(q.get(key, zero)):
+            return None
+    n = (p.get(const, zero) - q.get(const, zero)) / Scalar.exact(2, 1)
+    if not n.is_rational():
+        return None
+    n = n.rational_value()
+    return int(n) if n.denominator == 1 and n >= 1 else None
+
+
 def cmd_operators(scn, rnd, tol, values):
-    flux_list = scn.params.get("flux_list", [1, 2, 3, 4])
+    N = _landau_flux(scn.data)
+    if N is None:
+        raise ConfigError(
+            "operators needs d = 2 and a constant curvature 2*pi*N dx1^dx2 with integer N >= 1"
+        )
+    flux_list = scn.params.get("flux_list", [N])
     if not isinstance(flux_list, list) or not flux_list or not all(
         isinstance(N, int) and not isinstance(N, bool) and N > 0 for N in flux_list
     ):
@@ -442,7 +471,7 @@ HANDLERS = {
     "flux": _needs(cmd_flux, "gerbe"),
     "sym-product": _needs(cmd_sym_product, "line", connection=True),
     "cohomology": _needs(cmd_cohomology, "any", connection=True),
-    "operators": _needs(cmd_operators, "line"),
+    "operators": _needs(cmd_operators, "line", connection=True),
     "stokes-selftest": _needs(cmd_stokes_selftest, None),
 }
 

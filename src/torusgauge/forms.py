@@ -3,11 +3,12 @@
 Differential forms store only strictly increasing index tuples, so
 antisymmetry is structural.
 
-Every integral -- over a simplex, a bilinear cell or a unit cube -- runs
-through one kernel, _iterated_integral: pull omega back along the affine
-parametrisation p_0 + sum_j t_j v_j, antidifferentiate in t_k, ..., t_1 in
-turn, substituting each upper limit, and drop the parameter axes.  The
-parameter domain is either the simplex 0 <= t_k <= ... <= t_1 <= 1, whose
+Every integral -- over a simplex (integrate_simplex) or a box
+(integrate_box: bilinear cells, unit cubes) -- runs through one kernel,
+_iterated_integral: pull omega back along the affine parametrisation
+p_0 + sum_j t_j v_j, antidifferentiate in t_k, ..., t_1 in turn,
+substituting each upper limit, and drop the parameter axes.  The parameter
+domain is either the simplex 0 <= t_k <= ... <= t_1 <= 1, whose
 image with top vertex x is the ordered simplex
 
     [x - v_1 - ... - v_k, x - v_2 - ... - v_k, ..., x - v_k, x]
@@ -159,7 +160,7 @@ class Form:
                 if vec[a] == 0:
                     continue
                 new = idx[:j] + idx[j + 1 :]
-                contrib = f.scale(Fraction(vec[a]) * (1 if j % 2 == 0 else -1))
+                contrib = f.scale(vec[a] if j % 2 == 0 else -vec[a])
                 out[new] = out.get(new, PolyTrig.zero(self.dim)) + contrib
         return Form(self.dim, self.degree - 1, out)
 
@@ -298,6 +299,24 @@ def integrate_simplex(omega, simplex):
     if simplex.symbolic:
         return out.scale(simplex.sign)
     return out * Scalar.exact(simplex.sign)
+
+
+def integrate_box(omega, edges, base=None, offset=None):
+    """Exact integral of a k-form over the box p + sum_j t_j edges[j], 0 <= t_j <= 1.
+
+    With base None the corner p is x + offset (offset 0 if None) for an
+    unspecified base point x, and the result is a PolyTrig in x; otherwise p
+    is the rational point base and the result is a Scalar.
+    """
+    edges = [as_vec(e) for e in edges]
+    if omega.degree != len(edges):
+        raise DegreeError(f"cannot integrate a {omega.degree}-form over a {len(edges)}-box")
+    if any(len(e) != omega.dim for e in edges):
+        raise DimensionError("edge vector length mismatch")
+    if base is None:
+        p0 = vzero(omega.dim) if offset is None else as_vec(offset)
+        return _iterated_integral(omega, edges, p0, symbolic=True, nested=False)
+    return _iterated_integral(omega, edges, as_vec(base), symbolic=False, nested=False)
 
 
 def _pulled_coefficient(omega, edges, lin, trans, ext):
@@ -480,7 +499,5 @@ def integrate_cell(omega, cell):
     total = PolyTrig.zero(d)
     for a, b in zip(g1, g1[1:]):
         for c, e in zip(g2, g2[1:]):
-            total = total + _iterated_integral(
-                omega, (vsub(b, a), vsub(e, c)), vadd(a, c), symbolic=True, nested=False
-            )
+            total = total + integrate_box(omega, (vsub(b, a), vsub(e, c)), offset=vadd(a, c))
     return total

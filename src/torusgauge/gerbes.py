@@ -29,7 +29,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import DegreeError, DimensionError, QuantizationError
-from .forms import AffineSimplex, Form, _iterated_integral, integrate_path, integrate_simplex
+from .forms import AffineSimplex, Form, integrate_box, integrate_path, integrate_simplex
 from .polytrig import PolyTrig, U1Function, constant_mod_free, translate
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
@@ -41,7 +41,7 @@ def _combine(zero, weighted):
     acc = zero
     for c, x in weighted:
         if c:
-            acc = acc + x.scale(Fraction(c))
+            acc = acc + x.scale(c)
     return acc
 
 
@@ -179,7 +179,7 @@ def flux_class(gerbe, tol=DEFAULT_TOL):
 def _integrate_unit_cube(H, face):
     """Exact integral of a 3-form over the unit cube spanned by the face axes."""
     edges = [basis_vec(H.dim, a) for a in face]
-    return _iterated_integral(H, edges, vzero(H.dim), symbolic=False, nested=False)
+    return integrate_box(H, edges, vzero(H.dim))
 
 
 class HigherSection:

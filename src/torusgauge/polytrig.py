@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, FrequencyError
 from .scalar import DEFAULT_TOL, Scalar, cos2pi, sin2pi
+from .vectors import int_if_integral
 
 MODE_NONE = 0
 MODE_COS = 1
@@ -35,6 +36,7 @@ MODE_SIN = 2
 
 _QUARTER = Fraction(1, 4)
 _HALF = Fraction(1, 2)
+_HALF_SCALAR = Scalar.exact(_HALF)
 
 
 class _Acc:
@@ -69,7 +71,7 @@ class _Acc:
             freq, phase = self.zero_freq, 0
         else:
             if Fraction in map(type, freq):
-                freq = tuple(map(_int_if_integral, freq))
+                freq = tuple(map(int_if_integral, freq))
             for f in freq:
                 if f != 0:
                     if f < 0:
@@ -240,7 +242,6 @@ class PolyTrig:
             return self.scale(other)
         self._check_dim(other)
         acc = _Acc(self.dim)
-        half = Scalar.exact(Fraction(1, 2))
         for (a1, m1, q1, p1), c1 in self.terms.items():
             for (a2, m2, q2, p2), c2 in other.terms.items():
                 alpha = tuple(x + y for x, y in zip(a1, a2))
@@ -255,7 +256,7 @@ class PolyTrig:
                     qd = tuple(x - y for x, y in zip(q1, q2))
                     qs = tuple(x + y for x, y in zip(q1, q2))
                     pd, ps = p1 - p2, p1 + p2
-                    ch = c * half
+                    ch = c * _HALF_SCALAR
                     if m1 == MODE_COS and m2 == MODE_COS:
                         acc.put(alpha, MODE_COS, qd, pd, ch)
                         acc.put(alpha, MODE_COS, qs, ps, ch)
@@ -294,7 +295,7 @@ class PolyTrig:
             if alpha[a] > 0:
                 al = list(alpha)
                 al[a] -= 1
-                acc.put(tuple(al), mode, freq, phase, c * Fraction(alpha[a]))
+                acc.put(tuple(al), mode, freq, phase, c * alpha[a])
             if mode == MODE_COS and freq[a] != 0:
                 acc.put(alpha, MODE_SIN, freq, phase, c * Scalar.exact(-2 * freq[a], 1))
             elif mode == MODE_SIN and freq[a] != 0:
@@ -311,7 +312,7 @@ class PolyTrig:
             if mode == MODE_NONE or freq[a] == 0:
                 al = list(alpha)
                 al[a] += 1
-                acc.put(tuple(al), mode, freq, phase, c / Fraction(alpha[a] + 1))
+                acc.put(tuple(al), mode, freq, phase, c / (alpha[a] + 1))
                 continue
             w = Scalar.exact(2 * freq[a], 1)  # d(arg)/dx_axis
             n, m, k = alpha[a], mode, c
@@ -320,10 +321,10 @@ class PolyTrig:
                 al[a] = n
                 if m == MODE_COS:
                     acc.put(tuple(al), MODE_SIN, freq, phase, k / w)
-                    k, m = -(k * Fraction(n)) / w, MODE_SIN
+                    k, m = -(k * n) / w, MODE_SIN
                 else:
                     acc.put(tuple(al), MODE_COS, freq, phase, -(k / w))
-                    k, m = (k * Fraction(n)) / w, MODE_COS
+                    k, m = (k * n) / w, MODE_COS
                 if n == 0:
                     break
                 n -= 1
@@ -584,7 +585,7 @@ class AffineMap:
     __slots__ = ("lin", "trans", "out_dim", "in_dim")
 
     def __init__(self, lin, trans):
-        self.lin = tuple(tuple(_int_if_integral(v) for v in row) for row in lin)
+        self.lin = tuple(tuple(int_if_integral(v) for v in row) for row in lin)
         self.trans = tuple(_rational(t) for t in trans)
         self.out_dim = len(self.lin)
         self.in_dim = len(self.lin[0]) if self.lin else 0
@@ -630,22 +631,13 @@ class AffineMap:
         return f"AffineMap(out={self.out_dim}, in={self.in_dim})"
 
 
-def _int_if_integral(q):
-    """The rational q as an int when integral, else as a Fraction."""
-    if q.__class__ is not int:
-        q = q if q.__class__ is Fraction else Fraction(q)
-        if q.denominator == 1:
-            return q.numerator
-    return q
-
-
 def _rational(t):
     if isinstance(t, Scalar):
         if not t.is_rational():
             raise ValueError(f"translation must be rational, got {t}")
-        return _int_if_integral(t.rational_value())
+        return int_if_integral(t.rational_value())
     if isinstance(t, (int, Fraction)):
-        return _int_if_integral(t)
+        return int_if_integral(t)
     raise ValueError(f"translation must be rational, got {t!r}")
 
 
@@ -663,7 +655,7 @@ def pullback_fn(f, m):
 
 def translate(f, v):
     """The shifted function x -> f(x - v)."""
-    m = AffineMap.translation([-_int_if_integral(x) for x in v])
+    m = AffineMap.translation([-int_if_integral(x) for x in v])
     return pullback_fn(f, m)
 
 
@@ -713,7 +705,7 @@ class U1Function:
         return U1Function(self.exponent - other.exponent)
 
     def __pow__(self, n):
-        return U1Function(self.exponent.scale(Fraction(n)))
+        return U1Function(self.exponent.scale(n))
 
     def translate(self, v):
         return U1Function(translate(self.exponent, v))

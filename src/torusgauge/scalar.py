@@ -1,28 +1,28 @@
 """Two-tier scalars: exact rational combinations of integer powers of pi, or floats.
 
-Tier E stores a finite map {pi exponent -> Fraction}; arithmetic on this tier
-never loses precision.  Its float shadow ``val`` is a function of that map
-alone, computed on first read, so equal exact values have equal shadows however
-they were built.  Tier F stores a float together with an absolute tolerance
-that is propagated (conservatively) through arithmetic.  Mixing the tiers
-degrades to tier F.  Powers of pi are linearly independent over the rationals,
-so tier E zero- and membership-tests are decidable termwise.
+Tier E stores integer numerators keyed by pi exponent over one shared positive
+denominator, in lowest terms: the value is sum(num[k] * pi**k) / den with no
+zero numerator and gcd(den, *num.values()) == 1.  Its arithmetic is plain int
+arithmetic with gcd reductions (Knuth, TAOCP vol. 2, sec. 4.5.1), so it never
+loses precision and builds no Fraction.  ``pi`` presents the same value as a
+map {pi exponent -> Fraction}.  The float shadow ``val`` is a function of the
+value alone, computed on first read, so equal exact values have equal shadows
+however they were built.  Tier F stores a float together with an absolute
+tolerance that is propagated (conservatively) through arithmetic.  Mixing the
+tiers degrades to tier F.  Powers of pi are linearly independent over the
+rationals, so tier E zero- and membership-tests are decidable termwise.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 DEFAULT_TOL = 1e-9
 DROP_EPS = 1e-15
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _shadow(pi):
-    """The float shadow of an exact value, summed in increasing powers of pi."""
-    return sum((float(q) * math.pi**k for k, q in sorted(pi.items())), 0.0)
 
 
 def _as_fraction(x):
@@ -33,15 +33,31 @@ def _as_fraction(x):
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _reduced(num, den):
+    """The exact Scalar num / den, brought to lowest terms; num holds no zeros."""
+    if not num:
+        return Scalar(num, 1, 0.0, 0.0)
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: n // g for k, n in num.items()}
+            den //= g
+    return Scalar(num, den, None, 0.0)
+
+
 class Scalar:
     """An exact (rational * pi^m combination) or toleranced-float number."""
 
-    __slots__ = ("pi", "_val", "tol")
+    __slots__ = ("num", "den", "_val", "tol")
 
-    def __init__(self, pi, val, tol):
-        # pi: dict[int, Fraction] (tier E, canonical: no zero entries) or None (tier F)
-        # _val: the tier-F float; on tier E None until val first computes _shadow(pi)
-        self.pi = pi
+    def __init__(self, num, den, val, tol):
+        # num: dict[int, int] pi exponent -> numerator, no zero entries (tier E),
+        #      or None (tier F)
+        # den: the tier-E denominator, an int > 0 with gcd(den, *num.values()) == 1;
+        #      1 on tier F
+        # _val: the tier-F float; on tier E None until val first computes the shadow
+        self.num = num
+        self.den = den
         self._val = val
         self.tol = tol
 
@@ -49,29 +65,46 @@ class Scalar:
     def val(self):
         v = self._val
         if v is None:
-            v = self._val = _shadow(self.pi)
+            # n / den is correctly rounded, so this equals float(Fraction(n, den))
+            den = self.den
+            v = self._val = sum(
+                (n / den * math.pi**k for k, n in sorted(self.num.items())), 0.0
+            )
         return v
+
+    @property
+    def pi(self):
+        """The exact value as {pi exponent: Fraction}, or None on tier F."""
+        if self.num is None:
+            return None
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.num.items()}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def exact(q, pi_pow=0):
-        q = _as_fraction(q)
-        if q == 0:
-            return Scalar({}, 0.0, 0.0)
-        return Scalar({pi_pow: q}, None, 0.0)
+        if isinstance(q, int):
+            n, d = int(q), 1
+        elif isinstance(q, Fraction):
+            n, d = q.numerator, q.denominator
+        else:
+            raise TypeError(f"expected int or Fraction, got {type(q).__name__}")
+        if n == 0:
+            return Scalar({}, 1, 0.0, 0.0)
+        return Scalar({pi_pow: n}, d, None, 0.0)
 
     @staticmethod
     def approx(v, tol=DEFAULT_TOL):
-        return Scalar(None, float(v), tol)
+        return Scalar(None, 1, float(v), tol)
 
     @staticmethod
     def zero():
-        return Scalar({}, 0.0, 0.0)
+        return Scalar({}, 1, 0.0, 0.0)
 
     @staticmethod
     def one():
-        return Scalar.exact(1)
+        return Scalar({0: 1}, 1, None, 0.0)
 
     @staticmethod
     def coerce(x):
@@ -87,50 +120,59 @@ class Scalar:
 
     @property
     def is_exact(self):
-        return self.pi is not None
+        return self.num is not None
 
     def is_zero(self):
         """Structural zero: exact 0, or a float below the canonical drop threshold."""
-        if self.is_exact:
-            return not self.pi
-        return abs(self.val) < DROP_EPS
+        if self.num is not None:
+            return not self.num
+        return abs(self._val) < DROP_EPS
 
     def is_rational(self):
-        return self.is_exact and all(k == 0 for k in self.pi)
+        return self.num is not None and all(k == 0 for k in self.num)
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("scalar is not a pure rational")
-        return self.pi.get(0, Fraction(0))
+        return Fraction(self.num.get(0, 0), self.den)
 
     def equals(self, other, tol=0.0):
         d = self - Scalar.coerce(other)
-        if d.is_exact:
-            return not d.pi
+        if d.num is not None:
+            return not d.num
         return abs(d.val) <= max(d.tol, tol)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = Scalar.coerce(other)
-        if self.is_exact and other.is_exact:
-            pi = dict(self.pi)
-            for k, q in other.pi.items():
-                r = pi.get(k, Fraction(0)) + q
-                if r == 0:
-                    pi.pop(k, None)
-                else:
-                    pi[k] = r
-            return Scalar(pi, None, 0.0)
-        return Scalar(None, self.val + other.val, self.tol + other.tol)
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        a, b = self.num, other.num
+        if a is None or b is None:
+            return Scalar(None, 1, self.val + other.val, self.tol + other.tol)
+        den, d2 = self.den, other.den
+        if den == d2:
+            num, s2 = dict(a), 1
+        else:
+            # bring both to the denominator lcm(den, d2)
+            g = gcd(den, d2)
+            s1, s2 = d2 // g, den // g
+            num, den = {k: n * s1 for k, n in a.items()}, den * s1
+        for k, n in b.items():
+            r = num.get(k, 0) + n * s2
+            if r:
+                num[k] = r
+            else:
+                del num[k]
+        return _reduced(num, den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        if self.is_exact:
-            return Scalar({k: -q for k, q in self.pi.items()}, None, 0.0)
-        return Scalar(None, -self.val, self.tol)
+        if self.num is not None:
+            return Scalar({k: -n for k, n in self.num.items()}, self.den, None, 0.0)
+        return Scalar(None, 1, -self._val, self.tol)
 
     def __sub__(self, other):
         return self + (-Scalar.coerce(other))
@@ -139,34 +181,59 @@ class Scalar:
         return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = Scalar.coerce(other)
-        if self.is_exact and other.is_exact:
-            pi = {}
-            for k1, q1 in self.pi.items():
-                for k2, q2 in other.pi.items():
-                    k = k1 + k2
-                    r = pi.get(k, Fraction(0)) + q1 * q2
-                    if r == 0:
-                        pi.pop(k, None)
-                    else:
-                        pi[k] = r
-            return Scalar(pi, None, 0.0)
-        tol = abs(self.val) * other.tol + abs(other.val) * self.tol + self.tol * other.tol
-        return Scalar(None, self.val * other.val, tol)
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
+        a, b = self.num, other.num
+        if a is None or b is None:
+            sv, ov = self.val, other.val
+            tol = abs(sv) * other.tol + abs(ov) * self.tol + self.tol * other.tol
+            return Scalar(None, 1, sv * ov, tol)
+        if not a or not b:
+            return Scalar({}, 1, 0.0, 0.0)
+        d1, d2 = self.den, other.den
+        if len(a) == 1 and len(b) == 1:
+            # cross-gcd form: the result is already in lowest terms
+            ((k1, x),) = a.items()
+            ((k2, y),) = b.items()
+            g1, g2 = gcd(x, d2), gcd(y, d1)
+            return Scalar(
+                {k1 + k2: (x // g1) * (y // g2)}, (d1 // g2) * (d2 // g1), None, 0.0
+            )
+        num = {}
+        for k1, x in a.items():
+            for k2, y in b.items():
+                k = k1 + k2
+                r = num.get(k, 0) + x * y
+                if r:
+                    num[k] = r
+                else:
+                    del num[k]
+        return _reduced(num, d1 * d2)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        other = Scalar.coerce(other)
+        if other.__class__ is not Scalar:
+            other = Scalar.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        if self.is_exact and other.is_exact and len(other.pi) == 1:
-            ((m, q),) = other.pi.items()
-            pi = {k - m: r / q for k, r in self.pi.items()}
-            return Scalar(pi, None, 0.0)
-        tol = (self.tol + abs(self.val / other.val) * other.tol) / abs(other.val)
-        return Scalar(None, self.val / other.val, tol)
+        a, b = self.num, other.num
+        if a is not None and b is not None and len(b) == 1:
+            # self / (y/e * pi^m) = self * e/y * pi^-m, the sign of y moved into e
+            ((m, y),) = b.items()
+            e = other.den
+            if y < 0:
+                y, e = -y, -e
+            d1 = self.den
+            if len(a) == 1:
+                ((k, x),) = a.items()
+                g1, g2 = gcd(x, y), gcd(e, d1)
+                return Scalar({k - m: (x // g1) * (e // g2)}, (d1 // g2) * (y // g1), None, 0.0)
+            return _reduced({k - m: n * e for k, n in a.items()}, d1 * y)
+        sv, ov = self.val, other.val
+        tol = (self.tol + abs(sv / ov) * other.tol) / abs(ov)
+        return Scalar(None, 1, sv / ov, tol)
 
     def __float__(self):
         return self.val
@@ -175,13 +242,13 @@ class Scalar:
 
     def in_two_pi_Z(self, tol=DEFAULT_TOL):
         """Whether the value lies in 2*pi*Z (exactly on tier E, within tol on tier F)."""
-        if self.is_exact:
-            if not self.pi:
+        num = self.num
+        if num is not None:
+            if not num:
                 return True
-            if set(self.pi) != {1}:
+            if len(num) != 1 or 1 not in num:
                 return False
-            q = self.pi[1]
-            return q.denominator == 1 and q.numerator % 2 == 0
+            return self.den == 1 and num[1] % 2 == 0
         k = round(self.val / _TWO_PI)
         return abs(self.val - _TWO_PI * k) <= max(self.tol, tol)
 
@@ -202,13 +269,14 @@ class Scalar:
         return f"Scalar({self})"
 
     def __str__(self):
-        if not self.is_exact:
+        if self.num is None:
             return f"{self.val!r}(tol={self.tol:.2g})"
-        if not self.pi:
+        if not self.num:
             return "0"
+        pi = self.pi
         parts = []
-        for m in sorted(self.pi):
-            q = self.pi[m]
+        for m in sorted(pi):
+            q = pi[m]
             if m == 0:
                 parts.append(str(q))
             else:

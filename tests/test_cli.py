@@ -248,9 +248,11 @@ def test_check_cocycle_rejects_bad_counts(tmp_path, capsys):
 
 
 def test_check_cocycle_samples_without_building_all_pairs(tmp_path, capsys):
-    # (2*4 + 1)^6 = 531441 pairs of lattice vectors; only 400 are checked
+    # (2*4 + 1)^6 = 531441 pairs of lattice vectors; only 20 are checked.  The
+    # memory bound is set by the product that must not be built, not by the
+    # number of pairs checked, so a few pairs keep the test fast under tracemalloc.
     cfg = write_config(
-        tmp_path, {"dimension": 3, "kind": "line", "params": {"range": 4, "samples": 400}}
+        tmp_path, {"dimension": 3, "kind": "line", "params": {"range": 4, "samples": 20}}
     )
     tracemalloc.start()
     try:
@@ -260,7 +262,7 @@ def test_check_cocycle_samples_without_building_all_pairs(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert code == 0
-    assert len(report["checks"][0]["items"]) == 400
+    assert len(report["checks"][0]["items"]) == 20
     assert peak < 8 * 2**20
 
 
@@ -407,6 +409,32 @@ def test_counts_over_the_work_bound_are_config_errors(tmp_path, capsys, monkeypa
     # the bundled flux list stays within the bound
     doc = json.loads((SCENARIOS / "landau_n1.json").read_text())
     assert sum(N**4 for N in doc["params"]["flux_list"]) == 2275 <= MAX_COUNT
+
+
+def test_operators_needs_a_constant_flux_scenario(tmp_path, capsys, monkeypatch):
+    _forbid_work(monkeypatch)
+    zero_line = str(SCENARIOS / "zero_line.json")
+    assert_config_error(capsys, ["operators", "--config", zero_line], "zero_line")
+    cases = [
+        {**LINE, "connection": {"1": "-pi*x2"}},  # half flux
+        {**LINE, "connection": {"1": "-2*pi*x2", "2": "x1^2"}},  # nonconstant
+        {**LINE, "connection": {"1": "2*pi*x2"}},  # N = -1
+        {"dimension": 3, "kind": "line", "connection": {"1": "-2*pi*x2"}},
+        {"dimension": 2, "kind": "line", "cocycle": {"2": "2*pi*x1"}},  # no connection
+    ]
+    for doc in cases:
+        cfg = write_config(tmp_path, doc)
+        assert_config_error(capsys, ["operators", "--config", cfg], doc)
+
+
+def test_operators_defaults_to_the_scenario_flux(tmp_path, capsys):
+    # d((-4*pi*x2 + x1*x2) dx1 + 1/2*x1^2 dx2) = (x1 + 4*pi - x1) dx1^dx2: N = 2
+    doc = {**LINE, "connection": {"1": "-4*pi*x2 + x1*x2", "2": "1/2*x1^2"}}
+    code, report = run_cmd(tmp_path, "operators", "--config", write_config(tmp_path, doc))
+    capsys.readouterr()
+    assert code == 0
+    labels = {i["label"] for i in report["checks"][0]["items"]}
+    assert labels == {"unitarity N=2", "twisted algebra N=2"}
 
 
 def test_dimension_is_bounded(tmp_path, capsys, monkeypatch):

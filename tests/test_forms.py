@@ -10,6 +10,7 @@ from torusgauge.forms import (
     BilinearCell,
     Form,
     PLPath,
+    integrate_box,
     integrate_cell,
     integrate_path,
     integrate_simplex,
@@ -23,7 +24,7 @@ from torusgauge.sampling import (
     stokes_defect,
     stokes_sample,
 )
-from torusgauge.vectors import basis_vec, det
+from torusgauge.vectors import basis_vec, det, vadd, vzero
 
 
 def quad_simplex(omega, simplex, base, n=32):
@@ -357,3 +358,32 @@ def test_cell_integral_matches_boundary_of_exact_form():
             - i_g2
         )
         assert got == want
+
+
+def test_box_integral_splits_into_two_simplices():
+    # t1 >= t2 is the simplex with edges (u, v); t2 >= t1 is (v, u), reversed
+    r = rng(17)
+    for d in (2, 3):
+        for _ in range(4):
+            omega = rand_form(r, d, 2)
+            u, v = rand_vector(r, d, 2, (1,)), rand_vector(r, d, 2, (1,))
+            p = rand_vector(r, d, 2, (1, 2))
+            top = vadd(vadd(p, u), v)
+            want = integrate_simplex(omega, AffineSimplex(top, [u, v])) - integrate_simplex(
+                omega, AffineSimplex(top, [v, u])
+            )
+            assert integrate_box(omega, [u, v], offset=p) == want
+            concrete = integrate_box(omega, [u, v], base=p)
+            want = integrate_simplex(
+                omega, AffineSimplex(top, [u, v], symbolic=False)
+            ) - integrate_simplex(omega, AffineSimplex(top, [v, u], symbolic=False))
+            assert concrete.equals(want)
+
+
+def test_box_integral_of_the_unit_cube():
+    H = Form(3, 3, {(0, 1, 2): F3("2*pi")})
+    edges = [basis_vec(3, a) for a in (1, 2, 3)]
+    assert integrate_box(H, edges, base=vzero(3)).pi == {1: Fraction(2)}
+    assert integrate_box(H, edges) == PolyTrig.const(3, integrate_box(H, edges, base=vzero(3)))
+    with pytest.raises(DegreeError):
+        integrate_box(H, edges[:2])

@@ -1,5 +1,9 @@
 """Reports stay byte-identical: SHA-256 of (exit code, stdout) per bundled job.
 
+Besides the bundled scenarios, two configs under tests/data carry periodic
+trig terms and vectors of denominators 5 and 7, so their reports pin the
+float tier: its shadows, tolerances and rendering.
+
 A change that alters a report on purpose regenerates the digests with
 
     PYTHONPATH=src python tests/test_report_digests.py --write
@@ -22,6 +26,11 @@ COMMANDS = ("section", "twist2", "twist3", "check-connection", "flux")
 SEEDS = (0, 7)
 # slower commands, pinned at seed 0 only
 SEED0_COMMANDS = ("pentagon", "cohomology", "check-cocycle")
+# float-tier configs and the commands run on each, at seed 0
+TIER_F = {
+    "tier_f_line": ("section", "twist2", "sym-product", "cohomology"),
+    "tier_f_gerbe": ("section", "twist2", "twist3", "cohomology", "pentagon"),
+}
 
 
 def jobs():
@@ -31,6 +40,10 @@ def jobs():
             yield f"{command} {scenario.stem} seed={seed}", [
                 command, "--config", str(scenario), "--seed", str(seed)
             ]
+    for stem, commands in TIER_F.items():
+        config = str(ROOT / "tests" / "data" / f"{stem}.json")
+        for command in commands:
+            yield f"{command} {stem} seed=0", [command, "--config", config, "--seed", "0"]
 
 
 def digest(argv):
