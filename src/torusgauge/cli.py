@@ -49,7 +49,7 @@ from .magnetic import (
     two_cocycle,
     verify_projective_relation,
 )
-from .polytrig import MODE_NONE, PolyTrig, constant_mod_free
+from .polytrig import PolyTrig, constant_mod_free
 from .reports import CheckReport, vec_label
 from .sampling import (
     rand_based_path,
@@ -375,22 +375,14 @@ def cmd_cohomology(scn, rnd, tol, values):
 
 def _landau_flux(line):
     """N if line lives on T^2 with constant curvature 2*pi*N dx1^dx2 for an
-    integer N >= 1, else None.
-
-    The curvature coefficient d_1 A_2 - d_2 A_1 is compared termwise: its
-    nonconstant terms must cancel, and its constant term is 2*pi*N.
-    """
+    integer N >= 1, else None."""
     if line.d != 2:
         return None
-    comps = line.connection.comps
-    p = comps.get((1,), PolyTrig.zero(2)).partial(1).terms  # d_1 A_2
-    q = comps.get((0,), PolyTrig.zero(2)).partial(2).terms  # d_2 A_1
-    const = ((0, 0), MODE_NONE, (0, 0), 0)
-    zero = Scalar.zero()
-    for key in p.keys() | q.keys():
-        if key != const and not p.get(key, zero).equals(q.get(key, zero)):
-            return None
-    n = (p.get(const, zero) - q.get(const, zero)) / Scalar.exact(2, 1)
+    f = line.curvature().comps.get((0, 1), PolyTrig.zero(2))
+    c = f.constant_term()
+    if not f.equals(PolyTrig.const(2, c)):
+        return None
+    n = c / Scalar.exact(2, 1)
     if not n.is_rational():
         return None
     n = n.rational_value()

@@ -131,12 +131,13 @@ def freq_and_const(arg, d, two_pi_scaled, pos=0):
                 f"trig argument must be affine in the variables (offset {pos})"
             )
         j = nz[0]
+        pi = c.pi  # None on tier F
         if two_pi_scaled:
-            ok = c.is_exact and set(c.pi) == {1}
-            k = c.pi[1] / 2 if ok else None
+            ok = pi is not None and set(pi) == {1}
+            k = pi[1] / 2 if ok else None
         else:
-            ok = c.is_exact and set(c.pi) <= {0}
-            k = c.pi.get(0, Fraction(0)) if ok else None
+            ok = pi is not None and set(pi) <= {0}
+            k = pi.get(0, Fraction(0)) if ok else None
         if not ok or k.denominator != 1:
             raise FrequencyError(f"frequency on x{j + 1} is not an integer")
         freq[j] = int(k)

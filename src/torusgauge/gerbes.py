@@ -160,11 +160,11 @@ def flux_class(gerbe, tol=DEFAULT_TOL):
         val = _integrate_unit_cube(H, face)
         n = val / Scalar.exact(2, 1)
         if n.is_exact:
-            if not n.pi:
+            if not n.num:
                 out[face] = 0
                 continue
-            if set(n.pi) == {0} and n.pi[0].denominator == 1:
-                out[face] = int(n.pi[0])
+            if n.num.keys() == {0} and n.den == 1:
+                out[face] = n.num[0]
                 continue
             raise QuantizationError(
                 f"non-integer period {n} on face {face}"

@@ -191,7 +191,8 @@ class PolyTrig:
             if c.is_exact != o.is_exact:
                 return False
             if c.is_exact:
-                if c.pi != o.pi:
+                # both in lowest terms, so equal values have equal num and den
+                if c.num != o.num or c.den != o.den:
                     return False
             elif c.val != o.val:
                 return False

@@ -188,17 +188,6 @@ class Scalar:
             sv, ov = self.val, other.val
             tol = abs(sv) * other.tol + abs(ov) * self.tol + self.tol * other.tol
             return Scalar(None, 1, sv * ov, tol)
-        if not a or not b:
-            return Scalar({}, 1, 0.0, 0.0)
-        d1, d2 = self.den, other.den
-        if len(a) == 1 and len(b) == 1:
-            # cross-gcd form: the result is already in lowest terms
-            ((k1, x),) = a.items()
-            ((k2, y),) = b.items()
-            g1, g2 = gcd(x, d2), gcd(y, d1)
-            return Scalar(
-                {k1 + k2: (x // g1) * (y // g2)}, (d1 // g2) * (d2 // g1), None, 0.0
-            )
         num = {}
         for k1, x in a.items():
             for k2, y in b.items():
@@ -208,7 +197,7 @@ class Scalar:
                     num[k] = r
                 else:
                     del num[k]
-        return _reduced(num, d1 * d2)
+        return _reduced(num, self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -225,12 +214,7 @@ class Scalar:
             e = other.den
             if y < 0:
                 y, e = -y, -e
-            d1 = self.den
-            if len(a) == 1:
-                ((k, x),) = a.items()
-                g1, g2 = gcd(x, y), gcd(e, d1)
-                return Scalar({k - m: (x // g1) * (e // g2)}, (d1 // g2) * (y // g1), None, 0.0)
-            return _reduced({k - m: n * e for k, n in a.items()}, d1 * y)
+            return _reduced({k - m: n * e for k, n in a.items()}, self.den * y)
         sv, ov = self.val, other.val
         tol = (self.tol + abs(sv / ov) * other.tol) / abs(ov)
         return Scalar(None, 1, sv / ov, tol)
