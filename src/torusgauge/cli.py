@@ -43,6 +43,7 @@ from .magnetic import (
     check_line_cocycle,
     check_connection,
     check_section_membership,
+    landau_line,
     lift_equivalence_check,
     lift_product,
     translation_section,
@@ -231,8 +232,9 @@ def cmd_section(scn, rnd, tol, values):
     sections = {}
     for v in vecs:
         if scn.kind == "line":
-            sections[vec_label(v)] = str(translation_section(scn.data, v).exponent)
-            reports.append(check_section_membership(scn.data, v, tol))
+            theta = translation_section(scn.data, v).exponent
+            sections[vec_label(v)] = str(theta)
+            reports.append(check_section_membership(scn.data, v, tol, theta=theta))
         else:
             sec = gerbe_translation_section(scn.data, v)
             sections[vec_label(v)] = {
@@ -390,12 +392,12 @@ def _landau_flux(line):
 
 
 def cmd_operators(scn, rnd, tol, values):
-    N = _landau_flux(scn.data)
-    if N is None:
+    flux = _landau_flux(scn.data)
+    if flux is None:
         raise ConfigError(
             "operators needs d = 2 and a constant curvature 2*pi*N dx1^dx2 with integer N >= 1"
         )
-    flux_list = scn.params.get("flux_list", [N])
+    flux_list = scn.params.get("flux_list", [flux])
     if not isinstance(flux_list, list) or not flux_list or not all(
         isinstance(N, int) and not isinstance(N, bool) and N > 0 for N in flux_list
     ):
@@ -409,6 +411,8 @@ def cmd_operators(scn, rnd, tol, values):
     rep = CheckReport("operator_cocycle")
     worst = 0.0
     for N in flux_list:
+        # the scenario's own c(v, v') at its flux; the Landau model at any other
+        line = scn.data if N == flux else landau_line(N)
         fracs = [Fraction(a, N) for a in range(N)]
         lattice = list(itertools.product(fracs, repeat=2))
         bad = 0
@@ -419,7 +423,7 @@ def cmd_operators(scn, rnd, tol, values):
         defect_max = 0.0
         ok_all = True
         for v, vp in itertools.product(lattice, repeat=2):
-            ok, defect = verify_operator_cocycle(N, v, vp)
+            ok, defect = verify_operator_cocycle(N, v, vp, line=line)
             defect_max = max(defect_max, defect)
             ok_all = ok_all and ok
         worst = max(worst, defect_max)

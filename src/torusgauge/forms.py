@@ -363,9 +363,13 @@ def _iterated_integral(omega, edges, p0, symbolic, nested):
 
 
 class PLPath:
-    """Piecewise-linear path through rational vertices."""
+    """Piecewise-linear path through rational vertices.
 
-    __slots__ = ("vertices",)
+    integrate_path keeps its results on the path (_integrals, keyed by the
+    form object and symbolic), so they live exactly as long as the path.
+    """
+
+    __slots__ = ("vertices", "_integrals")
 
     def __init__(self, vertices):
         vertices = [as_vec(v) for v in vertices]
@@ -376,6 +380,7 @@ class PLPath:
             if len(v) != d:
                 raise DimensionError("path vertices of mixed dimension")
         self.vertices = tuple(vertices)
+        self._integrals = None
 
     @staticmethod
     def constant(point):
@@ -448,12 +453,16 @@ def integrate_path(alpha, path, symbolic=True):
     """Exact line integral of a 1-form over a PL path.
 
     With symbolic=True the path vertices are offsets against a base point x
-    and the result is a PolyTrig in x; otherwise a Scalar.
+    and the result is a PolyTrig in x; otherwise a Scalar.  A path integrated
+    again against the same form object returns its first result.
     """
     if alpha.degree != 1:
         raise DegreeError("integrate_path expects a 1-form")
-    if len(path.vertices) == 1:
-        return PolyTrig.zero(alpha.dim) if symbolic else Scalar.zero()
+    key = (alpha, symbolic)
+    if path._integrals is None:
+        path._integrals = {}
+    elif key in path._integrals:
+        return path._integrals[key]
     total = None
     for a, b in zip(path.vertices, path.vertices[1:]):
         if a == b:
@@ -462,7 +471,8 @@ def integrate_path(alpha, path, symbolic=True):
         val = integrate_simplex(alpha, seg)
         total = val if total is None else total + val
     if total is None:
-        return PolyTrig.zero(alpha.dim) if symbolic else Scalar.zero()
+        total = PolyTrig.zero(alpha.dim) if symbolic else Scalar.zero()
+    path._integrals[key] = total
     return total
 
 

@@ -76,6 +76,7 @@ class GerbeData:
         if curving.dim != d or curving.degree != 2:
             raise DegreeError("curving must be a 2-form")
         self.curving = curving
+        self._curvature = None
 
     def phi(self, i, j):
         """Exponent of f_{i,j} for arbitrary integer vectors (bilinear extension)."""
@@ -97,7 +98,10 @@ class GerbeData:
         )
 
     def curvature(self):
-        return self.curving.d()
+        """H = dB, computed once per gerbe object."""
+        if self._curvature is None:
+            self._curvature = self.curving.d()
+        return self._curvature
 
 
 def check_gerbe_cocycle(gerbe, triples, tol=DEFAULT_TOL):
@@ -141,7 +145,7 @@ def check_gerbe_connection(gerbe, pairs=None, tol=DEFAULT_TOL):
         dA = gerbe.gen_connection(a).d()
         rhs = B.translate(vneg(e)) - B
         report.add(f"curving step along axis {a}", (dA - rhs).is_zero(tol))
-    H = B.d()
+    H = gerbe.curvature()
     for a in range(1, d + 1):
         e = basis_vec(d, a)
         report.add(

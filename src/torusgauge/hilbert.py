@@ -68,23 +68,31 @@ def is_unitary(M, tol=UNITARITY_TOL):
     return bool(np.max(np.abs(M @ M.conj().T - np.eye(N))) < tol)
 
 
-def geometric_cocycle_phase(N, v, vp):
-    """exp of the flux-N two-cocycle exponent, computed from the bundle data."""
+def geometric_cocycle_phase(N, v, vp, line=None):
+    """exp of the flux-N two-cocycle exponent, computed from the bundle data.
+
+    line is the flux-N line bundle to use, landau_line(N) if None.
+    """
     from .magnetic import landau_line, two_cocycle
     from .polytrig import constant_mod_free
 
-    c = two_cocycle(landau_line(N), v, vp)
+    if line is None:
+        line = landau_line(N)
+    c = two_cocycle(line, v, vp)
     r = constant_mod_free(c.exponent)
     if r is None:
         raise TorusGaugeError("two-cocycle is not constant for this data")
     return cmath.exp(1j * float(r))
 
 
-def verify_operator_cocycle(N, v, vp, tol=1e-10):
-    """Sup-norm defect of P(v) P(v') = c(v, v') P(v+v'); (ok, defect)."""
+def verify_operator_cocycle(N, v, vp, tol=1e-10, line=None):
+    """Sup-norm defect of P(v) P(v') = c(v, v') P(v+v'); (ok, defect).
+
+    c comes from line, the flux-N line bundle (landau_line(N) if None).
+    """
     v = tuple(Fraction(x) for x in v)
     vp = tuple(Fraction(x) for x in vp)
-    c = geometric_cocycle_phase(N, v, vp)
+    c = geometric_cocycle_phase(N, v, vp, line)
     lhs = translation_matrix(N, v) @ translation_matrix(N, vp)
     rhs = c * translation_matrix(N, tuple(a + b for a, b in zip(v, vp)))
     defect = float(np.max(np.abs(lhs - rhs)))

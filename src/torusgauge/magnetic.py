@@ -56,6 +56,7 @@ class LineData:
         if connection is not None and (connection.dim != d or connection.degree != 1):
             raise DimensionError("connection must be a 1-form on the same space")
         self.connection = connection
+        self._curvature = None
 
     # -- cocycle synthesis ---------------------------------------------------
 
@@ -90,7 +91,10 @@ class LineData:
         return self.connection
 
     def curvature(self):
-        return self.require_connection().d()
+        """dA, computed once per bundle object."""
+        if self._curvature is None:
+            self._curvature = self.require_connection().d()
+        return self._curvature
 
 
 def check_line_cocycle(line, pairs, tol=DEFAULT_TOL):
@@ -120,7 +124,7 @@ def check_connection(line, tol=DEFAULT_TOL):
         )
         rhs = A - A.translate(vneg(e))
         report.add(f"axis {a}", (lhs - rhs).is_zero(tol))
-    B = A.d()
+    B = line.curvature()
     for a in range(1, line.d + 1):
         e = basis_vec(line.d, a)
         report.add(
@@ -137,10 +141,14 @@ def translation_section(line, v):
     return U1Function(-integrate_simplex(A, seg))
 
 
-def check_section_membership(line, v, tol=DEFAULT_TOL):
-    """Quasi-periodicity of the section: s(v)(x+i) = f_i(x) f_i(x-v)^{-1} s(v)(x)."""
+def check_section_membership(line, v, tol=DEFAULT_TOL, theta=None):
+    """Quasi-periodicity of the section: s(v)(x+i) = f_i(x) f_i(x-v)^{-1} s(v)(x).
+
+    theta is translation_section(line, v).exponent, built here if None.
+    """
     v = as_vec(v)
-    theta = translation_section(line, v).exponent
+    if theta is None:
+        theta = translation_section(line, v).exponent
     report = CheckReport("section_quasiperiodicity")
     for a in range(1, line.d + 1):
         e = basis_vec(line.d, a)

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import tracemalloc
@@ -5,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from torusgauge.cli import MAX_COUNT, run
+from torusgauge.cli import HANDLERS, MAX_COUNT, load_scenario, run
 from torusgauge.forms import integrate_simplex
+from torusgauge.sampling import rng
+from torusgauge.scalar import DEFAULT_TOL
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -360,6 +363,7 @@ def test_empty_report_fails(tmp_path, capsys, command, doc, params):
 
 def test_section_builds_each_gerbe_section_once(monkeypatch, capsys):
     import torusgauge.gerbes as gerbes
+    import torusgauge.magnetic as magnetic
 
     calls = []
 
@@ -367,12 +371,78 @@ def test_section_builds_each_gerbe_section_once(monkeypatch, capsys):
         calls.append(simplex)
         return integrate_simplex(omega, simplex)
 
-    monkeypatch.setattr(gerbes, "integrate_simplex", counting)
-    cfg = str(SCENARIOS / "constant_flux_m1.json")
-    assert run(["section", "--config", cfg, "--seed", "0"]) == 0
+    # one segment integral per generator of the gerbe, and one per vector of
+    # the line, for each of the 3 vectors
+    for module, scenario, want in ((gerbes, "constant_flux_m1", 9), (magnetic, "landau_n1", 3)):
+        monkeypatch.setattr(module, "integrate_simplex", counting)
+        calls.clear()
+        cfg = str(SCENARIOS / f"{scenario}.json")
+        assert run(["section", "--config", cfg, "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert len(calls) == want, scenario
+
+
+def test_sym_product_integrates_each_path_once_per_connection(monkeypatch, capsys):
+    import torusgauge.forms as forms
+
+    calls = []
+
+    def counting(omega, simplex):
+        calls.append(simplex)
+        return integrate_simplex(omega, simplex)
+
+    monkeypatch.setattr(forms, "integrate_simplex", counting)
+    cfg = str(SCENARIOS / "landau_n1.json")
+    assert run(["sym-product", "--config", cfg, "--seed", "0"]) == 0
     capsys.readouterr()
-    # one segment integral per generator for each of the 3 vectors
-    assert len(calls) == 9
+    # 1,722 when each lift product integrates its three paths afresh
+    assert len(calls) <= 926
+
+
+def _sym_product_peak(tmp_path, samples):
+    """Peak traced memory of the sym-product handler, without the report rendering."""
+    doc = {**LINE, "params": {"samples": samples, "equivalence_samples": 1}}
+    scn = load_scenario(write_config(tmp_path, doc, f"peak{samples}.json"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        reports = HANDLERS["sym-product"](scn, rng(0), DEFAULT_TOL, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    return peak
+
+
+def test_sym_product_memory_does_not_grow_with_samples(tmp_path):
+    # path integrals are kept on the paths of one triple, so they die with it; a
+    # memo that outlives the triple (on the connection or the module) would grow
+    # about 3x from 32 to 128 samples
+    assert _sym_product_peak(tmp_path, 128) < 1.5 * _sym_product_peak(tmp_path, 32)
+
+
+def test_operators_uses_the_scenario_line(monkeypatch, tmp_path, capsys):
+    import torusgauge.cli as cli
+    import torusgauge.magnetic as magnetic
+
+    built = []
+    landau_line = magnetic.landau_line
+
+    def counting(N, d=2):
+        built.append(N)
+        return landau_line(N, d)
+
+    monkeypatch.setattr(cli, "landau_line", counting, raising=False)
+    monkeypatch.setattr(magnetic, "landau_line", counting)
+    code, _ = run_cmd(tmp_path, "operators", "--config", str(SCENARIOS / "landau_n2.json"))
+    capsys.readouterr()
+    assert code == 0
+    assert built == []  # the 16 pairs at N = 2 use the scenario's own c(v, v')
+    # every other N in flux_list gets its Landau model once
+    code, _ = run_cmd(tmp_path, "operators", "--config", str(SCENARIOS / "landau_n1.json"))
+    capsys.readouterr()
+    assert code == 0
+    assert built == [2, 3, 4, 5, 6]
 
 
 def _forbid_work(monkeypatch):

@@ -316,6 +316,34 @@ def test_path_reversal_and_concat():
     assert (integrate_path(A, p.reversed(), symbolic=False) + a).is_zero()
 
 
+def test_path_integral_is_computed_once_per_path_form_and_base(monkeypatch):
+    import torusgauge.forms as forms
+
+    calls = []
+
+    def counting(omega, simplex):
+        calls.append(simplex)
+        return integrate_simplex(omega, simplex)
+
+    monkeypatch.setattr(forms, "integrate_simplex", counting)
+    r = rng(31)
+    A, A2 = rand_form(r, 2, 1), rand_form(r, 2, 1)
+    verts = [(0, 0), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 3))]
+    path = PLPath(verts)
+    first = integrate_path(A, path)
+    assert len(calls) == 2  # one kernel call per segment
+    assert integrate_path(A, path) is first
+    assert len(calls) == 2
+    # another form, the other base, or a fresh path with equal vertices compute again
+    integrate_path(A2, path)
+    assert len(calls) == 4
+    integrate_path(A, path, symbolic=False)
+    assert len(calls) == 6
+    again = integrate_path(A, PLPath(verts))
+    assert len(calls) == 8
+    assert again is not first and (again - first).is_zero()
+
+
 def test_concat_endpoint_mismatch():
     p = PLPath([(0, 0), (1, 0)])
     q = PLPath([(0, 1), (1, 1)])

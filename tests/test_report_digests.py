@@ -25,7 +25,7 @@ DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 COMMANDS = ("section", "twist2", "twist3", "check-connection", "flux")
 SEEDS = (0, 7)
 # slower commands, pinned at seed 0 only
-SEED0_COMMANDS = ("pentagon", "cohomology", "check-cocycle")
+SEED0_COMMANDS = ("pentagon", "cohomology", "check-cocycle", "sym-product", "operators")
 # float-tier configs and the commands run on each, at seed 0
 TIER_F = {
     "tier_f_line": ("section", "twist2", "sym-product", "cohomology"),
