@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import sys
@@ -415,15 +416,15 @@ def cmd_operators(scn, rnd, tol, values):
         line = scn.data if N == flux else landau_line(N)
         fracs = [Fraction(a, N) for a in range(N)]
         lattice = list(itertools.product(fracs, repeat=2))
-        bad = 0
-        for v in lattice:
-            if not is_unitary(translation_matrix(N, v)):
-                bad += 1
+        # one matrix per v + v' with v, v' on the lattice: entries a/N, 0 <= a <= 2N - 2
+        sums = [Fraction(a, N) for a in range(2 * N - 1)]
+        mats = {v: translation_matrix(N, v) for v in itertools.product(sums, repeat=2)}
+        bad = sum(not is_unitary(mats[v]) for v in lattice)
         rep.add(f"unitarity N={N}", bad == 0)
         defect_max = 0.0
         ok_all = True
         for v, vp in itertools.product(lattice, repeat=2):
-            ok, defect = verify_operator_cocycle(N, v, vp, line=line)
+            ok, defect = verify_operator_cocycle(N, v, vp, line=line, mats=mats)
             defect_max = max(defect_max, defect)
             ok_all = ok_all and ok
         worst = max(worst, defect_max)
@@ -483,7 +484,9 @@ def _check_needs(command, handler, scn):
         raise ConfigError(f"{command} needs a line scenario with a connection")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on the first run and shared by every later one."""
     p = argparse.ArgumentParser(
         prog="torusgauge",
         description="verification suites for torus gauge cocycle data",

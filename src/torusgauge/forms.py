@@ -6,8 +6,8 @@ antisymmetry is structural.
 Every integral -- over a simplex (integrate_simplex) or a box
 (integrate_box: bilinear cells, unit cubes) -- runs through one kernel,
 _iterated_integral: pull omega back along the affine parametrisation
-p_0 + sum_j t_j v_j, antidifferentiate in t_k, ..., t_1 in turn,
-substituting each upper limit, and drop the parameter axes.  The parameter
+p_0 + sum_j t_j v_j, integrate in t_k, ..., t_1 in turn, one pass per axis
+from 0 to its upper limit, and drop the parameter axes.  The parameter
 domain is either the simplex 0 <= t_k <= ... <= t_1 <= 1, whose
 image with top vertex x is the ordered simplex
 
@@ -293,12 +293,11 @@ def integrate_simplex(omega, simplex):
         raise DimensionError("form and simplex live in different spaces")
     if omega.degree != simplex.k:
         raise DegreeError(f"cannot integrate a {omega.degree}-form over a {simplex.k}-simplex")
-    out = _iterated_integral(
-        omega, simplex.edges, simplex.vertices()[0], simplex.symbolic, nested=True
-    )
-    if simplex.symbolic:
-        return out.scale(simplex.sign)
-    return out * Scalar.exact(simplex.sign)
+    base = simplex.top
+    for e in simplex.edges:
+        base = vsub(base, e)
+    out = _iterated_integral(omega, simplex.edges, base, simplex.symbolic, nested=True)
+    return out if simplex.sign > 0 else -out
 
 
 def integrate_box(omega, edges, base=None, offset=None):
@@ -341,6 +340,9 @@ def _iterated_integral(omega, edges, p0, symbolic, nested):
     """Integral of omega over p0 + sum_j t_j edges[j], t on the simplex if nested, else the box.
 
     A PolyTrig in the base point x if symbolic, else a Scalar; unsigned.
+    Each t_j, from t_k down to t_1, is integrated in one antiderivative pass
+    from 0 to its upper limit: t_{j-1} on the simplex, 1 on the box and for
+    t_1.  Then the parameter axes are dropped and the phases expanded.
     """
     d = omega.dim
     k = len(edges)
@@ -351,11 +353,10 @@ def _iterated_integral(omega, edges, p0, symbolic, nested):
     g = _pulled_coefficient(omega, edges, m.lin, m.trans, m.in_dim)
     for j in range(k, 0, -1):
         axis = toff + j
-        g = g.antiderivative(axis)
         if nested and j > 1:
-            g = g.substitute(axis, {axis - 1: 1}, 0)
+            g = g.antiderivative(axis, {axis - 1: 1}, 0)
         else:
-            g = g.substitute(axis, {}, 1)
+            g = g.antiderivative(axis, {}, 1)
     if k:
         g = g.drop_axes(list(range(1, toff + 1)))
     g = g.expand_phases()

@@ -85,16 +85,21 @@ def geometric_cocycle_phase(N, v, vp, line=None):
     return cmath.exp(1j * float(r))
 
 
-def verify_operator_cocycle(N, v, vp, tol=1e-10, line=None):
+def verify_operator_cocycle(N, v, vp, tol=1e-10, line=None, mats=None):
     """Sup-norm defect of P(v) P(v') = c(v, v') P(v+v'); (ok, defect).
 
     c comes from line, the flux-N line bundle (landau_line(N) if None).
+    mats, if given, maps each of v, v' and v + v' to its translation matrix;
+    otherwise the three are built here.
     """
     v = tuple(Fraction(x) for x in v)
     vp = tuple(Fraction(x) for x in vp)
     c = geometric_cocycle_phase(N, v, vp, line)
-    lhs = translation_matrix(N, v) @ translation_matrix(N, vp)
-    rhs = c * translation_matrix(N, tuple(a + b for a, b in zip(v, vp)))
+    vs = tuple(a + b for a, b in zip(v, vp))
+    if mats is None:
+        mats = {w: translation_matrix(N, w) for w in (v, vp, vs)}
+    lhs = mats[v] @ mats[vp]
+    rhs = c * mats[vs]
     defect = float(np.max(np.abs(lhs - rhs)))
     return defect < tol, defect
 

@@ -303,34 +303,40 @@ class PolyTrig:
                 acc.put(alpha, MODE_COS, freq, phase, c * Scalar.exact(2 * freq[a], 1))
         return acc.done()
 
-    def antiderivative(self, axis):
-        """F with dF/dx_axis = self and F = 0 at x_axis = 0."""
-        if not 1 <= axis <= self.dim:
-            raise DimensionError(f"axis {axis} out of range for dimension {self.dim}")
-        a = axis - 1
+    def antiderivative(self, axis, coeffs=None, const=0):
+        """Integral of self in x_axis from 0 to an upper limit, in one pass.
+
+        With coeffs None the limit is x_axis itself: the F with
+        dF/dx_axis = self and F = 0 at x_axis = 0.  Otherwise the limit is
+        x_axis -> x_b or x_axis -> r in the shapes substitute takes, and the
+        result is F at that limit.  Each term of F is written at the limit,
+        and its value at x_axis = 0 (nonzero only for the last term of a trig
+        term's integration by parts) subtracted, straight into one
+        accumulator.
+        """
+        a, b, r = self._limit(axis, coeffs or {}, const)
+        if coeffs is None:
+            b, r = a, None
         acc = _Acc(self.dim)
         for (alpha, mode, freq, phase), c in self.terms.items():
             if mode == MODE_NONE or freq[a] == 0:
-                al = list(alpha)
-                al[a] += 1
-                acc.put(tuple(al), mode, freq, phase, c / (alpha[a] + 1))
+                n = alpha[a] + 1
+                _put_at(acc, a, b, r, _with(alpha, a, n), mode, freq, phase, c / n)
                 continue
             w = Scalar.exact(2 * freq[a], 1)  # d(arg)/dx_axis
             n, m, k = alpha[a], mode, c
             while True:
-                al = list(alpha)
-                al[a] = n
+                al = _with(alpha, a, n)
                 if m == MODE_COS:
-                    acc.put(tuple(al), MODE_SIN, freq, phase, k / w)
-                    k, m = -(k * n) / w, MODE_SIN
+                    m, term, k = MODE_SIN, k / w, -(k * n) / w
                 else:
-                    acc.put(tuple(al), MODE_COS, freq, phase, -(k / w))
-                    k, m = (k * n) / w, MODE_COS
+                    m, term, k = MODE_COS, -(k / w), (k * n) / w
+                _put_at(acc, a, b, r, al, m, freq, phase, term)
                 if n == 0:
+                    acc.put(al, m, _with(freq, a, 0), phase, -term)
                     break
                 n -= 1
-        out = acc.done()
-        return out - out.substitute(axis, {}, 0)
+        return acc.done()
 
     def substitute(self, axis, coeffs, const):
         """Replace x_axis by another variable or by a rational constant; keeps dim.
@@ -342,44 +348,26 @@ class PolyTrig:
         directly; the terms and coefficients are those of the affine pullback
         by the same substitution.
         """
+        a, b, r = self._limit(axis, coeffs, const)
+        acc = _Acc(self.dim)
+        for (alpha, mode, freq, phase), c in self.terms.items():
+            _put_at(acc, a, b, r, alpha, mode, freq, phase, c)
+        return acc.done()
+
+    def _limit(self, axis, coeffs, const):
+        """Check a substitution x_axis -> coeffs, const; 0-based (a, b, None) or (a, None, r)."""
         if not 1 <= axis <= self.dim:
             raise DimensionError(f"axis {axis} out of range for dimension {self.dim}")
-        a = axis - 1
-        b = r = None
         if coeffs:
             if len(coeffs) != 1 or const != 0:
                 raise ValueError("substitute takes x_axis -> x_b or x_axis -> constant")
             ((b, k),) = coeffs.items()
             if k != 1 or b == axis or not 1 <= b <= self.dim:
                 raise ValueError(f"cannot substitute x{axis} -> {k}*x{b}")
-            b -= 1
-        elif isinstance(const, (int, Fraction)):
-            r = const
-        else:
-            raise ValueError(f"substitution constant must be rational, got {const!r}")
-        acc = _Acc(self.dim)
-        for (alpha, mode, freq, phase), c in self.terms.items():
-            e, f = alpha[a], freq[a]
-            if e and r == 0:
-                continue
-            if e:
-                al = list(alpha)
-                al[a] = 0
-                if b is not None:
-                    al[b] += e
-                elif r != 1:
-                    c = c * Scalar.exact(r**e)
-                alpha = tuple(al)
-            if f:
-                fr = list(freq)
-                fr[a] = 0
-                if b is not None:
-                    fr[b] += f
-                else:
-                    phase = phase + f * r
-                freq = tuple(fr)
-            acc.put(alpha, mode, freq, phase, c)
-        return acc.done()
+            return axis - 1, b - 1, None
+        if isinstance(const, (int, Fraction)):
+            return axis - 1, None, const
+        raise ValueError(f"substitution constant must be rational, got {const!r}")
 
     # -- pullback ----------------------------------------------------------
 
@@ -567,6 +555,37 @@ class PolyTrig:
         return s
 
     __repr__ = __str__
+
+
+def _with(t, i, v):
+    """The tuple t with entry i set to v."""
+    t = list(t)
+    t[i] = v
+    return tuple(t)
+
+
+def _put_at(acc, a, b, r, alpha, mode, freq, phase, c):
+    """Put a term with x_a replaced by x_b, or by the rational r when b is None."""
+    e, f = alpha[a], freq[a]
+    if e:
+        if r == 0:
+            return
+        al = list(alpha)
+        al[a] = 0
+        if b is not None:
+            al[b] += e
+        elif r != 1:
+            c = c * Scalar.exact(r**e)
+        alpha = tuple(al)
+    if f:
+        fr = list(freq)
+        fr[a] = 0
+        if b is not None:
+            fr[b] += f
+        else:
+            phase = phase + f * r
+        freq = tuple(fr)
+    acc.put(alpha, mode, freq, phase, c)
 
 
 def _term_sort_key(key):

@@ -176,6 +176,38 @@ def test_operators_command(tmp_path, capsys):
     assert float(report["values"]["worst_defect"]) < 1e-10
 
 
+def test_operators_builds_each_matrix_once(monkeypatch, tmp_path, capsys):
+    import torusgauge.cli as cli
+    import torusgauge.hilbert as hilbert
+
+    built = []
+    translation_matrix = hilbert.translation_matrix
+
+    def counting(N, v):
+        built.append((N, v))
+        return translation_matrix(N, v)
+
+    monkeypatch.setattr(cli, "translation_matrix", counting)
+    monkeypatch.setattr(hilbert, "translation_matrix", counting)
+    doc = json.loads((SCENARIOS / "landau_n1.json").read_text())
+    doc["params"]["flux_list"] = [1, 2, 3]
+    code, _ = run_cmd(tmp_path, "operators", "--config", write_config(tmp_path, doc))
+    capsys.readouterr()
+    assert code == 0
+    # one matrix per (N, v) with v on the (1/N)-grid of the sums v + v';
+    # 308 when each of the 98 pairs builds its three
+    assert len(built) <= sum((2 * N - 1) ** 2 for N in (1, 2, 3)) == 35
+
+
+def test_tolerance_does_not_leak_into_the_next_run(tmp_path, capsys):
+    cfg = str(SCENARIOS / "landau_n1.json")
+    code, report = run_cmd(tmp_path, "section", "--config", cfg, "--tolerance", "1e-3")
+    assert code == 0 and report["tolerance"] == 1e-3
+    code, report = run_cmd(tmp_path, "section", "--config", cfg)
+    capsys.readouterr()
+    assert code == 0 and report["tolerance"] == DEFAULT_TOL
+
+
 def test_section_and_cohomology_commands(tmp_path, capsys):
     for cmd in ("section", "cohomology"):
         code, report = run_cmd(

@@ -259,6 +259,29 @@ def test_integration_naturality_under_translation():
         assert lhs == rhs
 
 
+def test_simplex_integral_makes_one_pass_per_axis(monkeypatch):
+    calls = {"antiderivative": 0, "substitute": 0}
+    for name in calls:
+        orig = getattr(PolyTrig, name)
+
+        def counting(self, *args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(PolyTrig, name, counting)
+    r = rng(32)
+    for d in (2, 3):
+        for k in range(d + 1):
+            for symbolic in (True, False):
+                omega = rand_form(r, d, k)
+                edges = rand_simplex(r, d, k, den=2).edges if k else ()
+                top = vzero(d) if symbolic else rand_vector(r, d)
+                s = AffineSimplex(top, edges, symbolic=symbolic)
+                calls.update(antiderivative=0, substitute=0)
+                integrate_simplex(omega, s)
+                assert calls == {"antiderivative": k, "substitute": 0}, (d, k, symbolic)
+
+
 # ---------------------------------------------------------------------------
 # Stokes
 

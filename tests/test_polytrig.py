@@ -385,6 +385,36 @@ def test_substitute_matches_affine_pullback():
                     assert (c.pi, c.val, c.tol) == (w.pi, w.val, w.tol), (key, coeffs, const)
 
 
+def test_antiderivative_to_a_limit_is_antiderivative_then_substitute():
+    r = random.Random(37)
+    exact_cases = 0
+    for d in (1, 2, 3):
+        for _ in range(30):
+            f = _rand_rational_polytrig(r, d) + _rand_phased_polytrig(r, d)
+            exact = PolyTrig(d, {k: c for k, c in f.terms.items() if c.is_exact})
+            for axis in range(1, d + 1):
+                F = exact.antiderivative(axis)
+                assert F.partial(axis) == exact
+                assert F.substitute(axis, {}, 0).is_zero(1e-12)
+                limits = [({}, Fraction(1)), ({}, Fraction(-2, 3))]
+                limits += [({b: 1}, 0) for b in range(1, d + 1) if b != axis]
+                for coeffs, const in limits:
+                    want = F.substitute(axis, coeffs, const)
+                    got = exact.antiderivative(axis, coeffs, const)
+                    if want.is_exact():
+                        assert got == want
+                        exact_cases += 1
+                    else:
+                        # a trig term at a rational phase folded into a float
+                        # coefficient, and the two sum in different orders
+                        assert got.equals(want, 1e-12)
+                    got = f.antiderivative(axis, coeffs, const)
+                    assert got.equals(f.antiderivative(axis).substitute(axis, coeffs, const), 1e-12)
+    assert exact_cases > 100
+    with pytest.raises(ValueError):
+        PolyTrig.var(2, 1).antiderivative(1, {1: 1}, 0)
+
+
 def test_substitute_rejects_other_shapes():
     f = parse_expr("x1*x2 + cos(2*pi*(x1 - x2))", 2)
     for axis, coeffs, const in (
