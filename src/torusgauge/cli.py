@@ -217,12 +217,9 @@ def cmd_check_cocycle(scn, rnd, tol, values):
 
 
 def cmd_check_connection(scn, rnd, tol, values):
-    if scn.kind == "line":
-        rep, B = check_connection(scn.data, tol)
-        values["curvature"] = repr(B)
-        return [rep]
-    rep, H = check_gerbe_connection(scn.data, tol=tol)
-    values["curvature"] = repr(H)
+    check = check_connection if scn.kind == "line" else check_gerbe_connection
+    rep, curvature = check(scn.data, tol=tol)
+    values["curvature"] = repr(curvature)
     return [rep]
 
 
@@ -282,11 +279,7 @@ def cmd_twist3(scn, rnd, tol, values):
             continue
         om = associator(scn.data, u, v, w)
         phases[key] = str(om.exponent)
-        ok = all(
-            (om.translate(tuple(-x for x in basis_vec(d, a))) / om).is_one(tol)
-            for a in range(1, d + 1)
-        )
-        rep.add(key, ok)
+        rep.add(key, om.is_periodic(tol))
     values["twist3"] = phases
     return [rep]
 
@@ -303,7 +296,7 @@ def cmd_pentagon(scn, rnd, tol, values):
         reports.append(pentagon_check(scn.data, e1, e2, e3, tol))
     agg = CheckReport("pentagon_relation")
     for _ in range(n):
-        u, v, w = (rand_vector(rnd, d, num=3, dens=(1, 2, 3, 4)) for _ in range(3))
+        u, v, w = _sample_vectors(rnd, d, 3)
         rep = pentagon_check(scn.data, u, v, w, tol)
         agg.items.extend(rep.items)
     reports.append(agg)
@@ -363,13 +356,7 @@ def cmd_cohomology(scn, rnd, tol, values):
     d = scn.data.d
     n = _count_param(scn, "samples", DEFAULT_COHOMOLOGY_SAMPLES)
     if scn.kind == "line":
-        data = scn.data
-
-        def ev(args):
-            v, vp = args
-            return two_cocycle(data, v, vp)
-
-        cochain = GroupCochain(2, d, ev)
+        cochain = GroupCochain(2, d, lambda args: two_cocycle(scn.data, *args))
         samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(3)) for _ in range(n)]
         return [is_cocycle(cochain, samples, tol, identity="twist_cocycle")]
     samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(4)) for _ in range(n)]

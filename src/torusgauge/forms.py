@@ -30,7 +30,7 @@ from itertools import combinations
 from .errors import DegreeError, DimensionError, PathError
 from .polytrig import AffineMap, PolyTrig, translate as translate_fn
 from .scalar import Scalar
-from .vectors import as_vec, det, vadd, vsub, vzero
+from .vectors import as_vec, basis_vec, det, vadd, vneg, vsub, vzero
 
 
 class Form:
@@ -183,6 +183,13 @@ class Form:
             self.degree,
             {i: translate_fn(f, v) for i, f in self.comps.items()},
         )
+
+    def lattice_steps(self):
+        """[self(. + e_a) - self for a = 1..dim]; all vanish iff the form descends to T^d."""
+        return [
+            self.translate(vneg(basis_vec(self.dim, a))) - self
+            for a in range(1, self.dim + 1)
+        ]
 
     def __repr__(self):
         if not self.comps:

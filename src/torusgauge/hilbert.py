@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import DimensionError, FrequencyError, PeriodicityError, TorusGaugeError
 from .expr import freq_and_const
+from .magnetic import landau_line, two_cocycle
+from .polytrig import constant_mod_free
 
 UNITARITY_TOL = 1e-12
 
@@ -73,9 +75,6 @@ def geometric_cocycle_phase(N, v, vp, line=None):
 
     line is the flux-N line bundle to use, landau_line(N) if None.
     """
-    from .magnetic import landau_line, two_cocycle
-    from .polytrig import constant_mod_free
-
     if line is None:
         line = landau_line(N)
     c = two_cocycle(line, v, vp)

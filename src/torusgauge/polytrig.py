@@ -23,12 +23,13 @@ across threads.
 
 from __future__ import annotations
 
+import cmath
 import math as _math
 from fractions import Fraction
 
 from .errors import DimensionError, FrequencyError
 from .scalar import DEFAULT_TOL, Scalar, cos2pi, sin2pi
-from .vectors import int_if_integral
+from .vectors import basis_vec, int_if_integral, vneg
 
 MODE_NONE = 0
 MODE_COS = 1
@@ -374,7 +375,6 @@ class PolyTrig:
     def _pullback(self, lin, trans, in_dim):
         """f(L y + t); lin has shape (self.dim, in_dim), lin and trans are rational."""
         acc = _Acc(in_dim)
-        lin_cols = [[lin[i][j] for j in range(in_dim)] for i in range(self.dim)]
         zeros = acc.zero_freq
         cache = {}
         for (alpha, mode, freq, phase), c in self.terms.items():
@@ -386,7 +386,7 @@ class PolyTrig:
                 fac = cache.get(key)
                 if fac is None:
                     row = _Acc(in_dim)
-                    for j, l in enumerate(lin_cols[i]):
+                    for j, l in enumerate(lin[i]):
                         if l != 0:
                             al = tuple(1 if jj == j else 0 for jj in range(in_dim))
                             row.put(al, MODE_NONE, zeros, 0, Scalar.exact(l))
@@ -535,7 +535,7 @@ class PolyTrig:
         if not self.terms:
             return "0"
         out = []
-        for key in sorted(self.terms, key=_term_sort_key):
+        for key in sorted(self.terms):
             c = self.terms[key]
             cs, wrapped = self._coeff_str(c)
             factors = self._term_str(key)
@@ -586,11 +586,6 @@ def _put_at(acc, a, b, r, alpha, mode, freq, phase, c):
             phase = phase + f * r
         freq = tuple(fr)
     acc.put(alpha, mode, freq, phase, c)
-
-
-def _term_sort_key(key):
-    alpha, mode, freq, phase = key
-    return (alpha, mode, tuple(freq), phase)
 
 
 class AffineMap:
@@ -737,25 +732,14 @@ class U1Function:
     def equals(self, other, tol=DEFAULT_TOL):
         return (self / other).is_one(tol)
 
-    def residue(self, tol=DEFAULT_TOL):
-        """Exponent residue mod 2*pi if the quotient from 1 is constant, else None."""
-        return constant_mod(self.exponent, tol)
-
     def is_periodic(self, tol=DEFAULT_TOL):
         """Whether exp(i*theta) descends to the torus R^d / Z^d."""
-        d = self.dim
-        for a in range(d):
-            e = [0] * d
-            e[a] = 1
-            diff = translate(self.exponent, [-x for x in e]) - self.exponent
-            r = constant_mod_free(diff, tol)
-            if r is None or not r.in_two_pi_Z(tol):
-                return False
-        return True
+        return all(
+            (self.translate(vneg(basis_vec(self.dim, a))) / self).is_one(tol)
+            for a in range(1, self.dim + 1)
+        )
 
     def eval(self, point):
-        import cmath
-
         return cmath.exp(1j * self.exponent.eval_float(point))
 
     def __repr__(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .polytrig import constant_mod_free
 from .scalar import DEFAULT_TOL
 
 
@@ -56,14 +57,17 @@ def vec_label(*vecs):
     return "; ".join("(" + ",".join(str(x) for x in v) + ")" for v in vecs)
 
 
-def phase_item(report, label, residue, tol=DEFAULT_TOL, note=None):
-    """Record a mod-2*pi residue check: passes iff residue is a 2*pi multiple.
+def phase_item(report, label, slack, tol=DEFAULT_TOL):
+    """Record whether the exponent slack is a constant in 2*pi*Z.
 
-    residue None means the tested quantity was not even constant.
+    The one place a mod-2*pi verdict is decided: a slack that is not constant
+    beyond tol fails with residue "nonconstant"; a constant one is rendered
+    mod 2*pi.
     """
-    if residue is None:
-        report.add(label, False, residue="nonconstant", note=note)
+    c = constant_mod_free(slack, tol)
+    if c is None:
+        report.add(label, False, residue="nonconstant")
         return False
-    ok = residue.in_two_pi_Z(tol)
-    report.add(label, ok, residue=str(residue.mod_two_pi()), note=note)
+    ok = c.in_two_pi_Z(tol)
+    report.add(label, ok, residue=str(c.mod_two_pi()))
     return ok

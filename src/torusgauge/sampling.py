@@ -14,7 +14,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .forms import AffineSimplex, Form, PLPath, integrate_simplex
-from .polytrig import PolyTrig, U1Function
+from .gerbes import GerbeData
+from .magnetic import LineData
+from .polytrig import PolyTrig, U1Function, translate
 from .scalar import Scalar
 
 
@@ -134,16 +136,11 @@ def rand_line_data(rnd, fluxes=(-3, 3)):
     (A -> A + dg, phi -> phi + g - g(. + i)) plus a constant 1-form; the
     polynomial gauge keeps every section integral on the exact tier.
     """
-    from fractions import Fraction as _F
-
-    from .magnetic import LineData
-    from .polytrig import translate
-
     N = rnd.randint(*fluxes)
-    a_coeff = PolyTrig.monomial(2, (0, 1), Scalar.exact(-2 * _F(N), 1))
+    a_coeff = PolyTrig.monomial(2, (0, 1), Scalar.exact(-2 * Fraction(N), 1))
     A = Form.one_form(2, {1: a_coeff + PolyTrig.const(2, rand_scalar(rnd)),
                           2: PolyTrig.const(2, rand_scalar(rnd))})
-    phis = {2: PolyTrig.monomial(2, (1, 0), Scalar.exact(2 * _F(N), 1)),
+    phis = {2: PolyTrig.monomial(2, (1, 0), Scalar.exact(2 * Fraction(N), 1)),
             1: PolyTrig.zero(2)}
     g = _rand_poly(rnd, 2)
     dg = Form.one_form(2, {a: g.partial(a) for a in (1, 2)})
@@ -164,12 +161,8 @@ def rand_gerbe_data(rnd, fluxes=(-2, 2)):
     degree-1 polynomial coefficients (which re-routes into the A_i linearly)
     plus a constant 2-form.
     """
-    from fractions import Fraction as _F
-
-    from .gerbes import GerbeData
-
     m = [rnd.randint(*fluxes) for _ in range(3)]
-    two_pi = lambda c: Scalar.exact(2 * _F(c), 1)
+    two_pi = lambda c: Scalar.exact(2 * Fraction(c), 1)
     # dx3 ^ dx1 = -dx1 ^ dx3 in the sorted component basis
     curving = Form.two_form(
         3,

@@ -545,3 +545,22 @@ def test_dimension_is_bounded(tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**LINE, "dimension": bad}))
         assert_config_error(capsys, ["section", "--config", str(cfg)], bad)
+
+
+def test_curving_that_does_not_descend_fails_along_its_axis(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "constant_flux_m1.json").read_text())
+    doc["curving"]["1,2"] = "2*pi*x3^2"
+    cfg = tmp_path / "bad_curving.json"
+    cfg.write_text(json.dumps(doc))
+    code, report = run_cmd(tmp_path, "check-connection", "--config", str(cfg))
+    capsys.readouterr()
+    assert code == 1
+    failed = {i["label"] for i in report["checks"][0]["items"] if i["status"] == "fail"}
+    assert failed == {"curvature descends along axis 3", "curving step along axis 3"}
+    code, report = run_cmd(tmp_path, "twist3", "--config", str(cfg))
+    capsys.readouterr()
+    assert code == 1
+    (rep,) = report["checks"]
+    assert rep["identity"] == "associator_descends"
+    assert len(rep["items"]) == 2
+    assert all(i["status"] == "fail" for i in rep["items"])
