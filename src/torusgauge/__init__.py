@@ -13,25 +13,20 @@ from .errors import (
     FrequencyError,
     NonRealExpressionError,
     PathError,
-    PeriodicityError,
     QuantizationError,
     TorusGaugeError,
 )
 from .expr import parse_expr, print_expr
 from .forms import (
     AffineSimplex,
-    BilinearCell,
     Form,
     PLPath,
-    integrate_cell,
     integrate_path,
     integrate_simplex,
 )
 from .polytrig import (
     AffineMap,
     PolyTrig,
-    U1Function,
-    constant_mod,
     constant_mod_free,
     pullback_fn,
     translate,
@@ -41,7 +36,6 @@ from .scalar import Scalar, cos2pi, sin2pi
 __all__ = [
     "AffineMap",
     "AffineSimplex",
-    "BilinearCell",
     "DegreeError",
     "DimensionError",
     "ExprSyntaxError",
@@ -50,16 +44,12 @@ __all__ = [
     "NonRealExpressionError",
     "PLPath",
     "PathError",
-    "PeriodicityError",
     "PolyTrig",
     "QuantizationError",
     "Scalar",
     "TorusGaugeError",
-    "U1Function",
-    "constant_mod",
     "constant_mod_free",
     "cos2pi",
-    "integrate_cell",
     "integrate_path",
     "integrate_simplex",
     "parse_expr",

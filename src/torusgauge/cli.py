@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cohomology import GroupCochain, is_cocycle
 from .errors import QuantizationError, TorusGaugeError
-from .expr import parse_expr
+from .expr import parse_expr, read_rational
 from .forms import Form, PLPath
 from .gerbes import (
     GerbeData,
@@ -51,8 +51,8 @@ from .magnetic import (
     two_cocycle,
     verify_projective_relation,
 )
-from .polytrig import PolyTrig, constant_mod_free
-from .reports import CheckReport, vec_label
+from .polytrig import PolyTrig, constant_mod_free, translate
+from .reports import CheckReport, phase_item, vec_label
 from .sampling import (
     rand_based_path,
     rand_periodic_gauge,
@@ -62,7 +62,7 @@ from .sampling import (
     stokes_sample,
 )
 from .scalar import DEFAULT_TOL, Scalar
-from .vectors import basis_vec
+from .vectors import basis_vec, vneg
 
 DEFAULT_COHOMOLOGY_SAMPLES = 100
 DEFAULT_ASSOCIATIVITY_SAMPLES = 50
@@ -121,7 +121,8 @@ def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers JSONDecodeError and integers past the digit limit
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _object(doc, f"config {path}")
     try:
@@ -160,14 +161,19 @@ def _vectors(scn, default):
     if not vecs:
         return default
     try:
-        out = [tuple(Fraction(x) for x in v) for v in vecs]
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        out = [tuple(_coordinate(x) for x in v) for v in vecs]
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad vector in params: {exc}") from exc
     d = scn.data.d
     for v in out:
         if len(v) != d:
             raise ConfigError(f"vector {v} has wrong dimension (want {d})")
     return out
+
+
+def _coordinate(x):
+    """A vector entry: a rational literal string or a JSON number."""
+    return read_rational(x) if isinstance(x, str) else Fraction(x)
 
 
 def _sample_vectors(rnd, d, count, dens=(1, 2, 3, 4)):
@@ -230,13 +236,13 @@ def cmd_section(scn, rnd, tol, values):
     sections = {}
     for v in vecs:
         if scn.kind == "line":
-            theta = translation_section(scn.data, v).exponent
+            theta = translation_section(scn.data, v)
             sections[vec_label(v)] = str(theta)
             reports.append(check_section_membership(scn.data, v, tol, theta=theta))
         else:
             sec = gerbe_translation_section(scn.data, v)
             sections[vec_label(v)] = {
-                f"e{a}": str(g.exponent) for a, g in sorted(sec.g.items())
+                f"e{a}": str(g) for a, g in sorted(sec.g.items())
             }
             reports.append(check_section_constraint(scn.data, v, tol=tol, section=sec))
     values["sections"] = sections
@@ -252,10 +258,10 @@ def cmd_twist2(scn, rnd, tol, values):
         key = vec_label(v) + ";" + vec_label(vp)
         if scn.kind == "line":
             rep, c = verify_projective_relation(scn.data, v, vp, tol)
-            phases[key] = str(c.exponent)
+            phases[key] = str(c)
             reports.append(rep)
         else:
-            phases[key] = str(composition_phase(scn.data, v, vp).exponent)
+            phases[key] = str(composition_phase(scn.data, v, vp))
     values["twist2"] = phases
     if scn.kind == "gerbe" and not reports:
         rep = CheckReport("composition_phase")
@@ -278,8 +284,10 @@ def cmd_twist3(scn, rnd, tol, values):
         if key in phases:
             continue
         om = associator(scn.data, u, v, w)
-        phases[key] = str(om.exponent)
-        rep.add(key, om.is_periodic(tol))
+        phases[key] = str(om)
+        for a in range(1, d + 1):
+            step = translate(om, vneg(basis_vec(d, a))) - om
+            phase_item(rep, f"{key} axis {a}", step, tol)
     values["twist3"] = phases
     return [rep]
 
@@ -291,8 +299,8 @@ def cmd_pentagon(scn, rnd, tol, values):
     if d >= 3:
         e1, e2, e3 = (basis_vec(d, a) for a in (1, 2, 3))
         om = associator(scn.data, e1, e2, e3)
-        res = constant_mod_free(om.exponent, tol)
-        values["associator_e1_e2_e3"] = str(om.exponent) if res is None else str(res)
+        res = constant_mod_free(om, tol)
+        values["associator_e1_e2_e3"] = str(om) if res is None else str(res)
         reports.append(pentagon_check(scn.data, e1, e2, e3, tol))
     agg = CheckReport("pentagon_relation")
     for _ in range(n):
@@ -324,18 +332,16 @@ def cmd_sym_product(scn, rnd, tol, values):
         ]
         lhs = lift_product(lift_product(elems[0], elems[1], scn.data), elems[2], scn.data)
         rhs = lift_product(elems[0], lift_product(elems[1], elems[2], scn.data), scn.data)
-        ok = (
-            lhs.path.vertices == rhs.path.vertices
-            and (lhs.gauge / rhs.gauge).is_one(tol)
-        )
-        rep.add(f"triple {i}", ok)
+        if lhs.path.vertices == rhs.path.vertices:
+            phase_item(rep, f"triple {i}", lhs.gauge - rhs.gauge, tol)
+        else:
+            rep.add(f"triple {i}", False, note="paths differ")
     unit = PathSymmetry.unit(d)
     a = PathSymmetry(rand_based_path(rnd, d), rand_periodic_gauge(rnd, d))
-    rep.add(
-        "unit law",
-        (lift_product(a, unit, scn.data).gauge / a.gauge).is_one(tol)
-        and (lift_product(unit, a, scn.data).gauge / a.gauge).is_one(tol),
-    )
+    right = lift_product(a, unit, scn.data).gauge - a.gauge
+    phase_item(rep, "unit law (right)", right, tol)
+    left = lift_product(unit, a, scn.data).gauge - a.gauge
+    phase_item(rep, "unit law (left)", left, tol)
     reports = [rep]
     eq = CheckReport("lift_equivalence")
     for i in range(m):
@@ -347,7 +353,8 @@ def cmd_sym_product(scn, rnd, tol, values):
             scn.data, gamma, alpha, rand_periodic_gauge(rnd, d),
             PathSymmetry(rand_based_path(rnd, d), rand_periodic_gauge(rnd, d)), tol,
         )
-        eq.add(f"pair {i}", sub.passed)
+        for it in sub.items:
+            eq.add(f"pair {i}: {it.label}", it.passed, it.residue, it.note)
     reports.append(eq)
     return reports
 

@@ -37,9 +37,5 @@ class QuantizationError(TorusGaugeError):
     """A flux period that must be an integer is not."""
 
 
-class PeriodicityError(TorusGaugeError):
-    """A gauge exponent fails to descend to the torus."""
-
-
 class PathError(TorusGaugeError):
     """A path fails a structural precondition (endpoints, closedness)."""

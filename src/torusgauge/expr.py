@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -61,15 +62,38 @@ def _tokenize(text):
     return tokens
 
 
+_RATIONAL_RE = re.compile(r"[-+]?(\d+)(?:\.(\d+))?(?:[eE]([-+]?\d+))?(?:/(\d+))?")
+
+
+def read_rational(text):
+    """The exact rational a literal denotes; ValueError if it is not one.
+
+    A literal is an integer, p/q, or a decimal or scientific number, with an
+    optional sign.  Its digit count plus its decimal exponent may not exceed
+    sys.get_int_max_str_digits(): that is checked before the Fraction is
+    built, since 10**e alone costs seconds for e in the millions, and a value
+    past that limit could not be printed.
+    """
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a rational literal: {text[:40]!r}")
+    whole, frac, exp, den = m.groups()
+    if den is not None and (frac or exp):
+        raise ValueError("rational literal must have integer parts")
+    if den is not None and not int(den):
+        raise ValueError(f"zero denominator in {text[:40]!r}")
+    limit = sys.get_int_max_str_digits()
+    size = len(whole) + len(frac or "") + len(den or "") + abs(int(exp or 0))
+    if limit and size > limit:
+        raise ValueError(f"literal {text[:40]!r} exceeds {limit} digits")
+    return Fraction(text)
+
+
 def _parse_number(text, pos):
-    if "/" in text:
-        p, q = text.split("/")
-        if "." in p or "e" in p or "E" in p:
-            raise ExprSyntaxError("rational literal must have integer parts", pos)
-        return Fraction(int(p), int(q))
-    if "." in text or "e" in text or "E" in text:
-        return Fraction(text)
-    return Fraction(int(text))
+    try:
+        return read_rational(text)
+    except ValueError as exc:
+        raise ExprSyntaxError(str(exc), pos) from None
 
 
 class _Complex:

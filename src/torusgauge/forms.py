@@ -4,7 +4,7 @@ Differential forms store only strictly increasing index tuples, so
 antisymmetry is structural.
 
 Every integral -- over a simplex (integrate_simplex) or a box
-(integrate_box: bilinear cells, unit cubes) -- runs through one kernel,
+(integrate_box, e.g. the unit cubes of flux periods) -- runs through one kernel,
 _iterated_integral: pull omega back along the affine parametrisation
 p_0 + sum_j t_j v_j, integrate in t_k, ..., t_1 in turn, one pass per axis
 from 0 to its upper limit, and drop the parameter axes.  The parameter
@@ -14,7 +14,7 @@ image with top vertex x is the ordered simplex
     [x - v_1 - ... - v_k, x - v_2 - ... - v_k, ..., x - v_k, x]
 
 with the standard orientation of that vertex ordering, or the unit box
-0 <= t_j <= 1, which tiles bilinear cells and unit cubes.  Base points may be
+0 <= t_j <= 1 of a parallelepiped.  Base points may be
 symbolic (offsets against an unspecified x), in which case integrals return
 PolyTrig functions of x; concretely based integrals return Scalars.
 
@@ -106,10 +106,6 @@ class Form:
     def scale(self, c):
         return Form(self.dim, self.degree, {i: f.scale(c) for i, f in self.comps.items()})
 
-    def mul_fn(self, g):
-        """Multiply by a 0-form (PolyTrig)."""
-        return Form(self.dim, self.degree, {i: f * g for i, f in self.comps.items()})
-
     # -- exterior calculus ---------------------------------------------------
 
     def d(self):
@@ -148,21 +144,6 @@ class Form:
                 contrib = (f1 * f2) if sign > 0 else -(f1 * f2)
                 out[new] = out.get(new, PolyTrig.zero(self.dim)) + contrib
         return Form(self.dim, p + q, out)
-
-    def interior(self, vec):
-        """Contraction with a constant rational vector."""
-        if self.degree == 0:
-            raise DegreeError("cannot contract a 0-form")
-        vec = as_vec(vec)
-        out = {}
-        for idx, f in self.comps.items():
-            for j, a in enumerate(idx):
-                if vec[a] == 0:
-                    continue
-                new = idx[:j] + idx[j + 1 :]
-                contrib = f.scale(vec[a] if j % 2 == 0 else -vec[a])
-                out[new] = out.get(new, PolyTrig.zero(self.dim)) + contrib
-        return Form(self.dim, self.degree - 1, out)
 
     def pullback(self, m):
         """Pullback along an AffineMap into dimension m.in_dim."""
@@ -417,12 +398,6 @@ class PLPath:
         v = as_vec(v)
         return PLPath([vadd(w, v) for w in self.vertices])
 
-    def concat(self, other):
-        """self followed by other; endpoints must match."""
-        if self.end != other.start:
-            raise PathError("paths do not concatenate: endpoint mismatch")
-        return PLPath(list(self.vertices) + list(other.vertices[1:]))
-
     def params(self):
         n = len(self.vertices)
         if n == 1:
@@ -481,41 +456,4 @@ def integrate_path(alpha, path, symbolic=True):
     if total is None:
         total = PolyTrig.zero(alpha.dim) if symbolic else Scalar.zero()
     path._integrals[key] = total
-    return total
-
-
-class BilinearCell:
-    """The surface (t1, t2) -> x + gamma'(t2) + gamma(t1) over the unit square.
-
-    Restricted to a pair of segments of the two PL paths the map is affine,
-    so the surface is a grid of affine cells; its boundary consists of the
-    four translated copies of the paths with alternating signs.
-    """
-
-    __slots__ = ("gamma", "gamma_prime")
-
-    def __init__(self, gamma, gamma_prime):
-        if gamma.dim != gamma_prime.dim:
-            raise DimensionError("path dimension mismatch")
-        self.gamma = gamma
-        self.gamma_prime = gamma_prime
-
-    @property
-    def dim(self):
-        return self.gamma.dim
-
-
-def integrate_cell(omega, cell):
-    """Exact integral of a 2-form over the full bilinear square; PolyTrig in x."""
-    if omega.degree != 2:
-        raise DegreeError("integrate_cell expects a 2-form")
-    d = cell.dim
-    if omega.dim != d:
-        raise DimensionError("form and cell live in different spaces")
-    g1 = cell.gamma.vertices
-    g2 = cell.gamma_prime.vertices
-    total = PolyTrig.zero(d)
-    for a, b in zip(g1, g1[1:]):
-        for c, e in zip(g2, g2[1:]):
-            total = total + integrate_box(omega, (vsub(b, a), vsub(e, c)), offset=vadd(a, c))
     return total

@@ -20,7 +20,8 @@ verification suite.
 The composition phase Pi_{v,v'} = exp(-i int_{Delta^2(x; v', v)} B) mediates
 s(v) . s(v') -> s(v+v'), and reassociating a triple product picks up the
 associator exp(i int_{Delta^3(x; w, v, u)} H); the pentagon identity relating
-them is an exact Stokes consequence and is verified at exponent level.
+them is an exact Stokes consequence.  Every phase here is returned as its
+exponent, a PolyTrig, and every identity is verified at exponent level.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from fractions import Fraction
 
 from .cohomology import GroupCochain, is_cocycle
 from .errors import DegreeError, DimensionError, QuantizationError
-from .forms import AffineSimplex, Form, integrate_box, integrate_path, integrate_simplex
-from .polytrig import PolyTrig, U1Function, translate
+from .forms import AffineSimplex, Form, integrate_box, integrate_simplex
+from .polytrig import PolyTrig, translate
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
 from .vectors import as_vec, basis_vec, vadd, vneg, vzero
@@ -181,7 +182,7 @@ def _integrate_unit_cube(H, face):
 
 
 class HigherSection:
-    """Section datum at translation v: its generator gauges g = {a: g_{e_a}}.
+    """Section datum at translation v: the exponents g = {a: exponent of g_{e_a}}.
 
     The gauge at any integer vector i is their linear extension,
     g_i = prod_a g_{e_a}^{i_a}, in the same way as A_i = sum_a i_a A_a.
@@ -197,19 +198,13 @@ class HigherSection:
         """Exponent of g_i = sum_a i_a (exponent of g_{e_a})."""
         i = tuple(int(x) for x in i)
         zero = PolyTrig.zero(len(self.v))
-        return _combine(zero, ((i[a - 1], g.exponent) for a, g in self.g.items()))
-
-
-def section_gauge(gerbe, i, v):
-    """g_i = exp(i * int over the segment [x - v, x] of A_i)."""
-    seg = AffineSimplex.from_edges([as_vec(v)])
-    return U1Function(integrate_simplex(gerbe.connection(i), seg))
+        return _combine(zero, ((i[a - 1], g) for a, g in self.g.items()))
 
 
 def gerbe_translation_section(gerbe, v):
     seg = AffineSimplex.from_edges([as_vec(v)])
     gens = {
-        a: U1Function(integrate_simplex(gerbe.gen_connection(a), seg))
+        a: integrate_simplex(gerbe.gen_connection(a), seg)
         for a in range(1, gerbe.d + 1)
     }
     return HigherSection(v, gens)
@@ -244,15 +239,15 @@ def check_section_constraint(gerbe, v, pairs=None, tol=DEFAULT_TOL, section=None
 
 
 def composition_phase(gerbe, v, vp):
-    """Pi_{v,v'} = exp(-i int over Delta^2(x; v', v) of B)."""
+    """Exponent of Pi_{v,v'} = exp(-i int over Delta^2(x; v', v) of B)."""
     tri = AffineSimplex.from_edges([as_vec(vp), as_vec(v)])
-    return U1Function(-integrate_simplex(gerbe.curving, tri))
+    return -integrate_simplex(gerbe.curving, tri)
 
 
 def associator(gerbe, u, v, w):
-    """omega_{u,v,w} = exp(i int over Delta^3(x; w, v, u) of H)."""
+    """Exponent of omega_{u,v,w} = exp(i int over Delta^3(x; w, v, u) of H)."""
     tet = AffineSimplex.from_edges([as_vec(w), as_vec(v), as_vec(u)])
-    return U1Function(integrate_simplex(gerbe.curvature(), tet))
+    return integrate_simplex(gerbe.curvature(), tet)
 
 
 def pentagon_check(gerbe, u, v, w, tol=DEFAULT_TOL):
@@ -260,13 +255,13 @@ def pentagon_check(gerbe, u, v, w, tol=DEFAULT_TOL):
     u, v, w = as_vec(u), as_vec(v), as_vec(w)
     report = CheckReport("pentagon_relation")
     lhs = (
-        composition_phase(gerbe, u, vadd(v, w)).exponent
-        + translate(composition_phase(gerbe, v, w).exponent, u)
+        composition_phase(gerbe, u, vadd(v, w))
+        + translate(composition_phase(gerbe, v, w), u)
     )
     rhs = (
-        associator(gerbe, u, v, w).exponent
-        + composition_phase(gerbe, vadd(u, v), w).exponent
-        + composition_phase(gerbe, u, v).exponent
+        associator(gerbe, u, v, w)
+        + composition_phase(gerbe, vadd(u, v), w)
+        + composition_phase(gerbe, u, v)
     )
     phase_item(report, vec_label(u, v, w), lhs - rhs, tol)
     return report
@@ -280,33 +275,6 @@ def associator_cochain(gerbe):
 def associator_cocycle_check(gerbe, quadruples, tol=DEFAULT_TOL):
     """delta(omega) = 1 on the sampled quadruples (group 3-cocycle law)."""
     return is_cocycle(associator_cochain(gerbe), quadruples, tol, identity="associator_cocycle")
-
-
-class TransgressionValues:
-    """Results of contracting the connection data along a path."""
-
-    __slots__ = ("curvature_pairing", "curving_pairing")
-
-    def __init__(self, curvature_pairing, curving_pairing):
-        self.curvature_pairing = curvature_pairing
-        self.curving_pairing = curving_pairing
-
-
-def transgress(data, gamma, V, Vp):
-    """Path-space pairings: int over gamma of i_{V'} i_V H and of i_V B.
-
-    Accepts GerbeData (B = curving, H = dB) or LineData (B = dA, H = 0).
-    """
-    V, Vp = as_vec(V), as_vec(Vp)
-    if isinstance(data, GerbeData):
-        B = data.curving
-        H = data.curvature()
-    else:
-        B = data.curvature()
-        H = B.d()
-    rt = integrate_path(H.interior(V).interior(Vp), gamma, symbolic=False)
-    aw = integrate_path(B.interior(V), gamma, symbolic=False)
-    return TransgressionValues(rt, aw)
 
 
 def constant_flux_gerbe(m, d=3):

@@ -14,6 +14,8 @@ Conventions, fixed once and used everywhere:
     the deck translation x -> x + i are therefore translate(., -i);
   * the section at translation v is s_A(v) = exp(-i * int over the segment
     [x - v, x] of A), a function of the base point x;
+  * every U(1)-valued phase -- section, twisting cocycle, gauge -- is carried
+    by its exponent, a PolyTrig;
   * operators compose as P(v) psi = s_A(v) . (psi shifted by v), giving
     P(v) P(v') = c(v, v') P(v + v') with c = two_cocycle.
 """
@@ -25,10 +27,10 @@ from fractions import Fraction
 
 from .errors import DimensionError, PathError, TorusGaugeError
 from .forms import AffineSimplex, Form, PLPath, integrate_path, integrate_simplex
-from .polytrig import PolyTrig, U1Function, translate
+from .polytrig import PolyTrig, translate
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
-from .vectors import as_vec, basis_vec, vadd, vneg, vzero
+from .vectors import as_vec, basis_vec, vadd, vneg, vsub, vzero
 
 GAUGE_NOTE = (
     "connection identities are invariant under adding a constant 1-form to A"
@@ -131,20 +133,20 @@ def check_connection(line, tol=DEFAULT_TOL):
 
 
 def translation_section(line, v):
-    """s_A(v) = exp(-i * integral of A over the segment from x - v to x)."""
+    """Exponent of s_A(v) = exp(-i * integral of A over the segment from x - v to x)."""
     A = line.require_connection()
     seg = AffineSimplex.from_edges([as_vec(v)])
-    return U1Function(-integrate_simplex(A, seg))
+    return -integrate_simplex(A, seg)
 
 
 def check_section_membership(line, v, tol=DEFAULT_TOL, theta=None):
     """Quasi-periodicity of the section: s(v)(x+i) = f_i(x) f_i(x-v)^{-1} s(v)(x).
 
-    theta is translation_section(line, v).exponent, built here if None.
+    theta is translation_section(line, v), built here if None.
     """
     v = as_vec(v)
     if theta is None:
-        theta = translation_section(line, v).exponent
+        theta = translation_section(line, v)
     report = CheckReport("section_quasiperiodicity")
     for a in range(1, line.d + 1):
         e = basis_vec(line.d, a)
@@ -155,21 +157,21 @@ def check_section_membership(line, v, tol=DEFAULT_TOL, theta=None):
 
 
 def two_cocycle(line, v, vp):
-    """The twisting phase c(v, v') with exponent -int over Delta^2(x; v', v) of dA."""
+    """Exponent of the twisting phase c(v, v'): -int over Delta^2(x; v', v) of dA."""
     B = line.curvature()
     tri = AffineSimplex.from_edges([as_vec(vp), as_vec(v)])
-    return U1Function(-integrate_simplex(B, tri))
+    return -integrate_simplex(B, tri)
 
 
 def verify_projective_relation(line, v, vp, tol=DEFAULT_TOL):
     """s(v) . translate_v s(v') = c(v, v') . s(v+v'), exactly in exponents."""
     v, vp = as_vec(v), as_vec(vp)
     report = CheckReport("projective_product")
-    th_v = translation_section(line, v).exponent
-    th_vp = translation_section(line, vp).exponent
-    th_sum = translation_section(line, vadd(v, vp)).exponent
+    th_v = translation_section(line, v)
+    th_vp = translation_section(line, vp)
+    th_sum = translation_section(line, vadd(v, vp))
     c = two_cocycle(line, v, vp)
-    slack = th_v + translate(th_vp, v) - c.exponent - th_sum
+    slack = th_v + translate(th_vp, v) - c - th_sum
     phase_item(report, vec_label(v, vp), slack, tol)
     return report, c
 
@@ -208,8 +210,9 @@ def holonomy(line, loop, on_torus=False):
 class PathSymmetry:
     """A bundle symmetry covering a path of translations: (based PL path, gauge).
 
-    The gauge exponent must descend to the torus; the pair acts on sections by
-    gauge multiplication followed by parallel transport along the path.
+    gauge is the exponent of the gauge transformation and must descend to the
+    torus; the pair acts on sections by gauge multiplication followed by
+    parallel transport along the path.
     """
 
     __slots__ = ("path", "gauge")
@@ -224,7 +227,7 @@ class PathSymmetry:
 
     @staticmethod
     def unit(d):
-        return PathSymmetry(PLPath.constant(vzero(d)), U1Function.one(d))
+        return PathSymmetry(PLPath.constant(vzero(d)), PolyTrig.zero(d))
 
     @property
     def endpoint(self):
@@ -237,7 +240,7 @@ class PathSymmetry:
 
     def invariant_exponent(self, line):
         """Exponent of transport-plus-gauge; equal iff the symmetries act equally."""
-        return self.transport_exponent(line) + self.gauge.exponent
+        return self.transport_exponent(line) + self.gauge
 
 
 def lift_product(a, b, line):
@@ -259,12 +262,12 @@ def lift_product(a, b, line):
     i_gamma = integrate_path(A, gamma, symbolic=True)
     i_gamma_p = integrate_path(A, gamma_p, symbolic=True)
     hol = i_total - translate(i_gamma, vneg(e_p)) - i_gamma_p
-    theta = hol + translate(a.gauge.exponent, vneg(e_p)) + b.gauge.exponent
-    return PathSymmetry(total, U1Function(theta))
+    theta = hol + translate(a.gauge, vneg(e_p)) + b.gauge
+    return PathSymmetry(total, theta)
 
 
 def equivalence_gauge(line, gamma, alpha):
-    """The reattachment gauge h with (gamma, phi) ~ (alpha, h . phi).
+    """Exponent of the reattachment gauge h with (gamma, phi) ~ (alpha, h . phi).
 
     h(x) = exp(i * (integral over alpha_x - integral over gamma_x) of A), the
     holonomy of the loop running along alpha and back along gamma.
@@ -274,7 +277,7 @@ def equivalence_gauge(line, gamma, alpha):
     A = line.require_connection()
     i_gamma = integrate_path(A, gamma, symbolic=True)
     i_alpha = integrate_path(A, alpha, symbolic=True)
-    return U1Function(i_alpha - i_gamma)
+    return i_alpha - i_gamma
 
 
 def lift_equivalence_check(line, gamma, alpha, phi, probe, tol=DEFAULT_TOL):
@@ -285,13 +288,13 @@ def lift_equivalence_check(line, gamma, alpha, phi, probe, tol=DEFAULT_TOL):
     report = CheckReport("lift_equivalence")
     h = equivalence_gauge(line, gamma, alpha)
     a1 = PathSymmetry(gamma, phi)
-    a2 = PathSymmetry(alpha, h * phi)
+    a2 = PathSymmetry(alpha, h + phi)
     p1 = lift_product(a1, probe, line)
     p2 = lift_product(a2, probe, line)
-    same_endpoint = p1.endpoint == p2.endpoint
     slack = p1.invariant_exponent(line) - p2.invariant_exponent(line)
     phase_item(report, "product invariance", slack, tol)
-    report.add("endpoints agree", same_endpoint)
+    gap = vsub(p1.endpoint, p2.endpoint)
+    report.add("endpoints agree", not any(gap), residue=vec_label(gap))
     # the two representatives themselves act identically
     slack0 = a1.invariant_exponent(line) - a2.invariant_exponent(line)
     phase_item(report, "representative invariance", slack0, tol)

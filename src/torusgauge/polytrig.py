@@ -19,17 +19,21 @@ The ring is closed under +, *, partial derivatives, pullback along affine
 maps with rational linear part and translation, and antidifferentiation in
 one variable.  All values are immutable after construction and safe to share
 across threads.
+
+A U(1)-valued function exp(i*theta) is carried as its exponent theta, a
+PolyTrig: products of phases are sums of exponents, and two phases agree when
+their exponent slack is a constant in 2*pi*Z.  constant_mod_free extracts that
+constant; reports.phase_item decides the verdict.
 """
 
 from __future__ import annotations
 
-import cmath
 import math as _math
 from fractions import Fraction
 
 from .errors import DimensionError, FrequencyError
 from .scalar import DEFAULT_TOL, Scalar, cos2pi, sin2pi
-from .vectors import basis_vec, int_if_integral, vneg
+from .vectors import int_if_integral
 
 MODE_NONE = 0
 MODE_COS = 1
@@ -611,36 +615,12 @@ class AffineMap:
                 raise DimensionError("ragged linear part")
 
     @staticmethod
-    def identity(d):
-        return AffineMap(
-            [[1 if i == j else 0 for j in range(d)] for i in range(d)], [0] * d
-        )
-
-    @staticmethod
     def translation(v):
         """x -> x + v."""
         d = len(v)
         return AffineMap(
             [[1 if i == j else 0 for j in range(d)] for i in range(d)], list(v)
         )
-
-    def compose(self, other):
-        """self after other: (self.compose(other))(y) = self(other(y))."""
-        if self.in_dim != other.out_dim:
-            raise DimensionError("maps are not composable")
-        lin = [
-            [
-                sum(self.lin[i][k] * other.lin[k][j] for k in range(self.in_dim))
-                for j in range(other.in_dim)
-            ]
-            for i in range(self.out_dim)
-        ]
-        trans = [
-            self.trans[i]
-            + sum(self.lin[i][k] * other.trans[k] for k in range(self.in_dim))
-            for i in range(self.out_dim)
-        ]
-        return AffineMap(lin, trans)
 
     def __repr__(self):
         return f"AffineMap(out={self.out_dim}, in={self.in_dim})"
@@ -684,63 +664,3 @@ def constant_mod_free(f, tol=DEFAULT_TOL):
         if c.is_exact or abs(c.val) > max(c.tol, tol):
             return None
     return const
-
-
-def constant_mod(f, tol=DEFAULT_TOL):
-    """Residue in [0, 2*pi) of a constant f mod 2*pi*Z, or None if nonconstant."""
-    c = constant_mod_free(f, tol)
-    if c is None:
-        return None
-    return c.mod_two_pi()
-
-
-class U1Function:
-    """A map x -> exp(i*theta(x)) represented by its real exponent theta."""
-
-    __slots__ = ("exponent",)
-
-    def __init__(self, exponent):
-        self.exponent = exponent
-
-    @staticmethod
-    def one(d):
-        return U1Function(PolyTrig.zero(d))
-
-    @property
-    def dim(self):
-        return self.exponent.dim
-
-    def __mul__(self, other):
-        return U1Function(self.exponent + other.exponent)
-
-    def inverse(self):
-        return U1Function(-self.exponent)
-
-    def __truediv__(self, other):
-        return U1Function(self.exponent - other.exponent)
-
-    def __pow__(self, n):
-        return U1Function(self.exponent.scale(n))
-
-    def translate(self, v):
-        return U1Function(translate(self.exponent, v))
-
-    def is_one(self, tol=DEFAULT_TOL):
-        r = constant_mod_free(self.exponent, tol)
-        return r is not None and r.in_two_pi_Z(tol)
-
-    def equals(self, other, tol=DEFAULT_TOL):
-        return (self / other).is_one(tol)
-
-    def is_periodic(self, tol=DEFAULT_TOL):
-        """Whether exp(i*theta) descends to the torus R^d / Z^d."""
-        return all(
-            (self.translate(vneg(basis_vec(self.dim, a))) / self).is_one(tol)
-            for a in range(1, self.dim + 1)
-        )
-
-    def eval(self, point):
-        return cmath.exp(1j * self.exponent.eval_float(point))
-
-    def __repr__(self):
-        return f"exp(i*({self.exponent}))"

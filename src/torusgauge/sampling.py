@@ -16,7 +16,7 @@ from itertools import combinations
 from .forms import AffineSimplex, Form, PLPath, integrate_simplex
 from .gerbes import GerbeData
 from .magnetic import LineData
-from .polytrig import PolyTrig, U1Function, translate
+from .polytrig import PolyTrig, translate
 from .scalar import Scalar
 
 
@@ -103,7 +103,7 @@ def rand_based_path(rnd, d, segments=2, num=2, dens=(1, 2, 3)):
 
 
 def rand_periodic_gauge(rnd, d):
-    """U(1) function whose exponent descends to the torus."""
+    """Exponent of a U(1) function that descends to the torus."""
     theta = PolyTrig.zero(d)
     k = rand_int_vector(rnd, d, -1, 1)
     if any(k):
@@ -115,7 +115,7 @@ def rand_periodic_gauge(rnd, d):
         alpha = tuple(1 if i == axis else 0 for i in range(d))
         theta = theta + PolyTrig.monomial(d, alpha, Scalar.exact(2 * n, 1))
     theta = theta + PolyTrig.const(d, rand_scalar(rnd))
-    return U1Function(theta)
+    return theta
 
 
 def _rand_poly(rnd, d, max_deg=2):

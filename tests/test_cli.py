@@ -264,13 +264,14 @@ def test_twist3_labels_match_their_triples(tmp_path, capsys):
     assert code == 1
     status = {i["label"]: i["status"] for i in report["checks"][0]["items"]}
     # H = (2*pi + 2*x1) dx1^dx2^dx3: only the degenerate triple has a
-    # translation-invariant associator
+    # translation-invariant associator, and the others move along axis 1 only
+    triples = ("(0,0,1);(0,0,2);(1,0,0)", "(0,0,2);(1,0,0);(0,1,0)", "(1,0,0);(0,1,0);(0,0,1)")
     assert status == {
-        "(0,0,1);(0,0,2);(1,0,0)": "pass",
-        "(0,0,2);(1,0,0);(0,1,0)": "fail",
-        "(1,0,0);(0,1,0);(0,0,1)": "fail",
+        f"{t} axis {a}": "fail" if t != triples[0] and a == 1 else "pass"
+        for t in triples
+        for a in (1, 2, 3)
     }
-    assert set(report["values"]["twist3"]) == set(status)
+    assert set(report["values"]["twist3"]) == set(triples)
 
 
 def test_check_cocycle_rejects_bad_counts(tmp_path, capsys):
@@ -431,6 +432,23 @@ def test_sym_product_integrates_each_path_once_per_connection(monkeypatch, capsy
     assert len(calls) <= 926
 
 
+def test_sym_product_items_carry_residues(tmp_path, capsys):
+    cfg = str(SCENARIOS / "landau_n1.json")
+    code, report = run_cmd(tmp_path, "sym-product", "--config", cfg, "--seed", "0")
+    capsys.readouterr()
+    assert code == 0
+    assoc, equiv = report["checks"]
+    items = assoc["items"] + equiv["items"]
+    assert items and all("residue" in i for i in items)
+    labels = {i["label"] for i in assoc["items"]}
+    assert {"unit law (left)", "unit law (right)"} <= labels
+    assert {i["label"] for i in equiv["items"] if i["label"].startswith("pair 0: ")} == {
+        "pair 0: endpoints agree",
+        "pair 0: product invariance",
+        "pair 0: representative invariance",
+    }
+
+
 def _sym_product_peak(tmp_path, samples):
     """Peak traced memory of the sym-product handler, without the report rendering."""
     doc = {**LINE, "params": {"samples": samples, "equivalence_samples": 1}}
@@ -562,5 +580,10 @@ def test_curving_that_does_not_descend_fails_along_its_axis(tmp_path, capsys):
     assert code == 1
     (rep,) = report["checks"]
     assert rep["identity"] == "associator_descends"
-    assert len(rep["items"]) == 2
-    assert all(i["status"] == "fail" for i in rep["items"])
+    assert len(rep["items"]) == 6  # two triples, three axes each
+    failed = {i["label"]: i["residue"] for i in rep["items"] if i["status"] == "fail"}
+    # the associator moves by a constant outside 2*pi*Z along axis 3 only
+    assert failed == {
+        "(1,0,0);(0,1,0);(0,0,1) axis 3": "4/3*pi",
+        "(1/2,0,0);(0,1/2,0);(0,0,1/2) axis 3": "23/12*pi",
+    }

@@ -9,6 +9,7 @@ import contextlib
 import copy
 import io
 import json
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 from torusgauge.cli import HANDLERS, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-BAD_VALUES = [-1, 0, "x", 2.5, [], {}, None, 10**9]
+# inf and nan are written as the JSON extensions Infinity and NaN; the string
+# is a literal whose exponent alone would cost seconds to expand
+BAD_VALUES = [-1, 0, "x", 2.5, [], {}, None, 10**9, float("inf"), float("nan"), "1e10000000"]
 # keep every command cheap on the unbroken config
 CHEAP_PARAMS = {"samples": 2, "equivalence_samples": 1, "flux_list": [1]}
 PARAM_KEYS = ("samples", "equivalence_samples", "range", "vectors", "flux_list")
@@ -35,14 +38,16 @@ BASES = {name: _base(name) for name in ("zero_line", "constant_flux_m1")}
 @st.composite
 def broken_configs(draw):
     doc = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
-    how = draw(st.sampled_from(("type", "key", "param")))
+    how = draw(st.sampled_from(("type", "key", "param", "coordinate")))
     if how == "type":
         return draw(st.sampled_from(BAD_VALUES + [[doc], "config"]))
     value = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
     if how == "key":
         doc[draw(st.sampled_from(sorted(doc)))] = value
-    else:
+    elif how == "param":
         doc["params"][draw(st.sampled_from(PARAM_KEYS))] = value
+    else:
+        doc["params"]["vectors"] = [[value] + ["0"] * (doc["dimension"] - 1)]
     return doc
 
 
@@ -57,3 +62,36 @@ def test_broken_configs_keep_the_exit_code_contract(tmp_path_factory, doc, comma
     assert code in (0, 1, 2, 3), (code, command, doc)
     if code == 2:
         assert err.getvalue().startswith("config error:"), (command, doc)
+
+
+def _run_text(tmp_path, command, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run([command, "--config", str(path)])
+    return code, err.getvalue(), time.perf_counter() - start
+
+
+def _with(name, **changes):
+    doc = copy.deepcopy(BASES[name])
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def test_odd_numbers_are_config_errors(tmp_path):
+    params = BASES["zero_line"]["params"]
+    cases = [
+        ("section", _with("zero_line", params={**params, "vectors": [[value, "0"]]}))
+        for value in (float("inf"), float("nan"), "1e10000000", "1e1000000", "1/0")
+    ]
+    cases.append(("check-cocycle", _with("zero_line", cocycle={"2": "2*pi*x1 + 1e10000000"})))
+    # json.dumps cannot write an integer past the interpreter's digit limit
+    raw = _with("zero_line").replace('"dimension": 2', '"dimension": ' + "1" * 5000)
+    assert "1" * 5000 in raw
+    cases.append(("section", raw))
+    for command, text in cases:
+        code, err, seconds = _run_text(tmp_path, command, text)
+        assert code == 2 and err.startswith("config error:"), (command, text[:200], err)
+        assert seconds < 1.0, (command, text[:200], seconds)

@@ -5,7 +5,7 @@ import pytest
 
 from torusgauge.errors import QuantizationError
 from torusgauge.expr import parse_expr
-from torusgauge.forms import Form, PLPath, integrate_simplex
+from torusgauge.forms import AffineSimplex, Form, integrate_simplex
 from torusgauge.gerbes import (
     GerbeData,
     associator,
@@ -18,13 +18,10 @@ from torusgauge.gerbes import (
     flux_class,
     gerbe_translation_section,
     pentagon_check,
-    section_gauge,
-    transgress,
 )
-from torusgauge.magnetic import landau_line
 from torusgauge.polytrig import PolyTrig, constant_mod_free, translate
 from torusgauge.scalar import Scalar
-from tests_util import rational_vec2, rational_vec3
+from tests_util import phase_descends, phase_is_one, rational_vec2, rational_vec3
 
 F3 = lambda s: parse_expr(s, 3)
 
@@ -133,9 +130,15 @@ def test_flux_invariant_under_translation(gerbe_m2, rnd):
 # sections
 
 
+def section_gauge(gerbe, i, v):
+    """Reference exponent of g_i: int over the segment [x - v, x] of A_i."""
+    seg = AffineSimplex.from_edges([v])
+    return integrate_simplex(gerbe.connection(i), seg)
+
+
 def test_section_gauge_closed_form(gerbe_m1):
     v = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
-    got = section_gauge(gerbe_m1, (1, 0, 0), v).exponent
+    got = section_gauge(gerbe_m1, (1, 0, 0), v)
     # + int over [x-v, x] of 2 pi m x2 dx3 = 2 pi m v3 (x2 - v2/2)
     want = PolyTrig.monomial(3, (0, 1, 0), Scalar.exact(2 * Fraction(1, 5), 1)) + PolyTrig.const(
         3, Scalar.exact(-Fraction(1, 5) * Fraction(1, 3), 1)
@@ -145,13 +148,13 @@ def test_section_gauge_closed_form(gerbe_m1):
 
 def test_section_zero_vector_trivial(gerbe_m1):
     s = gerbe_translation_section(gerbe_m1, (0, 0, 0))
-    assert all(g.is_one() for g in s.g.values())
+    assert all(phase_is_one(g) for g in s.g.values())
 
 
 def test_section_zero_connection_trivial():
     g = GerbeData(3, {}, {}, Form.zero(3, 2))
     s = gerbe_translation_section(g, (Fraction(1, 2), 0, Fraction(1, 3)))
-    assert all(u.is_one() for u in s.g.values())
+    assert all(phase_is_one(u) for u in s.g.values())
 
 
 def test_section_gauges_extend_linearly(gerbe_m2, rnd):
@@ -161,7 +164,7 @@ def test_section_gauges_extend_linearly(gerbe_m2, rnd):
         v = rational_vec3(rnd)
         section = gerbe_translation_section(g, v)
         for i in itertools.product(range(-2, 3), repeat=3):
-            assert section.exponent(i) == section_gauge(g, i, v).exponent
+            assert section.exponent(i) == section_gauge(g, i, v)
 
 
 def test_section_constraint_integrates_each_generator_once(gerbe_m1, monkeypatch):
@@ -214,11 +217,11 @@ def test_corrupted_cocycle_sign_fails_constraint(gerbe_m1):
 def test_composition_phase_linear_in_x1(gerbe_m1):
     v = (Fraction(1, 2), Fraction(0), Fraction(0))
     vp = (Fraction(0), Fraction(1, 3), Fraction(1, 5))
-    th = composition_phase(gerbe_m1, v, vp).exponent
+    th = composition_phase(gerbe_m1, v, vp)
     # -2 pi m (vp2 v3 - vp3 v2)(x1/2 - v1/3 - vp1/6); here v2 = v3 = 0
     # so the prefactor uses J(vp, v) = vp2*v3 - vp3*v2 = 0 ... use generic pair
     v2 = (Fraction(0), Fraction(1, 2), Fraction(1, 3))
-    th = composition_phase(gerbe_m1, v2, vp).exponent
+    th = composition_phase(gerbe_m1, v2, vp)
     J = vp[1] * v2[2] - vp[2] * v2[1]
     c1 = Scalar.exact(-2 * J * Fraction(1, 2), 1)
     c0 = Scalar.exact(2 * J * (v2[0] * Fraction(1, 3) + vp[0] * Fraction(1, 6)), 1)
@@ -228,32 +231,32 @@ def test_composition_phase_linear_in_x1(gerbe_m1):
 
 def test_composition_phase_degenerate(gerbe_m1):
     v = (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))
-    assert composition_phase(gerbe_m1, v, v).is_one()
+    assert phase_is_one(composition_phase(gerbe_m1, v, v))
 
 
 def test_composition_phase_zero_curving():
     g = GerbeData(3, {}, {}, Form.zero(3, 2))
-    assert composition_phase(g, (1, 0, 0), (0, 1, 0)).is_one()
+    assert phase_is_one(composition_phase(g, (1, 0, 0), (0, 1, 0)))
 
 
 @pytest.mark.parametrize("m,val", [(1, Fraction(-1, 3)), (2, Fraction(-2, 3))])
 def test_associator_on_basis(m, val):
     g = constant_flux_gerbe(m)
     om = associator(g, (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    r = constant_mod_free(om.exponent)
+    r = constant_mod_free(om)
     assert r is not None and r.pi == {1: val}
 
 
 def test_associator_degenerate_and_flat(gerbe_m1):
-    assert associator(gerbe_m1, (0, 0, 0), (1, 0, 0), (0, 1, 0)).is_one()
+    assert phase_is_one(associator(gerbe_m1, (0, 0, 0), (1, 0, 0), (0, 1, 0)))
     flat = GerbeData(3, {}, {}, Form.zero(3, 2))
-    assert associator(flat, (1, 0, 0), (0, 1, 0), (0, 0, 1)).is_one()
+    assert phase_is_one(associator(flat, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_associator_descends(gerbe_m2, rnd):
     u, v, w = (rational_vec3(rnd) for _ in range(3))
     om = associator(gerbe_m2, u, v, w)
-    assert om.is_periodic()
+    assert phase_descends(om)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +282,12 @@ def test_pentagon_fails_without_associator(gerbe_m1, rnd):
 
     u, v, w = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     lhs = (
-        composition_phase(gerbe_m1, u, vadd(v, w)).exponent
-        + translate(composition_phase(gerbe_m1, v, w).exponent, u)
+        composition_phase(gerbe_m1, u, vadd(v, w))
+        + translate(composition_phase(gerbe_m1, v, w), u)
     )
     rhs = (
-        composition_phase(gerbe_m1, vadd(u, v), w).exponent
-        + composition_phase(gerbe_m1, u, v).exponent
+        composition_phase(gerbe_m1, vadd(u, v), w)
+        + composition_phase(gerbe_m1, u, v)
     )
     r = constant_mod_free(lhs - rhs)
     assert r is None or not r.in_two_pi_Z()
@@ -304,7 +307,7 @@ def test_curving_shift_leaves_associator_alone(gerbe_m1, rnd):
     u, v, w = (rational_vec3(rnd) for _ in range(3))
     om1 = associator(gerbe_m1, u, v, w)
     om2 = associator(shifted, u, v, w)
-    assert om1.equals(om2)
+    assert phase_is_one(om1 - om2)
     assert pentagon_check(shifted, u, v, w).passed
 
 
@@ -323,37 +326,8 @@ def test_2d_gerbe_conforms(gerbe_2d):
 def test_2d_associator_trivial(gerbe_2d, rnd):
     for _ in range(10):
         u, v, w = (rational_vec2(rnd) for _ in range(3))
-        assert associator(gerbe_2d, u, v, w).is_one()
+        assert phase_is_one(associator(gerbe_2d, u, v, w))
         assert pentagon_check(gerbe_2d, u, v, w).passed
-
-
-# ---------------------------------------------------------------------------
-# transgression
-
-
-def test_transgression_constant_flux(gerbe_m1):
-    gamma = PLPath([(0, 0, 0), (0, 0, 1)])
-    out = transgress(gerbe_m1, gamma, (1, 0, 0), (0, 1, 0))
-    assert out.curvature_pairing.pi == {1: Fraction(2)}  # 2 pi m
-
-
-def test_transgression_skew_and_zero(gerbe_m1):
-    gamma = PLPath([(0, 0, 0), (Fraction(1, 2), Fraction(1, 3), 1)])
-    v = (Fraction(1), Fraction(2), Fraction(0))
-    same = transgress(gerbe_m1, gamma, v, v)
-    assert same.curvature_pairing.is_zero()
-    flat = GerbeData(3, {}, {}, Form.zero(3, 2))
-    out = transgress(flat, gamma, (1, 0, 0), (0, 1, 0))
-    assert out.curvature_pairing.is_zero() and out.curving_pairing.is_zero()
-
-
-def test_transgression_accepts_line_data():
-    line = landau_line(2)
-    gamma = PLPath([(0, 0), (0, 1)])
-    out = transgress(line, gamma, (1, 0), (0, 1))
-    # i_{e1} dA = 2 pi N dx2 integrated over the unit x2 segment
-    assert out.curving_pairing.pi == {1: Fraction(4)}
-    assert out.curvature_pairing.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +361,6 @@ def test_curving_shift_moves_composition_phase_by_coboundary(gerbe_m1, rnd):
     # B -> B + d(Lambda) multiplies Pi_{v,v'} by delta(b) with
     # b(v) = exp(-i int over [x-v, x] of Lambda)
     from torusgauge.cohomology import GroupCochain, coboundary
-    from torusgauge.forms import AffineSimplex, integrate_simplex
-    from torusgauge.polytrig import U1Function
 
     lam = Form.one_form(3, {1: F3("x2*x3"), 2: F3("cos(2*pi*x3)")})
     shifted = GerbeData(
@@ -398,10 +370,10 @@ def test_curving_shift_moves_composition_phase_by_coboundary(gerbe_m1, rnd):
     def b_ev(args):
         (v,) = args
         seg = AffineSimplex.from_edges([v])
-        return U1Function(-integrate_simplex(lam, seg))
+        return -integrate_simplex(lam, seg)
 
     db = coboundary(GroupCochain(1, 3, b_ev))
     for _ in range(6):
         v, vp = rational_vec3(rnd, dens=(1, 2)), rational_vec3(rnd, dens=(1, 2))
-        ratio = composition_phase(shifted, v, vp) / composition_phase(gerbe_m1, v, vp)
-        assert ratio.equals(db(v, vp))
+        ratio = composition_phase(shifted, v, vp) - composition_phase(gerbe_m1, v, vp)
+        assert phase_is_one(ratio - db(v, vp))

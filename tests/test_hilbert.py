@@ -5,23 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusgauge.errors import PeriodicityError, TorusGaugeError
+from torusgauge.errors import TorusGaugeError
 from torusgauge.hilbert import (
-    ThetaBasis,
-    clock_shift,
     geometric_cocycle_phase,
     is_unitary,
-    multiplication_operator,
     translation_matrix,
     verify_operator_cocycle,
 )
-from torusgauge.polytrig import PolyTrig, U1Function
-from torusgauge.scalar import Scalar
 
 
 def test_clock_shift_commutation():
+    # the shift U = P(1/N, 0) and the clock V = P(0, -1/N) obey the Weyl relation
     for N in (2, 3, 5):
-        U, V = clock_shift(N)
+        U = translation_matrix(N, (Fraction(1, N), 0))
+        V = translation_matrix(N, (0, Fraction(-1, N)))
         w = np.exp(2j * math.pi / N)
         assert np.allclose(U @ V, w ** (-1) * V @ U)
         assert np.allclose(np.linalg.matrix_power(U, N), np.eye(N))
@@ -88,71 +85,3 @@ def test_unitarity_lattice():
     for N in (1, 2, 3, 4, 5):
         for v in itertools.product([Fraction(a, N) for a in range(N)], repeat=2):
             assert is_unitary(translation_matrix(N, v))
-
-
-# ---------------------------------------------------------------------------
-# theta basis oracle
-
-
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_theta_basis_quasiperiodicity(N):
-    tb = ThetaBasis(N, trunc=5)
-    assert tb.quasiperiodicity_defect(grid=8) < 1e-10
-
-
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
-def test_theta_basis_dimension_count(N):
-    tb = ThetaBasis(N, trunc=4)
-    assert tb.independent(grid=40)
-
-
-def test_theta_basis_diagonalizes_lattice_shift():
-    # shifting x1 by -1/N multiplies psi_n by the clock phase exp(-2 pi i n/N),
-    # exactly and for any profile: this is why the clock matrix is diagonal
-    # in the Zak index
-    N = 3
-    tb = ThetaBasis(N, trunc=6)
-    pts = [(0.13, 0.29), (0.61, 0.83), (0.37, 0.52)]
-    for n in range(N):
-        for (x1, x2) in pts:
-            moved = tb.value(n, x1 - 1.0 / N, x2)
-            expected = np.exp(-2j * math.pi * n / N) * tb.value(n, x1, x2)
-            assert abs(moved - expected) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# multiplication operators
-
-
-def test_multiplication_identity():
-    M = multiplication_operator(U1Function(PolyTrig.zero(2)), 2)
-    assert np.allclose(M, np.eye(25))
-
-
-def test_multiplication_shift_exact():
-    g = U1Function(PolyTrig.monomial(2, (1, 0), Scalar.exact(2, 1)))
-    M = multiplication_operator(g, 1)
-    modes = [(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)]
-    idx = {k: i for i, k in enumerate(modes)}
-    for k in modes:
-        kk = (k[0] + 1, k[1])
-        if kk in idx:
-            assert M[idx[kk], idx[k]] == 1
-    assert np.count_nonzero(M) == 6
-
-
-def test_multiplication_numeric_bessel():
-    # exp(i cos(2 pi x1)): Fourier coefficients are i^k J_k(1)
-    g = U1Function(PolyTrig.cos_freq(2, (1, 0)))
-    M = multiplication_operator(g, 1, grid=128)
-    modes = [(k1, k2) for k1 in (-1, 0, 1) for k2 in (-1, 0, 1)]
-    idx = {k: i for i, k in enumerate(modes)}
-    j0, j1 = 0.7651976865579666, 0.44005058574493355
-    assert abs(M[idx[(0, 0)], idx[(0, 0)]] - j0) < 1e-9
-    assert abs(M[idx[(1, 0)], idx[(0, 0)]] - 1j * j1) < 1e-9
-
-
-def test_multiplication_nonperiodic_rejected():
-    g = U1Function(PolyTrig.monomial(2, (1, 0), Scalar.exact(1, 1)))  # exp(i pi x1)
-    with pytest.raises(PeriodicityError):
-        multiplication_operator(g, 1)
