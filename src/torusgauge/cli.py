@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cohomology import GroupCochain, is_cocycle
 from .errors import QuantizationError, TorusGaugeError
-from .expr import parse_expr, read_rational
+from .expr import MAX_COUNT, parse_expr, read_rational
 from .forms import Form, PLPath
 from .gerbes import (
     GerbeData,
@@ -66,10 +66,6 @@ from .vectors import basis_vec, vneg
 
 DEFAULT_COHOMOLOGY_SAMPLES = 100
 DEFAULT_ASSOCIATIVITY_SAMPLES = 50
-# Work bound on config counts: the largest `samples`, `equivalence_samples`
-# or `range`, and the largest number of operator pairs (sum of N**4 over
-# `flux_list`) that `operators` checks.  A config over it is a config error.
-MAX_COUNT = 10_000
 # Largest scenario dimension: term keys and generator pairs grow with it.
 MAX_DIMENSION = 8
 
@@ -330,8 +326,11 @@ def cmd_sym_product(scn, rnd, tol, values):
             PathSymmetry(rand_based_path(rnd, d), rand_periodic_gauge(rnd, d))
             for _ in range(3)
         ]
-        lhs = lift_product(lift_product(elems[0], elems[1], scn.data), elems[2], scn.data)
-        rhs = lift_product(elems[0], lift_product(elems[1], elems[2], scn.data), scn.data)
+        paths = {}  # one triple's sum paths, so both bracketings share theirs
+        ab = lift_product(elems[0], elems[1], scn.data, paths)
+        lhs = lift_product(ab, elems[2], scn.data, paths)
+        bc = lift_product(elems[1], elems[2], scn.data, paths)
+        rhs = lift_product(elems[0], bc, scn.data, paths)
         if lhs.path.vertices == rhs.path.vertices:
             phase_item(rep, f"triple {i}", lhs.gauge - rhs.gauge, tol)
         else:

@@ -10,9 +10,11 @@
 Numbers are integers, rationals p/q, or decimal/scientific literals; decimal
 literals are read exactly as rationals.  Exponents are unsigned except on
 'pi', where a negative exponent is allowed (antiderivatives produce 1/(2*pi)
-coefficients).  Arguments of cos/sin/exp2pii must be affine with integer
-frequencies: 2*pi*(k.x + c) with k in Z^d.  exp2pii is expanded through a
-complex intermediate; the overall expression must be real-valued.
+coefficients); an exponent above MAX_COUNT is a syntax error.  Arguments of
+cos/sin/exp2pii must be affine with integer frequencies: 2*pi*(k.x + c) with
+k in Z^d.  exp2pii is expanded through a complex intermediate, and only
+there: a real value carries no imaginary part.  The overall expression must
+be real-valued.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ from .errors import (
 )
 from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig
 from .scalar import Scalar
+
+# Work bound on config counts: the largest `samples`, `equivalence_samples`
+# or `range`, the largest number of operator pairs (sum of N**4 over
+# `flux_list`) that `operators` checks, and the largest exponent after '^' in
+# an expression.  A config over it is a config error.
+MAX_COUNT = 10_000
 
 _TOKEN_RE = re.compile(
     r"""
@@ -97,35 +105,52 @@ def _parse_number(text, pos):
 
 
 class _Complex:
-    """Pair of real PolyTrigs standing for re + i*im."""
+    """Pair of real PolyTrigs standing for re + i*im; im is None for a real value.
+
+    A real operand costs one real operation, so only exp2pii pays for complex
+    arithmetic.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re_, im_):
+    def __init__(self, re_, im_=None):
         self.re = re_
         self.im = im_
 
-    @staticmethod
-    def real(f):
-        return _Complex(f, PolyTrig.zero(f.dim))
+    def is_real(self):
+        return self.im is None or self.im.is_zero()
 
     def __add__(self, o):
+        if o.im is None:
+            return _Complex(self.re + o.re, self.im)
+        if self.im is None:
+            return _Complex(self.re + o.re, o.im)
         return _Complex(self.re + o.re, self.im + o.im)
 
     def __sub__(self, o):
+        if o.im is None:
+            return _Complex(self.re - o.re, self.im)
+        if self.im is None:
+            return _Complex(self.re - o.re, -o.im)
         return _Complex(self.re - o.re, self.im - o.im)
 
     def __neg__(self):
-        return _Complex(-self.re, -self.im)
+        return _Complex(-self.re, None if self.im is None else -self.im)
 
     def __mul__(self, o):
+        if o.im is None:
+            return _Complex(
+                self.re * o.re, None if self.im is None else self.im * o.re
+            )
+        if self.im is None:
+            return _Complex(self.re * o.re, self.re * o.im)
         return _Complex(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
 
     def __pow__(self, n):
         if n == 0:
-            return _Complex.real(PolyTrig.const(self.re.dim, 1))
+            return _Complex(PolyTrig.const(self.re.dim, 1))
         out = self
         for _ in range(n - 1):
             out = out * self
@@ -206,7 +231,7 @@ class _Parser:
         kind, _val, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError("trailing input", pos)
-        if not v.im.is_zero():
+        if not v.is_real():
             raise NonRealExpressionError(
                 "expression has an imaginary part; combine exp2pii conjugates"
             )
@@ -254,12 +279,16 @@ class _Parser:
                 if kind2 != "num" or not val2.isdigit():
                     raise ExprSyntaxError("expected an integer exponent", pos2)
                 n = int(val2)
+                if n > MAX_COUNT:
+                    raise ExprSyntaxError(
+                        f"exponent {val2[:40]} exceeds {MAX_COUNT}", pos2
+                    )
                 if negexp:
                     if not is_pi:
                         raise ExprSyntaxError(
                             "negative exponents are only allowed on pi", pos
                         )
-                    v = _Complex.real(
+                    v = _Complex(
                         PolyTrig.const(self.d, Scalar.exact(1, -n))
                     )
                 else:
@@ -271,26 +300,26 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return _Complex.real(PolyTrig.const(self.d, _parse_number(val, pos))), False
+            return _Complex(PolyTrig.const(self.d, _parse_number(val, pos))), False
         if kind == "var":
             idx = int(val[1:])
             if not 1 <= idx <= self.d:
                 raise DimensionError(
                     f"variable {val} exceeds dimension {self.d}"
                 )
-            return _Complex.real(PolyTrig.var(self.d, idx)), False
+            return _Complex(PolyTrig.var(self.d, idx)), False
         if kind == "name" and val == "pi":
-            return _Complex.real(PolyTrig.const(self.d, Scalar.exact(1, 1))), True
+            return _Complex(PolyTrig.const(self.d, Scalar.exact(1, 1))), True
         if kind == "name":
             self.expect_op("(")
             arg = self.expr()
             self.expect_op(")")
-            if not arg.im.is_zero():
+            if not arg.is_real():
                 raise NonRealExpressionError("trig argument must be real")
             if val in ("cos", "sin"):
                 freq, const = freq_and_const(arg.re, self.d, True, pos)
                 mode = MODE_COS if val == "cos" else MODE_SIN
-                return _Complex.real(_trig_from(self.d, mode, freq, const)), False
+                return _Complex(_trig_from(self.d, mode, freq, const)), False
             # exp2pii(u) = cos(2*pi*u) + i*sin(2*pi*u) with u = k.x + c
             freq, const = freq_and_const(arg.re, self.d, False, pos)
             two_pi_const = const * Scalar.exact(2, 1)

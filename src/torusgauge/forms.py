@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .errors import DegreeError, DimensionError, PathError
 from .polytrig import AffineMap, PolyTrig, translate as translate_fn
@@ -398,38 +399,39 @@ class PLPath:
         v = as_vec(v)
         return PLPath([vadd(w, v) for w in self.vertices])
 
-    def params(self):
-        n = len(self.vertices)
-        if n == 1:
-            return [Fraction(0), Fraction(1)]
-        return [Fraction(i, n - 1) for i in range(n)]
-
-    def at(self, t):
-        """Exact point at parameter t in [0, 1] under the uniform parametrization."""
-        t = Fraction(t)
-        n = len(self.vertices)
-        if n == 1:
-            return self.vertices[0]
-        if t <= 0:
-            return self.vertices[0]
-        if t >= 1:
-            return self.vertices[-1]
-        scaled = t * (n - 1)
-        i = int(scaled)
-        frac = scaled - i
-        a, b = self.vertices[i], self.vertices[i + 1]
-        return tuple(x + frac * (y - x) for x, y in zip(a, b))
-
     def pointwise_add(self, other):
-        """Pointwise sum of paths on the common refinement of parameters."""
+        """Pointwise sum of paths on the common refinement of parameters.
+
+        With n and m segments, the breakpoints i/n and j/m are the multiples
+        of L/n and L/m on the integer grid 0..L, L = lcm(n, m); a constant
+        path counts as one segment.  On equal grids every point is a vertex
+        of both paths, so the sum is vertex-wise.
+        """
         if self.dim != other.dim:
             raise DimensionError("path dimension mismatch")
-        ts = sorted(set(self.params()) | set(other.params()))
-        return PLPath([vadd(self.at(t), other.at(t)) for t in ts])
+        p, q = _segments(self.vertices), _segments(other.vertices)
+        n, m = len(p) - 1, len(q) - 1
+        grid = n * m // gcd(n, m)
+        steps = sorted(set(range(0, grid + 1, grid // n)) | set(range(0, grid + 1, grid // m)))
+        return PLPath([vadd(_grid_point(p, k, grid), _grid_point(q, k, grid)) for k in steps])
 
     def __repr__(self):
         pts = ", ".join("(" + ",".join(str(x) for x in v) + ")" for v in self.vertices)
         return f"PLPath[{pts}]"
+
+
+def _segments(vertices):
+    """The vertices of a path, a constant path doubled into one segment."""
+    return vertices if len(vertices) > 1 else vertices * 2
+
+
+def _grid_point(vertices, k, grid):
+    """The point at parameter k/grid of the path with these (at least 2) vertices."""
+    i, r = divmod(k * (len(vertices) - 1), grid)
+    if not r:
+        return vertices[i]
+    frac = Fraction(r, grid)
+    return tuple(x + frac * (y - x) for x, y in zip(vertices[i], vertices[i + 1]))
 
 
 def integrate_path(alpha, path, symbolic=True):

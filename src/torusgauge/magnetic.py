@@ -243,7 +243,7 @@ class PathSymmetry:
         return self.transport_exponent(line) + self.gauge
 
 
-def lift_product(a, b, line):
+def lift_product(a, b, line, paths=None):
     """Group law on path symmetries (paths add pointwise; abelian fiber).
 
     The gauge factor is the holonomy of the triangle homotopy between the
@@ -252,17 +252,22 @@ def lift_product(a, b, line):
         theta = [I(gamma + gamma') - I(gamma)(. + e') - I(gamma')]
                 + theta_a(. + e') + theta_b,   e' = gamma'(1),
 
-    with I(path)(x) the line integral of A along the path translated to x.
+    with I(path)(x) the line integral of A along the path translated to x;
+    by linearity the two translated terms are translated together.  paths,
+    if given, maps vertex tuples to PLPath objects: a sum path with the same
+    vertices as one already there is taken from it, so that products sharing
+    it (the two bracketings of a triple) integrate it once.
     """
     A = line.require_connection()
     gamma, gamma_p = a.path, b.path
     e_p = gamma_p.end
     total = gamma.pointwise_add(gamma_p)
+    if paths is not None:
+        total = paths.setdefault(total.vertices, total)
     i_total = integrate_path(A, total, symbolic=True)
     i_gamma = integrate_path(A, gamma, symbolic=True)
     i_gamma_p = integrate_path(A, gamma_p, symbolic=True)
-    hol = i_total - translate(i_gamma, vneg(e_p)) - i_gamma_p
-    theta = hol + translate(a.gauge, vneg(e_p)) + b.gauge
+    theta = i_total - translate(i_gamma - a.gauge, vneg(e_p)) - i_gamma_p + b.gauge
     return PathSymmetry(total, theta)
 
 

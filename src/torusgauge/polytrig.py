@@ -39,9 +39,7 @@ MODE_NONE = 0
 MODE_COS = 1
 MODE_SIN = 2
 
-_QUARTER = Fraction(1, 4)
-_HALF = Fraction(1, 2)
-_HALF_SCALAR = Scalar.exact(_HALF)
+_HALF_SCALAR = Scalar.exact(Fraction(1, 2))
 
 
 class _Acc:
@@ -54,13 +52,18 @@ class _Acc:
     an integral phase is 0) and a Fraction only when it really is not.  Since
     hash(n) == hash(Fraction(n)) and n == Fraction(n), a lookup with either
     representation finds the same term; int keys just hash far faster.
+
+    merge() adds a coefficient at a key that is already canonical.  Ring ops
+    whose output keys are canonical by construction (sums, scalings, products
+    with a polynomial factor, derivatives, phase expansion, dropped axes) call
+    it directly.
     """
 
     __slots__ = ("d", "terms", "zero_freq")
 
-    def __init__(self, d):
+    def __init__(self, d, terms=None):
         self.d = d
-        self.terms = {}
+        self.terms = {} if terms is None else terms
         self.zero_freq = (0,) * d
 
     def put(self, alpha, mode, freq, phase, coeff):
@@ -73,38 +76,53 @@ class _Acc:
                 return
             mode = MODE_NONE
         if mode == MODE_NONE:
-            freq, phase = self.zero_freq, 0
+            self.merge((alpha, MODE_NONE, self.zero_freq, 0), coeff)
+            return
+        if Fraction in map(type, freq):
+            freq = tuple(map(int_if_integral, freq))
+        neg = False
+        for f in freq:
+            if f != 0:
+                if f < 0:
+                    freq = tuple(-x for x in freq)
+                    phase = -phase
+                    neg = mode == MODE_SIN
+                break
+        if phase.__class__ is int:
+            phase = 0
         else:
-            if Fraction in map(type, freq):
-                freq = tuple(map(int_if_integral, freq))
-            for f in freq:
-                if f != 0:
-                    if f < 0:
-                        freq = tuple(-x for x in freq)
-                        phase = -phase
-                        if mode == MODE_SIN:
-                            coeff = -coeff
-                    break
-            phase %= 1
-            if phase:
-                if phase >= _HALF:
-                    phase -= _HALF
-                    coeff = -coeff
-                if phase >= _QUARTER:
-                    phase -= _QUARTER
+            # phase p/q reduced mod 1, then by 1/2 (a sign) and 1/4 (cos <-> sin)
+            p, q = phase.numerator, phase.denominator
+            p %= q
+            if p:
+                if 2 * p >= q:
+                    p, q = 2 * p - q, 2 * q
+                    neg = not neg
+                if 4 * p >= q:
+                    p, q = 4 * p - q, 4 * q
                     if mode == MODE_COS:
                         mode = MODE_SIN
-                        coeff = -coeff
+                        neg = not neg
                     else:
                         mode = MODE_COS
-            phase = phase or 0
-        key = (alpha, mode, freq, phase)
-        prev = self.terms.get(key)
-        tot = coeff if prev is None else prev + coeff
+                phase = Fraction(p, q) if p else 0
+            else:
+                phase = 0
+        self.merge((alpha, mode, freq, phase), -coeff if neg else coeff)
+
+    def merge(self, key, coeff):
+        """Add coeff at the canonical key; a zero coefficient or sum leaves no term."""
+        terms = self.terms
+        prev = terms.get(key)
+        if prev is None:
+            if not coeff.is_zero():
+                terms[key] = coeff
+            return
+        tot = prev + coeff
         if tot.is_zero():
-            self.terms.pop(key, None)
+            del terms[key]
         else:
-            self.terms[key] = tot
+            terms[key] = tot
 
     def done(self):
         return PolyTrig(self.d, self.terms)
@@ -214,11 +232,9 @@ class PolyTrig:
         if isinstance(other, (int, Fraction, Scalar)):
             other = PolyTrig.const(self.dim, other)
         self._check_dim(other)
-        acc = _Acc(self.dim)
-        for (alpha, mode, freq, phase), c in self.terms.items():
-            acc.put(alpha, mode, freq, phase, c)
-        for (alpha, mode, freq, phase), c in other.terms.items():
-            acc.put(alpha, mode, freq, phase, c)
+        acc = _Acc(self.dim, dict(self.terms))
+        for key, c in other.terms.items():
+            acc.merge(key, c)
         return acc.done()
 
     __radd__ = __add__
@@ -238,10 +254,12 @@ class PolyTrig:
         c = Scalar.coerce(c)
         if c.is_zero():
             return PolyTrig.zero(self.dim)
-        acc = _Acc(self.dim)
-        for (alpha, mode, freq, phase), q in self.terms.items():
-            acc.put(alpha, mode, freq, phase, q * c)
-        return acc.done()
+        terms = {}
+        for key, q in self.terms.items():
+            q = q * c
+            if not q.is_zero():
+                terms[key] = q
+        return PolyTrig(self.dim, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -252,12 +270,10 @@ class PolyTrig:
             for (a2, m2, q2, p2), c2 in other.terms.items():
                 alpha = tuple(x + y for x, y in zip(a1, a2))
                 c = c1 * c2
-                if m1 == MODE_NONE and m2 == MODE_NONE:
-                    acc.put(alpha, MODE_NONE, q1, 0, c)
-                elif m1 == MODE_NONE:
-                    acc.put(alpha, m2, q2, p2, c)
+                if m1 == MODE_NONE:
+                    acc.merge((alpha, m2, q2, p2), c)
                 elif m2 == MODE_NONE:
-                    acc.put(alpha, m1, q1, p1, c)
+                    acc.merge((alpha, m1, q1, p1), c)
                 else:
                     qd = tuple(x - y for x, y in zip(q1, q2))
                     qs = tuple(x + y for x, y in zip(q1, q2))
@@ -299,13 +315,11 @@ class PolyTrig:
         acc = _Acc(self.dim)
         for (alpha, mode, freq, phase), c in self.terms.items():
             if alpha[a] > 0:
-                al = list(alpha)
-                al[a] -= 1
-                acc.put(tuple(al), mode, freq, phase, c * alpha[a])
+                acc.merge((_with(alpha, a, alpha[a] - 1), mode, freq, phase), c * alpha[a])
             if mode == MODE_COS and freq[a] != 0:
-                acc.put(alpha, MODE_SIN, freq, phase, c * Scalar.exact(-2 * freq[a], 1))
+                acc.merge((alpha, MODE_SIN, freq, phase), c * Scalar.exact(-2 * freq[a], 1))
             elif mode == MODE_SIN and freq[a] != 0:
-                acc.put(alpha, MODE_COS, freq, phase, c * Scalar.exact(2 * freq[a], 1))
+                acc.merge((alpha, MODE_COS, freq, phase), c * Scalar.exact(2 * freq[a], 1))
         return acc.done()
 
     def antiderivative(self, axis, coeffs=None, const=0):
@@ -421,17 +435,18 @@ class PolyTrig:
         if all(phase == 0 for (_, _, _, phase) in self.terms):
             return self
         acc = _Acc(self.dim)
-        for (alpha, mode, freq, phase), c in self.terms.items():
+        for key, c in self.terms.items():
+            alpha, mode, freq, phase = key
             if phase == 0:
-                acc.put(alpha, mode, freq, phase, c)
+                acc.merge(key, c)
                 continue
             cd, sd = cos2pi(phase), sin2pi(phase)
             if mode == MODE_COS:
-                acc.put(alpha, MODE_COS, freq, 0, c * cd)
-                acc.put(alpha, MODE_SIN, freq, 0, -(c * sd))
+                acc.merge((alpha, MODE_COS, freq, 0), c * cd)
+                acc.merge((alpha, MODE_SIN, freq, 0), -(c * sd))
             else:
-                acc.put(alpha, MODE_SIN, freq, 0, c * cd)
-                acc.put(alpha, MODE_COS, freq, 0, c * sd)
+                acc.merge((alpha, MODE_SIN, freq, 0), c * cd)
+                acc.merge((alpha, MODE_COS, freq, 0), c * sd)
         return acc.done()
 
     def drop_axes(self, keep):
@@ -443,13 +458,8 @@ class PolyTrig:
             for i in drop0:
                 if alpha[i] != 0 or freq[i] != 0:
                     raise DimensionError("cannot drop an axis the function depends on")
-            acc.put(
-                tuple(alpha[i] for i in keep0),
-                mode,
-                tuple(freq[i] for i in keep0),
-                phase,
-                c,
-            )
+            key = (tuple(alpha[i] for i in keep0), mode, tuple(freq[i] for i in keep0), phase)
+            acc.merge(key, c)
         return acc.done()
 
     def integer_frequencies(self):

@@ -428,8 +428,9 @@ def test_sym_product_integrates_each_path_once_per_connection(monkeypatch, capsy
     cfg = str(SCENARIOS / "landau_n1.json")
     assert run(["sym-product", "--config", cfg, "--seed", "0"]) == 0
     capsys.readouterr()
-    # 1,722 when each lift product integrates its three paths afresh
-    assert len(calls) <= 926
+    # 1,722 when each lift product integrates its three paths afresh, 926 when
+    # the two bracketings of a triple each integrate their own equal sum path
+    assert len(calls) <= 826
 
 
 def test_sym_product_items_carry_residues(tmp_path, capsys):

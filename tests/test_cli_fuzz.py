@@ -95,3 +95,16 @@ def test_odd_numbers_are_config_errors(tmp_path):
         code, err, seconds = _run_text(tmp_path, command, text)
         assert code == 2 and err.startswith("config error:"), (command, text[:200], err)
         assert seconds < 1.0, (command, text[:200], seconds)
+
+
+def test_huge_exponent_is_a_config_error(tmp_path):
+    # '^' multiplies n - 1 times, so an unbounded n is unbounded work
+    for text in ("x1^20001", "pi^-20001"):
+        code, err, seconds = _run_text(
+            tmp_path, "check-connection", _with("zero_line", cocycle={"1": text})
+        )
+        assert code == 2 and err.startswith("config error:"), (text, err)
+        assert "exceeds 10000" in err, err
+        assert seconds < 1.0, (text, seconds)
+    code, _, _ = _run_text(tmp_path, "check-connection", _with("zero_line", cocycle={"1": "x1^2"}))
+    assert code == 1  # a small power still parses; d(x1^2) != 0 = A - A(. + e1)

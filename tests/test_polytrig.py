@@ -17,11 +17,13 @@ from torusgauge.forms import integrate_simplex
 from torusgauge.polytrig import (
     MODE_COS,
     MODE_NONE,
+    MODE_SIN,
     AffineMap,
     PolyTrig,
     constant_mod_free,
     pullback_fn,
     translate,
+    _Acc,
 )
 from torusgauge.sampling import rand_form, rand_polytrig, rand_simplex, rng
 from torusgauge.scalar import Scalar
@@ -481,3 +483,113 @@ def test_mixed_int_and_fraction_keys_meet():
     assert g.terms[((0, 0), MODE_NONE, (Fraction(0), Fraction(0)), Fraction(0))].pi == {0: 3}
     ((_, _, freq, _),) = PolyTrig.trig(2, MODE_COS, (Fraction(1, 2), 1)).terms
     assert freq == (Fraction(1, 2), 1) and type(freq[0]) is Fraction and type(freq[1]) is int
+
+
+# ---------------------------------------------------------------------------
+# canonical keys: put canonicalises, ring ops on canonical operands merge
+
+
+def _scalar_id(c):
+    return (tuple(sorted(c.num.items())), c.den) if c.is_exact else (c.val, c.tol)
+
+
+def _items(f):
+    return [(k, _scalar_id(c)) for k, c in f.terms.items()]
+
+
+def _put_all(d, pairs):
+    """A PolyTrig from (key, coefficient) pairs, each put through one fresh _Acc."""
+    acc = _Acc(d)
+    for (alpha, mode, freq, phase), c in pairs:
+        acc.put(alpha, mode, freq, phase, c)
+    return acc.done()
+
+
+def _assert_canonical(f):
+    # every key is already what put makes of it, in the same order
+    assert _items(f) == _items(_put_all(f.dim, f.terms.items())), f
+
+
+def _merge_operands(r, d):
+    """Random operands in dimension d: rational frequencies and phases,
+    pullbacks along rational maps (phases and frequencies left unexpanded),
+    non-integral shifts of trig terms (tier-F coefficients) and polynomials."""
+    f = _rand_rational_polytrig(r, d)
+    lin = [[Fraction(r.randint(-3, 3), r.choice((1, 2, 5))) for _ in range(d)] for _ in range(d)]
+    trans = [Fraction(r.randint(-7, 7), r.choice((1, 5, 7, 12))) for _ in range(d)]
+    yield f
+    yield f._pullback(lin, trans, d)
+    yield translate(rand_polytrig(r, d, n_terms=4), [Fraction(r.randint(1, 6), 7)] * d)
+    yield rand_polytrig(r, d, n_terms=4)
+    yield PolyTrig.monomial(d, [r.randint(0, 2) for _ in range(d)], Scalar.approx(r.uniform(-2, 2)))
+    # tier-F coefficients whose products fall below the drop threshold
+    tiny = Scalar.approx(r.uniform(1e-9, 2e-8))
+    tiny_poly = PolyTrig.monomial(d, [r.randint(0, 1) for _ in range(d)], tiny)
+    yield tiny_poly
+    yield tiny_poly + PolyTrig.cos_freq(d, [1] + [r.randint(-1, 1) for _ in range(d - 1)], tiny)
+
+
+def test_merging_ops_match_putting_every_term():
+    r = random.Random(53)
+    for _ in range(20):
+        d = r.randint(1, 3)
+        ops = list(_merge_operands(r, d))
+        polys = [g for g in ops if all(m == MODE_NONE for (_, m, _, _) in g.terms)]
+        for a in ops:
+            _assert_canonical(a)
+            for b in ops:
+                assert _items(a + b) == _items(_put_all(d, [*a.terms.items(), *b.terms.items()]))
+                neg_b = [(k, -c) for k, c in b.terms.items()]
+                assert _items(a - b) == _items(_put_all(d, [*a.terms.items(), *neg_b]))
+            for c in (Scalar.exact(Fraction(-3, 7), 1), Scalar.approx(0.3), Scalar.approx(1e-8)):
+                scaled = [(k, q * c) for k, q in a.terms.items()]
+                assert _items(a.scale(c)) == _items(_put_all(d, scaled))
+            for p in polys:
+                _assert_canonical(a * p)
+                _assert_canonical(p * a)
+            for axis in range(1, d + 1):
+                _assert_canonical(a.partial(axis))
+            _assert_canonical(a.expand_phases())
+            # the same function in dimension d + 2, then the extra axes dropped
+            lift = [[int(i == j) for j in range(d + 2)] for i in range(d)]
+            wide = a._pullback(lift, [0] * d, d + 2)
+            keep = list(range(1, d + 1))
+            assert _items(wide.drop_axes(keep)) == _items(a)
+            _assert_canonical(wide.drop_axes(keep))
+
+
+def _reference_reduction(mode, freq, phase, sign):
+    """The key put makes of sign * trig(freq, phase), reduced in Fraction arithmetic."""
+    if freq[0] < 0:
+        freq, phase = tuple(-x for x in freq), -phase
+        if mode == MODE_SIN:
+            sign = -sign
+    phase = Fraction(phase) % 1
+    if phase >= Fraction(1, 2):
+        phase -= Fraction(1, 2)
+        sign = -sign
+    if phase >= Fraction(1, 4):
+        phase -= Fraction(1, 4)
+        if mode == MODE_COS:
+            mode, sign = MODE_SIN, -sign
+        else:
+            mode = MODE_COS
+    return (mode, freq, phase), sign
+
+
+def test_int_phase_reduction_matches_fraction_reduction():
+    one = Scalar.one()
+    for q in range(1, 65):
+        for p in range(-2 * q, 2 * q + 1):
+            phase = Fraction(p, q)
+            given_phases = [phase, int(phase)] if phase.denominator == 1 else [phase]
+            for mode in (MODE_COS, MODE_SIN):
+                for freq in ((1, 2), (-1, 2)):
+                    want_key, want_sign = _reference_reduction(mode, freq, phase, 1)
+                    for given in given_phases:
+                        acc = _Acc(2)
+                        acc.put((0, 0), mode, freq, given, one)
+                        (((alpha, m, f, ph), c),) = acc.terms.items()
+                        assert (m, f, ph) == want_key and c.num == {0: want_sign}
+                        # an integral phase is the int 0, any other a Fraction
+                        assert type(ph) is (int if ph == 0 else Fraction)
