@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .cohomology import GroupCochain, is_cocycle
-from .errors import QuantizationError, TorusGaugeError
+from .errors import QuantizationError, SizeLimitError, TorusGaugeError
 from .expr import MAX_COUNT, parse_expr, read_rational
 from .forms import Form, PLPath
 from .gerbes import (
@@ -534,7 +534,8 @@ def run(argv=None):
         report["values"] = values
         _emit(report, args, [])
         return 3
-    except ConfigError as exc:
+    except (ConfigError, SizeLimitError) as exc:
+        # a number too large to report comes from the config's own literals
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

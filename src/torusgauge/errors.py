@@ -37,5 +37,9 @@ class QuantizationError(TorusGaugeError):
     """A flux period that must be an integer is not."""
 
 
+class SizeLimitError(TorusGaugeError):
+    """An exact number grew past what can be printed or converted to a float."""
+
+
 class PathError(TorusGaugeError):
     """A path fails a structural precondition (endpoints, closedness)."""

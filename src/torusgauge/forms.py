@@ -6,20 +6,24 @@ antisymmetry is structural.
 Every integral -- over a simplex (integrate_simplex) or a box
 (integrate_box, e.g. the unit cubes of flux periods) -- runs through one kernel,
 _iterated_integral: pull omega back along the affine parametrisation
-p_0 + sum_j t_j v_j, integrate in t_k, ..., t_1 in turn, one pass per axis
-from 0 to its upper limit, and drop the parameter axes.  The parameter
+p_0 + sum_j t_j v_j and integrate over the parameters t.  The parameter
 domain is either the simplex 0 <= t_k <= ... <= t_1 <= 1, whose
 image with top vertex x is the ordered simplex
 
     [x - v_1 - ... - v_k, x - v_2 - ... - v_k, ..., x - v_k, x]
 
 with the standard orientation of that vertex ordering, or the unit box
-0 <= t_j <= 1 of a parallelepiped.  Base points may be
-symbolic (offsets against an unspecified x), in which case integrals return
-PolyTrig functions of x; concretely based integrals return Scalars.
+0 <= t_j <= 1 of a parallelepiped.  A pulled-back term that is a polynomial
+in t is integrated in one pass by its closed-form moment (on the simplex
+prod_j 1 / S_j with S_j = sum_{i >= j} (beta_i + 1) for t^beta; cf. Baldoni,
+Berline, De Loera, Koeppe and Vergne, "How to integrate a polynomial over a
+simplex", Math. Comp. 80 (2011) 297-325).  Only terms with trig dependence
+on t are integrated by parts, in t_k, ..., t_1 in turn, one pass per axis
+from 0 to its upper limit.  Base points may be symbolic (offsets against an
+unspecified x), in which case integrals return PolyTrig functions of x;
+concretely based integrals return Scalars.
 
-Everything here is exact: integration is iterated closed-form
-antidifferentiation, never quadrature.
+Everything here is exact: integration is closed-form, never quadrature.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import DegreeError, DimensionError, PathError
-from .polytrig import AffineMap, PolyTrig, translate as translate_fn
+from .polytrig import MODE_NONE, PolyTrig, _Acc, _Rows, translate as translate_fn
 from .scalar import Scalar
 from .vectors import as_vec, basis_vec, det, vadd, vneg, vsub, vzero
 
@@ -151,9 +155,10 @@ class Form:
         if self.dim != m.out_dim:
             raise DimensionError("map does not land in the form's space")
         out = {}
+        rows = _Rows(m.lin, m.trans, m.in_dim)
         for J in combinations(range(m.in_dim), self.degree):
             cols = [tuple(row[j] for row in m.lin) for j in J]
-            g = _pulled_coefficient(self, cols, m.lin, m.trans, m.in_dim).expand_phases()
+            g = _pulled_coefficient(self, cols, rows).expand_phases()
             if g.terms:
                 out[J] = g
         return Form(m.in_dim, self.degree, out)
@@ -307,48 +312,112 @@ def integrate_box(omega, edges, base=None, offset=None):
     return _iterated_integral(omega, edges, as_vec(base), symbolic=False, nested=False)
 
 
-def _pulled_coefficient(omega, edges, lin, trans, ext):
+def _pulled_coefficient(omega, cols, rows):
     """Coefficient sum_I det(minor_I) f_I o M of dt_1^...^dt_k in M^* omega.
 
-    M(y) = lin y + trans, both rational; edges[j] is the column of lin that t_j
-    multiplies.
+    rows is the map M(y) = lin y + trans; cols[j] is the column of lin that
+    t_j multiplies.
     """
     g = None
     for I, f in omega.comps.items():
-        dd = det([[e[i] for e in edges] for i in I])
+        dd = det([[e[i] for e in cols] for i in I])
         if dd == 0:
             continue
-        term = f._pullback(lin, trans, ext)
-        if dd != 1:
-            term = term.scale(dd)
+        term = rows.pull(f, dd)
         g = term if g is None else g + term
-    return PolyTrig.zero(ext) if g is None else g
+    return PolyTrig.zero(rows.in_dim) if g is None else g
+
+
+def _moments(poly, den, toff, nested):
+    """The integral over t of poly / den, poly an int polynomial in (x, t) with
+    its first toff exponents on x: {x exponents: (numerator, denominator)}.
+
+    On the simplex 0 <= t_k <= ... <= t_1 <= 1 the moment of t^beta is
+    prod_j 1 / S_j with S_j = sum_{i >= j} (beta_i + 1); on the unit box it
+    is prod_j 1 / (beta_j + 1).
+    """
+    out = {}
+    for beta, n in poly.items():
+        m = 1
+        if nested:
+            s = 0
+            for b in reversed(beta[toff:]):
+                s += b + 1
+                m *= s
+        else:
+            for b in beta[toff:]:
+                m *= b + 1
+        ax = beta[:toff]
+        prev = out.get(ax)
+        if prev is None:
+            out[ax] = (n, m)
+        else:
+            pn, pm = prev
+            g = gcd(pm, m)
+            out[ax] = (pn * (m // g) + n * (pm // g), pm // g * m)
+    return {ax: (n, m * den) for ax, (n, m) in out.items() if n}
 
 
 def _iterated_integral(omega, edges, p0, symbolic, nested):
     """Integral of omega over p0 + sum_j t_j edges[j], t on the simplex if nested, else the box.
 
     A PolyTrig in the base point x if symbolic, else a Scalar; unsigned.
-    Each t_j, from t_k down to t_1, is integrated in one antiderivative pass
-    from 0 to its upper limit: t_{j-1} on the simplex, 1 on the box and for
-    t_1.  Then the parameter axes are dropped and the phases expanded.
+    Each term of omega is pulled back along the parametrisation, whose rows
+    and their powers are built once for all components.  A pulled term with
+    no trig dependence on t is integrated in one pass, by the closed-form
+    moments of _moments; its trig factor, if any, is put as is and so folds
+    into the coefficient when it is constant (a concrete base and a
+    frequency orthogonal to every edge).  Only terms whose frequency is
+    nonzero on a t axis go through the antiderivative passes: each t_j, from
+    t_k down to t_1, from 0 to its upper limit (t_{j-1} on the simplex, 1 on
+    the box and for t_1), after which the parameter axes are dropped.  Last,
+    the phases are expanded.
     """
     d = omega.dim
     k = len(edges)
     toff = d if symbolic else 0
-    m = AffineMap(
-        [[int(a == i) for a in range(toff)] + [e[i] for e in edges] for i in range(d)], p0
+    rows = _Rows(
+        [[int(a == i) for a in range(toff)] + [e[i] for e in edges] for i in range(d)],
+        p0,
+        toff + k,
     )
-    g = _pulled_coefficient(omega, edges, m.lin, m.trans, m.in_dim)
-    for j in range(k, 0, -1):
-        axis = toff + j
-        if nested and j > 1:
-            g = g.antiderivative(axis, {axis - 1: 1}, 0)
-        else:
-            g = g.antiderivative(axis, {}, 1)
-    if k:
-        g = g.drop_axes(list(range(1, toff + 1)))
-    g = g.expand_phases()
+    out = _Acc(toff)
+    trig = _Acc(toff + k)
+    moments = {}
+    for I, f in omega.comps.items():
+        dd = det([[e[i] for e in edges] for i in I])
+        if dd == 0:
+            continue
+        sn, sd = dd.numerator, dd.denominator
+        for (alpha, mode, freq, phase), c in f.terms.items():
+            if mode != MODE_NONE:
+                freq, phase = rows.frequency(freq, phase)
+                if any(freq[toff:]):
+                    poly, den = rows.product(alpha)
+                    den *= sd
+                    trig.put_terms(
+                        mode, freq, phase,
+                        [(beta, c.scaled(n * sn, den)) for beta, n in poly.items()],
+                    )
+                    continue
+                freq = freq[:toff]
+            m = moments.get(alpha)
+            if m is None:
+                m = moments[alpha] = _moments(*rows.product(alpha), toff, nested)
+            out.put_terms(
+                mode, freq, phase, [(ax, c.scaled(n * sn, den * sd)) for ax, (n, den) in m.items()]
+            )
+    if trig.terms:
+        g = trig.done()
+        for j in range(k, 0, -1):
+            axis = toff + j
+            if nested and j > 1:
+                g = g.antiderivative(axis, {axis - 1: 1}, 0)
+            else:
+                g = g.antiderivative(axis, {}, 1)
+        for key, c in g.drop_axes(range(1, toff + 1)).terms.items():
+            out.merge(key, c)
+    g = out.done().expand_phases()
     return g if symbolic else g.constant_term()
 
 

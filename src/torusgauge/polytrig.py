@@ -32,7 +32,7 @@ import math as _math
 from fractions import Fraction
 
 from .errors import DimensionError, FrequencyError
-from .scalar import DEFAULT_TOL, Scalar, cos2pi, sin2pi
+from .scalar import DEFAULT_TOL, Scalar, cos2pi, rational_str, sin2pi
 from .vectors import int_if_integral
 
 MODE_NONE = 0
@@ -45,8 +45,8 @@ _HALF_SCALAR = Scalar.exact(Fraction(1, 2))
 class _Acc:
     """Accumulator of canonical terms.
 
-    put() is the one place where term keys (alpha, mode, freq, phase) are
-    canonicalised.  A polynomial term's key is (alpha, MODE_NONE, (0,)*d, 0).
+    put_terms(), and put() for one term, is the one place where term keys
+    (alpha, mode, freq, phase) are canonicalised.  A polynomial term's key is (alpha, MODE_NONE, (0,)*d, 0).
     A trig term has its first nonzero frequency positive and its phase in
     [0, 1/4); each frequency entry and the phase is an int when integral (so
     an integral phase is 0) and a Fraction only when it really is not.  Since
@@ -67,48 +67,31 @@ class _Acc:
         self.zero_freq = (0,) * d
 
     def put(self, alpha, mode, freq, phase, coeff):
-        if coeff.is_zero():
-            return
-        if mode != MODE_NONE and not any(freq):
-            # constant trig folds into the coefficient
-            coeff = coeff * (cos2pi(phase) if mode == MODE_COS else sin2pi(phase))
-            if coeff.is_zero():
-                return
-            mode = MODE_NONE
-        if mode == MODE_NONE:
-            self.merge((alpha, MODE_NONE, self.zero_freq, 0), coeff)
-            return
-        if Fraction in map(type, freq):
-            freq = tuple(map(int_if_integral, freq))
+        self.put_terms(mode, freq, phase, ((alpha, coeff),))
+
+    def put_terms(self, mode, freq, phase, terms):
+        """put(alpha, mode, freq, phase, c) for each (alpha, c) in terms; the
+        trig factor is reduced (or folded) once for all of them."""
+        fold = None
         neg = False
-        for f in freq:
-            if f != 0:
-                if f < 0:
-                    freq = tuple(-x for x in freq)
-                    phase = -phase
-                    neg = mode == MODE_SIN
-                break
-        if phase.__class__ is int:
-            phase = 0
-        else:
-            # phase p/q reduced mod 1, then by 1/2 (a sign) and 1/4 (cos <-> sin)
-            p, q = phase.numerator, phase.denominator
-            p %= q
-            if p:
-                if 2 * p >= q:
-                    p, q = 2 * p - q, 2 * q
-                    neg = not neg
-                if 4 * p >= q:
-                    p, q = 4 * p - q, 4 * q
-                    if mode == MODE_COS:
-                        mode = MODE_SIN
-                        neg = not neg
-                    else:
-                        mode = MODE_COS
-                phase = Fraction(p, q) if p else 0
+        if mode != MODE_NONE:
+            if any(freq):
+                mode, freq, phase, neg = _reduce(mode, freq, phase)
             else:
-                phase = 0
-        self.merge((alpha, mode, freq, phase), -coeff if neg else coeff)
+                fold = cos2pi(phase) if mode == MODE_COS else sin2pi(phase)
+                mode = MODE_NONE
+        if mode == MODE_NONE:
+            freq, phase = self.zero_freq, 0
+        for alpha, c in terms:
+            if c.is_zero():
+                continue
+            if fold is not None:
+                c = c * fold
+                if c.is_zero():
+                    continue
+            elif neg:
+                c = -c
+            self.merge((alpha, mode, freq, phase), c)
 
     def merge(self, key, coeff):
         """Add coeff at the canonical key; a zero coefficient or sum leaves no term."""
@@ -126,6 +109,40 @@ class _Acc:
 
     def done(self):
         return PolyTrig(self.d, self.terms)
+
+
+def _reduce(mode, freq, phase):
+    """The canonical (mode, freq, phase) of a trig factor with nonzero freq, and
+    whether its coefficient changes sign: the first nonzero frequency is made
+    positive and the phase brought into [0, 1/4)."""
+    if Fraction in map(type, freq):
+        freq = tuple(map(int_if_integral, freq))
+    neg = False
+    for f in freq:
+        if f != 0:
+            if f < 0:
+                freq = tuple(-x for x in freq)
+                phase = -phase
+                neg = mode == MODE_SIN
+            break
+    if phase.__class__ is int:
+        return mode, freq, 0, neg
+    # phase p/q reduced mod 1, then by 1/2 (a sign) and 1/4 (cos <-> sin)
+    p, q = phase.numerator, phase.denominator
+    p %= q
+    if not p:
+        return mode, freq, 0, neg
+    if 2 * p >= q:
+        p, q = 2 * p - q, 2 * q
+        neg = not neg
+    if 4 * p >= q:
+        p, q = 4 * p - q, 4 * q
+        if mode == MODE_COS:
+            mode = MODE_SIN
+            neg = not neg
+        else:
+            mode = MODE_COS
+    return mode, freq, Fraction(p, q) if p else 0, neg
 
 
 class PolyTrig:
@@ -295,16 +312,6 @@ class PolyTrig:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not in the ring")
-        if n == 0:
-            return PolyTrig.const(self.dim, 1)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     # -- calculus ----------------------------------------------------------
 
     def partial(self, axis):
@@ -392,43 +399,7 @@ class PolyTrig:
 
     def _pullback(self, lin, trans, in_dim):
         """f(L y + t); lin has shape (self.dim, in_dim), lin and trans are rational."""
-        acc = _Acc(in_dim)
-        zeros = acc.zero_freq
-        cache = {}
-        for (alpha, mode, freq, phase), c in self.terms.items():
-            poly = None
-            for i, e in enumerate(alpha):
-                if e == 0:
-                    continue
-                key = (i, e)
-                fac = cache.get(key)
-                if fac is None:
-                    row = _Acc(in_dim)
-                    for j, l in enumerate(lin[i]):
-                        if l != 0:
-                            al = tuple(1 if jj == j else 0 for jj in range(in_dim))
-                            row.put(al, MODE_NONE, zeros, 0, Scalar.exact(l))
-                    row.put(zeros, MODE_NONE, zeros, 0, Scalar.exact(trans[i]))
-                    fac = row.done() ** e
-                    cache[key] = fac
-                poly = fac if poly is None else poly * fac
-            if mode == MODE_NONE:
-                nf = zeros
-            else:
-                # q.(L y + t) + phase = (L^T q).y + (q.t + phase)
-                nf = tuple(
-                    sum(freq[i] * lin[i][j] for i in range(self.dim))
-                    for j in range(in_dim)
-                )
-                for f, t in zip(freq, trans):
-                    if f != 0:
-                        phase = phase + f * t
-            if poly is None:
-                acc.put(zeros, mode, nf, phase, c)
-            else:
-                for (al, _, _, _), q in poly.terms.items():
-                    acc.put(al, mode, nf, phase, c * q)
-        return acc.done()
+        return _Rows(lin, trans, in_dim).pull(self)
 
     def expand_phases(self):
         """Canonical user-level form: no rational phases remain in any term."""
@@ -523,7 +494,7 @@ class PolyTrig:
             m, q = items[0]
             s = []
             if q != 1 or m == 0:
-                s.append(str(q))
+                s.append(rational_str(q))
             if m == 1:
                 s.append("pi")
             elif m != 0:
@@ -533,7 +504,7 @@ class PolyTrig:
         for m, q in items:
             t = []
             if abs(q) != 1 or m == 0:
-                t.append(str(abs(q)))
+                t.append(rational_str(abs(q)))
             if m == 1:
                 t.append("pi")
             elif m != 0:
@@ -602,6 +573,112 @@ def _put_at(acc, a, b, r, alpha, mode, freq, phase, c):
     acc.put(alpha, mode, freq, phase, c)
 
 
+class _Rows:
+    """The rows x_i = sum_j lin[i][j] y_j + trans[i] of a rational affine map.
+
+    Row i is an int polynomial in y (a dict exponent tuple -> int) over its
+    own denominator D_i, so its e-th power is an int polynomial over D_i**e.
+    Powers are built once each, by repeated multiplication with the row, and
+    the products prod_i row_i**alpha_i and the pulled frequencies are kept
+    per monomial and per frequency: one _Rows serves every term of every
+    function pulled back along the same map.
+    """
+
+    __slots__ = ("lin", "trans", "in_dim", "zeros", "_powers", "_products", "_freqs")
+
+    def __init__(self, lin, trans, in_dim):
+        """lin and trans hold ints and Fractions; lin has shape (len(trans), in_dim)."""
+        if len(trans) != len(lin):
+            raise DimensionError("translation length does not match linear part")
+        self.lin = lin
+        self.trans = trans
+        self.in_dim = in_dim
+        self.zeros = (0,) * in_dim
+        self._powers = {}
+        self._products = {}
+        self._freqs = {}
+
+    def _row(self, i):
+        """Row i as (int polynomial, denominator)."""
+        row, t = self.lin[i], self.trans[i]
+        den = 1
+        for q in (*row, t):
+            if q.__class__ is not int:
+                den = den * q.denominator // _math.gcd(den, q.denominator)
+        zeros = self.zeros
+        poly = {}
+        for j, v in enumerate(row):
+            if v:
+                poly[zeros[:j] + (1,) + zeros[j + 1 :]] = _over(v, den)
+        if t:
+            poly[zeros] = _over(t, den)
+        return poly, den
+
+    def _power(self, i, e):
+        powers = self._powers.get(i)
+        if powers is None:
+            powers = self._powers[i] = [({self.zeros: 1}, 1), self._row(i)]
+        row, den = powers[1]
+        while len(powers) <= e:
+            p, d = powers[-1]
+            powers.append((_poly_mul(p, row), d * den))
+        return powers[e]
+
+    def product(self, alpha):
+        """prod_i row_i**alpha_i as (int polynomial in y, positive denominator)."""
+        out = self._products.get(alpha)
+        if out is None:
+            poly, den = None, 1
+            for i, e in enumerate(alpha):
+                if e:
+                    p, d = self._power(i, e)
+                    poly = p if poly is None else _poly_mul(poly, p)
+                    den *= d
+            out = self._products[alpha] = ({self.zeros: 1} if poly is None else poly, den)
+        return out
+
+    def frequency(self, freq, phase):
+        """q.(L y + t) + phase = (L^T q).y + (q.t + phase): the pulled (frequency, phase)."""
+        got = self._freqs.get(freq)
+        if got is None:
+            nf = tuple(
+                sum(f * row[j] for f, row in zip(freq, self.lin) if f)
+                for j in range(self.in_dim)
+            )
+            got = self._freqs[freq] = (nf, sum(f * t for f, t in zip(freq, self.trans) if f))
+        nf, shift = got
+        return nf, phase + shift
+
+    def pull(self, f, scale=1):
+        """scale * f(L y + t) for a rational scale, a PolyTrig in y."""
+        sn, sd = scale.numerator, scale.denominator
+        acc = _Acc(self.in_dim)
+        for (alpha, mode, freq, phase), c in f.terms.items():
+            poly, den = self.product(alpha)
+            if mode != MODE_NONE:
+                freq, phase = self.frequency(freq, phase)
+            den *= sd
+            acc.put_terms(
+                mode, freq, phase, [(beta, c.scaled(n * sn, den)) for beta, n in poly.items()]
+            )
+        return acc.done()
+
+
+def _over(q, den):
+    """The int q * den for a rational q whose denominator divides den."""
+    return q * den if q.__class__ is int else q.numerator * (den // q.denominator)
+
+
+def _poly_mul(p, q):
+    """Product of two int polynomials {exponent tuple: int}, zero terms dropped."""
+    out = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            key = tuple([i + j for i, j in zip(a, b)])
+            out[key] = out.get(key, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
 class AffineMap:
     """Affine map y -> L y + t with rational linear part and rational translation.
 
@@ -623,14 +700,6 @@ class AffineMap:
         for row in self.lin:
             if len(row) != self.in_dim:
                 raise DimensionError("ragged linear part")
-
-    @staticmethod
-    def translation(v):
-        """x -> x + v."""
-        d = len(v)
-        return AffineMap(
-            [[1 if i == j else 0 for j in range(d)] for i in range(d)], list(v)
-        )
 
     def __repr__(self):
         return f"AffineMap(out={self.out_dim}, in={self.in_dim})"
@@ -659,9 +728,12 @@ def pullback_fn(f, m):
 
 
 def translate(f, v):
-    """The shifted function x -> f(x - v)."""
-    m = AffineMap.translation([-int_if_integral(x) for x in v])
-    return pullback_fn(f, m)
+    """The shifted function x -> f(x - v); frequencies are unchanged."""
+    d = f.dim
+    if len(v) != d:
+        raise DimensionError(f"shift of length {len(v)} for a function on R^{d}")
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    return _Rows(ident, [-_rational(x) for x in v], d).pull(f).expand_phases()
 
 
 def constant_mod_free(f, tol=DEFAULT_TOL):

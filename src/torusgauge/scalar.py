@@ -16,8 +16,11 @@ rationals, so tier E zero- and membership-tests are decidable termwise.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from math import gcd
+
+from .errors import SizeLimitError
 
 DEFAULT_TOL = 1e-9
 DROP_EPS = 1e-15
@@ -67,9 +70,12 @@ class Scalar:
         if v is None:
             # n / den is correctly rounded, so this equals float(Fraction(n, den))
             den = self.den
-            v = self._val = sum(
-                (n / den * math.pi**k for k, n in sorted(self.num.items())), 0.0
-            )
+            try:
+                v = self._val = sum(
+                    (n / den * math.pi**k for k, n in sorted(self.num.items())), 0.0
+                )
+            except OverflowError:
+                raise SizeLimitError("an exact number is too large for a float") from None
         return v
 
     @property
@@ -202,6 +208,16 @@ class Scalar:
     def __rmul__(self, other):
         return self.__mul__(other)
 
+    def scaled(self, n, d):
+        """self * n / d for ints n and d > 0; the same value as self * Scalar.exact(Fraction(n, d))."""
+        if not n:
+            return Scalar({}, 1, 0.0, 0.0)
+        a = self.num
+        if a is None:
+            q = n / d
+            return Scalar(None, 1, self._val * q, abs(q) * self.tol)
+        return _reduced({k: x * n for k, x in a.items()}, self.den * d)
+
     def __truediv__(self, other):
         if other.__class__ is not Scalar:
             other = Scalar.coerce(other)
@@ -262,7 +278,7 @@ class Scalar:
         for m in sorted(pi):
             q = pi[m]
             if m == 0:
-                parts.append(str(q))
+                parts.append(rational_str(q))
             else:
                 p = "pi" if m == 1 else f"pi^{m}"
                 if q == 1:
@@ -270,11 +286,20 @@ class Scalar:
                 elif q == -1:
                     parts.append(f"-{p}")
                 else:
-                    parts.append(f"{q}*{p}")
+                    parts.append(f"{rational_str(q)}*{p}")
         out = parts[0]
         for p in parts[1:]:
             out += f" + {p}" if not p.startswith("-") else f" - {p[1:]}"
         return out
+
+
+def rational_str(q):
+    """str(q) for an int or Fraction; SizeLimitError past the interpreter's digit limit."""
+    try:
+        return str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise SizeLimitError(f"a number in the result exceeds {limit} digits") from None
 
 
 # Exact values of cos(2*pi*t) and sin(2*pi*t) at the rational arguments where

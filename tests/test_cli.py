@@ -8,8 +8,9 @@ import pytest
 
 from torusgauge.cli import HANDLERS, MAX_COUNT, load_scenario, run
 from torusgauge.forms import integrate_simplex
+from torusgauge.polytrig import PolyTrig
 from torusgauge.sampling import rng
-from torusgauge.scalar import DEFAULT_TOL
+from torusgauge.scalar import DEFAULT_TOL, Scalar
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -450,26 +451,36 @@ def test_sym_product_items_carry_residues(tmp_path, capsys):
     }
 
 
-def _sym_product_peak(tmp_path, samples):
-    """Peak traced memory of the sym-product handler, without the report rendering."""
+def _live_terms():
+    return sum(isinstance(o, (PolyTrig, Scalar)) for o in gc.get_objects())
+
+
+def _sym_product_memory(tmp_path, samples):
+    """The PolyTrig and Scalar objects the sym-product handler leaves alive, and
+    its transient peak: traced peak less the memory still held when it returns."""
     doc = {**LINE, "params": {"samples": samples, "equivalence_samples": 1}}
     scn = load_scenario(write_config(tmp_path, doc, f"peak{samples}.json"))
     gc.collect()
+    before = _live_terms()
     tracemalloc.start()
     try:
         reports = HANDLERS["sym-product"](scn, rng(0), DEFAULT_TOL, {})
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    gc.collect()
     assert all(r.passed for r in reports)
-    return peak
+    return _live_terms() - before, peak - held
 
 
 def test_sym_product_memory_does_not_grow_with_samples(tmp_path):
-    # path integrals are kept on the paths of one triple, so they die with it; a
-    # memo that outlives the triple (on the connection or the module) would grow
-    # about 3x from 32 to 128 samples
-    assert _sym_product_peak(tmp_path, 128) < 1.5 * _sym_product_peak(tmp_path, 32)
+    # path integrals are kept on the paths of one triple, so they die with it: a
+    # memo that outlives the handler (on the connection or the module) leaves
+    # terms alive, and one that spans the triples of a run raises the peak
+    live32, peak32 = _sym_product_memory(tmp_path, 32)
+    live128, peak128 = _sym_product_memory(tmp_path, 128)
+    assert live128 == live32
+    assert peak128 < 1.5 * peak32
 
 
 def test_operators_uses_the_scenario_line(monkeypatch, tmp_path, capsys):

@@ -91,6 +91,10 @@ def test_odd_numbers_are_config_errors(tmp_path):
     raw = _with("zero_line").replace('"dimension": 2', '"dimension": ' + "1" * 5000)
     assert "1" * 5000 in raw
     cases.append(("section", raw))
+    # each literal is within the digit limit; their product in the section is not
+    landau = json.loads((SCENARIOS / "landau_n1.json").read_text())
+    landau["params"] = {**landau["params"], "vectors": [["1e2000", "1e2500"]]}
+    cases.append(("section", json.dumps(landau)))
     for command, text in cases:
         code, err, seconds = _run_text(tmp_path, command, text)
         assert code == 2 and err.startswith("config error:"), (command, text[:200], err)

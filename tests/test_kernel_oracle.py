@@ -1,0 +1,138 @@
+"""The integration kernel against an independent oracle: sympy's exact integrals.
+
+The oracle parametrises a simplex by its vertices over the standard simplex
+{s_j >= 0, s_1 + ... + s_k <= 1} and a box by its corner and edges over the
+unit cube, pulls each component back with the minors of sympy's own Jacobian,
+and integrates iterated in sympy.  Nothing of the kernel's own parametrisation,
+moments or antiderivative passes is used.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import prod
+
+import pytest
+
+from torusgauge.forms import AffineSimplex, Form, integrate_box, integrate_simplex
+from torusgauge.polytrig import MODE_COS, MODE_NONE, PolyTrig
+from torusgauge.scalar import Scalar
+from torusgauge.vectors import vsub
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.symbols("x1:4")
+S = sympy.symbols("s1:4")
+
+
+def _rational(q):
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def _scalar(c):
+    return sum(sympy.Rational(n, c.den) * sympy.pi**m for m, n in c.num.items())
+
+
+def _function(f):
+    out = sympy.Integer(0)
+    for (alpha, mode, freq, phase), c in f.terms.items():
+        term = _scalar(c) * prod(x**a for x, a in zip(X, alpha))
+        if mode != MODE_NONE:
+            arg = 2 * sympy.pi * (sum(_rational(q) * x for q, x in zip(freq, X)) + _rational(phase))
+            term *= sympy.cos(arg) if mode == MODE_COS else sympy.sin(arg)
+        out += term
+    return out
+
+
+def _oracle(omega, corner, frame, simplex, symbolic):
+    """Integral of omega over corner + sum_j s_j frame[j], s on the standard simplex or the cube."""
+    d, k = omega.dim, len(frame)
+    point = [
+        (X[i] if symbolic else 0) + _rational(corner[i])
+        + sum(S[j] * _rational(frame[j][i]) for j in range(k))
+        for i in range(d)
+    ]
+    jac = sympy.Matrix(d, k, lambda i, j: sympy.diff(point[i], S[j]))
+    integrand = sympy.Integer(0)
+    for I, f in omega.comps.items():
+        minor = jac.extract(list(I), list(range(k))).det() if k else 1
+        at = _function(f).subs({X[i]: point[i] for i in range(d)}, simultaneous=True)
+        integrand += minor * at
+    out = sympy.expand(integrand)
+    for j in reversed(range(k)):
+        upper = 1 - sum(S[:j]) if simplex else 1
+        out = sympy.expand(sympy.integrate(out, (S[j], 0, upper)))
+    return out
+
+
+def _result(value):
+    return _function(value) if isinstance(value, PolyTrig) else _scalar(value)
+
+
+def _vector(r, d, dens=(1, 2, 3)):
+    return tuple(Fraction(r.randint(-2, 2), r.choice(dens)) for _ in range(d))
+
+
+def _poly_form(r, d, k):
+    comps = {}
+    for idx in combinations(range(1, d + 1), k):
+        f = PolyTrig.zero(d)
+        for _ in range(r.randint(1, 3)):
+            alpha = [0] * d
+            for _ in range(r.randint(0, 2)):
+                alpha[r.randrange(d)] += 1
+            c = Scalar.exact(Fraction(r.randint(-5, 5), r.randint(1, 4)), r.randint(0, 1))
+            f = f + PolyTrig.monomial(d, alpha, c)
+        comps[tuple(i - 1 for i in idx)] = f
+    return Form(d, k, comps)
+
+
+def _simplex_case(omega, edges, top, symbolic):
+    simplex = AffineSimplex(top, edges, symbolic=symbolic)
+    got = integrate_simplex(omega, simplex)
+    # vertices x - v_1 - ... - v_k, ..., x - v_k, x in order, over the standard simplex
+    verts = [top]
+    for e in reversed(edges):
+        verts.insert(0, vsub(verts[0], e))
+    frame = [vsub(v, verts[0]) for v in verts[1:]]
+    return got, _oracle(omega, verts[0], frame, True, symbolic)
+
+
+def _box_case(omega, edges, corner, symbolic):
+    if symbolic:
+        got = integrate_box(omega, edges, offset=corner)
+    else:
+        got = integrate_box(omega, edges, base=corner)
+    return got, _oracle(omega, corner, edges, False, symbolic)
+
+
+def test_polynomial_integrals_match_sympy():
+    r = random.Random(71)
+    cases = 0
+    for d in (1, 2, 3):
+        for k in range(min(d, 3) + 1):
+            for symbolic in (True, False):
+                for case in (_simplex_case, _box_case):
+                    omega = _poly_form(r, d, k)
+                    edges = [_vector(r, d) for _ in range(k)]
+                    got, want = case(omega, edges, _vector(r, d), symbolic)
+                    assert sympy.expand(_result(got) - want) == 0, (case.__name__, d, k, symbolic)
+                    cases += 1
+    assert cases == 36
+
+
+def test_trig_integrals_match_sympy():
+    # a concrete base and q = (1, 0, 0) orthogonal to both edges: the trig
+    # factor is the constant cos(2*pi/3) = -1/2 on the whole simplex
+    x1, x2 = PolyTrig.var(3, 1), PolyTrig.var(3, 2)
+    f = PolyTrig.cos_freq(3, (1, 0, 0)) * x2 + x1
+    omega = Form.two_form(3, {(2, 3): f, (1, 3): x2})
+    edges = [(0, Fraction(1, 2), 1), (0, -1, Fraction(1, 3))]
+    got, want = _simplex_case(omega, edges, (Fraction(1, 3), 1, 0), symbolic=False)
+    assert got.is_exact and sympy.expand(_result(got) - want) == 0
+    # a symbolic base and a frequency that varies along the edge
+    g = PolyTrig.sin_freq(2, (1, -1)) * PolyTrig.var(2, 1) + PolyTrig.var(2, 2)
+    alpha = Form.one_form(2, {1: g, 2: PolyTrig.cos_freq(2, (0, 1))})
+    got, want = _simplex_case(alpha, [(2, 1)], (0, 0), symbolic=True)
+    diff = sympy.expand(sympy.expand_trig(_result(got) - want))
+    assert sympy.simplify(diff) == 0

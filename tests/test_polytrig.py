@@ -234,7 +234,7 @@ def test_affine_map_rejects_irrational_translations():
 
 def test_identity_map_acts_trivially():
     r = rng(12)
-    m = AffineMap.translation((0, 0))
+    m = AffineMap([[1, 0], [0, 1]], (0, 0))
     for _ in range(5):
         f = rand_polytrig(r, 2)
         assert pullback_fn(f, m) == f

@@ -19,6 +19,8 @@ KEEP = {
     "forms.Form.wedge": "the Leibniz-rule oracle for d",
     "polytrig.PolyTrig.eval_float": "the quadrature and finite-difference cross-checks",
     "gerbes.flat_gerbe_2d": "acceptance criterion 8, the d = 2 degeneration",
+    "polytrig.AffineMap": "the map of pullback_fn and Form.pullback, the general pullback API",
+    "polytrig.pullback_fn": "pullback along any AffineMap; translate and the kernel build rows directly",
 }
 
 
