@@ -248,6 +248,8 @@ def cmd_section(scn, rnd, tol, values):
 def cmd_twist2(scn, rnd, tol, values):
     d = scn.data.d
     vecs = _vectors(scn, _sample_vectors(rnd, d, 4))
+    if len(vecs) < 2:
+        raise ConfigError("twist2 needs at least two vectors in params 'vectors'")
     phases = {}
     reports = []
     for v, vp in itertools.combinations(vecs, 2):
@@ -526,7 +528,8 @@ def run(argv=None):
     values = {}
     try:
         reports = handler(scn, rng(args.seed), args.tolerance, values)
-        status_code = 0 if all(r.passed for r in reports) else 1
+        # a handler that returned no report checked nothing, so it fails
+        status_code = 0 if reports and all(r.passed for r in reports) else 1
     except QuantizationError as exc:
         report["status"] = "error"
         report["error"] = str(exc)

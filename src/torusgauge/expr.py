@@ -15,6 +15,10 @@ cos/sin/exp2pii must be affine with integer frequencies: 2*pi*(k.x + c) with
 k in Z^d.  exp2pii is expanded through a complex intermediate, and only
 there: a real value carries no imaginary part.  The overall expression must
 be real-valued.
+
+The text is tokenized whole, then read in one pass (_Reader); the value is
+the PolyTrig that evaluating the grammar tree with PolyTrig ring ops, left to
+right, gives, down to the dict order of its terms.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
     FrequencyError,
     NonRealExpressionError,
 )
-from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig
+from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, _Acc
 from .scalar import Scalar
 
 # Work bound on config counts: the largest `samples`, `equivalence_samples`
@@ -39,33 +43,47 @@ from .scalar import Scalar
 # an expression.  A config over it is a config error.
 MAX_COUNT = 10_000
 
+# One token per match, after optional whitespace: a number, a variable, a
+# name or an operator, or else any other non-space character, which is an
+# error.  Trailing whitespace matches nothing.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?:/\d+)?)
-  | (?P<var>x\d+)
-  | (?P<name>pi|cos|sin|exp2pii)
-  | (?P<op>[-+*^()])
+    (\s*)
+    (?: (\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?:/\d+)?)
+      | (x\d+)
+      | (pi|cos|sin|exp2pii|[-+*^()])
+      | (\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(text):
+    """(kind, text, offset) per token, then ("end", "", len(text)).
+
+    kind is "num" or "var", or the text itself for a name or an operator.  The
+    whole text is scanned before any of it is read, so a character no token
+    starts with is reported first, wherever it is.
+    """
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+    for ws, num, var, sym, bad in _TOKEN_RE.findall(text):
+        pos += len(ws)
+        if num:
+            tokens.append(("num", num, pos))
+            pos += len(num)
+        elif var:
+            tokens.append(("var", var, pos))
+            pos += len(var)
+        elif sym:
+            tokens.append((sym, sym, pos))
+            pos += len(sym)
+        else:
             word = re.match(r"[A-Za-z]+", text[pos:])
             if word:
-                raise ExprSyntaxError(
-                    f"unknown name {word.group()!r}", pos + word.end()
-                )
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+                raise ExprSyntaxError(f"unknown name {word.group()!r}", pos + word.end())
+            raise ExprSyntaxError(f"unexpected character {bad!r}", pos)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -90,15 +108,22 @@ def read_rational(text):
         raise ValueError("rational literal must have integer parts")
     if den is not None and not int(den):
         raise ValueError(f"zero denominator in {text[:40]!r}")
-    limit = sys.get_int_max_str_digits()
-    size = len(whole) + len(frac or "") + len(den or "") + abs(int(exp or 0))
-    if limit and size > limit:
-        raise ValueError(f"literal {text[:40]!r} exceeds {limit} digits")
+    _check_digits(text, len(whole) + len(frac or "") + len(den or "") + abs(int(exp or 0)))
     return Fraction(text)
 
 
-def _parse_number(text, pos):
+def _check_digits(text, size):
+    limit = sys.get_int_max_str_digits()
+    if limit and size > limit:
+        raise ValueError(f"literal {text[:40]!r} exceeds {limit} digits")
+
+
+def _number(text, pos):
+    """A number token's value: an int for a literal of digits only, else read_rational's."""
     try:
+        if text.isdigit():
+            _check_digits(text, len(text))
+            return int(text)
         return read_rational(text)
     except ValueError as exc:
         raise ExprSyntaxError(str(exc), pos) from None
@@ -120,22 +145,11 @@ class _Complex:
     def is_real(self):
         return self.im is None or self.im.is_zero()
 
-    def __add__(self, o):
-        if o.im is None:
-            return _Complex(self.re + o.re, self.im)
-        if self.im is None:
-            return _Complex(self.re + o.re, o.im)
-        return _Complex(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        if o.im is None:
-            return _Complex(self.re - o.re, self.im)
-        if self.im is None:
-            return _Complex(self.re - o.re, -o.im)
-        return _Complex(self.re - o.re, self.im - o.im)
-
-    def __neg__(self):
-        return _Complex(-self.re, None if self.im is None else -self.im)
+    def scaled(self, c, alpha):
+        """c * x^alpha * self for an exact c."""
+        return _Complex(
+            _scaled(self.re, c, alpha), None if self.im is None else _scaled(self.im, c, alpha)
+        )
 
     def __mul__(self, o):
         if o.im is None:
@@ -157,7 +171,7 @@ class _Complex:
         return out
 
 
-def freq_and_const(arg, d, two_pi_scaled, pos=0):
+def _freq_and_const(arg, d, two_pi_scaled, pos):
     """Split an affine argument into (k, c) with k integral.
 
     For cos/sin the argument reads 2*pi*(k.x) + c; for exp2pii it reads
@@ -180,24 +194,27 @@ def freq_and_const(arg, d, two_pi_scaled, pos=0):
                 f"trig argument must be affine in the variables (offset {pos})"
             )
         j = nz[0]
-        pi = c.pi  # None on tier F
-        if two_pi_scaled:
-            ok = pi is not None and set(pi) == {1}
-            k = pi[1] / 2 if ok else None
-        else:
-            ok = pi is not None and set(pi) <= {0}
-            k = pi.get(0, Fraction(0)) if ok else None
-        if not ok or k.denominator != 1:
+        # c is 2*pi*k (or k) with k an integer; lowest terms make that den == 1
+        num = c.num  # None on tier F
+        m = 1 if two_pi_scaled else 0
+        if num is None or len(num) != 1 or m not in num or c.den != 1 or num[m] % (m + 1):
             raise FrequencyError(f"frequency on x{j + 1} is not an integer")
-        freq[j] = int(k)
+        freq[j] = num[m] // (m + 1)
     return tuple(freq), const
 
 
 def _trig_from(d, mode, freq, const):
-    """cos/sin(2*pi*(freq.x) + const) as a real PolyTrig."""
-    phase = const / Scalar.exact(2, 1)
-    if phase.is_rational():
-        return PolyTrig.trig(d, mode, freq, phase.rational_value()).expand_phases()
+    """cos/sin(2*pi*(freq.x) + const) as a real PolyTrig.
+
+    When const is a rational multiple of pi, that is one term put at phase
+    const / (2*pi) and its phase expanded; otherwise the phase is a float.
+    """
+    num = const.num
+    if num is not None and set(num) <= {1}:
+        acc = _Acc(d)
+        phase = Fraction(num.get(1, 0), 2 * const.den)
+        acc.put((0,) * d, mode, freq, phase, Scalar.one())
+        return acc.done().expand_phases()
     ang = float(const)
     c = Scalar.approx(math.cos(ang), const.tol)
     s = Scalar.approx(math.sin(ang), const.tol)
@@ -206,138 +223,191 @@ def _trig_from(d, mode, freq, const):
     return PolyTrig.sin_freq(d, freq, c) + PolyTrig.cos_freq(d, freq, s)
 
 
-class _Parser:
+def _scaled(f, c, alpha):
+    """c * x^alpha * f, terms in f's order: what PolyTrig.__mul__ gives for the
+    one-term factor c * x^alpha, whose monomial shifts the keys of f apart."""
+    terms = {}
+    for (a, mode, freq, phase), v in f.terms.items():
+        v = c * v
+        if not v.is_zero():
+            terms[(tuple([i + j for i, j in zip(a, alpha)]), mode, freq, phase)] = v
+    return PolyTrig(f.dim, terms)
+
+
+class _Reader:
+    """One pass over the tokens of an expression.
+
+    The value of an expression is the same PolyTrig, with the same terms in
+    the same order, as evaluating its grammar tree with PolyTrig ring ops
+    left to right.  To get there with less work, a term folds its plain
+    factors (numbers, pi and variables, with their powers) into one exact
+    coefficient and one monomial; only a parenthesised expression or a
+    trig atom is a PolyTrig, multiplied in with PolyTrig.__mul__ when the
+    term already holds one.  A plain factor after such a factor shifts its
+    terms (_scaled).  A sum merges all its terms into one accumulator.
+    """
+
+    __slots__ = ("tokens", "i", "d")
+
     def __init__(self, text, d):
-        self.text = text
-        self.d = d
         self.tokens = _tokenize(text)
         self.i = 0
+        self.d = d
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
+    def expect(self, op):
+        kind, _val, pos = self.tokens[self.i]
+        if kind != op:
             raise ExprSyntaxError(f"expected {op!r}", pos)
+        self.i += 1
 
     def parse(self):
         v = self.expr()
-        kind, _val, pos = self.peek()
+        kind, _val, pos = self.tokens[self.i]
         if kind != "end":
             raise ExprSyntaxError("trailing input", pos)
         if not v.is_real():
             raise NonRealExpressionError(
                 "expression has an imaginary part; combine exp2pii conjugates"
             )
-        return v.re.expand_phases()
+        return v.re
 
     def expr(self):
-        kind, val, _pos = self.peek()
-        neg = False
-        if kind == "op" and val == "-":
-            self.next()
-            neg = True
-        v = self.term()
+        """expr := ['-'] term (('+'|'-') term)*, all terms merged into one sum."""
+        tokens = self.tokens
+        d = self.d
+        re_ = _Acc(d)
+        im = None
+        neg = tokens[self.i][0] == "-"
         if neg:
-            v = -v
+            self.i += 1
         while True:
-            kind, val, _pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                v = v + rhs if val == "+" else v - rhs
+            q, pip, alpha, v = self.term()
+            if v is None:
+                if q:
+                    key = ((0,) * d if alpha is None else tuple(alpha), MODE_NONE, re_.zero_freq, 0)
+                    re_.merge(key, Scalar.exact(-q if neg else q, pip))
             else:
-                return v
+                for key, c in v.re.terms.items():
+                    re_.merge(key, -c if neg else c)
+                if v.im is not None:
+                    if im is None:
+                        im = _Acc(d)
+                    for key, c in v.im.terms.items():
+                        im.merge(key, -c if neg else c)
+            kind = tokens[self.i][0]
+            if kind != "+" and kind != "-":
+                return _Complex(re_.done(), None if im is None else im.done())
+            neg = kind == "-"
+            self.i += 1
 
     def term(self):
-        v = self.factor()
-        while True:
-            kind, val, _pos = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                v = v * self.factor()
-            else:
-                return v
+        """term := factor ('*' factor)*, as (q, pip, alpha, v).
 
-    def factor(self):
-        v, is_pi = self.atom()
+        While v is None the term is q * pi^pip * x^alpha (alpha None for no
+        variable); once a factor is a PolyTrig, v holds the product so far.
+        """
+        tokens = self.tokens
+        q, pip, alpha, v = 1, 0, None, None
         while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "^":
-                self.next()
-                kind2, val2, pos2 = self.next()
-                negexp = False
-                if kind2 == "op" and val2 == "-":
-                    negexp = True
-                    kind2, val2, pos2 = self.next()
-                if kind2 != "num" or not val2.isdigit():
-                    raise ExprSyntaxError("expected an integer exponent", pos2)
-                n = int(val2)
-                if n > MAX_COUNT:
-                    raise ExprSyntaxError(
-                        f"exponent {val2[:40]} exceeds {MAX_COUNT}", pos2
-                    )
-                if negexp:
-                    if not is_pi:
-                        raise ExprSyntaxError(
-                            "negative exponents are only allowed on pi", pos
-                        )
-                    v = _Complex(
-                        PolyTrig.const(self.d, Scalar.exact(1, -n))
-                    )
+            kind, val, pos = tokens[self.i]
+            self.i += 1
+            if kind == "num" or kind == "var" or kind == "pi":
+                fq, fpi, axis, e = 1, 0, -1, 1
+                if kind == "num":
+                    fq = _number(val, pos)
+                elif kind == "pi":
+                    fpi = 1
                 else:
-                    v = v**n
-                is_pi = False
+                    axis = int(val[1:]) - 1
+                    if not 0 <= axis < self.d:
+                        raise DimensionError(f"variable {val} exceeds dimension {self.d}")
+                on_pi = kind == "pi"  # a bare pi: a negative exponent may follow
+                while tokens[self.i][0] == "^":
+                    n, negexp = self.exponent(on_pi)
+                    if negexp:
+                        fpi = -n
+                    else:
+                        fq, fpi, e = fq**n, fpi * n, e * n
+                    on_pi = False
+                if v is None:
+                    if kind == "num":
+                        q *= fq
+                    pip += fpi
+                    if axis >= 0:
+                        if alpha is None:
+                            alpha = [0] * self.d
+                        alpha[axis] += e
+                else:
+                    mono = [0] * self.d
+                    if axis >= 0:
+                        mono[axis] = e
+                    v = v.scaled(Scalar.exact(fq, fpi), mono)
             else:
-                return v
+                f = self.atom(kind, val, pos)
+                while tokens[self.i][0] == "^":
+                    n, _ = self.exponent(False)
+                    f = f**n
+                if v is not None:
+                    v = v * f
+                elif not q:
+                    v = _Complex(PolyTrig.zero(self.d))
+                elif q == 1 and not pip and alpha is None:
+                    v = f
+                else:
+                    v = f.scaled(Scalar.exact(q, pip), alpha or [0] * self.d)
+            if tokens[self.i][0] != "*":
+                return q, pip, alpha, v
+            self.i += 1
 
-    def atom(self):
-        kind, val, pos = self.next()
-        if kind == "num":
-            return _Complex(PolyTrig.const(self.d, _parse_number(val, pos))), False
-        if kind == "var":
-            idx = int(val[1:])
-            if not 1 <= idx <= self.d:
-                raise DimensionError(
-                    f"variable {val} exceeds dimension {self.d}"
-                )
-            return _Complex(PolyTrig.var(self.d, idx)), False
-        if kind == "name" and val == "pi":
-            return _Complex(PolyTrig.const(self.d, Scalar.exact(1, 1))), True
-        if kind == "name":
-            self.expect_op("(")
-            arg = self.expr()
-            self.expect_op(")")
-            if not arg.is_real():
-                raise NonRealExpressionError("trig argument must be real")
-            if val in ("cos", "sin"):
-                freq, const = freq_and_const(arg.re, self.d, True, pos)
-                mode = MODE_COS if val == "cos" else MODE_SIN
-                return _Complex(_trig_from(self.d, mode, freq, const)), False
-            # exp2pii(u) = cos(2*pi*u) + i*sin(2*pi*u) with u = k.x + c
-            freq, const = freq_and_const(arg.re, self.d, False, pos)
-            two_pi_const = const * Scalar.exact(2, 1)
-            re_ = _trig_from(self.d, MODE_COS, freq, two_pi_const)
-            im_ = _trig_from(self.d, MODE_SIN, freq, two_pi_const)
-            return _Complex(re_, im_), False
-        if kind == "op" and val == "(":
+    def exponent(self, on_pi):
+        """Read '^' [-] digits; (n, negative).  A negative exponent only follows pi."""
+        pos = self.tokens[self.i][2]
+        kind, val, pos2 = self.tokens[self.i + 1]
+        self.i += 2
+        negexp = kind == "-"
+        if negexp:
+            kind, val, pos2 = self.tokens[self.i]
+            self.i += 1
+        if kind != "num" or not val.isdigit():
+            raise ExprSyntaxError("expected an integer exponent", pos2)
+        n = int(val)
+        if n > MAX_COUNT:
+            raise ExprSyntaxError(f"exponent {val[:40]} exceeds {MAX_COUNT}", pos2)
+        if negexp and not on_pi:
+            raise ExprSyntaxError("negative exponents are only allowed on pi", pos)
+        return n, negexp
+
+    def atom(self, kind, val, pos):
+        """A parenthesised expression or a trig atom, as a _Complex."""
+        if kind == "(":
             v = self.expr()
-            self.expect_op(")")
-            return v, False
-        raise ExprSyntaxError(f"unexpected token {val!r}", pos)
+            self.expect(")")
+            return v
+        if kind != "cos" and kind != "sin" and kind != "exp2pii":
+            raise ExprSyntaxError(f"unexpected token {val!r}", pos)
+        self.expect("(")
+        arg = self.expr()
+        self.expect(")")
+        if not arg.is_real():
+            raise NonRealExpressionError("trig argument must be real")
+        d = self.d
+        if kind != "exp2pii":
+            freq, const = _freq_and_const(arg.re, d, True, pos)
+            return _Complex(_trig_from(d, MODE_COS if kind == "cos" else MODE_SIN, freq, const))
+        # exp2pii(u) = cos(2*pi*u) + i*sin(2*pi*u) with u = k.x + c
+        freq, const = _freq_and_const(arg.re, d, False, pos)
+        two_pi_const = const * Scalar.exact(2, 1)
+        return _Complex(
+            _trig_from(d, MODE_COS, freq, two_pi_const),
+            _trig_from(d, MODE_SIN, freq, two_pi_const),
+        )
 
 
 def parse_expr(text, d):
     """Parse an expression into a canonical real PolyTrig of dimension d."""
     if d < 1:
         raise DimensionError("dimension must be positive")
-    return _Parser(text, d).parse()
+    return _Reader(text, d).parse()
 
 
 def print_expr(f):

@@ -11,6 +11,10 @@ two-cocycle of the flux-N line bundle; the scalar prefactor is forced by that
 requirement, not chosen.  Gerbe data has no finite-dimensional analogue here:
 nonassociativity obstructs operator realizations, so only d = 2 line-bundle
 data is represented.
+
+numpy is imported on first use, inside the functions that build or test a
+matrix, so that importing the package (and the CLI) does not load it; only
+the `operators` command needs it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import DimensionError, TorusGaugeError
 from .magnetic import landau_line, two_cocycle
@@ -45,6 +47,8 @@ def translation_matrix(N, v):
     """The N x N unitary magnetic translation at v in (1/N) Z^2."""
     if N < 1:
         raise DimensionError("flux N must be a positive integer")
+    import numpy as np
+
     a, b = _lattice_coords(N, v)
     phase = cmath.exp(-1j * math.pi * a * b / N)
     P = np.zeros((N, N), dtype=complex)
@@ -54,6 +58,8 @@ def translation_matrix(N, v):
 
 
 def is_unitary(M, tol=UNITARITY_TOL):
+    import numpy as np
+
     N = M.shape[0]
     return bool(np.max(np.abs(M @ M.conj().T - np.eye(N))) < tol)
 
@@ -86,5 +92,5 @@ def verify_operator_cocycle(N, v, vp, tol=1e-10, line=None, mats=None):
         mats = {w: translation_matrix(N, w) for w in (v, vp, vs)}
     lhs = mats[v] @ mats[vp]
     rhs = c * mats[vs]
-    defect = float(np.max(np.abs(lhs - rhs)))
+    defect = float(abs(lhs - rhs).max())
     return defect < tol, defect

@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .polytrig import constant_mod_free
 from .scalar import DEFAULT_TOL
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    label: str
-    passed: bool
-    residue: str | None = None
-    note: str | None = None
+class CheckItem(namedtuple("CheckItem", "label passed residue note", defaults=(None, None))):
+    """One verdict: a label, whether it passed, and an optional residue and note."""
+
+    __slots__ = ()
 
     def to_dict(self):
         out = {"label": self.label, "status": "pass" if self.passed else "fail"}
@@ -24,11 +22,13 @@ class CheckItem:
         return out
 
 
-@dataclass
 class CheckReport:
-    identity: str
-    items: list[CheckItem] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    """The items checked for one identity, and notes on how they were checked."""
+
+    def __init__(self, identity, items=None, notes=None):
+        self.identity = identity
+        self.items = [] if items is None else items
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self):

@@ -395,6 +395,27 @@ def test_empty_report_fails(tmp_path, capsys, command, doc, params):
     assert any(not chk["items"] for chk in report["checks"])
 
 
+def test_twist2_needs_two_vectors(tmp_path, capsys):
+    # one vector makes no pair, so no relation would be checked at all
+    for name, vector in (("landau_n1", ["1/2", "1/3"]), ("constant_flux_m1", ["1/2", "0", "0"])):
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        doc["params"] = {**doc.get("params", {}), "vectors": [vector]}
+        cfg = write_config(tmp_path, doc)
+        assert_config_error(capsys, ["twist2", "--config", cfg], name)
+
+
+def test_a_verdict_with_no_report_fails(monkeypatch, tmp_path, capsys):
+    from torusgauge import cli
+
+    monkeypatch.setitem(HANDLERS, "check-cocycle", cli._needs(lambda *args: [], "any"))
+    code, report = run_cmd(
+        tmp_path, "check-cocycle", "--config", str(SCENARIOS / "zero_line.json")
+    )
+    capsys.readouterr()
+    assert code == 1
+    assert report["status"] == "fail" and report["checks"] == []
+
+
 def test_section_builds_each_gerbe_section_once(monkeypatch, capsys):
     import torusgauge.gerbes as gerbes
     import torusgauge.magnetic as magnetic

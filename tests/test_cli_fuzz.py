@@ -87,6 +87,9 @@ def test_odd_numbers_are_config_errors(tmp_path):
         for value in (float("inf"), float("nan"), "1e10000000", "1e1000000", "1/0")
     ]
     cases.append(("check-cocycle", _with("zero_line", cocycle={"2": "2*pi*x1 + 1e10000000"})))
+    # literals past the digit limit inside an expression: digits only, and p/q
+    for literal in ("7" * 5000, "1/" + "7" * 5000):
+        cases.append(("check-cocycle", _with("zero_line", cocycle={"2": f"2*pi*x1 + {literal}"})))
     # json.dumps cannot write an integer past the interpreter's digit limit
     raw = _with("zero_line").replace('"dimension": 2', '"dimension": ' + "1" * 5000)
     assert "1" * 5000 in raw
