@@ -21,6 +21,7 @@ from .forms import (
     AffineSimplex,
     Form,
     PLPath,
+    integrate_chain,
     integrate_path,
     integrate_simplex,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "TorusGaugeError",
     "constant_mod_free",
     "cos2pi",
+    "integrate_chain",
     "integrate_path",
     "integrate_simplex",
     "parse_expr",

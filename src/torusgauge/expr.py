@@ -10,7 +10,9 @@
 Numbers are integers, rationals p/q, or decimal/scientific literals; decimal
 literals are read exactly as rationals.  Exponents are unsigned except on
 'pi', where a negative exponent is allowed (antiderivatives produce 1/(2*pi)
-coefficients); an exponent above MAX_COUNT is a syntax error.  Arguments of
+coefficients); an exponent above MAX_COUNT is a syntax error, and so is a
+term whose degree in a variable exceeds MAX_COUNT however it got there
+(x1^100^100, (x1^100)^100, x1^6000*x1^6000).  Arguments of
 cos/sin/exp2pii must be affine with integer frequencies: 2*pi*(k.x + c) with
 k in Z^d.  exp2pii is expanded through a complex intermediate, and only
 there: a real value carries no imaginary part.  The overall expression must
@@ -39,8 +41,9 @@ from .scalar import Scalar
 
 # Work bound on config counts: the largest `samples`, `equivalence_samples`
 # or `range`, the largest number of operator pairs (sum of N**4 over
-# `flux_list`) that `operators` checks, and the largest exponent after '^' in
-# an expression.  A config over it is a config error.
+# `flux_list`) that `operators` checks, and the largest exponent after '^' and
+# degree in a variable of a term in an expression.  A config over it is a
+# config error.
 MAX_COUNT = 10_000
 
 # One token per match, after optional whitespace: a number, a variable, a
@@ -234,6 +237,24 @@ def _scaled(f, c, alpha):
     return PolyTrig(f.dim, terms)
 
 
+def _degrees(f):
+    """The largest exponent of each variable over the terms of a _Complex."""
+    out = [0] * f.re.dim
+    for part in (f.re, f.im):
+        if part is not None:
+            for alpha, _mode, _freq, _phase in part.terms:
+                for i, e in enumerate(alpha):
+                    if e > out[i]:
+                        out[i] = e
+    return out
+
+
+def _check_degrees(degrees, pos):
+    for i, e in enumerate(degrees):
+        if e > MAX_COUNT:
+            raise ExprSyntaxError(f"degree {e} in x{i + 1} exceeds {MAX_COUNT}", pos)
+
+
 class _Reader:
     """One pass over the tokens of an expression.
 
@@ -308,6 +329,7 @@ class _Reader:
         """
         tokens = self.tokens
         q, pip, alpha, v = 1, 0, None, None
+        vdeg = None  # the degree of v in each variable, checked before v grows
         while True:
             kind, val, pos = tokens[self.i]
             self.i += 1
@@ -337,24 +359,37 @@ class _Reader:
                         if alpha is None:
                             alpha = [0] * self.d
                         alpha[axis] += e
+                        if alpha[axis] > MAX_COUNT:
+                            _check_degrees(alpha, pos)
                 else:
                     mono = [0] * self.d
                     if axis >= 0:
                         mono[axis] = e
+                        vdeg[axis] += e
+                        _check_degrees(vdeg, pos)
                     v = v.scaled(Scalar.exact(fq, fpi), mono)
             else:
                 f = self.atom(kind, val, pos)
+                fdeg = _degrees(f)
                 while tokens[self.i][0] == "^":
                     n, _ = self.exponent(False)
+                    fdeg = [e * n for e in fdeg]
+                    _check_degrees(fdeg, pos)
                     f = f**n
                 if v is not None:
+                    # the degree of a product of nonzero functions is the sum
+                    vdeg = [a + b for a, b in zip(vdeg, fdeg)]
+                    _check_degrees(vdeg, pos)
                     v = v * f
                 elif not q:
-                    v = _Complex(PolyTrig.zero(self.d))
+                    v, vdeg = _Complex(PolyTrig.zero(self.d)), [0] * self.d
                 elif q == 1 and not pip and alpha is None:
-                    v = f
+                    v, vdeg = f, fdeg
                 else:
-                    v = f.scaled(Scalar.exact(q, pip), alpha or [0] * self.d)
+                    mono = alpha or [0] * self.d
+                    vdeg = [a + b for a, b in zip(mono, fdeg)]
+                    _check_degrees(vdeg, pos)
+                    v = f.scaled(Scalar.exact(q, pip), mono)
             if tokens[self.i][0] != "*":
                 return q, pip, alpha, v
             self.i += 1

@@ -3,12 +3,16 @@
 Differential forms store only strictly increasing index tuples, so
 antisymmetry is structural.
 
-Every integral -- over a simplex (integrate_simplex) or a box
-(integrate_box, e.g. the unit cubes of flux periods) -- runs through one kernel,
-_iterated_integral: pull omega back along the affine parametrisation
-p_0 + sum_j t_j v_j and integrate over the parameters t.  The parameter
-domain is either the simplex 0 <= t_k <= ... <= t_1 <= 1, whose
-image with top vertex x is the ordered simplex
+Every integral runs through one kernel, _iterated_integral, which integrates
+a k-form omega over a signed chain of k-cells, each given by its edges
+v_1..v_k, its base point p_0 and a sign: the simplices of integrate_chain
+(e.g. the boundary faces of a simplex in Stokes' theorem) and of
+integrate_simplex (a chain of one), the segments of a PL path in
+integrate_path, and the box of integrate_box (e.g. the unit cubes of flux
+periods).  omega is pulled back along each cell's affine parametrisation
+p_0 + sum_j t_j v_j and integrated over the parameters t.  The parameter
+domain is either the simplex 0 <= t_k <= ... <= t_1 <= 1, whose image with
+top vertex x is the ordered simplex
 
     [x - v_1 - ... - v_k, x - v_2 - ... - v_k, ..., x - v_k, x]
 
@@ -19,23 +23,29 @@ prod_j 1 / S_j with S_j = sum_{i >= j} (beta_i + 1) for t^beta; cf. Baldoni,
 Berline, De Loera, Koeppe and Vergne, "How to integrate a polynomial over a
 simplex", Math. Comp. 80 (2011) 297-325).  Only terms with trig dependence
 on t are integrated by parts, in t_k, ..., t_1 in turn, one pass per axis
-from 0 to its upper limit.  Base points may be symbolic (offsets against an
-unspecified x), in which case integrals return PolyTrig functions of x;
-concretely based integrals return Scalars.
+from 0 to its upper limit.  Every cell of a chain has the same parameter
+domain, so the cells pull back into one accumulator and the chain takes one
+set of passes and one phase expansion, however many cells it has.
 
-Everything here is exact: integration is closed-form, never quadrature.
+Cells are integer-scaled: AffineSimplex and PLPath keep their points once,
+as int numerators over one positive denominator, so vertices, faces,
+segment edges, determinants and the kernel's rows are int arithmetic.
+
+Base points may be symbolic (offsets against an unspecified x), in which
+case integrals return PolyTrig functions of x; concretely based integrals
+return Scalars.  Everything here is exact: integration is closed-form,
+never quadrature.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import DegreeError, DimensionError, PathError
 from .polytrig import MODE_NONE, PolyTrig, _Acc, _Rows, translate as translate_fn
-from .scalar import Scalar
-from .vectors import as_vec, basis_vec, det, vadd, vneg, vsub, vzero
+from .vectors import basis_vec, det, scale_vecs, unscale, vneg, vzero
 
 
 class Form:
@@ -155,7 +165,7 @@ class Form:
         if self.dim != m.out_dim:
             raise DimensionError("map does not land in the form's space")
         out = {}
-        rows = _Rows(m.lin, m.trans, m.in_dim)
+        rows = _Rows.rational(m.lin, m.trans, m.in_dim)
         for J in combinations(range(m.in_dim), self.degree):
             cols = [tuple(row[j] for row in m.lin) for j in J]
             g = _pulled_coefficient(self, cols, rows).expand_phases()
@@ -208,63 +218,82 @@ class AffineSimplex:
     """Oriented affine k-simplex given by a top vertex and ordered edge vectors.
 
     When symbolic, the top vertex is an offset against an unspecified base
-    point x and integrals over the simplex are functions of x.
+    point x and integrals over the simplex are functions of x.  The points
+    are kept once, integer-scaled: the top vertex and the edges as int
+    numerator tuples over one positive denominator.  top, edges and
+    vertices() present them as rational tuples.
     """
 
-    __slots__ = ("dim", "top", "edges", "symbolic", "sign")
+    __slots__ = ("dim", "symbolic", "sign", "_top", "_edges", "_den")
 
     def __init__(self, top, edges, symbolic=True, sign=1):
-        self.top = as_vec(top)
-        self.edges = tuple(as_vec(e) for e in edges)
-        self.dim = len(self.top)
-        self.symbolic = bool(symbolic)
-        self.sign = 1 if sign >= 0 else -1
+        den, (top, *edges) = scale_vecs([top, *edges])
         # k > dim is allowed: the simplex is degenerate and top-degree
         # integrals over it are integrals of the zero form
-        for e in self.edges:
-            if len(e) != self.dim:
+        for e in edges:
+            if len(e) != len(top):
                 raise DimensionError("edge vector length mismatch")
+        self.dim = len(top)
+        self.symbolic = bool(symbolic)
+        self.sign = 1 if sign >= 0 else -1
+        self._top, self._edges, self._den = top, tuple(edges), den
+
+    @staticmethod
+    def _scaled(top, edges, den, symbolic, sign):
+        """The simplex whose int numerator points top and edges lie over den."""
+        s = AffineSimplex.__new__(AffineSimplex)
+        s.dim, s.symbolic, s.sign = len(top), symbolic, sign
+        s._top, s._edges, s._den = top, edges, den
+        return s
 
     @staticmethod
     def from_edges(edges, base=None):
         """Simplex with the given ordered edges; base is the top vertex (x if None)."""
-        edges = [as_vec(e) for e in edges]
-        d = len(edges[0]) if edges else (len(base) if base is not None else 0)
         if base is None:
-            return AffineSimplex(vzero(d), edges, symbolic=True)
+            return AffineSimplex(vzero(len(edges[0]) if edges else 0), edges)
         return AffineSimplex(base, edges, symbolic=False)
 
     @property
-    def k(self):
-        return len(self.edges)
+    def top(self):
+        return unscale(self._top, self._den)
 
-    def vertices(self):
-        p = self.top
-        for e in self.edges:
-            p = vsub(p, e)
+    @property
+    def edges(self):
+        return tuple(unscale(e, self._den) for e in self._edges)
+
+    @property
+    def k(self):
+        return len(self._edges)
+
+    def _cell(self):
+        """The kernel's cell (edges, first vertex, den, sign); points are numerators over den."""
+        p = self._top
+        for e in self._edges:
+            p = tuple(map(sub, p, e))
+        return self._edges, p, self._den, self.sign
+
+    def _vertices(self):
+        p = self._cell()[1]
         verts = [p]
-        for e in self.edges:
-            p = vadd(p, e)
+        for e in self._edges:
+            p = tuple(map(add, p, e))
             verts.append(p)
         return verts
 
-    def translate(self, v):
-        return AffineSimplex(vadd(self.top, as_vec(v)), self.edges, self.symbolic, self.sign)
-
-    def reversed(self):
-        return AffineSimplex(self.top, self.edges, self.symbolic, -self.sign)
+    def vertices(self):
+        return [unscale(v, self._den) for v in self._vertices()]
 
     def boundary(self):
         """Chain of (k-1)-faces with alternating signs; boundary of boundary is 0."""
         if self.k < 1:
             raise DegreeError("0-simplex has no boundary chain of simplices")
-        verts = self.vertices()
+        verts = self._vertices()
         faces = []
         for j in range(len(verts)):
             face = verts[:j] + verts[j + 1 :]
-            edges = [vsub(face[i + 1], face[i]) for i in range(len(face) - 1)]
-            sgn = self.sign * (1 if j % 2 == 0 else -1)
-            faces.append(AffineSimplex(face[-1], edges, self.symbolic, sgn))
+            edges = tuple(tuple(map(sub, b, a)) for a, b in zip(face, face[1:]))
+            sgn = self.sign if j % 2 == 0 else -self.sign
+            faces.append(AffineSimplex._scaled(face[-1], edges, self._den, self.symbolic, sgn))
         return faces
 
     def __repr__(self):
@@ -283,15 +312,33 @@ def integrate_simplex(omega, simplex):
     odd under orientation reversal.  A 0-simplex is a point: the integral is
     the value there.
     """
+    _check_cell(omega, simplex)
+    return _iterated_integral(omega, (simplex._cell(),), simplex.symbolic, nested=True)
+
+
+def integrate_chain(omega, simplices):
+    """Exact integral of a k-form over a chain of signed k-simplices.
+
+    The simplices are all symbolic or all concretely based, and the result
+    is the sum of integrate_simplex over them, computed in one kernel pass:
+    the antiderivative passes and the phase expansion run once for the chain.
+    """
+    simplices = list(simplices)
+    if not simplices:
+        raise ValueError("a chain needs at least one simplex")
+    symbolic = simplices[0].symbolic
+    for s in simplices:
+        _check_cell(omega, s)
+        if s.symbolic != symbolic:
+            raise ValueError("a chain mixes symbolic and concretely based simplices")
+    return _iterated_integral(omega, [s._cell() for s in simplices], symbolic, nested=True)
+
+
+def _check_cell(omega, simplex):
     if omega.dim != simplex.dim:
         raise DimensionError("form and simplex live in different spaces")
     if omega.degree != simplex.k:
         raise DegreeError(f"cannot integrate a {omega.degree}-form over a {simplex.k}-simplex")
-    base = simplex.top
-    for e in simplex.edges:
-        base = vsub(base, e)
-    out = _iterated_integral(omega, simplex.edges, base, simplex.symbolic, nested=True)
-    return out if simplex.sign > 0 else -out
 
 
 def integrate_box(omega, edges, base=None, offset=None):
@@ -301,15 +348,17 @@ def integrate_box(omega, edges, base=None, offset=None):
     unspecified base point x, and the result is a PolyTrig in x; otherwise p
     is the rational point base and the result is a Scalar.
     """
-    edges = [as_vec(e) for e in edges]
+    if base is None:
+        base = vzero(omega.dim) if offset is None else offset
+        symbolic = True
+    else:
+        symbolic = False
+    den, (p0, *edges) = scale_vecs([base, *edges])
     if omega.degree != len(edges):
         raise DegreeError(f"cannot integrate a {omega.degree}-form over a {len(edges)}-box")
     if any(len(e) != omega.dim for e in edges):
         raise DimensionError("edge vector length mismatch")
-    if base is None:
-        p0 = vzero(omega.dim) if offset is None else as_vec(offset)
-        return _iterated_integral(omega, edges, p0, symbolic=True, nested=False)
-    return _iterated_integral(omega, edges, as_vec(base), symbolic=False, nested=False)
+    return _iterated_integral(omega, ((edges, p0, den, 1),), symbolic, nested=False)
 
 
 def _pulled_coefficient(omega, cols, rows):
@@ -358,55 +407,65 @@ def _moments(poly, den, toff, nested):
     return {ax: (n, m * den) for ax, (n, m) in out.items() if n}
 
 
-def _iterated_integral(omega, edges, p0, symbolic, nested):
-    """Integral of omega over p0 + sum_j t_j edges[j], t on the simplex if nested, else the box.
+def _iterated_integral(omega, cells, symbolic, nested):
+    """Integral of omega over a signed chain of cells, each p0 + sum_j t_j edges[j]
+    with t on the simplex if nested, else on the box.
 
-    A PolyTrig in the base point x if symbolic, else a Scalar; unsigned.
-    Each term of omega is pulled back along the parametrisation, whose rows
-    and their powers are built once for all components.  A pulled term with
-    no trig dependence on t is integrated in one pass, by the closed-form
-    moments of _moments; its trig factor, if any, is put as is and so folds
-    into the coefficient when it is constant (a concrete base and a
-    frequency orthogonal to every edge).  Only terms whose frequency is
-    nonzero on a t axis go through the antiderivative passes: each t_j, from
-    t_k down to t_1, from 0 to its upper limit (t_{j-1} on the simplex, 1 on
-    the box and for t_1), after which the parameter axes are dropped.  Last,
-    the phases are expanded.
+    A cell is (edges, p0, den, sign): k = omega.degree edge vectors and the
+    point p0 as int numerator tuples over the positive int den, and a sign
+    of 1 or -1.  The result is a PolyTrig in the base point x if symbolic,
+    else a Scalar.  Each term of omega is pulled back along each cell's
+    parametrisation, whose rows and their powers are built once for all
+    components.  A pulled term with no trig dependence on t is integrated in
+    one pass, by the closed-form moments of _moments; its trig factor, if
+    any, is put as is and so folds into the coefficient when it is constant
+    (a concrete base and a frequency orthogonal to every edge).  Terms whose
+    frequency is nonzero on a t axis are put into one accumulator for the
+    whole chain, since every cell has the same parameter domain; the chain
+    then takes one antiderivative pass per axis, for each t_j from t_k down
+    to t_1, from 0 to its upper limit (t_{j-1} on the simplex, 1 on the box
+    and for t_1), after which the parameter axes are dropped.  Last, the
+    phases are expanded, once.
     """
     d = omega.dim
-    k = len(edges)
+    k = omega.degree
     toff = d if symbolic else 0
-    rows = _Rows(
-        [[int(a == i) for a in range(toff)] + [e[i] for e in edges] for i in range(d)],
-        p0,
-        toff + k,
-    )
     out = _Acc(toff)
     trig = _Acc(toff + k)
-    moments = {}
-    for I, f in omega.comps.items():
-        dd = det([[e[i] for e in edges] for i in I])
-        if dd == 0:
-            continue
-        sn, sd = dd.numerator, dd.denominator
-        for (alpha, mode, freq, phase), c in f.terms.items():
-            if mode != MODE_NONE:
-                freq, phase = rows.frequency(freq, phase)
-                if any(freq[toff:]):
-                    poly, den = rows.product(alpha)
-                    den *= sd
-                    trig.put_terms(
-                        mode, freq, phase,
-                        [(beta, c.scaled(n * sn, den)) for beta, n in poly.items()],
-                    )
-                    continue
-                freq = freq[:toff]
-            m = moments.get(alpha)
-            if m is None:
-                m = moments[alpha] = _moments(*rows.product(alpha), toff, nested)
-            out.put_terms(
-                mode, freq, phase, [(ax, c.scaled(n * sn, den * sd)) for ax, (n, den) in m.items()]
-            )
+    for edges, p0, den, sign in cells:
+        rows = _Rows(
+            [[den * (a == i) for a in range(toff)] + [e[i] for e in edges] for i in range(d)],
+            p0,
+            toff + k,
+            den,
+        )
+        dk = den**k
+        moments = {}
+        for I, f in omega.comps.items():
+            dd = det([[e[i] for e in edges] for i in I])
+            if dd == 0:
+                continue
+            g = gcd(dd, dk)
+            sn, sd = sign * (dd // g), dk // g
+            for (alpha, mode, freq, phase), c in f.terms.items():
+                if mode != MODE_NONE:
+                    freq, phase = rows.frequency(freq, phase)
+                    if any(freq[toff:]):
+                        poly, pden = rows.product(alpha)
+                        pden *= sd
+                        trig.put_terms(
+                            mode, freq, phase,
+                            [(beta, c.scaled(n * sn, pden)) for beta, n in poly.items()],
+                        )
+                        continue
+                    freq = freq[:toff]
+                m = moments.get(alpha)
+                if m is None:
+                    m = moments[alpha] = _moments(*rows.product(alpha), toff, nested)
+                out.put_terms(
+                    mode, freq, phase,
+                    [(ax, c.scaled(n * sn, md * sd)) for ax, (n, md) in m.items()],
+                )
     if trig.terms:
         g = trig.done()
         for j in range(k, 0, -1):
@@ -424,49 +483,60 @@ def _iterated_integral(omega, edges, p0, symbolic, nested):
 class PLPath:
     """Piecewise-linear path through rational vertices.
 
-    integrate_path keeps its results on the path (_integrals, keyed by the
-    form object and symbolic), so they live exactly as long as the path.
+    The vertices are kept once, integer-scaled: int numerator tuples over one
+    positive denominator, in lowest terms; vertices, start and end present
+    them as rational tuples.  integrate_path keeps its results on the path
+    (_integrals, keyed by the form object and symbolic), so they live
+    exactly as long as the path.
     """
 
-    __slots__ = ("vertices", "_integrals")
+    __slots__ = ("_points", "_den", "_integrals")
 
     def __init__(self, vertices):
-        vertices = [as_vec(v) for v in vertices]
-        if not vertices:
+        den, points = scale_vecs(vertices)
+        if not points:
             raise PathError("a path needs at least one vertex")
-        d = len(vertices[0])
-        for v in vertices:
-            if len(v) != d:
+        for p in points:
+            if len(p) != len(points[0]):
                 raise DimensionError("path vertices of mixed dimension")
-        self.vertices = tuple(vertices)
+        self._points = tuple(points)
+        self._den = den
         self._integrals = None
+
+    @staticmethod
+    def _scaled(points, den):
+        """The path through the int numerator points over den, in lowest terms."""
+        g = gcd(den, *(n for p in points for n in p))
+        if g > 1:
+            den //= g
+            points = [tuple(n // g for n in p) for p in points]
+        path = PLPath.__new__(PLPath)
+        path._points, path._den, path._integrals = tuple(points), den, None
+        return path
 
     @staticmethod
     def constant(point):
         return PLPath([point])
 
     @property
+    def vertices(self):
+        return tuple(unscale(p, self._den) for p in self._points)
+
+    @property
     def dim(self):
-        return len(self.vertices[0])
+        return len(self._points[0])
 
     @property
     def start(self):
-        return self.vertices[0]
+        return unscale(self._points[0], self._den)
 
     @property
     def end(self):
-        return self.vertices[-1]
+        return unscale(self._points[-1], self._den)
 
     @property
     def closed(self):
-        return self.start == self.end
-
-    def reversed(self):
-        return PLPath(list(reversed(self.vertices)))
-
-    def translate(self, v):
-        v = as_vec(v)
-        return PLPath([vadd(w, v) for w in self.vertices])
+        return self._points[0] == self._points[-1]
 
     def pointwise_add(self, other):
         """Pointwise sum of paths on the common refinement of parameters.
@@ -478,53 +548,55 @@ class PLPath:
         """
         if self.dim != other.dim:
             raise DimensionError("path dimension mismatch")
-        p, q = _segments(self.vertices), _segments(other.vertices)
+        p, q = _segments(self._points), _segments(other._points)
         n, m = len(p) - 1, len(q) - 1
-        grid = n * m // gcd(n, m)
+        grid = lcm(n, m)
         steps = sorted(set(range(0, grid + 1, grid // n)) | set(range(0, grid + 1, grid // m)))
-        return PLPath([vadd(_grid_point(p, k, grid), _grid_point(q, k, grid)) for k in steps])
+        den = lcm(self._den, other._den)
+        sp, sq = den // self._den, den // other._den
+        points = []
+        for k in steps:
+            a, b = _grid_point(p, k, grid), _grid_point(q, k, grid)
+            points.append(tuple(sp * x + sq * y for x, y in zip(a, b)))
+        return PLPath._scaled(points, den * grid)
 
     def __repr__(self):
         pts = ", ".join("(" + ",".join(str(x) for x in v) + ")" for v in self.vertices)
         return f"PLPath[{pts}]"
 
 
-def _segments(vertices):
-    """The vertices of a path, a constant path doubled into one segment."""
-    return vertices if len(vertices) > 1 else vertices * 2
+def _segments(points):
+    """The points of a path, a constant path doubled into one segment."""
+    return points if len(points) > 1 else points * 2
 
 
-def _grid_point(vertices, k, grid):
-    """The point at parameter k/grid of the path with these (at least 2) vertices."""
-    i, r = divmod(k * (len(vertices) - 1), grid)
+def _grid_point(points, k, grid):
+    """grid times the point at parameter k/grid of the path through these (at least 2) points."""
+    i, r = divmod(k * (len(points) - 1), grid)
+    x = points[i]
     if not r:
-        return vertices[i]
-    frac = Fraction(r, grid)
-    return tuple(x + frac * (y - x) for x, y in zip(vertices[i], vertices[i + 1]))
+        return tuple(grid * u for u in x)
+    return tuple(grid * u + r * (w - u) for u, w in zip(x, points[i + 1]))
 
 
 def integrate_path(alpha, path, symbolic=True):
     """Exact line integral of a 1-form over a PL path.
 
     With symbolic=True the path vertices are offsets against a base point x
-    and the result is a PolyTrig in x; otherwise a Scalar.  A path integrated
-    again against the same form object returns its first result.
+    and the result is a PolyTrig in x; otherwise a Scalar.  The segments are
+    one chain for the kernel.  A path integrated again against the same form
+    object returns its first result.
     """
     if alpha.degree != 1:
         raise DegreeError("integrate_path expects a 1-form")
+    if alpha.dim != path.dim:
+        raise DimensionError("form and path live in different spaces")
     key = (alpha, symbolic)
     if path._integrals is None:
         path._integrals = {}
     elif key in path._integrals:
         return path._integrals[key]
-    total = None
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        if a == b:
-            continue
-        seg = AffineSimplex(b, [vsub(b, a)], symbolic=symbolic)
-        val = integrate_simplex(alpha, seg)
-        total = val if total is None else total + val
-    if total is None:
-        total = PolyTrig.zero(alpha.dim) if symbolic else Scalar.zero()
-    path._integrals[key] = total
+    points, den = path._points, path._den
+    cells = [((tuple(map(sub, b, a)),), a, den, 1) for a, b in zip(points, points[1:]) if a != b]
+    total = path._integrals[key] = _iterated_integral(alpha, cells, symbolic, nested=True)
     return total

@@ -202,7 +202,7 @@ class HigherSection:
 
 
 def gerbe_translation_section(gerbe, v):
-    seg = AffineSimplex.from_edges([as_vec(v)])
+    seg = AffineSimplex.from_edges([v])
     gens = {
         a: integrate_simplex(gerbe.gen_connection(a), seg)
         for a in range(1, gerbe.d + 1)
@@ -240,13 +240,13 @@ def check_section_constraint(gerbe, v, pairs=None, tol=DEFAULT_TOL, section=None
 
 def composition_phase(gerbe, v, vp):
     """Exponent of Pi_{v,v'} = exp(-i int over Delta^2(x; v', v) of B)."""
-    tri = AffineSimplex.from_edges([as_vec(vp), as_vec(v)])
+    tri = AffineSimplex.from_edges([vp, v])
     return -integrate_simplex(gerbe.curving, tri)
 
 
 def associator(gerbe, u, v, w):
     """Exponent of omega_{u,v,w} = exp(i int over Delta^3(x; w, v, u) of H)."""
-    tet = AffineSimplex.from_edges([as_vec(w), as_vec(v), as_vec(u)])
+    tet = AffineSimplex.from_edges([w, v, u])
     return integrate_simplex(gerbe.curvature(), tet)
 
 

@@ -135,7 +135,7 @@ def check_connection(line, tol=DEFAULT_TOL):
 def translation_section(line, v):
     """Exponent of s_A(v) = exp(-i * integral of A over the segment from x - v to x)."""
     A = line.require_connection()
-    seg = AffineSimplex.from_edges([as_vec(v)])
+    seg = AffineSimplex.from_edges([v])
     return -integrate_simplex(A, seg)
 
 
@@ -159,7 +159,7 @@ def check_section_membership(line, v, tol=DEFAULT_TOL, theta=None):
 def two_cocycle(line, v, vp):
     """Exponent of the twisting phase c(v, v'): -int over Delta^2(x; v', v) of dA."""
     B = line.curvature()
-    tri = AffineSimplex.from_edges([as_vec(vp), as_vec(v)])
+    tri = AffineSimplex.from_edges([vp, v])
     return -integrate_simplex(B, tri)
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, FrequencyError
 from .scalar import DEFAULT_TOL, Scalar, cos2pi, rational_str, sin2pi
-from .vectors import int_if_integral
+from .vectors import int_if_integral, scale_vecs
 
 MODE_NONE = 0
 MODE_COS = 1
@@ -399,7 +399,7 @@ class PolyTrig:
 
     def _pullback(self, lin, trans, in_dim):
         """f(L y + t); lin has shape (self.dim, in_dim), lin and trans are rational."""
-        return _Rows(lin, trans, in_dim).pull(self)
+        return _Rows.rational(lin, trans, in_dim).pull(self)
 
     def expand_phases(self):
         """Canonical user-level form: no rational phases remain in any term."""
@@ -574,44 +574,50 @@ def _put_at(acc, a, b, r, alpha, mode, freq, phase, c):
 
 
 class _Rows:
-    """The rows x_i = sum_j lin[i][j] y_j + trans[i] of a rational affine map.
+    """The rows x_i = (sum_j lin[i][j] y_j + trans[i]) / den of a rational affine map.
 
-    Row i is an int polynomial in y (a dict exponent tuple -> int) over its
-    own denominator D_i, so its e-th power is an int polynomial over D_i**e.
-    Powers are built once each, by repeated multiplication with the row, and
-    the products prod_i row_i**alpha_i and the pulled frequencies are kept
-    per monomial and per frequency: one _Rows serves every term of every
-    function pulled back along the same map.
+    lin and trans hold ints over the one positive int den.  Row i is an int
+    polynomial in y (a dict exponent tuple -> int) over its own denominator
+    D_i, den in lowest terms against the row, so its e-th power is an int
+    polynomial over D_i**e.  Powers are built once each, by repeated
+    multiplication with the row, and the products prod_i row_i**alpha_i and
+    the pulled frequencies are kept per monomial and per frequency: one _Rows
+    serves every term of every function pulled back along the same map.
     """
 
-    __slots__ = ("lin", "trans", "in_dim", "zeros", "_powers", "_products", "_freqs")
+    __slots__ = ("lin", "trans", "den", "in_dim", "zeros", "_powers", "_products", "_freqs")
 
-    def __init__(self, lin, trans, in_dim):
-        """lin and trans hold ints and Fractions; lin has shape (len(trans), in_dim)."""
+    def __init__(self, lin, trans, in_dim, den):
         if len(trans) != len(lin):
             raise DimensionError("translation length does not match linear part")
         self.lin = lin
         self.trans = trans
+        self.den = den
         self.in_dim = in_dim
         self.zeros = (0,) * in_dim
         self._powers = {}
         self._products = {}
         self._freqs = {}
 
+    @staticmethod
+    def rational(lin, trans, in_dim):
+        """The rows of y -> lin y + trans for lin and trans of ints and Fractions."""
+        den, scaled = scale_vecs([*lin, trans])
+        return _Rows(scaled[:-1], scaled[-1], in_dim, den)
+
     def _row(self, i):
         """Row i as (int polynomial, denominator)."""
-        row, t = self.lin[i], self.trans[i]
-        den = 1
-        for q in (*row, t):
-            if q.__class__ is not int:
-                den = den * q.denominator // _math.gcd(den, q.denominator)
+        row, t, den = self.lin[i], self.trans[i], self.den
+        g = _math.gcd(den, t, *row)
+        if g > 1:
+            row, t, den = [v // g for v in row], t // g, den // g
         zeros = self.zeros
         poly = {}
         for j, v in enumerate(row):
             if v:
-                poly[zeros[:j] + (1,) + zeros[j + 1 :]] = _over(v, den)
+                poly[zeros[:j] + (1,) + zeros[j + 1 :]] = v
         if t:
-            poly[zeros] = _over(t, den)
+            poly[zeros] = t
         return poly, den
 
     def _power(self, i, e):
@@ -641,11 +647,13 @@ class _Rows:
         """q.(L y + t) + phase = (L^T q).y + (q.t + phase): the pulled (frequency, phase)."""
         got = self._freqs.get(freq)
         if got is None:
+            den = self.den
             nf = tuple(
-                sum(f * row[j] for f, row in zip(freq, self.lin) if f)
+                _ratio(sum(f * row[j] for f, row in zip(freq, self.lin) if f), den)
                 for j in range(self.in_dim)
             )
-            got = self._freqs[freq] = (nf, sum(f * t for f, t in zip(freq, self.trans) if f))
+            shift = _ratio(sum(f * t for f, t in zip(freq, self.trans) if f), den)
+            got = self._freqs[freq] = (nf, shift)
         nf, shift = got
         return nf, phase + shift
 
@@ -664,9 +672,13 @@ class _Rows:
         return acc.done()
 
 
-def _over(q, den):
-    """The int q * den for a rational q whose denominator divides den."""
-    return q * den if q.__class__ is int else q.numerator * (den // q.denominator)
+def _ratio(n, den):
+    """The rational n / den for an int or Fraction n and an int den > 0, an int where integral."""
+    if den == 1:
+        return n
+    if n.__class__ is int:
+        return n // den if not n % den else Fraction(n, den)
+    return int_if_integral(n / den)
 
 
 def _poly_mul(p, q):
@@ -732,8 +744,9 @@ def translate(f, v):
     d = f.dim
     if len(v) != d:
         raise DimensionError(f"shift of length {len(v)} for a function on R^{d}")
-    ident = [[int(i == j) for j in range(d)] for i in range(d)]
-    return _Rows(ident, [-_rational(x) for x in v], d).pull(f).expand_phases()
+    den, (shift,) = scale_vecs([[-_rational(x) for x in v]])
+    ident = [[den * (i == j) for j in range(d)] for i in range(d)]
+    return _Rows(ident, shift, d, den).pull(f).expand_phases()
 
 
 def constant_mod_free(f, tol=DEFAULT_TOL):

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .forms import AffineSimplex, Form, PLPath, integrate_simplex
+from .forms import AffineSimplex, Form, PLPath, integrate_chain, integrate_simplex
 from .gerbes import GerbeData
 from .magnetic import LineData
 from .polytrig import PolyTrig, translate
@@ -86,12 +86,7 @@ def stokes_sample(rnd, d, k):
 
 def stokes_defect(omega, simplex):
     """integral of d(omega) minus the boundary integral; must vanish."""
-    lhs = integrate_simplex(omega.d(), simplex)
-    rhs = None
-    for face in simplex.boundary():
-        val = integrate_simplex(omega, face)
-        rhs = val if rhs is None else rhs + val
-    return lhs - rhs
+    return integrate_simplex(omega.d(), simplex) - integrate_chain(omega, simplex.boundary())
 
 
 def rand_based_path(rnd, d, segments=2, num=2, dens=(1, 2, 3)):

@@ -3,11 +3,17 @@
 A rational entry is an int when integral and a Fraction otherwise.  Since
 n == Fraction(n), hash(n) == hash(Fraction(n)) and both print alike, the two
 forms are interchangeable as values, keys and labels; ints are just faster.
+
+Geometry that is built once and read many times (simplices, PL paths) keeps
+its points integer-scaled instead: int numerator tuples over one positive
+denominator (scale_vecs), so differences, sums and determinants of its
+points run in int arithmetic; unscale gives back the rational vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def int_if_integral(q):
@@ -21,6 +27,26 @@ def int_if_integral(q):
 
 def as_vec(v):
     return tuple(map(int_if_integral, v))
+
+
+def scale_vecs(vecs):
+    """(den, numerators): the rational vectors as int tuples over their least
+    common positive denominator."""
+    rows = [tuple(map(int_if_integral, v)) for v in vecs]
+    den = lcm(*(q.denominator for row in rows for q in row if q.__class__ is not int))
+    if den == 1:
+        return 1, rows
+    return den, [
+        tuple(q * den if q.__class__ is int else q.numerator * (den // q.denominator) for q in row)
+        for row in rows
+    ]
+
+
+def unscale(v, den):
+    """The rational vector v / den of int numerators v, entries ints where integral."""
+    if den == 1:
+        return v
+    return tuple(n // den if not n % den else Fraction(n, den) for n in v)
 
 
 def vadd(a, b):

@@ -105,8 +105,9 @@ def test_odd_numbers_are_config_errors(tmp_path):
 
 
 def test_huge_exponent_is_a_config_error(tmp_path):
-    # '^' multiplies n - 1 times, so an unbounded n is unbounded work
-    for text in ("x1^20001", "pi^-20001"):
+    # '^' multiplies n - 1 times, so an unbounded n is unbounded work; a chain
+    # of bounded exponents multiplies them, so the degree of a term is bounded too
+    for text in ("x1^20001", "pi^-20001", "x1^10000^10000", "((x1^100)^100)^100"):
         code, err, seconds = _run_text(
             tmp_path, "check-connection", _with("zero_line", cocycle={"1": text})
         )

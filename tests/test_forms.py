@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from torusgauge.forms import (
     Form,
     PLPath,
     integrate_box,
+    integrate_chain,
     integrate_path,
     integrate_simplex,
 )
@@ -225,7 +227,8 @@ def test_integration_linear_and_orientation():
         a = integrate_simplex(w1 + w2, s)
         b = integrate_simplex(w1, s) + integrate_simplex(w2, s)
         assert a == b
-        assert integrate_simplex(w1, s.reversed()) == -integrate_simplex(w1, s)
+        opposite = AffineSimplex(s.top, s.edges, sign=-1)
+        assert integrate_simplex(w1, opposite) == -integrate_simplex(w1, s)
 
 
 def test_integration_naturality_under_translation():
@@ -236,7 +239,7 @@ def test_integration_naturality_under_translation():
         s = rand_simplex(r, 3, 2, den=2)
         v = rand_vector(r, 3, num=2, dens=(1, 2))
         lhs = integrate_simplex(w.translate(v), s)
-        rhs = integrate_simplex(w, s.translate([-x for x in v]))
+        rhs = integrate_simplex(w, AffineSimplex(vsub(s.top, v), s.edges))
         assert lhs == rhs
 
 
@@ -277,6 +280,118 @@ def test_simplex_integral_makes_one_pass_per_axis(monkeypatch):
 
 def _poly_part(f):
     return PolyTrig(f.dim, {key: c for key, c in f.terms.items() if key[1] == MODE_NONE})
+
+
+def test_boundary_chain_makes_one_pass_per_axis_in_total(monkeypatch):
+    # every face of the boundary has trig dependence on its parameters; one
+    # face alone takes k - 1 passes, the chain of k + 1 faces too
+    passes = [0]
+    orig = PolyTrig.antiderivative
+
+    def counting(self, *args):
+        passes[0] += 1
+        return orig(self, *args)
+
+    monkeypatch.setattr(PolyTrig, "antiderivative", counting)
+    for d in (2, 3):
+        for k in range(2, d + 1):
+            wave = PolyTrig.cos_freq(d, (1,) * d) + PolyTrig.sin_freq(d, (2,) + (0,) * (d - 1))
+            omega = Form(d, k - 1, {idx: wave for idx in combinations(range(d), k - 1)})
+            edges = [tuple(1 + (i * j + j) % 3 for i in range(d)) for j in range(k)]
+            for top, symbolic in ((vzero(d), True), (tuple(range(d)), False)):
+                faces = AffineSimplex(top, edges, symbolic=symbolic).boundary()
+                passes[0] = 0
+                by_face = [integrate_simplex(omega, f) for f in faces]
+                assert passes[0] == (k + 1) * (k - 1), (d, k)
+                passes[0] = 0
+                got = integrate_chain(omega, faces)
+                assert passes[0] == k - 1, (d, k)
+                want = _chain_sum(by_face)
+                assert got.is_exact() if symbolic else got.is_exact
+                assert got == want if symbolic else (got.num, got.den) == (want.num, want.den)
+
+
+# ---------------------------------------------------------------------------
+# chains
+
+
+def _chain_sum(values):
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    return total
+
+
+def _rand_chain(r, d, k, symbolic):
+    """(form, chain): cells with edges over one denominator D in 1..7, tops
+    over 1, 2 or 4, and mixed signs.  Trig frequencies are multiples of D, so
+    every pullback stays on the integer frequency lattice and every phase
+    has a denominator dividing 4: the integrals stay exact."""
+    den = r.randint(1, 7)
+    omega = rand_form(r, d, k, freq_step=den)
+    if r.random() < 0.3:
+        omega = Form(d, k, {i: _poly_part(f) for i, f in omega.comps.items()})
+    chain = []
+    for _ in range(r.randint(1, 4)):
+        edges = [tuple(Fraction(r.randint(-3, 3), den) for _ in range(d)) for _ in range(k)]
+        top = rand_vector(r, d, num=3, dens=(1, 2, 4))
+        chain.append(AffineSimplex(top, edges, symbolic=symbolic, sign=r.choice((1, -1))))
+    return omega, chain
+
+
+def test_chain_integral_is_the_sum_over_its_cells():
+    r = rng(34)
+    cases = 0
+    for d in (2, 3):
+        for k in (1, 2, 3):
+            if k > d:
+                continue
+            for symbolic in (True, False):
+                for _ in range(6):
+                    omega, chain = _rand_chain(r, d, k, symbolic)
+                    got = integrate_chain(omega, chain)
+                    want = _chain_sum([integrate_simplex(omega, s) for s in chain])
+                    if symbolic:
+                        assert got == want, (d, k)
+                    else:
+                        assert got.is_exact and (got.num, got.den) == (want.num, want.den), (d, k)
+                    cases += 1
+    assert cases == 60
+
+
+def test_chain_needs_one_kind_of_base():
+    A = rand_form(rng(36), 2, 1)
+    x = AffineSimplex((0, 0), [(1, 0)])
+    p = AffineSimplex((0, 0), [(1, 0)], symbolic=False)
+    with pytest.raises(ValueError):
+        integrate_chain(A, [x, p])
+    with pytest.raises(ValueError):
+        integrate_chain(A, [])
+    with pytest.raises(DegreeError):
+        integrate_chain(A, [AffineSimplex((0, 0), [(1, 0), (0, 1)])])
+
+
+def test_path_integral_is_the_sum_over_its_segments():
+    r = rng(37)
+    for d in (2, 3):
+        for _ in range(6):
+            den = r.randint(1, 7)
+            A = rand_form(r, d, 1, freq_step=den)
+            verts = [rand_vector(r, d, num=3, dens=(1, 2, 4))]
+            for _ in range(r.randint(1, 4)):
+                step = tuple(Fraction(r.randint(-3, 3), den) for _ in range(d))
+                verts.append(vadd(verts[-1], step))
+            for symbolic in (True, False):
+                segments = [
+                    integrate_simplex(A, AffineSimplex(b, [vsub(b, a)], symbolic=symbolic))
+                    for a, b in zip(verts, verts[1:])
+                ]
+                got = integrate_path(A, PLPath(verts), symbolic=symbolic)
+                want = _chain_sum(segments)
+                if symbolic:
+                    assert got == want
+                else:
+                    assert got.is_exact and (got.num, got.den) == (want.num, want.den)
 
 
 # ---------------------------------------------------------------------------
@@ -333,34 +448,35 @@ def test_path_reversal_and_concat():
     b = integrate_path(A, q, symbolic=False)
     tot = integrate_path(A, PLPath(p.vertices + q.vertices[1:]), symbolic=False)
     assert (a + b - tot).is_zero()
-    assert (integrate_path(A, p.reversed(), symbolic=False) + a).is_zero()
+    assert (integrate_path(A, PLPath(p.vertices[::-1]), symbolic=False) + a).is_zero()
 
 
 def test_path_integral_is_computed_once_per_path_form_and_base(monkeypatch):
     import torusgauge.forms as forms
 
     calls = []
+    kernel = forms._iterated_integral
 
-    def counting(omega, simplex):
-        calls.append(simplex)
-        return integrate_simplex(omega, simplex)
+    def counting(omega, cells, symbolic, nested):
+        calls.append(len(cells))
+        return kernel(omega, cells, symbolic, nested)
 
-    monkeypatch.setattr(forms, "integrate_simplex", counting)
+    monkeypatch.setattr(forms, "_iterated_integral", counting)
     r = rng(31)
     A, A2 = rand_form(r, 2, 1), rand_form(r, 2, 1)
     verts = [(0, 0), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 3))]
     path = PLPath(verts)
     first = integrate_path(A, path)
-    assert len(calls) == 2  # one kernel call per segment
+    assert calls == [2]  # one kernel call, its chain of two segments
     assert integrate_path(A, path) is first
-    assert len(calls) == 2
+    assert len(calls) == 1
     # another form, the other base, or a fresh path with equal vertices compute again
     integrate_path(A2, path)
-    assert len(calls) == 4
+    assert len(calls) == 2
     integrate_path(A, path, symbolic=False)
-    assert len(calls) == 6
+    assert len(calls) == 3
     again = integrate_path(A, PLPath(verts))
-    assert len(calls) == 8
+    assert len(calls) == 4
     assert again is not first and (again - first).is_zero()
 
 

@@ -14,7 +14,7 @@ from math import prod
 
 import pytest
 
-from torusgauge.forms import AffineSimplex, Form, integrate_box, integrate_simplex
+from torusgauge.forms import AffineSimplex, Form, integrate_box, integrate_chain, integrate_simplex
 from torusgauge.polytrig import MODE_COS, MODE_NONE, PolyTrig
 from torusgauge.scalar import Scalar
 from torusgauge.vectors import vsub
@@ -136,3 +136,21 @@ def test_trig_integrals_match_sympy():
     got, want = _simplex_case(alpha, [(2, 1)], (0, 0), symbolic=True)
     diff = sympy.expand(sympy.expand_trig(_result(got) - want))
     assert sympy.simplify(diff) == 0
+
+
+def test_boundary_chain_matches_sympy():
+    # the signed faces of a tetrahedron in one integrate_chain against the sum
+    # of sympy's integrals over the faces, each by its own vertices
+    r = random.Random(72)
+    for symbolic in (True, False):
+        omega = _poly_form(r, 3, 2)
+        edges = [_vector(r, 3) for _ in range(3)]
+        simplex = AffineSimplex(_vector(r, 3), edges, symbolic=symbolic)
+        got = integrate_chain(omega, simplex.boundary())
+        verts = simplex.vertices()
+        want = 0
+        for j in range(4):
+            face = verts[:j] + verts[j + 1 :]
+            frame = [vsub(v, face[0]) for v in face[1:]]
+            want += (-1) ** j * _oracle(omega, face[0], frame, True, symbolic)
+        assert sympy.expand(_result(got) - want) == 0, symbolic
