@@ -21,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cohomology import GroupCochain, is_cocycle
+from .cohomology import is_cocycle, simplex_cochain
 from .errors import QuantizationError, SizeLimitError, TorusGaugeError
 from .expr import MAX_COUNT, parse_expr, read_rational
 from .forms import Form, PLPath
@@ -48,7 +48,6 @@ from .magnetic import (
     lift_equivalence_check,
     lift_product,
     translation_section,
-    two_cocycle,
     verify_projective_relation,
 )
 from .polytrig import PolyTrig, constant_mod_free, translate
@@ -299,7 +298,7 @@ def cmd_pentagon(scn, rnd, tol, values):
         om = associator(scn.data, e1, e2, e3)
         res = constant_mod_free(om, tol)
         values["associator_e1_e2_e3"] = str(om) if res is None else str(res)
-        reports.append(pentagon_check(scn.data, e1, e2, e3, tol))
+        reports.append(pentagon_check(scn.data, e1, e2, e3, tol, omega=om))
     agg = CheckReport("pentagon_relation")
     for _ in range(n):
         u, v, w = _sample_vectors(rnd, d, 3)
@@ -364,9 +363,9 @@ def cmd_cohomology(scn, rnd, tol, values):
     d = scn.data.d
     n = _count_param(scn, "samples", DEFAULT_COHOMOLOGY_SAMPLES)
     if scn.kind == "line":
-        cochain = GroupCochain(2, d, lambda args: two_cocycle(scn.data, *args))
+        twist = simplex_cochain(2, d, -1)  # the chain of two_cocycle
         samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(3)) for _ in range(n)]
-        return [is_cocycle(cochain, samples, tol, identity="twist_cocycle")]
+        return [is_cocycle(twist, scn.data.curvature(), samples, tol, identity="twist_cocycle")]
     samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(4)) for _ in range(n)]
     return [associator_cocycle_check(scn.data, samples, tol)]
 

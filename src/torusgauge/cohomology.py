@@ -1,31 +1,31 @@
-"""Group cochains on the translation group valued in U(1) functions.
+"""Group cochains on the translation group, valued in chains of simplices.
 
-A degree-n cochain maps n-tuples of translation vectors to the exponent theta
-(a PolyTrig) of a U(1) function exp(i*theta), so the group law of U(1) is
-addition of exponents.  The module action is rho_v theta = theta(. - v) (the
-same shift convention used by the magnetic translation operators), and the
-inhomogeneous differential is the alternating sum
+A degree-n cochain maps n-tuples of translation vectors to a chain: a list of
+signed symbolic AffineSimplex cells whose integral against a form omega is
+the exponent of a U(1) function.  Every cochain the checker samples is plus
+or minus the integral of omega over Delta^n(x; v_n, ..., v_1) (see
+simplex_cochain).  The module action rho_v theta = theta(. - v) moves each
+cell's top vertex by -v, and the inhomogeneous differential
 
-    (delta c)(v_1, ..., v_{n+1}) =
-        rho_{v_1} c(v_2, ..., v_{n+1})
-        + sum_i (-1)^i c(v_1, ..., v_i + v_{i+1}, ..., v_{n+1})
-        + (-1)^{n+1} c(v_1, ..., v_n).
+    (delta c)(v_1, ..., v_{n+1}) = rho_{v_1} c(v_2, ..., v_{n+1})
+        + sum_i (-1)^i c(..., v_i + v_{i+1}, ...) + (-1)^{n+1} c(v_1, ..., v_n)
 
-Cochains are sampled on explicit tuples, not symbolic in the group variables:
-the group is continuous and every identity checked here is pointwise in it.
-Evaluators must be pure; samples may be checked in any order.
+is a chain too, a minus sign flipping each cell's sign.  Integration commutes
+with both, so each sampled identity is one integrate_chain call: one kernel
+pass per sample.  Cochains are sampled on explicit tuples (every identity is
+pointwise in the continuous group), and evaluators must be pure.
 """
 
 from __future__ import annotations
 
-from .polytrig import translate
+from .forms import AffineSimplex, integrate_chain
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL
-from .vectors import as_vec, vadd
+from .vectors import as_vec, vadd, vsub, vzero
 
 
 class GroupCochain:
-    """Degree-n cochain: evaluator on n-tuples of rational vectors."""
+    """Degree-n cochain: evaluator from n-tuples of rational vectors to chains."""
 
     __slots__ = ("degree", "dim", "evaluator")
 
@@ -38,34 +38,36 @@ class GroupCochain:
 
     def __call__(self, *args):
         if len(args) != self.degree:
-            raise ValueError(
-                f"degree-{self.degree} cochain called with {len(args)} arguments"
-            )
+            raise ValueError(f"degree-{self.degree} cochain called with {len(args)} arguments")
         return self.evaluator(tuple(as_vec(v) for v in args))
 
 
+def simplex_cochain(degree, dim, sign=1):
+    """(v_1, ..., v_n) -> the chain of sign * Delta^n(x; v_n, ..., v_1)."""
+    top = vzero(dim)
+    return GroupCochain(degree, dim, lambda args: [AffineSimplex(top, args[::-1], sign=sign)])
+
+
 def coboundary(c):
-    """The inhomogeneous differential; delta(delta(c)) = 0."""
+    """The inhomogeneous differential on chains; delta(delta(c)) integrates to 0."""
     n = c.degree
 
     def ev(args):
-        out = translate(c.evaluator(args[1:]), args[0])
-        sign = -1
-        for i in range(1, n + 1):
-            merged = args[: i - 1] + (vadd(args[i - 1], args[i]),) + args[i + 1 :]
-            term = c.evaluator(merged)
-            out = out + term if sign > 0 else out - term
-            sign = -sign
-        last = c.evaluator(args[:n])
-        return out + last if sign > 0 else out - last
+        v = args[0]
+        chain = [AffineSimplex(vsub(s.top, v), s.edges, sign=s.sign) for s in c.evaluator(args[1:])]
+        faces = [args[:i] + (vadd(args[i], args[i + 1]),) + args[i + 2 :] for i in range(n)]
+        for i, face in enumerate(faces + [args[:n]]):
+            term = c.evaluator(face)
+            chain += term if i % 2 else [-s for s in term]
+        return chain
 
     return GroupCochain(n + 1, c.dim, ev)
 
 
-def is_cocycle(c, samples, tol=DEFAULT_TOL, identity="cochain_cocycle"):
-    """delta(c) is a constant in 2*pi*Z on every sampled (n+1)-tuple."""
+def is_cocycle(c, omega, samples, tol=DEFAULT_TOL, identity="cochain_cocycle"):
+    """The integral of omega over delta(c) is in 2*pi*Z on every sampled (n+1)-tuple."""
     dc = coboundary(c)
     report = CheckReport(identity)
     for args in samples:
-        phase_item(report, vec_label(*map(as_vec, args)), dc(*args), tol)
+        phase_item(report, vec_label(*map(as_vec, args)), integrate_chain(omega, dc(*args)), tol)
     return report

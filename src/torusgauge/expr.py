@@ -10,13 +10,13 @@
 Numbers are integers, rationals p/q, or decimal/scientific literals; decimal
 literals are read exactly as rationals.  Exponents are unsigned except on
 'pi', where a negative exponent is allowed (antiderivatives produce 1/(2*pi)
-coefficients); an exponent above MAX_COUNT is a syntax error, and so is a
+coefficients); an exponent above MAX_COUNT is a syntax error, and so are a
 term whose degree in a variable exceeds MAX_COUNT however it got there
-(x1^100^100, (x1^100)^100, x1^6000*x1^6000).  Arguments of
-cos/sin/exp2pii must be affine with integer frequencies: 2*pi*(k.x + c) with
-k in Z^d.  exp2pii is expanded through a complex intermediate, and only
-there: a real value carries no imaginary part.  The overall expression must
-be real-valued.
+(x1^100^100, (x1^100)^100, x1^6000*x1^6000) and a power of a number past the
+digit limit (3^10000^300).  Arguments of cos/sin/exp2pii must be affine with
+integer frequencies: 2*pi*(k.x + c) with k in Z^d.  exp2pii is expanded
+through a complex intermediate, and only there: a real value carries no
+imaginary part.  The overall expression must be real-valued.
 
 The text is tokenized whole, then read in one pass (_Reader); the value is
 the PolyTrig that evaluating the grammar tree with PolyTrig ring ops, left to
@@ -45,6 +45,7 @@ from .scalar import Scalar
 # degree in a variable of a term in an expression.  A config over it is a
 # config error.
 MAX_COUNT = 10_000
+_LOG10_2 = math.log10(2)
 
 # One token per match, after optional whitespace: a number, a variable, a
 # name or an operator, or else any other non-space character, which is an
@@ -115,10 +116,12 @@ def read_rational(text):
     return Fraction(text)
 
 
-def _check_digits(text, size):
+def _check_digits(text, size, pos=None):
+    """Refuse a number of size digits past the limit: ValueError, or ExprSyntaxError at pos."""
     limit = sys.get_int_max_str_digits()
     if limit and size > limit:
-        raise ValueError(f"literal {text[:40]!r} exceeds {limit} digits")
+        msg = f"literal {text[:40]!r} exceeds {limit} digits"
+        raise ValueError(msg) if pos is None else ExprSyntaxError(msg, pos)
 
 
 def _number(text, pos):
@@ -349,6 +352,9 @@ class _Reader:
                     if negexp:
                         fpi = -n
                     else:
+                        # fq**n has at least (bit_length - 1) * n * log10(2) digits
+                        bits = max(fq.numerator.bit_length(), fq.denominator.bit_length()) - 1
+                        _check_digits(f"{val}^...^{n}", bits * n * _LOG10_2, pos)
                         fq, fpi, e = fq**n, fpi * n, e * n
                     on_pi = False
                 if v is None:

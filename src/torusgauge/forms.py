@@ -265,6 +265,9 @@ class AffineSimplex:
     def k(self):
         return len(self._edges)
 
+    def __neg__(self):
+        return AffineSimplex._scaled(self._top, self._edges, self._den, self.symbolic, -self.sign)
+
     def _cell(self):
         """The kernel's cell (edges, first vertex, den, sign); points are numerators over den."""
         p = self._top

@@ -29,13 +29,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .cohomology import GroupCochain, is_cocycle
+from .cohomology import coboundary, is_cocycle, simplex_cochain
 from .errors import DegreeError, DimensionError, QuantizationError
-from .forms import AffineSimplex, Form, integrate_box, integrate_simplex
+from .forms import AffineSimplex, Form, integrate_box, integrate_chain, integrate_simplex
 from .polytrig import PolyTrig, translate
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
-from .vectors import as_vec, basis_vec, vadd, vneg, vzero
+from .vectors import as_vec, basis_vec, vneg, vzero
 
 
 def _combine(zero, weighted):
@@ -250,31 +250,23 @@ def associator(gerbe, u, v, w):
     return integrate_simplex(gerbe.curvature(), tet)
 
 
-def pentagon_check(gerbe, u, v, w, tol=DEFAULT_TOL):
-    """Pi_{u,v+w} . Pi_{v,w}(. - u) = omega_{u,v,w} . Pi_{u+v,w} . Pi_{u,v}."""
+def pentagon_check(gerbe, u, v, w, tol=DEFAULT_TOL, omega=None):
+    """Pi_{u,v+w} . Pi_{v,w}(. - u) = omega_{u,v,w} . Pi_{u+v,w} . Pi_{u,v}, i.e.
+    delta(Pi) = omega: one chain integral of B, less omega = associator(gerbe,
+    u, v, w) (computed if None)."""
     u, v, w = as_vec(u), as_vec(v), as_vec(w)
+    if omega is None:
+        omega = associator(gerbe, u, v, w)
+    d_pi = integrate_chain(gerbe.curving, coboundary(simplex_cochain(2, gerbe.d, -1))(u, v, w))
     report = CheckReport("pentagon_relation")
-    lhs = (
-        composition_phase(gerbe, u, vadd(v, w))
-        + translate(composition_phase(gerbe, v, w), u)
-    )
-    rhs = (
-        associator(gerbe, u, v, w)
-        + composition_phase(gerbe, vadd(u, v), w)
-        + composition_phase(gerbe, u, v)
-    )
-    phase_item(report, vec_label(u, v, w), lhs - rhs, tol)
+    phase_item(report, vec_label(u, v, w), d_pi - omega, tol)
     return report
-
-
-def associator_cochain(gerbe):
-    """The associator as a degree-3 group cochain on the translation group."""
-    return GroupCochain(3, gerbe.d, lambda args: associator(gerbe, *args))
 
 
 def associator_cocycle_check(gerbe, quadruples, tol=DEFAULT_TOL):
     """delta(omega) = 1 on the sampled quadruples (group 3-cocycle law)."""
-    return is_cocycle(associator_cochain(gerbe), quadruples, tol, identity="associator_cocycle")
+    omega = simplex_cochain(3, gerbe.d)
+    return is_cocycle(omega, gerbe.curvature(), quadruples, tol, identity="associator_cocycle")
 
 
 def constant_flux_gerbe(m, d=3):

@@ -26,7 +26,8 @@ import cmath
 from fractions import Fraction
 
 from .errors import DimensionError, PathError, TorusGaugeError
-from .forms import AffineSimplex, Form, PLPath, integrate_path, integrate_simplex
+from .cohomology import coboundary, simplex_cochain
+from .forms import AffineSimplex, Form, PLPath, integrate_chain, integrate_path, integrate_simplex
 from .polytrig import PolyTrig, translate
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
@@ -164,15 +165,14 @@ def two_cocycle(line, v, vp):
 
 
 def verify_projective_relation(line, v, vp, tol=DEFAULT_TOL):
-    """s(v) . translate_v s(v') = c(v, v') . s(v+v'), exactly in exponents."""
+    """s(v) . translate_v s(v') = c(v, v') . s(v+v'), exactly in exponents: the
+    section exponents' delta(theta), one chain integral of A, less c."""
     v, vp = as_vec(v), as_vec(vp)
-    report = CheckReport("projective_product")
-    th_v = translation_section(line, v)
-    th_vp = translation_section(line, vp)
-    th_sum = translation_section(line, vadd(v, vp))
+    A = line.require_connection()
+    d_theta = integrate_chain(A, coboundary(simplex_cochain(1, line.d, -1))(v, vp))
     c = two_cocycle(line, v, vp)
-    slack = th_v + translate(th_vp, v) - c - th_sum
-    phase_item(report, vec_label(v, vp), slack, tol)
+    report = CheckReport("projective_product")
+    phase_item(report, vec_label(v, vp), d_theta - c, tol)
     return report, c
 
 

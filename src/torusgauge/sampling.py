@@ -16,7 +16,7 @@ from itertools import combinations
 from .forms import AffineSimplex, Form, PLPath, integrate_chain, integrate_simplex
 from .gerbes import GerbeData
 from .magnetic import LineData
-from .polytrig import PolyTrig, translate
+from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, _Acc, translate
 from .scalar import Scalar
 
 
@@ -42,21 +42,19 @@ def rand_scalar(rnd):
 
 def rand_polytrig(rnd, d, freq_step=1, n_terms=2, max_deg=2):
     """Random exact PolyTrig; trig frequencies are multiples of freq_step."""
-    out = PolyTrig.zero(d)
+    acc = _Acc(d)
+    zeros = (0,) * d
     for _ in range(n_terms):
-        kind = rnd.random()
-        if kind < 0.5:
+        if rnd.random() < 0.5:
             alpha = tuple(rnd.randint(0, max_deg) for _ in range(d))
-            if sum(alpha) > max_deg:
-                alpha = tuple(0 for _ in range(d))
-            out = out + PolyTrig.monomial(d, alpha, rand_scalar(rnd))
+            acc.put(alpha if sum(alpha) <= max_deg else zeros, MODE_NONE, zeros, 0, rand_scalar(rnd))
         else:
             freq = tuple(freq_step * rnd.randint(-1, 1) for _ in range(d))
-            if all(f == 0 for f in freq):
-                freq = tuple(freq_step if i == 0 else 0 for i in range(d))
-            maker = PolyTrig.cos_freq if rnd.random() < 0.5 else PolyTrig.sin_freq
-            out = out + maker(d, freq, rand_scalar(rnd))
-    return out
+            if not any(freq):
+                freq = (freq_step,) + zeros[1:]
+            mode = MODE_COS if rnd.random() < 0.5 else MODE_SIN
+            acc.put(zeros, mode, freq, 0, rand_scalar(rnd))
+    return acc.done()
 
 
 def rand_form(rnd, d, degree, freq_step=1):

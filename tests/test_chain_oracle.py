@@ -1,0 +1,178 @@
+"""The checker's chained identities against the exponent-valued oracle.
+
+Each sampled identity integrates delta of a chain-valued cochain in one
+kernel call (see cohomology).  Here the slack each check decides is compared,
+as a PolyTrig with ==, with the same slack summed from separate integrals and
+translate calls by the oracle coboundary of tests_util (on the float tier,
+float coefficients within DEFAULT_TOL):
+
+  * the line twist, delta(c);
+  * the associator, delta(omega);
+  * the pentagon, delta(Pi) - omega;
+  * the projective relation, delta(theta) - c.
+
+The data are the bundled scenarios, the rand_* generators and the float-tier
+configs under tests/data.  A mutant that flips the sign of one cell of a
+chain must fail the comparison.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from torusgauge import cohomology, gerbes, magnetic
+from torusgauge.cli import load_scenario
+from torusgauge.cohomology import GroupCochain, simplex_cochain
+from torusgauge.gerbes import (
+    associator,
+    associator_cocycle_check,
+    composition_phase,
+    pentagon_check,
+)
+from torusgauge.magnetic import translation_section, two_cocycle, verify_projective_relation
+from torusgauge.sampling import rand_gerbe_data, rand_line_data, rand_vector, rng
+from torusgauge.scalar import DEFAULT_TOL
+from tests_util import coboundary
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _config(path):
+    return lambda: load_scenario(str(ROOT / path)).data
+
+
+# name -> (data builder, denominators of the sampled vectors)
+LINES = {
+    "landau_n1": (_config("scenarios/landau_n1.json"), (1, 2, 3)),
+    "landau_n2": (_config("scenarios/landau_n2.json"), (1, 2, 3)),
+    "rand_line_data": (lambda: rand_line_data(rng(11)), (1, 2, 3)),
+    "tier_f_line": (_config("tests/data/tier_f_line.json"), (5, 7)),
+}
+GERBES = {
+    "constant_flux_m1": (_config("scenarios/constant_flux_m1.json"), (1, 2, 3)),
+    "half_flux_gerbe": (_config("scenarios/half_flux_gerbe.json"), (1, 2, 3)),
+    "rand_gerbe_data": (lambda: rand_gerbe_data(rng(12)), (1, 2, 3)),
+    "tier_f_gerbe": (_config("tests/data/tier_f_gerbe.json"), (5, 7)),
+}
+
+
+def _samples(d, parts, dens, count=4, seed=5):
+    rnd = rng(seed)
+    return [tuple(rand_vector(rnd, d, 3, dens) for _ in range(parts)) for _ in range(count)]
+
+
+def _record_slacks(monkeypatch, module):
+    """The slacks the module's checks hand to phase_item, in order."""
+    slacks = []
+    decide = module.phase_item
+
+    def record(report, label, slack, tol):
+        slacks.append(slack)
+        return decide(report, label, slack, tol)
+
+    monkeypatch.setattr(module, "phase_item", record)
+    return slacks
+
+
+def _twist_cocycle(line, samples):
+    return cohomology.is_cocycle(simplex_cochain(2, line.d, -1), line.curvature(), samples)
+
+
+def _run_twist(monkeypatch, line, samples):
+    got = _record_slacks(monkeypatch, cohomology)
+    _twist_cocycle(line, samples)
+    oracle = coboundary(GroupCochain(2, line.d, lambda args: two_cocycle(line, *args)))
+    return got, [oracle(*args) for args in samples]
+
+
+def _run_associator(monkeypatch, gerbe, samples):
+    got = _record_slacks(monkeypatch, cohomology)
+    associator_cocycle_check(gerbe, samples)
+    oracle = coboundary(GroupCochain(3, gerbe.d, lambda args: associator(gerbe, *args)))
+    return got, [oracle(*args) for args in samples]
+
+
+def _run_pentagon(monkeypatch, gerbe, samples):
+    got = _record_slacks(monkeypatch, gerbes)
+    for u, v, w in samples:
+        pentagon_check(gerbe, u, v, w)
+    oracle = coboundary(GroupCochain(2, gerbe.d, lambda args: composition_phase(gerbe, *args)))
+    return got, [oracle(*args) - associator(gerbe, *args) for args in samples]
+
+
+def _run_projective(monkeypatch, line, samples):
+    got = _record_slacks(monkeypatch, magnetic)
+    for v, vp in samples:
+        verify_projective_relation(line, v, vp)
+    oracle = coboundary(GroupCochain(1, line.d, lambda args: translation_section(line, *args)))
+    return got, [oracle(*args) - two_cocycle(line, *args) for args in samples]
+
+
+# identity -> (data table, tuple length, runner, cells in one chain)
+IDENTITIES = {
+    "twist_cocycle": (LINES, 3, _run_twist, 4),
+    "associator_cocycle": (GERBES, 4, _run_associator, 5),
+    "pentagon": (GERBES, 3, _run_pentagon, 4),
+    "projective": (LINES, 2, _run_projective, 3),
+}
+CASES = [
+    (identity, name)
+    for identity, (table, _, _, _) in IDENTITIES.items()
+    for name in table
+]
+
+
+@pytest.mark.parametrize("identity,name", CASES)
+def test_chained_slack_equals_the_separate_integrals(monkeypatch, identity, name):
+    table, parts, runner, _ = IDENTITIES[identity]
+    build, dens = table[name]
+    data = build()
+    got, want = runner(monkeypatch, data, _samples(data.d, parts, dens))
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert _agree(g, w), (g, w)
+
+
+def _agree(got, want):
+    """got == want; where the float tier enters, the chain sums its float
+    coefficients in another order, so those agree within DEFAULT_TOL."""
+    if got == want:
+        return True
+    return not (got.is_exact() and want.is_exact()) and (got - want).is_zero(DEFAULT_TOL)
+
+
+def _flipping(index):
+    """A mutant coboundary: the sign of cell index of each chain flipped."""
+    real = cohomology.coboundary
+
+    def mutant(c):
+        dc = real(c)
+
+        def ev(args):
+            chain = dc.evaluator(args)
+            chain[index] = -chain[index]
+            return chain
+
+        return GroupCochain(dc.degree, dc.dim, ev)
+
+    return mutant
+
+
+MUTANTS = [
+    (identity, index)
+    for identity, (_, _, _, cells) in IDENTITIES.items()
+    for index in range(cells)
+]
+
+
+@pytest.mark.parametrize("identity,index", MUTANTS)
+def test_a_flipped_cell_fails_the_comparison(monkeypatch, identity, index):
+    table, parts, runner, _ = IDENTITIES[identity]
+    build, dens = next(iter(table.values()))
+    data = build()
+    mutant = _flipping(index)
+    for module in (cohomology, gerbes, magnetic):
+        monkeypatch.setattr(module, "coboundary", mutant)
+    got, want = runner(monkeypatch, data, _samples(data.d, parts, dens))
+    assert len(got) == len(want) == 4
+    assert not all(_agree(g, w) for g, w in zip(got, want))

@@ -11,6 +11,7 @@ from torusgauge.forms import integrate_simplex
 from torusgauge.polytrig import PolyTrig
 from torusgauge.sampling import rng
 from torusgauge.scalar import DEFAULT_TOL, Scalar
+from tests_util import kernel_calls
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -198,6 +199,53 @@ def test_operators_builds_each_matrix_once(monkeypatch, tmp_path, capsys):
     # one matrix per (N, v) with v on the (1/N)-grid of the sums v + v';
     # 308 when each of the 98 pairs builds its three
     assert len(built) <= sum((2 * N - 1) ** 2 for N in (1, 2, 3)) == 35
+
+
+def _kernel_calls(tmp_path, command, scenario, **params):
+    doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    doc["params"] = {**doc["params"], **params}
+    cfg = write_config(tmp_path, doc)
+    with kernel_calls() as calls:
+        code, _ = run_cmd(tmp_path, command, "--config", cfg)
+    assert code == 0
+    return calls[0]
+
+
+@pytest.mark.parametrize("scenario", ["constant_flux_m1", "landau_n1"])
+def test_cohomology_takes_one_kernel_call_per_sample(tmp_path, capsys, scenario):
+    # delta(omega) is 5 tetrahedra and delta(c) 4 triangles: one chain each
+    assert _kernel_calls(tmp_path, "cohomology", scenario, samples=7) == 7
+    capsys.readouterr()
+
+
+def test_pentagon_takes_two_kernel_calls_per_triple(tmp_path, capsys, monkeypatch):
+    import torusgauge.cli as cli
+    import torusgauge.gerbes as gerbes
+
+    omegas = []
+    associator = gerbes.associator
+
+    def counting(*args):
+        omegas.append(args[1:])
+        return associator(*args)
+
+    monkeypatch.setattr(cli, "associator", counting)
+    monkeypatch.setattr(gerbes, "associator", counting)
+    # per triple the chain of delta(Pi) and the associator; (e1, e2, e3)
+    # reuses the associator it reports
+    for n in (2, 5):
+        omegas.clear()
+        assert _kernel_calls(tmp_path, "pentagon", "constant_flux_m1", samples=n) == 2 + 2 * n
+        assert len(omegas) == 1 + n
+        assert omegas.count(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == 1
+    capsys.readouterr()
+
+
+def test_twist2_on_a_line_takes_two_kernel_calls_per_pair(tmp_path, capsys):
+    # the three segments of delta(theta) are one chain, and c one triangle
+    vectors = [["1/2", "0"], ["0", "1/2"], ["1/3", "1/3"], ["1/4", "-1"]]
+    assert _kernel_calls(tmp_path, "twist2", "landau_n1", vectors=vectors) == 2 * 6
+    capsys.readouterr()
 
 
 def test_tolerance_does_not_leak_into_the_next_run(tmp_path, capsys):

@@ -116,3 +116,18 @@ def test_huge_exponent_is_a_config_error(tmp_path):
         assert seconds < 1.0, (text, seconds)
     code, _, _ = _run_text(tmp_path, "check-connection", _with("zero_line", cocycle={"1": "x1^2"}))
     assert code == 1  # a small power still parses; d(x1^2) != 0 = A - A(. + e1)
+
+
+def test_literal_powers_past_the_digit_limit_are_config_errors(tmp_path):
+    # each exponent is within MAX_COUNT, but 3^10000^300 has about 1.4M
+    # digits and 3^10000^10000 about 48 billion: refused before '**' runs
+    for text in ("3^10000^300", "1/3^10000^300", "3^10000^10000", "2*pi*x1 + 7^5000^5000"):
+        code, err, seconds = _run_text(
+            tmp_path, "check-connection", _with("zero_line", cocycle={"1": text})
+        )
+        assert code == 2 and err.startswith("config error:"), (text, err)
+        assert "digits" in err, err
+        assert seconds < 1.0, (text, seconds)
+    # a power that can still be printed parses as before
+    text = _with("zero_line", cocycle={"1": "3^8000"})
+    assert _run_text(tmp_path, "check-connection", text)[0] == 0

@@ -5,7 +5,7 @@ import pytest
 
 from torusgauge.errors import QuantizationError
 from torusgauge.expr import parse_expr
-from torusgauge.forms import AffineSimplex, Form, integrate_simplex
+from torusgauge.forms import AffineSimplex, Form, integrate_chain, integrate_simplex
 from torusgauge.gerbes import (
     GerbeData,
     associator,
@@ -360,20 +360,15 @@ def test_pentagon_on_random_conforming_data(rnd):
 def test_curving_shift_moves_composition_phase_by_coboundary(gerbe_m1, rnd):
     # B -> B + d(Lambda) multiplies Pi_{v,v'} by delta(b) with
     # b(v) = exp(-i int over [x-v, x] of Lambda)
-    from torusgauge.cohomology import GroupCochain, coboundary
+    from torusgauge.cohomology import coboundary, simplex_cochain
 
     lam = Form.one_form(3, {1: F3("x2*x3"), 2: F3("cos(2*pi*x3)")})
     shifted = GerbeData(
         3, gerbe_m1.pair_exponents, gerbe_m1.gen_connections, gerbe_m1.curving + lam.d()
     )
-
-    def b_ev(args):
-        (v,) = args
-        seg = AffineSimplex.from_edges([v])
-        return -integrate_simplex(lam, seg)
-
-    db = coboundary(GroupCochain(1, 3, b_ev))
+    # b(v) is -int over Delta^1(x; v) of Lambda, so delta(b) integrates Lambda
+    db = coboundary(simplex_cochain(1, 3, -1))
     for _ in range(6):
         v, vp = rational_vec3(rnd, dens=(1, 2)), rational_vec3(rnd, dens=(1, 2))
         ratio = composition_phase(shifted, v, vp) - composition_phase(gerbe_m1, v, vp)
-        assert phase_is_one(ratio - db(v, vp))
+        assert phase_is_one(ratio - integrate_chain(lam, db(v, vp)))

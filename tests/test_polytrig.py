@@ -27,7 +27,7 @@ from torusgauge.polytrig import (
 )
 from torusgauge.sampling import rand_form, rand_polytrig, rand_simplex, rng
 from torusgauge.scalar import Scalar
-from tests_util import phase_descends, phase_is_one
+from tests_util import phase_descends, phase_is_one, rand_polytrig_by_add
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -442,6 +442,18 @@ def _scenario_exprs():
                 texts.extend(v.values() if isinstance(v, dict) else [v])
         for text in texts:
             yield parse_expr(text, d)
+
+
+def test_rand_polytrig_matches_its_term_by_term_sum():
+    # one accumulator instead of one __add__ per term: the same draws give
+    # the same function, down to the order of its terms
+    shapes = [(1, {"n_terms": 3, "max_deg": 3}), (2, {}), (3, {"freq_step": 2, "n_terms": 4})]
+    for seed in range(25):
+        for d, kwargs in shapes:
+            a, b = rng(seed), rng(seed)
+            got, want = rand_polytrig(a, d, **kwargs), rand_polytrig_by_add(b, d, **kwargs)
+            assert got == want and list(got.terms) == list(want.terms)
+            assert a.random() == b.random()
 
 
 def _public_results():

@@ -1,8 +1,12 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
-from torusgauge.polytrig import translate
-from torusgauge.reports import CheckReport, phase_item
-from torusgauge.vectors import basis_vec, vneg
+from torusgauge import forms
+from torusgauge.cohomology import GroupCochain
+from torusgauge.polytrig import PolyTrig, translate
+from torusgauge.reports import CheckReport, phase_item, vec_label
+from torusgauge.sampling import rand_scalar
+from torusgauge.vectors import as_vec, basis_vec, vadd, vneg
 
 
 def rational_vec2(rnd, num=3, dens=(1, 2, 3, 4)):
@@ -29,3 +33,73 @@ def phase_descends(theta):
         phase_is_one(translate(theta, vneg(basis_vec(theta.dim, a))) - theta)
         for a in range(1, theta.dim + 1)
     )
+
+
+@contextmanager
+def kernel_calls():
+    """Count the calls of the one integration kernel, forms._iterated_integral,
+    made inside the block: calls[0] after it."""
+    calls = [0]
+    kernel = forms._iterated_integral
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return kernel(*args, **kwargs)
+
+    forms._iterated_integral = counted
+    try:
+        yield calls
+    finally:
+        forms._iterated_integral = kernel
+
+
+# ---------------------------------------------------------------------------
+# oracles: the exponent-valued cochain algebra and the term-by-term sampler
+
+
+def coboundary(c):
+    """delta(c) for a cochain whose evaluator returns exponents (PolyTrigs):
+    rho_v is translate(., v) and the alternating sum is PolyTrig arithmetic."""
+    n = c.degree
+
+    def ev(args):
+        out = translate(c.evaluator(args[1:]), args[0])
+        sign = -1
+        for i in range(1, n + 1):
+            merged = args[: i - 1] + (vadd(args[i - 1], args[i]),) + args[i + 1 :]
+            term = c.evaluator(merged)
+            out = out + term if sign > 0 else out - term
+            sign = -sign
+        last = c.evaluator(args[:n])
+        return out + last if sign > 0 else out - last
+
+    return GroupCochain(n + 1, c.dim, ev)
+
+
+def is_cocycle(c, samples):
+    """delta(c) of an exponent-valued cochain is a constant in 2*pi*Z on every sample."""
+    dc = coboundary(c)
+    report = CheckReport("cochain_cocycle")
+    for args in samples:
+        phase_item(report, vec_label(*map(as_vec, args)), dc(*args))
+    return report
+
+
+def rand_polytrig_by_add(rnd, d, freq_step=1, n_terms=2, max_deg=2):
+    """sampling.rand_polytrig built one PolyTrig.__add__ per term, from the
+    same random draws in the same order."""
+    out = PolyTrig.zero(d)
+    for _ in range(n_terms):
+        kind = rnd.random()
+        if kind < 0.5:
+            alpha = tuple(rnd.randint(0, max_deg) for _ in range(d))
+            if sum(alpha) > max_deg:
+                alpha = tuple(0 for _ in range(d))
+            out = out + PolyTrig.monomial(d, alpha, rand_scalar(rnd))
+        else:
+            freq = tuple(freq_step * rnd.randint(-1, 1) for _ in range(d))
+            if all(f == 0 for f in freq):
+                freq = tuple(freq_step if i == 0 else 0 for i in range(d))
+            maker = PolyTrig.cos_freq if rnd.random() < 0.5 else PolyTrig.sin_freq
+            out = out + maker(d, freq, rand_scalar(rnd))
+    return out
