@@ -30,6 +30,7 @@ from .polytrig import (
     PolyTrig,
     constant_mod_free,
     pullback_fn,
+    shifted_sum,
     translate,
 )
 from .scalar import Scalar, cos2pi, sin2pi
@@ -57,6 +58,7 @@ __all__ = [
     "parse_expr",
     "print_expr",
     "pullback_fn",
+    "shifted_sum",
     "sin2pi",
     "translate",
 ]

@@ -20,6 +20,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .cohomology import is_cocycle, simplex_cochain
 from .errors import QuantizationError, SizeLimitError, TorusGaugeError
@@ -50,7 +51,7 @@ from .magnetic import (
     translation_section,
     verify_projective_relation,
 )
-from .polytrig import PolyTrig, constant_mod_free, translate
+from .polytrig import PolyTrig, constant_mod_free, shifted_sum
 from .reports import CheckReport, phase_item, vec_label
 from .sampling import (
     rand_based_path,
@@ -283,7 +284,7 @@ def cmd_twist3(scn, rnd, tol, values):
         om = associator(scn.data, u, v, w)
         phases[key] = str(om)
         for a in range(1, d + 1):
-            step = translate(om, vneg(basis_vec(d, a))) - om
+            step = shifted_sum(d, ((1, om, vneg(basis_vec(d, a))), (-1, om, None)))
             phase_item(rep, f"{key} axis {a}", step, tol)
     values["twist3"] = phases
     return [rep]
@@ -548,8 +549,43 @@ def run(argv=None):
     return status_code
 
 
+def _json_text(value, indent="\n"):
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, for the
+    dicts with str keys, lists, str, int, float, bool and None of a report.
+
+    json.dumps takes its pure-Python encoder whenever an indent is asked for;
+    this writer does the same walk with fewer calls.  Strings go through
+    json's own ASCII escaper and floats through json.dumps, so NaN and
+    Infinity print as before.
+    """
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted(value.items())
+        body = ",".join([inner + _json_str(k) + ": " + _json_text(v, inner) for k, v in items])
+        return "{" + body + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + ",".join([inner + _json_text(v, inner) for v in value]) + indent + "]"
+    raise TypeError(f"cannot write {type(value).__name__} in a report")
+
+
 def _emit(report, args, reports):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _json_text(report)
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -252,6 +252,19 @@ def _degrees(f):
     return out
 
 
+def _check_power_digits(f, n, pos):
+    """Refuse f**n if a coefficient c**n of f would pass the digit limit, by
+    the bound that a literal's power takes: c = p/q has at least
+    (bit_length - 1) * n * log10(2) digits in p**n or q**n."""
+    for part in (f.re, f.im):
+        if part is None:
+            continue
+        for c in part.terms.values():
+            if c.is_exact:
+                bits = max(c.den.bit_length(), *(abs(x).bit_length() for x in c.num.values()))
+                _check_digits(f"(...)^{n}", (bits - 1) * n * _LOG10_2, pos)
+
+
 def _check_degrees(degrees, pos):
     for i, e in enumerate(degrees):
         if e > MAX_COUNT:
@@ -381,6 +394,9 @@ class _Reader:
                     n, _ = self.exponent(False)
                     fdeg = [e * n for e in fdeg]
                     _check_degrees(fdeg, pos)
+                    if not any(fdeg):
+                        # no degree bound applies: bound each coefficient's digits as a literal's
+                        _check_power_digits(f, n, pos)
                     f = f**n
                 if v is not None:
                     # the degree of a product of nonzero functions is the sum

@@ -44,7 +44,7 @@ from math import gcd, lcm
 from operator import add, sub
 
 from .errors import DegreeError, DimensionError, PathError
-from .polytrig import MODE_NONE, PolyTrig, _Acc, _Rows, translate as translate_fn
+from .polytrig import MODE_NONE, PolyTrig, _Acc, _Rows
 from .vectors import basis_vec, det, scale_vecs, unscale, vneg, vzero
 
 
@@ -118,9 +118,6 @@ class Form:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        return Form(self.dim, self.degree, {i: f.scale(c) for i, f in self.comps.items()})
-
     # -- exterior calculus ---------------------------------------------------
 
     def d(self):
@@ -175,17 +172,14 @@ class Form:
 
     def translate(self, v):
         """tau_v^* in the shift convention: coefficients become f(x - v)."""
-        return Form(
-            self.dim,
-            self.degree,
-            {i: translate_fn(f, v) for i, f in self.comps.items()},
-        )
+        return shifted_form_sum(self.dim, self.degree, ((1, self, v),))
 
     def lattice_steps(self):
         """[self(. + e_a) - self for a = 1..dim]; all vanish iff the form descends to T^d."""
+        d, p = self.dim, self.degree
         return [
-            self.translate(vneg(basis_vec(self.dim, a))) - self
-            for a in range(1, self.dim + 1)
+            shifted_form_sum(d, p, ((1, self, vneg(basis_vec(d, a))), (-1, self, None)))
+            for a in range(1, d + 1)
         ]
 
     def __repr__(self):
@@ -196,6 +190,21 @@ class Form:
             dx = "^".join(f"dx{a + 1}" for a in idx) or "1"
             names.append(f"({self.comps[idx]}) {dx}")
         return " + ".join(names)
+
+
+def shifted_form_sum(d, degree, parts):
+    """The sum of k * form(x - shift) over the parts (k, form, shift), each
+    component built in one accumulator: polytrig.shifted_sum componentwise."""
+    accs = {}
+    for k, form, shift in parts:
+        if form.dim != d or form.degree != degree:
+            raise DimensionError("form mismatch in a shifted sum")
+        for idx, f in form.comps.items():
+            acc = accs.get(idx)
+            if acc is None:
+                acc = accs[idx] = _Acc(d)
+            acc.add(f, k, shift)
+    return Form(d, degree, {idx: acc.done() for idx, acc in accs.items()})
 
 
 def _perm_sign(perm):

@@ -12,7 +12,10 @@ Cocycle exponents and connection forms are stored on generators and extended
 multilinearly: phi_{i,j} = sum_{a,b} i_a j_b psi_{ab} and A_i = sum_a i_a A_a.
 The translation section at v is likewise its generator gauges
 g_{e_a} = exp(i int_{[x - v, x]} A_a), extended linearly like A_i:
-g_i = prod_a g_{e_a}^{i_a}.
+g_i = prod_a g_{e_a}^{i_a}.  The extensions are kept as parts (k, f, shift),
+one per generator term, and each sampled identity sums the parts of all its
+(shifted) terms in one polytrig.shifted_sum (forms.shifted_form_sum for the
+connection), so no intermediate phi_{i,j}, A_i or g_i is built.
 Any presentation differing from a word-synthesized one is absorbed by the
 mod-2*pi equality used in every check, and nonconforming data still fails the
 verification suite.
@@ -31,20 +34,24 @@ from fractions import Fraction
 
 from .cohomology import coboundary, is_cocycle, simplex_cochain
 from .errors import DegreeError, DimensionError, QuantizationError
-from .forms import AffineSimplex, Form, integrate_box, integrate_chain, integrate_simplex
-from .polytrig import PolyTrig, translate
+from .forms import (
+    AffineSimplex,
+    Form,
+    integrate_box,
+    integrate_chain,
+    integrate_simplex,
+    shifted_form_sum,
+)
+from .polytrig import PolyTrig, shifted_sum
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
 from .vectors import as_vec, basis_vec, vneg, vzero
 
 
-def _combine(zero, weighted):
-    """zero + sum of x.scale(c) over the (c, x) in weighted with integer c != 0."""
-    acc = zero
-    for c, x in weighted:
-        if c:
-            acc = acc + x.scale(c)
-    return acc
+def _parts(weighted, k, shift):
+    """The parts (k * c, f, shift) of k * sum c f(x - shift) over the (c, f) in
+    weighted with integer c, the terms with c = 0 left out."""
+    return [(k * c, f, shift) for c, f in weighted if c]
 
 
 def _generator_pairs(d):
@@ -80,24 +87,30 @@ class GerbeData:
         self.curving = curving
         self._curvature = None
 
+    def phi_parts(self, i, j, k=1, shift=None):
+        """The shifted_sum parts of k * phi_{i,j}(x - shift) for integer vectors
+        i, j: the bilinear extension sum_{a,b} i_a j_b psi_ab."""
+        weighted = ((i[a - 1] * j[b - 1], psi) for (a, b), psi in self.pair_exponents.items())
+        return _parts(weighted, k, shift)
+
     def phi(self, i, j):
         """Exponent of f_{i,j} for arbitrary integer vectors (bilinear extension)."""
         i = tuple(int(x) for x in i)
         j = tuple(int(x) for x in j)
-        return _combine(
-            PolyTrig.zero(self.d),
-            ((i[a - 1] * j[b - 1], psi) for (a, b), psi in self.pair_exponents.items()),
-        )
+        return shifted_sum(self.d, self.phi_parts(i, j))
 
     def gen_connection(self, a):
         return self.gen_connections.get(a, Form.zero(self.d, 1))
 
+    def connection_parts(self, i, k=1, shift=None):
+        """The shifted_form_sum parts of k * A_i(x - shift) for an integer vector
+        i: the linear extension sum_a i_a A_a."""
+        return _parts(((i[a - 1], A) for a, A in self.gen_connections.items()), k, shift)
+
     def connection(self, i):
         """A_i for an arbitrary integer vector (linear extension)."""
         i = tuple(int(x) for x in i)
-        return _combine(
-            Form.zero(self.d, 1), ((i[a - 1], form) for a, form in self.gen_connections.items())
-        )
+        return shifted_form_sum(self.d, 1, self.connection_parts(i))
 
     def curvature(self):
         """H = dB, computed once per gerbe object."""
@@ -115,12 +128,12 @@ def check_gerbe_cocycle(gerbe, triples, tol=DEFAULT_TOL):
         k = tuple(int(x) for x in k)
         ij = tuple(a + b for a, b in zip(i, j))
         jk = tuple(a + b for a, b in zip(j, k))
-        slack = (
-            gerbe.phi(i, j)
-            + gerbe.phi(ij, k)
-            - gerbe.phi(i, jk)
-            - translate(gerbe.phi(j, k), vneg(as_vec(i)))
-        )
+        slack = shifted_sum(gerbe.d, [
+            *gerbe.phi_parts(i, j),
+            *gerbe.phi_parts(ij, k),
+            *gerbe.phi_parts(i, jk, -1),
+            *gerbe.phi_parts(j, k, -1, vneg(i)),
+        ])
         phase_item(report, vec_label(i, j, k), slack, tol)
     return report
 
@@ -135,15 +148,23 @@ def check_gerbe_connection(gerbe, pairs=None, tol=DEFAULT_TOL):
         ij = tuple(a + b for a, b in zip(i, j))
         phi = gerbe.phi(i, j)
         dphi = Form.one_form(d, {b: phi.partial(b) for b in range(1, d + 1)})
-        rhs = (
-            gerbe.connection(ij)
-            - gerbe.connection(i)
-            - gerbe.connection(j).translate(vneg(as_vec(i)))
-        )
-        report.add(f"cocycle vs connections {vec_label(i, j)}", (dphi - rhs).is_zero(tol))
-    for a, step in enumerate(gerbe.curving.lattice_steps(), 1):
-        dA = gerbe.gen_connection(a).d()
-        report.add(f"curving step along axis {a}", (dA - step).is_zero(tol))
+        # d(phi_{i,j}) - (A_{i+j} - A_i - A_j(. + i))
+        slack = shifted_form_sum(d, 1, [
+            (1, dphi, None),
+            *gerbe.connection_parts(ij, -1),
+            *gerbe.connection_parts(i),
+            *gerbe.connection_parts(j, 1, vneg(i)),
+        ])
+        report.add(f"cocycle vs connections {vec_label(i, j)}", slack.is_zero(tol))
+    B = gerbe.curving
+    for a in range(1, d + 1):
+        # dA_a - (B(. + e_a) - B)
+        slack = shifted_form_sum(d, 2, [
+            (1, gerbe.gen_connection(a).d(), None),
+            (-1, B, vneg(basis_vec(d, a))),
+            (1, B, None),
+        ])
+        report.add(f"curving step along axis {a}", slack.is_zero(tol))
     H = gerbe.curvature()
     for a, step in enumerate(H.lattice_steps(), 1):
         report.add(f"curvature descends along axis {a}", step.is_zero(tol))
@@ -194,11 +215,10 @@ class HigherSection:
         self.v = as_vec(v)
         self.g = dict(g)
 
-    def exponent(self, i):
-        """Exponent of g_i = sum_a i_a (exponent of g_{e_a})."""
-        i = tuple(int(x) for x in i)
-        zero = PolyTrig.zero(len(self.v))
-        return _combine(zero, ((i[a - 1], g) for a, g in self.g.items()))
+    def parts(self, i, k=1, shift=None):
+        """The shifted_sum parts of k * (exponent of g_i)(x - shift) for an
+        integer vector i: sum_a i_a (exponent of g_{e_a})."""
+        return _parts(((i[a - 1], g) for a, g in self.g.items()), k, shift)
 
 
 def gerbe_translation_section(gerbe, v):
@@ -223,17 +243,14 @@ def check_section_constraint(gerbe, v, pairs=None, tol=DEFAULT_TOL, section=None
         section = gerbe_translation_section(gerbe, v)
     for i, j in pairs:
         ij = tuple(a + b for a, b in zip(i, j))
-        th_i = section.exponent(i)
-        th_j = section.exponent(j)
-        th_ij = section.exponent(ij)
-        phi = gerbe.phi(i, j)
-        slack = (
-            phi
-            + th_i
-            + translate(th_j, vneg(as_vec(i)))
-            - th_ij
-            - translate(phi, v)
-        )
+        # phi_{i,j} + g_i + g_j(. + i) - g_{i+j} - phi_{i,j}(. - v)
+        slack = shifted_sum(gerbe.d, [
+            *gerbe.phi_parts(i, j),
+            *section.parts(i),
+            *section.parts(j, 1, vneg(i)),
+            *section.parts(ij, -1),
+            *gerbe.phi_parts(i, j, -1, v),
+        ])
         phase_item(report, vec_label(i, j), slack, tol)
     return report
 

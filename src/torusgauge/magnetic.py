@@ -5,6 +5,9 @@ A line bundle is presented by exponents phi_i of the transition functions
 f_i = exp(i*phi_i) for i in Z^d, stored on the generators and synthesized for
 general i along a fixed axis-ordered word; any two synthesis orders differ by
 the (verified) cocycle slack in 2*pi*Z, which exponential equality absorbs.
+The word is kept as its parts, one shifted generator per step, and each
+sampled identity sums all the shifted terms it compares in one
+polytrig.shifted_sum (forms.shifted_form_sum for 1-forms).
 A connection is a global 1-form A with d(phi_i) = A - A(. + i), and the
 curvature dA descends to the torus automatically.
 
@@ -24,14 +27,23 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from operator import sub
 
 from .errors import DimensionError, PathError, TorusGaugeError
 from .cohomology import coboundary, simplex_cochain
-from .forms import AffineSimplex, Form, PLPath, integrate_chain, integrate_path, integrate_simplex
-from .polytrig import PolyTrig, translate
+from .forms import (
+    AffineSimplex,
+    Form,
+    PLPath,
+    integrate_chain,
+    integrate_path,
+    integrate_simplex,
+    shifted_form_sum,
+)
+from .polytrig import PolyTrig, shifted_sum
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
-from .vectors import as_vec, basis_vec, vadd, vneg, vsub, vzero
+from .vectors import as_vec, basis_vec, vneg, vsub, vzero
 
 GAUGE_NOTE = (
     "connection identities are invariant under adding a constant 1-form to A"
@@ -66,27 +78,33 @@ class LineData:
     def gen(self, axis):
         return self.generators.get(axis, PolyTrig.zero(self.d))
 
-    def phi(self, i):
-        """Exponent of f_i for arbitrary i in Z^d (axis-ordered word synthesis)."""
+    def phi_parts(self, i, k=1, shift=None):
+        """The shifted_sum parts of k * phi_i(x - shift) for i in Z^d: the
+        axis-ordered word, one part per step.  A step s from pos adds
+        phi_s(x + pos), by phi_{pos + s}(x) = phi_pos(x) + phi_s(x + pos), and
+        phi_{-e}(y) = -phi_e(y - e)."""
         i = tuple(int(x) for x in i)
         if len(i) != self.d:
             raise DimensionError("translation vector has wrong length")
-        acc = PolyTrig.zero(self.d)
-        pos = vzero(self.d)
-        for a in range(1, self.d + 1):
-            steps = i[a - 1]
-            if steps == 0:
+        base = vzero(self.d) if shift is None else as_vec(shift)
+        parts = []
+        pos = [0] * self.d
+        for a, steps in enumerate(i):
+            gen = self.generators.get(a + 1)
+            if gen is None:
+                pos[a] += steps
                 continue
-            e = basis_vec(self.d, a)
-            if steps > 0:
-                step_phi, step_vec = self.gen(a), e
-            else:
-                step_phi, step_vec = -translate(self.gen(a), e), vneg(e)
-            for _ in range(abs(steps)):
-                # phi_{pos + s}(x) = phi_pos(x) + phi_s(x + pos)
-                acc = acc + translate(step_phi, vneg(pos))
-                pos = vadd(pos, step_vec)
-        return acc
+            for _ in range(steps):
+                parts.append((k, gen, tuple(map(sub, base, pos))))  # phi_e(x + pos)
+                pos[a] += 1
+            for _ in range(-steps):
+                pos[a] -= 1
+                parts.append((-k, gen, tuple(map(sub, base, pos))))  # -phi_e(x + pos - e)
+        return parts
+
+    def phi(self, i):
+        """Exponent of f_i for arbitrary i in Z^d (axis-ordered word synthesis)."""
+        return shifted_sum(self.d, self.phi_parts(i))
 
     def require_connection(self):
         if self.connection is None:
@@ -106,11 +124,11 @@ def check_line_cocycle(line, pairs, tol=DEFAULT_TOL):
     for i, j in pairs:
         i = tuple(int(x) for x in i)
         j = tuple(int(x) for x in j)
-        slack = (
-            line.phi(i)
-            + translate(line.phi(j), vneg(as_vec(i)))
-            - line.phi(tuple(a + b for a, b in zip(i, j)))
-        )
+        slack = shifted_sum(line.d, [
+            *line.phi_parts(i),
+            *line.phi_parts(j, 1, vneg(i)),
+            *line.phi_parts(tuple(a + b for a, b in zip(i, j)), -1),
+        ])
         phase_item(report, vec_label(i, j), slack, tol)
     return report
 
@@ -125,8 +143,9 @@ def check_connection(line, tol=DEFAULT_TOL):
         lhs = Form.one_form(
             line.d, {b: line.gen(a).partial(b) for b in range(1, line.d + 1)}
         )
-        rhs = A - A.translate(vneg(e))
-        report.add(f"axis {a}", (lhs - rhs).is_zero(tol))
+        # d(phi_e) - (A - A(. + e))
+        slack = shifted_form_sum(line.d, 1, [(1, lhs, None), (-1, A, None), (1, A, vneg(e))])
+        report.add(f"axis {a}", slack.is_zero(tol))
     B = line.curvature()
     for a, step in enumerate(B.lattice_steps(), 1):
         report.add(f"curvature descends along axis {a}", step.is_zero(tol))
@@ -152,7 +171,9 @@ def check_section_membership(line, v, tol=DEFAULT_TOL, theta=None):
     for a in range(1, line.d + 1):
         e = basis_vec(line.d, a)
         phi = line.gen(a)
-        slack = translate(theta, vneg(e)) - theta - phi + translate(phi, v)
+        slack = shifted_sum(
+            line.d, [(1, theta, vneg(e)), (-1, theta, None), (-1, phi, None), (1, phi, v)]
+        )
         phase_item(report, f"axis {a}", slack, tol)
     return report
 
@@ -253,8 +274,8 @@ def lift_product(a, b, line, paths=None):
                 + theta_a(. + e') + theta_b,   e' = gamma'(1),
 
     with I(path)(x) the line integral of A along the path translated to x;
-    by linearity the two translated terms are translated together.  paths,
-    if given, maps vertex tuples to PLPath objects: a sum path with the same
+    the five terms are summed in one shifted_sum.  paths, if given, maps
+    vertex tuples to PLPath objects: a sum path with the same
     vertices as one already there is taken from it, so that products sharing
     it (the two bracketings of a triple) integrate it once.
     """
@@ -267,7 +288,14 @@ def lift_product(a, b, line, paths=None):
     i_total = integrate_path(A, total, symbolic=True)
     i_gamma = integrate_path(A, gamma, symbolic=True)
     i_gamma_p = integrate_path(A, gamma_p, symbolic=True)
-    theta = i_total - translate(i_gamma - a.gauge, vneg(e_p)) - i_gamma_p + b.gauge
+    shift = vneg(e_p)
+    theta = shifted_sum(line.d, [
+        (1, i_total, None),
+        (-1, i_gamma, shift),
+        (1, a.gauge, shift),
+        (-1, i_gamma_p, None),
+        (1, b.gauge, None),
+    ])
     return PathSymmetry(total, theta)
 
 

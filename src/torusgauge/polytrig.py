@@ -20,6 +20,11 @@ maps with rational linear part and translation, and antidifferentiation in
 one variable.  All values are immutable after construction and safe to share
 across threads.
 
+Translation is done by fused sums: shifted_sum(d, parts) adds k * f(x - v)
+for each part (k, f, v) straight into one accumulator (_Acc.add), so a
+signed sum of shifted functions, such as the slack of a cocycle identity,
+builds no intermediate PolyTrig; translate(f, v) is the one-part sum.
+
 A U(1)-valued function exp(i*theta) is carried as its exponent theta, a
 PolyTrig: products of phases are sums of exponents, and two phases agree when
 their exponent slack is a constant in 2*pi*Z.  constant_mod_free extracts that
@@ -45,8 +50,9 @@ _HALF_SCALAR = Scalar.exact(Fraction(1, 2))
 class _Acc:
     """Accumulator of canonical terms.
 
-    put_terms(), and put() for one term, is the one place where term keys
-    (alpha, mode, freq, phase) are canonicalised.  A polynomial term's key is (alpha, MODE_NONE, (0,)*d, 0).
+    put_terms(), and put() for one term, canonicalises term keys
+    (alpha, mode, freq, phase); add() does so for the shifted terms of a
+    canonical function.  A polynomial term's key is (alpha, MODE_NONE, (0,)*d, 0).
     A trig term has its first nonzero frequency positive and its phase in
     [0, 1/4); each frequency entry and the phase is an int when integral (so
     an integral phase is 0) and a Fraction only when it really is not.  Since
@@ -92,6 +98,64 @@ class _Acc:
             elif neg:
                 c = -c
             self.merge((alpha, mode, freq, phase), c)
+
+    def add(self, f, k=1, shift=None):
+        """Put k * f(x - shift) for an int k and a rational vector shift (None: no shift).
+
+        The shifted monomials come from one _Rows of identity rows.  A trig
+        term keeps its frequency q; its phase gains -q.shift, is reduced with
+        _reduce and expanded away with cos2pi and sin2pi as expand_phases
+        does: the terms of f that land on one phased key are summed first
+        and expanded once, so k = 1 gives translate's floats exactly.
+        """
+        d = self.d
+        if f.dim != d:
+            raise DimensionError(f"dimension mismatch: {d} vs {f.dim}")
+        if not k:
+            return
+        t = None
+        if shift is not None:
+            if len(shift) != d:
+                raise DimensionError(f"shift of length {len(shift)} for a function on R^{d}")
+            t = [-_rational(x) for x in shift]
+            if any(t):
+                den, (t,) = scale_vecs([t])
+            else:
+                t = None
+        merge = self.merge
+        if t is None:
+            for key, c in f.terms.items():
+                merge(key, c if k == 1 else c.scaled(k, 1))
+            return
+        rows = None
+        phased = None  # terms at a nonzero reduced phase, expanded at the end
+        for (alpha, mode, freq, phase), c in f.terms.items():
+            if k != 1:
+                c = c.scaled(k, 1)
+            if any(alpha):
+                if rows is None:
+                    ident = [[den * (i == j) for j in range(d)] for i in range(d)]
+                    rows = _Rows(ident, t, d, den)
+                poly, pden = rows.product(alpha)
+                shifted = [(beta, c.scaled(n, pden)) for beta, n in poly.items()]
+            else:
+                shifted = ((alpha, c),)
+            if mode == MODE_NONE:
+                for beta, cb in shifted:
+                    merge((beta, MODE_NONE, freq, 0), cb)
+                continue
+            phase = phase + _ratio(sum(q * s for q, s in zip(freq, t) if q), den)
+            mode, freq, phase, neg = _reduce(mode, freq, phase)
+            if phase:
+                if phased is None:
+                    phased = _Acc(d)
+                for beta, cb in shifted:
+                    phased.merge((beta, mode, freq, phase), -cb if neg else cb)
+            else:
+                for beta, cb in shifted:
+                    merge((beta, mode, freq, 0), -cb if neg else cb)
+        if phased is not None:
+            _expand_into(self, phased.terms)
 
     def merge(self, key, coeff):
         """Add coeff at the canonical key; a zero coefficient or sum leaves no term."""
@@ -406,18 +470,7 @@ class PolyTrig:
         if all(phase == 0 for (_, _, _, phase) in self.terms):
             return self
         acc = _Acc(self.dim)
-        for key, c in self.terms.items():
-            alpha, mode, freq, phase = key
-            if phase == 0:
-                acc.merge(key, c)
-                continue
-            cd, sd = cos2pi(phase), sin2pi(phase)
-            if mode == MODE_COS:
-                acc.merge((alpha, MODE_COS, freq, 0), c * cd)
-                acc.merge((alpha, MODE_SIN, freq, 0), -(c * sd))
-            else:
-                acc.merge((alpha, MODE_SIN, freq, 0), c * cd)
-                acc.merge((alpha, MODE_COS, freq, 0), c * sd)
+        _expand_into(acc, self.terms)
         return acc.done()
 
     def drop_axes(self, keep):
@@ -540,6 +593,24 @@ class PolyTrig:
         return s
 
     __repr__ = __str__
+
+
+def _expand_into(acc, terms):
+    """Merge the terms into acc with each rational phase p expanded away:
+    cos(a + 2*pi*p) = cos(a) cos(2*pi*p) - sin(a) sin(2*pi*p), and likewise sin."""
+    merge = acc.merge
+    for key, c in terms.items():
+        alpha, mode, freq, phase = key
+        if phase == 0:
+            merge(key, c)
+            continue
+        cd, sd = cos2pi(phase), sin2pi(phase)
+        if mode == MODE_COS:
+            merge((alpha, MODE_COS, freq, 0), c * cd)
+            merge((alpha, MODE_SIN, freq, 0), -(c * sd))
+        else:
+            merge((alpha, MODE_SIN, freq, 0), c * cd)
+            merge((alpha, MODE_COS, freq, 0), c * sd)
 
 
 def _with(t, i, v):
@@ -739,14 +810,19 @@ def pullback_fn(f, m):
     return out
 
 
+def shifted_sum(d, parts):
+    """The sum of k * f(x - shift) over the parts (k, f, shift), built in one
+    accumulator: k an int, f a PolyTrig on R^d, shift a rational vector or
+    None for no shift (see _Acc.add)."""
+    acc = _Acc(d)
+    for k, f, shift in parts:
+        acc.add(f, k, shift)
+    return acc.done()
+
+
 def translate(f, v):
-    """The shifted function x -> f(x - v); frequencies are unchanged."""
-    d = f.dim
-    if len(v) != d:
-        raise DimensionError(f"shift of length {len(v)} for a function on R^{d}")
-    den, (shift,) = scale_vecs([[-_rational(x) for x in v]])
-    ident = [[den * (i == j) for j in range(d)] for i in range(d)]
-    return _Rows(ident, shift, d, den).pull(f).expand_phases()
+    """The shifted function x -> f(x - v), the one-part shifted_sum; frequencies are unchanged."""
+    return shifted_sum(f.dim, ((1, f, v),))
 
 
 def constant_mod_free(f, tol=DEFAULT_TOL):

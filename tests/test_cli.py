@@ -11,7 +11,7 @@ from torusgauge.forms import integrate_simplex
 from torusgauge.polytrig import PolyTrig
 from torusgauge.sampling import rng
 from torusgauge.scalar import DEFAULT_TOL, Scalar
-from tests_util import kernel_calls
+from tests_util import kernel_calls, op_calls
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -668,3 +668,23 @@ def test_curving_that_does_not_descend_fails_along_its_axis(tmp_path, capsys):
         "(1,0,0);(0,1,0);(0,0,1) axis 3": "4/3*pi",
         "(1/2,0,0);(0,1/2,0);(0,0,1/2) axis 3": "23/12*pi",
     }
+
+
+@pytest.mark.parametrize(
+    "command, scenario, pinned",
+    [
+        ("section", "constant_flux_m1", ("add", "scale", "translate")),
+        ("section", "landau_n1", ("add", "scale", "translate")),
+        ("check-cocycle", "constant_flux_m1", ("add", "scale", "translate")),
+        ("check-cocycle", "landau_n1", ("add", "scale", "translate")),
+        ("check-connection", "constant_flux_m1", ("scale", "translate")),
+        ("sym-product", "landau_n1", ("translate",)),
+    ],
+)
+def test_sampled_identities_are_fused_shifted_sums(capsys, command, scenario, pinned):
+    # each identity's slack is one shifted_sum: no chain of translate, scale and +
+    cfg = str(SCENARIOS / f"{scenario}.json")
+    with op_calls() as calls:
+        assert run([command, "--config", cfg, "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert {op: calls[op] for op in pinned} == dict.fromkeys(pinned, 0)

@@ -120,8 +120,12 @@ def test_huge_exponent_is_a_config_error(tmp_path):
 
 def test_literal_powers_past_the_digit_limit_are_config_errors(tmp_path):
     # each exponent is within MAX_COUNT, but 3^10000^300 has about 1.4M
-    # digits and 3^10000^10000 about 48 billion: refused before '**' runs
-    for text in ("3^10000^300", "1/3^10000^300", "3^10000^10000", "2*pi*x1 + 7^5000^5000"):
+    # digits and 3^10000^10000 about 48 billion: refused before '**' runs.
+    # A parenthesised number is an atom of degree 0, which no degree bound
+    # stops: its coefficients take the literal's digit bound
+    texts = ("3^10000^300", "1/3^10000^300", "3^10000^10000", "2*pi*x1 + 7^5000^5000",
+             "(3)^10000^300", "(1/3)^10000^300", "(3)^10000^10000", "(2*pi)^10000^10000")
+    for text in texts:
         code, err, seconds = _run_text(
             tmp_path, "check-connection", _with("zero_line", cocycle={"1": text})
         )
@@ -129,5 +133,6 @@ def test_literal_powers_past_the_digit_limit_are_config_errors(tmp_path):
         assert "digits" in err, err
         assert seconds < 1.0, (text, seconds)
     # a power that can still be printed parses as before
-    text = _with("zero_line", cocycle={"1": "3^8000"})
-    assert _run_text(tmp_path, "check-connection", text)[0] == 0
+    for literal in ("3^8000", "(3)^8000"):
+        text = _with("zero_line", cocycle={"1": literal})
+        assert _run_text(tmp_path, "check-connection", text)[0] == 0

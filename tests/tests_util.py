@@ -1,3 +1,4 @@
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -51,6 +52,35 @@ def kernel_calls():
         yield calls
     finally:
         forms._iterated_integral = kernel
+
+
+@contextmanager
+def op_calls():
+    """Count the calls made inside the block of the whole-PolyTrig operations
+    that shifted sums fuse: {"add": PolyTrig.__add__ (and __radd__),
+    "scale": PolyTrig.scale, "translate": polytrig.translate} after it.
+
+    Calls are matched by code object through a profile hook, so a call is
+    counted under whatever name the caller bound the function to."""
+    codes = {
+        PolyTrig.__add__.__code__: "add",
+        PolyTrig.scale.__code__: "scale",
+        translate.__code__: "translate",
+    }
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            name = codes.get(frame.f_code)
+            if name is not None:
+                counts[name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(previous)
 
 
 # ---------------------------------------------------------------------------
