@@ -124,9 +124,9 @@ def load_scenario(path):
     try:
         if doc.get("schema", 1) != 1:
             raise ConfigError(f"unsupported config schema {doc.get('schema')!r}")
-        d = int(doc["dimension"])
-        if not 1 <= d <= MAX_DIMENSION:
-            raise ConfigError(f"dimension must be in [1, {MAX_DIMENSION}], got {d}")
+        d = doc["dimension"]
+        if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= MAX_DIMENSION:
+            raise ConfigError(f"dimension must be an integer in [1, {MAX_DIMENSION}], got {d!r}")
         kind = doc["kind"]
         name = doc.get("name", "scenario")
         params = _object(doc.get("params", {}), "params")
@@ -153,9 +153,11 @@ def load_scenario(path):
 
 
 def _vectors(scn, default):
-    vecs = scn.params.get("vectors")
-    if not vecs:
+    if "vectors" not in scn.params:
         return default
+    vecs = scn.params["vectors"]
+    if not isinstance(vecs, list) or not vecs or not all(isinstance(v, list) for v in vecs):
+        raise ConfigError(f"params 'vectors' must be a non-empty list of lists, got {vecs!r}")
     try:
         out = [tuple(_coordinate(x) for x in v) for v in vecs]
     except (ValueError, TypeError, OverflowError) as exc:

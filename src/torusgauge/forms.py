@@ -105,18 +105,10 @@ class Form:
         return (self - other).is_zero(tol)
 
     def __add__(self, other):
-        if self.dim != other.dim or self.degree != other.degree:
-            raise DimensionError("form mismatch in +")
-        comps = dict(self.comps)
-        for idx, f in other.comps.items():
-            comps[idx] = comps.get(idx, PolyTrig.zero(self.dim)) + f
-        return Form(self.dim, self.degree, comps)
-
-    def __neg__(self):
-        return Form(self.dim, self.degree, {i: -f for i, f in self.comps.items()})
+        return shifted_form_sum(self.dim, self.degree, ((1, self, None), (1, other, None)))
 
     def __sub__(self, other):
-        return self + (-other)
+        return shifted_form_sum(self.dim, self.degree, ((1, self, None), (-1, other, None)))
 
     # -- exterior calculus ---------------------------------------------------
 
@@ -124,19 +116,13 @@ class Form:
         """Exterior derivative; d(d(.)) vanishes identically."""
         if self.degree >= self.dim:
             return Form(self.dim, self.degree + 1, {})
-        out = {}
+        parts = []
         for idx, f in self.comps.items():
             for a in range(self.dim):
-                if a in idx:
-                    continue
-                df = f.partial(a + 1)
-                if not df.terms:
-                    continue
-                pos = sum(1 for b in idx if b < a)
-                new = tuple(sorted(idx + (a,)))
-                contrib = df if pos % 2 == 0 else -df
-                out[new] = out.get(new, PolyTrig.zero(self.dim)) + contrib
-        return Form(self.dim, min(self.degree + 1, self.dim), out)
+                if a not in idx:
+                    pos = sum(1 for b in idx if b < a)
+                    parts.append((tuple(sorted(idx + (a,))), (-1) ** pos, f.partial(a + 1), None))
+        return _component_sum(self.dim, self.degree + 1, parts)
 
     def wedge(self, other):
         if self.dim != other.dim:
@@ -144,31 +130,28 @@ class Form:
         p, q = self.degree, other.degree
         if p + q > self.dim:
             raise DegreeError(f"wedge degree {p + q} exceeds dimension {self.dim}")
-        out = {}
+        parts = []
         for i1, f1 in self.comps.items():
             for i2, f2 in other.comps.items():
                 if set(i1) & set(i2):
                     continue
                 merged = i1 + i2
                 perm = sorted(range(len(merged)), key=lambda t: merged[t])
-                sign = _perm_sign(perm)
-                new = tuple(sorted(merged))
-                contrib = (f1 * f2) if sign > 0 else -(f1 * f2)
-                out[new] = out.get(new, PolyTrig.zero(self.dim)) + contrib
-        return Form(self.dim, p + q, out)
+                parts.append((tuple(sorted(merged)), _perm_sign(perm), f1 * f2, None))
+        return _component_sum(self.dim, p + q, parts)
 
     def pullback(self, m):
         """Pullback along an AffineMap into dimension m.in_dim."""
         if self.dim != m.out_dim:
             raise DimensionError("map does not land in the form's space")
-        out = {}
         rows = _Rows.rational(m.lin, m.trans, m.in_dim)
+        parts = []
         for J in combinations(range(m.in_dim), self.degree):
             cols = [tuple(row[j] for row in m.lin) for j in J]
-            g = _pulled_coefficient(self, cols, rows).expand_phases()
-            if g.terms:
-                out[J] = g
-        return Form(m.in_dim, self.degree, out)
+            # the coefficient of dt_J is sum_I det(minor_I) f_I o M
+            for I, f in self.comps.items():
+                parts.append((J, det([[e[i] for e in cols] for i in I]), f, rows))
+        return _component_sum(m.in_dim, self.degree, parts)
 
     def translate(self, v):
         """tau_v^* in the shift convention: coefficients become f(x - v)."""
@@ -195,15 +178,24 @@ class Form:
 def shifted_form_sum(d, degree, parts):
     """The sum of k * form(x - shift) over the parts (k, form, shift), each
     component built in one accumulator: polytrig.shifted_sum componentwise."""
-    accs = {}
+    pieces = []
     for k, form, shift in parts:
         if form.dim != d or form.degree != degree:
             raise DimensionError("form mismatch in a shifted sum")
-        for idx, f in form.comps.items():
-            acc = accs.get(idx)
-            if acc is None:
-                acc = accs[idx] = _Acc(d)
-            acc.add(f, k, shift)
+        rows = _Rows.shift(d, shift)
+        pieces.extend((idx, k, f, rows) for idx, f in form.comps.items())
+    return _component_sum(d, degree, pieces)
+
+
+def _component_sum(d, degree, parts):
+    """The degree-form on R^d whose component idx is the sum of k * (f o rows)
+    over the parts (idx, k, f, rows), one accumulator per component (_Acc.add)."""
+    accs = {}
+    for idx, k, f, rows in parts:
+        acc = accs.get(idx)
+        if acc is None:
+            acc = accs[idx] = _Acc(d)
+        acc.add(f, k, rows)
     return Form(d, degree, {idx: acc.done() for idx, acc in accs.items()})
 
 
@@ -308,13 +300,6 @@ class AffineSimplex:
             faces.append(AffineSimplex._scaled(face[-1], edges, self._den, self.symbolic, sgn))
         return faces
 
-    def __repr__(self):
-        kind = "x+" if self.symbolic else ""
-        return (
-            f"Simplex(top={kind}{tuple(map(str, self.top))}, "
-            f"edges={[tuple(map(str, e)) for e in self.edges]}, sign={self.sign})"
-        )
-
 
 def integrate_simplex(omega, simplex):
     """Exact integral of a k-form over an affine k-simplex.
@@ -371,22 +356,6 @@ def integrate_box(omega, edges, base=None, offset=None):
     if any(len(e) != omega.dim for e in edges):
         raise DimensionError("edge vector length mismatch")
     return _iterated_integral(omega, ((edges, p0, den, 1),), symbolic, nested=False)
-
-
-def _pulled_coefficient(omega, cols, rows):
-    """Coefficient sum_I det(minor_I) f_I o M of dt_1^...^dt_k in M^* omega.
-
-    rows is the map M(y) = lin y + trans; cols[j] is the column of lin that
-    t_j multiplies.
-    """
-    g = None
-    for I, f in omega.comps.items():
-        dd = det([[e[i] for e in cols] for i in I])
-        if dd == 0:
-            continue
-        term = rows.pull(f, dd)
-        g = term if g is None else g + term
-    return PolyTrig.zero(rows.in_dim) if g is None else g
 
 
 def _moments(poly, den, toff, nested):
@@ -571,10 +540,6 @@ class PLPath:
             a, b = _grid_point(p, k, grid), _grid_point(q, k, grid)
             points.append(tuple(sp * x + sq * y for x, y in zip(a, b)))
         return PLPath._scaled(points, den * grid)
-
-    def __repr__(self):
-        pts = ", ".join("(" + ",".join(str(x) for x in v) + ")" for v in self.vertices)
-        return f"PLPath[{pts}]"
 
 
 def _segments(points):

@@ -20,10 +20,14 @@ maps with rational linear part and translation, and antidifferentiation in
 one variable.  All values are immutable after construction and safe to share
 across threads.
 
-Translation is done by fused sums: shifted_sum(d, parts) adds k * f(x - v)
-for each part (k, f, v) straight into one accumulator (_Acc.add), so a
-signed sum of shifted functions, such as the slack of a cocycle identity,
-builds no intermediate PolyTrig; translate(f, v) is the one-part sum.
+Composition has one routine: _Acc.add(f, k, rows) puts k * (f o rows) into
+canonical keys, rows being the _Rows of an affine map, and expands the
+phases the map leaves once, at the end.  Translation (rows from
+_Rows.shift), the general pullback (pullback_fn) and Form arithmetic all
+run through it.  shifted_sum(d, parts) adds k * f(x - v) for each part
+(k, f, v) into one accumulator, so a signed sum of shifted functions, such
+as the slack of a cocycle identity, builds no intermediate PolyTrig;
+translate(f, v) is the one-part sum.
 
 A U(1)-valued function exp(i*theta) is carried as its exponent theta, a
 PolyTrig: products of phases are sums of exponents, and two phases agree when
@@ -37,7 +41,7 @@ import math as _math
 from fractions import Fraction
 
 from .errors import DimensionError, FrequencyError
-from .scalar import DEFAULT_TOL, Scalar, cos2pi, rational_str, sin2pi
+from .scalar import DEFAULT_TOL, Scalar, cos2pi, sin2pi
 from .vectors import int_if_integral, scale_vecs
 
 MODE_NONE = 0
@@ -51,8 +55,8 @@ class _Acc:
     """Accumulator of canonical terms.
 
     put_terms(), and put() for one term, canonicalises term keys
-    (alpha, mode, freq, phase); add() does so for the shifted terms of a
-    canonical function.  A polynomial term's key is (alpha, MODE_NONE, (0,)*d, 0).
+    (alpha, mode, freq, phase); add() puts a canonical function composed with
+    an affine map.  A polynomial term's key is (alpha, MODE_NONE, (0,)*d, 0).
     A trig term has its first nonzero frequency positive and its phase in
     [0, 1/4); each frequency entry and the phase is an int when integral (so
     an integral phase is 0) and a Fraction only when it really is not.  Since
@@ -65,24 +69,32 @@ class _Acc:
     it directly.
     """
 
-    __slots__ = ("d", "terms", "zero_freq")
+    __slots__ = ("d", "terms", "zero_freq", "phased")
 
     def __init__(self, d, terms=None):
         self.d = d
         self.terms = {} if terms is None else terms
         self.zero_freq = (0,) * d
+        self.phased = None  # add's terms at a nonzero reduced phase, built on demand
 
     def put(self, alpha, mode, freq, phase, coeff):
         self.put_terms(mode, freq, phase, ((alpha, coeff),))
 
-    def put_terms(self, mode, freq, phase, terms):
+    def put_terms(self, mode, freq, phase, terms, defer=False):
         """put(alpha, mode, freq, phase, c) for each (alpha, c) in terms; the
-        trig factor is reduced (or folded) once for all of them."""
+        trig factor is reduced (or folded) once for all of them.  With defer,
+        terms left at a nonzero reduced phase go to the side accumulator
+        self.phased instead, for add to expand."""
         fold = None
         neg = False
+        merge = self.merge
         if mode != MODE_NONE:
             if any(freq):
                 mode, freq, phase, neg = _reduce(mode, freq, phase)
+                if phase and defer:
+                    if self.phased is None:
+                        self.phased = _Acc(self.d)
+                    merge = self.phased.merge
             else:
                 fold = cos2pi(phase) if mode == MODE_COS else sin2pi(phase)
                 mode = MODE_NONE
@@ -97,64 +109,49 @@ class _Acc:
                     continue
             elif neg:
                 c = -c
-            self.merge((alpha, mode, freq, phase), c)
+            merge((alpha, mode, freq, phase), c)
 
-    def add(self, f, k=1, shift=None):
-        """Put k * f(x - shift) for an int k and a rational vector shift (None: no shift).
+    def add(self, f, k=1, rows=None):
+        """Put k * (f o rows) for a rational k and the _Rows of an affine map
+        from R^self.d to R^f.dim, or None for the identity.
 
-        The shifted monomials come from one _Rows of identity rows.  A trig
-        term keeps its frequency q; its phase gains -q.shift, is reduced with
-        _reduce and expanded away with cos2pi and sin2pi as expand_phases
-        does: the terms of f that land on one phased key are summed first
-        and expanded once, so k = 1 gives translate's floats exactly.
+        Each term's monomial is pulled back by rows.product and its trig
+        factor by rows.frequency, and put with put_terms (a polynomial term
+        is merged at once: its key is canonical).  The terms that land
+        on a nonzero reduced phase are summed in a side accumulator first and
+        expanded once at the end, with cos2pi and sin2pi as expand_phases
+        does, so the result is canonical.
         """
-        d = self.d
-        if f.dim != d:
-            raise DimensionError(f"dimension mismatch: {d} vs {f.dim}")
+        dim = self.d if rows is None else len(rows.trans)
+        if f.dim != dim:
+            raise DimensionError(f"dimension mismatch: {dim} vs {f.dim}")
         if not k:
             return
-        t = None
-        if shift is not None:
-            if len(shift) != d:
-                raise DimensionError(f"shift of length {len(shift)} for a function on R^{d}")
-            t = [-_rational(x) for x in shift]
-            if any(t):
-                den, (t,) = scale_vecs([t])
-            else:
-                t = None
-        merge = self.merge
-        if t is None:
+        kn, kd = k.numerator, k.denominator
+        if rows is None:
+            merge = self.merge
             for key, c in f.terms.items():
-                merge(key, c if k == 1 else c.scaled(k, 1))
+                merge(key, c if k == 1 else -c if k == -1 else c.scaled(kn, kd))
             return
-        rows = None
-        phased = None  # terms at a nonzero reduced phase, expanded at the end
+        zeros, zero_freq = rows.zeros, self.zero_freq
+        merge, put_terms = self.merge, self.put_terms
         for (alpha, mode, freq, phase), c in f.terms.items():
-            if k != 1:
-                c = c.scaled(k, 1)
             if any(alpha):
-                if rows is None:
-                    ident = [[den * (i == j) for j in range(d)] for i in range(d)]
-                    rows = _Rows(ident, t, d, den)
-                poly, pden = rows.product(alpha)
-                shifted = [(beta, c.scaled(n, pden)) for beta, n in poly.items()]
+                poly, den = rows.product(alpha)
+                den *= kd
+                terms = [(beta, c.scaled(n * kn, den)) for beta, n in poly.items()]
             else:
-                shifted = ((alpha, c),)
+                terms = ((zeros, c if k == 1 else -c if k == -1 else c.scaled(kn, kd)),)
             if mode == MODE_NONE:
-                for beta, cb in shifted:
-                    merge((beta, MODE_NONE, freq, 0), cb)
-                continue
-            phase = phase + _ratio(sum(q * s for q, s in zip(freq, t) if q), den)
-            mode, freq, phase, neg = _reduce(mode, freq, phase)
-            if phase:
-                if phased is None:
-                    phased = _Acc(d)
-                for beta, cb in shifted:
-                    phased.merge((beta, mode, freq, phase), -cb if neg else cb)
+                # a polynomial term's key is canonical as it stands
+                for beta, cb in terms:
+                    merge((beta, MODE_NONE, zero_freq, 0), cb)
             else:
-                for beta, cb in shifted:
-                    merge((beta, mode, freq, 0), -cb if neg else cb)
+                freq, phase = rows.frequency(freq, phase)
+                put_terms(mode, freq, phase, terms, defer=True)
+        phased = self.phased
         if phased is not None:
+            self.phased = None
             _expand_into(self, phased.terms)
 
     def merge(self, key, coeff):
@@ -279,9 +276,6 @@ class PolyTrig:
                 return False
         return True
 
-    def is_exact(self):
-        return all(c.is_exact for c in self.terms.values())
-
     def equals(self, other, tol=0.0):
         return (self - other).is_zero(tol)
 
@@ -327,9 +321,6 @@ class PolyTrig:
         if isinstance(other, (int, Fraction, Scalar)):
             other = PolyTrig.const(self.dim, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c):
         c = Scalar.coerce(c)
@@ -462,8 +453,10 @@ class PolyTrig:
     # -- pullback ----------------------------------------------------------
 
     def _pullback(self, lin, trans, in_dim):
-        """f(L y + t); lin has shape (self.dim, in_dim), lin and trans are rational."""
-        return _Rows.rational(lin, trans, in_dim).pull(self)
+        """f(L y + t), canonical; lin has shape (self.dim, in_dim), lin and trans are rational."""
+        acc = _Acc(in_dim)
+        acc.add(self, 1, _Rows.rational(lin, trans, in_dim))
+        return acc.done()
 
     def expand_phases(self):
         """Canonical user-level form: no rational phases remain in any term."""
@@ -540,34 +533,12 @@ class PolyTrig:
 
     @staticmethod
     def _coeff_str(c):
+        """The coefficient's text and whether it is a parenthesised sum."""
         if not c.is_exact:
             return repr(c.val), False
-        items = sorted(c.pi.items())
-        if len(items) == 1:
-            m, q = items[0]
-            s = []
-            if q != 1 or m == 0:
-                s.append(rational_str(q))
-            if m == 1:
-                s.append("pi")
-            elif m != 0:
-                s.append(f"pi^{m}")
-            return "*".join(s), False
-        out = ""
-        for m, q in items:
-            t = []
-            if abs(q) != 1 or m == 0:
-                t.append(rational_str(abs(q)))
-            if m == 1:
-                t.append("pi")
-            elif m != 0:
-                t.append(f"pi^{m}")
-            chunk = "*".join(t)
-            if not out:
-                out = chunk if q > 0 else f"-{chunk}"
-            else:
-                out += f" + {chunk}" if q > 0 else f" - {chunk}"
-        return f"({out})", True
+        if len(c.num) > 1:
+            return f"({c})", True
+        return str(c), False
 
     def __str__(self):
         if not self.terms:
@@ -653,13 +624,15 @@ class _Rows:
     polynomial over D_i**e.  Powers are built once each, by repeated
     multiplication with the row, and the products prod_i row_i**alpha_i and
     the pulled frequencies are kept per monomial and per frequency: one _Rows
-    serves every term of every function pulled back along the same map.
+    serves every term of every function pulled back along the same map.  lin
+    None stands for den times the identity: the rows of a translation, whose
+    frequencies are unchanged.
     """
 
     __slots__ = ("lin", "trans", "den", "in_dim", "zeros", "_powers", "_products", "_freqs")
 
     def __init__(self, lin, trans, in_dim, den):
-        if len(trans) != len(lin):
+        if lin is not None and len(trans) != len(lin):
             raise DimensionError("translation length does not match linear part")
         self.lin = lin
         self.trans = trans
@@ -676,9 +649,24 @@ class _Rows:
         den, scaled = scale_vecs([*lin, trans])
         return _Rows(scaled[:-1], scaled[-1], in_dim, den)
 
+    @staticmethod
+    def shift(d, v):
+        """The rows of x -> x - v on R^d for a rational vector v, or None (the
+        identity) when v is None or zero."""
+        if v is None:
+            return None
+        if len(v) != d:
+            raise DimensionError(f"shift of length {len(v)} for a function on R^{d}")
+        t = [-_rational(x) for x in v]
+        if not any(t):
+            return None
+        den, (t,) = scale_vecs([t])
+        return _Rows(None, t, d, den)
+
     def _row(self, i):
         """Row i as (int polynomial, denominator)."""
-        row, t, den = self.lin[i], self.trans[i], self.den
+        t, den = self.trans[i], self.den
+        row = [den * (j == i) for j in range(self.in_dim)] if self.lin is None else self.lin[i]
         g = _math.gcd(den, t, *row)
         if g > 1:
             row, t, den = [v // g for v in row], t // g, den // g
@@ -718,29 +706,15 @@ class _Rows:
         """q.(L y + t) + phase = (L^T q).y + (q.t + phase): the pulled (frequency, phase)."""
         got = self._freqs.get(freq)
         if got is None:
-            den = self.den
-            nf = tuple(
-                _ratio(sum(f * row[j] for f, row in zip(freq, self.lin) if f), den)
+            den, lin = self.den, self.lin
+            nf = freq if lin is None else tuple(
+                _ratio(sum(f * row[j] for f, row in zip(freq, lin) if f), den)
                 for j in range(self.in_dim)
             )
             shift = _ratio(sum(f * t for f, t in zip(freq, self.trans) if f), den)
             got = self._freqs[freq] = (nf, shift)
         nf, shift = got
         return nf, phase + shift
-
-    def pull(self, f, scale=1):
-        """scale * f(L y + t) for a rational scale, a PolyTrig in y."""
-        sn, sd = scale.numerator, scale.denominator
-        acc = _Acc(self.in_dim)
-        for (alpha, mode, freq, phase), c in f.terms.items():
-            poly, den = self.product(alpha)
-            if mode != MODE_NONE:
-                freq, phase = self.frequency(freq, phase)
-            den *= sd
-            acc.put_terms(
-                mode, freq, phase, [(beta, c.scaled(n * sn, den)) for beta, n in poly.items()]
-            )
-        return acc.done()
 
 
 def _ratio(n, den):
@@ -784,9 +758,6 @@ class AffineMap:
             if len(row) != self.in_dim:
                 raise DimensionError("ragged linear part")
 
-    def __repr__(self):
-        return f"AffineMap(out={self.out_dim}, in={self.in_dim})"
-
 
 def _rational(t):
     if isinstance(t, Scalar):
@@ -804,7 +775,7 @@ def pullback_fn(f, m):
         raise DimensionError(
             f"map lands in dimension {m.out_dim}, function lives in {f.dim}"
         )
-    out = f._pullback(m.lin, m.trans, m.in_dim).expand_phases()
+    out = f._pullback(m.lin, m.trans, m.in_dim)
     if not out.integer_frequencies():
         raise FrequencyError("pullback produced a non-integer frequency")
     return out
@@ -813,10 +784,10 @@ def pullback_fn(f, m):
 def shifted_sum(d, parts):
     """The sum of k * f(x - shift) over the parts (k, f, shift), built in one
     accumulator: k an int, f a PolyTrig on R^d, shift a rational vector or
-    None for no shift (see _Acc.add)."""
+    None for no shift (see _Acc.add and _Rows.shift)."""
     acc = _Acc(d)
     for k, f, shift in parts:
-        acc.add(f, k, shift)
+        acc.add(f, k, _Rows.shift(d, shift))
     return acc.done()
 
 

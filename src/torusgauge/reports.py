@@ -46,11 +46,6 @@ class CheckReport:
             "notes": list(self.notes),
         }
 
-    def __repr__(self):
-        n_fail = sum(1 for it in self.items if not it.passed)
-        state = "pass" if self.passed else f"FAIL ({n_fail}/{len(self.items)})"
-        return f"CheckReport({self.identity}: {state})"
-
 
 def vec_label(*vecs):
     """Item label for a tuple of vectors: "(a,b); (c,d)"."""

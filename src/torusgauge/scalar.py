@@ -172,9 +172,6 @@ class Scalar:
                 del num[k]
         return _reduced(num, den)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         if self.num is not None:
             return Scalar({k: -n for k, n in self.num.items()}, self.den, None, 0.0)
@@ -182,9 +179,6 @@ class Scalar:
 
     def __sub__(self, other):
         return self + (-Scalar.coerce(other))
-
-    def __rsub__(self, other):
-        return Scalar.coerce(other) + (-self)
 
     def __mul__(self, other):
         if other.__class__ is not Scalar:
@@ -204,9 +198,6 @@ class Scalar:
                 else:
                     del num[k]
         return _reduced(num, self.den * other.den)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def scaled(self, n, d):
         """self * n / d for ints n and d > 0; the same value as self * Scalar.exact(Fraction(n, d))."""

@@ -32,7 +32,7 @@ from torusgauge.gerbes import (
 from torusgauge.magnetic import translation_section, two_cocycle, verify_projective_relation
 from torusgauge.sampling import rand_gerbe_data, rand_line_data, rand_vector, rng
 from torusgauge.scalar import DEFAULT_TOL
-from tests_util import coboundary
+from tests_util import coboundary, is_exact
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -138,7 +138,7 @@ def _agree(got, want):
     coefficients in another order, so those agree within DEFAULT_TOL."""
     if got == want:
         return True
-    return not (got.is_exact() and want.is_exact()) and (got - want).is_zero(DEFAULT_TOL)
+    return not (is_exact(got) and is_exact(want)) and (got - want).is_zero(DEFAULT_TOL)
 
 
 def _flipping(index):

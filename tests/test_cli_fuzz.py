@@ -2,7 +2,9 @@
 
 Each example takes a bundled scenario, breaks it in one place and runs one
 command in process.  Whatever the config says, run() must return 0, 1, 2 or
-3 and let no exception escape.
+3 and let no exception escape.  The fixed configs of the other tests here
+are built by module-level functions, and corpus() lists them all, so that
+test_reachable runs them too.
 """
 
 import contextlib
@@ -80,7 +82,8 @@ def _with(name, **changes):
     return json.dumps(doc)
 
 
-def test_odd_numbers_are_config_errors(tmp_path):
+def odd_number_cases():
+    """(command, config text) pairs whose numbers are too odd to run: each is a config error."""
     params = BASES["zero_line"]["params"]
     cases = [
         ("section", _with("zero_line", params={**params, "vectors": [[value, "0"]]}))
@@ -98,16 +101,61 @@ def test_odd_numbers_are_config_errors(tmp_path):
     landau = json.loads((SCENARIOS / "landau_n1.json").read_text())
     landau["params"] = {**landau["params"], "vectors": [["1e2000", "1e2500"]]}
     cases.append(("section", json.dumps(landau)))
-    for command, text in cases:
+    return cases
+
+
+def coerced_value_cases():
+    """(command, config text) pairs with a value that used to be coerced or
+    ignored: a dimension that is not a JSON integer, and vectors that are not
+    a non-empty list of lists (any falsy value once stood for "sample at random")."""
+    cases = [
+        ("section", _with("zero_line", dimension=value)) for value in (2.5, 2.0, "2", True, None)
+    ]
+    landau = json.loads((SCENARIOS / "landau_n1.json").read_text())
+    for value in ([], 0, {}, False, "", None, "12", [["1", "0"], "01"]):
+        landau["params"] = {**landau["params"], "vectors": value}
+        cases.append(("section", json.dumps(landau)))
+    return cases
+
+
+# '^' multiplies n - 1 times, so an unbounded n is unbounded work; a chain
+# of bounded exponents multiplies them, so the degree of a term is bounded too
+HUGE_EXPONENTS = ("x1^20001", "pi^-20001", "x1^10000^10000", "((x1^100)^100)^100")
+# each exponent is within MAX_COUNT, but 3^10000^300 has about 1.4M
+# digits and 3^10000^10000 about 48 billion: refused before '**' runs.
+# A parenthesised number is an atom of degree 0, which no degree bound
+# stops: its coefficients take the literal's digit bound
+LITERAL_POWERS = ("3^10000^300", "1/3^10000^300", "3^10000^10000", "2*pi*x1 + 7^5000^5000",
+                  "(3)^10000^300", "(1/3)^10000^300", "(3)^10000^10000", "(2*pi)^10000^10000")
+
+
+def corpus():
+    """Every fixed (command, config text) pair of this module."""
+    cases = odd_number_cases() + coerced_value_cases()
+    for text in HUGE_EXPONENTS + LITERAL_POWERS + ("x1^2", "3^8000", "(3)^8000"):
+        cases.append(("check-connection", _with("zero_line", cocycle={"1": text})))
+    return cases
+
+
+def test_odd_numbers_are_config_errors(tmp_path):
+    for command, text in odd_number_cases():
         code, err, seconds = _run_text(tmp_path, command, text)
         assert code == 2 and err.startswith("config error:"), (command, text[:200], err)
         assert seconds < 1.0, (command, text[:200], seconds)
 
 
+def test_coerced_values_are_config_errors(tmp_path):
+    for command, text in coerced_value_cases():
+        code, err, _ = _run_text(tmp_path, command, text)
+        assert code == 2 and err.startswith("config error:"), (command, text[:200], err)
+    # an absent vectors key still samples at random
+    landau = json.loads((SCENARIOS / "landau_n1.json").read_text())
+    del landau["params"]["vectors"]
+    assert _run_text(tmp_path, "section", json.dumps(landau))[0] == 0
+
+
 def test_huge_exponent_is_a_config_error(tmp_path):
-    # '^' multiplies n - 1 times, so an unbounded n is unbounded work; a chain
-    # of bounded exponents multiplies them, so the degree of a term is bounded too
-    for text in ("x1^20001", "pi^-20001", "x1^10000^10000", "((x1^100)^100)^100"):
+    for text in HUGE_EXPONENTS:
         code, err, seconds = _run_text(
             tmp_path, "check-connection", _with("zero_line", cocycle={"1": text})
         )
@@ -119,13 +167,7 @@ def test_huge_exponent_is_a_config_error(tmp_path):
 
 
 def test_literal_powers_past_the_digit_limit_are_config_errors(tmp_path):
-    # each exponent is within MAX_COUNT, but 3^10000^300 has about 1.4M
-    # digits and 3^10000^10000 about 48 billion: refused before '**' runs.
-    # A parenthesised number is an atom of degree 0, which no degree bound
-    # stops: its coefficients take the literal's digit bound
-    texts = ("3^10000^300", "1/3^10000^300", "3^10000^10000", "2*pi*x1 + 7^5000^5000",
-             "(3)^10000^300", "(1/3)^10000^300", "(3)^10000^10000", "(2*pi)^10000^10000")
-    for text in texts:
+    for text in LITERAL_POWERS:
         code, err, seconds = _run_text(
             tmp_path, "check-connection", _with("zero_line", cocycle={"1": text})
         )

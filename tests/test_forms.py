@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from torusgauge.cli import run
 from torusgauge.errors import DegreeError
 from torusgauge.expr import parse_expr
 from torusgauge.forms import (
@@ -25,6 +26,7 @@ from torusgauge.sampling import (
     stokes_sample,
 )
 from torusgauge.vectors import basis_vec, det, vadd, vsub, vzero
+from tests_util import is_exact, op_calls
 
 
 def quad_simplex(omega, simplex, base, n=32):
@@ -95,7 +97,7 @@ def test_d_squared_zero_random():
 def test_wedge_antisymmetry_and_zero():
     dx1 = Form.one_form(2, {1: F2("1")})
     dx2 = Form.one_form(2, {2: F2("1")})
-    assert dx1.wedge(dx2).equals(-dx2.wedge(dx1))
+    assert (dx1.wedge(dx2) + dx2.wedge(dx1)).is_zero()
     assert dx1.wedge(dx1).is_zero()
     f = Form.from_scalar(F2("x1"))
     w = Form.one_form(2, {2: F2("x2")})
@@ -124,6 +126,27 @@ def test_pullback_commutes_with_d():
     for _ in range(8):
         w = rand_form(r, 3, 1, freq_step=1)
         assert w.d().pullback(m).equals(w.pullback(m).d())
+
+
+def test_form_arithmetic_makes_no_polytrig_sums():
+    # each component is summed in one accumulator, not by chains of PolyTrig +
+    r = rng(26)
+    m = AffineMap([[1, 2, 0], [0, 1, 1], [1, 0, 1]], [Fraction(1, 2), 0, Fraction(1, 3)])
+    for degree in range(4):
+        for _ in range(3):
+            a, b = rand_form(r, 3, degree), rand_form(r, 3, degree)
+            with op_calls() as calls:
+                results = [a.d(), a + b, a - b, a.pullback(m)]
+            assert calls["add"] == 0, degree
+            assert results[1].equals(b + a) and (results[2] + b).equals(a)
+
+
+def test_stokes_selftest_sums_once_per_sample(capsys):
+    # the only PolyTrig + left is stokes_defect's difference, one per sample
+    with op_calls() as calls:
+        assert run(["stokes-selftest", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert 0 < calls["add"] <= 2 * 3 * 50
 
 
 def test_translate_examples():
@@ -307,7 +330,7 @@ def test_boundary_chain_makes_one_pass_per_axis_in_total(monkeypatch):
                 got = integrate_chain(omega, faces)
                 assert passes[0] == k - 1, (d, k)
                 want = _chain_sum(by_face)
-                assert got.is_exact() if symbolic else got.is_exact
+                assert is_exact(got) if symbolic else got.is_exact
                 assert got == want if symbolic else (got.num, got.den) == (want.num, want.den)
 
 

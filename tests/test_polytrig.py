@@ -27,7 +27,7 @@ from torusgauge.polytrig import (
 )
 from torusgauge.sampling import rand_form, rand_polytrig, rand_simplex, rng
 from torusgauge.scalar import Scalar
-from tests_util import phase_descends, phase_is_one, rand_polytrig_by_add
+from tests_util import is_exact, phase_descends, phase_is_one, rand_polytrig_by_add
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -77,6 +77,12 @@ def test_roundtrip_on_random_canonical_forms():
     for _ in range(20):
         f = rand_polytrig(r, 3, n_terms=2)
         assert parse_expr(print_expr(f), 3) == f
+
+
+def test_unit_pi_coefficients_print_as_scalars_do():
+    assert str(parse_expr("-pi*x1", 2)) == "-pi*x1"
+    assert str(parse_expr("pi*x1 - pi^2*x2", 2)) == "-pi^2*x2 + pi*x1"
+    assert str(parse_expr("(1 - pi)*x1", 2)) == "(1 - pi)*x1"
 
 
 def test_roundtrip_negative_pi_powers():
@@ -243,7 +249,7 @@ def test_identity_map_acts_trivially():
 def test_noninteger_shift_of_trig_degrades_to_floats():
     g = parse_expr("sin(2*pi*x1)", 1)
     out = translate(g, (Fraction(1, 5),))
-    assert not out.is_exact()
+    assert not is_exact(out)
     # values still agree
     for x in (0.2, 0.9):
         assert math.isclose(
@@ -371,9 +377,10 @@ def test_substitute_matches_affine_pullback():
                 ({}, Fraction(1)),
                 ({}, Fraction(1, 3)),
             ):
-                got = f.substitute(a, coeffs, const)
+                # the pullback's result is canonical: its phases are expanded
+                got = f.substitute(a, coeffs, const).expand_phases()
                 want = _substitution_pullback(f, a, coeffs, const)
-                assert list(got.terms) == list(want.terms)
+                assert got.terms.keys() == want.terms.keys()
                 for key, c in got.terms.items():
                     w = want.terms[key]
                     assert (c.pi, c.val, c.tol) == (w.pi, w.val, w.tol), (key, coeffs, const)
@@ -395,7 +402,7 @@ def test_antiderivative_to_a_limit_is_antiderivative_then_substitute():
                 for coeffs, const in limits:
                     want = F.substitute(axis, coeffs, const)
                     got = exact.antiderivative(axis, coeffs, const)
-                    if want.is_exact():
+                    if is_exact(want):
                         assert got == want
                         exact_cases += 1
                     else:
@@ -523,8 +530,8 @@ def _assert_canonical(f):
 
 
 def _merge_operands(r, d):
-    """Random operands in dimension d: rational frequencies and phases,
-    pullbacks along rational maps (phases and frequencies left unexpanded),
+    """Random operands in dimension d: rational frequencies and phases (put
+    term by term), pullbacks along rational maps (rational frequencies),
     non-integral shifts of trig terms (tier-F coefficients) and polynomials."""
     f = _rand_rational_polytrig(r, d)
     lin = [[Fraction(r.randint(-3, 3), r.choice((1, 2, 5))) for _ in range(d)] for _ in range(d)]
@@ -566,7 +573,8 @@ def test_merging_ops_match_putting_every_term():
             lift = [[int(i == j) for j in range(d + 2)] for i in range(d)]
             wide = a._pullback(lift, [0] * d, d + 2)
             keep = list(range(1, d + 1))
-            assert _items(wide.drop_axes(keep)) == _items(a)
+            # the pullback expands phases, so the round trip is a's canonical form
+            assert wide.drop_axes(keep) == a.expand_phases()
             _assert_canonical(wide.drop_axes(keep))
 
 

@@ -1,74 +1,148 @@
-"""Every public def, class and method in the package is reached by the checker.
+"""Every function under src/torusgauge/ is entered when the checker runs.
 
-A name counts as referenced when another definition under src/torusgauge/
-(outside __init__.py, whose re-exports are not uses) or verdictbench/ uses it:
-as a name, as an attribute, or in a dotted string such as the tracer's
-"PolyTrig.substitute".  Matching is by name, not by owner.  A public name no
-code reaches is either deleted or listed in KEEP with the reason it stays.
+A profile hook (tests_util.code_calls) records the code objects entered, in
+process, while these run:
+
+- the report digest jobs, one run shared with test_report_digests;
+- stokes-selftest, and one run through main() that writes a --csv table;
+- one round of each benchmark workload: its configs generated by
+  verdictbench/workloads.py's RoundSource, and each of its jobs;
+- the fixed configs of test_cli_fuzz, and the texts of test_expr_oracle's
+  random trees, parsed (their values are built before recording starts).
+
+A function counts as entered when a code object with its file, first line
+and name was; lambdas, comprehensions and class bodies count with the code
+around them.  A function that nothing enters is deleted, or listed in KEEP
+with the reason it stays.
 """
 
-import ast
-import re
+import contextlib
+import importlib.util
+import inspect
+import io
+import json
+import os
+import random
+import sys
+import types
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "torusgauge"
+import pytest
 
+import torusgauge
+from torusgauge.cli import main, run
+from torusgauge.expr import parse_expr
+from test_cli_fuzz import corpus
+from test_expr_oracle import tree
+from tests_util import code_calls
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(torusgauge.__file__).resolve().parent
+EXPR_TREES = 40
+
+TRACER = "named by verdictbench/tracer.py METHODS, which wraps it by name"
+PULLBACK = "the public pullback API (README): pullback_fn and Form.pullback along an AffineMap"
 KEEP = {
-    "magnetic.holonomy": "the paper's parallel transport; closed loops cross-check integrate_path",
+    "cli._needs": "runs at import, declaring each handler's needs in HANDLERS",
+    "forms.AffineSimplex.vertices": "the quadrature and sympy oracles place a simplex by its vertices",
+    "forms.Form.const_two_form": "flat_gerbe_2d's curving",
+    "forms.Form.equals": "form equality up to tolerance, as PolyTrig.equals; the form oracles use it",
+    "forms.Form.pullback": TRACER + "; " + PULLBACK,
     "forms.Form.wedge": "the Leibniz-rule oracle for d",
-    "polytrig.PolyTrig.eval_float": "the quadrature and finite-difference cross-checks",
+    "forms._perm_sign": "the sign of Form.wedge",
+    "forms.PLPath.closed": "holonomy_exponent checks that its loop is closed",
+    "gerbes.GerbeData.connection": TRACER,
     "gerbes.flat_gerbe_2d": "acceptance criterion 8, the d = 2 degeneration",
-    "polytrig.AffineMap": "the map of pullback_fn and Form.pullback, the general pullback API",
-    "polytrig.pullback_fn": "pullback along any AffineMap; translate and the kernel build rows directly",
+    "magnetic.LineData.phi": TRACER,
+    "magnetic.holonomy": "the paper's parallel transport; closed loops cross-check integrate_path",
+    "magnetic.holonomy_exponent": "the exponent of holonomy",
+    "polytrig.AffineMap.__init__": PULLBACK,
+    "polytrig.PolyTrig.__eq__": "exact equality of canonical functions; the exact oracles use it",
+    "polytrig.PolyTrig._pullback": TRACER + "; " + PULLBACK,
+    "polytrig.PolyTrig.eval_float": "the quadrature and finite-difference cross-checks",
+    "polytrig.PolyTrig.integer_frequencies": "pullback_fn's lattice check; " + PULLBACK,
+    "polytrig.PolyTrig.scale": TRACER,
+    "polytrig.PolyTrig.substitute": TRACER,
+    "polytrig.PolyTrig.var": "the coordinate x_i of the ring API; the reader's oracle builds with it",
+    "polytrig._Rows.rational": "the rows of " + PULLBACK,
+    "polytrig.pullback_fn": PULLBACK,
+    "scalar.Scalar.__repr__": "a Scalar shows its value in assertion messages and at the prompt",
+    "scalar.Scalar.equals": "scalar equality up to tolerance; the tier oracles use it",
 }
 
 
-def _docstring_ids(tree):
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and node.body:
-            first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
-                out.add(id(first.value))
+def _key(code):
+    return os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name
+
+
+def _functions(path):
+    """{key: qualified name} of every def in the module at path, methods and nested defs included."""
+    out = {}
+    stack = [(compile(path.read_text(), str(path), "exec"), path.stem)]
+    while stack:
+        code, prefix = stack.pop()
+        for c in code.co_consts:
+            if isinstance(c, types.CodeType):
+                name = f"{prefix}.{c.co_name}"
+                stack.append((c, name))
+                if c.co_flags & inspect.CO_OPTIMIZED and not c.co_name.startswith("<"):
+                    out[_key(c)] = name
     return out
 
 
-def _used_names(path):
-    tree = ast.parse(path.read_text())
-    docs = _docstring_ids(tree)
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in docs
-            and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)
-        ):
-            names.update(node.value.split("."))
-    return names
+def _quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run(argv)
 
 
-def _public_defs(path):
-    """(qualified name, bare name) of each public top-level def, class and method."""
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{path.stem}.{node.name}", node.name
-            if isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                        yield f"{path.stem}.{node.name}.{sub.name}", sub.name
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "verdictbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_every_public_name_is_reached_or_kept():
-    users = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    users += list((ROOT / "verdictbench").glob("*.py"))
-    used = set().union(*map(_used_names, users))
-    defined = dict(d for path in sorted(PACKAGE.glob("*.py")) for d in _public_defs(path))
-    unreached = sorted(q for q, name in defined.items() if name not in used and q not in KEEP)
-    assert not unreached, "no caller in src/ or verdictbench/: " + ", ".join(unreached)
-    assert not KEEP.keys() - defined.keys(), "KEEP names a definition that is gone"
+def _run_config(tmp, name, command, doc_text):
+    path = tmp / f"{name}.json"
+    path.write_text(doc_text)
+    return _quiet([command, "--config", str(path)])
+
+
+def _everything_but_the_digests(tmp, trees, monkeypatch):
+    assert _quiet(["stokes-selftest", "--seed", "0"]) == 0
+    monkeypatch.setattr(sys, "argv", [
+        "torusgauge", "section", "--config", str(ROOT / "scenarios" / "landau_n1.json"),
+        "--csv", str(tmp / "phases.csv"),
+    ])
+    with pytest.raises(SystemExit) as stop, contextlib.redirect_stdout(io.StringIO()):
+        main()
+    assert stop.value.code == 0 and (tmp / "phases.csv").read_text().startswith("identity,")
+    workloads = _workloads()
+    for workload in ("stokes", "gerbe", "line", "tier_f"):
+        configs, jobs = workloads.RoundSource(workload, 0).next_round()
+        for command, name, expected in dict.fromkeys(jobs):
+            assert _run_config(tmp, name, command, json.dumps(configs[name])) == expected
+    for i, (command, text) in enumerate(corpus()):
+        assert _run_config(tmp, f"fuzz{i}", command, text) in (0, 1, 2, 3)
+    for d, text in trees:
+        parse_expr(text, d)
+
+
+def test_every_function_is_entered_or_kept(digest_run, tmp_path, monkeypatch):
+    r = random.Random(1402)
+    trees = []
+    for _ in range(EXPR_TREES):
+        d = r.choice((1, 2, 3))
+        trees.append((d, tree(r, d).text))
+    with code_calls() as calls:
+        _everything_but_the_digests(tmp_path, trees, monkeypatch)
+    entered = {_key(code) for code in calls} | {_key(code) for code in digest_run[1]}
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        defined.update(_functions(path))
+    unreached = sorted(q for key, q in defined.items() if key not in entered and q not in KEEP)
+    assert not unreached, "entered by no run: " + ", ".join(unreached)
+    names = set(defined.values())
+    assert not KEEP.keys() - names, "KEEP names a definition that is gone"
+    kept_but_entered = sorted(q for key, q in defined.items() if key in entered and q in KEEP)
+    assert not kept_but_entered, "KEEP names a function that runs: " + ", ".join(kept_but_entered)

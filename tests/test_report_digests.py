@@ -4,6 +4,9 @@ Besides the bundled scenarios, two configs under tests/data carry periodic
 trig terms and vectors of denominators 5 and 7, so their reports pin the
 float tier: its shadows, tolerances and rendering.
 
+The jobs run once per session, in conftest's digest_run fixture, which also
+records the functions they enter for test_reachable.
+
 A change that alters a report on purpose regenerates the digests with
 
     PYTHONPATH=src python tests/test_report_digests.py --write
@@ -57,9 +60,9 @@ def current_digests():
     return {name: digest(argv) for name, argv in jobs()}
 
 
-def test_reports_match_recorded_digests():
+def test_reports_match_recorded_digests(digest_run):
     want = json.loads(DIGESTS.read_text())
-    got = current_digests()
+    got = digest_run[0]
     changed = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     assert not changed, "report bytes changed: " + ", ".join(changed)
 

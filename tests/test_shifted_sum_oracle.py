@@ -1,30 +1,32 @@
-"""polytrig.shifted_sum against the general pullback.
+"""polytrig.shifted_sum against independent oracles: sympy, and values at points.
 
 Each case sums 1 to 4 parts k * f(x - v) on R^d, d = 1..3, with int scales k
 in -2..2, random functions with trig terms (some multiplied out, so that
 polynomial-times-trig terms meet under a shift) and shifts with
-denominators 1 to 7, some parts unshifted.  The oracle builds each part on
-its own, as pullback_fn(f, AffineMap(identity, -v)).scale(k), and adds them
-with +.  Exact results must be equal as PolyTrigs; where the phases of
-denominators 5 and 7 reach the float tier, coefficients must agree within
-DEFAULT_TOL.  translate, the one-part sum with k = 1, must keep the
-pullback's floats exactly on each shifted part.  Values at random points are
-checked against the parts evaluated at the shifted points, which shares no
-code with either side.
+denominators 1 to 7, some parts unshifted.  On the exact tier the sympy
+oracle writes each f as an expression (test_kernel_oracle._function),
+substitutes x - v for x, and expands the sum with expand_trig; the result of
+shifted_sum, written the same way, must differ from it by an expression that
+simplifies to 0.  Where the phases of denominators 5 and 7 reach the float
+tier, values at random points are checked against the parts evaluated at the
+shifted points; that check runs on every case and shares no code with
+shifted_sum.  Every result must also be canonical: int frequencies, the first
+nonzero one positive, and every phase 0.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from torusgauge.polytrig import AffineMap, PolyTrig, pullback_fn, shifted_sum, translate
+from torusgauge.polytrig import MODE_NONE, shifted_sum
 from torusgauge.sampling import rand_polytrig
-from torusgauge.scalar import DEFAULT_TOL
+from test_kernel_oracle import X, _function, _rational, sympy  # skips this module without sympy
+from tests_util import is_exact
 
 CASES = 200
 
 
-def _function(r, d):
+def _function_of(r, d):
     f = rand_polytrig(r, d, n_terms=r.randint(1, 4))
     if r.random() < 0.4:
         f = f * rand_polytrig(r, d, n_terms=2, max_deg=1)
@@ -39,15 +41,18 @@ def _shift(r, d):
 
 def _case(r):
     d = r.randint(1, 3)
-    parts = [(r.randint(-2, 2), _function(r, d), _shift(r, d)) for _ in range(r.randint(1, 4))]
+    parts = [(r.randint(-2, 2), _function_of(r, d), _shift(r, d)) for _ in range(r.randint(1, 4))]
     return d, parts
 
 
-def _oracle_part(d, k, f, v):
-    if v is not None:
-        ident = [[int(i == j) for j in range(d)] for i in range(d)]
-        f = pullback_fn(f, AffineMap(ident, [-x for x in v]))
-    return f.scale(k)
+def _sympy_sum(d, parts):
+    out = sympy.Integer(0)
+    for k, f, v in parts:
+        e = _function(f)
+        if v is not None:
+            e = e.xreplace({X[i]: X[i] - _rational(v[i]) for i in range(d)})
+        out += k * e
+    return out
 
 
 def _value(d, parts, x):
@@ -58,27 +63,33 @@ def _value(d, parts, x):
     return tot
 
 
-def test_shifted_sum_matches_the_pullback_oracle():
+def _assert_canonical(f):
+    for _alpha, mode, freq, phase in f.terms:
+        assert type(phase) is int and phase == 0, f
+        assert all(type(q) is int for q in freq), f
+        if mode != MODE_NONE:
+            assert next(q for q in freq if q) > 0, f
+
+
+def test_shifted_sum_matches_sympy_and_values_at_points():
     r = random.Random(20261019)
     tiers = {"exact": 0, "float": 0}
     for case in range(CASES):
         d, parts = _case(r)
         got = shifted_sum(d, parts)
-        want = PolyTrig.zero(d)
-        for k, f, v in parts:
-            want = want + _oracle_part(d, k, f, v)
-        if want.is_exact():
+        _assert_canonical(got)
+        if is_exact(got):
             tiers["exact"] += 1
-            assert got == want, (case, parts)
+            # expand distributes each argument, so expand_trig meets sums of 2*pi*x_i terms
+            diff = sympy.expand(_function(got) - _sympy_sum(d, parts))
+            diff = sympy.expand(sympy.expand_trig(diff))
+            assert diff == 0 or sympy.simplify(diff) == 0, (case, parts)
         else:
             tiers["float"] += 1
-            assert got.equals(want, DEFAULT_TOL), (case, parts)
-        for _, f, v in parts:
-            if v is not None:
-                assert translate(f, v) == _oracle_part(d, 1, f, v), (case, f, v)
         for _ in range(2):
             x = [r.uniform(-2, 2) for _ in range(d)]
             want_x = _value(d, parts, x)
             assert math.isclose(got.eval_float(x), want_x, rel_tol=1e-9, abs_tol=1e-9), (case, x)
     # both tiers are exercised
     assert tiers["exact"] >= 40 and tiers["float"] >= 40, tiers
+

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -55,25 +56,18 @@ def kernel_calls():
 
 
 @contextmanager
-def op_calls():
-    """Count the calls made inside the block of the whole-PolyTrig operations
-    that shifted sums fuse: {"add": PolyTrig.__add__ (and __radd__),
-    "scale": PolyTrig.scale, "translate": polytrig.translate} after it.
+def code_calls():
+    """Count the calls made inside the block of every Python function, by code
+    object, through a profile hook: a Counter {code: calls} after it.
 
-    Calls are matched by code object through a profile hook, so a call is
-    counted under whatever name the caller bound the function to."""
-    codes = {
-        PolyTrig.__add__.__code__: "add",
-        PolyTrig.scale.__code__: "scale",
-        translate.__code__: "translate",
-    }
-    counts = dict.fromkeys(codes.values(), 0)
+    A function counts under its code object whatever name the caller bound
+    it to, and a wrapper written in C (such as functools.lru_cache) is
+    entered only when it calls through."""
+    counts = Counter()
 
     def profile(frame, event, arg):
         if event == "call":
-            name = codes.get(frame.f_code)
-            if name is not None:
-                counts[name] += 1
+            counts[frame.f_code] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -81,6 +75,23 @@ def op_calls():
         yield counts
     finally:
         sys.setprofile(previous)
+
+
+@contextmanager
+def op_calls():
+    """Count the calls made inside the block of the whole-PolyTrig operations
+    that shifted sums fuse: {"add": PolyTrig.__add__ (and __radd__),
+    "scale": PolyTrig.scale, "translate": polytrig.translate} after it."""
+    ops = {"add": PolyTrig.__add__, "scale": PolyTrig.scale, "translate": translate}
+    counts = {}
+    with code_calls() as calls:
+        yield counts
+    counts.update((name, calls[f.__code__]) for name, f in ops.items())
+
+
+def is_exact(f):
+    """Whether every coefficient of the PolyTrig f is on the exact tier."""
+    return all(c.is_exact for c in f.terms.values())
 
 
 # ---------------------------------------------------------------------------
