@@ -3,8 +3,9 @@
 Scenario configs are JSON documents; expressions use the package grammar
 (see expr).  Reports are JSON ("schema": 1) with one entry per check,
 residues rendered exactly (rational multiples of pi) on the exact tier and
-as floats with tolerances otherwise.  Runs are deterministic byte for byte
-for fixed seed and config.
+as floats with tolerances otherwise.  The float tier decides at one fixed
+tolerance, scalar.DEFAULT_TOL, which each report records as "tolerance".
+Runs are deterministic byte for byte for fixed seed and config.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 the config could not be
 read or parsed or asks for more work than MAX_COUNT allows, 3 a flux
@@ -170,12 +171,14 @@ def _vectors(scn, default):
 
 
 def _coordinate(x):
-    """A vector entry: a rational literal string or a JSON number."""
+    """A vector entry: a rational literal string or a JSON number, not a bool."""
+    if isinstance(x, bool):
+        raise TypeError(f"vector coordinate must be a number or a string, got {x!r}")
     return read_rational(x) if isinstance(x, str) else Fraction(x)
 
 
-def _sample_vectors(rnd, d, count, dens=(1, 2, 3, 4)):
-    return [rand_vector(rnd, d, num=3, dens=dens) for _ in range(count)]
+def _sample_vectors(rnd, d, count):
+    return [rand_vector(rnd, d, num=3, dens=(1, 2, 3, 4)) for _ in range(count)]
 
 
 def _count_param(scn, key, default, least=0):
@@ -210,24 +213,24 @@ def _sample_lattice_tuples(rnd, r, d, parts, cap):
 # -- command handlers --------------------------------------------------------
 
 
-def cmd_check_cocycle(scn, rnd, tol, values):
+def cmd_check_cocycle(scn, rnd, values):
     d = scn.data.d
     if scn.kind == "line":
         r = _count_param(scn, "range", 2)
         pairs = _sample_lattice_tuples(rnd, r, d, 2, _count_param(scn, "samples", 400))
-        return [check_line_cocycle(scn.data, pairs, tol)]
+        return [check_line_cocycle(scn.data, pairs)]
     triples = _sample_lattice_tuples(rnd, 1, d, 3, _count_param(scn, "samples", 200))
-    return [check_gerbe_cocycle(scn.data, triples, tol)]
+    return [check_gerbe_cocycle(scn.data, triples)]
 
 
-def cmd_check_connection(scn, rnd, tol, values):
+def cmd_check_connection(scn, rnd, values):
     check = check_connection if scn.kind == "line" else check_gerbe_connection
-    rep, curvature = check(scn.data, tol=tol)
+    rep, curvature = check(scn.data)
     values["curvature"] = repr(curvature)
     return [rep]
 
 
-def cmd_section(scn, rnd, tol, values):
+def cmd_section(scn, rnd, values):
     d = scn.data.d
     vecs = _vectors(scn, _sample_vectors(rnd, d, 3))
     reports = []
@@ -236,18 +239,18 @@ def cmd_section(scn, rnd, tol, values):
         if scn.kind == "line":
             theta = translation_section(scn.data, v)
             sections[vec_label(v)] = str(theta)
-            reports.append(check_section_membership(scn.data, v, tol, theta=theta))
+            reports.append(check_section_membership(scn.data, v, theta=theta))
         else:
             sec = gerbe_translation_section(scn.data, v)
             sections[vec_label(v)] = {
                 f"e{a}": str(g) for a, g in sorted(sec.g.items())
             }
-            reports.append(check_section_constraint(scn.data, v, tol=tol, section=sec))
+            reports.append(check_section_constraint(scn.data, v, section=sec))
     values["sections"] = sections
     return reports
 
 
-def cmd_twist2(scn, rnd, tol, values):
+def cmd_twist2(scn, rnd, values):
     d = scn.data.d
     vecs = _vectors(scn, _sample_vectors(rnd, d, 4))
     if len(vecs) < 2:
@@ -257,7 +260,7 @@ def cmd_twist2(scn, rnd, tol, values):
     for v, vp in itertools.combinations(vecs, 2):
         key = vec_label(v) + ";" + vec_label(vp)
         if scn.kind == "line":
-            rep, c = verify_projective_relation(scn.data, v, vp, tol)
+            rep, c = verify_projective_relation(scn.data, v, vp)
             phases[key] = str(c)
             reports.append(rep)
         else:
@@ -270,7 +273,7 @@ def cmd_twist2(scn, rnd, tol, values):
     return reports
 
 
-def cmd_twist3(scn, rnd, tol, values):
+def cmd_twist3(scn, rnd, values):
     d = scn.data.d
     vecs = _vectors(scn, _sample_vectors(rnd, d, 3))
     phases = {}
@@ -287,32 +290,32 @@ def cmd_twist3(scn, rnd, tol, values):
         phases[key] = str(om)
         for a in range(1, d + 1):
             step = shifted_sum(d, ((1, om, vneg(basis_vec(d, a))), (-1, om, None)))
-            phase_item(rep, f"{key} axis {a}", step, tol)
+            phase_item(rep, f"{key} axis {a}", step)
     values["twist3"] = phases
     return [rep]
 
 
-def cmd_pentagon(scn, rnd, tol, values):
+def cmd_pentagon(scn, rnd, values):
     d = scn.data.d
     n = _count_param(scn, "samples", DEFAULT_ASSOCIATIVITY_SAMPLES)
     reports = []
     if d >= 3:
         e1, e2, e3 = (basis_vec(d, a) for a in (1, 2, 3))
         om = associator(scn.data, e1, e2, e3)
-        res = constant_mod_free(om, tol)
+        res = constant_mod_free(om)
         values["associator_e1_e2_e3"] = str(om) if res is None else str(res)
-        reports.append(pentagon_check(scn.data, e1, e2, e3, tol, omega=om))
+        reports.append(pentagon_check(scn.data, e1, e2, e3, omega=om))
     agg = CheckReport("pentagon_relation")
     for _ in range(n):
         u, v, w = _sample_vectors(rnd, d, 3)
-        rep = pentagon_check(scn.data, u, v, w, tol)
+        rep = pentagon_check(scn.data, u, v, w)
         agg.items.extend(rep.items)
     reports.append(agg)
     return reports
 
 
-def cmd_flux(scn, rnd, tol, values):
-    classes = flux_class(scn.data, tol)
+def cmd_flux(scn, rnd, values):
+    classes = flux_class(scn.data)
     values["flux"] = {"(" + ",".join(map(str, k)) + ")": n for k, n in sorted(classes.items())}
     rep = CheckReport("flux_quantization")
     for k, n in sorted(classes.items()):
@@ -320,7 +323,7 @@ def cmd_flux(scn, rnd, tol, values):
     return [rep]
 
 
-def cmd_sym_product(scn, rnd, tol, values):
+def cmd_sym_product(scn, rnd, values):
     d = scn.data.d
     n = _count_param(scn, "samples", DEFAULT_ASSOCIATIVITY_SAMPLES)
     m = _count_param(scn, "equivalence_samples", 25)
@@ -336,15 +339,15 @@ def cmd_sym_product(scn, rnd, tol, values):
         bc = lift_product(elems[1], elems[2], scn.data, paths)
         rhs = lift_product(elems[0], bc, scn.data, paths)
         if lhs.path.vertices == rhs.path.vertices:
-            phase_item(rep, f"triple {i}", lhs.gauge - rhs.gauge, tol)
+            phase_item(rep, f"triple {i}", lhs.gauge - rhs.gauge)
         else:
             rep.add(f"triple {i}", False, note="paths differ")
     unit = PathSymmetry.unit(d)
     a = PathSymmetry(rand_based_path(rnd, d), rand_periodic_gauge(rnd, d))
     right = lift_product(a, unit, scn.data).gauge - a.gauge
-    phase_item(rep, "unit law (right)", right, tol)
+    phase_item(rep, "unit law (right)", right)
     left = lift_product(unit, a, scn.data).gauge - a.gauge
-    phase_item(rep, "unit law (left)", left, tol)
+    phase_item(rep, "unit law (left)", left)
     reports = [rep]
     eq = CheckReport("lift_equivalence")
     for i in range(m):
@@ -354,7 +357,7 @@ def cmd_sym_product(scn, rnd, tol, values):
         alpha = PLPath([tuple(Fraction(0) for _ in range(d)), mid, end])
         sub = lift_equivalence_check(
             scn.data, gamma, alpha, rand_periodic_gauge(rnd, d),
-            PathSymmetry(rand_based_path(rnd, d), rand_periodic_gauge(rnd, d)), tol,
+            PathSymmetry(rand_based_path(rnd, d), rand_periodic_gauge(rnd, d)),
         )
         for it in sub.items:
             eq.add(f"pair {i}: {it.label}", it.passed, it.residue, it.note)
@@ -362,15 +365,15 @@ def cmd_sym_product(scn, rnd, tol, values):
     return reports
 
 
-def cmd_cohomology(scn, rnd, tol, values):
+def cmd_cohomology(scn, rnd, values):
     d = scn.data.d
     n = _count_param(scn, "samples", DEFAULT_COHOMOLOGY_SAMPLES)
     if scn.kind == "line":
         twist = simplex_cochain(2, d, -1)  # the chain of two_cocycle
         samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(3)) for _ in range(n)]
-        return [is_cocycle(twist, scn.data.curvature(), samples, tol, identity="twist_cocycle")]
+        return [is_cocycle(twist, scn.data.curvature(), samples, identity="twist_cocycle")]
     samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(4)) for _ in range(n)]
-    return [associator_cocycle_check(scn.data, samples, tol)]
+    return [associator_cocycle_check(scn.data, samples)]
 
 
 def _landau_flux(line):
@@ -389,7 +392,7 @@ def _landau_flux(line):
     return int(n) if n.denominator == 1 and n >= 1 else None
 
 
-def cmd_operators(scn, rnd, tol, values):
+def cmd_operators(scn, rnd, values):
     flux = _landau_flux(scn.data)
     if flux is None:
         raise ConfigError(
@@ -430,7 +433,7 @@ def cmd_operators(scn, rnd, tol, values):
     return [rep]
 
 
-def cmd_stokes_selftest(scn, rnd, tol, values):
+def cmd_stokes_selftest(scn, rnd, values):
     count = 50 if scn is None else _count_param(scn, "samples", 50, least=1)
     rep = CheckReport("stokes")
     for d in (2, 3):
@@ -493,7 +496,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument("--json", dest="json_path", help="write the report to this path")
     p.add_argument("--csv", dest="csv_path", help="write a phase table to this path")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     return p
 
 
@@ -525,11 +527,11 @@ def run(argv=None):
         "command": args.command,
         "scenario": scn.name if scn else None,
         "seed": args.seed,
-        "tolerance": args.tolerance,
+        "tolerance": DEFAULT_TOL,
     }
     values = {}
     try:
-        reports = handler(scn, rng(args.seed), args.tolerance, values)
+        reports = handler(scn, rng(args.seed), values)
         # a handler that returned no report checked nothing, so it fails
         status_code = 0 if reports and all(r.passed for r in reports) else 1
     except QuantizationError as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from .forms import AffineSimplex, integrate_chain
 from .reports import CheckReport, phase_item, vec_label
-from .scalar import DEFAULT_TOL
 from .vectors import as_vec, vadd, vsub, vzero
 
 
@@ -64,10 +63,10 @@ def coboundary(c):
     return GroupCochain(n + 1, c.dim, ev)
 
 
-def is_cocycle(c, omega, samples, tol=DEFAULT_TOL, identity="cochain_cocycle"):
+def is_cocycle(c, omega, samples, identity="cochain_cocycle"):
     """The integral of omega over delta(c) is in 2*pi*Z on every sampled (n+1)-tuple."""
     dc = coboundary(c)
     report = CheckReport(identity)
     for args in samples:
-        phase_item(report, vec_label(*map(as_vec, args)), integrate_chain(omega, dc(*args)), tol)
+        phase_item(report, vec_label(*map(as_vec, args)), integrate_chain(omega, dc(*args)))
     return report

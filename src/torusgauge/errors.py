@@ -14,7 +14,7 @@ class DegreeError(TorusGaugeError):
 
 
 class FrequencyError(TorusGaugeError):
-    """A pullback produced a trig frequency that is not an integer vector."""
+    """A trig frequency is not an integer vector, or a trig phase not a rational multiple of pi."""
 
 
 class ExprSyntaxError(TorusGaugeError):

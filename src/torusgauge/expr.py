@@ -14,7 +14,8 @@ coefficients); an exponent above MAX_COUNT is a syntax error, and so are a
 term whose degree in a variable exceeds MAX_COUNT however it got there
 (x1^100^100, (x1^100)^100, x1^6000*x1^6000) and a power of a number past the
 digit limit (3^10000^300).  Arguments of cos/sin/exp2pii must be affine with
-integer frequencies: 2*pi*(k.x + c) with k in Z^d.  exp2pii is expanded
+integer frequencies and a rational phase: 2*pi*(k.x + c) with k in Z^d and c
+rational (for exp2pii, k.x + c), else FrequencyError.  exp2pii is expanded
 through a complex intermediate, and only there: a real value carries no
 imaginary part.  The overall expression must be real-valued.
 
@@ -209,24 +210,18 @@ def _freq_and_const(arg, d, two_pi_scaled, pos):
     return tuple(freq), const
 
 
-def _trig_from(d, mode, freq, const):
-    """cos/sin(2*pi*(freq.x) + const) as a real PolyTrig.
-
-    When const is a rational multiple of pi, that is one term put at phase
-    const / (2*pi) and its phase expanded; otherwise the phase is a float.
+def _trig_from(d, mode, freq, const, pos):
+    """cos/sin(2*pi*(freq.x) + const) as a real PolyTrig: one term put at phase
+    const / (2*pi) and its phase expanded.  const must be a rational multiple
+    of pi; FrequencyError otherwise, quoting the parser offset pos.
     """
     num = const.num
-    if num is not None and set(num) <= {1}:
-        acc = _Acc(d)
-        phase = Fraction(num.get(1, 0), 2 * const.den)
-        acc.put((0,) * d, mode, freq, phase, Scalar.one())
-        return acc.done().expand_phases()
-    ang = float(const)
-    c = Scalar.approx(math.cos(ang), const.tol)
-    s = Scalar.approx(math.sin(ang), const.tol)
-    if mode == MODE_COS:
-        return PolyTrig.cos_freq(d, freq, c) - PolyTrig.sin_freq(d, freq, s)
-    return PolyTrig.sin_freq(d, freq, c) + PolyTrig.cos_freq(d, freq, s)
+    if num is None or not set(num) <= {1}:
+        raise FrequencyError(f"trig phase must be a rational multiple of pi (offset {pos})")
+    acc = _Acc(d)
+    phase = Fraction(num.get(1, 0), 2 * const.den)
+    acc.put((0,) * d, mode, freq, phase, Scalar.one())
+    return acc.done().expand_phases()
 
 
 def _scaled(f, c, alpha):
@@ -450,13 +445,14 @@ class _Reader:
         d = self.d
         if kind != "exp2pii":
             freq, const = _freq_and_const(arg.re, d, True, pos)
-            return _Complex(_trig_from(d, MODE_COS if kind == "cos" else MODE_SIN, freq, const))
+            mode = MODE_COS if kind == "cos" else MODE_SIN
+            return _Complex(_trig_from(d, mode, freq, const, pos))
         # exp2pii(u) = cos(2*pi*u) + i*sin(2*pi*u) with u = k.x + c
         freq, const = _freq_and_const(arg.re, d, False, pos)
         two_pi_const = const * Scalar.exact(2, 1)
         return _Complex(
-            _trig_from(d, MODE_COS, freq, two_pi_const),
-            _trig_from(d, MODE_SIN, freq, two_pi_const),
+            _trig_from(d, MODE_COS, freq, two_pi_const, pos),
+            _trig_from(d, MODE_SIN, freq, two_pi_const, pos),
         )
 
 

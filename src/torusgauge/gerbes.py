@@ -119,7 +119,7 @@ class GerbeData:
         return self._curvature
 
 
-def check_gerbe_cocycle(gerbe, triples, tol=DEFAULT_TOL):
+def check_gerbe_cocycle(gerbe, triples):
     """phi_{i,j} + phi_{i+j,k} = phi_{i,j+k} + phi_{j,k}(. + i) mod 2*pi*Z."""
     report = CheckReport("gerbe_cocycle")
     for i, j, k in triples:
@@ -134,11 +134,11 @@ def check_gerbe_cocycle(gerbe, triples, tol=DEFAULT_TOL):
             *gerbe.phi_parts(i, jk, -1),
             *gerbe.phi_parts(j, k, -1, vneg(i)),
         ])
-        phase_item(report, vec_label(i, j, k), slack, tol)
+        phase_item(report, vec_label(i, j, k), slack)
     return report
 
 
-def check_gerbe_connection(gerbe, pairs=None, tol=DEFAULT_TOL):
+def check_gerbe_connection(gerbe, pairs=None):
     """Verify both connection identities; returns (report, H = dB)."""
     report = CheckReport("gerbe_connection")
     d = gerbe.d
@@ -155,7 +155,7 @@ def check_gerbe_connection(gerbe, pairs=None, tol=DEFAULT_TOL):
             *gerbe.connection_parts(i),
             *gerbe.connection_parts(j, 1, vneg(i)),
         ])
-        report.add(f"cocycle vs connections {vec_label(i, j)}", slack.is_zero(tol))
+        report.add(f"cocycle vs connections {vec_label(i, j)}", slack.is_zero(DEFAULT_TOL))
     B = gerbe.curving
     for a in range(1, d + 1):
         # dA_a - (B(. + e_a) - B)
@@ -164,14 +164,14 @@ def check_gerbe_connection(gerbe, pairs=None, tol=DEFAULT_TOL):
             (-1, B, vneg(basis_vec(d, a))),
             (1, B, None),
         ])
-        report.add(f"curving step along axis {a}", slack.is_zero(tol))
+        report.add(f"curving step along axis {a}", slack.is_zero(DEFAULT_TOL))
     H = gerbe.curvature()
     for a, step in enumerate(H.lattice_steps(), 1):
-        report.add(f"curvature descends along axis {a}", step.is_zero(tol))
+        report.add(f"curvature descends along axis {a}", step.is_zero(DEFAULT_TOL))
     return report, H
 
 
-def flux_class(gerbe, tol=DEFAULT_TOL):
+def flux_class(gerbe):
     """Flux integers (1/2pi) int over the unit 3-faces of H; errors if not integral."""
     H = gerbe.curvature()
     d = gerbe.d
@@ -190,7 +190,7 @@ def flux_class(gerbe, tol=DEFAULT_TOL):
                 f"non-integer period {n} on face {face}"
             )
         rounded = round(n.val)
-        if abs(n.val - rounded) > max(n.tol, tol):
+        if abs(n.val - rounded) > max(n.tol, DEFAULT_TOL):
             raise QuantizationError(f"non-integer period {n.val} on face {face}")
         out[face] = int(rounded)
     return out
@@ -230,7 +230,7 @@ def gerbe_translation_section(gerbe, v):
     return HigherSection(v, gens)
 
 
-def check_section_constraint(gerbe, v, pairs=None, tol=DEFAULT_TOL, section=None):
+def check_section_constraint(gerbe, v, pairs=None, section=None):
     """f_{i,j}(x) g_i(x) g_j(x+i) = g_{i+j}(x) f_{i,j}(x-v), exactly in exponents.
 
     section is gerbe_translation_section(gerbe, v), built here if None.
@@ -251,7 +251,7 @@ def check_section_constraint(gerbe, v, pairs=None, tol=DEFAULT_TOL, section=None
             *section.parts(ij, -1),
             *gerbe.phi_parts(i, j, -1, v),
         ])
-        phase_item(report, vec_label(i, j), slack, tol)
+        phase_item(report, vec_label(i, j), slack)
     return report
 
 
@@ -267,7 +267,7 @@ def associator(gerbe, u, v, w):
     return integrate_simplex(gerbe.curvature(), tet)
 
 
-def pentagon_check(gerbe, u, v, w, tol=DEFAULT_TOL, omega=None):
+def pentagon_check(gerbe, u, v, w, omega=None):
     """Pi_{u,v+w} . Pi_{v,w}(. - u) = omega_{u,v,w} . Pi_{u+v,w} . Pi_{u,v}, i.e.
     delta(Pi) = omega: one chain integral of B, less omega = associator(gerbe,
     u, v, w) (computed if None)."""
@@ -276,25 +276,23 @@ def pentagon_check(gerbe, u, v, w, tol=DEFAULT_TOL, omega=None):
         omega = associator(gerbe, u, v, w)
     d_pi = integrate_chain(gerbe.curving, coboundary(simplex_cochain(2, gerbe.d, -1))(u, v, w))
     report = CheckReport("pentagon_relation")
-    phase_item(report, vec_label(u, v, w), d_pi - omega, tol)
+    phase_item(report, vec_label(u, v, w), d_pi - omega)
     return report
 
 
-def associator_cocycle_check(gerbe, quadruples, tol=DEFAULT_TOL):
+def associator_cocycle_check(gerbe, quadruples):
     """delta(omega) = 1 on the sampled quadruples (group 3-cocycle law)."""
     omega = simplex_cochain(3, gerbe.d)
-    return is_cocycle(omega, gerbe.curvature(), quadruples, tol, identity="associator_cocycle")
+    return is_cocycle(omega, gerbe.curvature(), quadruples, identity="associator_cocycle")
 
 
-def constant_flux_gerbe(m, d=3):
+def constant_flux_gerbe(m):
     """The T^3 model with constant curvature 2*pi*m dx1^dx2^dx3.
 
     phi_{i,j} = -2*pi*m j_1 i_2 x_3, A_i = 2*pi*m i_1 x_2 dx3,
     B = 2*pi*m x_1 dx2^dx3.  m may be fractional to exercise the
     quantization rejection path.
     """
-    if d != 3:
-        raise DimensionError("the constant-flux model lives on T^3")
     m = Fraction(m)
     two_pi_m = Scalar.exact(2 * m, 1)
     psi = PolyTrig.monomial(3, (0, 0, 1), -two_pi_m)

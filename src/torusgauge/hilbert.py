@@ -28,6 +28,8 @@ from .magnetic import landau_line, two_cocycle
 from .polytrig import constant_mod_free
 
 UNITARITY_TOL = 1e-12
+# sup-norm bound on the defect of P(v) P(v') = c(v, v') P(v + v')
+OPERATOR_TOL = 1e-10
 
 
 def _lattice_coords(N, v):
@@ -57,11 +59,11 @@ def translation_matrix(N, v):
     return P
 
 
-def is_unitary(M, tol=UNITARITY_TOL):
+def is_unitary(M):
     import numpy as np
 
     N = M.shape[0]
-    return bool(np.max(np.abs(M @ M.conj().T - np.eye(N))) < tol)
+    return bool(np.max(np.abs(M @ M.conj().T - np.eye(N))) < UNITARITY_TOL)
 
 
 def geometric_cocycle_phase(N, v, vp, line=None):
@@ -77,7 +79,7 @@ def geometric_cocycle_phase(N, v, vp, line=None):
     return cmath.exp(1j * float(r))
 
 
-def verify_operator_cocycle(N, v, vp, tol=1e-10, line=None, mats=None):
+def verify_operator_cocycle(N, v, vp, line=None, mats=None):
     """Sup-norm defect of P(v) P(v') = c(v, v') P(v+v'); (ok, defect).
 
     c comes from line, the flux-N line bundle (landau_line(N) if None).
@@ -93,4 +95,4 @@ def verify_operator_cocycle(N, v, vp, tol=1e-10, line=None, mats=None):
     lhs = mats[v] @ mats[vp]
     rhs = c * mats[vs]
     defect = float(abs(lhs - rhs).max())
-    return defect < tol, defect
+    return defect < OPERATOR_TOL, defect

@@ -118,7 +118,7 @@ class LineData:
         return self._curvature
 
 
-def check_line_cocycle(line, pairs, tol=DEFAULT_TOL):
+def check_line_cocycle(line, pairs):
     """Verify phi_i(x) + phi_j(x + i) = phi_{i+j}(x) mod 2*pi*Z per pair."""
     report = CheckReport("translation_cocycle")
     for i, j in pairs:
@@ -129,11 +129,11 @@ def check_line_cocycle(line, pairs, tol=DEFAULT_TOL):
             *line.phi_parts(j, 1, vneg(i)),
             *line.phi_parts(tuple(a + b for a, b in zip(i, j)), -1),
         ])
-        phase_item(report, vec_label(i, j), slack, tol)
+        phase_item(report, vec_label(i, j), slack)
     return report
 
 
-def check_connection(line, tol=DEFAULT_TOL):
+def check_connection(line):
     """Verify d(phi_i) = A - A(. + i) on generators; also that dA descends."""
     A = line.require_connection()
     report = CheckReport("connection_compatibility")
@@ -145,10 +145,10 @@ def check_connection(line, tol=DEFAULT_TOL):
         )
         # d(phi_e) - (A - A(. + e))
         slack = shifted_form_sum(line.d, 1, [(1, lhs, None), (-1, A, None), (1, A, vneg(e))])
-        report.add(f"axis {a}", slack.is_zero(tol))
+        report.add(f"axis {a}", slack.is_zero(DEFAULT_TOL))
     B = line.curvature()
     for a, step in enumerate(B.lattice_steps(), 1):
-        report.add(f"curvature descends along axis {a}", step.is_zero(tol))
+        report.add(f"curvature descends along axis {a}", step.is_zero(DEFAULT_TOL))
     return report, B
 
 
@@ -159,7 +159,7 @@ def translation_section(line, v):
     return -integrate_simplex(A, seg)
 
 
-def check_section_membership(line, v, tol=DEFAULT_TOL, theta=None):
+def check_section_membership(line, v, theta=None):
     """Quasi-periodicity of the section: s(v)(x+i) = f_i(x) f_i(x-v)^{-1} s(v)(x).
 
     theta is translation_section(line, v), built here if None.
@@ -174,7 +174,7 @@ def check_section_membership(line, v, tol=DEFAULT_TOL, theta=None):
         slack = shifted_sum(
             line.d, [(1, theta, vneg(e)), (-1, theta, None), (-1, phi, None), (1, phi, v)]
         )
-        phase_item(report, f"axis {a}", slack, tol)
+        phase_item(report, f"axis {a}", slack)
     return report
 
 
@@ -185,7 +185,7 @@ def two_cocycle(line, v, vp):
     return -integrate_simplex(B, tri)
 
 
-def verify_projective_relation(line, v, vp, tol=DEFAULT_TOL):
+def verify_projective_relation(line, v, vp):
     """s(v) . translate_v s(v') = c(v, v') . s(v+v'), exactly in exponents: the
     section exponents' delta(theta), one chain integral of A, less c."""
     v, vp = as_vec(v), as_vec(vp)
@@ -193,7 +193,7 @@ def verify_projective_relation(line, v, vp, tol=DEFAULT_TOL):
     d_theta = integrate_chain(A, coboundary(simplex_cochain(1, line.d, -1))(v, vp))
     c = two_cocycle(line, v, vp)
     report = CheckReport("projective_product")
-    phase_item(report, vec_label(v, vp), d_theta - c, tol)
+    phase_item(report, vec_label(v, vp), d_theta - c)
     return report, c
 
 
@@ -313,7 +313,7 @@ def equivalence_gauge(line, gamma, alpha):
     return i_alpha - i_gamma
 
 
-def lift_equivalence_check(line, gamma, alpha, phi, probe, tol=DEFAULT_TOL):
+def lift_equivalence_check(line, gamma, alpha, phi, probe):
     """Replacing (gamma, phi) by (alpha, h.phi) must not change products.
 
     Verified on the invariant exponents of the products with a probe element.
@@ -325,19 +325,17 @@ def lift_equivalence_check(line, gamma, alpha, phi, probe, tol=DEFAULT_TOL):
     p1 = lift_product(a1, probe, line)
     p2 = lift_product(a2, probe, line)
     slack = p1.invariant_exponent(line) - p2.invariant_exponent(line)
-    phase_item(report, "product invariance", slack, tol)
+    phase_item(report, "product invariance", slack)
     gap = vsub(p1.endpoint, p2.endpoint)
     report.add("endpoints agree", not any(gap), residue=vec_label(gap))
     # the two representatives themselves act identically
     slack0 = a1.invariant_exponent(line) - a2.invariant_exponent(line)
-    phase_item(report, "representative invariance", slack0, tol)
+    phase_item(report, "representative invariance", slack0)
     return report
 
 
-def landau_line(N, d=2):
+def landau_line(N):
     """The d=2 flux-N model: phi_{e2} = 2*pi*N*x1, A = -2*pi*N*x2 dx1."""
-    if d != 2:
-        raise DimensionError("the Landau model lives on T^2")
     phi = PolyTrig.monomial(2, (1, 0), Scalar.exact(2 * Fraction(N), 1))
     A = Form.one_form(2, {1: PolyTrig.monomial(2, (0, 1), Scalar.exact(-2 * Fraction(N), 1))})
     return LineData(2, {2: phi}, A)

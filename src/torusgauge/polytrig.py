@@ -796,13 +796,13 @@ def translate(f, v):
     return shifted_sum(f.dim, ((1, f, v),))
 
 
-def constant_mod_free(f, tol=DEFAULT_TOL):
-    """The constant value of f, or None if f is nonconstant beyond tol."""
+def constant_mod_free(f):
+    """The constant value of f, or None if f is nonconstant beyond DEFAULT_TOL."""
     const = Scalar.zero()
     for (alpha, mode, freq, phase), c in f.terms.items():
         if mode == MODE_NONE and all(a == 0 for a in alpha):
             const = const + c
             continue
-        if c.is_exact or abs(c.val) > max(c.tol, tol):
+        if c.is_exact or abs(c.val) > max(c.tol, DEFAULT_TOL):
             return None
     return const

@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .polytrig import constant_mod_free
-from .scalar import DEFAULT_TOL
 
 
 class CheckItem(namedtuple("CheckItem", "label passed residue note", defaults=(None, None))):
@@ -52,17 +51,17 @@ def vec_label(*vecs):
     return "; ".join("(" + ",".join(str(x) for x in v) + ")" for v in vecs)
 
 
-def phase_item(report, label, slack, tol=DEFAULT_TOL):
+def phase_item(report, label, slack):
     """Record whether the exponent slack is a constant in 2*pi*Z.
 
     The one place a mod-2*pi verdict is decided: a slack that is not constant
-    beyond tol fails with residue "nonconstant"; a constant one is rendered
-    mod 2*pi.
+    beyond scalar.DEFAULT_TOL fails with residue "nonconstant"; a constant one
+    is rendered mod 2*pi.
     """
-    c = constant_mod_free(slack, tol)
+    c = constant_mod_free(slack)
     if c is None:
         report.add(label, False, residue="nonconstant")
         return False
-    ok = c.in_two_pi_Z(tol)
+    ok = c.in_two_pi_Z()
     report.add(label, ok, residue=str(c.mod_two_pi()))
     return ok

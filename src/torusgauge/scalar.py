@@ -231,8 +231,8 @@ class Scalar:
 
     # -- torus phase helpers -------------------------------------------------
 
-    def in_two_pi_Z(self, tol=DEFAULT_TOL):
-        """Whether the value lies in 2*pi*Z (exactly on tier E, within tol on tier F)."""
+    def in_two_pi_Z(self):
+        """Whether the value lies in 2*pi*Z (exactly on tier E, within DEFAULT_TOL on tier F)."""
         num = self.num
         if num is not None:
             if not num:
@@ -241,7 +241,7 @@ class Scalar:
                 return False
             return self.den == 1 and num[1] % 2 == 0
         k = round(self.val / _TWO_PI)
-        return abs(self.val - _TWO_PI * k) <= max(self.tol, tol)
+        return abs(self.val - _TWO_PI * k) <= max(self.tol, DEFAULT_TOL)
 
     def mod_two_pi(self):
         """Representative of the value mod 2*pi in [0, 2*pi); exactness is preserved."""
@@ -264,20 +264,23 @@ class Scalar:
             return f"{self.val!r}(tol={self.tol:.2g})"
         if not self.num:
             return "0"
-        pi = self.pi
+        den = self.den
         parts = []
-        for m in sorted(pi):
-            q = pi[m]
+        for m, n in sorted(self.num.items()):
+            g = gcd(n, den)
+            q = rational_str(n // g)
+            if den != g:
+                q += "/" + rational_str(den // g)
             if m == 0:
-                parts.append(rational_str(q))
+                parts.append(q)
             else:
                 p = "pi" if m == 1 else f"pi^{m}"
-                if q == 1:
+                if q == "1":
                     parts.append(p)
-                elif q == -1:
+                elif q == "-1":
                     parts.append(f"-{p}")
                 else:
-                    parts.append(f"{rational_str(q)}*{p}")
+                    parts.append(f"{q}*{p}")
         out = parts[0]
         for p in parts[1:]:
             out += f" + {p}" if not p.startswith("-") else f" - {p[1:]}"
@@ -285,7 +288,7 @@ class Scalar:
 
 
 def rational_str(q):
-    """str(q) for an int or Fraction; SizeLimitError past the interpreter's digit limit."""
+    """str(q) for an int; SizeLimitError past the interpreter's digit limit."""
     try:
         return str(q)
     except ValueError:

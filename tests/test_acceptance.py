@@ -25,7 +25,7 @@ from torusgauge.gerbes import (
     flux_class,
     pentagon_check,
 )
-from torusgauge.hilbert import translation_matrix, verify_operator_cocycle
+from torusgauge.hilbert import OPERATOR_TOL, translation_matrix, verify_operator_cocycle
 from torusgauge.magnetic import (
     LineData,
     PathSymmetry,
@@ -117,6 +117,7 @@ def test_criterion_2_landau_reproduction():
 
 
 def test_criterion_3_operator_cross_validation():
+    assert OPERATOR_TOL == 1e-10  # the criterion's stated bound
     t0 = time.time()
     worst = 0.0
     total = 0
@@ -124,7 +125,7 @@ def test_criterion_3_operator_cross_validation():
         fracs = [Fraction(a, N) for a in range(N)]
         lattice = list(itertools.product(fracs, repeat=2))
         for v, vp in itertools.product(lattice, repeat=2):
-            ok, defect = verify_operator_cocycle(N, v, vp, tol=1e-10)
+            ok, defect = verify_operator_cocycle(N, v, vp)
             assert ok, (N, v, vp, defect)
             worst = max(worst, defect)
             total += 1

@@ -66,9 +66,9 @@ def _record_slacks(monkeypatch, module):
     slacks = []
     decide = module.phase_item
 
-    def record(report, label, slack, tol):
+    def record(report, label, slack):
         slacks.append(slack)
-        return decide(report, label, slack, tol)
+        return decide(report, label, slack)
 
     monkeypatch.setattr(module, "phase_item", record)
     return slacks

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from torusgauge.cli import HANDLERS, MAX_COUNT, load_scenario, run
+from torusgauge.cli import HANDLERS, MAX_COUNT, build_parser, load_scenario, main, run
 from torusgauge.forms import integrate_simplex
 from torusgauge.polytrig import PolyTrig
 from torusgauge.sampling import rng
@@ -248,13 +248,18 @@ def test_twist2_on_a_line_takes_two_kernel_calls_per_pair(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_tolerance_does_not_leak_into_the_next_run(tmp_path, capsys):
+def test_the_float_tier_has_one_fixed_tolerance(tmp_path, monkeypatch, capsys):
+    options = {s for action in build_parser()._actions for s in action.option_strings}
+    assert options == {"-h", "--help", "--config", "--seed", "--json", "--csv"}
     cfg = str(SCENARIOS / "landau_n1.json")
-    code, report = run_cmd(tmp_path, "section", "--config", cfg, "--tolerance", "1e-3")
-    assert code == 0 and report["tolerance"] == 1e-3
+    argv = ["torusgauge", "section", "--config", cfg, "--tolerance", "1e-3"]
+    monkeypatch.setattr("sys.argv", argv)
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 2
     code, report = run_cmd(tmp_path, "section", "--config", cfg)
     capsys.readouterr()
-    assert code == 0 and report["tolerance"] == DEFAULT_TOL
+    assert code == 0 and report["tolerance"] == DEFAULT_TOL == 1e-9
 
 
 def test_section_and_cohomology_commands(tmp_path, capsys):
@@ -533,7 +538,7 @@ def _sym_product_memory(tmp_path, samples):
     before = _live_terms()
     tracemalloc.start()
     try:
-        reports = HANDLERS["sym-product"](scn, rng(0), DEFAULT_TOL, {})
+        reports = HANDLERS["sym-product"](scn, rng(0), {})
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -559,9 +564,9 @@ def test_operators_uses_the_scenario_line(monkeypatch, tmp_path, capsys):
     built = []
     landau_line = magnetic.landau_line
 
-    def counting(N, d=2):
+    def counting(N):
         built.append(N)
-        return landau_line(N, d)
+        return landau_line(N)
 
     monkeypatch.setattr(cli, "landau_line", counting, raising=False)
     monkeypatch.setattr(magnetic, "landau_line", counting)

@@ -90,6 +90,10 @@ def odd_number_cases():
         for value in (float("inf"), float("nan"), "1e10000000", "1e1000000", "1/0")
     ]
     cases.append(("check-cocycle", _with("zero_line", cocycle={"2": "2*pi*x1 + 1e10000000"})))
+    # a trig phase that is not a rational multiple of pi has no exact value
+    for text in ("cos(2*pi*x1 + 1)", "sin(2*pi*x1 + pi^2)",
+                 "exp2pii(x1 + pi) + exp2pii(-1*x1 - pi)", "cos(2*pi*x1 + cos(2*pi*(1/5)))"):
+        cases.append(("check-connection", _with("zero_line", cocycle={"1": text})))
     # literals past the digit limit inside an expression: digits only, and p/q
     for literal in ("7" * 5000, "1/" + "7" * 5000):
         cases.append(("check-cocycle", _with("zero_line", cocycle={"2": f"2*pi*x1 + {literal}"})))
@@ -115,6 +119,9 @@ def coerced_value_cases():
     for value in ([], 0, {}, False, "", None, "12", [["1", "0"], "01"]):
         landau["params"] = {**landau["params"], "vectors": value}
         cases.append(("section", json.dumps(landau)))
+    # JSON booleans are not coordinates, though Fraction(True) is 1
+    landau["params"] = {**landau["params"], "vectors": [[True, False], [False, True]]}
+    cases += [(command, json.dumps(landau)) for command in ("section", "twist2")]
     return cases
 
 

@@ -60,6 +60,10 @@ def test_parse_dimension_and_frequency_errors():
         parse_expr("x3", 2)
     with pytest.raises(FrequencyError):
         parse_expr("cos(pi*x1)", 1)  # frequency 1/2
+    with pytest.raises(FrequencyError):
+        parse_expr("cos(2*pi*x1 + 1)", 1)  # phase 1/(2*pi)
+    assert parse_expr("cos(2*pi*x1 + pi)", 1) == -parse_expr("cos(2*pi*x1)", 1)
+    assert parse_expr("cos(2*pi*(x1 + 1/5))", 1) == parse_expr("cos(2*pi*x1 + 2/5*pi)", 1)
     with pytest.raises(NonRealExpressionError):
         parse_expr("exp2pii(x1)", 1)
 

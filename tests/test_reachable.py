@@ -68,6 +68,7 @@ KEEP = {
     "polytrig.pullback_fn": PULLBACK,
     "scalar.Scalar.__repr__": "a Scalar shows its value in assertion messages and at the prompt",
     "scalar.Scalar.equals": "scalar equality up to tolerance; the tier oracles use it",
+    "scalar.Scalar.pi": "verdictbench/tracer.py keys exact scalars by it; the exact oracles compare it",
 }
 
 
