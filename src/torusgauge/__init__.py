@@ -26,17 +26,14 @@ from .forms import (
     integrate_simplex,
 )
 from .polytrig import (
-    AffineMap,
     PolyTrig,
     constant_mod_free,
-    pullback_fn,
     shifted_sum,
     translate,
 )
 from .scalar import Scalar, cos2pi, sin2pi
 
 __all__ = [
-    "AffineMap",
     "AffineSimplex",
     "DegreeError",
     "DimensionError",
@@ -57,7 +54,6 @@ __all__ = [
     "integrate_simplex",
     "parse_expr",
     "print_expr",
-    "pullback_fn",
     "shifted_sum",
     "sin2pi",
     "translate",

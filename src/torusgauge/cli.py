@@ -117,19 +117,24 @@ def _parse_form(d, comps, degree, what):
 def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            # a JSON number with a fraction or an exponent is read exactly,
+            # through read_rational's digit-limit check
+            doc = json.load(fh, parse_float=read_rational)
     except (OSError, ValueError) as exc:
-        # ValueError covers JSONDecodeError and integers past the digit limit
+        # ValueError covers JSONDecodeError and numbers past the digit limit
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _object(doc, f"config {path}")
     try:
-        if doc.get("schema", 1) != 1:
-            raise ConfigError(f"unsupported config schema {doc.get('schema')!r}")
+        schema = doc.get("schema", 1)
+        if schema.__class__ is not int or schema != 1:
+            raise ConfigError(f"unsupported config schema {schema!r}")
         d = doc["dimension"]
         if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= MAX_DIMENSION:
             raise ConfigError(f"dimension must be an integer in [1, {MAX_DIMENSION}], got {d!r}")
         kind = doc["kind"]
         name = doc.get("name", "scenario")
+        if not isinstance(name, str):
+            raise ConfigError(f"name must be a string, got {name!r}")
         params = _object(doc.get("params", {}), "params")
         cocycle = _object(doc.get("cocycle", {}), "cocycle")
         if kind == "line":
@@ -171,7 +176,8 @@ def _vectors(scn, default):
 
 
 def _coordinate(x):
-    """A vector entry: a rational literal string or a JSON number, not a bool."""
+    """A vector entry: a rational literal string or a JSON number (an int, or
+    a Fraction as load_scenario reads it), not a bool."""
     if isinstance(x, bool):
         raise TypeError(f"vector coordinate must be a number or a string, got {x!r}")
     return read_rational(x) if isinstance(x, str) else Fraction(x)

@@ -4,37 +4,35 @@ Differential forms store only strictly increasing index tuples, so
 antisymmetry is structural.
 
 Every integral runs through one kernel, _iterated_integral, which integrates
-a k-form omega over a signed chain of k-cells, each given by its edges
-v_1..v_k, its base point p_0 and a sign: the simplices of integrate_chain
-(e.g. the boundary faces of a simplex in Stokes' theorem) and of
-integrate_simplex (a chain of one), the segments of a PL path in
-integrate_path, and the box of integrate_box (e.g. the unit cubes of flux
-periods).  omega is pulled back along each cell's affine parametrisation
-p_0 + sum_j t_j v_j and integrated over the parameters t.  The parameter
-domain is either the simplex 0 <= t_k <= ... <= t_1 <= 1, whose image with
-top vertex x is the ordered simplex
+a k-form omega over a signed chain of k-simplices, each given by its edges
+v_1..v_k, its first vertex p_0 and a sign: the simplices of integrate_chain
+(e.g. the boundary faces of a simplex in Stokes' theorem, or the Freudenthal
+simplices of a cube) and of integrate_simplex (a chain of one), and the
+segments of a PL path in integrate_path.  Every point is an offset against
+one unspecified base point x, so every integral is a PolyTrig function of x.
+omega is pulled back along each simplex's affine parametrisation
+x + p_0 + sum_j t_j v_j and integrated over 0 <= t_k <= ... <= t_1 <= 1,
+whose image with top vertex x is the ordered simplex
 
     [x - v_1 - ... - v_k, x - v_2 - ... - v_k, ..., x - v_k, x]
 
-with the standard orientation of that vertex ordering, or the unit box
-0 <= t_j <= 1 of a parallelepiped.  A pulled-back term that is a polynomial
-in t is integrated in one pass by its closed-form moment (on the simplex
-prod_j 1 / S_j with S_j = sum_{i >= j} (beta_i + 1) for t^beta; cf. Baldoni,
+with the standard orientation of that vertex ordering.  A pulled-back term
+that is a polynomial in t is integrated in one pass by its closed-form moment
+prod_j 1 / S_j with S_j = sum_{i >= j} (beta_i + 1) for t^beta (cf. Baldoni,
 Berline, De Loera, Koeppe and Vergne, "How to integrate a polynomial over a
 simplex", Math. Comp. 80 (2011) 297-325).  Only terms with trig dependence
 on t are integrated by parts, in t_k, ..., t_1 in turn, one pass per axis
-from 0 to its upper limit.  Every cell of a chain has the same parameter
-domain, so the cells pull back into one accumulator and the chain takes one
-set of passes and one phase expansion, however many cells it has.
+from 0 to its upper limit.  Every simplex of a chain has the same parameter
+domain, so the simplices pull back into one accumulator and the chain takes
+one set of passes and one phase expansion, however many simplices it has.
 
-Cells are integer-scaled: AffineSimplex and PLPath keep their points once,
-as int numerators over one positive denominator, so vertices, faces,
-segment edges, determinants and the kernel's rows are int arithmetic.
+Simplices and paths are integer-scaled: AffineSimplex and PLPath keep their
+points once, as int numerators over one positive denominator, so vertices,
+faces, segment edges, determinants and the kernel's rows are int arithmetic.
 
-Base points may be symbolic (offsets against an unspecified x), in which
-case integrals return PolyTrig functions of x; concretely based integrals
-return Scalars.  Everything here is exact: integration is closed-form,
-never quadrature.
+An integral at a concrete base point p is the symbolic one evaluated at p,
+which is composition with the constant map to p (polytrig.value_at).
+Everything here is exact: integration is closed-form, never quadrature.
 """
 
 from __future__ import annotations
@@ -140,18 +138,20 @@ class Form:
                 parts.append((tuple(sorted(merged)), _perm_sign(perm), f1 * f2, None))
         return _component_sum(self.dim, p + q, parts)
 
-    def pullback(self, m):
-        """Pullback along an AffineMap into dimension m.in_dim."""
-        if self.dim != m.out_dim:
+    def pullback(self, lin, trans):
+        """Pullback along y -> lin y + trans, lin a rational dim x m matrix and
+        trans a rational vector: a form on R^m."""
+        if len(lin) != self.dim:
             raise DimensionError("map does not land in the form's space")
-        rows = _Rows.rational(m.lin, m.trans, m.in_dim)
+        in_dim = len(lin[0])
+        rows = _Rows.rational(lin, trans, in_dim)
         parts = []
-        for J in combinations(range(m.in_dim), self.degree):
-            cols = [tuple(row[j] for row in m.lin) for j in J]
+        for J in combinations(range(in_dim), self.degree):
+            cols = [tuple(row[j] for row in lin) for j in J]
             # the coefficient of dt_J is sum_I det(minor_I) f_I o M
             for I, f in self.comps.items():
                 parts.append((J, det([[e[i] for e in cols] for i in I]), f, rows))
-        return _component_sum(m.in_dim, self.degree, parts)
+        return _component_sum(in_dim, self.degree, parts)
 
     def translate(self, v):
         """tau_v^* in the shift convention: coefficients become f(x - v)."""
@@ -218,16 +218,20 @@ def _perm_sign(perm):
 class AffineSimplex:
     """Oriented affine k-simplex given by a top vertex and ordered edge vectors.
 
-    When symbolic, the top vertex is an offset against an unspecified base
-    point x and integrals over the simplex are functions of x.  The points
-    are kept once, integer-scaled: the top vertex and the edges as int
-    numerator tuples over one positive denominator.  top, edges and
-    vertices() present them as rational tuples.
+    The top vertex is an offset against an unspecified base point x, and
+    integrals over the simplex are functions of x.  The points are kept once,
+    integer-scaled: the top vertex and the edges as int numerator tuples over
+    one positive denominator.  top, edges and vertices() present them as
+    rational tuples.
     """
 
-    __slots__ = ("dim", "symbolic", "sign", "_top", "_edges", "_den")
+    __slots__ = ("dim", "sign", "_top", "_edges", "_den")
 
-    def __init__(self, top, edges, symbolic=True, sign=1):
+    # every simplex has the symbolic base x; verdictbench/tracer.py keys the
+    # integrals it observes by this attribute
+    symbolic = True
+
+    def __init__(self, top, edges, sign=1):
         den, (top, *edges) = scale_vecs([top, *edges])
         # k > dim is allowed: the simplex is degenerate and top-degree
         # integrals over it are integrals of the zero form
@@ -235,24 +239,21 @@ class AffineSimplex:
             if len(e) != len(top):
                 raise DimensionError("edge vector length mismatch")
         self.dim = len(top)
-        self.symbolic = bool(symbolic)
         self.sign = 1 if sign >= 0 else -1
         self._top, self._edges, self._den = top, tuple(edges), den
 
     @staticmethod
-    def _scaled(top, edges, den, symbolic, sign):
+    def _scaled(top, edges, den, sign):
         """The simplex whose int numerator points top and edges lie over den."""
         s = AffineSimplex.__new__(AffineSimplex)
-        s.dim, s.symbolic, s.sign = len(top), symbolic, sign
+        s.dim, s.sign = len(top), sign
         s._top, s._edges, s._den = top, edges, den
         return s
 
     @staticmethod
-    def from_edges(edges, base=None):
-        """Simplex with the given ordered edges; base is the top vertex (x if None)."""
-        if base is None:
-            return AffineSimplex(vzero(len(edges[0]) if edges else 0), edges)
-        return AffineSimplex(base, edges, symbolic=False)
+    def from_edges(edges):
+        """Simplex with the given ordered edges and top vertex x."""
+        return AffineSimplex(vzero(len(edges[0]) if edges else 0), edges)
 
     @property
     def top(self):
@@ -267,7 +268,7 @@ class AffineSimplex:
         return len(self._edges)
 
     def __neg__(self):
-        return AffineSimplex._scaled(self._top, self._edges, self._den, self.symbolic, -self.sign)
+        return AffineSimplex._scaled(self._top, self._edges, self._den, -self.sign)
 
     def _cell(self):
         """The kernel's cell (edges, first vertex, den, sign); points are numerators over den."""
@@ -297,38 +298,37 @@ class AffineSimplex:
             face = verts[:j] + verts[j + 1 :]
             edges = tuple(tuple(map(sub, b, a)) for a, b in zip(face, face[1:]))
             sgn = self.sign if j % 2 == 0 else -self.sign
-            faces.append(AffineSimplex._scaled(face[-1], edges, self._den, self.symbolic, sgn))
+            faces.append(AffineSimplex._scaled(face[-1], edges, self._den, sgn))
         return faces
 
 
 def integrate_simplex(omega, simplex):
-    """Exact integral of a k-form over an affine k-simplex.
+    """Exact integral of a k-form over an affine k-simplex, a PolyTrig in x.
 
-    Returns a PolyTrig in the base variables for symbolic simplices and a
-    Scalar for concretely based ones.  Linear in omega, additive over chains,
-    odd under orientation reversal.  A 0-simplex is a point: the integral is
-    the value there.
+    Linear in omega, additive over chains, odd under orientation reversal.
+    A 0-simplex is a point: the integral is the value there.  The integral
+    over the simplex placed at a concrete point p is polytrig.value_at of
+    the result at p.
     """
     _check_cell(omega, simplex)
-    return _iterated_integral(omega, (simplex._cell(),), simplex.symbolic, nested=True)
+    return _iterated_integral(omega, (simplex._cell(),))
 
 
 def integrate_chain(omega, simplices):
-    """Exact integral of a k-form over a chain of signed k-simplices.
+    """Exact integral of a k-form over a nonempty chain of signed k-simplices.
 
-    The simplices are all symbolic or all concretely based, and the result
-    is the sum of integrate_simplex over them, computed in one kernel pass:
-    the antiderivative passes and the phase expansion run once for the chain.
+    The result, a PolyTrig in x, is the sum of integrate_simplex over them,
+    computed in one kernel pass: the antiderivative passes and the phase
+    expansion run once for the chain.  A box is such a chain: the k!
+    Freudenthal simplices of its edge orderings, each signed by the parity
+    of its ordering (gerbes._integrate_unit_cube integrates unit cubes so).
     """
     simplices = list(simplices)
     if not simplices:
         raise ValueError("a chain needs at least one simplex")
-    symbolic = simplices[0].symbolic
     for s in simplices:
         _check_cell(omega, s)
-        if s.symbolic != symbolic:
-            raise ValueError("a chain mixes symbolic and concretely based simplices")
-    return _iterated_integral(omega, [s._cell() for s in simplices], symbolic, nested=True)
+    return _iterated_integral(omega, [s._cell() for s in simplices])
 
 
 def _check_cell(omega, simplex):
@@ -338,46 +338,20 @@ def _check_cell(omega, simplex):
         raise DegreeError(f"cannot integrate a {omega.degree}-form over a {simplex.k}-simplex")
 
 
-def integrate_box(omega, edges, base=None, offset=None):
-    """Exact integral of a k-form over the box p + sum_j t_j edges[j], 0 <= t_j <= 1.
-
-    With base None the corner p is x + offset (offset 0 if None) for an
-    unspecified base point x, and the result is a PolyTrig in x; otherwise p
-    is the rational point base and the result is a Scalar.
-    """
-    if base is None:
-        base = vzero(omega.dim) if offset is None else offset
-        symbolic = True
-    else:
-        symbolic = False
-    den, (p0, *edges) = scale_vecs([base, *edges])
-    if omega.degree != len(edges):
-        raise DegreeError(f"cannot integrate a {omega.degree}-form over a {len(edges)}-box")
-    if any(len(e) != omega.dim for e in edges):
-        raise DimensionError("edge vector length mismatch")
-    return _iterated_integral(omega, ((edges, p0, den, 1),), symbolic, nested=False)
-
-
-def _moments(poly, den, toff, nested):
-    """The integral over t of poly / den, poly an int polynomial in (x, t) with
-    its first toff exponents on x: {x exponents: (numerator, denominator)}.
-
-    On the simplex 0 <= t_k <= ... <= t_1 <= 1 the moment of t^beta is
-    prod_j 1 / S_j with S_j = sum_{i >= j} (beta_i + 1); on the unit box it
-    is prod_j 1 / (beta_j + 1).
+def _moments(poly, den, d):
+    """The integral over the simplex 0 <= t_k <= ... <= t_1 <= 1 of poly / den,
+    poly an int polynomial in (x, t) with its first d exponents on x:
+    {x exponents: (numerator, denominator)}.  The moment of t^beta is
+    prod_j 1 / S_j with S_j = sum_{i >= j} (beta_i + 1).
     """
     out = {}
     for beta, n in poly.items():
         m = 1
-        if nested:
-            s = 0
-            for b in reversed(beta[toff:]):
-                s += b + 1
-                m *= s
-        else:
-            for b in beta[toff:]:
-                m *= b + 1
-        ax = beta[:toff]
+        s = 0
+        for b in reversed(beta[d:]):
+            s += b + 1
+            m *= s
+        ax = beta[:d]
         prev = out.get(ax)
         if prev is None:
             out[ax] = (n, m)
@@ -388,36 +362,32 @@ def _moments(poly, den, toff, nested):
     return {ax: (n, m * den) for ax, (n, m) in out.items() if n}
 
 
-def _iterated_integral(omega, cells, symbolic, nested):
-    """Integral of omega over a signed chain of cells, each p0 + sum_j t_j edges[j]
-    with t on the simplex if nested, else on the box.
+def _iterated_integral(omega, cells):
+    """Integral of omega over a signed chain of simplices, each
+    x + p0 + sum_j t_j edges[j] for t on 0 <= t_k <= ... <= t_1 <= 1: a PolyTrig in x.
 
     A cell is (edges, p0, den, sign): k = omega.degree edge vectors and the
     point p0 as int numerator tuples over the positive int den, and a sign
-    of 1 or -1.  The result is a PolyTrig in the base point x if symbolic,
-    else a Scalar.  Each term of omega is pulled back along each cell's
+    of 1 or -1.  Each term of omega is pulled back along each cell's
     parametrisation, whose rows and their powers are built once for all
     components.  A pulled term with no trig dependence on t is integrated in
     one pass, by the closed-form moments of _moments; its trig factor, if
-    any, is put as is and so folds into the coefficient when it is constant
-    (a concrete base and a frequency orthogonal to every edge).  Terms whose
-    frequency is nonzero on a t axis are put into one accumulator for the
-    whole chain, since every cell has the same parameter domain; the chain
-    then takes one antiderivative pass per axis, for each t_j from t_k down
-    to t_1, from 0 to its upper limit (t_{j-1} on the simplex, 1 on the box
-    and for t_1), after which the parameter axes are dropped.  Last, the
+    any, is put as is.  Terms whose frequency is nonzero on a t axis are put
+    into one accumulator for the whole chain, since every cell has the same
+    parameter domain; the chain then takes one antiderivative pass per axis,
+    for each t_j from t_k down to t_1, from 0 to its upper limit (t_{j-1},
+    and 1 for t_1), after which the parameter axes are dropped.  Last, the
     phases are expanded, once.
     """
     d = omega.dim
     k = omega.degree
-    toff = d if symbolic else 0
-    out = _Acc(toff)
-    trig = _Acc(toff + k)
+    out = _Acc(d)
+    trig = _Acc(d + k)
     for edges, p0, den, sign in cells:
         rows = _Rows(
-            [[den * (a == i) for a in range(toff)] + [e[i] for e in edges] for i in range(d)],
+            [[den * (a == i) for a in range(d)] + [e[i] for e in edges] for i in range(d)],
             p0,
-            toff + k,
+            d + k,
             den,
         )
         dk = den**k
@@ -431,7 +401,7 @@ def _iterated_integral(omega, cells, symbolic, nested):
             for (alpha, mode, freq, phase), c in f.terms.items():
                 if mode != MODE_NONE:
                     freq, phase = rows.frequency(freq, phase)
-                    if any(freq[toff:]):
+                    if any(freq[d:]):
                         poly, pden = rows.product(alpha)
                         pden *= sd
                         trig.put_terms(
@@ -439,10 +409,10 @@ def _iterated_integral(omega, cells, symbolic, nested):
                             [(beta, c.scaled(n * sn, pden)) for beta, n in poly.items()],
                         )
                         continue
-                    freq = freq[:toff]
+                    freq = freq[:d]
                 m = moments.get(alpha)
                 if m is None:
-                    m = moments[alpha] = _moments(*rows.product(alpha), toff, nested)
+                    m = moments[alpha] = _moments(*rows.product(alpha), d)
                 out.put_terms(
                     mode, freq, phase,
                     [(ax, c.scaled(n * sn, md * sd)) for ax, (n, md) in m.items()],
@@ -450,15 +420,14 @@ def _iterated_integral(omega, cells, symbolic, nested):
     if trig.terms:
         g = trig.done()
         for j in range(k, 0, -1):
-            axis = toff + j
-            if nested and j > 1:
+            axis = d + j
+            if j > 1:
                 g = g.antiderivative(axis, {axis - 1: 1}, 0)
             else:
                 g = g.antiderivative(axis, {}, 1)
-        for key, c in g.drop_axes(range(1, toff + 1)).terms.items():
+        for key, c in g.drop_axes(range(1, d + 1)).terms.items():
             out.merge(key, c)
-    g = out.done().expand_phases()
-    return g if symbolic else g.constant_term()
+    return out.done().expand_phases()
 
 
 class PLPath:
@@ -467,8 +436,8 @@ class PLPath:
     The vertices are kept once, integer-scaled: int numerator tuples over one
     positive denominator, in lowest terms; vertices, start and end present
     them as rational tuples.  integrate_path keeps its results on the path
-    (_integrals, keyed by the form object and symbolic), so they live
-    exactly as long as the path.
+    (_integrals, keyed by the form object), so they live exactly as long as
+    the path.
     """
 
     __slots__ = ("_points", "_den", "_integrals")
@@ -556,24 +525,22 @@ def _grid_point(points, k, grid):
     return tuple(grid * u + r * (w - u) for u, w in zip(x, points[i + 1]))
 
 
-def integrate_path(alpha, path, symbolic=True):
-    """Exact line integral of a 1-form over a PL path.
+def integrate_path(alpha, path):
+    """Exact line integral of a 1-form over a PL path, a PolyTrig in x.
 
-    With symbolic=True the path vertices are offsets against a base point x
-    and the result is a PolyTrig in x; otherwise a Scalar.  The segments are
-    one chain for the kernel.  A path integrated again against the same form
-    object returns its first result.
+    The path vertices are offsets against the base point x, and the segments
+    are one chain for the kernel.  A path integrated again against the same
+    form object returns its first result.
     """
     if alpha.degree != 1:
         raise DegreeError("integrate_path expects a 1-form")
     if alpha.dim != path.dim:
         raise DimensionError("form and path live in different spaces")
-    key = (alpha, symbolic)
     if path._integrals is None:
         path._integrals = {}
-    elif key in path._integrals:
-        return path._integrals[key]
+    elif alpha in path._integrals:
+        return path._integrals[alpha]
     points, den = path._points, path._den
     cells = [((tuple(map(sub, b, a)),), a, den, 1) for a, b in zip(points, points[1:]) if a != b]
-    total = path._integrals[key] = _iterated_integral(alpha, cells, symbolic, nested=True)
+    total = path._integrals[alpha] = _iterated_integral(alpha, cells)
     return total

@@ -37,12 +37,11 @@ from .errors import DegreeError, DimensionError, QuantizationError
 from .forms import (
     AffineSimplex,
     Form,
-    integrate_box,
     integrate_chain,
     integrate_simplex,
     shifted_form_sum,
 )
-from .polytrig import PolyTrig, shifted_sum
+from .polytrig import PolyTrig, shifted_sum, value_at
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
 from .vectors import as_vec, basis_vec, vneg, vzero
@@ -196,10 +195,23 @@ def flux_class(gerbe):
     return out
 
 
+# the orderings p of three axes, each with its parity
+_ORDERINGS = tuple(zip(itertools.permutations(range(3)), (1, -1, -1, 1, 1, -1)))
+
+
 def _integrate_unit_cube(H, face):
-    """Exact integral of a 3-form over the unit cube spanned by the face axes."""
-    edges = [basis_vec(H.dim, a) for a in face]
-    return integrate_box(H, edges, vzero(H.dim))
+    """Exact integral of a 3-form over the unit cube [0, 1]^3 on the face axes.
+
+    The cube is the chain of its Freudenthal simplices (H. Freudenthal, Ann.
+    of Math. 43 (1942) 580-582), one per ordering p of the axes: first vertex
+    0, edges e_p1, e_p2, e_p3 and the sign of p.  The chain's integral, a
+    function of the base point x, is taken at x = 0.
+    """
+    d = H.dim
+    edges = [basis_vec(d, a) for a in face]
+    top = tuple(map(sum, zip(*edges)))
+    chain = [AffineSimplex(top, [edges[i] for i in p], sign=s) for p, s in _ORDERINGS]
+    return value_at(integrate_chain(H, chain), vzero(d))
 
 
 class HigherSection:

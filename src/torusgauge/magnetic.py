@@ -40,7 +40,7 @@ from .forms import (
     integrate_simplex,
     shifted_form_sum,
 )
-from .polytrig import PolyTrig, shifted_sum
+from .polytrig import PolyTrig, shifted_sum, value_at
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
 from .vectors import as_vec, basis_vec, vneg, vsub, vzero
@@ -205,22 +205,20 @@ def holonomy_exponent(line, loop, on_torus=False):
     phase of the winding i closes the lift.  Its sign is pinned by requiring
     invariance (mod 2*pi) under translating the lift by a lattice vector,
     which is the statement that the phase belongs to the loop on the torus
-    and not to the chosen lift.
+    and not to the chosen lift.  The loop's vertices are points, so its
+    integral is the symbolic one at x = 0, and the phase is taken at
+    loop.start.
     """
     A = line.require_connection()
     if on_torus:
         wind = [b - a for a, b in zip(loop.start, loop.end)]
         if any(w.denominator != 1 for w in wind):
             raise PathError("loop does not close on the torus")
-        base = integrate_path(A, loop, symbolic=False)
-        jump = integrate_simplex(
-            Form.from_scalar(line.phi(tuple(int(w) for w in wind))),
-            AffineSimplex.from_edges([], base=loop.start),
-        )
-        return base + jump
+        base = value_at(integrate_path(A, loop), vzero(line.d))
+        return base + value_at(line.phi(tuple(int(w) for w in wind)), loop.start)
     if not loop.closed:
         raise PathError("holonomy needs a closed loop")
-    return integrate_path(A, loop, symbolic=False)
+    return value_at(integrate_path(A, loop), vzero(line.d))
 
 
 def holonomy(line, loop, on_torus=False):
@@ -257,7 +255,7 @@ class PathSymmetry:
     def transport_exponent(self, line):
         """T(x) = -int over the path translated to x of A; exp(i T) transports."""
         A = line.require_connection()
-        return -integrate_path(A, self.path, symbolic=True)
+        return -integrate_path(A, self.path)
 
     def invariant_exponent(self, line):
         """Exponent of transport-plus-gauge; equal iff the symmetries act equally."""
@@ -285,9 +283,9 @@ def lift_product(a, b, line, paths=None):
     total = gamma.pointwise_add(gamma_p)
     if paths is not None:
         total = paths.setdefault(total.vertices, total)
-    i_total = integrate_path(A, total, symbolic=True)
-    i_gamma = integrate_path(A, gamma, symbolic=True)
-    i_gamma_p = integrate_path(A, gamma_p, symbolic=True)
+    i_total = integrate_path(A, total)
+    i_gamma = integrate_path(A, gamma)
+    i_gamma_p = integrate_path(A, gamma_p)
     shift = vneg(e_p)
     theta = shifted_sum(line.d, [
         (1, i_total, None),
@@ -308,8 +306,8 @@ def equivalence_gauge(line, gamma, alpha):
     if gamma.end != alpha.end:
         raise PathError("paths must share their endpoint")
     A = line.require_connection()
-    i_gamma = integrate_path(A, gamma, symbolic=True)
-    i_alpha = integrate_path(A, alpha, symbolic=True)
+    i_gamma = integrate_path(A, gamma)
+    i_alpha = integrate_path(A, alpha)
     return i_alpha - i_gamma
 
 

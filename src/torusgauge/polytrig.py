@@ -9,11 +9,13 @@ alpha, rational frequency vectors q and rational phases, stored in a dict
 keyed by (alpha, mode, q, phase).  Values exposed to callers are canonical:
 phases are expanded away and frequencies are integer vectors, so the basis
 functions are linearly independent and zero tests are termwise; their keys
-hold only ints (q a tuple of ints, phase 0).  Rational frequencies and phases
-are carried only through the internals of pullbacks and iterated integration,
-where they keep intermediate results exact; there a non-integral entry is a
-Fraction.  Since n == Fraction(n) and both hash alike, a key built with
-Fractions finds the same term, only more slowly (see _Acc).
+hold only ints (q a tuple of ints, phase 0), and the constructors accept
+integer frequencies only (FrequencyError otherwise).  Rational frequencies
+and phases are carried only through the internals of pullbacks and iterated
+integration, where they keep intermediate results exact; there a
+non-integral entry is a Fraction.  Since n == Fraction(n) and both hash
+alike, a key built with Fractions finds the same term, only more slowly (see
+_Acc).
 
 The ring is closed under +, *, partial derivatives, pullback along affine
 maps with rational linear part and translation, and antidifferentiation in
@@ -23,11 +25,12 @@ across threads.
 Composition has one routine: _Acc.add(f, k, rows) puts k * (f o rows) into
 canonical keys, rows being the _Rows of an affine map, and expands the
 phases the map leaves once, at the end.  Translation (rows from
-_Rows.shift), the general pullback (pullback_fn) and Form arithmetic all
-run through it.  shifted_sum(d, parts) adds k * f(x - v) for each part
-(k, f, v) into one accumulator, so a signed sum of shifted functions, such
-as the slack of a cocycle identity, builds no intermediate PolyTrig;
-translate(f, v) is the one-part sum.
+_Rows.shift), Form arithmetic and point values all run through it:
+value_at(f, p) is f composed with the constant map onto the point p.
+shifted_sum(d, parts) adds k * f(x - v) for each part (k, f, v) into one
+accumulator, so a signed sum of shifted functions, such as the slack of a
+cocycle identity, builds no intermediate PolyTrig; translate(f, v) is the
+one-part sum.
 
 A U(1)-valued function exp(i*theta) is carried as its exponent theta, a
 PolyTrig: products of phases are sums of exponents, and two phases agree when
@@ -244,22 +247,24 @@ class PolyTrig:
         return acc.done()
 
     @staticmethod
-    def trig(d, mode, freq, phase=0, c=1):
-        """c * cos or sin(2*pi*(freq.x + phase)); freq entries rational."""
-        acc = _Acc(d)
-        freq = tuple(Fraction(f) for f in freq)
+    def trig(d, mode, freq, c=1):
+        """c * cos or sin(2*pi*freq.x); FrequencyError unless freq is integral."""
         if len(freq) != d:
             raise DimensionError("frequency vector has wrong length")
-        acc.put((0,) * d, mode, freq, Fraction(phase), Scalar.coerce(c))
+        freq = tuple(map(int_if_integral, freq))
+        if Fraction in map(type, freq):
+            raise FrequencyError(f"trig frequency {freq} is not an integer vector")
+        acc = _Acc(d)
+        acc.put((0,) * d, mode, freq, 0, Scalar.coerce(c))
         return acc.done()
 
     @staticmethod
     def cos_freq(d, freq, c=1):
-        return PolyTrig.trig(d, MODE_COS, freq, 0, c)
+        return PolyTrig.trig(d, MODE_COS, freq, c)
 
     @staticmethod
     def sin_freq(d, freq, c=1):
-        return PolyTrig.trig(d, MODE_SIN, freq, 0, c)
+        return PolyTrig.trig(d, MODE_SIN, freq, c)
 
     # -- structure ---------------------------------------------------------
 
@@ -478,11 +483,6 @@ class PolyTrig:
             key = (tuple(alpha[i] for i in keep0), mode, tuple(freq[i] for i in keep0), phase)
             acc.merge(key, c)
         return acc.done()
-
-    def integer_frequencies(self):
-        return all(
-            all(f.denominator == 1 for f in freq) for (_, _, freq, _) in self.terms
-        )
 
     # -- evaluation --------------------------------------------------------
 
@@ -736,29 +736,6 @@ def _poly_mul(p, q):
     return {k: v for k, v in out.items() if v}
 
 
-class AffineMap:
-    """Affine map y -> L y + t with rational linear part and rational translation.
-
-    A translation entry may be an int, a Fraction or a rational Scalar; a
-    float or a pi-valued Scalar raises ValueError.  Integral entries of lin
-    and trans are stored as ints, so pullbacks of integral data stay in int
-    arithmetic.
-    """
-
-    __slots__ = ("lin", "trans", "out_dim", "in_dim")
-
-    def __init__(self, lin, trans):
-        self.lin = tuple(tuple(int_if_integral(v) for v in row) for row in lin)
-        self.trans = tuple(_rational(t) for t in trans)
-        self.out_dim = len(self.lin)
-        self.in_dim = len(self.lin[0]) if self.lin else 0
-        if len(self.trans) != self.out_dim:
-            raise DimensionError("translation length does not match linear part")
-        for row in self.lin:
-            if len(row) != self.in_dim:
-                raise DimensionError("ragged linear part")
-
-
 def _rational(t):
     if isinstance(t, Scalar):
         if not t.is_rational():
@@ -769,16 +746,10 @@ def _rational(t):
     raise ValueError(f"translation must be rational, got {t!r}")
 
 
-def pullback_fn(f, m):
-    """f composed with m; errors if a trig frequency leaves the integer lattice."""
-    if f.dim != m.out_dim:
-        raise DimensionError(
-            f"map lands in dimension {m.out_dim}, function lives in {f.dim}"
-        )
-    out = f._pullback(m.lin, m.trans, m.in_dim)
-    if not out.integer_frequencies():
-        raise FrequencyError("pullback produced a non-integer frequency")
-    return out
+def value_at(f, point):
+    """The Scalar f(point) at a rational point: f composed with the constant
+    map R^0 -> R^d onto the point, whose only term is the constant one."""
+    return f._pullback([()] * f.dim, point, 0).constant_term()
 
 
 def shifted_sum(d, parts):

@@ -76,8 +76,8 @@ def _run_text(tmp_path, command, text):
     return code, err.getvalue(), time.perf_counter() - start
 
 
-def _with(name, **changes):
-    doc = copy.deepcopy(BASES[name])
+def _with(base, **changes):
+    doc = copy.deepcopy(BASES[base])
     doc.update(changes)
     return json.dumps(doc)
 
@@ -90,6 +90,9 @@ def odd_number_cases():
         for value in (float("inf"), float("nan"), "1e10000000", "1e1000000", "1/0")
     ]
     cases.append(("check-cocycle", _with("zero_line", cocycle={"2": "2*pi*x1 + 1e10000000"})))
+    # a JSON number (not a string) whose exponent is past the digit limit
+    raw = _with("zero_line", params={**params, "vectors": [["N", "0"]]}).replace('"N"', "1e10000000")
+    cases.append(("section", raw))
     # a trig phase that is not a rational multiple of pi has no exact value
     for text in ("cos(2*pi*x1 + 1)", "sin(2*pi*x1 + pi^2)",
                  "exp2pii(x1 + pi) + exp2pii(-1*x1 - pi)", "cos(2*pi*x1 + cos(2*pi*(1/5)))"):
@@ -110,11 +113,15 @@ def odd_number_cases():
 
 def coerced_value_cases():
     """(command, config text) pairs with a value that used to be coerced or
-    ignored: a dimension that is not a JSON integer, and vectors that are not
-    a non-empty list of lists (any falsy value once stood for "sample at random")."""
+    ignored: a dimension, or a schema, that is not the JSON integer it must be
+    (true and 1.0 once passed as schema 1), a name that is not a string, and
+    vectors that are not a non-empty list of lists (any falsy value once stood
+    for "sample at random")."""
     cases = [
         ("section", _with("zero_line", dimension=value)) for value in (2.5, 2.0, "2", True, None)
     ]
+    cases += [("section", _with("zero_line", schema=value)) for value in (True, 1.0, "1", 2)]
+    cases += [("section", _with("zero_line", name=value)) for value in (2.5, 7, None, ["a"])]
     landau = json.loads((SCENARIOS / "landau_n1.json").read_text())
     for value in ([], 0, {}, False, "", None, "12", [["1", "0"], "01"]):
         landau["params"] = {**landau["params"], "vectors": value}
@@ -159,6 +166,18 @@ def test_coerced_values_are_config_errors(tmp_path):
     landau = json.loads((SCENARIOS / "landau_n1.json").read_text())
     del landau["params"]["vectors"]
     assert _run_text(tmp_path, "section", json.dumps(landau))[0] == 0
+
+
+def test_json_numbers_are_read_exactly(tmp_path):
+    # 0.1 is the rational 1/10, not the double nearest to it
+    params = {**BASES["zero_line"]["params"], "vectors": [[0.1, 0.5], [2.5e-1, 1]]}
+    path = tmp_path / "cfg.json"
+    path.write_text(_with("zero_line", params=params))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert run(["section", "--config", str(path)]) == 0
+    sections = json.loads(out.getvalue())["values"]["sections"]
+    assert sorted(sections) == ["(1/10,1/2)", "(1/4,1)"], sorted(sections)
 
 
 def test_huge_exponent_is_a_config_error(tmp_path):

@@ -1,9 +1,9 @@
 """The expression reader against PolyTrig ring ops on seeded random trees.
 
 Each tree is printed in the grammar and parsed.  The same tree is evaluated
-left to right with PolyTrig's own constructors, +, -, * and repeated products
-for powers.  The two must agree term for term: the same keys in the same dict
-order, and the same coefficients, float-tier values and tolerances included
+left to right with PolyTrig's own constructors (a trig atom at a phase is
+put through _Acc.put), +, -, * and repeated products for powers.  The two
+must agree term for term: the same keys in the same dict order, and the same coefficients, float-tier values and tolerances included
 (later float sums follow that order).  Every tree holds a leading minus, a
 product of sums, a power of a sum, pi^-n, a decimal and a p/q literal, a
 cos or sin atom and a conjugate exp2pii pair; its remaining terms are random.
@@ -15,6 +15,7 @@ from fractions import Fraction
 from torusgauge.expr import parse_expr
 from torusgauge.polytrig import MODE_COS, MODE_SIN, PolyTrig
 from torusgauge.scalar import Scalar
+from tests_util import trig_term
 
 TREES = 150
 DECIMALS = ("0.5", "0.25", "1.5", "2.5e-1", "1e-2", "0.125")
@@ -84,7 +85,7 @@ def trig(r, d):
     phase = r.choice(PHASES)
     mode = r.choice((MODE_COS, MODE_SIN))
     name = "cos" if mode == MODE_COS else "sin"
-    value = PolyTrig.trig(d, mode, freq, phase).expand_phases()
+    value = trig_term(d, mode, freq, phase).expand_phases()
     return Tree(f"{name}(2*pi*({affine(freq, phase)}))", value)
 
 
@@ -93,8 +94,8 @@ def exp_pair(r, d):
     freq = tuple(r.randint(-2, 2) for _ in range(d))
     phase = r.choice(PHASES)
     neg = tuple(-k for k in freq)
-    value = (PolyTrig.trig(d, MODE_COS, freq, phase).expand_phases()
-             + PolyTrig.trig(d, MODE_COS, neg, -phase).expand_phases())
+    value = (trig_term(d, MODE_COS, freq, phase).expand_phases()
+             + trig_term(d, MODE_COS, neg, -phase).expand_phases())
     return Tree(f"(exp2pii({affine(freq, phase)}) + exp2pii({affine(neg, -phase)}))", value)
 
 

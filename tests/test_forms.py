@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,12 +11,12 @@ from torusgauge.forms import (
     AffineSimplex,
     Form,
     PLPath,
-    integrate_box,
     integrate_chain,
     integrate_path,
     integrate_simplex,
 )
-from torusgauge.polytrig import MODE_NONE, AffineMap, PolyTrig, translate
+from torusgauge.gerbes import _integrate_unit_cube
+from torusgauge.polytrig import MODE_NONE, PolyTrig, translate, value_at
 from torusgauge.sampling import (
     rand_form,
     rand_simplex,
@@ -25,7 +25,7 @@ from torusgauge.sampling import (
     stokes_defect,
     stokes_sample,
 )
-from torusgauge.vectors import basis_vec, det, vadd, vsub, vzero
+from torusgauge.vectors import basis_vec, det, vadd, vneg, vsub, vzero
 from tests_util import is_exact, op_calls
 
 
@@ -120,23 +120,26 @@ def test_wedge_associative_random():
         assert a.wedge(b).wedge(c).equals(a.wedge(b.wedge(c)))
 
 
+# the affine map y -> LIN y + TRANS of R^3
+LIN = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]
+TRANS = [Fraction(1, 2), 0, Fraction(1, 3)]
+
+
 def test_pullback_commutes_with_d():
     r = rng(24)
-    m = AffineMap([[1, 2, 0], [0, 1, 1], [1, 0, 1]], [Fraction(1, 2), 0, Fraction(1, 3)])
     for _ in range(8):
         w = rand_form(r, 3, 1, freq_step=1)
-        assert w.d().pullback(m).equals(w.pullback(m).d())
+        assert w.d().pullback(LIN, TRANS).equals(w.pullback(LIN, TRANS).d())
 
 
 def test_form_arithmetic_makes_no_polytrig_sums():
     # each component is summed in one accumulator, not by chains of PolyTrig +
     r = rng(26)
-    m = AffineMap([[1, 2, 0], [0, 1, 1], [1, 0, 1]], [Fraction(1, 2), 0, Fraction(1, 3)])
     for degree in range(4):
         for _ in range(3):
             a, b = rand_form(r, 3, degree), rand_form(r, 3, degree)
             with op_calls() as calls:
-                results = [a.d(), a + b, a - b, a.pullback(m)]
+                results = [a.d(), a + b, a - b, a.pullback(LIN, TRANS)]
             assert calls["add"] == 0, degree
             assert results[1].equals(b + a) and (results[2] + b).equals(a)
 
@@ -282,21 +285,21 @@ def test_simplex_integral_makes_one_pass_per_axis(monkeypatch):
     by_parts = 0
     for d in (2, 3):
         for k in range(d + 1):
-            for symbolic in (True, False):
+            for offset in (False, True):
                 for polynomial in (True, False):
                     omega = rand_form(r, d, k)
                     if polynomial:
                         omega = Form(d, k, {i: _poly_part(f) for i, f in omega.comps.items()})
                     edges = rand_simplex(r, d, k, den=2).edges if k else ()
-                    top = vzero(d) if symbolic else rand_vector(r, d)
-                    s = AffineSimplex(top, edges, symbolic=symbolic)
+                    top = rand_vector(r, d) if offset else vzero(d)
+                    s = AffineSimplex(top, edges)
                     calls.update(antiderivative=0, substitute=0)
                     integrate_simplex(omega, s)
-                    assert calls["substitute"] == 0, (d, k, symbolic)
+                    assert calls["substitute"] == 0, (d, k, offset)
                     if polynomial:
-                        assert calls["antiderivative"] == 0, (d, k, symbolic)
+                        assert calls["antiderivative"] == 0, (d, k, offset)
                     else:
-                        assert calls["antiderivative"] <= k, (d, k, symbolic)
+                        assert calls["antiderivative"] <= k, (d, k, offset)
                         by_parts += calls["antiderivative"] == k > 0
     assert by_parts >= 4
 
@@ -321,17 +324,15 @@ def test_boundary_chain_makes_one_pass_per_axis_in_total(monkeypatch):
             wave = PolyTrig.cos_freq(d, (1,) * d) + PolyTrig.sin_freq(d, (2,) + (0,) * (d - 1))
             omega = Form(d, k - 1, {idx: wave for idx in combinations(range(d), k - 1)})
             edges = [tuple(1 + (i * j + j) % 3 for i in range(d)) for j in range(k)]
-            for top, symbolic in ((vzero(d), True), (tuple(range(d)), False)):
-                faces = AffineSimplex(top, edges, symbolic=symbolic).boundary()
+            for top in (vzero(d), tuple(range(d))):
+                faces = AffineSimplex(top, edges).boundary()
                 passes[0] = 0
                 by_face = [integrate_simplex(omega, f) for f in faces]
                 assert passes[0] == (k + 1) * (k - 1), (d, k)
                 passes[0] = 0
                 got = integrate_chain(omega, faces)
                 assert passes[0] == k - 1, (d, k)
-                want = _chain_sum(by_face)
-                assert is_exact(got) if symbolic else got.is_exact
-                assert got == want if symbolic else (got.num, got.den) == (want.num, want.den)
+                assert is_exact(got) and got == _chain_sum(by_face)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +346,7 @@ def _chain_sum(values):
     return total
 
 
-def _rand_chain(r, d, k, symbolic):
+def _rand_chain(r, d, k):
     """(form, chain): cells with edges over one denominator D in 1..7, tops
     over 1, 2 or 4, and mixed signs.  Trig frequencies are multiples of D, so
     every pullback stays on the integer frequency lattice and every phase
@@ -358,7 +359,7 @@ def _rand_chain(r, d, k, symbolic):
     for _ in range(r.randint(1, 4)):
         edges = [tuple(Fraction(r.randint(-3, 3), den) for _ in range(d)) for _ in range(k)]
         top = rand_vector(r, d, num=3, dens=(1, 2, 4))
-        chain.append(AffineSimplex(top, edges, symbolic=symbolic, sign=r.choice((1, -1))))
+        chain.append(AffineSimplex(top, edges, sign=r.choice((1, -1))))
     return omega, chain
 
 
@@ -369,25 +370,16 @@ def test_chain_integral_is_the_sum_over_its_cells():
         for k in (1, 2, 3):
             if k > d:
                 continue
-            for symbolic in (True, False):
-                for _ in range(6):
-                    omega, chain = _rand_chain(r, d, k, symbolic)
-                    got = integrate_chain(omega, chain)
-                    want = _chain_sum([integrate_simplex(omega, s) for s in chain])
-                    if symbolic:
-                        assert got == want, (d, k)
-                    else:
-                        assert got.is_exact and (got.num, got.den) == (want.num, want.den), (d, k)
-                    cases += 1
+            for _ in range(12):
+                omega, chain = _rand_chain(r, d, k)
+                got = integrate_chain(omega, chain)
+                assert got == _chain_sum([integrate_simplex(omega, s) for s in chain]), (d, k)
+                cases += 1
     assert cases == 60
 
 
-def test_chain_needs_one_kind_of_base():
+def test_chain_needs_cells_of_its_degree():
     A = rand_form(rng(36), 2, 1)
-    x = AffineSimplex((0, 0), [(1, 0)])
-    p = AffineSimplex((0, 0), [(1, 0)], symbolic=False)
-    with pytest.raises(ValueError):
-        integrate_chain(A, [x, p])
     with pytest.raises(ValueError):
         integrate_chain(A, [])
     with pytest.raises(DegreeError):
@@ -404,17 +396,11 @@ def test_path_integral_is_the_sum_over_its_segments():
             for _ in range(r.randint(1, 4)):
                 step = tuple(Fraction(r.randint(-3, 3), den) for _ in range(d))
                 verts.append(vadd(verts[-1], step))
-            for symbolic in (True, False):
-                segments = [
-                    integrate_simplex(A, AffineSimplex(b, [vsub(b, a)], symbolic=symbolic))
-                    for a, b in zip(verts, verts[1:])
-                ]
-                got = integrate_path(A, PLPath(verts), symbolic=symbolic)
-                want = _chain_sum(segments)
-                if symbolic:
-                    assert got == want
-                else:
-                    assert got.is_exact and (got.num, got.den) == (want.num, want.den)
+            segments = [
+                integrate_simplex(A, AffineSimplex(b, [vsub(b, a)]))
+                for a, b in zip(verts, verts[1:])
+            ]
+            assert integrate_path(A, PLPath(verts)) == _chain_sum(segments)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +417,15 @@ def test_stokes_randomized_exact():
 
 
 def test_stokes_concrete_base():
+    # each integral taken at the base point on its own
     r = rng(29)
     for _ in range(10):
         omega, s = stokes_sample(r, 2, 2)
         base = rand_vector(r, 2, num=2, dens=(1, 2, 3))
-        s_num = AffineSimplex(base, s.edges, symbolic=False)
-        lhs = integrate_simplex(omega.d(), s_num)
+        lhs = value_at(integrate_simplex(omega.d(), s), base)
         rhs = None
-        for f in s_num.boundary():
-            val = integrate_simplex(omega, f)
+        for f in s.boundary():
+            val = value_at(integrate_simplex(omega, f), base)
             rhs = val if rhs is None else rhs + val
         assert (lhs - rhs).is_zero()
 
@@ -451,15 +437,16 @@ def test_stokes_concrete_base():
 def test_path_integral_examples():
     A = Form.one_form(2, {1: F2("-2*pi*x2")})
     # degenerate path
-    assert integrate_path(A, PLPath.constant((0, 0)), symbolic=False).is_zero()
+    assert integrate_path(A, PLPath.constant((0, 0))).is_zero()
     # exact form over a closed loop
     df = Form.one_form(2, {1: F2("x1").partial(1), 2: F2("x1").partial(2)})
     loop = PLPath([(0, 0), (1, 0), (Fraction(1, 2), Fraction(1, 2)), (0, 0)])
-    assert integrate_path(df, loop, symbolic=False).is_zero()
-    # unit cell flux
+    assert integrate_path(df, loop).is_zero()
+    # unit cell flux, the same at every base point
     square = PLPath([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
-    got = integrate_path(A, square, symbolic=False)
-    assert got.pi == {1: Fraction(2)}
+    got = integrate_path(A, square)
+    assert value_at(got, (0, 0)).pi == {1: Fraction(2)}
+    assert got == PolyTrig.const(2, value_at(got, (Fraction(1, 3), 5)))
 
 
 def test_path_reversal_and_concat():
@@ -467,22 +454,22 @@ def test_path_reversal_and_concat():
     A = rand_form(r, 2, 1)
     p = PLPath([(0, 0), (Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 3))])
     q = PLPath([(Fraction(1, 2), Fraction(1, 3)), (1, 1)])
-    a = integrate_path(A, p, symbolic=False)
-    b = integrate_path(A, q, symbolic=False)
-    tot = integrate_path(A, PLPath(p.vertices + q.vertices[1:]), symbolic=False)
+    a = integrate_path(A, p)
+    b = integrate_path(A, q)
+    tot = integrate_path(A, PLPath(p.vertices + q.vertices[1:]))
     assert (a + b - tot).is_zero()
-    assert (integrate_path(A, PLPath(p.vertices[::-1]), symbolic=False) + a).is_zero()
+    assert (integrate_path(A, PLPath(p.vertices[::-1])) + a).is_zero()
 
 
-def test_path_integral_is_computed_once_per_path_form_and_base(monkeypatch):
+def test_path_integral_is_computed_once_per_path_and_form(monkeypatch):
     import torusgauge.forms as forms
 
     calls = []
     kernel = forms._iterated_integral
 
-    def counting(omega, cells, symbolic, nested):
+    def counting(omega, cells):
         calls.append(len(cells))
-        return kernel(omega, cells, symbolic, nested)
+        return kernel(omega, cells)
 
     monkeypatch.setattr(forms, "_iterated_integral", counting)
     r = rng(31)
@@ -493,38 +480,51 @@ def test_path_integral_is_computed_once_per_path_form_and_base(monkeypatch):
     assert calls == [2]  # one kernel call, its chain of two segments
     assert integrate_path(A, path) is first
     assert len(calls) == 1
-    # another form, the other base, or a fresh path with equal vertices compute again
+    # another form, or a fresh path with equal vertices, computes again
     integrate_path(A2, path)
     assert len(calls) == 2
-    integrate_path(A, path, symbolic=False)
-    assert len(calls) == 3
     again = integrate_path(A, PLPath(verts))
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert again is not first and (again - first).is_zero()
+
+
+def box_chain(edges, offset=None):
+    """The box x + offset + sum_j t_j edges[j], 0 <= t_j <= 1, as the chain of
+    its Freudenthal simplices: one per ordering p of the edges, with edges
+    edges[p_1], ..., edges[p_k] and the sign of p."""
+    k = len(edges)
+    top = offset or vzero(len(edges[0]))
+    for e in edges:
+        top = vadd(top, e)
+    chain = []
+    for p in permutations(range(k)):
+        inversions = sum(p[i] > p[j] for i, j in combinations(range(k), 2))
+        chain.append(AffineSimplex(top, [edges[i] for i in p], sign=(-1) ** inversions))
+    return chain
 
 
 def cell_integral(omega, g1, g2):
     """Integral of a 2-form over the surface (t1, t2) -> x + g2(t2) + g1(t1).
 
     Over a pair of segments of the two PL paths the map is affine, so the
-    surface is a grid of boxes.
+    surface is a grid of boxes, each two signed triangles: one chain.
     """
-    total = PolyTrig.zero(omega.dim)
+    chain = []
     for a, b in zip(g1.vertices, g1.vertices[1:]):
         for c, e in zip(g2.vertices, g2.vertices[1:]):
-            total = total + integrate_box(omega, (vsub(b, a), vsub(e, c)), offset=vadd(a, c))
-    return total
+            chain += box_chain((vsub(b, a), vsub(e, c)), offset=vadd(a, c))
+    return integrate_chain(omega, chain)
 
 
 def test_cell_integral_constant_form():
     B = Form.two_form(2, {(1, 2): F2("2*pi")})
     u, v = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
-    got = integrate_box(B, [u, v])
+    got = integrate_chain(B, box_chain([u, v]))
     assert got == PolyTrig.const(2, got.constant_term()) and got.constant_term().pi == {
         1: Fraction(2)
     }
-    assert integrate_box(Form.zero(2, 2), [u, v]).terms == {}
-    assert integrate_box(B, [u, (0, 0)]).terms == {}
+    assert integrate_chain(Form.zero(2, 2), box_chain([u, v])).terms == {}
+    assert integrate_chain(B, box_chain([u, (0, 0)])).terms == {}
 
 
 def test_cell_integral_matches_boundary_of_exact_form():
@@ -537,8 +537,8 @@ def test_cell_integral_matches_boundary_of_exact_form():
         got = cell_integral(A.d(), g1, g2)
         e1, e2 = g1.end, g2.end
         # boundary: gamma at x, then gamma' at x+e1, minus gamma at x+e2, minus gamma' at x
-        i_g1 = integrate_path(A, g1, symbolic=True)
-        i_g2 = integrate_path(A, g2, symbolic=True)
+        i_g1 = integrate_path(A, g1)
+        i_g2 = integrate_path(A, g2)
         want = (
             i_g1
             + translate(i_g2, [-x for x in e1])
@@ -549,29 +549,26 @@ def test_cell_integral_matches_boundary_of_exact_form():
 
 
 def test_box_integral_splits_into_two_simplices():
-    # t1 >= t2 is the simplex with edges (u, v); t2 >= t1 is (v, u), reversed
+    # the Freudenthal pair cut along the diagonal from p to p + u + v,
+    # [p, p + u, p + u + v] and -[p, p + v, p + u + v], against the pair cut
+    # along the other one, [p, p + u, p + v] and [p + u, p + u + v, p + v]
     r = rng(17)
     for d in (2, 3):
         for _ in range(4):
             omega = rand_form(r, d, 2)
             u, v = rand_vector(r, d, 2, (1,)), rand_vector(r, d, 2, (1,))
             p = rand_vector(r, d, 2, (1, 2))
-            top = vadd(vadd(p, u), v)
-            want = integrate_simplex(omega, AffineSimplex(top, [u, v])) - integrate_simplex(
-                omega, AffineSimplex(top, [v, u])
-            )
-            assert integrate_box(omega, [u, v], offset=p) == want
-            concrete = integrate_box(omega, [u, v], base=p)
-            want = integrate_simplex(
-                omega, AffineSimplex(top, [u, v], symbolic=False)
-            ) - integrate_simplex(omega, AffineSimplex(top, [v, u], symbolic=False))
-            assert concrete.equals(want)
+            top = vadd(p, v)
+            other = [AffineSimplex(top, [u, vsub(v, u)]), AffineSimplex(top, [v, vneg(u)])]
+            box = box_chain([u, v], offset=p)
+            assert integrate_chain(omega, box) == integrate_chain(omega, other)
 
 
 def test_box_integral_of_the_unit_cube():
     H = Form(3, 3, {(0, 1, 2): F3("2*pi")})
     edges = [basis_vec(3, a) for a in (1, 2, 3)]
-    assert integrate_box(H, edges, base=vzero(3)).pi == {1: Fraction(2)}
-    assert integrate_box(H, edges) == PolyTrig.const(3, integrate_box(H, edges, base=vzero(3)))
+    flux = _integrate_unit_cube(H, (1, 2, 3))
+    assert flux.pi == {1: Fraction(2)}
+    assert integrate_chain(H, box_chain(edges)) == PolyTrig.const(3, flux)
     with pytest.raises(DegreeError):
-        integrate_box(H, edges[:2])
+        integrate_chain(H, box_chain(edges[:2]))

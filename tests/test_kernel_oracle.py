@@ -4,7 +4,10 @@ The oracle parametrises a simplex by its vertices over the standard simplex
 {s_j >= 0, s_1 + ... + s_k <= 1} and a box by its corner and edges over the
 unit cube, pulls each component back with the minors of sympy's own Jacobian,
 and integrates iterated in sympy.  Nothing of the kernel's own parametrisation,
-moments or antiderivative passes is used.
+moments or antiderivative passes is used.  Every kernel integral is a
+function of the base point x; at a concrete base p it is that function's
+value at p, and the oracle integrates over the cell placed at p.  A unit cube
+is integrated by flux as the chain of its Freudenthal simplices.
 """
 
 import random
@@ -14,14 +17,15 @@ from math import prod
 
 import pytest
 
-from torusgauge.forms import AffineSimplex, Form, integrate_box, integrate_chain, integrate_simplex
-from torusgauge.polytrig import MODE_COS, MODE_NONE, PolyTrig
+from torusgauge.forms import AffineSimplex, Form, integrate_chain, integrate_simplex
+from torusgauge.gerbes import _integrate_unit_cube
+from torusgauge.polytrig import MODE_COS, MODE_NONE, PolyTrig, value_at
 from torusgauge.scalar import Scalar
-from torusgauge.vectors import vsub
+from torusgauge.vectors import basis_vec, vadd, vsub, vzero
 
 sympy = pytest.importorskip("sympy")
 
-X = sympy.symbols("x1:4")
+X = sympy.symbols("x1:5")
 S = sympy.symbols("s1:4")
 
 
@@ -87,23 +91,39 @@ def _poly_form(r, d, k):
     return Form(d, k, comps)
 
 
-def _simplex_case(omega, edges, top, symbolic):
-    simplex = AffineSimplex(top, edges, symbolic=symbolic)
-    got = integrate_simplex(omega, simplex)
+def _trig_form(r, d, k):
+    """A k-form whose components are sums of x_a^n x_b^m times cos or sin of
+    2*pi*q*x_a, q a nonzero integer: terms whose integrals over a cube are
+    mostly nonzero."""
+    comps = {}
+    for idx in combinations(range(d), k):
+        f = PolyTrig.zero(d)
+        for _ in range(2):
+            a, b = r.randrange(d), r.randrange(d)
+            alpha = [0] * d
+            alpha[a] += r.randint(0, 2)
+            alpha[b] += r.randint(0, 1)
+            maker = PolyTrig.cos_freq if r.random() < 0.5 else PolyTrig.sin_freq
+            q = r.choice((-2, -1, 1, 2))
+            freq = [q if i == a else 0 for i in range(d)]
+            c = Scalar.exact(Fraction(r.randint(1, 5), r.randint(1, 4)), r.randint(0, 1))
+            f = f + PolyTrig.monomial(d, alpha) * maker(d, freq, c)
+        comps[idx] = f
+    return Form(d, k, comps)
+
+
+def _simplex_case(omega, edges, top, base=None):
+    """The kernel's and sympy's integrals over the simplex with top vertex
+    x + top, as functions of x, or at x = base if given."""
+    got = integrate_simplex(omega, AffineSimplex(top, edges))
     # vertices x - v_1 - ... - v_k, ..., x - v_k, x in order, over the standard simplex
     verts = [top]
     for e in reversed(edges):
         verts.insert(0, vsub(verts[0], e))
     frame = [vsub(v, verts[0]) for v in verts[1:]]
-    return got, _oracle(omega, verts[0], frame, True, symbolic)
-
-
-def _box_case(omega, edges, corner, symbolic):
-    if symbolic:
-        got = integrate_box(omega, edges, offset=corner)
-    else:
-        got = integrate_box(omega, edges, base=corner)
-    return got, _oracle(omega, corner, edges, False, symbolic)
+    if base is None:
+        return got, _oracle(omega, verts[0], frame, True, True)
+    return value_at(got, base), _oracle(omega, vadd(verts[0], base), frame, True, False)
 
 
 def test_polynomial_integrals_match_sympy():
@@ -111,14 +131,31 @@ def test_polynomial_integrals_match_sympy():
     cases = 0
     for d in (1, 2, 3):
         for k in range(min(d, 3) + 1):
-            for symbolic in (True, False):
-                for case in (_simplex_case, _box_case):
-                    omega = _poly_form(r, d, k)
-                    edges = [_vector(r, d) for _ in range(k)]
-                    got, want = case(omega, edges, _vector(r, d), symbolic)
-                    assert sympy.expand(_result(got) - want) == 0, (case.__name__, d, k, symbolic)
-                    cases += 1
-    assert cases == 36
+            for concrete in (False, True):
+                omega = _poly_form(r, d, k)
+                edges = [_vector(r, d) for _ in range(k)]
+                top = _vector(r, d)
+                base = _vector(r, d) if concrete else None
+                got, want = _simplex_case(omega, edges, top, base)
+                assert sympy.expand(_result(got) - want) == 0, (d, k, concrete)
+                cases += 1
+    assert cases == 18
+
+
+def test_unit_cube_chain_matches_sympy():
+    # flux's Freudenthal chain of the unit cube on each face against sympy's
+    # iterated integral over that cube, cornered at the origin
+    r = random.Random(73)
+    cases = 0
+    for d in (3, 4):
+        for make in (_poly_form, _trig_form):
+            for face in combinations(range(1, d + 1), 3):
+                H = make(r, d, 3)
+                got = _integrate_unit_cube(H, face)
+                want = _oracle(H, vzero(d), [basis_vec(d, a) for a in face], False, False)
+                assert got.is_exact and sympy.simplify(_result(got) - want) == 0, (d, face)
+                cases += 1
+    assert cases == 10
 
 
 def test_trig_integrals_match_sympy():
@@ -128,12 +165,12 @@ def test_trig_integrals_match_sympy():
     f = PolyTrig.cos_freq(3, (1, 0, 0)) * x2 + x1
     omega = Form.two_form(3, {(2, 3): f, (1, 3): x2})
     edges = [(0, Fraction(1, 2), 1), (0, -1, Fraction(1, 3))]
-    got, want = _simplex_case(omega, edges, (Fraction(1, 3), 1, 0), symbolic=False)
+    got, want = _simplex_case(omega, edges, (0, 0, 0), base=(Fraction(1, 3), 1, 0))
     assert got.is_exact and sympy.expand(_result(got) - want) == 0
     # a symbolic base and a frequency that varies along the edge
     g = PolyTrig.sin_freq(2, (1, -1)) * PolyTrig.var(2, 1) + PolyTrig.var(2, 2)
     alpha = Form.one_form(2, {1: g, 2: PolyTrig.cos_freq(2, (0, 1))})
-    got, want = _simplex_case(alpha, [(2, 1)], (0, 0), symbolic=True)
+    got, want = _simplex_case(alpha, [(2, 1)], (0, 0))
     diff = sympy.expand(sympy.expand_trig(_result(got) - want))
     assert sympy.simplify(diff) == 0
 
@@ -142,15 +179,18 @@ def test_boundary_chain_matches_sympy():
     # the signed faces of a tetrahedron in one integrate_chain against the sum
     # of sympy's integrals over the faces, each by its own vertices
     r = random.Random(72)
-    for symbolic in (True, False):
+    for concrete in (False, True):
         omega = _poly_form(r, 3, 2)
         edges = [_vector(r, 3) for _ in range(3)]
-        simplex = AffineSimplex(_vector(r, 3), edges, symbolic=symbolic)
+        simplex = AffineSimplex(_vector(r, 3), edges)
+        base = _vector(r, 3) if concrete else vzero(3)
         got = integrate_chain(omega, simplex.boundary())
+        if concrete:
+            got = value_at(got, base)
         verts = simplex.vertices()
         want = 0
         for j in range(4):
             face = verts[:j] + verts[j + 1 :]
             frame = [vsub(v, face[0]) for v in face[1:]]
-            want += (-1) ** j * _oracle(omega, face[0], frame, True, symbolic)
-        assert sympy.expand(_result(got) - want) == 0, symbolic
+            want += (-1) ** j * _oracle(omega, vadd(face[0], base), frame, True, not concrete)
+        assert sympy.expand(_result(got) - want) == 0, concrete

@@ -18,16 +18,14 @@ from torusgauge.polytrig import (
     MODE_COS,
     MODE_NONE,
     MODE_SIN,
-    AffineMap,
     PolyTrig,
     constant_mod_free,
-    pullback_fn,
     translate,
     _Acc,
 )
 from torusgauge.sampling import rand_form, rand_polytrig, rand_simplex, rng
 from torusgauge.scalar import Scalar
-from tests_util import is_exact, phase_descends, phase_is_one, rand_polytrig_by_add
+from tests_util import is_exact, phase_descends, phase_is_one, rand_polytrig_by_add, trig_term
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -179,8 +177,7 @@ def test_line_parametrization_substitution():
     # x1 restricted to t -> x - v + t v in the 1d parameter
     f = PolyTrig.var(2, 1)
     v = (Fraction(1, 2), Fraction(1, 3))
-    m = AffineMap([[v[0]], [v[1]]], [Scalar.exact(2) - Scalar.exact(v[0]), Scalar.zero()])
-    out = pullback_fn(f, m)
+    out = f._pullback([[v[0]], [v[1]]], [2 - v[0], 0], 1)
     assert out == PolyTrig.monomial(1, (1,), Fraction(1, 2)) + PolyTrig.const(
         1, Fraction(3, 2)
     )
@@ -188,22 +185,15 @@ def test_line_parametrization_substitution():
 
 def test_pullback_functoriality_exact():
     r = rng(11)
-    m1 = AffineMap([[1, 2], [0, 1]], [Fraction(1, 2), Fraction(-1)])
-    m2 = AffineMap([[1, 0], [3, 1]], [Fraction(2), Fraction(1, 3)])
+    lin1, trans1 = [[1, 2], [0, 1]], [Fraction(1, 2), Fraction(-1)]
+    lin2, trans2 = [[1, 0], [3, 1]], [Fraction(2), Fraction(1, 3)]
     # m1 after m2: y -> L1 (L2 y + t2) + t1
-    m12 = AffineMap([[7, 2], [3, 1]], [Fraction(19, 6), Fraction(-2, 3)])
+    lin12, trans12 = [[7, 2], [3, 1]], [Fraction(19, 6), Fraction(-2, 3)]
     for _ in range(10):
         f = rand_polytrig(r, 2, freq_step=1, n_terms=2, max_deg=2)
-        lhs = pullback_fn(pullback_fn(f, m1), m2)
-        rhs = pullback_fn(f, m12)
+        lhs = f._pullback(lin1, trans1, 2)._pullback(lin2, trans2, 2)
+        rhs = f._pullback(lin12, trans12, 2)
         assert lhs == rhs
-
-
-def test_pullback_rejects_fractional_frequency():
-    f = parse_expr("cos(2*pi*x1)", 1)
-    m = AffineMap([[Fraction(1, 2)]], [0])
-    with pytest.raises(FrequencyError):
-        pullback_fn(f, m)
 
 
 def _rand_phased_polytrig(r, d):
@@ -218,7 +208,7 @@ def _rand_phased_polytrig(r, d):
             continue
         freq = [r.randint(-2, 2) for _ in range(d)]
         phase = Fraction(r.randint(-5, 5), r.choice((1, 3, 4, 5, 7)))
-        f = f + poly * PolyTrig.trig(d, 1 + n % 4 // 2, freq, phase)
+        f = f + poly * trig_term(d, 1 + n % 4 // 2, freq, phase)
     return f
 
 
@@ -229,25 +219,18 @@ def test_pullback_matches_composition_pointwise():
         f = _rand_phased_polytrig(r, out_dim)
         lin = [[r.randint(-2, 2) for _ in range(in_dim)] for _ in range(out_dim)]
         trans = [Fraction(r.randint(-7, 7), r.randint(1, 6)) for _ in range(out_dim)]
-        g = pullback_fn(f, AffineMap(lin, trans))
+        g = f._pullback(lin, trans, in_dim)
         for _ in range(3):
             y = [r.uniform(-1.5, 1.5) for _ in range(in_dim)]
             x = [sum(l * yj for l, yj in zip(row, y)) + float(t) for row, t in zip(lin, trans)]
             assert math.isclose(g.eval_float(y), f.eval_float(x), rel_tol=1e-9, abs_tol=1e-9)
 
 
-def test_affine_map_rejects_irrational_translations():
-    for bad in (Scalar.exact(1, 1), 0.5):
-        with pytest.raises(ValueError):
-            AffineMap([[1]], [bad])
-
-
 def test_identity_map_acts_trivially():
     r = rng(12)
-    m = AffineMap([[1, 0], [0, 1]], (0, 0))
     for _ in range(5):
         f = rand_polytrig(r, 2)
-        assert pullback_fn(f, m) == f
+        assert f._pullback([[1, 0], [0, 1]], (0, 0), 2) == f
 
 
 def test_noninteger_shift_of_trig_degrades_to_floats():
@@ -364,7 +347,7 @@ def _rand_rational_polytrig(r, d):
             continue
         freq = [Fraction(r.randint(-3, 3), r.choice((1, 2, 3))) for _ in range(d)]
         phase = Fraction(r.randint(-5, 5), r.choice((1, 3, 4, 5, 6)))
-        f = f + PolyTrig.monomial(d, alpha) * PolyTrig.trig(d, 1 + n % 2, freq, phase, c)
+        f = f + PolyTrig.monomial(d, alpha) * trig_term(d, 1 + n % 2, freq, phase, c)
     return f
 
 
@@ -477,7 +460,7 @@ def _public_results():
             yield translate(f, [Fraction(r.randint(-5, 5), r.choice((1, 2, 3))) for _ in range(d)])
             lin = [[Fraction(r.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
             trans = [Fraction(r.randint(-7, 7), r.randint(1, 6)) for _ in range(d)]
-            yield pullback_fn(f, AffineMap(lin, trans))
+            yield f._pullback(lin, trans, d)
         for degree in range(d):
             yield from rand_form(r, d, degree).d().comps.values()
     for k in (1, 2, 3):
@@ -496,6 +479,30 @@ def test_public_results_have_int_only_keys():
     assert seen > 100
 
 
+def test_public_constructors_make_canonical_keys():
+    # int entries and phase 0 in every key; a float or Fraction frequency is
+    # read as the integer it is
+    made = [
+        PolyTrig.zero(2),
+        PolyTrig.const(2, Fraction(3, 4)),
+        PolyTrig.var(2, 1),
+        PolyTrig.monomial(2, (1, 2), Fraction(-1, 3)),
+        PolyTrig.trig(2, MODE_COS, (Fraction(2), -1)),
+        PolyTrig.trig(2, MODE_SIN, (-1.0, 0), Fraction(1, 5)),
+        PolyTrig.cos_freq(2, (0, Fraction(-3))),
+        PolyTrig.sin_freq(2, (-2, 1), 3),
+    ]
+    for f in made:
+        for alpha, _mode, freq, phase in f.terms:
+            assert all(type(q) is int for q in alpha + freq), f
+            assert type(phase) is int and phase == 0, f
+    # a frequency off the integer lattice makes no canonical value
+    for make in (PolyTrig.cos_freq, PolyTrig.sin_freq, lambda d, q: PolyTrig.trig(d, MODE_SIN, q)):
+        for bad in ((Fraction(1, 2), 0), (0, 0.5)):
+            with pytest.raises(FrequencyError):
+                make(2, bad)
+
+
 def test_mixed_int_and_fraction_keys_meet():
     a = PolyTrig.trig(2, MODE_COS, (Fraction(2), 1)) + PolyTrig.trig(2, MODE_COS, (2, 1))
     assert len(a.terms) == 1
@@ -504,7 +511,7 @@ def test_mixed_int_and_fraction_keys_meet():
     assert f.constant_term().pi == {0: 5}
     g = PolyTrig.var(2, 1).substitute(1, {}, Fraction(3))
     assert g.terms[((0, 0), MODE_NONE, (Fraction(0), Fraction(0)), Fraction(0))].pi == {0: 3}
-    ((_, _, freq, _),) = PolyTrig.trig(2, MODE_COS, (Fraction(1, 2), 1)).terms
+    ((_, _, freq, _),) = trig_term(2, MODE_COS, (Fraction(1, 2), 1), 0).terms
     assert freq == (Fraction(1, 2), 1) and type(freq[0]) is Fraction and type(freq[1]) is int
 
 

@@ -13,9 +13,11 @@ process, while these run:
 A function counts as entered when a code object with its file, first line
 and name was; lambdas, comprehensions and class bodies count with the code
 around them.  A function that nothing enters is deleted, or listed in KEEP
-with the reason it stays.
+with the reason it stays.  A KEEP entry whose reason cites TRACER must still be
+named by verdictbench/tracer.py's METHODS, which is read from that file.
 """
 
+import ast
 import contextlib
 import importlib.util
 import inspect
@@ -41,13 +43,12 @@ PACKAGE = Path(torusgauge.__file__).resolve().parent
 EXPR_TREES = 40
 
 TRACER = "named by verdictbench/tracer.py METHODS, which wraps it by name"
-PULLBACK = "the public pullback API (README): pullback_fn and Form.pullback along an AffineMap"
 KEEP = {
     "cli._needs": "runs at import, declaring each handler's needs in HANDLERS",
     "forms.AffineSimplex.vertices": "the quadrature and sympy oracles place a simplex by its vertices",
     "forms.Form.const_two_form": "flat_gerbe_2d's curving",
     "forms.Form.equals": "form equality up to tolerance, as PolyTrig.equals; the form oracles use it",
-    "forms.Form.pullback": TRACER + "; " + PULLBACK,
+    "forms.Form.pullback": TRACER,
     "forms.Form.wedge": "the Leibniz-rule oracle for d",
     "forms._perm_sign": "the sign of Form.wedge",
     "forms.PLPath.closed": "holonomy_exponent checks that its loop is closed",
@@ -56,16 +57,11 @@ KEEP = {
     "magnetic.LineData.phi": TRACER,
     "magnetic.holonomy": "the paper's parallel transport; closed loops cross-check integrate_path",
     "magnetic.holonomy_exponent": "the exponent of holonomy",
-    "polytrig.AffineMap.__init__": PULLBACK,
     "polytrig.PolyTrig.__eq__": "exact equality of canonical functions; the exact oracles use it",
-    "polytrig.PolyTrig._pullback": TRACER + "; " + PULLBACK,
     "polytrig.PolyTrig.eval_float": "the quadrature and finite-difference cross-checks",
-    "polytrig.PolyTrig.integer_frequencies": "pullback_fn's lattice check; " + PULLBACK,
     "polytrig.PolyTrig.scale": TRACER,
     "polytrig.PolyTrig.substitute": TRACER,
     "polytrig.PolyTrig.var": "the coordinate x_i of the ring API; the reader's oracle builds with it",
-    "polytrig._Rows.rational": "the rows of " + PULLBACK,
-    "polytrig.pullback_fn": PULLBACK,
     "scalar.Scalar.__repr__": "a Scalar shows its value in assertion messages and at the prompt",
     "scalar.Scalar.equals": "scalar equality up to tolerance; the tier oracles use it",
     "scalar.Scalar.pi": "verdictbench/tracer.py keys exact scalars by it; the exact oracles compare it",
@@ -147,3 +143,22 @@ def test_every_function_is_entered_or_kept(digest_run, tmp_path, monkeypatch):
     assert not KEEP.keys() - names, "KEEP names a definition that is gone"
     kept_but_entered = sorted(q for key, q in defined.items() if key in entered and q in KEEP)
     assert not kept_but_entered, "KEEP names a function that runs: " + ", ".join(kept_but_entered)
+
+
+def _tracer_methods():
+    """{module: set of names} of verdictbench/tracer.py's METHODS, read from its source."""
+    tree = ast.parse((ROOT / "verdictbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["METHODS"]:
+            return {m: set(names) for m, names in ast.literal_eval(node.value).items()}
+    raise AssertionError("verdictbench/tracer.py defines no METHODS")
+
+
+def test_tracer_keep_entries_are_named_by_the_tracer():
+    methods = _tracer_methods()
+    stale = []
+    for q, reason in KEEP.items():
+        module, _, name = q.partition(".")
+        if TRACER in reason and name not in methods.get(module, ()):
+            stale.append(q)
+    assert not stale, "METHODS no longer names these; delete their KEEP entries: " + ", ".join(stale)

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 from torusgauge import forms
 from torusgauge.cohomology import GroupCochain
-from torusgauge.polytrig import PolyTrig, translate
+from torusgauge.polytrig import PolyTrig, _Acc, translate
 from torusgauge.reports import CheckReport, phase_item, vec_label
 from torusgauge.sampling import rand_scalar
+from torusgauge.scalar import Scalar
 from torusgauge.vectors import as_vec, basis_vec, vadd, vneg
 
 
@@ -144,3 +145,13 @@ def rand_polytrig_by_add(rnd, d, freq_step=1, n_terms=2, max_deg=2):
             maker = PolyTrig.cos_freq if rnd.random() < 0.5 else PolyTrig.sin_freq
             out = out + maker(d, freq, rand_scalar(rnd))
     return out
+
+
+def trig_term(d, mode, freq, phase, c=1):
+    """c * cos or sin(2*pi*(freq.x + phase)) for rational freq and phase, put
+    through _Acc.put as sampling.rand_polytrig puts its terms: the internal
+    terms the public constructors, which take integer frequencies and no
+    phase, do not build."""
+    acc = _Acc(d)
+    acc.put((0,) * d, mode, tuple(Fraction(f) for f in freq), Fraction(phase), Scalar.coerce(c))
+    return acc.done()
