@@ -25,7 +25,6 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from operator import sub
 
@@ -219,11 +218,6 @@ def holonomy_exponent(line, loop, on_torus=False):
     if not loop.closed:
         raise PathError("holonomy needs a closed loop")
     return value_at(integrate_path(A, loop), vzero(line.d))
-
-
-def holonomy(line, loop, on_torus=False):
-    """exp(i * holonomy_exponent) as a complex number."""
-    return cmath.exp(1j * float(holonomy_exponent(line, loop, on_torus)))
 
 
 class PathSymmetry:

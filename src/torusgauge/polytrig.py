@@ -491,7 +491,7 @@ class PolyTrig:
             raise DimensionError("evaluation point has wrong length")
         tot = 0.0
         for (alpha, mode, freq, phase), c in self.terms.items():
-            v = float(c)
+            v = c.val
             for xi, e in zip(point, alpha):
                 if e:
                     v *= float(xi) ** e

@@ -226,9 +226,6 @@ class Scalar:
         tol = (self.tol + abs(sv / ov) * other.tol) / abs(ov)
         return Scalar(None, 1, sv / ov, tol)
 
-    def __float__(self):
-        return self.val
-
     # -- torus phase helpers -------------------------------------------------
 
     def in_two_pi_Z(self):

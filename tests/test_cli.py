@@ -175,7 +175,31 @@ def test_operators_command(tmp_path, capsys):
     code, report = run_cmd(tmp_path, "operators", "--config", str(cfg))
     capsys.readouterr()
     assert code == 0
-    assert float(report["values"]["worst_defect"]) < 1e-10
+    assert report["values"] == {}
+    assert [(i["label"], i["status"], i["residue"]) for i in report["checks"][0]["items"]] == [
+        (f"twisted algebra N={N}", "pass", "0") for N in (1, 2, 3)
+    ]
+
+
+def test_operators_reports_the_first_failing_pair(monkeypatch, tmp_path, capsys):
+    import torusgauge.hilbert as hilbert
+
+    two_cocycle = hilbert.two_cocycle
+    monkeypatch.setattr(hilbert, "two_cocycle", lambda line, v, vp: -two_cocycle(line, v, vp))
+    doc = {**LINE, "params": {"flux_list": [1, 2]}}
+    code, report = run_cmd(tmp_path, "operators", "--config", write_config(tmp_path, doc))
+    capsys.readouterr()
+    assert code == 1
+    # flux 1 has c = 0 on every pair; at flux 2 the wrong sign of c = pi/2 leaves pi
+    assert report["checks"][0]["items"] == [
+        {"label": "twisted algebra N=1", "residue": "0", "status": "pass"},
+        {
+            "label": "twisted algebra N=2",
+            "note": "first failing pair (0,1/2); (1/2,0)",
+            "residue": "pi",
+            "status": "fail",
+        },
+    ]
 
 
 def test_operators_builds_each_matrix_once(monkeypatch, tmp_path, capsys):
@@ -369,6 +393,28 @@ def assert_config_error(capsys, argv, what):
     assert run(argv) == 2, what
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:"), what
+
+
+@pytest.mark.parametrize(
+    "command, doc, quoted",
+    [
+        ("section", {**LINE, "dimension": 2.5}, "got 5/2"),
+        ("check-cocycle", {**LINE, "params": {"samples": 2.0}}, "got 2/1"),
+        ("operators", {**LINE, "params": {"flux_list": [1.5]}}, "got [3/2]"),
+        ("section", {**LINE, "params": {"vectors": [[0.5, 1e-1, 3]]}}, "vector (1/2,1/10,3) "),
+    ],
+)
+def test_config_errors_quote_json_numbers_exactly(tmp_path, capsys, command, doc, quoted):
+    assert run([command, "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and quoted in err, err
+
+
+def test_config_nested_past_the_recursion_limit_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    deep = "[" * 5000 + "]" * 5000
+    path.write_text('{"dimension": 2, "kind": "line", "params": {"samples": %s}}' % deep)
+    assert_config_error(capsys, ["check-cocycle", "--config", str(path)], "deep")
 
 
 def test_top_level_array_config_is_a_config_error(tmp_path, capsys):
@@ -640,7 +686,7 @@ def test_operators_defaults_to_the_scenario_flux(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     labels = {i["label"] for i in report["checks"][0]["items"]}
-    assert labels == {"unitarity N=2", "twisted algebra N=2"}
+    assert labels == {"twisted algebra N=2"}
 
 
 def test_dimension_is_bounded(tmp_path, capsys, monkeypatch):

@@ -6,19 +6,58 @@ import numpy as np
 import pytest
 
 from torusgauge.errors import TorusGaugeError
-from torusgauge.hilbert import (
-    geometric_cocycle_phase,
-    is_unitary,
-    translation_matrix,
-    verify_operator_cocycle,
-)
+from torusgauge.hilbert import operator_cocycle_slack, translation_matrix
+from torusgauge.magnetic import landau_line
+
+# acceptance criterion 3's sup-norm bound on a dense rendering
+OPERATOR_TOL = 1e-10
+UNITARITY_TOL = 1e-12
+
+
+def dense(N, v):
+    """translation_matrix(N, v) rendered as a dense complex N x N matrix."""
+    a, exps = translation_matrix(N, v)
+    P = np.zeros((N, N), dtype=complex)
+    for n, e in enumerate(exps):
+        P[(n + a) % N, n] = np.exp(1j * math.pi * e / N)
+    return P
+
+
+def weyl(N, v):
+    """exp(-i*pi*a*b/N) U^a V^{-b} at v = (a/N, b/N), built from U and V."""
+    a, b = (int(x * N) for x in v)
+    U = np.roll(np.eye(N), 1, axis=0)  # U e_n = e_{n+1}
+    V = np.diag(np.exp(2j * math.pi * np.arange(N) / N))
+    Vb = np.linalg.matrix_power(V.conj(), b)  # V^{-b}
+    return np.exp(-1j * math.pi * a * b / N) * np.linalg.matrix_power(U, a) @ Vb
+
+
+def lattice(N):
+    return list(itertools.product([Fraction(a, N) for a in range(N)], repeat=2))
+
+
+def wrong_sign_failures(N):
+    """Pairs that fail when c is replaced by -c, the two-cocycle at flux -N."""
+    flipped = landau_line(-N)
+    return sum(
+        not operator_cocycle_slack(N, v, vp, line=flipped).in_two_pi_Z()
+        for v, vp in itertools.product(lattice(N), repeat=2)
+    )
+
+
+def test_dense_rendering_is_the_weyl_product():
+    # every v on the grid of sums v + v' that the operators command builds
+    for N in range(1, 7):
+        sums = [Fraction(a, N) for a in range(2 * N - 1)]
+        for v in itertools.product(sums, repeat=2):
+            assert np.max(np.abs(dense(N, v) - weyl(N, v))) < OPERATOR_TOL, (N, v)
 
 
 def test_clock_shift_commutation():
     # the shift U = P(1/N, 0) and the clock V = P(0, -1/N) obey the Weyl relation
     for N in (2, 3, 5):
-        U = translation_matrix(N, (Fraction(1, N), 0))
-        V = translation_matrix(N, (0, Fraction(-1, N)))
+        U = dense(N, (Fraction(1, N), 0))
+        V = dense(N, (0, Fraction(-1, N)))
         w = np.exp(2j * math.pi / N)
         assert np.allclose(U @ V, w ** (-1) * V @ U)
         assert np.allclose(np.linalg.matrix_power(U, N), np.eye(N))
@@ -26,9 +65,9 @@ def test_clock_shift_commutation():
 
 
 def test_translation_matrix_basics():
-    assert np.allclose(translation_matrix(3, (0, 0)), np.eye(3))
-    P = translation_matrix(4, (Fraction(1, 4), Fraction(3, 4)))
-    assert is_unitary(P)
+    assert translation_matrix(3, (0, 0)) == (0, (0, 0, 0))
+    # a = 1, b = 3: e_n = -3 - 6n mod 8
+    assert translation_matrix(4, (Fraction(1, 4), Fraction(3, 4))) == (1, (5, 7, 1, 3))
     with pytest.raises(TorusGaugeError):
         translation_matrix(4, (Fraction(1, 3), 0))
 
@@ -36,15 +75,17 @@ def test_translation_matrix_basics():
 def test_full_period_is_scalar():
     for N in (2, 3, 5):
         for v in [(1, 0), (0, 1), (1, 1)]:
-            P = translation_matrix(N, v)
+            a, exps = translation_matrix(N, v)
+            assert a == 0 and len(set(exps)) == 1
+            P = dense(N, v)
             s = P[0, 0]
             assert abs(abs(s) - 1) < 1e-12
             assert np.allclose(P, s * np.eye(N))
 
 
 def test_commutator_phase_n2():
-    P1 = translation_matrix(2, (Fraction(1, 2), 0))
-    P2 = translation_matrix(2, (0, Fraction(1, 2)))
+    P1 = dense(2, (Fraction(1, 2), 0))
+    P2 = dense(2, (0, Fraction(1, 2)))
     ratio = P1 @ P2 @ np.linalg.inv(P2) @ np.linalg.inv(P1)
     assert np.allclose(ratio, np.eye(2))
     comm = P1 @ P2 @ np.linalg.inv(P1) @ np.linalg.inv(P2)
@@ -53,19 +94,36 @@ def test_commutator_phase_n2():
 
 def test_operator_matches_geometric_cocycle_exhaustive():
     for N in range(1, 5):
-        fracs = [Fraction(a, N) for a in range(N)]
-        for v, vp in itertools.product(itertools.product(fracs, repeat=2), repeat=2):
-            ok, defect = verify_operator_cocycle(N, v, vp)
-            assert ok, (N, v, vp, defect)
+        for v, vp in itertools.product(lattice(N), repeat=2):
+            slack = operator_cocycle_slack(N, v, vp)
+            assert slack.is_exact and slack.in_two_pi_Z(), (N, v, vp, slack)
 
 
 def test_wrong_sign_cocycle_fails():
     N = 3
     v, vp = (Fraction(1, 3), 0), (0, Fraction(1, 3))
-    c = geometric_cocycle_phase(N, v, vp)
-    lhs = translation_matrix(N, v) @ translation_matrix(N, vp)
-    rhs = np.conj(c) * translation_matrix(N, (Fraction(1, 3), Fraction(1, 3)))
-    assert np.max(np.abs(lhs - rhs)) > 1e-2
+    assert operator_cocycle_slack(N, v, vp).in_two_pi_Z()
+    slack = operator_cocycle_slack(N, v, vp, line=landau_line(-N))
+    assert slack.is_exact and not slack.in_two_pi_Z()
+    assert str(slack.mod_two_pi()) == "2/3*pi"  # 2c, c = pi/3
+
+
+def test_wrong_sign_cocycle_fails_the_pinned_pair_counts():
+    # c = -c mod 2*pi (and flux 1 has only c = 0) exactly on the pairs that pass
+    assert [wrong_sign_failures(N) for N in range(1, 7)] == [0, 6, 48, 168, 480, 966]
+
+
+def test_a_product_that_is_no_multiple_has_no_slack():
+    N = 3
+    v, vp = (Fraction(1, 3), 0), (0, Fraction(1, 3))
+    mats = {w: translation_matrix(N, w) for w in (v, vp, (Fraction(1, 3), Fraction(1, 3)))}
+    assert operator_cocycle_slack(N, v, vp, mats=mats) is not None
+    shift, exps = mats[v]
+    # the product lands in other rows than P(v + v')
+    assert operator_cocycle_slack(N, v, vp, mats={**mats, v: (shift + 1, exps)}) is None
+    # the product's columns carry different phases relative to P(v + v')
+    bent = (exps[0] + 1,) + exps[1:]
+    assert operator_cocycle_slack(N, v, vp, mats={**mats, v: (shift, bent)}) is None
 
 
 def test_commutation_iff_cocycle_ratio_trivial():
@@ -73,15 +131,16 @@ def test_commutation_iff_cocycle_ratio_trivial():
     v = (Fraction(1, 4), 0)
     vp = (0, Fraction(2, 4))
     # ratio c(v,v')/c(v',v) = exp(2 pi i N (v1 vp2 - v2 vp1)) = exp(pi i) = -1
-    A = translation_matrix(N, v)
-    B = translation_matrix(N, vp)
+    A = dense(N, v)
+    B = dense(N, vp)
     assert np.allclose(A @ B, -B @ A)
     vp2 = (0, 1)
-    B2 = translation_matrix(N, vp2)
+    B2 = dense(N, vp2)
     assert np.allclose(A @ B2, B2 @ A)
 
 
 def test_unitarity_lattice():
     for N in (1, 2, 3, 4, 5):
-        for v in itertools.product([Fraction(a, N) for a in range(N)], repeat=2):
-            assert is_unitary(translation_matrix(N, v))
+        for v in lattice(N):
+            P = dense(N, v)
+            assert np.max(np.abs(P @ P.conj().T - np.eye(N))) < UNITARITY_TOL

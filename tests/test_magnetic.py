@@ -13,7 +13,6 @@ from torusgauge.magnetic import (
     check_line_cocycle,
     check_section_membership,
     equivalence_gauge,
-    holonomy,
     holonomy_exponent,
     landau_line,
     lift_equivalence_check,
@@ -216,7 +215,6 @@ def test_holonomy_unit_cell(landau2):
     square = PLPath([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
     r = holonomy_exponent(landau2, square)
     assert r.pi == {1: Fraction(4)}  # 2 pi N
-    assert abs(holonomy(landau2, square) - 1) < 1e-12
 
 
 def test_holonomy_half_cell(landau1):
@@ -224,7 +222,6 @@ def test_holonomy_half_cell(landau1):
     square = PLPath([(0, 0), (h, 0), (h, h), (0, h), (0, 0)])
     r = holonomy_exponent(landau1, square)
     assert r.pi == {1: Fraction(1, 2)}  # 2 pi N / 4
-    assert abs(holonomy(landau1, square) - 1j) < 1e-12
 
 
 def test_holonomy_constant_connection_trivial():
@@ -235,7 +232,7 @@ def test_holonomy_constant_connection_trivial():
 
 def test_holonomy_open_path_rejected(landau1):
     with pytest.raises(PathError):
-        holonomy(landau1, PLPath([(0, 0), (1, 0)]))
+        holonomy_exponent(landau1, PLPath([(0, 0), (1, 0)]))
 
 
 def test_holonomy_winding_loop(landau1):

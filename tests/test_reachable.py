@@ -55,8 +55,7 @@ KEEP = {
     "gerbes.GerbeData.connection": TRACER,
     "gerbes.flat_gerbe_2d": "acceptance criterion 8, the d = 2 degeneration",
     "magnetic.LineData.phi": TRACER,
-    "magnetic.holonomy": "the paper's parallel transport; closed loops cross-check integrate_path",
-    "magnetic.holonomy_exponent": "the exponent of holonomy",
+    "magnetic.holonomy_exponent": "the paper's parallel transport; closed loops cross-check integrate_path",
     "polytrig.PolyTrig.__eq__": "exact equality of canonical functions; the exact oracles use it",
     "polytrig.PolyTrig.eval_float": "the quadrature and finite-difference cross-checks",
     "polytrig.PolyTrig.scale": TRACER,
