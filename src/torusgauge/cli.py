@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .cohomology import is_cocycle, simplex_cochain
+from .cohomology import is_cocycle
 from .errors import QuantizationError, SizeLimitError, TorusGaugeError
 from .expr import MAX_COUNT, parse_expr, read_rational
 from .forms import Form, PLPath
@@ -385,9 +385,8 @@ def cmd_cohomology(scn, rnd, values):
     d = scn.data.d
     n = _count_param(scn, "samples", DEFAULT_COHOMOLOGY_SAMPLES)
     if scn.kind == "line":
-        twist = simplex_cochain(2, d, -1)  # the chain of two_cocycle
         samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(3)) for _ in range(n)]
-        return [is_cocycle(twist, scn.data.curvature(), samples, identity="twist_cocycle")]
+        return [is_cocycle(scn.data.curvature(), samples, "twist_cocycle")]
     samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(4)) for _ in range(n)]
     return [associator_cocycle_check(scn.data, samples)]
 

@@ -1,30 +1,34 @@
-"""Group cochains on the translation group, valued in chains of simplices.
+"""Group cochains on the translation group, and the sampled cocycle laws.
 
-A degree-n cochain maps n-tuples of translation vectors to a chain: a list of
-signed symbolic AffineSimplex cells whose integral against a form omega is
-the exponent of a U(1) function.  Every cochain the checker samples is plus
-or minus the integral of omega over Delta^n(x; v_n, ..., v_1) (see
-simplex_cochain).  The module action rho_v theta = theta(. - v) moves each
-cell's top vertex by -v, and the inhomogeneous differential
+Every cochain the checker samples -- the section theta, the twist c, the
+composition Pi and the associator omega -- is plus or minus the integral of a
+form over one simplex Delta^n(x; v_n, ..., v_1).  Under the module action
+rho_v f = f(. - v) the inhomogeneous differential
 
     (delta c)(v_1, ..., v_{n+1}) = rho_{v_1} c(v_2, ..., v_{n+1})
         + sum_i (-1)^i c(..., v_i + v_{i+1}, ...) + (-1)^{n+1} c(v_1, ..., v_n)
 
-is a chain too, a minus sign flipping each cell's sign.  Integration commutes
-with both, so each sampled identity is one integrate_chain call: one kernel
-pass per sample.  Cochains are sampled on explicit tuples (every identity is
-pointwise in the continuous group), and evaluators must be pure.
+takes such a cochain to a chain, and cell for cell
+
+    delta(+-Delta^n) = (-1)^{n+1} (+-) boundary of Delta^{n+1}(x; v_{n+1}, ..., v_1):
+
+face j of the boundary (vertex j dropped, vertex 0 the farthest from x) is
+c(v_1, ..., v_n) for j = 0, the term merging v_i + v_{i+1} with i = n + 1 - j,
+and the translated term rho_{v_1} c(v_2, ...) for j = n + 1.  So each sampled
+law integrates the boundary() of one simplex in one kernel pass: it is Stokes'
+theorem on that simplex.  GroupCochain is the cochain type of the
+exponent-valued test oracle.
 """
 
 from __future__ import annotations
 
 from .forms import AffineSimplex, integrate_chain
 from .reports import CheckReport, phase_item, vec_label
-from .vectors import as_vec, vadd, vsub, vzero
+from .vectors import as_vec
 
 
 class GroupCochain:
-    """Degree-n cochain: evaluator from n-tuples of rational vectors to chains."""
+    """Degree-n cochain: evaluator from n-tuples of rational vectors to values."""
 
     __slots__ = ("degree", "dim", "evaluator")
 
@@ -41,32 +45,13 @@ class GroupCochain:
         return self.evaluator(tuple(as_vec(v) for v in args))
 
 
-def simplex_cochain(degree, dim, sign=1):
-    """(v_1, ..., v_n) -> the chain of sign * Delta^n(x; v_n, ..., v_1)."""
-    top = vzero(dim)
-    return GroupCochain(degree, dim, lambda args: [AffineSimplex(top, args[::-1], sign=sign)])
-
-
-def coboundary(c):
-    """The inhomogeneous differential on chains; delta(delta(c)) integrates to 0."""
-    n = c.degree
-
-    def ev(args):
-        v = args[0]
-        chain = [AffineSimplex(vsub(s.top, v), s.edges, sign=s.sign) for s in c.evaluator(args[1:])]
-        faces = [args[:i] + (vadd(args[i], args[i + 1]),) + args[i + 2 :] for i in range(n)]
-        for i, face in enumerate(faces + [args[:n]]):
-            term = c.evaluator(face)
-            chain += term if i % 2 else [-s for s in term]
-        return chain
-
-    return GroupCochain(n + 1, c.dim, ev)
-
-
-def is_cocycle(c, omega, samples, identity="cochain_cocycle"):
-    """The integral of omega over delta(c) is in 2*pi*Z on every sampled (n+1)-tuple."""
-    dc = coboundary(c)
+def is_cocycle(omega, samples, identity):
+    """delta of the cochain (-1)^{n+1} int over Delta^n(x; v_n, ..., v_1) of
+    the closed form omega is in 2*pi*Z on each sampled (n+1)-tuple: there it
+    is the integral of omega over the boundary of Delta^{n+1}(x; v_{n+1},
+    ..., v_1)."""
     report = CheckReport(identity)
     for args in samples:
-        phase_item(report, vec_label(*map(as_vec, args)), integrate_chain(omega, dc(*args)))
+        chain = AffineSimplex.from_edges(args[::-1]).boundary()
+        phase_item(report, vec_label(*map(as_vec, args)), integrate_chain(omega, chain))
     return report

@@ -63,6 +63,9 @@ class Form:
             idx = tuple(idx)
             if len(idx) != degree or list(idx) != sorted(set(idx)):
                 raise DegreeError(f"component index {idx} is not strictly increasing")
+            if idx and (idx[0] < 0 or idx[-1] >= dim):
+                axes = ",".join(str(i + 1) for i in idx)
+                raise DimensionError(f"form component {axes} has an axis outside [1, {dim}]")
             if f.dim != dim:
                 raise DimensionError("coefficient dimension mismatch")
             if f.terms:
@@ -266,9 +269,6 @@ class AffineSimplex:
     @property
     def k(self):
         return len(self._edges)
-
-    def __neg__(self):
-        return AffineSimplex._scaled(self._top, self._edges, self._den, -self.sign)
 
     def _cell(self):
         """The kernel's cell (edges, first vertex, den, sign); points are numerators over den."""

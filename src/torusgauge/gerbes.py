@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .cohomology import coboundary, is_cocycle, simplex_cochain
+from .cohomology import is_cocycle
 from .errors import DegreeError, DimensionError, QuantizationError
 from .forms import (
     AffineSimplex,
@@ -78,6 +78,8 @@ class GerbeData:
             self.pair_exponents[(a, b)] = f
         self.gen_connections = {}
         for a, form in gen_connections.items():
+            if not 1 <= a <= d:
+                raise DimensionError(f"generator connection axis {a} out of range")
             if form.dim != d or form.degree != 1:
                 raise DimensionError("generator connection must be a 1-form")
             self.gen_connections[a] = form
@@ -281,12 +283,14 @@ def associator(gerbe, u, v, w):
 
 def pentagon_check(gerbe, u, v, w, omega=None):
     """Pi_{u,v+w} . Pi_{v,w}(. - u) = omega_{u,v,w} . Pi_{u+v,w} . Pi_{u,v}, i.e.
-    delta(Pi) = omega: one chain integral of B, less omega = associator(gerbe,
-    u, v, w) (computed if None)."""
+    delta(Pi) = omega: Stokes' theorem on the associator's tetrahedron T =
+    Delta^3(x; w, v, u).  delta(Pi), the integral of B over the boundary of T,
+    less omega = associator(gerbe, u, v, w), the integral of H = dB over T
+    (computed if None)."""
     u, v, w = as_vec(u), as_vec(v), as_vec(w)
     if omega is None:
         omega = associator(gerbe, u, v, w)
-    d_pi = integrate_chain(gerbe.curving, coboundary(simplex_cochain(2, gerbe.d, -1))(u, v, w))
+    d_pi = integrate_chain(gerbe.curving, AffineSimplex.from_edges([w, v, u]).boundary())
     report = CheckReport("pentagon_relation")
     phase_item(report, vec_label(u, v, w), d_pi - omega)
     return report
@@ -294,8 +298,7 @@ def pentagon_check(gerbe, u, v, w, omega=None):
 
 def associator_cocycle_check(gerbe, quadruples):
     """delta(omega) = 1 on the sampled quadruples (group 3-cocycle law)."""
-    omega = simplex_cochain(3, gerbe.d)
-    return is_cocycle(omega, gerbe.curvature(), quadruples, identity="associator_cocycle")
+    return is_cocycle(gerbe.curvature(), quadruples, "associator_cocycle")
 
 
 def constant_flux_gerbe(m):

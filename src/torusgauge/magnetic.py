@@ -29,7 +29,6 @@ from fractions import Fraction
 from operator import sub
 
 from .errors import DimensionError, PathError, TorusGaugeError
-from .cohomology import coboundary, simplex_cochain
 from .forms import (
     AffineSimplex,
     Form,
@@ -185,11 +184,13 @@ def two_cocycle(line, v, vp):
 
 
 def verify_projective_relation(line, v, vp):
-    """s(v) . translate_v s(v') = c(v, v') . s(v+v'), exactly in exponents: the
-    section exponents' delta(theta), one chain integral of A, less c."""
+    """s(v) . translate_v s(v') = c(v, v') . s(v+v'), exactly in exponents:
+    Stokes' theorem on the twist's triangle T = Delta^2(x; v', v).  delta(theta),
+    minus the integral of A over the boundary of T, less c = two_cocycle(line,
+    v, v'), minus the integral of dA over T."""
     v, vp = as_vec(v), as_vec(vp)
     A = line.require_connection()
-    d_theta = integrate_chain(A, coboundary(simplex_cochain(1, line.d, -1))(v, vp))
+    d_theta = -integrate_chain(A, AffineSimplex.from_edges([vp, v]).boundary())
     c = two_cocycle(line, v, vp)
     report = CheckReport("projective_product")
     phase_item(report, vec_label(v, vp), d_theta - c)

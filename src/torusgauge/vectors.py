@@ -49,10 +49,6 @@ def unscale(v, den):
     return tuple(n // den if not n % den else Fraction(n, den) for n in v)
 
 
-def vadd(a, b):
-    return tuple(int_if_integral(x + y) for x, y in zip(a, b))
-
-
 def vsub(a, b):
     return tuple(int_if_integral(x - y) for x, y in zip(a, b))
 

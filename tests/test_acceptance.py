@@ -258,14 +258,14 @@ def test_criterion_7_falsification_controls():
     )
     # dropped associator breaks the pentagon combination
     u, v, w = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    from torusgauge.vectors import vadd
+    from operator import add
 
     lhs = (
-        composition_phase(gerbe, u, vadd(v, w))
+        composition_phase(gerbe, u, tuple(map(add, v, w)))
         + translate(composition_phase(gerbe, v, w), u)
     )
     rhs = (
-        composition_phase(gerbe, vadd(u, v), w)
+        composition_phase(gerbe, tuple(map(add, u, v)), w)
         + composition_phase(gerbe, u, v)
     )
     res = constant_mod_free(lhs - rhs)

@@ -1,10 +1,11 @@
 """The checker's chained identities against the exponent-valued oracle.
 
-Each sampled identity integrates delta of a chain-valued cochain in one
-kernel call (see cohomology).  Here the slack each check decides is compared,
-as a PolyTrig with ==, with the same slack summed from separate integrals and
-translate calls by the oracle coboundary of tests_util (on the float tier,
-float coefficients within DEFAULT_TOL):
+Each sampled identity integrates the boundary() of one simplex in one kernel
+call: delta of the cochain of a signed simplex is, cell for cell, the signed
+boundary of the next simplex (see cohomology).  Here the slack each check
+decides is compared, as a PolyTrig with ==, with the same slack summed from
+separate integrals and translate calls by the oracle coboundary of tests_util
+(on the float tier, float coefficients within DEFAULT_TOL):
 
   * the line twist, delta(c);
   * the associator, delta(omega);
@@ -12,8 +13,8 @@ float coefficients within DEFAULT_TOL):
   * the projective relation, delta(theta) - c.
 
 The data are the bundled scenarios, the rand_* generators and the float-tier
-configs under tests/data.  A mutant that flips the sign of one cell of a
-chain must fail the comparison.
+configs under tests/data.  A mutant AffineSimplex.boundary that flips the
+sign of one face must fail the comparison.
 """
 
 from pathlib import Path
@@ -22,7 +23,8 @@ import pytest
 
 from torusgauge import cohomology, gerbes, magnetic
 from torusgauge.cli import load_scenario
-from torusgauge.cohomology import GroupCochain, simplex_cochain
+from torusgauge.cohomology import GroupCochain
+from torusgauge.forms import AffineSimplex
 from torusgauge.gerbes import (
     associator,
     associator_cocycle_check,
@@ -75,7 +77,7 @@ def _record_slacks(monkeypatch, module):
 
 
 def _twist_cocycle(line, samples):
-    return cohomology.is_cocycle(simplex_cochain(2, line.d, -1), line.curvature(), samples)
+    return cohomology.is_cocycle(line.curvature(), samples, "twist_cocycle")
 
 
 def _run_twist(monkeypatch, line, samples):
@@ -108,7 +110,7 @@ def _run_projective(monkeypatch, line, samples):
     return got, [oracle(*args) - two_cocycle(line, *args) for args in samples]
 
 
-# identity -> (data table, tuple length, runner, cells in one chain)
+# identity -> (data table, tuple length, runner, faces in its chain)
 IDENTITIES = {
     "twist_cocycle": (LINES, 3, _run_twist, 4),
     "associator_cocycle": (GERBES, 4, _run_associator, 5),
@@ -142,18 +144,14 @@ def _agree(got, want):
 
 
 def _flipping(index):
-    """A mutant coboundary: the sign of cell index of each chain flipped."""
-    real = cohomology.coboundary
+    """A mutant AffineSimplex.boundary: the sign of face index flipped."""
+    real = AffineSimplex.boundary
 
-    def mutant(c):
-        dc = real(c)
-
-        def ev(args):
-            chain = dc.evaluator(args)
-            chain[index] = -chain[index]
-            return chain
-
-        return GroupCochain(dc.degree, dc.dim, ev)
+    def mutant(simplex):
+        faces = real(simplex)
+        face = faces[index]
+        faces[index] = AffineSimplex(face.top, face.edges, sign=-face.sign)
+        return faces
 
     return mutant
 
@@ -170,9 +168,7 @@ def test_a_flipped_cell_fails_the_comparison(monkeypatch, identity, index):
     table, parts, runner, _ = IDENTITIES[identity]
     build, dens = next(iter(table.values()))
     data = build()
-    mutant = _flipping(index)
-    for module in (cohomology, gerbes, magnetic):
-        monkeypatch.setattr(module, "coboundary", mutant)
+    monkeypatch.setattr(AffineSimplex, "boundary", _flipping(index))
     got, want = runner(monkeypatch, data, _samples(data.d, parts, dens))
     assert len(got) == len(want) == 4
     assert not all(_agree(g, w) for g, w in zip(got, want))

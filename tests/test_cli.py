@@ -417,6 +417,25 @@ def test_config_nested_past_the_recursion_limit_is_a_config_error(tmp_path, caps
     assert_config_error(capsys, ["check-cocycle", "--config", str(path)], "deep")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**LINE, "connection": {"3": "x1"}},
+        {**LINE, "connection": {"0": "x1"}},
+        {**GERBE, "connection": {"5": {"3": "x2"}}},
+        {**GERBE, "curving": {"1,4": "x1"}},
+    ],
+    ids=["line-dx3", "line-dx0", "gerbe-generator-5", "gerbe-curving-1,4"],
+)
+def test_axes_outside_the_dimension_are_config_errors(tmp_path, capsys, doc):
+    # such an axis would index past the form (0 as Python's last axis), so
+    # loading rejects it and no command of the kind runs
+    cfg = write_config(tmp_path, doc)
+    for command, handler in HANDLERS.items():
+        if handler.kind in ("any", doc["kind"]):
+            assert_config_error(capsys, [command, "--config", cfg], command)
+
+
 def test_top_level_array_config_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "array.json"
     path.write_text(json.dumps([{"schema": 1, **LINE}]))

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import add
 
 import pytest
 
@@ -25,7 +26,7 @@ from torusgauge.sampling import (
     stokes_defect,
     stokes_sample,
 )
-from torusgauge.vectors import basis_vec, det, vadd, vneg, vsub, vzero
+from torusgauge.vectors import basis_vec, det, vneg, vsub, vzero
 from tests_util import is_exact, op_calls
 
 
@@ -395,7 +396,7 @@ def test_path_integral_is_the_sum_over_its_segments():
             verts = [rand_vector(r, d, num=3, dens=(1, 2, 4))]
             for _ in range(r.randint(1, 4)):
                 step = tuple(Fraction(r.randint(-3, 3), den) for _ in range(d))
-                verts.append(vadd(verts[-1], step))
+                verts.append(tuple(map(add, verts[-1], step)))
             segments = [
                 integrate_simplex(A, AffineSimplex(b, [vsub(b, a)]))
                 for a, b in zip(verts, verts[1:])
@@ -495,7 +496,7 @@ def box_chain(edges, offset=None):
     k = len(edges)
     top = offset or vzero(len(edges[0]))
     for e in edges:
-        top = vadd(top, e)
+        top = tuple(map(add, top, e))
     chain = []
     for p in permutations(range(k)):
         inversions = sum(p[i] > p[j] for i, j in combinations(range(k), 2))
@@ -512,7 +513,7 @@ def cell_integral(omega, g1, g2):
     chain = []
     for a, b in zip(g1.vertices, g1.vertices[1:]):
         for c, e in zip(g2.vertices, g2.vertices[1:]):
-            chain += box_chain((vsub(b, a), vsub(e, c)), offset=vadd(a, c))
+            chain += box_chain((vsub(b, a), vsub(e, c)), offset=tuple(map(add, a, c)))
     return integrate_chain(omega, chain)
 
 
@@ -558,7 +559,7 @@ def test_box_integral_splits_into_two_simplices():
             omega = rand_form(r, d, 2)
             u, v = rand_vector(r, d, 2, (1,)), rand_vector(r, d, 2, (1,))
             p = rand_vector(r, d, 2, (1, 2))
-            top = vadd(p, v)
+            top = tuple(map(add, p, v))
             other = [AffineSimplex(top, [u, vsub(v, u)]), AffineSimplex(top, [v, vneg(u)])]
             box = box_chain([u, v], offset=p)
             assert integrate_chain(omega, box) == integrate_chain(omega, other)

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import add
 
 import pytest
 
@@ -21,7 +22,7 @@ from torusgauge.forms import AffineSimplex, Form, integrate_chain, integrate_sim
 from torusgauge.gerbes import _integrate_unit_cube
 from torusgauge.polytrig import MODE_COS, MODE_NONE, PolyTrig, value_at
 from torusgauge.scalar import Scalar
-from torusgauge.vectors import basis_vec, vadd, vsub, vzero
+from torusgauge.vectors import basis_vec, vsub, vzero
 
 sympy = pytest.importorskip("sympy")
 
@@ -123,7 +124,7 @@ def _simplex_case(omega, edges, top, base=None):
     frame = [vsub(v, verts[0]) for v in verts[1:]]
     if base is None:
         return got, _oracle(omega, verts[0], frame, True, True)
-    return value_at(got, base), _oracle(omega, vadd(verts[0], base), frame, True, False)
+    return value_at(got, base), _oracle(omega, tuple(map(add, verts[0], base)), frame, True, False)
 
 
 def test_polynomial_integrals_match_sympy():
@@ -192,5 +193,5 @@ def test_boundary_chain_matches_sympy():
         for j in range(4):
             face = verts[:j] + verts[j + 1 :]
             frame = [vsub(v, face[0]) for v in face[1:]]
-            want += (-1) ** j * _oracle(omega, vadd(face[0], base), frame, True, not concrete)
+            want += (-1) ** j * _oracle(omega, tuple(map(add, face[0], base)), frame, True, not concrete)
         assert sympy.expand(_result(got) - want) == 0, concrete

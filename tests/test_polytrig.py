@@ -23,8 +23,9 @@ from torusgauge.polytrig import (
     translate,
     _Acc,
 )
+from torusgauge.reports import CheckReport, phase_item
 from torusgauge.sampling import rand_form, rand_polytrig, rand_simplex, rng
-from torusgauge.scalar import Scalar
+from torusgauge.scalar import DEFAULT_TOL, DROP_EPS, Scalar
 from tests_util import is_exact, phase_descends, phase_is_one, rand_polytrig_by_add, trig_term
 
 # ---------------------------------------------------------------------------
@@ -624,3 +625,23 @@ def test_int_phase_reduction_matches_fraction_reduction():
                         assert (m, f, ph) == want_key and c.num == {0: want_sign}
                         # an integral phase is the int 0, any other a Fraction
                         assert type(ph) is (int if ph == 0 else Fraction)
+
+
+def test_float_tier_sums_below_drop_eps_leave_no_term():
+    # Two thresholds decide a float cancellation.  A tier-F coefficient sum
+    # below scalar.DROP_EPS is dropped as zero where terms merge, before any
+    # check sees it; a larger one stays a term, and phase_item forgives it
+    # up to DEFAULT_TOL.
+    assert (DROP_EPS, DEFAULT_TOL) == (1e-15, 1e-9)
+    x1 = ((1, 0), MODE_NONE, (0, 0), 0)
+    for rest, kept in ((8e-16, False), (1e-12, True)):
+        acc = _Acc(2)
+        acc.merge(x1, Scalar.approx(0.5))
+        acc.merge(x1, Scalar.approx(rest - 0.5))
+        slack = acc.done()
+        assert list(slack.terms) == ([x1] if kept else []), rest
+        if kept:
+            assert abs(slack.terms[x1].val - rest) < DROP_EPS
+        report = CheckReport("float_drop")
+        assert phase_item(report, "x1", slack), rest
+        assert report.items[0].residue == "0"

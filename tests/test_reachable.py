@@ -45,6 +45,13 @@ EXPR_TREES = 40
 TRACER = "named by verdictbench/tracer.py METHODS, which wraps it by name"
 KEEP = {
     "cli._needs": "runs at import, declaring each handler's needs in HANDLERS",
+    "cohomology.GroupCochain.__call__": TRACER,
+    "cohomology.GroupCochain.__init__": (
+        "the cochain type of the exponent-valued oracle in tests_util;"
+        " verdictbench/tracer.py wraps it at install"
+    ),
+    "forms.AffineSimplex.edges": "verdictbench/tracer.py's _integral_key reads it; the face oracles compare it",
+    "forms.AffineSimplex.top": "verdictbench/tracer.py's _integral_key reads it; the face oracles compare it",
     "forms.AffineSimplex.vertices": "the quadrature and sympy oracles place a simplex by its vertices",
     "forms.Form.const_two_form": "flat_gerbe_2d's curving",
     "forms.Form.equals": "form equality up to tolerance, as PolyTrig.equals; the form oracles use it",

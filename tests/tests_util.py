@@ -2,6 +2,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import add
 
 from torusgauge import forms
 from torusgauge.cohomology import GroupCochain
@@ -9,7 +10,7 @@ from torusgauge.polytrig import PolyTrig, _Acc, translate
 from torusgauge.reports import CheckReport, phase_item, vec_label
 from torusgauge.sampling import rand_scalar
 from torusgauge.scalar import Scalar
-from torusgauge.vectors import as_vec, basis_vec, vadd, vneg
+from torusgauge.vectors import as_vec, basis_vec, vneg
 
 
 def rational_vec2(rnd, num=3, dens=(1, 2, 3, 4)):
@@ -108,7 +109,7 @@ def coboundary(c):
         out = translate(c.evaluator(args[1:]), args[0])
         sign = -1
         for i in range(1, n + 1):
-            merged = args[: i - 1] + (vadd(args[i - 1], args[i]),) + args[i + 1 :]
+            merged = args[: i - 1] + (tuple(map(add, args[i - 1], args[i])),) + args[i + 1 :]
             term = c.evaluator(merged)
             out = out + term if sign > 0 else out - term
             sign = -sign
