@@ -39,10 +39,10 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import DegreeError, DimensionError, PathError
-from .polytrig import MODE_NONE, PolyTrig, _Acc, _Rows
+from .polytrig import MODE_NONE, PolyTrig, _Acc, _axis_pass, _ratio, _Rows
 from .vectors import basis_vec, det, scale_vecs, unscale, vneg, vzero
 
 
@@ -374,15 +374,22 @@ def _iterated_integral(omega, cells):
     one pass, by the closed-form moments of _moments; its trig factor, if
     any, is put as is.  Terms whose frequency is nonzero on a t axis are put
     into one accumulator for the whole chain, since every cell has the same
-    parameter domain; the chain then takes one antiderivative pass per axis,
-    for each t_j from t_k down to t_1, from 0 to its upper limit (t_{j-1},
-    and 1 for t_1), after which the parameter axes are dropped.  Last, the
-    phases are expanded, once.
+    parameter domain, in scaled keys (polytrig._Acc): their frequency and
+    phase are ints over M = 4 lcm(cell denominators) lcm(denominators of
+    omega's frequencies and phases): F_x = M q, F_tj = M q.v_j / den and
+    P = M q.p0 / den for a wave cos or sin 2 pi q.x.  The chain then takes one
+    polytrig._axis_pass per axis, for t_k down to t_1, from 0 to its upper
+    limit: t_j -> t_{j-1} moves F_tj and the exponent onto t_{j-1}, t_1 -> 1
+    adds F_t1 to P.  Only as the parameter axes are dropped is each frequency
+    and phase turned back into rationals.  Last, the phases are expanded, once.
     """
     d = omega.dim
     k = omega.degree
     out = _Acc(d)
-    trig = _Acc(d + k)
+    waves = {key[2:] for f in omega.comps.values() for key in f.terms if key[1] != MODE_NONE}
+    omega_den = lcm(*(x.denominator for q, p in waves for x in (*q, p)))
+    M = 4 * lcm(*(cell[2] for cell in cells)) * omega_den
+    trig = _Acc(d + k, den=M)
     for edges, p0, den, sign in cells:
         rows = _Rows(
             [[den * (a == i) for a in range(d)] + [e[i] for e in edges] for i in range(d)],
@@ -400,16 +407,18 @@ def _iterated_integral(omega, cells):
             sn, sd = sign * (dd // g), dk // g
             for (alpha, mode, freq, phase), c in f.terms.items():
                 if mode != MODE_NONE:
-                    freq, phase = rows.frequency(freq, phase)
-                    if any(freq[d:]):
+                    *Q, P = (M * x.numerator // x.denominator for x in (*freq, phase))
+                    Ft = [sum(map(mul, Q, e)) // den for e in edges]
+                    P += sum(map(mul, Q, p0)) // den
+                    if any(Ft):
                         poly, pden = rows.product(alpha)
                         pden *= sd
                         trig.put_terms(
-                            mode, freq, phase,
+                            mode, (*Q, *Ft), P,
                             [(beta, c.scaled(n * sn, pden)) for beta, n in poly.items()],
                         )
                         continue
-                    freq = freq[:d]
+                    phase = _ratio(P, M)
                 m = moments.get(alpha)
                 if m is None:
                     m = moments[alpha] = _moments(*rows.product(alpha), d)
@@ -418,15 +427,12 @@ def _iterated_integral(omega, cells):
                     [(ax, c.scaled(n * sn, md * sd)) for ax, (n, md) in m.items()],
                 )
     if trig.terms:
-        g = trig.done()
+        terms = trig.terms
         for j in range(k, 0, -1):
-            axis = d + j
-            if j > 1:
-                g = g.antiderivative(axis, {axis - 1: 1}, 0)
-            else:
-                g = g.antiderivative(axis, {}, 1)
-        for key, c in g.drop_axes(range(1, d + 1)).terms.items():
-            out.merge(key, c)
+            a = d + j - 1
+            terms = _axis_pass(terms, d + k, M, a, a - 1 if j > 1 else None, 1)
+        for (alpha, mode, F, P), c in terms.items():
+            out.merge((alpha[:d], mode, tuple(_ratio(f, M) for f in F[:d]), _ratio(P, M)), c)
     return out.done().expand_phases()
 
 

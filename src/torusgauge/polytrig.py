@@ -11,11 +11,11 @@ phases are expanded away and frequencies are integer vectors, so the basis
 functions are linearly independent and zero tests are termwise; their keys
 hold only ints (q a tuple of ints, phase 0), and the constructors accept
 integer frequencies only (FrequencyError otherwise).  Rational frequencies
-and phases are carried only through the internals of pullbacks and iterated
-integration, where they keep intermediate results exact; there a
-non-integral entry is a Fraction.  Since n == Fraction(n) and both hash
-alike, a key built with Fractions finds the same term, only more slowly (see
-_Acc).
+and phases are carried only through internals, where they keep intermediate
+results exact.  Pullbacks carry them in rational keys, a non-integral entry
+being a Fraction.  Integration by parts (_axis_pass) carries them in scaled
+keys, the ints F = den * freq and P = den * phase over one den, so its key
+arithmetic builds and hashes no Fraction (see _Acc).
 
 The ring is closed under +, *, partial derivatives, pullback along affine
 maps with rational linear part and translation, and antidifferentiation in
@@ -44,7 +44,7 @@ import math as _math
 from fractions import Fraction
 
 from .errors import DimensionError, FrequencyError
-from .scalar import DEFAULT_TOL, Scalar, cos2pi, sin2pi
+from .scalar import DEFAULT_TOL, Scalar, _reduced, cos2pi, sin2pi
 from .vectors import int_if_integral, scale_vecs
 
 MODE_NONE = 0
@@ -61,21 +61,23 @@ class _Acc:
     (alpha, mode, freq, phase); add() puts a canonical function composed with
     an affine map.  A polynomial term's key is (alpha, MODE_NONE, (0,)*d, 0).
     A trig term has its first nonzero frequency positive and its phase in
-    [0, 1/4); each frequency entry and the phase is an int when integral (so
-    an integral phase is 0) and a Fraction only when it really is not.  Since
-    hash(n) == hash(Fraction(n)) and n == Fraction(n), a lookup with either
-    representation finds the same term; int keys just hash far faster.
+    [0, 1/4).  With den None the keys are rational: each frequency entry and
+    the phase is an int when integral (so an integral phase is 0) and a
+    Fraction only when it really is not.  With an int den, a multiple of 4,
+    they are scaled: the key (alpha, mode, F, P) holds the ints F = den * freq
+    and P = den * phase, P in [0, den/4), so no key builds or hashes a
+    Fraction (_axis_pass works on such keys).
 
     merge() adds a coefficient at a key that is already canonical.  Ring ops
     whose output keys are canonical by construction (sums, scalings, products
-    with a polynomial factor, derivatives, phase expansion, dropped axes) call
-    it directly.
+    with a polynomial factor, derivatives, phase expansion) call it directly.
     """
 
-    __slots__ = ("d", "terms", "zero_freq", "phased")
+    __slots__ = ("d", "den", "terms", "zero_freq", "phased")
 
-    def __init__(self, d, terms=None):
+    def __init__(self, d, terms=None, den=None):
         self.d = d
+        self.den = den
         self.terms = {} if terms is None else terms
         self.zero_freq = (0,) * d
         self.phased = None  # add's terms at a nonzero reduced phase, built on demand
@@ -93,12 +95,17 @@ class _Acc:
         merge = self.merge
         if mode != MODE_NONE:
             if any(freq):
-                mode, freq, phase, neg = _reduce(mode, freq, phase)
+                if self.den is None:
+                    mode, freq, phase, neg = _reduce(mode, freq, phase)
+                else:
+                    mode, freq, phase, neg = _reduce_scaled(mode, freq, phase, self.den)
                 if phase and defer:
                     if self.phased is None:
                         self.phased = _Acc(self.d)
                     merge = self.phased.merge
             else:
+                if self.den is not None:
+                    phase = Fraction(phase, self.den)
                 fold = cos2pi(phase) if mode == MODE_COS else sin2pi(phase)
                 mode = MODE_NONE
         if mode == MODE_NONE:
@@ -176,11 +183,20 @@ class _Acc:
 
 
 def _reduce(mode, freq, phase):
-    """The canonical (mode, freq, phase) of a trig factor with nonzero freq, and
-    whether its coefficient changes sign: the first nonzero frequency is made
-    positive and the phase brought into [0, 1/4)."""
+    """_reduce_scaled in rational keys, over 4 times the phase's denominator."""
     if Fraction in map(type, freq):
         freq = tuple(map(int_if_integral, freq))
+    q = 4 * phase.denominator
+    mode, freq, p, neg = _reduce_scaled(mode, freq, 4 * phase.numerator, q)
+    return mode, freq, Fraction(p, q) if p else 0, neg
+
+
+def _reduce_scaled(mode, freq, phase, den):
+    """The canonical (mode, freq, phase) of a trig factor with nonzero freq and
+    the int phase phase / den, den a multiple of 4, and whether its coefficient
+    changes sign: the first nonzero frequency is made positive and the phase
+    brought into [0, den/4), mod den, then by den/2 (a sign) and den/4
+    (cos <-> sin)."""
     neg = False
     for f in freq:
         if f != 0:
@@ -189,24 +205,18 @@ def _reduce(mode, freq, phase):
                 phase = -phase
                 neg = mode == MODE_SIN
             break
-    if phase.__class__ is int:
-        return mode, freq, 0, neg
-    # phase p/q reduced mod 1, then by 1/2 (a sign) and 1/4 (cos <-> sin)
-    p, q = phase.numerator, phase.denominator
-    p %= q
-    if not p:
-        return mode, freq, 0, neg
-    if 2 * p >= q:
-        p, q = 2 * p - q, 2 * q
+    phase %= den
+    if 2 * phase >= den:
+        phase -= den >> 1
         neg = not neg
-    if 4 * p >= q:
-        p, q = 4 * p - q, 4 * q
+    if 4 * phase >= den:
+        phase -= den >> 2
         if mode == MODE_COS:
             mode = MODE_SIN
             neg = not neg
         else:
             mode = MODE_COS
-    return mode, freq, Fraction(p, q) if p else 0, neg
+    return mode, freq, phase, neg
 
 
 class PolyTrig:
@@ -395,34 +405,9 @@ class PolyTrig:
         With coeffs None the limit is x_axis itself: the F with
         dF/dx_axis = self and F = 0 at x_axis = 0.  Otherwise the limit is
         x_axis -> x_b or x_axis -> r in the shapes substitute takes, and the
-        result is F at that limit.  Each term of F is written at the limit,
-        and its value at x_axis = 0 (nonzero only for the last term of a trig
-        term's integration by parts) subtracted, straight into one
-        accumulator.
+        result is F at that limit (_axis_pass).
         """
-        a, b, r = self._limit(axis, coeffs or {}, const)
-        if coeffs is None:
-            b, r = a, None
-        acc = _Acc(self.dim)
-        for (alpha, mode, freq, phase), c in self.terms.items():
-            if mode == MODE_NONE or freq[a] == 0:
-                n = alpha[a] + 1
-                _put_at(acc, a, b, r, _with(alpha, a, n), mode, freq, phase, c / n)
-                continue
-            w = Scalar.exact(2 * freq[a], 1)  # d(arg)/dx_axis
-            n, m, k = alpha[a], mode, c
-            while True:
-                al = _with(alpha, a, n)
-                if m == MODE_COS:
-                    m, term, k = MODE_SIN, k / w, -(k * n) / w
-                else:
-                    m, term, k = MODE_COS, -(k / w), (k * n) / w
-                _put_at(acc, a, b, r, al, m, freq, phase, term)
-                if n == 0:
-                    acc.put(al, m, _with(freq, a, 0), phase, -term)
-                    break
-                n -= 1
-        return acc.done()
+        return self._pass(axis, coeffs, const, True)
 
     def substitute(self, axis, coeffs, const):
         """Replace x_axis by another variable or by a rational constant; keeps dim.
@@ -434,26 +419,35 @@ class PolyTrig:
         directly; the terms and coefficients are those of the affine pullback
         by the same substitution.
         """
-        a, b, r = self._limit(axis, coeffs, const)
-        acc = _Acc(self.dim)
-        for (alpha, mode, freq, phase), c in self.terms.items():
-            _put_at(acc, a, b, r, alpha, mode, freq, phase, c)
-        return acc.done()
+        return self._pass(axis, coeffs, const, False)
 
-    def _limit(self, axis, coeffs, const):
-        """Check a substitution x_axis -> coeffs, const; 0-based (a, b, None) or (a, None, r)."""
+    def _pass(self, axis, coeffs, const, integrate):
+        """_axis_pass on self's terms, scaled to one den and back to rationals."""
         if not 1 <= axis <= self.dim:
             raise DimensionError(f"axis {axis} out of range for dimension {self.dim}")
+        a, b, r = axis - 1, None, const
         if coeffs:
             if len(coeffs) != 1 or const != 0:
                 raise ValueError("substitute takes x_axis -> x_b or x_axis -> constant")
             ((b, k),) = coeffs.items()
             if k != 1 or b == axis or not 1 <= b <= self.dim:
                 raise ValueError(f"cannot substitute x{axis} -> {k}*x{b}")
-            return axis - 1, b - 1, None
-        if isinstance(const, (int, Fraction)):
-            return axis - 1, None, const
-        raise ValueError(f"substitution constant must be rational, got {const!r}")
+            b, r = b - 1, 1
+        elif not isinstance(const, (int, Fraction)):
+            raise ValueError(f"substitution constant must be rational, got {const!r}")
+        elif coeffs is None and integrate:
+            b, r = a, 1
+        den = 4 * r.denominator * _math.lcm(*(x.denominator for key in self.terms for x in key[2]))
+        den *= _math.lcm(*(key[3].denominator for key in self.terms))
+        terms = _axis_pass({
+            (alpha, mode, tuple(den * x.numerator // x.denominator for x in freq),
+             den * phase.numerator // phase.denominator): c
+            for (alpha, mode, freq, phase), c in self.terms.items()
+        }, self.dim, den, a, b, r, integrate)
+        return PolyTrig(self.dim, {
+            (alpha, mode, tuple(_ratio(f, den) for f in freq), _ratio(phase, den)): c
+            for (alpha, mode, freq, phase), c in terms.items()
+        })
 
     # -- pullback ----------------------------------------------------------
 
@@ -469,19 +463,6 @@ class PolyTrig:
             return self
         acc = _Acc(self.dim)
         _expand_into(acc, self.terms)
-        return acc.done()
-
-    def drop_axes(self, keep):
-        """Project onto the 1-based axes in keep; the rest must not occur."""
-        keep0 = [a - 1 for a in keep]
-        drop0 = [i for i in range(self.dim) if i not in keep0]
-        acc = _Acc(len(keep0))
-        for (alpha, mode, freq, phase), c in self.terms.items():
-            for i in drop0:
-                if alpha[i] != 0 or freq[i] != 0:
-                    raise DimensionError("cannot drop an axis the function depends on")
-            key = (tuple(alpha[i] for i in keep0), mode, tuple(freq[i] for i in keep0), phase)
-            acc.merge(key, c)
         return acc.done()
 
     # -- evaluation --------------------------------------------------------
@@ -591,28 +572,62 @@ def _with(t, i, v):
     return tuple(t)
 
 
-def _put_at(acc, a, b, r, alpha, mode, freq, phase, c):
-    """Put a term with x_a replaced by x_b, or by the rational r when b is None."""
-    e, f = alpha[a], freq[a]
-    if e:
-        if r == 0:
-            return
-        al = list(alpha)
-        al[a] = 0
-        if b is not None:
-            al[b] += e
-        elif r != 1:
-            c = c * Scalar.exact(r**e)
-        alpha = tuple(al)
-    if f:
-        fr = list(freq)
-        fr[a] = 0
-        if b is not None:
-            fr[b] += f
-        else:
-            phase = phase + f * r
-        freq = tuple(fr)
-    acc.put(alpha, mode, freq, phase, c)
+def _axis_pass(terms, dim, den, a, b, r, integrate=True):
+    """The integral in x_a (0-based) from 0 to a limit of canonical terms on
+    R^dim in scaled keys over den (see _Acc), or with integrate False their
+    value at the limit: x_b, or for b None the rational r (r * F_a an int
+    for every term).  A term with no trig dependence on x_a integrates by its
+    power, any other by parts in int arithmetic (w = 2*pi*F_a/den), less the
+    last step's value at x_a = 0.  At the limit x_a's exponent and frequency
+    move onto x_b, or x_a^e becomes r^e and P takes r * F_a.
+    """
+    acc = _Acc(dim, den=den)
+    put = acc.put
+
+    def at(alpha, mode, freq, phase, c):
+        e, f = alpha[a], freq[a]
+        if e:
+            if r == 0:
+                return
+            al = list(alpha)
+            al[a] = 0
+            if b is not None:
+                al[b] += e
+            elif r != 1:
+                c = c * Scalar.exact(r**e)
+            alpha = tuple(al)
+        if f:
+            fr = list(freq)
+            fr[a] = 0
+            if b is not None:
+                fr[b] += f
+            else:
+                phase += f * r.numerator // r.denominator
+            freq = tuple(fr)
+        put(alpha, mode, freq, phase, c)
+
+    for (alpha, mode, freq, phase), c in terms.items():
+        if not integrate:
+            at(alpha, mode, freq, phase, c)
+            continue
+        if mode == MODE_NONE or freq[a] == 0:
+            n = alpha[a] + 1
+            at(_with(alpha, a, n), mode, freq, phase, c / n)
+            continue
+        w = _reduced({1: 2 * freq[a]}, den)  # d(arg)/dx_a
+        n, m, k = alpha[a], mode, c
+        while True:
+            al = _with(alpha, a, n)
+            if m == MODE_COS:
+                m, term, k = MODE_SIN, k / w, -(k * n) / w
+            else:
+                m, term, k = MODE_COS, -(k / w), (k * n) / w
+            at(al, m, freq, phase, term)
+            if n == 0:
+                put(al, m, _with(freq, a, 0), phase, -term)
+                break
+            n -= 1
+    return acc.terms
 
 
 class _Rows:

@@ -96,19 +96,20 @@ def rand_based_path(rnd, d, segments=2, num=2, dens=(1, 2, 3)):
 
 
 def rand_periodic_gauge(rnd, d):
-    """Exponent of a U(1) function that descends to the torus."""
-    theta = PolyTrig.zero(d)
+    """Exponent of a U(1) function that descends to the torus, built in one accumulator."""
+    acc = _Acc(d)
+    zeros = (0,) * d
     k = rand_int_vector(rnd, d, -1, 1)
     if any(k):
-        maker = PolyTrig.cos_freq if rnd.random() < 0.5 else PolyTrig.sin_freq
-        theta = theta + maker(d, k, rand_scalar(rnd))
+        mode = MODE_COS if rnd.random() < 0.5 else MODE_SIN
+        acc.put(zeros, mode, k, 0, rand_scalar(rnd))
     n = rnd.randint(-2, 2)
     if n:
         axis = rnd.randrange(d)
         alpha = tuple(1 if i == axis else 0 for i in range(d))
-        theta = theta + PolyTrig.monomial(d, alpha, Scalar.exact(2 * n, 1))
-    theta = theta + PolyTrig.const(d, rand_scalar(rnd))
-    return theta
+        acc.put(alpha, MODE_NONE, zeros, 0, Scalar.exact(2 * n, 1))
+    acc.put(zeros, MODE_NONE, zeros, 0, rand_scalar(rnd))
+    return acc.done()
 
 
 def _rand_poly(rnd, d, max_deg=2):

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 from operator import add
+from pathlib import Path
 
 import pytest
 
+from torusgauge import forms
 from torusgauge.cli import run
 from torusgauge.errors import DegreeError
 from torusgauge.expr import parse_expr
@@ -270,18 +272,24 @@ def test_integration_naturality_under_translation():
         assert lhs == rhs
 
 
+def _count_passes(monkeypatch):
+    """A one-item list counting the kernel's polytrig._axis_pass calls, each an integrating pass."""
+    passes = [0]
+    orig = forms._axis_pass
+
+    def counting(*args, **kwargs):
+        assert kwargs.get("integrate", True) and len(args) == 6
+        passes[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(forms, "_axis_pass", counting)
+    return passes
+
+
 def test_simplex_integral_makes_one_pass_per_axis(monkeypatch):
-    # polynomial terms take the closed-form moment and no antiderivative pass;
+    # polynomial terms take the closed-form moment and no by-parts pass;
     # terms with trig dependence on t take at most one pass per axis
-    calls = {"antiderivative": 0, "substitute": 0}
-    for name in calls:
-        orig = getattr(PolyTrig, name)
-
-        def counting(self, *args, _orig=orig, _name=name):
-            calls[_name] += 1
-            return _orig(self, *args)
-
-        monkeypatch.setattr(PolyTrig, name, counting)
+    passes = _count_passes(monkeypatch)
     r = rng(32)
     by_parts = 0
     for d in (2, 3):
@@ -294,14 +302,13 @@ def test_simplex_integral_makes_one_pass_per_axis(monkeypatch):
                     edges = rand_simplex(r, d, k, den=2).edges if k else ()
                     top = rand_vector(r, d) if offset else vzero(d)
                     s = AffineSimplex(top, edges)
-                    calls.update(antiderivative=0, substitute=0)
+                    passes[0] = 0
                     integrate_simplex(omega, s)
-                    assert calls["substitute"] == 0, (d, k, offset)
                     if polynomial:
-                        assert calls["antiderivative"] == 0, (d, k, offset)
+                        assert passes[0] == 0, (d, k, offset)
                     else:
-                        assert calls["antiderivative"] <= k, (d, k, offset)
-                        by_parts += calls["antiderivative"] == k > 0
+                        assert passes[0] <= k, (d, k, offset)
+                        by_parts += passes[0] == k > 0
     assert by_parts >= 4
 
 
@@ -312,14 +319,7 @@ def _poly_part(f):
 def test_boundary_chain_makes_one_pass_per_axis_in_total(monkeypatch):
     # every face of the boundary has trig dependence on its parameters; one
     # face alone takes k - 1 passes, the chain of k + 1 faces too
-    passes = [0]
-    orig = PolyTrig.antiderivative
-
-    def counting(self, *args):
-        passes[0] += 1
-        return orig(self, *args)
-
-    monkeypatch.setattr(PolyTrig, "antiderivative", counting)
+    passes = _count_passes(monkeypatch)
     for d in (2, 3):
         for k in range(2, d + 1):
             wave = PolyTrig.cos_freq(d, (1,) * d) + PolyTrig.sin_freq(d, (2,) + (0,) * (d - 1))
@@ -334,6 +334,41 @@ def test_boundary_chain_makes_one_pass_per_axis_in_total(monkeypatch):
                 got = integrate_chain(omega, faces)
                 assert passes[0] == k - 1, (d, k)
                 assert is_exact(got) and got == _chain_sum(by_face)
+
+
+TIER_F_GERBE = Path(__file__).resolve().parent / "data" / "tier_f_gerbe.json"
+
+
+def test_the_kernel_hashes_few_fractions_on_tier_f_data(monkeypatch, capsys):
+    # Trig terms with t-dependence carry their frequencies and phases as ints
+    # over one chain denominator, so the kernel hashes a Fraction only for the
+    # phases of the closed-form moments and when its result leaves the scaled
+    # keys.  Kept in rational keys through the by-parts passes, these 8
+    # chains hashed 832 Fractions.
+    counts = {"chains": 0, "hashes": 0}
+    inside = [False]
+    fraction_hash = Fraction.__hash__
+    kernel = forms._iterated_integral
+
+    def hashing(self):
+        counts["hashes"] += inside[0]
+        return fraction_hash(self)
+
+    def counted(*args):
+        counts["chains"] += 1
+        inside[0] = True
+        try:
+            return kernel(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Fraction, "__hash__", hashing)
+    monkeypatch.setattr(forms, "_iterated_integral", counted)
+    for command in ("pentagon", "cohomology"):
+        assert run([command, "--config", str(TIER_F_GERBE), "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert counts["chains"] == 8
+    assert counts["hashes"] <= 64, counts
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ value at p, and the oracle integrates over the cell placed at p.  A unit cube
 is integrated by flux as the chain of its Freudenthal simplices.
 """
 
+import functools
 import random
+import types
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -18,9 +20,10 @@ from operator import add
 
 import pytest
 
+from torusgauge import polytrig
 from torusgauge.forms import AffineSimplex, Form, integrate_chain, integrate_simplex
 from torusgauge.gerbes import _integrate_unit_cube
-from torusgauge.polytrig import MODE_COS, MODE_NONE, PolyTrig, value_at
+from torusgauge.polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, value_at
 from torusgauge.scalar import Scalar
 from torusgauge.vectors import basis_vec, vsub, vzero
 
@@ -195,3 +198,106 @@ def test_boundary_chain_matches_sympy():
             frame = [vsub(v, face[0]) for v in face[1:]]
             want += (-1) ** j * _oracle(omega, tuple(map(add, face[0], base)), frame, True, not concrete)
         assert sympy.expand(_result(got) - want) == 0, concrete
+
+
+# Trig chains through the kernel's scaled keys: edges over 5 and 7, so the
+# t-frequencies and phases are ints over M = 4 * 35 (or a multiple), and
+# non-integral top vertices.  Waves of integer frequency q against tops over
+# 5, 7 and 10 land on tier F; waves of frequency 35 q against tops over 2 and
+# 4 keep every phase a multiple of 1/4 and stay exact.
+
+WAVE_TOL = 1e-12
+
+
+def _wave_form(r, d, k, step):
+    """A k-form whose components are x_a^n times cos or sin of 2*pi*q.x, q a
+    nonzero integer vector in step * {-1, 0, 1}^d."""
+    comps = {}
+    for idx in combinations(range(d), k):
+        q = [step * r.randint(-1, 1) for _ in range(d)]
+        if not any(q):
+            q[r.randrange(d)] = step
+        alpha = [0] * d
+        alpha[r.randrange(d)] = r.randint(0, 1)
+        maker = PolyTrig.cos_freq if r.random() < 0.5 else PolyTrig.sin_freq
+        c = Scalar.exact(Fraction(r.randint(1, 5), r.randint(1, 3)), r.randint(0, 1))
+        comps[idx] = PolyTrig.monomial(d, alpha) * maker(d, q, c)
+    return Form(d, k, comps)
+
+
+@functools.lru_cache(maxsize=None)
+def _wave_cases():
+    """[(d, k, omega, chain, [(base, sympy's exact value there)])] for k = 1..3, d = 2, 3."""
+    r = random.Random(74)
+    cases = []
+    for d in (2, 3):
+        for k in range(1, d + 1):
+            for step, top_dens in ((1, (5, 7, 10)), (35, (2, 4))):
+                omega = _wave_form(r, d, k, step)
+                chain = [
+                    AffineSimplex(
+                        _vector(r, d, top_dens),
+                        [_vector(r, d, (5, 7)) for _ in range(k)],
+                        r.choice((1, -1)),
+                    )
+                    for _ in range(r.randint(1, 2))
+                ]
+                want = 0
+                for s in chain:
+                    verts = s.vertices()
+                    frame = [vsub(v, verts[0]) for v in verts[1:]]
+                    want += s.sign * _oracle(omega, verts[0], frame, True, True)
+                points = []
+                for den in (4, 3):
+                    base = tuple(Fraction(r.randint(-4, 4), den) for _ in range(d))
+                    points.append((base, want.subs({X[i]: _rational(base[i]) for i in range(d)})))
+                cases.append((d, k, omega, chain, points))
+    return cases
+
+
+def _wave_mismatches():
+    """The (d, k, base) of every wave case where the kernel and sympy disagree,
+    and the number of exact and of tier-F kernel values."""
+    bad, exact, floats = [], 0, 0
+    for d, k, omega, chain, points in _wave_cases():
+        got = integrate_chain(omega, chain)
+        for base, want in points:
+            value = value_at(got, base)
+            if value.is_exact:
+                exact += 1
+                ok = sympy.simplify(_scalar(value) - want) == 0
+            else:
+                floats += 1
+                ok = abs(value.val - float(sympy.N(want, 30))) <= WAVE_TOL
+            if not ok:
+                bad.append((d, k, base))
+    return bad, exact, floats
+
+
+def test_trig_chains_over_5_and_7_match_sympy():
+    bad, exact, floats = _wave_mismatches()
+    assert not bad
+    assert exact >= 5 and floats >= 5, (exact, floats)
+
+
+def test_a_reduction_without_the_quarter_turn_swap_fails_the_oracle(monkeypatch):
+    # the quarter turn takes den/4 off the phase and swaps cos and sin; the
+    # mutant takes the quarter off but keeps the mode and sign
+    reduce_scaled = polytrig._reduce_scaled
+
+    def mutant(mode, freq, phase, den):
+        new_mode, freq, phase, neg = reduce_scaled(mode, freq, phase, den)
+        if new_mode != mode:
+            neg ^= new_mode == MODE_SIN
+            new_mode = mode
+        return new_mode, freq, phase, neg
+
+    # rational keys keep the true reduction: a copy of _reduce whose globals
+    # hold the true _reduce_scaled, so only the kernel's scaled keys see the mutant
+    rational = types.FunctionType(
+        polytrig._reduce.__code__, {**vars(polytrig), "_reduce_scaled": reduce_scaled}
+    )
+    monkeypatch.setattr(polytrig, "_reduce", rational)
+    monkeypatch.setattr(polytrig, "_reduce_scaled", mutant)
+    bad, _, _ = _wave_mismatches()
+    assert len(bad) >= len(_wave_cases())

@@ -581,13 +581,6 @@ def test_merging_ops_match_putting_every_term():
             for axis in range(1, d + 1):
                 _assert_canonical(a.partial(axis))
             _assert_canonical(a.expand_phases())
-            # the same function in dimension d + 2, then the extra axes dropped
-            lift = [[int(i == j) for j in range(d + 2)] for i in range(d)]
-            wide = a._pullback(lift, [0] * d, d + 2)
-            keep = list(range(1, d + 1))
-            # the pullback expands phases, so the round trip is a's canonical form
-            assert wide.drop_axes(keep) == a.expand_phases()
-            _assert_canonical(wide.drop_axes(keep))
 
 
 def _reference_reduction(mode, freq, phase, sign):
@@ -625,6 +618,28 @@ def test_int_phase_reduction_matches_fraction_reduction():
                         assert (m, f, ph) == want_key and c.num == {0: want_sign}
                         # an integral phase is the int 0, any other a Fraction
                         assert type(ph) is (int if ph == 0 else Fraction)
+
+
+def test_scaled_reduction_matches_fraction_reduction():
+    # scaled keys (an _Acc over den) reduce as the reference does on
+    # (mode, F / den, P / den); the key stays ints, the phase in [0, den/4)
+    r = random.Random(59)
+    one = Scalar.one()
+    for _ in range(3000):
+        den = 4 * r.randint(1, 105)
+        freq = [r.randint(-3 * den, 3 * den) for _ in range(r.randint(1, 3))]
+        freq[0] = freq[0] or den
+        phase = r.randint(-3 * den, 3 * den)
+        mode = r.choice((MODE_COS, MODE_SIN))
+        want_key, want_sign = _reference_reduction(
+            mode, tuple(Fraction(f, den) for f in freq), Fraction(phase, den), 1
+        )
+        acc = _Acc(len(freq), den=den)
+        acc.put((0,) * len(freq), mode, tuple(freq), phase, one)
+        (((_, m, f, ph), c),) = acc.terms.items()
+        assert all(type(x) is int for x in (*f, ph)) and 0 <= ph < den // 4
+        assert (m, tuple(Fraction(x, den) for x in f), Fraction(ph, den)) == want_key
+        assert c.num == {0: want_sign}
 
 
 def test_float_tier_sums_below_drop_eps_leave_no_term():
