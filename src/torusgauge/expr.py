@@ -212,16 +212,17 @@ def _freq_and_const(arg, d, two_pi_scaled, pos):
 
 def _trig_from(d, mode, freq, const, pos):
     """cos/sin(2*pi*(freq.x) + const) as a real PolyTrig: one term put at phase
-    const / (2*pi) and its phase expanded.  const must be a rational multiple
-    of pi; FrequencyError otherwise, quoting the parser offset pos.
+    const / (2*pi) in scaled keys over D = 8 * const.den, and expanded by
+    done().  const must be a rational multiple of pi; FrequencyError
+    otherwise, quoting the parser offset pos.
     """
     num = const.num
     if num is None or not set(num) <= {1}:
         raise FrequencyError(f"trig phase must be a rational multiple of pi (offset {pos})")
-    acc = _Acc(d)
-    phase = Fraction(num.get(1, 0), 2 * const.den)
-    acc.put((0,) * d, mode, freq, phase, Scalar.one())
-    return acc.done().expand_phases()
+    D = 8 * const.den
+    acc = _Acc(d, den=D)
+    acc.put((0,) * d, mode, tuple([D * q for q in freq]), 4 * num.get(1, 0), Scalar.one())
+    return acc.done()
 
 
 def _scaled(f, c, alpha):

@@ -24,7 +24,9 @@ simplex", Math. Comp. 80 (2011) 297-325).  Only terms with trig dependence
 on t are integrated by parts, in t_k, ..., t_1 in turn, one pass per axis
 from 0 to its upper limit.  Every simplex of a chain has the same parameter
 domain, so the simplices pull back into one accumulator and the chain takes
-one set of passes and one phase expansion, however many simplices it has.
+one set of passes, however many simplices it has.  Frequencies and phases
+stay scaled ints over one chain denominator (polytrig._Acc) until the
+result leaves the kernel, through one phase expansion.
 
 Simplices and paths are integer-scaled: AffineSimplex and PLPath keep their
 points once, as int numerators over one positive denominator, so vertices,
@@ -42,7 +44,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import DegreeError, DimensionError, PathError
-from .polytrig import MODE_NONE, PolyTrig, _Acc, _axis_pass, _ratio, _Rows
+from .polytrig import MODE_NONE, PolyTrig, _Acc, _axis_pass, _Rows
 from .vectors import basis_vec, det, scale_vecs, unscale, vneg, vzero
 
 
@@ -143,7 +145,8 @@ class Form:
 
     def pullback(self, lin, trans):
         """Pullback along y -> lin y + trans, lin a rational dim x m matrix and
-        trans a rational vector: a form on R^m."""
+        trans a rational vector: a form on R^m.  FrequencyError if a pulled
+        frequency lin^T q is off the integer lattice."""
         if len(lin) != self.dim:
             raise DimensionError("map does not land in the form's space")
         in_dim = len(lin[0])
@@ -318,7 +321,7 @@ def integrate_chain(omega, simplices):
     """Exact integral of a k-form over a nonempty chain of signed k-simplices.
 
     The result, a PolyTrig in x, is the sum of integrate_simplex over them,
-    computed in one kernel pass: the antiderivative passes and the phase
+    computed in one kernel call: the antiderivative passes and the phase
     expansion run once for the chain.  A box is such a chain: the k!
     Freudenthal simplices of its edge orderings, each signed by the parity
     of its ordering (gerbes._integrate_unit_cube integrates unit cubes so).
@@ -370,25 +373,23 @@ def _iterated_integral(omega, cells):
     point p0 as int numerator tuples over the positive int den, and a sign
     of 1 or -1.  Each term of omega is pulled back along each cell's
     parametrisation, whose rows and their powers are built once for all
-    components.  A pulled term with no trig dependence on t is integrated in
-    one pass, by the closed-form moments of _moments; its trig factor, if
-    any, is put as is.  Terms whose frequency is nonzero on a t axis are put
-    into one accumulator for the whole chain, since every cell has the same
-    parameter domain, in scaled keys (polytrig._Acc): their frequency and
-    phase are ints over M = 4 lcm(cell denominators) lcm(denominators of
-    omega's frequencies and phases): F_x = M q, F_tj = M q.v_j / den and
-    P = M q.p0 / den for a wave cos or sin 2 pi q.x.  The chain then takes one
+    components.  Every trig factor is carried in scaled keys (polytrig._Acc)
+    over M = 4 lcm(cell denominators): a wave cos or sin 2 pi q.x, q an int
+    vector, pulls back to F_x = M q, F_tj = M q.v_j / den and
+    P = M q.p0 / den.  A pulled term with no trig dependence on t is
+    integrated in one pass, by the closed-form moments of _moments, and put
+    into the result with its scaled (F_x, P) as is.  Terms whose frequency is
+    nonzero on a t axis are put into one accumulator for the whole chain,
+    since every cell has the same parameter domain.  The chain then takes one
     polytrig._axis_pass per axis, for t_k down to t_1, from 0 to its upper
     limit: t_j -> t_{j-1} moves F_tj and the exponent onto t_{j-1}, t_1 -> 1
-    adds F_t1 to P.  Only as the parameter axes are dropped is each frequency
-    and phase turned back into rationals.  Last, the phases are expanded, once.
+    adds F_t1 to P.  The terms left merge into the result with their t axes
+    dropped, and the result leaves the scaled keys once, by _Acc.done.
     """
     d = omega.dim
     k = omega.degree
-    out = _Acc(d)
-    waves = {key[2:] for f in omega.comps.values() for key in f.terms if key[1] != MODE_NONE}
-    omega_den = lcm(*(x.denominator for q, p in waves for x in (*q, p)))
-    M = 4 * lcm(*(cell[2] for cell in cells)) * omega_den
+    M = 4 * lcm(*(cell[2] for cell in cells))
+    out = _Acc(d, den=M)
     trig = _Acc(d + k, den=M)
     for edges, p0, den, sign in cells:
         rows = _Rows(
@@ -407,18 +408,18 @@ def _iterated_integral(omega, cells):
             sn, sd = sign * (dd // g), dk // g
             for (alpha, mode, freq, phase), c in f.terms.items():
                 if mode != MODE_NONE:
-                    *Q, P = (M * x.numerator // x.denominator for x in (*freq, phase))
-                    Ft = [sum(map(mul, Q, e)) // den for e in edges]
-                    P += sum(map(mul, Q, p0)) // den
+                    # the pulled wave in scaled ints over M
+                    freq = tuple([M * q for q in freq])
+                    Ft = [sum(map(mul, freq, e)) // den for e in edges]
+                    phase = sum(map(mul, freq, p0)) // den
                     if any(Ft):
                         poly, pden = rows.product(alpha)
                         pden *= sd
                         trig.put_terms(
-                            mode, (*Q, *Ft), P,
+                            mode, (*freq, *Ft), phase,
                             [(beta, c.scaled(n * sn, pden)) for beta, n in poly.items()],
                         )
                         continue
-                    phase = _ratio(P, M)
                 m = moments.get(alpha)
                 if m is None:
                     m = moments[alpha] = _moments(*rows.product(alpha), d)
@@ -427,13 +428,12 @@ def _iterated_integral(omega, cells):
                     [(ax, c.scaled(n * sn, md * sd)) for ax, (n, md) in m.items()],
                 )
     if trig.terms:
-        terms = trig.terms
         for j in range(k, 0, -1):
             a = d + j - 1
-            terms = _axis_pass(terms, d + k, M, a, a - 1 if j > 1 else None, 1)
-        for (alpha, mode, F, P), c in terms.items():
-            out.merge((alpha[:d], mode, tuple(_ratio(f, M) for f in F[:d]), _ratio(P, M)), c)
-    return out.done().expand_phases()
+            trig = _axis_pass(trig, a, a - 1 if j > 1 else None)
+        for (alpha, mode, F, P), c in trig.terms.items():
+            out.merge((alpha[:d], mode, F[:d], P), c)
+    return out.done()
 
 
 class PLPath:

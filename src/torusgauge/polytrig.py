@@ -2,35 +2,38 @@
 
 A PolyTrig is a finite sum of terms
 
-    c * x^alpha * {1, cos, sin}(2*pi*(q.x + phase))
+    c * x^alpha * {1, cos, sin}(2*pi*q.x)
 
 with two-tier coefficients c (see scalar.Scalar), integer monomial exponents
-alpha, rational frequency vectors q and rational phases, stored in a dict
-keyed by (alpha, mode, q, phase).  Values exposed to callers are canonical:
-phases are expanded away and frequencies are integer vectors, so the basis
-functions are linearly independent and zero tests are termwise; their keys
-hold only ints (q a tuple of ints, phase 0), and the constructors accept
-integer frequencies only (FrequencyError otherwise).  Rational frequencies
-and phases are carried only through internals, where they keep intermediate
-results exact.  Pullbacks carry them in rational keys, a non-integral entry
-being a Fraction.  Integration by parts (_axis_pass) carries them in scaled
-keys, the ints F = den * freq and P = den * phase over one den, so its key
-arithmetic builds and hashes no Fraction (see _Acc).
+alpha and integer frequency vectors q, stored in a dict keyed by
+(alpha, mode, q, 0).  Every PolyTrig is canonical: its keys hold only ints,
+a trig term's first nonzero frequency is positive and its phase slot is 0,
+so the basis functions are linearly independent and zero tests are
+termwise.  The constructors accept integer frequencies only (FrequencyError
+otherwise).
 
-The ring is closed under +, *, partial derivatives, pullback along affine
-maps with rational linear part and translation, and antidifferentiation in
-one variable.  All values are immutable after construction and safe to share
-across threads.
+A trig factor cos or sin(2*pi*(q.x + p)) with a rational frequency or phase
+lives only inside an accumulator, in scaled keys: the ints F = D*q and
+P = D*p over one D, a multiple of 4 (see _Acc), so key arithmetic builds and
+hashes no Fraction.  Pullbacks, translations, the integration kernel and
+the parser put such factors, and _Acc.done is the one exit: it divides each
+frequency back to ints (FrequencyError off the integer lattice) and expands
+each phase into coefficients, with cos2pi and sin2pi.
+
+The ring is closed under +, *, partial derivatives, translation by rational
+vectors, antidifferentiation in one variable and pullback along affine maps
+with rational linear part whose pulled frequencies are integral.  All
+values are immutable after construction and safe to share across threads.
 
 Composition has one routine: _Acc.add(f, k, rows) puts k * (f o rows) into
 canonical keys, rows being the _Rows of an affine map, and expands the
 phases the map leaves once, at the end.  Translation (rows from
-_Rows.shift), Form arithmetic and point values all run through it:
-value_at(f, p) is f composed with the constant map onto the point p.
-shifted_sum(d, parts) adds k * f(x - v) for each part (k, f, v) into one
-accumulator, so a signed sum of shifted functions, such as the slack of a
-cocycle identity, builds no intermediate PolyTrig; translate(f, v) is the
-one-part sum.
+_Rows.shift), substitution, Form arithmetic and point values all run
+through it: value_at(f, p) is f composed with the constant map onto the
+point p.  shifted_sum(d, parts) adds k * f(x - v) for each part (k, f, v)
+into one accumulator, so a signed sum of shifted functions, such as the
+slack of a cocycle identity, builds no intermediate PolyTrig; translate(f, v)
+is the one-part sum.
 
 A U(1)-valued function exp(i*theta) is carried as its exponent theta, a
 PolyTrig: products of phases are sums of exponents, and two phases agree when
@@ -45,7 +48,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, FrequencyError
 from .scalar import DEFAULT_TOL, Scalar, _reduced, cos2pi, sin2pi
-from .vectors import int_if_integral, scale_vecs
+from .vectors import int_if_integral, scale_vecs, unscale
 
 MODE_NONE = 0
 MODE_COS = 1
@@ -55,22 +58,21 @@ _HALF_SCALAR = Scalar.exact(Fraction(1, 2))
 
 
 class _Acc:
-    """Accumulator of canonical terms.
+    """Accumulator of canonical or scaled terms.
 
     put_terms(), and put() for one term, canonicalises term keys
     (alpha, mode, freq, phase); add() puts a canonical function composed with
-    an affine map.  A polynomial term's key is (alpha, MODE_NONE, (0,)*d, 0).
-    A trig term has its first nonzero frequency positive and its phase in
-    [0, 1/4).  With den None the keys are rational: each frequency entry and
-    the phase is an int when integral (so an integral phase is 0) and a
-    Fraction only when it really is not.  With an int den, a multiple of 4,
-    they are scaled: the key (alpha, mode, F, P) holds the ints F = den * freq
-    and P = den * phase, P in [0, den/4), so no key builds or hashes a
-    Fraction (_axis_pass works on such keys).
+    an affine map; done() makes the PolyTrig.  A polynomial term's key is
+    (alpha, MODE_NONE, (0,)*d, 0), and a trig term has its first nonzero
+    frequency positive.  With an int den, a multiple of 4, the keys are
+    scaled: a trig key (alpha, mode, F, P) holds the ints F = den * freq and
+    P = den * phase, P in [0, den/4).  With den None the accumulator is
+    canonical: its keys hold int frequencies and phase 0, and they reduce
+    over 1, where only the sign rule applies.
 
     merge() adds a coefficient at a key that is already canonical.  Ring ops
     whose output keys are canonical by construction (sums, scalings, products
-    with a polynomial factor, derivatives, phase expansion) call it directly.
+    with a polynomial factor, derivatives) call it directly.
     """
 
     __slots__ = ("d", "den", "terms", "zero_freq", "phased")
@@ -85,27 +87,30 @@ class _Acc:
     def put(self, alpha, mode, freq, phase, coeff):
         self.put_terms(mode, freq, phase, ((alpha, coeff),))
 
-    def put_terms(self, mode, freq, phase, terms, defer=False):
+    def put_terms(self, mode, freq, phase, terms, den=None):
         """put(alpha, mode, freq, phase, c) for each (alpha, c) in terms; the
-        trig factor is reduced (or folded) once for all of them.  With defer,
-        terms left at a nonzero reduced phase go to the side accumulator
-        self.phased instead, for add to expand."""
+        trig factor is reduced (or folded) once for all of them.  freq and
+        phase are in self's key form, or scaled over den when it is given:
+        then self is canonical (add's pulled factors), a term reduced to
+        phase 0 merges here with its frequency divided back to ints, and any
+        other goes to the side accumulator self.phased over den, for add to
+        expand."""
         fold = None
         neg = False
         merge = self.merge
         if mode != MODE_NONE:
+            over = den or self.den or 1
             if any(freq):
-                if self.den is None:
-                    mode, freq, phase, neg = _reduce(mode, freq, phase)
-                else:
-                    mode, freq, phase, neg = _reduce_scaled(mode, freq, phase, self.den)
-                if phase and defer:
-                    if self.phased is None:
-                        self.phased = _Acc(self.d)
-                    merge = self.phased.merge
+                mode, freq, phase, neg = _reduce_scaled(mode, freq, phase, over)
+                if den is not None:
+                    if phase:
+                        if self.phased is None:
+                            self.phased = _Acc(self.d, den=den)
+                        merge = self.phased.merge
+                    else:
+                        freq = _int_freq(freq, den)
             else:
-                if self.den is not None:
-                    phase = Fraction(phase, self.den)
+                phase = Fraction(phase, over)
                 fold = cos2pi(phase) if mode == MODE_COS else sin2pi(phase)
                 mode = MODE_NONE
         if mode == MODE_NONE:
@@ -122,15 +127,16 @@ class _Acc:
             merge((alpha, mode, freq, phase), c)
 
     def add(self, f, k=1, rows=None):
-        """Put k * (f o rows) for a rational k and the _Rows of an affine map
-        from R^self.d to R^f.dim, or None for the identity.
+        """Put k * (f o rows) into this canonical accumulator, for a rational
+        k and the _Rows of an affine map from R^self.d to R^f.dim, or None for
+        the identity.
 
         Each term's monomial is pulled back by rows.product and its trig
-        factor by rows.frequency, and put with put_terms (a polynomial term
-        is merged at once: its key is canonical).  The terms that land
-        on a nonzero reduced phase are summed in a side accumulator first and
-        expanded once at the end, with cos2pi and sin2pi as expand_phases
-        does, so the result is canonical.
+        factor by rows.frequency, in scaled ints over rows.pden, and put with
+        put_terms (a polynomial term is merged at once: its key is
+        canonical).  The terms that land on a nonzero reduced phase are
+        summed in a side accumulator first and expanded once at the end, as
+        done() expands, so the result is canonical.
         """
         dim = self.d if rows is None else len(rows.trans)
         if f.dim != dim:
@@ -143,9 +149,9 @@ class _Acc:
             for key, c in f.terms.items():
                 merge(key, c if k == 1 else -c if k == -1 else c.scaled(kn, kd))
             return
-        zeros, zero_freq = rows.zeros, self.zero_freq
+        zeros, zero_freq, pden = rows.zeros, self.zero_freq, rows.pden
         merge, put_terms = self.merge, self.put_terms
-        for (alpha, mode, freq, phase), c in f.terms.items():
+        for (alpha, mode, freq, _), c in f.terms.items():
             if any(alpha):
                 poly, den = rows.product(alpha)
                 den *= kd
@@ -157,12 +163,12 @@ class _Acc:
                 for beta, cb in terms:
                     merge((beta, MODE_NONE, zero_freq, 0), cb)
             else:
-                freq, phase = rows.frequency(freq, phase)
-                put_terms(mode, freq, phase, terms, defer=True)
+                F, P = rows.frequency(freq)
+                put_terms(mode, F, P, terms, pden)
         phased = self.phased
         if phased is not None:
             self.phased = None
-            _expand_into(self, phased.terms)
+            _expand_into(self, phased.terms, pden)
 
     def merge(self, key, coeff):
         """Add coeff at the canonical key; a zero coefficient or sum leaves no term."""
@@ -179,24 +185,27 @@ class _Acc:
             terms[key] = tot
 
     def done(self):
-        return PolyTrig(self.d, self.terms)
-
-
-def _reduce(mode, freq, phase):
-    """_reduce_scaled in rational keys, over 4 times the phase's denominator."""
-    if Fraction in map(type, freq):
-        freq = tuple(map(int_if_integral, freq))
-    q = 4 * phase.denominator
-    mode, freq, p, neg = _reduce_scaled(mode, freq, 4 * phase.numerator, q)
-    return mode, freq, Fraction(p, q) if p else 0, neg
+        """The PolyTrig of the terms, the one exit from scaled keys: each
+        frequency is divided back to ints (FrequencyError off the integer
+        lattice) and each phase expanded away, in the order of the terms."""
+        terms, den, d = self.terms, self.den, self.d
+        if den is None or all(key[1] == MODE_NONE for key in terms):
+            return PolyTrig(d, terms)
+        if any(key[3] for key in terms):
+            acc = _Acc(d)
+            _expand_into(acc, terms, den)
+            return PolyTrig(d, acc.terms)
+        return PolyTrig(d, {
+            (alpha, mode, _int_freq(F, den), 0): c for (alpha, mode, F, _), c in terms.items()
+        })
 
 
 def _reduce_scaled(mode, freq, phase, den):
     """The canonical (mode, freq, phase) of a trig factor with nonzero freq and
-    the int phase phase / den, den a multiple of 4, and whether its coefficient
-    changes sign: the first nonzero frequency is made positive and the phase
-    brought into [0, den/4), mod den, then by den/2 (a sign) and den/4
-    (cos <-> sin)."""
+    the int phase phase / den, den a multiple of 4 (or 1 for a canonical key,
+    whose phase is 0), and whether its coefficient changes sign: the first
+    nonzero frequency is made positive and the phase brought into
+    [0, den/4), mod den, then by den/2 (a sign) and den/4 (cos <-> sin)."""
     neg = False
     for f in freq:
         if f != 0:
@@ -217,6 +226,13 @@ def _reduce_scaled(mode, freq, phase, den):
         else:
             mode = MODE_COS
     return mode, freq, phase, neg
+
+
+def _int_freq(freq, den):
+    """The int frequency vector freq / den of a scaled key; FrequencyError off the integer lattice."""
+    if any(f % den for f in freq):
+        raise FrequencyError(f"trig frequency {unscale(freq, den)} is not an integer vector")
+    return tuple([f // den for f in freq])
 
 
 class PolyTrig:
@@ -281,6 +297,12 @@ class PolyTrig:
     def _check_dim(self, other):
         if self.dim != other.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+    def _axis(self, axis):
+        """The 0-based index of the 1-based axis; DimensionError out of range."""
+        if not 1 <= axis <= self.dim:
+            raise DimensionError(f"axis {axis} out of range for dimension {self.dim}")
+        return axis - 1
 
     def is_zero(self, tol=0.0):
         """Zero test; tier-F coefficients are compared against max(own tol, tol)."""
@@ -353,31 +375,30 @@ class PolyTrig:
             return self.scale(other)
         self._check_dim(other)
         acc = _Acc(self.dim)
-        for (a1, m1, q1, p1), c1 in self.terms.items():
-            for (a2, m2, q2, p2), c2 in other.terms.items():
+        for (a1, m1, q1, _), c1 in self.terms.items():
+            for (a2, m2, q2, _), c2 in other.terms.items():
                 alpha = tuple(x + y for x, y in zip(a1, a2))
                 c = c1 * c2
                 if m1 == MODE_NONE:
-                    acc.merge((alpha, m2, q2, p2), c)
+                    acc.merge((alpha, m2, q2, 0), c)
                 elif m2 == MODE_NONE:
-                    acc.merge((alpha, m1, q1, p1), c)
+                    acc.merge((alpha, m1, q1, 0), c)
                 else:
                     qd = tuple(x - y for x, y in zip(q1, q2))
                     qs = tuple(x + y for x, y in zip(q1, q2))
-                    pd, ps = p1 - p2, p1 + p2
                     ch = c * _HALF_SCALAR
                     if m1 == MODE_COS and m2 == MODE_COS:
-                        acc.put(alpha, MODE_COS, qd, pd, ch)
-                        acc.put(alpha, MODE_COS, qs, ps, ch)
+                        acc.put(alpha, MODE_COS, qd, 0, ch)
+                        acc.put(alpha, MODE_COS, qs, 0, ch)
                     elif m1 == MODE_SIN and m2 == MODE_SIN:
-                        acc.put(alpha, MODE_COS, qd, pd, ch)
-                        acc.put(alpha, MODE_COS, qs, ps, -ch)
+                        acc.put(alpha, MODE_COS, qd, 0, ch)
+                        acc.put(alpha, MODE_COS, qs, 0, -ch)
                     elif m1 == MODE_SIN and m2 == MODE_COS:
-                        acc.put(alpha, MODE_SIN, qd, pd, ch)
-                        acc.put(alpha, MODE_SIN, qs, ps, ch)
+                        acc.put(alpha, MODE_SIN, qd, 0, ch)
+                        acc.put(alpha, MODE_SIN, qs, 0, ch)
                     else:
-                        acc.put(alpha, MODE_SIN, qd, pd, -ch)
-                        acc.put(alpha, MODE_SIN, qs, ps, ch)
+                        acc.put(alpha, MODE_SIN, qd, 0, -ch)
+                        acc.put(alpha, MODE_SIN, qs, 0, ch)
         return acc.done()
 
     __rmul__ = __mul__
@@ -386,9 +407,7 @@ class PolyTrig:
 
     def partial(self, axis):
         """d/dx_axis, axis 1-based."""
-        if not 1 <= axis <= self.dim:
-            raise DimensionError(f"axis {axis} out of range for dimension {self.dim}")
-        a = axis - 1
+        a = self._axis(axis)
         acc = _Acc(self.dim)
         for (alpha, mode, freq, phase), c in self.terms.items():
             if alpha[a] > 0:
@@ -400,14 +419,16 @@ class PolyTrig:
         return acc.done()
 
     def antiderivative(self, axis, coeffs=None, const=0):
-        """Integral of self in x_axis from 0 to an upper limit, in one pass.
+        """Integral of self in x_axis from 0 to an upper limit.
 
         With coeffs None the limit is x_axis itself: the F with
-        dF/dx_axis = self and F = 0 at x_axis = 0.  Otherwise the limit is
-        x_axis -> x_b or x_axis -> r in the shapes substitute takes, and the
-        result is F at that limit (_axis_pass).
+        dF/dx_axis = self and F = 0 at x_axis = 0, one _axis_pass.
+        Otherwise the limit is x_axis -> x_b or x_axis -> r in the shapes
+        substitute takes, and the result is F substituted there.
         """
-        return self._pass(axis, coeffs, const, True)
+        a = self._axis(axis)
+        F = _axis_pass(_Acc(self.dim, self.terms), a, a).done()
+        return F if coeffs is None else F.substitute(axis, coeffs, const)
 
     def substitute(self, axis, coeffs, const):
         """Replace x_axis by another variable or by a rational constant; keeps dim.
@@ -415,55 +436,39 @@ class PolyTrig:
         Two shapes are accepted (axes 1-based):
         - coeffs == {b: 1} and const == 0, with b != axis: x_axis -> x_b;
         - coeffs == {} and const an int or Fraction r: x_axis -> r.
-        Any other shape raises ValueError.  Each term's key is rewritten
-        directly; the terms and coefficients are those of the affine pullback
-        by the same substitution.
+        Any other shape raises ValueError.  The result is the pullback along
+        the substitution, whose frequencies stay integral.
         """
-        return self._pass(axis, coeffs, const, False)
-
-    def _pass(self, axis, coeffs, const, integrate):
-        """_axis_pass on self's terms, scaled to one den and back to rationals."""
-        if not 1 <= axis <= self.dim:
-            raise DimensionError(f"axis {axis} out of range for dimension {self.dim}")
-        a, b, r = axis - 1, None, const
+        a, d = self._axis(axis), self.dim
+        lin = [[int(i == j) for j in range(d)] for i in range(d)]
+        trans = [0] * d
         if coeffs:
             if len(coeffs) != 1 or const != 0:
                 raise ValueError("substitute takes x_axis -> x_b or x_axis -> constant")
             ((b, k),) = coeffs.items()
-            if k != 1 or b == axis or not 1 <= b <= self.dim:
+            if k != 1 or b == axis or not 1 <= b <= d:
                 raise ValueError(f"cannot substitute x{axis} -> {k}*x{b}")
-            b, r = b - 1, 1
-        elif not isinstance(const, (int, Fraction)):
+            lin[a] = [int(j == b - 1) for j in range(d)]
+        elif isinstance(const, (int, Fraction)):
+            lin[a] = [0] * d
+            trans[a] = const
+        else:
             raise ValueError(f"substitution constant must be rational, got {const!r}")
-        elif coeffs is None and integrate:
-            b, r = a, 1
-        den = 4 * r.denominator * _math.lcm(*(x.denominator for key in self.terms for x in key[2]))
-        den *= _math.lcm(*(key[3].denominator for key in self.terms))
-        terms = _axis_pass({
-            (alpha, mode, tuple(den * x.numerator // x.denominator for x in freq),
-             den * phase.numerator // phase.denominator): c
-            for (alpha, mode, freq, phase), c in self.terms.items()
-        }, self.dim, den, a, b, r, integrate)
-        return PolyTrig(self.dim, {
-            (alpha, mode, tuple(_ratio(f, den) for f in freq), _ratio(phase, den)): c
-            for (alpha, mode, freq, phase), c in terms.items()
-        })
+        return self._pullback(lin, trans, d)
 
     # -- pullback ----------------------------------------------------------
 
     def _pullback(self, lin, trans, in_dim):
-        """f(L y + t), canonical; lin has shape (self.dim, in_dim), lin and trans are rational."""
+        """f(L y + t), canonical; lin has shape (self.dim, in_dim), lin and
+        trans are rational.  FrequencyError if a pulled frequency L^T q is
+        off the integer lattice."""
         acc = _Acc(in_dim)
         acc.add(self, 1, _Rows.rational(lin, trans, in_dim))
         return acc.done()
 
     def expand_phases(self):
-        """Canonical user-level form: no rational phases remain in any term."""
-        if all(phase == 0 for (_, _, _, phase) in self.terms):
-            return self
-        acc = _Acc(self.dim)
-        _expand_into(acc, self.terms)
-        return acc.done()
+        """self: every PolyTrig is canonical, with no phase left to expand."""
+        return self
 
     # -- evaluation --------------------------------------------------------
 
@@ -471,15 +476,13 @@ class PolyTrig:
         if len(point) != self.dim:
             raise DimensionError("evaluation point has wrong length")
         tot = 0.0
-        for (alpha, mode, freq, phase), c in self.terms.items():
+        for (alpha, mode, freq, _), c in self.terms.items():
             v = c.val
             for xi, e in zip(point, alpha):
                 if e:
                     v *= float(xi) ** e
             if mode != MODE_NONE:
-                arg = 2.0 * _math.pi * (
-                    sum(float(f) * float(xi) for f, xi in zip(freq, point)) + float(phase)
-                )
+                arg = 2.0 * _math.pi * sum(f * float(xi) for f, xi in zip(freq, point))
                 v *= _math.cos(arg) if mode == MODE_COS else _math.sin(arg)
             tot += v
         return tot
@@ -487,7 +490,7 @@ class PolyTrig:
     # -- rendering ---------------------------------------------------------
 
     def _term_str(self, key):
-        alpha, mode, freq, phase = key
+        alpha, mode, freq, _ = key
         parts = []
         for i, e in enumerate(alpha):
             if e == 1:
@@ -505,9 +508,6 @@ class PolyTrig:
                     arg = piece if f > 0 else f"-{piece}"
                 else:
                     arg += f" + {piece}" if f > 0 else f" - {piece}"
-            if phase != 0:
-                mag = abs(phase)
-                arg += f" + {mag}" if phase > 0 else f" - {mag}"
             name = "cos" if mode == MODE_COS else "sin"
             parts.append(f"{name}(2*pi*({arg}))")
         return parts
@@ -547,16 +547,19 @@ class PolyTrig:
     __repr__ = __str__
 
 
-def _expand_into(acc, terms):
-    """Merge the terms into acc with each rational phase p expanded away:
-    cos(a + 2*pi*p) = cos(a) cos(2*pi*p) - sin(a) sin(2*pi*p), and likewise sin."""
+def _expand_into(acc, terms, den):
+    """Merge the scaled terms over den into the canonical acc, in their order:
+    each frequency divided back to ints and each phase p = P / den expanded
+    away, cos(a + 2*pi*p) = cos(a) cos(2*pi*p) - sin(a) sin(2*pi*p), and
+    likewise sin."""
     merge = acc.merge
-    for key, c in terms.items():
-        alpha, mode, freq, phase = key
-        if phase == 0:
-            merge(key, c)
+    for (alpha, mode, F, P), c in terms.items():
+        freq = _int_freq(F, den)
+        if not P:
+            merge((alpha, mode, freq, 0), c)
             continue
-        cd, sd = cos2pi(phase), sin2pi(phase)
+        p = Fraction(P, den)
+        cd, sd = cos2pi(p), sin2pi(p)
         if mode == MODE_COS:
             merge((alpha, MODE_COS, freq, 0), c * cd)
             merge((alpha, MODE_SIN, freq, 0), -(c * sd))
@@ -572,29 +575,26 @@ def _with(t, i, v):
     return tuple(t)
 
 
-def _axis_pass(terms, dim, den, a, b, r, integrate=True):
-    """The integral in x_a (0-based) from 0 to a limit of canonical terms on
-    R^dim in scaled keys over den (see _Acc), or with integrate False their
-    value at the limit: x_b, or for b None the rational r (r * F_a an int
-    for every term).  A term with no trig dependence on x_a integrates by its
-    power, any other by parts in int arithmetic (w = 2*pi*F_a/den), less the
-    last step's value at x_a = 0.  At the limit x_a's exponent and frequency
-    move onto x_b, or x_a^e becomes r^e and P takes r * F_a.
+def _axis_pass(acc, a, b):
+    """The integral in x_a (0-based) from 0 to a limit of the terms of acc,
+    as a new accumulator in acc's key form (see _Acc): the limit is x_b, so
+    b == a gives the antiderivative, or 1 for b None.  A term with no trig
+    dependence on x_a integrates by its power, any other by parts in int
+    arithmetic (w = 2*pi*F_a/den), less the last step's value at x_a = 0.
+    At the limit x_a's exponent and frequency move onto x_b, or x_a^e
+    becomes 1 and P takes F_a.
     """
-    acc = _Acc(dim, den=den)
-    put = acc.put
+    den = acc.den or 1
+    out = _Acc(acc.d, den=acc.den)
+    put = out.put
 
     def at(alpha, mode, freq, phase, c):
         e, f = alpha[a], freq[a]
         if e:
-            if r == 0:
-                return
             al = list(alpha)
             al[a] = 0
             if b is not None:
                 al[b] += e
-            elif r != 1:
-                c = c * Scalar.exact(r**e)
             alpha = tuple(al)
         if f:
             fr = list(freq)
@@ -602,14 +602,11 @@ def _axis_pass(terms, dim, den, a, b, r, integrate=True):
             if b is not None:
                 fr[b] += f
             else:
-                phase += f * r.numerator // r.denominator
+                phase += f
             freq = tuple(fr)
         put(alpha, mode, freq, phase, c)
 
-    for (alpha, mode, freq, phase), c in terms.items():
-        if not integrate:
-            at(alpha, mode, freq, phase, c)
-            continue
+    for (alpha, mode, freq, phase), c in acc.terms.items():
         if mode == MODE_NONE or freq[a] == 0:
             n = alpha[a] + 1
             at(_with(alpha, a, n), mode, freq, phase, c / n)
@@ -627,7 +624,7 @@ def _axis_pass(terms, dim, den, a, b, r, integrate=True):
                 put(al, m, _with(freq, a, 0), phase, -term)
                 break
             n -= 1
-    return acc.terms
+    return out
 
 
 class _Rows:
@@ -638,13 +635,13 @@ class _Rows:
     D_i, den in lowest terms against the row, so its e-th power is an int
     polynomial over D_i**e.  Powers are built once each, by repeated
     multiplication with the row, and the products prod_i row_i**alpha_i and
-    the pulled frequencies are kept per monomial and per frequency: one _Rows
-    serves every term of every function pulled back along the same map.  lin
-    None stands for den times the identity: the rows of a translation, whose
-    frequencies are unchanged.
+    the pulled frequencies, scaled over pden = 4 den, are kept per monomial
+    and per frequency: one _Rows serves every term of every function pulled
+    back along the same map.  lin None stands for den times the identity:
+    the rows of a translation, whose frequencies are unchanged.
     """
 
-    __slots__ = ("lin", "trans", "den", "in_dim", "zeros", "_powers", "_products", "_freqs")
+    __slots__ = ("lin", "trans", "den", "pden", "in_dim", "zeros", "_powers", "_products", "_freqs")
 
     def __init__(self, lin, trans, in_dim, den):
         if lin is not None and len(trans) != len(lin):
@@ -652,6 +649,7 @@ class _Rows:
         self.lin = lin
         self.trans = trans
         self.den = den
+        self.pden = 4 * den
         self.in_dim = in_dim
         self.zeros = (0,) * in_dim
         self._powers = {}
@@ -717,28 +715,18 @@ class _Rows:
             out = self._products[alpha] = ({self.zeros: 1} if poly is None else poly, den)
         return out
 
-    def frequency(self, freq, phase):
-        """q.(L y + t) + phase = (L^T q).y + (q.t + phase): the pulled (frequency, phase)."""
+    def frequency(self, freq):
+        """The wave q.(L y + t) pulled from the int frequency q, as scaled ints
+        (F, P) over pden: F = 4 L^T q, pden q for a translation, and P = 4 q.t."""
         got = self._freqs.get(freq)
         if got is None:
-            den, lin = self.den, self.lin
-            nf = freq if lin is None else tuple(
-                _ratio(sum(f * row[j] for f, row in zip(freq, lin) if f), den)
-                for j in range(self.in_dim)
+            lin = self.lin
+            F = tuple([self.pden * f for f in freq]) if lin is None else tuple(
+                4 * sum(f * row[j] for f, row in zip(freq, lin) if f) for j in range(self.in_dim)
             )
-            shift = _ratio(sum(f * t for f, t in zip(freq, self.trans) if f), den)
-            got = self._freqs[freq] = (nf, shift)
-        nf, shift = got
-        return nf, phase + shift
-
-
-def _ratio(n, den):
-    """The rational n / den for an int or Fraction n and an int den > 0, an int where integral."""
-    if den == 1:
-        return n
-    if n.__class__ is int:
-        return n // den if not n % den else Fraction(n, den)
-    return int_if_integral(n / den)
+            P = 4 * sum(f * t for f, t in zip(freq, self.trans) if f)
+            got = self._freqs[freq] = (F, P)
+        return got
 
 
 def _poly_mul(p, q):

@@ -12,7 +12,6 @@ is integrated by flux as the chain of its Freudenthal simplices.
 
 import functools
 import random
-import types
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -292,12 +291,8 @@ def test_a_reduction_without_the_quarter_turn_swap_fails_the_oracle(monkeypatch)
             new_mode = mode
         return new_mode, freq, phase, neg
 
-    # rational keys keep the true reduction: a copy of _reduce whose globals
-    # hold the true _reduce_scaled, so only the kernel's scaled keys see the mutant
-    rational = types.FunctionType(
-        polytrig._reduce.__code__, {**vars(polytrig), "_reduce_scaled": reduce_scaled}
-    )
-    monkeypatch.setattr(polytrig, "_reduce", rational)
+    # _reduce_scaled is the one reduction; canonical keys, at phase 0, never
+    # take the quarter turn, so only the scaled keys see the mutant
     monkeypatch.setattr(polytrig, "_reduce_scaled", mutant)
     bad, _, _ = _wave_mismatches()
     assert len(bad) >= len(_wave_cases())

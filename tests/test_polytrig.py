@@ -333,8 +333,9 @@ def _substitution_pullback(f, axis, coeffs, const):
 
 
 def _rand_rational_polytrig(r, d):
-    """Terms with rational frequencies and phases, exact coefficients built as
-    sums (so their float shadows are not recomputed from pi) and one tier-F one."""
+    """Terms with integer frequencies and rational phases, exact coefficients
+    built as sums (so their float shadows are not recomputed from pi) and one
+    tier-F one."""
     f = PolyTrig.zero(d)
     for n in range(5):
         alpha = tuple(r.randint(0, 2) for _ in range(d))
@@ -346,7 +347,7 @@ def _rand_rational_polytrig(r, d):
         if n % 3 == 2:
             f = f + PolyTrig.monomial(d, alpha, c)
             continue
-        freq = [Fraction(r.randint(-3, 3), r.choice((1, 2, 3))) for _ in range(d)]
+        freq = [r.randint(-3, 3) for _ in range(d)]
         phase = Fraction(r.randint(-5, 5), r.choice((1, 3, 4, 5, 6)))
         f = f + PolyTrig.monomial(d, alpha) * trig_term(d, 1 + n % 2, freq, phase, c)
     return f
@@ -365,8 +366,7 @@ def test_substitute_matches_affine_pullback():
                 ({}, Fraction(1)),
                 ({}, Fraction(1, 3)),
             ):
-                # the pullback's result is canonical: its phases are expanded
-                got = f.substitute(a, coeffs, const).expand_phases()
+                got = f.substitute(a, coeffs, const)
                 want = _substitution_pullback(f, a, coeffs, const)
                 assert got.terms.keys() == want.terms.keys()
                 for key, c in got.terms.items():
@@ -458,14 +458,24 @@ def _public_results():
         for step in (1, 2):
             f = rand_polytrig(r, d, freq_step=step, n_terms=4)
             yield f
-            yield translate(f, [Fraction(r.randint(-5, 5), r.choice((1, 2, 3))) for _ in range(d)])
+            for dens in ((1, 2, 3), (5,), (7,)):
+                yield translate(f, [Fraction(r.randint(-5, 5), r.choice(dens)) for _ in range(d)])
             lin = [[Fraction(r.randint(-2, 2)) for _ in range(d)] for _ in range(d)]
             trans = [Fraction(r.randint(-7, 7), r.randint(1, 6)) for _ in range(d)]
             yield f._pullback(lin, trans, d)
+            # value_at composes with the constant map onto the point
+            yield f._pullback([()] * d, [Fraction(r.randint(-7, 7), r.randint(1, 7)) for _ in range(d)], 0)
+            for axis in range(1, d + 1):
+                limits = [({}, Fraction(1, 3)), ({}, Fraction(-2, 3))]
+                limits += [({b: 1}, 0) for b in range(1, d + 1) if b != axis]
+                yield f.antiderivative(axis)
+                for coeffs, const in limits:
+                    yield f.substitute(axis, coeffs, const)
+                    yield f.antiderivative(axis, coeffs, const)
         for degree in range(d):
             yield from rand_form(r, d, degree).d().comps.values()
     for k in (1, 2, 3):
-        for den in (2, 3, 5):
+        for den in (2, 3, 5, 7):
             omega = rand_form(r, 3, k)
             yield integrate_simplex(omega, rand_simplex(r, 3, k, den=den))
 
@@ -512,8 +522,22 @@ def test_mixed_int_and_fraction_keys_meet():
     assert f.constant_term().pi == {0: 5}
     g = PolyTrig.var(2, 1).substitute(1, {}, Fraction(3))
     assert g.terms[((0, 0), MODE_NONE, (Fraction(0), Fraction(0)), Fraction(0))].pi == {0: 3}
-    ((_, _, freq, _),) = trig_term(2, MODE_COS, (Fraction(1, 2), 1), 0).terms
-    assert freq == (Fraction(1, 2), 1) and type(freq[0]) is Fraction and type(freq[1]) is int
+    # a frequency off the integer lattice makes no value, internal or public
+    with pytest.raises(FrequencyError):
+        trig_term(2, MODE_COS, (Fraction(1, 2), 1), 0)
+
+
+def test_pullback_off_the_integer_lattice_raises():
+    # x -> y/2 pulls cos(2*pi*x) back to cos(pi*y): no canonical key holds it,
+    # whether the pulled phase is 0 or not
+    for shift in (0, Fraction(1, 3)):
+        with pytest.raises(FrequencyError):
+            PolyTrig.cos_freq(1, (1,))._pullback([[Fraction(1, 2)]], [shift], 1)
+    with pytest.raises(FrequencyError):
+        parse_expr("x2*sin(2*pi*(x1 + x2))", 2)._pullback([[1, 0], [0, Fraction(2, 3)]], [0, 0], 2)
+    # a rational linear part whose pulled frequencies are integral is fine
+    g = PolyTrig.cos_freq(2, (3, 0))._pullback([[Fraction(1, 3), 0], [0, 1]], [0, 0], 2)
+    assert g == PolyTrig.cos_freq(2, (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +566,11 @@ def _assert_canonical(f):
 
 
 def _merge_operands(r, d):
-    """Random operands in dimension d: rational frequencies and phases (put
-    term by term), pullbacks along rational maps (rational frequencies),
+    """Random operands in dimension d: rational phases expanded, pullbacks
+    along affine maps with integer linear part and rational translation,
     non-integral shifts of trig terms (tier-F coefficients) and polynomials."""
     f = _rand_rational_polytrig(r, d)
-    lin = [[Fraction(r.randint(-3, 3), r.choice((1, 2, 5))) for _ in range(d)] for _ in range(d)]
+    lin = [[r.randint(-3, 3) for _ in range(d)] for _ in range(d)]
     trans = [Fraction(r.randint(-7, 7), r.choice((1, 5, 7, 12))) for _ in range(d)]
     yield f
     yield f._pullback(lin, trans, d)
@@ -600,24 +624,6 @@ def _reference_reduction(mode, freq, phase, sign):
         else:
             mode = MODE_COS
     return (mode, freq, phase), sign
-
-
-def test_int_phase_reduction_matches_fraction_reduction():
-    one = Scalar.one()
-    for q in range(1, 65):
-        for p in range(-2 * q, 2 * q + 1):
-            phase = Fraction(p, q)
-            given_phases = [phase, int(phase)] if phase.denominator == 1 else [phase]
-            for mode in (MODE_COS, MODE_SIN):
-                for freq in ((1, 2), (-1, 2)):
-                    want_key, want_sign = _reference_reduction(mode, freq, phase, 1)
-                    for given in given_phases:
-                        acc = _Acc(2)
-                        acc.put((0, 0), mode, freq, given, one)
-                        (((alpha, m, f, ph), c),) = acc.terms.items()
-                        assert (m, f, ph) == want_key and c.num == {0: want_sign}
-                        # an integral phase is the int 0, any other a Fraction
-                        assert type(ph) is (int if ph == 0 else Fraction)
 
 
 def test_scaled_reduction_matches_fraction_reduction():

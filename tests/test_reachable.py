@@ -65,11 +65,8 @@ KEEP = {
     "magnetic.holonomy_exponent": "the paper's parallel transport; closed loops cross-check integrate_path",
     "polytrig.PolyTrig.__eq__": "exact equality of canonical functions; the exact oracles use it",
     "polytrig.PolyTrig.eval_float": "the quadrature and finite-difference cross-checks",
-    "polytrig.PolyTrig._pass": (
-        "antiderivative and substitute on rational keys, scaled to the kernel's"
-        " one _axis_pass and back; the ring's calculus oracles call them"
-    ),
     "polytrig.PolyTrig.antiderivative": TRACER,
+    "polytrig.PolyTrig.expand_phases": TRACER,
     "polytrig.PolyTrig.scale": TRACER,
     "polytrig.PolyTrig.substitute": TRACER,
     "polytrig.PolyTrig.var": "the coordinate x_i of the ring API; the reader's oracle builds with it",

@@ -2,6 +2,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from torusgauge import forms
@@ -149,10 +150,12 @@ def rand_polytrig_by_add(rnd, d, freq_step=1, n_terms=2, max_deg=2):
 
 
 def trig_term(d, mode, freq, phase, c=1):
-    """c * cos or sin(2*pi*(freq.x + phase)) for rational freq and phase, put
-    through _Acc.put as sampling.rand_polytrig puts its terms: the internal
-    terms the public constructors, which take integer frequencies and no
-    phase, do not build."""
-    acc = _Acc(d)
-    acc.put((0,) * d, mode, tuple(Fraction(f) for f in freq), Fraction(phase), Scalar.coerce(c))
+    """The canonical c * cos or sin(2*pi*(freq.x + phase)) for a rational
+    phase, which the public constructors do not take: the term put in scaled
+    keys over D = 4 * lcm(denominators), and its phase expanded by done().
+    FrequencyError unless freq is an integer vector."""
+    freq, phase = [Fraction(f) for f in freq], Fraction(phase)
+    den = 4 * lcm(phase.denominator, *(f.denominator for f in freq))
+    acc = _Acc(d, den=den)
+    acc.put((0,) * d, mode, tuple(int(f * den) for f in freq), int(phase * den), Scalar.coerce(c))
     return acc.done()
