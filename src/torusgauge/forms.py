@@ -25,8 +25,9 @@ on t are integrated by parts, in t_k, ..., t_1 in turn, one pass per axis
 from 0 to its upper limit.  Every simplex of a chain has the same parameter
 domain, so the simplices pull back into one accumulator and the chain takes
 one set of passes, however many simplices it has.  Frequencies and phases
-stay scaled ints over one chain denominator (polytrig._Acc) until the
-result leaves the kernel, through one phase expansion.
+stay scaled ints over one chain denominator (polytrig._Acc), and
+coefficients int pairs per term of the form, until the result leaves the
+kernel: one Scalar per output term, then one phase expansion.
 
 Simplices and paths are integer-scaled: AffineSimplex and PLPath keep their
 points once, as int numerators over one positive denominator, so vertices,
@@ -44,7 +45,8 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import DegreeError, DimensionError, PathError
-from .polytrig import MODE_NONE, PolyTrig, _Acc, _axis_pass, _Rows
+from . import polytrig
+from .polytrig import MODE_NONE, PolyTrig, _Acc, _axis_pass, _merge_pair, _merge_scaled, _Rows
 from .vectors import basis_vec, det, scale_vecs, unscale, vneg, vzero
 
 
@@ -373,24 +375,35 @@ def _iterated_integral(omega, cells):
     point p0 as int numerator tuples over the positive int den, and a sign
     of 1 or -1.  Each term of omega is pulled back along each cell's
     parametrisation, whose rows and their powers are built once for all
-    components.  Every trig factor is carried in scaled keys (polytrig._Acc)
+    components.  The kernel is linear in omega: it numbers omega's terms i,
+    with coefficients c_i, and carries every coefficient as int terms
+    (i, s, alpha, mode, F, P): (n, m), worth c_i * n / m * pi**s (see
+    polytrig._axis_pass).  Every trig factor is in scaled keys (polytrig._Acc)
     over M = 4 lcm(cell denominators): a wave cos or sin 2 pi q.x, q an int
     vector, pulls back to F_x = M q, F_tj = M q.v_j / den and
-    P = M q.p0 / den.  A pulled term with no trig dependence on t is
-    integrated in one pass, by the closed-form moments of _moments, and put
-    into the result with its scaled (F_x, P) as is.  Terms whose frequency is
-    nonzero on a t axis are put into one accumulator for the whole chain,
-    since every cell has the same parameter domain.  The chain then takes one
+    P = M q.p0 / den, its key reduced once per cell and term.  A pulled term
+    with no trig dependence on t is integrated by the closed-form moments of
+    _moments, summed over the chain in ints.  Terms whose frequency is
+    nonzero on a t axis go into one set of int terms for the whole chain,
+    since every cell has the same parameter domain, which takes one
     polytrig._axis_pass per axis, for t_k down to t_1, from 0 to its upper
     limit: t_j -> t_{j-1} moves F_tj and the exponent onto t_{j-1}, t_1 -> 1
-    adds F_t1 to P.  The terms left merge into the result with their t axes
-    dropped, and the result leaves the scaled keys once, by _Acc.done.
+    adds F_t1 to P.  The moments, then the terms left with their t axes
+    dropped, become one Scalar each (polytrig._merge_scaled) in the scaled
+    result, which leaves the scaled keys once, by _Acc.done.
     """
     d = omega.dim
     k = omega.degree
     M = 4 * lcm(*(cell[2] for cell in cells))
-    out = _Acc(d, den=M)
-    trig = _Acc(d + k, den=M)
+    reduce = polytrig._reduce_scaled
+    coeffs, comps = [], []
+    for I, f in omega.comps.items():
+        terms = []
+        for (alpha, mode, freq, _), c in f.terms.items():
+            terms.append((len(coeffs), alpha, mode, tuple([M * q for q in freq])))
+            coeffs.append(c)
+        comps.append((I, terms))
+    moments, trig = {}, {}
     for edges, p0, den, sign in cells:
         rows = _Rows(
             [[den * (a == i) for a in range(d)] + [e[i] for e in edges] for i in range(d)],
@@ -399,40 +412,41 @@ def _iterated_integral(omega, cells):
             den,
         )
         dk = den**k
-        moments = {}
-        for I, f in omega.comps.items():
+        cell_moments = {}
+        for I, terms in comps:
             dd = det([[e[i] for e in edges] for i in I])
             if dd == 0:
                 continue
             g = gcd(dd, dk)
             sn, sd = sign * (dd // g), dk // g
-            for (alpha, mode, freq, phase), c in f.terms.items():
+            for i, alpha, mode, freq in terms:
+                n0, P = sn, 0
                 if mode != MODE_NONE:
-                    # the pulled wave in scaled ints over M
-                    freq = tuple([M * q for q in freq])
+                    # the pulled wave in scaled ints over M, its key reduced once
                     Ft = [sum(map(mul, freq, e)) // den for e in edges]
-                    phase = sum(map(mul, freq, p0)) // den
-                    if any(Ft):
+                    P = sum(map(mul, freq, p0)) // den
+                    on_t = any(Ft)
+                    mode, freq, P, neg = reduce(mode, (*freq, *Ft) if on_t else freq, P, M)
+                    if neg:
+                        n0 = -sn
+                    if on_t:
                         poly, pden = rows.product(alpha)
                         pden *= sd
-                        trig.put_terms(
-                            mode, (*freq, *Ft), phase,
-                            [(beta, c.scaled(n * sn, pden)) for beta, n in poly.items()],
-                        )
+                        for beta, n in poly.items():
+                            _merge_pair(trig, (i, 0, beta, mode, freq, P), n * n0, pden)
                         continue
-                m = moments.get(alpha)
+                m = cell_moments.get(alpha)
                 if m is None:
-                    m = moments[alpha] = _moments(*rows.product(alpha), d)
-                out.put_terms(
-                    mode, freq, phase,
-                    [(ax, c.scaled(n * sn, md * sd)) for ax, (n, md) in m.items()],
-                )
-    if trig.terms:
+                    m = cell_moments[alpha] = _moments(*rows.product(alpha), d)
+                for ax, (n, md) in m.items():
+                    _merge_pair(moments, (i, 0, ax, mode, freq, P), n * n0, md * sd)
+    out = _Acc(d, den=M)
+    _merge_scaled(out, coeffs, moments)
+    if trig:
         for j in range(k, 0, -1):
             a = d + j - 1
-            trig = _axis_pass(trig, a, a - 1 if j > 1 else None)
-        for (alpha, mode, F, P), c in trig.terms.items():
-            out.merge((alpha[:d], mode, F[:d], P), c)
+            trig = _axis_pass(trig, M, a, a - 1 if j > 1 else None)
+        _merge_scaled(out, coeffs, trig)
     return out.done()
 
 

@@ -47,7 +47,7 @@ import math as _math
 from fractions import Fraction
 
 from .errors import DimensionError, FrequencyError
-from .scalar import DEFAULT_TOL, Scalar, _reduced, cos2pi, sin2pi
+from .scalar import DEFAULT_TOL, Scalar, cos2pi, sin2pi
 from .vectors import int_if_integral, scale_vecs, unscale
 
 MODE_NONE = 0
@@ -427,7 +427,10 @@ class PolyTrig:
         substitute takes, and the result is F substituted there.
         """
         a = self._axis(axis)
-        F = _axis_pass(_Acc(self.dim, self.terms), a, a).done()
+        terms = {(i, 0, *key): (1, 1) for i, key in enumerate(self.terms)}
+        acc = _Acc(self.dim)
+        _merge_scaled(acc, list(self.terms.values()), _axis_pass(terms, 1, a, a))
+        F = PolyTrig(self.dim, acc.terms)
         return F if coeffs is None else F.substitute(axis, coeffs, const)
 
     def substitute(self, axis, coeffs, const):
@@ -575,56 +578,92 @@ def _with(t, i, v):
     return tuple(t)
 
 
-def _axis_pass(acc, a, b):
-    """The integral in x_a (0-based) from 0 to a limit of the terms of acc,
-    as a new accumulator in acc's key form (see _Acc): the limit is x_b, so
-    b == a gives the antiderivative, or 1 for b None.  A term with no trig
-    dependence on x_a integrates by its power, any other by parts in int
-    arithmetic (w = 2*pi*F_a/den), less the last step's value at x_a = 0.
-    At the limit x_a's exponent and frequency move onto x_b, or x_a^e
-    becomes 1 and P takes F_a.
+def _moved(t, a, b):
+    """The tuple t with entry a moved onto entry b, or dropped for b None."""
+    t = list(t)
+    v, t[a] = t[a], 0
+    if b is not None:
+        t[b] += v
+    return tuple(t)
+
+
+def _axis_pass(terms, den, a, b):
+    """The integral in x_a (0-based) from 0 to a limit of int terms, as new
+    int terms: the limit is x_b, so b == a gives the antiderivative, or 1
+    for b None.  An int term (i, s, alpha, mode, F, P): (n, m), m > 0, is
+    n / m * pi**s times the caller's i-th coefficient, at a key scaled over
+    den (see _Acc; den 1 for canonical keys).  A term with no trig
+    dependence on x_a integrates by its power, any other by parts, less the
+    last step's value at x_a = 0; each step divides by w = 2*pi*F_a/den: a
+    multiply by den / (2*F_a), F_a's sign moved into the numerator, and s - 1.
+    At the limit x_a's exponent and frequency move onto x_b, or x_a^e becomes
+    1 and P takes F_a.  A wave left with no frequency has phase 0 here.
     """
-    den = acc.den or 1
-    out = _Acc(acc.d, den=acc.den)
-    put = out.put
+    out = {}
 
-    def at(alpha, mode, freq, phase, c):
-        e, f = alpha[a], freq[a]
-        if e:
-            al = list(alpha)
-            al[a] = 0
-            if b is not None:
-                al[b] += e
-            alpha = tuple(al)
-        if f:
-            fr = list(freq)
-            fr[a] = 0
-            if b is not None:
-                fr[b] += f
+    def put(i, s, alpha, mode, freq, phase, n, m):
+        if mode != MODE_NONE:
+            if any(freq):
+                mode, freq, phase, neg = _reduce_scaled(mode, freq, phase, den)
+                n = -n if neg else n
+            elif mode == MODE_SIN:
+                return
             else:
-                phase += f
-            freq = tuple(fr)
-        put(alpha, mode, freq, phase, c)
+                mode = MODE_NONE
+        _merge_pair(out, (i, s, alpha, mode, freq, phase), n, m)
 
-    for (alpha, mode, freq, phase), c in acc.terms.items():
-        if mode == MODE_NONE or freq[a] == 0:
-            n = alpha[a] + 1
-            at(_with(alpha, a, n), mode, freq, phase, c / n)
+    def at(i, s, alpha, mode, freq, phase, n, m):
+        if b is None:
+            phase += freq[a]
+        put(i, s, _moved(alpha, a, b), mode, _moved(freq, a, b), phase, n, m)
+
+    for (i, s, alpha, mode, freq, phase), (n, m) in terms.items():
+        f = freq[a]
+        if not f:
+            e = alpha[a] + 1
+            at(i, s, _with(alpha, a, e), mode, freq, phase, n, m * e)
             continue
-        w = _reduced({1: 2 * freq[a]}, den)  # d(arg)/dx_a
-        n, m, k = alpha[a], mode, c
+        wn, wd = (den, 2 * f) if f > 0 else (-den, -2 * f)
+        e = alpha[a]
         while True:
-            al = _with(alpha, a, n)
-            if m == MODE_COS:
-                m, term, k = MODE_SIN, k / w, -(k * n) / w
+            # this step's term is +-k / w, and the next k is -term * e
+            s, n, m = s - 1, n * wn, m * wd
+            if mode == MODE_COS:
+                mode = MODE_SIN
             else:
-                m, term, k = MODE_COS, -(k / w), (k * n) / w
-            at(al, m, freq, phase, term)
-            if n == 0:
-                put(al, m, _with(freq, a, 0), phase, -term)
+                mode, n = MODE_COS, -n
+            al = _with(alpha, a, e)
+            at(i, s, al, mode, freq, phase, n, m)
+            if not e:
+                put(i, s, al, mode, _with(freq, a, 0), phase, -n, m)
                 break
-            n -= 1
+            n, e = -n * e, e - 1
     return out
+
+
+def _merge_pair(terms, key, n, m):
+    """Add n / m, m > 0, at key of the int terms {key: (n, m)}; a sum is
+    brought to lowest terms, and a zero one leaves no term."""
+    prev = terms.get(key)
+    if prev is not None:
+        pn, pm = prev
+        n, m = pn * m + n * pm, pm * m
+        if not n:
+            del terms[key]
+            return
+        g = _math.gcd(n, m)
+        n, m = n // g, m // g
+    if n:
+        terms[key] = (n, m)
+
+
+def _merge_scaled(acc, coeffs, terms):
+    """Merge each int term (i, s, alpha, mode, F, P): (n, m) into acc as the
+    Scalar coeffs[i] * n / m * pi**s, one per term, at (alpha, mode, F, P)
+    cut to acc's d axes, in the order of the terms."""
+    d, merge = acc.d, acc.merge
+    for (i, s, alpha, mode, F, P), (n, m) in terms.items():
+        merge((alpha[:d], mode, F[:d], P), coeffs[i].scaled(n, m, s))
 
 
 class _Rows:

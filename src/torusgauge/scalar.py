@@ -199,15 +199,16 @@ class Scalar:
                     del num[k]
         return _reduced(num, self.den * other.den)
 
-    def scaled(self, n, d):
-        """self * n / d for ints n and d > 0; the same value as self * Scalar.exact(Fraction(n, d))."""
+    def scaled(self, n, d, s=0):
+        """self * n / d * pi**s for ints n, s and d > 0: the same value, and on
+        tier F the same float and tolerance, as self * Scalar.exact(Fraction(n, d), s)."""
         if not n:
             return Scalar({}, 1, 0.0, 0.0)
         a = self.num
         if a is None:
-            q = n / d
+            q = n / d * math.pi**s if s else n / d
             return Scalar(None, 1, self._val * q, abs(q) * self.tol)
-        return _reduced({k: x * n for k, x in a.items()}, self.den * d)
+        return _reduced({k + s: x * n for k, x in a.items()}, self.den * d)
 
     def __truediv__(self, other):
         if other.__class__ is not Scalar:

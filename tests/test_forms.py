@@ -18,7 +18,7 @@ from torusgauge.forms import (
     integrate_path,
     integrate_simplex,
 )
-from torusgauge.gerbes import _integrate_unit_cube
+from torusgauge.gerbes import _ORDERINGS, _integrate_unit_cube, constant_flux_gerbe
 from torusgauge.polytrig import MODE_NONE, PolyTrig, translate, value_at
 from torusgauge.sampling import (
     rand_form,
@@ -28,6 +28,7 @@ from torusgauge.sampling import (
     stokes_defect,
     stokes_sample,
 )
+from torusgauge.scalar import Scalar
 from torusgauge.vectors import basis_vec, det, vneg, vsub, vzero
 from tests_util import is_exact, op_calls
 
@@ -277,9 +278,9 @@ def _count_passes(monkeypatch):
     passes = [0]
     orig = forms._axis_pass
 
-    def counting(acc, a, b):
+    def counting(terms, den, a, b):
         passes[0] += 1
-        return orig(acc, a, b)
+        return orig(terms, den, a, b)
 
     monkeypatch.setattr(forms, "_axis_pass", counting)
     return passes
@@ -367,6 +368,60 @@ def test_the_kernel_hashes_few_fractions_on_tier_f_data(monkeypatch, capsys):
     capsys.readouterr()
     assert counts["chains"] == 8
     assert counts["hashes"] <= 16, counts
+
+
+def _scalars_made(monkeypatch, omega, chain):
+    """(Scalars made by integrate_chain(omega, chain), Scalars made before its
+    first forms._merge_scaled, the int terms that materialised, the result)."""
+    made, first = [0], [None]
+    init, merge_scaled = Scalar.__init__, forms._merge_scaled
+    terms = [0]
+
+    def counting(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    def materialising(acc, coeffs, int_terms):
+        if first[0] is None:
+            first[0] = made[0]
+        terms[0] += len(int_terms)
+        merge_scaled(acc, coeffs, int_terms)
+
+    with monkeypatch.context() as m:
+        m.setattr(Scalar, "__init__", counting)
+        m.setattr(forms, "_merge_scaled", materialising)
+        got = integrate_chain(omega, chain)
+    return made[0], first[0], terms[0], got
+
+
+def test_the_kernel_makes_one_scalar_per_output_term(monkeypatch):
+    # The kernel carries coefficients as int pairs per omega term and makes
+    # one Scalar per (omega term, output key, pi shift) when the result
+    # leaves it, plus a sum where two omega terms meet on a key; then
+    # _Acc.done expands the phases.
+    # The 6 Freudenthal cells of the flux cube: one omega term whose moments
+    # sum in ints to one output term, one Scalar.
+    H = constant_flux_gerbe(1).curvature()
+    e = [basis_vec(3, a) for a in (1, 2, 3)]
+    cube = [AffineSimplex((1, 1, 1), [e[i] for i in p], sign=s) for p, s in _ORDERINGS]
+    made, before, terms, got = _scalars_made(monkeypatch, H, cube)
+    assert made == 1 and (before, terms, len(got.terms)) == (0, 1, 1)
+    # The boundary of a 2-simplex, edges over 5 and top over 7, and
+    # x1^2 cos, x1 x2 sin terms: no Scalar before the 28 int terms
+    # materialise (at most 2 Scalars each: the term and a sum), and 76 in
+    # the phase expansion of their 24 scaled terms.
+    x1, x2 = PolyTrig.var(2, 1), PolyTrig.var(2, 2)
+    omega = Form.one_form(2, {
+        1: x1 * x1 * PolyTrig.cos_freq(2, (1, 2), Fraction(3, 2)),
+        2: x1 * x2 * PolyTrig.sin_freq(2, (3, -1), Scalar.exact(Fraction(5, 3), 1)),
+    })
+    top = (Fraction(1, 7), Fraction(3, 7))
+    edges = [(Fraction(2, 5), Fraction(1, 5)), (Fraction(-1, 5), Fraction(3, 5))]
+    faces = AffineSimplex(top, edges).boundary()
+    made, before, terms, got = _scalars_made(monkeypatch, omega, faces)
+    assert made <= 2 * 28 + 76, made
+    assert before == 0 and terms == 28
+    assert got.equals(_chain_sum([integrate_simplex(omega, f) for f in faces]), 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ is integrated by flux as the chain of its Freudenthal simplices.
 """
 
 import functools
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -19,12 +21,12 @@ from operator import add
 
 import pytest
 
-from torusgauge import polytrig
+from torusgauge import forms, polytrig
 from torusgauge.forms import AffineSimplex, Form, integrate_chain, integrate_simplex
 from torusgauge.gerbes import _integrate_unit_cube
 from torusgauge.polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, value_at
 from torusgauge.scalar import Scalar
-from torusgauge.vectors import basis_vec, vsub, vzero
+from torusgauge.vectors import basis_vec, det, vsub, vzero
 
 sympy = pytest.importorskip("sympy")
 
@@ -224,6 +226,21 @@ def _wave_form(r, d, k, step):
     return Form(d, k, comps)
 
 
+def _chain_case(r, d, k, omega, chain):
+    """(d, k, omega, chain, [(base, sympy's exact value there)]) at a base
+    over 4 and one over 3, drawn from r."""
+    want = 0
+    for s in chain:
+        verts = s.vertices()
+        frame = [vsub(v, verts[0]) for v in verts[1:]]
+        want += s.sign * _oracle(omega, verts[0], frame, True, True)
+    points = []
+    for den in (4, 3):
+        base = tuple(Fraction(r.randint(-4, 4), den) for _ in range(d))
+        points.append((base, want.subs({X[i]: _rational(base[i]) for i in range(d)})))
+    return d, k, omega, chain, points
+
+
 @functools.lru_cache(maxsize=None)
 def _wave_cases():
     """[(d, k, omega, chain, [(base, sympy's exact value there)])] for k = 1..3, d = 2, 3."""
@@ -241,24 +258,16 @@ def _wave_cases():
                     )
                     for _ in range(r.randint(1, 2))
                 ]
-                want = 0
-                for s in chain:
-                    verts = s.vertices()
-                    frame = [vsub(v, verts[0]) for v in verts[1:]]
-                    want += s.sign * _oracle(omega, verts[0], frame, True, True)
-                points = []
-                for den in (4, 3):
-                    base = tuple(Fraction(r.randint(-4, 4), den) for _ in range(d))
-                    points.append((base, want.subs({X[i]: _rational(base[i]) for i in range(d)})))
-                cases.append((d, k, omega, chain, points))
+                cases.append(_chain_case(r, d, k, omega, chain))
     return cases
 
 
-def _wave_mismatches():
-    """The (d, k, base) of every wave case where the kernel and sympy disagree,
-    and the number of exact and of tier-F kernel values."""
+def _wave_mismatches(cases=None):
+    """The (d, k, base) of every wave case (or of the given cases) where the
+    kernel and sympy disagree, and the number of exact and of tier-F kernel
+    values."""
     bad, exact, floats = [], 0, 0
-    for d, k, omega, chain, points in _wave_cases():
+    for d, k, omega, chain, points in _wave_cases() if cases is None else cases:
         got = integrate_chain(omega, chain)
         for base, want in points:
             value = value_at(got, base)
@@ -296,3 +305,89 @@ def test_a_reduction_without_the_quarter_turn_swap_fails_the_oracle(monkeypatch)
     monkeypatch.setattr(polytrig, "_reduce_scaled", mutant)
     bad, _, _ = _wave_mismatches()
     assert len(bad) >= len(_wave_cases())
+
+
+# Deep by-parts chains: x^2 and x^3 times waves on k = 2, 3 chains, so the
+# passes divide by w = 2*pi*F_a/M often enough for pi^-2 to pi^-4
+# coefficients, with F_a of both signs.  Edges over 5 and 7, waves of
+# frequency 35 q and tops over 2 and 4 put every vertex phase on a quarter
+# turn: the values at bases over 4 are exact, those over 3 partly tier F.
+
+
+def _deep_wave(d, c, n, a, mode, q):
+    """c x_a^n times cos or sin of 2*pi*35*q.x, a 1-based."""
+    maker = PolyTrig.cos_freq if mode == MODE_COS else PolyTrig.sin_freq
+    alpha = tuple(n * x for x in basis_vec(d, a))
+    return PolyTrig.monomial(d, alpha) * maker(d, [35 * x for x in q], c)
+
+
+F = Fraction
+DEEP = (
+    # (d, k, {component: (c, n, a, mode, q)}, edges)
+    (2, 2, {(0, 1): (F(3, 2), 3, 1, MODE_COS, (1, -2))},
+     [(F(1, 5), F(-3, 7)), (F(-2, 7), F(1, 5))]),
+    (3, 2, {(0, 1): (F(2, 3), 2, 2, MODE_SIN, (1, 1, -2)),
+            (1, 2): (F(5, 2), 2, 3, MODE_COS, (1, -2, 0))},
+     [(F(1, 7), F(-2, 5), 0), (F(-1, 5), F(2, 7), F(3, 5))]),
+    (3, 3, {(0, 1, 2): (F(4, 5), 2, 1, MODE_SIN, (2, -1, 1))},
+     [(F(2, 7), 0, F(1, 5)), (0, F(-2, 5), F(1, 7)), (F(-1, 7), F(1, 5), F(-2, 5))]),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _deep_cases():
+    """The DEEP cases, each on one simplex with a top over 2 or 4, then a
+    chain on which two omega terms with proportional coefficients cancel:
+    f dx1^dx2 + lam f dx1^dx3 with lam = -det_12 / det_13 of the shared
+    edges."""
+    r = random.Random(75)
+    cases = []
+    for d, k, comps, edges in DEEP:
+        omega = Form(d, k, {I: _deep_wave(d, *term) for I, term in comps.items()})
+        chain = [AffineSimplex(_vector(r, d, (2, 4)), edges)]
+        cases.append(_chain_case(r, d, k, omega, chain))
+    edges = DEEP[1][3]
+    minors = [det([[e[i] for e in edges] for i in I]) for I in ((0, 1), (0, 2))]
+    lam = -Fraction(minors[0]) / minors[1]
+    f = _deep_wave(3, F(7, 3), 2, 1, MODE_COS, (2, 1, -1))
+    omega = Form(3, 2, {(0, 1): f, (0, 2): f.scale(Scalar.exact(lam))})
+    chain = [AffineSimplex(_vector(r, 3, (2, 4)), edges, sign) for sign in (1, -1)]
+    cases.append(_chain_case(r, 3, 2, omega, chain))
+    return cases
+
+
+def test_deep_by_parts_chains_match_sympy():
+    cases = _deep_cases()
+    bad, exact, floats = _wave_mismatches(cases)
+    assert not bad and exact >= 4 and floats >= 2, (exact, floats)
+    shifts = set()
+    for _, _, omega, chain, _ in cases[:-1]:
+        for c in integrate_chain(omega, chain).terms.values():
+            shifts.update(c.num)
+    assert {-2, -3, -4} <= shifts, shifts
+    # the two proportional terms cancel on every key
+    _, _, omega, chain, points = cases[-1]
+    assert not integrate_chain(omega, chain).terms
+    assert all(want == 0 for _, want in points)
+
+
+def _mutant_pass(old, new):
+    """polytrig._axis_pass with its source line old replaced by new."""
+    src = textwrap.dedent(inspect.getsource(polytrig._axis_pass))
+    assert src.count(old) == 1, old
+    namespace = dict(vars(polytrig))
+    exec(compile(src.replace(old, new), polytrig.__file__, "exec"), namespace)
+    return namespace["_axis_pass"]
+
+
+@pytest.mark.parametrize("old, new", [
+    # each by-parts step divides by |w|, losing the sign of F_a
+    ("wn, wd = (den, 2 * f) if f > 0 else (-den, -2 * f)", "wn, wd = den, 2 * abs(f)"),
+    # each step divides by 2*F_a/M but not by pi
+    ("s, n, m = s - 1, n * wn, m * wd", "n, m = n * wn, m * wd"),
+], ids=["sign", "pi_shift"])
+def test_a_by_parts_mutant_fails_the_oracle(monkeypatch, old, new):
+    monkeypatch.setattr(forms, "_axis_pass", _mutant_pass(old, new))
+    cases = _deep_cases()[:-1]
+    bad, _, _ = _wave_mismatches(cases)
+    assert len(bad) == 2 * len(cases), bad

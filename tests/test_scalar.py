@@ -219,3 +219,33 @@ def test_exact_arithmetic_builds_no_fraction():
     finally:
         sys.setprofile(None)
     assert not calls, sorted(set(calls))
+
+
+def _same(a, b):
+    """Equal Scalars, structurally: the exact value, or tier F's float and tolerance."""
+    return (a.num, a.den, a.val, a.tol) == (b.num, b.den, b.val, b.tol)
+
+
+def test_scaled_with_a_pi_shift_is_the_product():
+    rnd = random.Random(26)
+    values = [
+        Scalar.exact(Fraction(3, 4), 1),  # one pi power
+        Scalar.exact(Fraction(-5, 6), 2) + Scalar.exact(Fraction(1, 3)) + Scalar.exact(7, -1),
+        Scalar.approx(0.3, 1e-12),  # tier F
+        Scalar.approx(-2.5e3, 1e-9),
+    ]
+    for c in values:
+        for n in (0, 1, -1, 6, -35, 1024):
+            for d in (1, 2, 35, 96):
+                for s in (0, 1, -1, -4, 3):
+                    got, want = c.scaled(n, d, s), c * Scalar.exact(Fraction(n, d), s)
+                    if n:
+                        assert _same(got, want), (c, n, d, s)
+                    else:
+                        assert got.is_exact and got.is_zero() and got.equals(want)
+    # random exact values with several pi powers
+    for _ in range(100):
+        c = _build(_rand_model(rnd))
+        n, d, s = rnd.randint(-50, 50), rnd.randint(1, 60), rnd.randint(-4, 4)
+        assert _same(c.scaled(n, d, s), c * Scalar.exact(Fraction(n, d), s))
+    assert Scalar.exact(2, 1).scaled(3, 4, -2).pi == {-1: Fraction(3, 2)}
