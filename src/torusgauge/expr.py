@@ -37,7 +37,7 @@ from .errors import (
     FrequencyError,
     NonRealExpressionError,
 )
-from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, _Acc
+from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, _Acc, _merge, _Rows
 from .scalar import Scalar
 
 # Work bound on config counts: the largest `samples`, `equivalence_samples`
@@ -187,7 +187,7 @@ def _freq_and_const(arg, d, two_pi_scaled, pos):
     """
     freq = [0] * d
     const = Scalar.zero()
-    for (alpha, mode, _f, _p), c in arg.terms.items():
+    for (alpha, mode, _freq), c in arg.terms.items():
         if mode != MODE_NONE:
             raise FrequencyError(
                 f"trig argument must be affine in the variables (offset {pos})"
@@ -210,18 +210,20 @@ def _freq_and_const(arg, d, two_pi_scaled, pos):
     return tuple(freq), const
 
 
+_WAVES = {MODE_COS: PolyTrig.cos_freq(1, (1,)), MODE_SIN: PolyTrig.sin_freq(1, (1,))}
+
+
 def _trig_from(d, mode, freq, const, pos):
-    """cos/sin(2*pi*(freq.x) + const) as a real PolyTrig: one term put at phase
-    const / (2*pi) in scaled keys over D = 8 * const.den, and expanded by
-    done().  const must be a rational multiple of pi; FrequencyError
-    otherwise, quoting the parser offset pos.
+    """cos/sin(2*pi*(freq.x) + const) as a real PolyTrig: the wave
+    cos/sin(2*pi*u) composed with u = freq.x + const / (2*pi) (_Acc.add).
+    const must be a rational multiple of pi; FrequencyError otherwise,
+    quoting the parser offset pos.
     """
     num = const.num
     if num is None or not set(num) <= {1}:
         raise FrequencyError(f"trig phase must be a rational multiple of pi (offset {pos})")
-    D = 8 * const.den
-    acc = _Acc(d, den=D)
-    acc.put((0,) * d, mode, tuple([D * q for q in freq]), 4 * num.get(1, 0), Scalar.one())
+    acc = _Acc(d)
+    acc.add(_WAVES[mode], 1, _Rows.rational([freq], [Fraction(num.get(1, 0), 2 * const.den)], d))
     return acc.done()
 
 
@@ -229,10 +231,10 @@ def _scaled(f, c, alpha):
     """c * x^alpha * f, terms in f's order: what PolyTrig.__mul__ gives for the
     one-term factor c * x^alpha, whose monomial shifts the keys of f apart."""
     terms = {}
-    for (a, mode, freq, phase), v in f.terms.items():
+    for (a, mode, freq), v in f.terms.items():
         v = c * v
         if not v.is_zero():
-            terms[(tuple([i + j for i, j in zip(a, alpha)]), mode, freq, phase)] = v
+            terms[(tuple([i + j for i, j in zip(a, alpha)]), mode, freq)] = v
     return PolyTrig(f.dim, terms)
 
 
@@ -241,7 +243,7 @@ def _degrees(f):
     out = [0] * f.re.dim
     for part in (f.re, f.im):
         if part is not None:
-            for alpha, _mode, _freq, _phase in part.terms:
+            for alpha, _mode, _freq in part.terms:
                 for i, e in enumerate(alpha):
                     if e > out[i]:
                         out[i] = e
@@ -317,16 +319,16 @@ class _Reader:
             q, pip, alpha, v = self.term()
             if v is None:
                 if q:
-                    key = ((0,) * d if alpha is None else tuple(alpha), MODE_NONE, re_.zero_freq, 0)
-                    re_.merge(key, Scalar.exact(-q if neg else q, pip))
+                    key = ((0,) * d if alpha is None else tuple(alpha), MODE_NONE, re_.zero_freq)
+                    _merge(re_.terms, key, Scalar.exact(-q if neg else q, pip))
             else:
                 for key, c in v.re.terms.items():
-                    re_.merge(key, -c if neg else c)
+                    _merge(re_.terms, key, -c if neg else c)
                 if v.im is not None:
                     if im is None:
                         im = _Acc(d)
                     for key, c in v.im.terms.items():
-                        im.merge(key, -c if neg else c)
+                        _merge(im.terms, key, -c if neg else c)
             kind = tokens[self.i][0]
             if kind != "+" and kind != "-":
                 return _Complex(re_.done(), None if im is None else im.done())

@@ -25,9 +25,10 @@ on t are integrated by parts, in t_k, ..., t_1 in turn, one pass per axis
 from 0 to its upper limit.  Every simplex of a chain has the same parameter
 domain, so the simplices pull back into one accumulator and the chain takes
 one set of passes, however many simplices it has.  Frequencies and phases
-stay scaled ints over one chain denominator (polytrig._Acc), and
+stay scaled ints over one chain denominator (see polytrig), and
 coefficients int pairs per term of the form, until the result leaves the
-kernel: one Scalar per output term, then one phase expansion.
+kernel: one Scalar per output term, then one phase expansion, the one exit
+from scaled keys (polytrig._from_int_terms and _expand_into).
 
 Simplices and paths are integer-scaled: AffineSimplex and PLPath keep their
 points once, as int numerators over one positive denominator, so vertices,
@@ -46,7 +47,7 @@ from operator import add, mul, sub
 
 from .errors import DegreeError, DimensionError, PathError
 from . import polytrig
-from .polytrig import MODE_NONE, PolyTrig, _Acc, _axis_pass, _merge_pair, _merge_scaled, _Rows
+from .polytrig import MODE_NONE, PolyTrig, _Acc, _axis_pass, _from_int_terms, _merge_pair, _Rows
 from .vectors import basis_vec, det, scale_vecs, unscale, vneg, vzero
 
 
@@ -378,7 +379,7 @@ def _iterated_integral(omega, cells):
     components.  The kernel is linear in omega: it numbers omega's terms i,
     with coefficients c_i, and carries every coefficient as int terms
     (i, s, alpha, mode, F, P): (n, m), worth c_i * n / m * pi**s (see
-    polytrig._axis_pass).  Every trig factor is in scaled keys (polytrig._Acc)
+    polytrig._axis_pass).  Every trig factor is in scaled keys (see polytrig)
     over M = 4 lcm(cell denominators): a wave cos or sin 2 pi q.x, q an int
     vector, pulls back to F_x = M q, F_tj = M q.v_j / den and
     P = M q.p0 / den, its key reduced once per cell and term.  A pulled term
@@ -388,9 +389,9 @@ def _iterated_integral(omega, cells):
     since every cell has the same parameter domain, which takes one
     polytrig._axis_pass per axis, for t_k down to t_1, from 0 to its upper
     limit: t_j -> t_{j-1} moves F_tj and the exponent onto t_{j-1}, t_1 -> 1
-    adds F_t1 to P.  The moments, then the terms left with their t axes
-    dropped, become one Scalar each (polytrig._merge_scaled) in the scaled
-    result, which leaves the scaled keys once, by _Acc.done.
+    adds F_t1 to P.  polytrig._from_int_terms makes the moments, then the
+    terms left with their t axes dropped, one Scalar per scaled key, and the
+    result leaves the scaled keys once, by polytrig._expand_into.
     """
     d = omega.dim
     k = omega.degree
@@ -399,7 +400,7 @@ def _iterated_integral(omega, cells):
     coeffs, comps = [], []
     for I, f in omega.comps.items():
         terms = []
-        for (alpha, mode, freq, _), c in f.terms.items():
+        for (alpha, mode, freq), c in f.terms.items():
             terms.append((len(coeffs), alpha, mode, tuple([M * q for q in freq])))
             coeffs.append(c)
         comps.append((I, terms))
@@ -440,14 +441,11 @@ def _iterated_integral(omega, cells):
                     m = cell_moments[alpha] = _moments(*rows.product(alpha), d)
                 for ax, (n, md) in m.items():
                     _merge_pair(moments, (i, 0, ax, mode, freq, P), n * n0, md * sd)
-    out = _Acc(d, den=M)
-    _merge_scaled(out, coeffs, moments)
     if trig:
         for j in range(k, 0, -1):
             a = d + j - 1
             trig = _axis_pass(trig, M, a, a - 1 if j > 1 else None)
-        _merge_scaled(out, coeffs, trig)
-    return out.done()
+    return _from_int_terms(d, coeffs, M, moments, trig)
 
 
 class PLPath:

@@ -6,19 +6,19 @@ A PolyTrig is a finite sum of terms
 
 with two-tier coefficients c (see scalar.Scalar), integer monomial exponents
 alpha and integer frequency vectors q, stored in a dict keyed by
-(alpha, mode, q, 0).  Every PolyTrig is canonical: its keys hold only ints,
-a trig term's first nonzero frequency is positive and its phase slot is 0,
-so the basis functions are linearly independent and zero tests are
-termwise.  The constructors accept integer frequencies only (FrequencyError
-otherwise).
+(alpha, mode, q).  Every PolyTrig is canonical: its keys hold only ints and a
+trig term's first nonzero frequency is positive, so the basis functions are
+linearly independent and zero tests are termwise.  The constructors accept
+integer frequencies only (FrequencyError otherwise).
 
 A trig factor cos or sin(2*pi*(q.x + p)) with a rational frequency or phase
-lives only inside an accumulator, in scaled keys: the ints F = D*q and
-P = D*p over one D, a multiple of 4 (see _Acc), so key arithmetic builds and
-hashes no Fraction.  Pullbacks, translations, the integration kernel and
-the parser put such factors, and _Acc.done is the one exit: it divides each
-frequency back to ints (FrequencyError off the integer lattice) and expands
-each phase into coefficients, with cos2pi and sin2pi.
+lives only where it is made, in scaled keys (alpha, mode, F, P): the ints
+F = D*q and P = D*p over one D, a multiple of 4, so key arithmetic builds and
+hashes no Fraction.  Pullbacks, translations and the integration kernel make
+such factors, and _reduce_scaled brings each to its reduced form.
+_expand_into is the one exit from scaled keys: it divides each frequency
+back to ints (FrequencyError off the integer lattice) and expands each phase
+into coefficients, with cos2pi and sin2pi.
 
 The ring is closed under +, *, partial derivatives, translation by rational
 vectors, antidifferentiation in one variable and pullback along affine maps
@@ -28,12 +28,12 @@ values are immutable after construction and safe to share across threads.
 Composition has one routine: _Acc.add(f, k, rows) puts k * (f o rows) into
 canonical keys, rows being the _Rows of an affine map, and expands the
 phases the map leaves once, at the end.  Translation (rows from
-_Rows.shift), substitution, Form arithmetic and point values all run
-through it: value_at(f, p) is f composed with the constant map onto the
-point p.  shifted_sum(d, parts) adds k * f(x - v) for each part (k, f, v)
-into one accumulator, so a signed sum of shifted functions, such as the
-slack of a cocycle identity, builds no intermediate PolyTrig; translate(f, v)
-is the one-part sum.
+_Rows.shift), substitution, Form arithmetic, the parser's trig atoms and
+point values all run through it: value_at(f, p) is f composed with the
+constant map onto the point p.  shifted_sum(d, parts) adds k * f(x - v) for
+each part (k, f, v) into one accumulator, so a signed sum of shifted
+functions, such as the slack of a cocycle identity, builds no intermediate
+PolyTrig; translate(f, v) is the one-part sum.
 
 A U(1)-valued function exp(i*theta) is carried as its exponent theta, a
 PolyTrig: products of phases are sums of exponents, and two phases agree when
@@ -58,85 +58,48 @@ _HALF_SCALAR = Scalar.exact(Fraction(1, 2))
 
 
 class _Acc:
-    """Accumulator of canonical or scaled terms.
+    """Accumulator of canonical terms, keyed (alpha, mode, freq).
 
-    put_terms(), and put() for one term, canonicalises term keys
-    (alpha, mode, freq, phase); add() puts a canonical function composed with
-    an affine map; done() makes the PolyTrig.  A polynomial term's key is
-    (alpha, MODE_NONE, (0,)*d, 0), and a trig term has its first nonzero
-    frequency positive.  With an int den, a multiple of 4, the keys are
-    scaled: a trig key (alpha, mode, F, P) holds the ints F = den * freq and
-    P = den * phase, P in [0, den/4).  With den None the accumulator is
-    canonical: its keys hold int frequencies and phase 0, and they reduce
-    over 1, where only the sign rule applies.
-
-    merge() adds a coefficient at a key that is already canonical.  Ring ops
-    whose output keys are canonical by construction (sums, scalings, products
-    with a polynomial factor, derivatives) call it directly.
+    put() canonicalises one term: a polynomial term's key is
+    (alpha, MODE_NONE, (0,)*d), and a trig term has its first nonzero int
+    frequency positive, a wave with no frequency folding to cos 0 = 1 or
+    sin 0 = 0.  add() puts a canonical function composed with an affine map;
+    done() makes the PolyTrig.  Ring ops whose output keys are canonical by
+    construction (sums, scalings, products with a polynomial factor,
+    derivatives) add coefficients with _merge directly.
     """
 
-    __slots__ = ("d", "den", "terms", "zero_freq", "phased")
+    __slots__ = ("d", "terms", "zero_freq")
 
-    def __init__(self, d, terms=None, den=None):
+    def __init__(self, d):
         self.d = d
-        self.den = den
-        self.terms = {} if terms is None else terms
+        self.terms = {}
         self.zero_freq = (0,) * d
-        self.phased = None  # add's terms at a nonzero reduced phase, built on demand
 
-    def put(self, alpha, mode, freq, phase, coeff):
-        self.put_terms(mode, freq, phase, ((alpha, coeff),))
-
-    def put_terms(self, mode, freq, phase, terms, den=None):
-        """put(alpha, mode, freq, phase, c) for each (alpha, c) in terms; the
-        trig factor is reduced (or folded) once for all of them.  freq and
-        phase are in self's key form, or scaled over den when it is given:
-        then self is canonical (add's pulled factors), a term reduced to
-        phase 0 merges here with its frequency divided back to ints, and any
-        other goes to the side accumulator self.phased over den, for add to
-        expand."""
-        fold = None
-        neg = False
-        merge = self.merge
+    def put(self, alpha, mode, freq, coeff):
+        """Add coeff * x^alpha * {1, cos, sin}(2*pi*freq.x), freq an int vector."""
         if mode != MODE_NONE:
-            over = den or self.den or 1
             if any(freq):
-                mode, freq, phase, neg = _reduce_scaled(mode, freq, phase, over)
-                if den is not None:
-                    if phase:
-                        if self.phased is None:
-                            self.phased = _Acc(self.d, den=den)
-                        merge = self.phased.merge
-                    else:
-                        freq = _int_freq(freq, den)
+                mode, freq, _, neg = _reduce_scaled(mode, freq, 0, 1)
+                if neg:
+                    coeff = -coeff
+            elif mode == MODE_SIN:
+                return
             else:
-                phase = Fraction(phase, over)
-                fold = cos2pi(phase) if mode == MODE_COS else sin2pi(phase)
-                mode = MODE_NONE
-        if mode == MODE_NONE:
-            freq, phase = self.zero_freq, 0
-        for alpha, c in terms:
-            if c.is_zero():
-                continue
-            if fold is not None:
-                c = c * fold
-                if c.is_zero():
-                    continue
-            elif neg:
-                c = -c
-            merge((alpha, mode, freq, phase), c)
+                mode, freq = MODE_NONE, self.zero_freq
+        _merge(self.terms, (alpha, mode, freq), coeff)
 
     def add(self, f, k=1, rows=None):
-        """Put k * (f o rows) into this canonical accumulator, for a rational
-        k and the _Rows of an affine map from R^self.d to R^f.dim, or None for
-        the identity.
+        """Put k * (f o rows) into this accumulator, for a rational k and the
+        _Rows of an affine map from R^self.d to R^f.dim, or None for the
+        identity.
 
         Each term's monomial is pulled back by rows.product and its trig
-        factor by rows.frequency, in scaled ints over rows.pden, and put with
-        put_terms (a polynomial term is merged at once: its key is
-        canonical).  The terms that land on a nonzero reduced phase are
-        summed in a side accumulator first and expanded once at the end, as
-        done() expands, so the result is canonical.
+        factor by rows.frequency, to a scaled key over rows.pden reduced by
+        _reduce_scaled.  A polynomial term is merged at once (its key is
+        canonical), and so is a wave left at phase 0 or with no frequency,
+        through _expand_into; the waves at a nonzero reduced phase are summed
+        in scaled keys first and expanded once, at the end.
         """
         dim = self.d if rows is None else len(rows.trans)
         if f.dim != dim:
@@ -144,14 +107,14 @@ class _Acc:
         if not k:
             return
         kn, kd = k.numerator, k.denominator
+        out = self.terms
         if rows is None:
-            merge = self.merge
             for key, c in f.terms.items():
-                merge(key, c if k == 1 else -c if k == -1 else c.scaled(kn, kd))
+                _merge(out, key, c if k == 1 else -c if k == -1 else c.scaled(kn, kd))
             return
         zeros, zero_freq, pden = rows.zeros, self.zero_freq, rows.pden
-        merge, put_terms = self.merge, self.put_terms
-        for (alpha, mode, freq, _), c in f.terms.items():
+        phased = {}
+        for (alpha, mode, freq), c in f.terms.items():
             if any(alpha):
                 poly, den = rows.product(alpha)
                 den *= kd
@@ -159,49 +122,42 @@ class _Acc:
             else:
                 terms = ((zeros, c if k == 1 else -c if k == -1 else c.scaled(kn, kd)),)
             if mode == MODE_NONE:
-                # a polynomial term's key is canonical as it stands
                 for beta, cb in terms:
-                    merge((beta, MODE_NONE, zero_freq, 0), cb)
-            else:
-                F, P = rows.frequency(freq)
-                put_terms(mode, F, P, terms, pden)
-        phased = self.phased
-        if phased is not None:
-            self.phased = None
-            _expand_into(self, phased.terms, pden)
-
-    def merge(self, key, coeff):
-        """Add coeff at the canonical key; a zero coefficient or sum leaves no term."""
-        terms = self.terms
-        prev = terms.get(key)
-        if prev is None:
-            if not coeff.is_zero():
-                terms[key] = coeff
-            return
-        tot = prev + coeff
-        if tot.is_zero():
-            del terms[key]
-        else:
-            terms[key] = tot
+                    _merge(out, (beta, MODE_NONE, zero_freq), cb)
+                continue
+            F, P = rows.frequency(freq)
+            if any(F):
+                mode, F, P, neg = _reduce_scaled(mode, F, P, pden)
+                if neg:
+                    terms = [(beta, -cb) for beta, cb in terms]
+                if P:
+                    for beta, cb in terms:
+                        _merge(phased, (beta, mode, F, P), cb)
+                    continue
+            _expand_into(self, [((beta, mode, F, P), cb) for beta, cb in terms], pden)
+        if phased:
+            _expand_into(self, phased.items(), pden)
 
     def done(self):
-        """The PolyTrig of the terms, the one exit from scaled keys: each
-        frequency is divided back to ints (FrequencyError off the integer
-        lattice) and each phase expanded away, in the order of the terms."""
-        terms, den, d = self.terms, self.den, self.d
-        if den is None or all(key[1] == MODE_NONE for key in terms):
-            return PolyTrig(d, terms)
-        if any(key[3] for key in terms):
-            acc = _Acc(d)
-            _expand_into(acc, terms, den)
-            return PolyTrig(d, acc.terms)
-        return PolyTrig(d, {
-            (alpha, mode, _int_freq(F, den), 0): c for (alpha, mode, F, _), c in terms.items()
-        })
+        return PolyTrig(self.d, self.terms)
+
+
+def _merge(terms, key, coeff):
+    """Add coeff at key of the terms {key: Scalar}; a zero coefficient or sum leaves no term."""
+    prev = terms.get(key)
+    if prev is None:
+        if not coeff.is_zero():
+            terms[key] = coeff
+        return
+    tot = prev + coeff
+    if tot.is_zero():
+        del terms[key]
+    else:
+        terms[key] = tot
 
 
 def _reduce_scaled(mode, freq, phase, den):
-    """The canonical (mode, freq, phase) of a trig factor with nonzero freq and
+    """The reduced (mode, freq, phase) of a trig factor with nonzero freq and
     the int phase phase / den, den a multiple of 4 (or 1 for a canonical key,
     whose phase is 0), and whether its coefficient changes sign: the first
     nonzero frequency is made positive and the phase brought into
@@ -228,13 +184,6 @@ def _reduce_scaled(mode, freq, phase, den):
     return mode, freq, phase, neg
 
 
-def _int_freq(freq, den):
-    """The int frequency vector freq / den of a scaled key; FrequencyError off the integer lattice."""
-    if any(f % den for f in freq):
-        raise FrequencyError(f"trig frequency {unscale(freq, den)} is not an integer vector")
-    return tuple([f // den for f in freq])
-
-
 class PolyTrig:
     """Immutable exact function R^d -> R in the polynomial-trig ring."""
 
@@ -253,7 +202,7 @@ class PolyTrig:
     @staticmethod
     def const(d, c):
         acc = _Acc(d)
-        acc.put((0,) * d, MODE_NONE, acc.zero_freq, 0, Scalar.coerce(c))
+        acc.put((0,) * d, MODE_NONE, acc.zero_freq, Scalar.coerce(c))
         return acc.done()
 
     @staticmethod
@@ -263,13 +212,13 @@ class PolyTrig:
             raise DimensionError(f"axis {axis} out of range for dimension {d}")
         alpha = tuple(1 if i == axis - 1 else 0 for i in range(d))
         acc = _Acc(d)
-        acc.put(alpha, MODE_NONE, acc.zero_freq, 0, Scalar.one())
+        acc.put(alpha, MODE_NONE, acc.zero_freq, Scalar.exact(1))
         return acc.done()
 
     @staticmethod
     def monomial(d, alpha, c=1):
         acc = _Acc(d)
-        acc.put(tuple(alpha), MODE_NONE, acc.zero_freq, 0, Scalar.coerce(c))
+        acc.put(tuple(alpha), MODE_NONE, acc.zero_freq, Scalar.coerce(c))
         return acc.done()
 
     @staticmethod
@@ -281,7 +230,7 @@ class PolyTrig:
         if Fraction in map(type, freq):
             raise FrequencyError(f"trig frequency {freq} is not an integer vector")
         acc = _Acc(d)
-        acc.put((0,) * d, mode, freq, 0, Scalar.coerce(c))
+        acc.put((0,) * d, mode, freq, Scalar.coerce(c))
         return acc.done()
 
     @staticmethod
@@ -335,8 +284,7 @@ class PolyTrig:
 
     def constant_term(self):
         zeros = (0,) * self.dim
-        key = (zeros, MODE_NONE, zeros, 0)
-        return self.terms.get(key, Scalar.zero())
+        return self.terms.get((zeros, MODE_NONE, zeros), Scalar.zero())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -344,10 +292,10 @@ class PolyTrig:
         if isinstance(other, (int, Fraction, Scalar)):
             other = PolyTrig.const(self.dim, other)
         self._check_dim(other)
-        acc = _Acc(self.dim, dict(self.terms))
+        terms = dict(self.terms)
         for key, c in other.terms.items():
-            acc.merge(key, c)
-        return acc.done()
+            _merge(terms, key, c)
+        return PolyTrig(self.dim, terms)
 
     __radd__ = __add__
 
@@ -375,30 +323,31 @@ class PolyTrig:
             return self.scale(other)
         self._check_dim(other)
         acc = _Acc(self.dim)
-        for (a1, m1, q1, _), c1 in self.terms.items():
-            for (a2, m2, q2, _), c2 in other.terms.items():
+        terms = acc.terms
+        for (a1, m1, q1), c1 in self.terms.items():
+            for (a2, m2, q2), c2 in other.terms.items():
                 alpha = tuple(x + y for x, y in zip(a1, a2))
                 c = c1 * c2
                 if m1 == MODE_NONE:
-                    acc.merge((alpha, m2, q2, 0), c)
+                    _merge(terms, (alpha, m2, q2), c)
                 elif m2 == MODE_NONE:
-                    acc.merge((alpha, m1, q1, 0), c)
+                    _merge(terms, (alpha, m1, q1), c)
                 else:
                     qd = tuple(x - y for x, y in zip(q1, q2))
                     qs = tuple(x + y for x, y in zip(q1, q2))
                     ch = c * _HALF_SCALAR
                     if m1 == MODE_COS and m2 == MODE_COS:
-                        acc.put(alpha, MODE_COS, qd, 0, ch)
-                        acc.put(alpha, MODE_COS, qs, 0, ch)
+                        acc.put(alpha, MODE_COS, qd, ch)
+                        acc.put(alpha, MODE_COS, qs, ch)
                     elif m1 == MODE_SIN and m2 == MODE_SIN:
-                        acc.put(alpha, MODE_COS, qd, 0, ch)
-                        acc.put(alpha, MODE_COS, qs, 0, -ch)
+                        acc.put(alpha, MODE_COS, qd, ch)
+                        acc.put(alpha, MODE_COS, qs, -ch)
                     elif m1 == MODE_SIN and m2 == MODE_COS:
-                        acc.put(alpha, MODE_SIN, qd, 0, ch)
-                        acc.put(alpha, MODE_SIN, qs, 0, ch)
+                        acc.put(alpha, MODE_SIN, qd, ch)
+                        acc.put(alpha, MODE_SIN, qs, ch)
                     else:
-                        acc.put(alpha, MODE_SIN, qd, 0, -ch)
-                        acc.put(alpha, MODE_SIN, qs, 0, ch)
+                        acc.put(alpha, MODE_SIN, qd, -ch)
+                        acc.put(alpha, MODE_SIN, qs, ch)
         return acc.done()
 
     __rmul__ = __mul__
@@ -408,15 +357,15 @@ class PolyTrig:
     def partial(self, axis):
         """d/dx_axis, axis 1-based."""
         a = self._axis(axis)
-        acc = _Acc(self.dim)
-        for (alpha, mode, freq, phase), c in self.terms.items():
+        terms = {}
+        for (alpha, mode, freq), c in self.terms.items():
             if alpha[a] > 0:
-                acc.merge((_with(alpha, a, alpha[a] - 1), mode, freq, phase), c * alpha[a])
+                _merge(terms, (_with(alpha, a, alpha[a] - 1), mode, freq), c * alpha[a])
             if mode == MODE_COS and freq[a] != 0:
-                acc.merge((alpha, MODE_SIN, freq, phase), c * Scalar.exact(-2 * freq[a], 1))
+                _merge(terms, (alpha, MODE_SIN, freq), c * Scalar.exact(-2 * freq[a], 1))
             elif mode == MODE_SIN and freq[a] != 0:
-                acc.merge((alpha, MODE_COS, freq, phase), c * Scalar.exact(2 * freq[a], 1))
-        return acc.done()
+                _merge(terms, (alpha, MODE_COS, freq), c * Scalar.exact(2 * freq[a], 1))
+        return PolyTrig(self.dim, terms)
 
     def antiderivative(self, axis, coeffs=None, const=0):
         """Integral of self in x_axis from 0 to an upper limit.
@@ -427,10 +376,8 @@ class PolyTrig:
         substitute takes, and the result is F substituted there.
         """
         a = self._axis(axis)
-        terms = {(i, 0, *key): (1, 1) for i, key in enumerate(self.terms)}
-        acc = _Acc(self.dim)
-        _merge_scaled(acc, list(self.terms.values()), _axis_pass(terms, 1, a, a))
-        F = PolyTrig(self.dim, acc.terms)
+        terms = {(i, 0, *key, 0): (1, 1) for i, key in enumerate(self.terms)}
+        F = _from_int_terms(self.dim, list(self.terms.values()), 1, _axis_pass(terms, 1, a, a))
         return F if coeffs is None else F.substitute(axis, coeffs, const)
 
     def substitute(self, axis, coeffs, const):
@@ -479,7 +426,7 @@ class PolyTrig:
         if len(point) != self.dim:
             raise DimensionError("evaluation point has wrong length")
         tot = 0.0
-        for (alpha, mode, freq, _), c in self.terms.items():
+        for (alpha, mode, freq), c in self.terms.items():
             v = c.val
             for xi, e in zip(point, alpha):
                 if e:
@@ -493,7 +440,7 @@ class PolyTrig:
     # -- rendering ---------------------------------------------------------
 
     def _term_str(self, key):
-        alpha, mode, freq, _ = key
+        alpha, mode, freq = key
         parts = []
         for i, e in enumerate(alpha):
             if e == 1:
@@ -551,24 +498,35 @@ class PolyTrig:
 
 
 def _expand_into(acc, terms, den):
-    """Merge the scaled terms over den into the canonical acc, in their order:
-    each frequency divided back to ints and each phase p = P / den expanded
-    away, cos(a + 2*pi*p) = cos(a) cos(2*pi*p) - sin(a) sin(2*pi*p), and
-    likewise sin."""
-    merge = acc.merge
-    for (alpha, mode, F, P), c in terms.items():
-        freq = _int_freq(F, den)
+    """Merge the scaled terms ((alpha, mode, F, P), c) over den into the
+    canonical acc, in their order: the one exit from scaled keys.  Each
+    frequency is divided back to ints (FrequencyError off the integer
+    lattice) and each phase p = P / den expanded away,
+    cos(a + 2*pi*p) = cos(a) cos(2*pi*p) - sin(a) sin(2*pi*p), and likewise
+    sin; a wave with no frequency is the constant cos or sin(2*pi*p)."""
+    out, zero_freq = acc.terms, acc.zero_freq
+    for (alpha, mode, F, P), c in terms:
+        if mode == MODE_NONE:
+            _merge(out, (alpha, MODE_NONE, zero_freq), c)
+            continue
+        if not any(F):
+            p = Fraction(P, den)
+            _merge(out, (alpha, MODE_NONE, zero_freq), c * (cos2pi(p) if mode == MODE_COS else sin2pi(p)))
+            continue
+        if any(f % den for f in F):
+            raise FrequencyError(f"trig frequency {unscale(F, den)} is not an integer vector")
+        freq = tuple([f // den for f in F])
         if not P:
-            merge((alpha, mode, freq, 0), c)
+            _merge(out, (alpha, mode, freq), c)
             continue
         p = Fraction(P, den)
         cd, sd = cos2pi(p), sin2pi(p)
         if mode == MODE_COS:
-            merge((alpha, MODE_COS, freq, 0), c * cd)
-            merge((alpha, MODE_SIN, freq, 0), -(c * sd))
+            _merge(out, (alpha, MODE_COS, freq), c * cd)
+            _merge(out, (alpha, MODE_SIN, freq), -(c * sd))
         else:
-            merge((alpha, MODE_SIN, freq, 0), c * cd)
-            merge((alpha, MODE_COS, freq, 0), c * sd)
+            _merge(out, (alpha, MODE_SIN, freq), c * cd)
+            _merge(out, (alpha, MODE_COS, freq), c * sd)
 
 
 def _with(t, i, v):
@@ -592,7 +550,7 @@ def _axis_pass(terms, den, a, b):
     int terms: the limit is x_b, so b == a gives the antiderivative, or 1
     for b None.  An int term (i, s, alpha, mode, F, P): (n, m), m > 0, is
     n / m * pi**s times the caller's i-th coefficient, at a key scaled over
-    den (see _Acc; den 1 for canonical keys).  A term with no trig
+    den (see _reduce_scaled; den 1 and P 0 for a canonical key).  A term with no trig
     dependence on x_a integrates by its power, any other by parts, less the
     last step's value at x_a = 0; each step divides by w = 2*pi*F_a/den: a
     multiply by den / (2*F_a), F_a's sign moved into the numerator, and s - 1.
@@ -657,13 +615,18 @@ def _merge_pair(terms, key, n, m):
         terms[key] = (n, m)
 
 
-def _merge_scaled(acc, coeffs, terms):
-    """Merge each int term (i, s, alpha, mode, F, P): (n, m) into acc as the
-    Scalar coeffs[i] * n / m * pi**s, one per term, at (alpha, mode, F, P)
-    cut to acc's d axes, in the order of the terms."""
-    d, merge = acc.d, acc.merge
-    for (i, s, alpha, mode, F, P), (n, m) in terms.items():
-        merge((alpha[:d], mode, F[:d], P), coeffs[i].scaled(n, m, s))
+def _from_int_terms(d, coeffs, den, *int_terms):
+    """The PolyTrig on R^d of int terms over den (see _axis_pass): one Scalar
+    per scaled key, the sum of coeffs[i] * n / m * pi**s over the int terms
+    (i, s, alpha, mode, F, P): (n, m) at (alpha, mode, F, P) cut to d axes,
+    in the order of the terms, then expanded by _expand_into."""
+    scaled = {}
+    for terms in int_terms:
+        for (i, s, alpha, mode, F, P), (n, m) in terms.items():
+            _merge(scaled, (alpha[:d], mode, F[:d], P), coeffs[i].scaled(n, m, s))
+    acc = _Acc(d)
+    _expand_into(acc, scaled.items(), den)
+    return acc.done()
 
 
 class _Rows:
@@ -812,7 +775,7 @@ def translate(f, v):
 def constant_mod_free(f):
     """The constant value of f, or None if f is nonconstant beyond DEFAULT_TOL."""
     const = Scalar.zero()
-    for (alpha, mode, freq, phase), c in f.terms.items():
+    for (alpha, mode, _freq), c in f.terms.items():
         if mode == MODE_NONE and all(a == 0 for a in alpha):
             const = const + c
             continue

@@ -47,13 +47,13 @@ def rand_polytrig(rnd, d, freq_step=1, n_terms=2, max_deg=2):
     for _ in range(n_terms):
         if rnd.random() < 0.5:
             alpha = tuple(rnd.randint(0, max_deg) for _ in range(d))
-            acc.put(alpha if sum(alpha) <= max_deg else zeros, MODE_NONE, zeros, 0, rand_scalar(rnd))
+            acc.put(alpha if sum(alpha) <= max_deg else zeros, MODE_NONE, zeros, rand_scalar(rnd))
         else:
             freq = tuple(freq_step * rnd.randint(-1, 1) for _ in range(d))
             if not any(freq):
                 freq = (freq_step,) + zeros[1:]
             mode = MODE_COS if rnd.random() < 0.5 else MODE_SIN
-            acc.put(zeros, mode, freq, 0, rand_scalar(rnd))
+            acc.put(zeros, mode, freq, rand_scalar(rnd))
     return acc.done()
 
 
@@ -102,13 +102,13 @@ def rand_periodic_gauge(rnd, d):
     k = rand_int_vector(rnd, d, -1, 1)
     if any(k):
         mode = MODE_COS if rnd.random() < 0.5 else MODE_SIN
-        acc.put(zeros, mode, k, 0, rand_scalar(rnd))
+        acc.put(zeros, mode, k, rand_scalar(rnd))
     n = rnd.randint(-2, 2)
     if n:
         axis = rnd.randrange(d)
         alpha = tuple(1 if i == axis else 0 for i in range(d))
-        acc.put(alpha, MODE_NONE, zeros, 0, Scalar.exact(2 * n, 1))
-    acc.put(zeros, MODE_NONE, zeros, 0, rand_scalar(rnd))
+        acc.put(alpha, MODE_NONE, zeros, Scalar.exact(2 * n, 1))
+    acc.put(zeros, MODE_NONE, zeros, rand_scalar(rnd))
     return acc.done()
 
 

@@ -109,10 +109,6 @@ class Scalar:
         return Scalar({}, 1, 0.0, 0.0)
 
     @staticmethod
-    def one():
-        return Scalar({0: 1}, 1, None, 0.0)
-
-    @staticmethod
     def coerce(x):
         if isinstance(x, Scalar):
             return x

@@ -2,7 +2,7 @@
 
 Each tree is printed in the grammar and parsed.  The same tree is evaluated
 left to right with PolyTrig's own constructors (a trig atom at a phase is
-put through _Acc.put), +, -, * and repeated products for powers.  The two
+tests_util.trig_term, a wave composed with an affine map), +, -, * and repeated products for powers.  The two
 must agree term for term: the same keys in the same dict order, and the same coefficients, float-tier values and tolerances included
 (later float sums follow that order).  Every tree holds a leading minus, a
 product of sums, a power of a sum, pi^-n, a decimal and a p/q literal, a

@@ -372,24 +372,24 @@ def test_the_kernel_hashes_few_fractions_on_tier_f_data(monkeypatch, capsys):
 
 def _scalars_made(monkeypatch, omega, chain):
     """(Scalars made by integrate_chain(omega, chain), Scalars made before its
-    first forms._merge_scaled, the int terms that materialised, the result)."""
+    first forms._from_int_terms, the int terms that materialised, the result)."""
     made, first = [0], [None]
-    init, merge_scaled = Scalar.__init__, forms._merge_scaled
+    init, from_int_terms = Scalar.__init__, forms._from_int_terms
     terms = [0]
 
     def counting(self, *args):
         made[0] += 1
         init(self, *args)
 
-    def materialising(acc, coeffs, int_terms):
+    def materialising(d, coeffs, den, *int_terms):
         if first[0] is None:
             first[0] = made[0]
-        terms[0] += len(int_terms)
-        merge_scaled(acc, coeffs, int_terms)
+        terms[0] += sum(map(len, int_terms))
+        return from_int_terms(d, coeffs, den, *int_terms)
 
     with monkeypatch.context() as m:
         m.setattr(Scalar, "__init__", counting)
-        m.setattr(forms, "_merge_scaled", materialising)
+        m.setattr(forms, "_from_int_terms", materialising)
         got = integrate_chain(omega, chain)
     return made[0], first[0], terms[0], got
 
@@ -398,7 +398,7 @@ def test_the_kernel_makes_one_scalar_per_output_term(monkeypatch):
     # The kernel carries coefficients as int pairs per omega term and makes
     # one Scalar per (omega term, output key, pi shift) when the result
     # leaves it, plus a sum where two omega terms meet on a key; then
-    # _Acc.done expands the phases.
+    # _expand_into expands the phases.
     # The 6 Freudenthal cells of the flux cube: one omega term whose moments
     # sum in ints to one output term, one Scalar.
     H = constant_flux_gerbe(1).curvature()

@@ -22,11 +22,14 @@ from torusgauge.polytrig import (
     constant_mod_free,
     translate,
     _Acc,
+    _expand_into,
+    _merge,
+    _reduce_scaled,
 )
 from torusgauge.reports import CheckReport, phase_item
 from torusgauge.sampling import rand_form, rand_polytrig, rand_simplex, rng
-from torusgauge.scalar import DEFAULT_TOL, DROP_EPS, Scalar
-from tests_util import is_exact, phase_descends, phase_is_one, rand_polytrig_by_add, trig_term
+from torusgauge.scalar import DEFAULT_TOL, DROP_EPS, Scalar, cos2pi, sin2pi
+from tests_util import assert_int_key, is_exact, phase_descends, phase_is_one, rand_polytrig_by_add, trig_term
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -35,9 +38,9 @@ from tests_util import is_exact, phase_descends, phase_is_one, rand_polytrig_by_
 def test_parse_single_term_literal():
     f = parse_expr("2*pi*3*x1", 2)
     assert len(f.terms) == 1
-    ((alpha, mode, freq, phase),) = f.terms
+    ((alpha, mode, freq),) = f.terms
     assert alpha == (1, 0) and mode == 0
-    assert f.terms[(alpha, mode, freq, phase)].pi == {1: Fraction(6)}
+    assert f.terms[(alpha, mode, freq)].pi == {1: Fraction(6)}
 
 
 def test_parse_euler_expansion():
@@ -483,16 +486,15 @@ def _public_results():
 def test_public_results_have_int_only_keys():
     seen = 0
     for f in _public_results():
-        for _alpha, _mode, freq, phase in f.terms:
-            assert all(type(q) is int for q in freq), (f, freq)
-            assert type(phase) is int and phase == 0, (f, phase)
+        for key in f.terms:
+            assert_int_key(key)
             seen += 1
     assert seen > 100
 
 
 def test_public_constructors_make_canonical_keys():
-    # int entries and phase 0 in every key; a float or Fraction frequency is
-    # read as the integer it is
+    # every key is (alpha, mode, freq) of ints; a float or Fraction frequency
+    # is read as the integer it is
     made = [
         PolyTrig.zero(2),
         PolyTrig.const(2, Fraction(3, 4)),
@@ -504,9 +506,8 @@ def test_public_constructors_make_canonical_keys():
         PolyTrig.sin_freq(2, (-2, 1), 3),
     ]
     for f in made:
-        for alpha, _mode, freq, phase in f.terms:
-            assert all(type(q) is int for q in alpha + freq), f
-            assert type(phase) is int and phase == 0, f
+        for key in f.terms:
+            assert_int_key(key)
     # a frequency off the integer lattice makes no canonical value
     for make in (PolyTrig.cos_freq, PolyTrig.sin_freq, lambda d, q: PolyTrig.trig(d, MODE_SIN, q)):
         for bad in ((Fraction(1, 2), 0), (0, 0.5)):
@@ -521,7 +522,7 @@ def test_mixed_int_and_fraction_keys_meet():
     f = PolyTrig.const(2, 5) + PolyTrig.cos_freq(2, (1, 0))
     assert f.constant_term().pi == {0: 5}
     g = PolyTrig.var(2, 1).substitute(1, {}, Fraction(3))
-    assert g.terms[((0, 0), MODE_NONE, (Fraction(0), Fraction(0)), Fraction(0))].pi == {0: 3}
+    assert g.terms[((0, 0), MODE_NONE, (Fraction(0), Fraction(0)))].pi == {0: 3}
     # a frequency off the integer lattice makes no value, internal or public
     with pytest.raises(FrequencyError):
         trig_term(2, MODE_COS, (Fraction(1, 2), 1), 0)
@@ -555,8 +556,8 @@ def _items(f):
 def _put_all(d, pairs):
     """A PolyTrig from (key, coefficient) pairs, each put through one fresh _Acc."""
     acc = _Acc(d)
-    for (alpha, mode, freq, phase), c in pairs:
-        acc.put(alpha, mode, freq, phase, c)
+    for (alpha, mode, freq), c in pairs:
+        acc.put(alpha, mode, freq, c)
     return acc.done()
 
 
@@ -589,7 +590,7 @@ def test_merging_ops_match_putting_every_term():
     for _ in range(20):
         d = r.randint(1, 3)
         ops = list(_merge_operands(r, d))
-        polys = [g for g in ops if all(m == MODE_NONE for (_, m, _, _) in g.terms)]
+        polys = [g for g in ops if all(m == MODE_NONE for (_, m, _) in g.terms)]
         for a in ops:
             _assert_canonical(a)
             for b in ops:
@@ -626,26 +627,50 @@ def _reference_reduction(mode, freq, phase, sign):
     return (mode, freq, phase), sign
 
 
+def _reference_value(d, key, sign):
+    """sign * trig(freq, phase) at the reference key, its phase expanded by
+    cos(a + 2*pi*p) = cos(a) cos(2*pi*p) - sin(a) sin(2*pi*p) and likewise sin."""
+    mode, freq, phase = key
+    other = MODE_SIN if mode == MODE_COS else MODE_COS
+    c, s = Scalar.exact(sign) * cos2pi(phase), Scalar.exact(sign) * sin2pi(phase)
+    return PolyTrig.trig(d, mode, freq, c) + PolyTrig.trig(d, other, freq, -s if mode == MODE_COS else s)
+
+
 def test_scaled_reduction_matches_fraction_reduction():
-    # scaled keys (an _Acc over den) reduce as the reference does on
-    # (mode, F / den, P / den); the key stays ints, the phase in [0, den/4)
+    # a scaled key (ints F and P over den) reduces as the reference does on
+    # (mode, F / den, P / den): the key stays ints, the phase in [0, den/4).
+    # Its one exit, _expand_into, gives the reference's value, or a
+    # FrequencyError where F / den is off the integer lattice.
     r = random.Random(59)
-    one = Scalar.one()
+    one = Scalar.exact(1)
+    exits = 0
     for _ in range(3000):
         den = 4 * r.randint(1, 105)
-        freq = [r.randint(-3 * den, 3 * den) for _ in range(r.randint(1, 3))]
+        d = r.randint(1, 3)
+        if r.random() < 0.5:
+            freq = [den * r.randint(-3, 3) for _ in range(d)]
+        else:
+            freq = [r.randint(-3 * den, 3 * den) for _ in range(d)]
         freq[0] = freq[0] or den
         phase = r.randint(-3 * den, 3 * den)
         mode = r.choice((MODE_COS, MODE_SIN))
         want_key, want_sign = _reference_reduction(
             mode, tuple(Fraction(f, den) for f in freq), Fraction(phase, den), 1
         )
-        acc = _Acc(len(freq), den=den)
-        acc.put((0,) * len(freq), mode, tuple(freq), phase, one)
-        (((_, m, f, ph), c),) = acc.terms.items()
+        m, f, ph, neg = _reduce_scaled(mode, tuple(freq), phase, den)
         assert all(type(x) is int for x in (*f, ph)) and 0 <= ph < den // 4
         assert (m, tuple(Fraction(x, den) for x in f), Fraction(ph, den)) == want_key
-        assert c.num == {0: want_sign}
+        assert (-1 if neg else 1) == want_sign
+        acc = _Acc(d)
+        term = (((0,) * d, m, f, ph), -one if neg else one)
+        if any(x % den for x in f):
+            with pytest.raises(FrequencyError):
+                _expand_into(acc, [term], den)
+            continue
+        _expand_into(acc, [term], den)
+        assert acc.done() == _reference_value(d, want_key, want_sign)
+        exits += 1
+    assert exits > 1000
 
 
 def test_float_tier_sums_below_drop_eps_leave_no_term():
@@ -654,12 +679,12 @@ def test_float_tier_sums_below_drop_eps_leave_no_term():
     # check sees it; a larger one stays a term, and phase_item forgives it
     # up to DEFAULT_TOL.
     assert (DROP_EPS, DEFAULT_TOL) == (1e-15, 1e-9)
-    x1 = ((1, 0), MODE_NONE, (0, 0), 0)
+    x1 = ((1, 0), MODE_NONE, (0, 0))
     for rest, kept in ((8e-16, False), (1e-12, True)):
-        acc = _Acc(2)
-        acc.merge(x1, Scalar.approx(0.5))
-        acc.merge(x1, Scalar.approx(rest - 0.5))
-        slack = acc.done()
+        terms = {}
+        _merge(terms, x1, Scalar.approx(0.5))
+        _merge(terms, x1, Scalar.approx(rest - 0.5))
+        slack = PolyTrig(2, terms)
         assert list(slack.terms) == ([x1] if kept else []), rest
         if kept:
             assert abs(slack.terms[x1].val - rest) < DROP_EPS

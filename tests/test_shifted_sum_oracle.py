@@ -10,8 +10,8 @@ shifted_sum, written the same way, must differ from it by an expression that
 simplifies to 0.  Where the phases of denominators 5 and 7 reach the float
 tier, values at random points are checked against the parts evaluated at the
 shifted points; that check runs on every case and shares no code with
-shifted_sum.  Every result must also be canonical: int frequencies, the first
-nonzero one positive, and every phase 0.
+shifted_sum.  Every result must also be canonical: every key exactly
+(alpha, mode, freq) of ints, the first nonzero frequency positive.
 """
 
 import math
@@ -21,7 +21,7 @@ from fractions import Fraction
 from torusgauge.polytrig import MODE_NONE, shifted_sum
 from torusgauge.sampling import rand_polytrig
 from test_kernel_oracle import X, _function, _rational, sympy  # skips this module without sympy
-from tests_util import is_exact
+from tests_util import assert_int_key, is_exact
 
 CASES = 200
 
@@ -64,9 +64,9 @@ def _value(d, parts, x):
 
 
 def _assert_canonical(f):
-    for _alpha, mode, freq, phase in f.terms:
-        assert type(phase) is int and phase == 0, f
-        assert all(type(q) is int for q in freq), f
+    for key in f.terms:
+        assert_int_key(key)
+        _alpha, mode, freq = key
         if mode != MODE_NONE:
             assert next(q for q in freq if q) > 0, f
 

@@ -2,15 +2,13 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from math import lcm
 from operator import add
 
 from torusgauge import forms
 from torusgauge.cohomology import GroupCochain
-from torusgauge.polytrig import PolyTrig, _Acc, translate
+from torusgauge.polytrig import PolyTrig, _Acc, _Rows, translate
 from torusgauge.reports import CheckReport, phase_item, vec_label
 from torusgauge.sampling import rand_scalar
-from torusgauge.scalar import Scalar
 from torusgauge.vectors import as_vec, basis_vec, vneg
 
 
@@ -149,13 +147,19 @@ def rand_polytrig_by_add(rnd, d, freq_step=1, n_terms=2, max_deg=2):
     return out
 
 
+def assert_int_key(key):
+    """A canonical term key is exactly (alpha, mode, freq), every entry an int."""
+    assert type(key) is tuple and len(key) == 3, key
+    alpha, mode, freq = key
+    assert type(alpha) is tuple and type(freq) is tuple and len(alpha) == len(freq), key
+    assert all(type(x) is int for x in (*alpha, mode, *freq)), key
+
+
 def trig_term(d, mode, freq, phase, c=1):
     """The canonical c * cos or sin(2*pi*(freq.x + phase)) for a rational
-    phase, which the public constructors do not take: the term put in scaled
-    keys over D = 4 * lcm(denominators), and its phase expanded by done().
-    FrequencyError unless freq is an integer vector."""
-    freq, phase = [Fraction(f) for f in freq], Fraction(phase)
-    den = 4 * lcm(phase.denominator, *(f.denominator for f in freq))
-    acc = _Acc(d, den=den)
-    acc.put((0,) * d, mode, tuple(int(f * den) for f in freq), int(phase * den), Scalar.coerce(c))
+    phase, which the public constructors do not take: the wave
+    c * cos or sin(2*pi*u) on R^1 composed with u = freq.x + phase
+    (_Acc.add).  FrequencyError unless freq is an integer vector."""
+    acc = _Acc(d)
+    acc.add(PolyTrig.trig(1, mode, (1,), c), 1, _Rows.rational([list(freq)], [phase], d))
     return acc.done()
