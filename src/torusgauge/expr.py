@@ -37,7 +37,7 @@ from .errors import (
     FrequencyError,
     NonRealExpressionError,
 )
-from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, _Acc, _merge, _Rows
+from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, _Acc
 from .scalar import Scalar
 
 # Work bound on config counts: the largest `samples`, `equivalence_samples`
@@ -215,16 +215,14 @@ _WAVES = {MODE_COS: PolyTrig.cos_freq(1, (1,)), MODE_SIN: PolyTrig.sin_freq(1, (
 
 def _trig_from(d, mode, freq, const, pos):
     """cos/sin(2*pi*(freq.x) + const) as a real PolyTrig: the wave
-    cos/sin(2*pi*u) composed with u = freq.x + const / (2*pi) (_Acc.add).
+    cos/sin(2*pi*u) pulled back along u = freq.x + const / (2*pi).
     const must be a rational multiple of pi; FrequencyError otherwise,
     quoting the parser offset pos.
     """
     num = const.num
     if num is None or not set(num) <= {1}:
         raise FrequencyError(f"trig phase must be a rational multiple of pi (offset {pos})")
-    acc = _Acc(d)
-    acc.add(_WAVES[mode], 1, _Rows.rational([freq], [Fraction(num.get(1, 0), 2 * const.den)], d))
-    return acc.done()
+    return _WAVES[mode]._pullback([freq], [Fraction(num.get(1, 0), 2 * const.den)], d)
 
 
 def _scaled(f, c, alpha):
@@ -319,16 +317,14 @@ class _Reader:
             q, pip, alpha, v = self.term()
             if v is None:
                 if q:
-                    key = ((0,) * d if alpha is None else tuple(alpha), MODE_NONE, re_.zero_freq)
-                    _merge(re_.terms, key, Scalar.exact(-q if neg else q, pip))
+                    alpha = (0,) * d if alpha is None else tuple(alpha)
+                    re_.put(alpha, MODE_NONE, re_.zero_freq, Scalar.exact(-q if neg else q, pip))
             else:
-                for key, c in v.re.terms.items():
-                    _merge(re_.terms, key, -c if neg else c)
+                re_.add(v.re, -1 if neg else 1)
                 if v.im is not None:
                     if im is None:
                         im = _Acc(d)
-                    for key, c in v.im.terms.items():
-                        _merge(im.terms, key, -c if neg else c)
+                    im.add(v.im, -1 if neg else 1)
             kind = tokens[self.i][0]
             if kind != "+" and kind != "-":
                 return _Complex(re_.done(), None if im is None else im.done())

@@ -61,12 +61,12 @@ class _Acc:
     """Accumulator of canonical terms, keyed (alpha, mode, freq).
 
     put() canonicalises one term: a polynomial term's key is
-    (alpha, MODE_NONE, (0,)*d), and a trig term has its first nonzero int
-    frequency positive, a wave with no frequency folding to cos 0 = 1 or
-    sin 0 = 0.  add() puts a canonical function composed with an affine map;
-    done() makes the PolyTrig.  Ring ops whose output keys are canonical by
-    construction (sums, scalings, products with a polynomial factor,
-    derivatives) add coefficients with _merge directly.
+    (alpha, MODE_NONE, (0,)*d), a trig term has its first nonzero int
+    frequency positive, and a wave with no frequency is folded into a
+    constant by _expand_into.  add() puts a canonical function composed with
+    an affine map; done() makes the PolyTrig.  Ring ops whose output keys are
+    canonical by construction (sums, scalings, products with a polynomial
+    factor, derivatives) add coefficients with _merge directly.
     """
 
     __slots__ = ("d", "terms", "zero_freq")
@@ -77,17 +77,17 @@ class _Acc:
         self.zero_freq = (0,) * d
 
     def put(self, alpha, mode, freq, coeff):
-        """Add coeff * x^alpha * {1, cos, sin}(2*pi*freq.x), freq an int vector."""
-        if mode != MODE_NONE:
-            if any(freq):
-                mode, freq, _, neg = _reduce_scaled(mode, freq, 0, 1)
-                if neg:
-                    coeff = -coeff
-            elif mode == MODE_SIN:
-                return
-            else:
-                mode, freq = MODE_NONE, self.zero_freq
-        _merge(self.terms, (alpha, mode, freq), coeff)
+        """Add coeff * x^alpha * {1, cos, sin}(2*pi*freq.x), freq an int
+        vector; a zero coeff leaves the terms as they are."""
+        if coeff.is_zero():
+            return
+        if mode == MODE_NONE:
+            _merge(self.terms, (alpha, MODE_NONE, self.zero_freq), coeff)
+        elif any(freq):
+            mode, freq, _, neg = _reduce_scaled(mode, freq, 0, 1)
+            _merge(self.terms, (alpha, mode, freq), -coeff if neg else coeff)
+        else:
+            _expand_into(self, (((alpha, mode, freq, 0), coeff),), 1)
 
     def add(self, f, k=1, rows=None):
         """Put k * (f o rows) into this accumulator, for a rational k and the
@@ -132,7 +132,8 @@ class _Acc:
                     terms = [(beta, -cb) for beta, cb in terms]
                 if P:
                     for beta, cb in terms:
-                        _merge(phased, (beta, mode, F, P), cb)
+                        if not cb.is_zero():
+                            _merge(phased, (beta, mode, F, P), cb)
                     continue
             _expand_into(self, [((beta, mode, F, P), cb) for beta, cb in terms], pden)
         if phased:
@@ -503,15 +504,24 @@ def _expand_into(acc, terms, den):
     frequency is divided back to ints (FrequencyError off the integer
     lattice) and each phase p = P / den expanded away,
     cos(a + 2*pi*p) = cos(a) cos(2*pi*p) - sin(a) sin(2*pi*p), and likewise
-    sin; a wave with no frequency is the constant cos or sin(2*pi*p)."""
+    sin; a wave with no frequency is folded into the constant cos or
+    sin(2*pi*p).  A zero coefficient, or a zero folded constant, leaves no
+    term, so an exact coefficient never meets a float zero."""
     out, zero_freq = acc.terms, acc.zero_freq
     for (alpha, mode, F, P), c in terms:
+        if c.is_zero():
+            continue
         if mode == MODE_NONE:
             _merge(out, (alpha, MODE_NONE, zero_freq), c)
             continue
         if not any(F):
-            p = Fraction(P, den)
-            _merge(out, (alpha, MODE_NONE, zero_freq), c * (cos2pi(p) if mode == MODE_COS else sin2pi(p)))
+            if P:
+                p = Fraction(P, den)
+                c = c * (cos2pi(p) if mode == MODE_COS else sin2pi(p))
+            elif mode == MODE_SIN:
+                continue
+            if not c.is_zero():
+                _merge(out, (alpha, MODE_NONE, zero_freq), c)
             continue
         if any(f % den for f in F):
             raise FrequencyError(f"trig frequency {unscale(F, den)} is not an integer vector")

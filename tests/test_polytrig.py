@@ -21,6 +21,7 @@ from torusgauge.polytrig import (
     PolyTrig,
     constant_mod_free,
     translate,
+    value_at,
     _Acc,
     _expand_into,
     _merge,
@@ -640,20 +641,22 @@ def test_scaled_reduction_matches_fraction_reduction():
     # a scaled key (ints F and P over den) reduces as the reference does on
     # (mode, F / den, P / den): the key stays ints, the phase in [0, den/4).
     # Its one exit, _expand_into, gives the reference's value, or a
-    # FrequencyError where F / den is off the integer lattice.
-    r = random.Random(59)
+    # FrequencyError where F / den is off the integer lattice.  3,000 random
+    # frequencies, mostly off the lattice, then 1,500 on it.
+    draws, lattice = random.Random(59), random.Random(61)
     one = Scalar.exact(1)
     exits = 0
-    for _ in range(3000):
+    for n in range(4500):
+        r = draws if n < 3000 else lattice
         den = 4 * r.randint(1, 105)
-        d = r.randint(1, 3)
-        if r.random() < 0.5:
-            freq = [den * r.randint(-3, 3) for _ in range(d)]
+        if r is draws:
+            freq = [r.randint(-3 * den, 3 * den) for _ in range(r.randint(1, 3))]
         else:
-            freq = [r.randint(-3 * den, 3 * den) for _ in range(d)]
+            freq = [den * r.randint(-3, 3) for _ in range(r.randint(1, 3))]
         freq[0] = freq[0] or den
         phase = r.randint(-3 * den, 3 * den)
         mode = r.choice((MODE_COS, MODE_SIN))
+        d = len(freq)
         want_key, want_sign = _reference_reduction(
             mode, tuple(Fraction(f, den) for f in freq), Fraction(phase, den), 1
         )
@@ -670,7 +673,31 @@ def test_scaled_reduction_matches_fraction_reduction():
         _expand_into(acc, [term], den)
         assert acc.done() == _reference_value(d, want_key, want_sign)
         exits += 1
-    assert exits > 1000
+    assert exits > 1500
+
+
+def test_a_zero_wave_leaves_an_exact_coefficient_exact():
+    # A tier-F wave that vanishes where it is folded into a constant (no
+    # frequency left, sin or cos of the phase exactly 0), or a tier-F
+    # product below DROP_EPS, leaves no term: the exact constant it meets
+    # stays exact.
+    third = Fraction(1, 3)
+    c = cos2pi(Fraction(1, 5))
+    assert not c.is_exact
+    f = PolyTrig.const(1, third) + PolyTrig.trig(1, MODE_SIN, (1,), c)
+    for x in (0, Fraction(1, 2), 1):
+        v = value_at(f, (x,))
+        assert v.is_exact and v.rational_value() == third, x
+    g = PolyTrig.const(1, third) + PolyTrig.trig(1, MODE_COS, (1,), c)
+    v = value_at(g, (Fraction(1, 4),))
+    assert v.is_exact and v.rational_value() == third
+    h = PolyTrig.const(2, third) + PolyTrig.trig(2, MODE_SIN, (1, 0), c)
+    for x in (0, 1):
+        s = h.substitute(1, {}, x)
+        assert s == PolyTrig.const(2, third), x
+    tiny = PolyTrig.const(1, third) + PolyTrig.trig(1, MODE_COS, (1,), Scalar.approx(1e-8))
+    sq = (tiny * tiny).constant_term()
+    assert sq.is_exact and sq.rational_value() == third * third
 
 
 def test_float_tier_sums_below_drop_eps_leave_no_term():
