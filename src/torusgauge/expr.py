@@ -15,9 +15,10 @@ term whose degree in a variable exceeds MAX_COUNT however it got there
 (x1^100^100, (x1^100)^100, x1^6000*x1^6000) and a power of a number past the
 digit limit (3^10000^300).  Arguments of cos/sin/exp2pii must be affine with
 integer frequencies and a rational phase: 2*pi*(k.x + c) with k in Z^d and c
-rational (for exp2pii, k.x + c), else FrequencyError.  exp2pii is expanded
-through a complex intermediate, and only there: a real value carries no
-imaginary part.  The overall expression must be real-valued.
+rational (for exp2pii, k.x + c), else FrequencyError; such an atom is one
+PolyTrig.trig term at the int frequency k and the rational phase c.  exp2pii
+is expanded through a complex intermediate, and only there: a real value
+carries no imaginary part.  The overall expression must be real-valued.
 
 The text is tokenized whole, then read in one pass (_Reader); the value is
 the PolyTrig that evaluating the grammar tree with PolyTrig ring ops, left to
@@ -210,19 +211,15 @@ def _freq_and_const(arg, d, two_pi_scaled, pos):
     return tuple(freq), const
 
 
-_WAVES = {MODE_COS: PolyTrig.cos_freq(1, (1,)), MODE_SIN: PolyTrig.sin_freq(1, (1,))}
-
-
 def _trig_from(d, mode, freq, const, pos):
-    """cos/sin(2*pi*(freq.x) + const) as a real PolyTrig: the wave
-    cos/sin(2*pi*u) pulled back along u = freq.x + const / (2*pi).
-    const must be a rational multiple of pi; FrequencyError otherwise,
-    quoting the parser offset pos.
+    """cos/sin(2*pi*(freq.x) + const) as a real PolyTrig: PolyTrig.trig at
+    the rational phase const / (2*pi).  const must be a rational multiple of
+    pi; FrequencyError otherwise, quoting the parser offset pos.
     """
     num = const.num
     if num is None or not set(num) <= {1}:
         raise FrequencyError(f"trig phase must be a rational multiple of pi (offset {pos})")
-    return _WAVES[mode]._pullback([freq], [Fraction(num.get(1, 0), 2 * const.den)], d)
+    return PolyTrig.trig(d, mode, freq, 1, Fraction(num.get(1, 0), 2 * const.den))
 
 
 def _scaled(f, c, alpha):

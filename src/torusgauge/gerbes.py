@@ -200,6 +200,9 @@ def flux_class(gerbe):
 # the orderings p of three axes, each with its parity
 _ORDERINGS = tuple(zip(itertools.permutations(range(3)), (1, -1, -1, 1, 1, -1)))
 
+# the immutable Freudenthal cells of the unit cube on each (d, face), built once
+_CUBE_CELLS = {}
+
 
 def _integrate_unit_cube(H, face):
     """Exact integral of a 3-form over the unit cube [0, 1]^3 on the face axes.
@@ -210,9 +213,12 @@ def _integrate_unit_cube(H, face):
     function of the base point x, is taken at x = 0.
     """
     d = H.dim
-    edges = [basis_vec(d, a) for a in face]
-    top = tuple(map(sum, zip(*edges)))
-    chain = [AffineSimplex(top, [edges[i] for i in p], sign=s) for p, s in _ORDERINGS]
+    chain = _CUBE_CELLS.get((d, face))
+    if chain is None:
+        edges = [basis_vec(d, a) for a in face]
+        top = tuple(map(sum, zip(*edges)))
+        chain = tuple(AffineSimplex(top, [edges[i] for i in p], sign=s) for p, s in _ORDERINGS)
+        _CUBE_CELLS[d, face] = chain
     return value_at(integrate_chain(H, chain), vzero(d))
 
 

@@ -14,11 +14,12 @@ integer frequencies only (FrequencyError otherwise).
 A trig factor cos or sin(2*pi*(q.x + p)) with a rational frequency or phase
 lives only where it is made, in scaled keys (alpha, mode, F, P): the ints
 F = D*q and P = D*p over one D, a multiple of 4, so key arithmetic builds and
-hashes no Fraction.  Pullbacks, translations and the integration kernel make
-such factors, and _reduce_scaled brings each to its reduced form.
-_expand_into is the one exit from scaled keys: it divides each frequency
-back to ints (FrequencyError off the integer lattice) and expands each phase
-into coefficients, with cos2pi and sin2pi.
+hashes no Fraction.  Pullbacks, translations, the integration kernel and
+PolyTrig.trig at a phase (the parser's trig atoms) make such factors, and
+_reduce_scaled brings each to its reduced form.  _expand_into is the one
+exit from scaled keys: it divides each frequency back to ints
+(FrequencyError off the integer lattice) and expands each phase P/D into
+coefficients with cos2pi and sin2pi, which read it as an int residue.
 
 The ring is closed under +, *, partial derivatives, translation by rational
 vectors, antidifferentiation in one variable and pullback along affine maps
@@ -28,12 +29,12 @@ values are immutable after construction and safe to share across threads.
 Composition has one routine: _Acc.add(f, k, rows) puts k * (f o rows) into
 canonical keys, rows being the _Rows of an affine map, and expands the
 phases the map leaves once, at the end.  Translation (rows from
-_Rows.shift), substitution, Form arithmetic, the parser's trig atoms and
-point values all run through it: value_at(f, p) is f composed with the
-constant map onto the point p.  shifted_sum(d, parts) adds k * f(x - v) for
-each part (k, f, v) into one accumulator, so a signed sum of shifted
-functions, such as the slack of a cocycle identity, builds no intermediate
-PolyTrig; translate(f, v) is the one-part sum.
+_Rows.shift), substitution, Form arithmetic and point values all run
+through it: value_at(f, p) is f composed with the constant map onto the
+point p.  shifted_sum(d, parts) adds k * f(x - v) for each part (k, f, v)
+into one accumulator, so a signed sum of shifted functions, such as the
+slack of a cocycle identity, builds no intermediate PolyTrig;
+translate(f, v) is the one-part sum.
 
 A U(1)-valued function exp(i*theta) is carried as its exponent theta, a
 PolyTrig: products of phases are sums of exponents, and two phases agree when
@@ -78,9 +79,7 @@ class _Acc:
 
     def put(self, alpha, mode, freq, coeff):
         """Add coeff * x^alpha * {1, cos, sin}(2*pi*freq.x), freq an int
-        vector; a zero coeff leaves the terms as they are."""
-        if coeff.is_zero():
-            return
+        vector; a zero coeff leaves the terms as they are (see _merge)."""
         if mode == MODE_NONE:
             _merge(self.terms, (alpha, MODE_NONE, self.zero_freq), coeff)
         elif any(freq):
@@ -132,8 +131,7 @@ class _Acc:
                     terms = [(beta, -cb) for beta, cb in terms]
                 if P:
                     for beta, cb in terms:
-                        if not cb.is_zero():
-                            _merge(phased, (beta, mode, F, P), cb)
+                        _merge(phased, (beta, mode, F, P), cb)
                     continue
             _expand_into(self, [((beta, mode, F, P), cb) for beta, cb in terms], pden)
         if phased:
@@ -144,11 +142,13 @@ class _Acc:
 
 
 def _merge(terms, key, coeff):
-    """Add coeff at key of the terms {key: Scalar}; a zero coefficient or sum leaves no term."""
+    """Add coeff at key of the terms {key: Scalar}; a zero coefficient or sum leaves
+    no term, so a tier-F zero never turns an exact coefficient into a float."""
+    if coeff.is_zero():
+        return
     prev = terms.get(key)
     if prev is None:
-        if not coeff.is_zero():
-            terms[key] = coeff
+        terms[key] = coeff
         return
     tot = prev + coeff
     if tot.is_zero():
@@ -223,15 +223,25 @@ class PolyTrig:
         return acc.done()
 
     @staticmethod
-    def trig(d, mode, freq, c=1):
-        """c * cos or sin(2*pi*freq.x); FrequencyError unless freq is integral."""
+    def trig(d, mode, freq, c=1, phase=0):
+        """c * cos or sin(2*pi*(freq.x + phase)), FrequencyError unless freq is
+        integral; a rational phase p/q != 0 is one scaled key over 4q."""
         if len(freq) != d:
             raise DimensionError("frequency vector has wrong length")
         freq = tuple(map(int_if_integral, freq))
         if Fraction in map(type, freq):
             raise FrequencyError(f"trig frequency {freq} is not an integer vector")
-        acc = _Acc(d)
-        acc.put((0,) * d, mode, freq, Scalar.coerce(c))
+        acc, c, zeros = _Acc(d), Scalar.coerce(c), (0,) * d
+        phase = int_if_integral(phase)
+        if not phase:
+            acc.put(zeros, mode, freq, c)
+        else:
+            den = 4 * phase.denominator
+            F, P = tuple([den * f for f in freq]), 4 * phase.numerator
+            if any(F):
+                mode, F, P, neg = _reduce_scaled(mode, F, P, den)
+                c = -c if neg else c
+            _expand_into(acc, (((zeros, mode, F, P), c),), den)
         return acc.done()
 
     @staticmethod
@@ -505,8 +515,8 @@ def _expand_into(acc, terms, den):
     lattice) and each phase p = P / den expanded away,
     cos(a + 2*pi*p) = cos(a) cos(2*pi*p) - sin(a) sin(2*pi*p), and likewise
     sin; a wave with no frequency is folded into the constant cos or
-    sin(2*pi*p).  A zero coefficient, or a zero folded constant, leaves no
-    term, so an exact coefficient never meets a float zero."""
+    sin(2*pi*p).  A zero coefficient is skipped before its phase is
+    evaluated, and _merge leaves no term for a zero product."""
     out, zero_freq = acc.terms, acc.zero_freq
     for (alpha, mode, F, P), c in terms:
         if c.is_zero():
@@ -520,8 +530,7 @@ def _expand_into(acc, terms, den):
                 c = c * (cos2pi(p) if mode == MODE_COS else sin2pi(p))
             elif mode == MODE_SIN:
                 continue
-            if not c.is_zero():
-                _merge(out, (alpha, MODE_NONE, zero_freq), c)
+            _merge(out, (alpha, MODE_NONE, zero_freq), c)
             continue
         if any(f % den for f in F):
             raise FrequencyError(f"trig frequency {unscale(F, den)} is not an integer vector")

@@ -11,6 +11,8 @@ however they were built.  Tier F stores a float together with an absolute
 tolerance that is propagated (conservatively) through arithmetic.  Mixing the
 tiers degrades to tier F.  Powers of pi are linearly independent over the
 rationals, so tier E zero- and membership-tests are decidable termwise.
+cos2pi and sin2pi, where a rational phase becomes a value, look its int
+residue mod 1 up in one Niven table keyed by int pairs.
 """
 
 from __future__ import annotations
@@ -26,14 +28,6 @@ DEFAULT_TOL = 1e-9
 DROP_EPS = 1e-15
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 def _reduced(num, den):
@@ -290,19 +284,14 @@ def rational_str(q):
         raise SizeLimitError(f"a number in the result exceeds {limit} digits") from None
 
 
-# Exact values of cos(2*pi*t) and sin(2*pi*t) at the rational arguments where
-# the value is itself rational (Niven): denominators 1, 2, 3, 4, 6 for cos and
-# 1, 2, 4, 12 for sin, normalized to t in [0, 1).
-
-_COS_TABLE = {
-    Fraction(0): Fraction(1),
-    Fraction(1, 2): Fraction(-1),
-    Fraction(1, 4): Fraction(0),
-    Fraction(3, 4): Fraction(0),
-    Fraction(1, 3): Fraction(-1, 2),
-    Fraction(2, 3): Fraction(-1, 2),
-    Fraction(1, 6): Fraction(1, 2),
-    Fraction(5, 6): Fraction(1, 2),
+# The exact values of cos(2*pi*t) at the rational t where the value is itself
+# rational (I. Niven, Irrational Numbers, 1956), keyed by the int residue
+# (n, q) of t = n/q mod 1 in lowest terms: denominators 1, 2, 3, 4 and 6,
+# where 2 cos(2*pi*t) is an int.  sin(2*pi*t) is cos(2*pi*(1/4 - t)).
+_NIVEN = {
+    key: Scalar.exact(Fraction(twice, 2))
+    for key, twice in {(0, 1): 2, (1, 2): -2, (1, 3): -1, (2, 3): -1,
+                       (1, 4): 0, (3, 4): 0, (1, 6): 1, (5, 6): 1}.items()
 }
 
 
@@ -310,19 +299,31 @@ _COS_TABLE = {
 _TRIG_EPS = 1e-14
 
 
+def _residue(t):
+    """(n, q) with t = n/q mod 1, 0 <= n < q, in lowest terms; t an int or a Fraction."""
+    if not isinstance(t, (int, Fraction)):
+        raise TypeError(f"expected int or Fraction, got {type(t).__name__}")
+    q = t.denominator
+    return t.numerator % q, q
+
+
 def cos2pi(t):
     """cos(2*pi*t) for rational t, exact when the value is rational."""
-    t = _as_fraction(t) % 1
-    q = _COS_TABLE.get(t)
-    if q is not None:
-        return Scalar.exact(q)
-    return Scalar.approx(math.cos(_TWO_PI * float(t)), _TRIG_EPS)
+    n, q = _residue(t)
+    c = _NIVEN.get((n, q))
+    if c is not None:
+        return c
+    # n / q is correctly rounded, so this is float(t % 1)
+    return Scalar.approx(math.cos(_TWO_PI * (n / q)), _TRIG_EPS)
 
 
 def sin2pi(t):
     """sin(2*pi*t) for rational t, exact when the value is rational."""
-    t = _as_fraction(t) % 1
-    q = _COS_TABLE.get((Fraction(1, 4) - t) % 1)
-    if q is not None:
-        return Scalar.exact(q)
-    return Scalar.approx(math.sin(_TWO_PI * float(t)), _TRIG_EPS)
+    n, q = _residue(t)
+    # 1/4 - t = (q - 4n) / 4q mod 1, brought to lowest terms
+    m, r = (q - 4 * n) % (4 * q), 4 * q
+    g = gcd(m, r)
+    c = _NIVEN.get((m // g, r // g))
+    if c is not None:
+        return c
+    return Scalar.approx(math.sin(_TWO_PI * (n / q)), _TRIG_EPS)

@@ -12,7 +12,7 @@ cos or sin atom and a conjugate exp2pii pair; its remaining terms are random.
 import random
 from fractions import Fraction
 
-from torusgauge.expr import parse_expr
+from torusgauge.expr import _Reader, parse_expr
 from torusgauge.polytrig import MODE_COS, MODE_SIN, PolyTrig
 from torusgauge.scalar import Scalar
 from tests_util import trig_term
@@ -184,3 +184,25 @@ def test_reader_matches_ring_ops_on_random_trees():
         assert same(got, t.value), (i, t.text, str(got), str(t.value))
         floats += any(not c.is_exact for c in got.terms.values())
     assert floats > TREES // 4  # the float tier is exercised too
+
+
+def test_trig_atoms_match_the_pulled_back_wave():
+    # cos/sin(2*pi*(k.x) + c*pi) and exp2pii(k.x + c/2) are one
+    # PolyTrig.trig term at the phase c/2: keys, dict order and coefficients
+    # as the wave cos or sin(2*pi*u) composed with u = k.x + c/2
+    r = random.Random(2707)
+    floats = 0
+    for i in range(400):
+        d = r.choice((1, 2, 3))
+        freq = (0,) * d if i % 10 == 0 else tuple(r.randint(-3, 3) for _ in range(d))
+        q = r.randint(1, 12)
+        c = Fraction(r.randint(-3 * q, 3 * q), q)
+        pi_part = "" if not c else f" {'-' if c < 0 else '+'} {abs(c)}*pi"
+        for name, mode in (("cos", MODE_COS), ("sin", MODE_SIN)):
+            got = parse_expr(f"{name}(2*pi*({affine(freq, 0)}){pi_part})", d)
+            assert same(got, trig_term(d, mode, freq, c / 2)), (name, freq, c)
+            floats += any(not v.is_exact for v in got.terms.values())
+        got = _Reader(f"exp2pii({affine(freq, c / 2)})", d).expr()
+        assert same(got.re, trig_term(d, MODE_COS, freq, c / 2)), ("exp2pii", freq, c)
+        assert same(got.im, trig_term(d, MODE_SIN, freq, c / 2)), ("exp2pii", freq, c)
+    assert floats > 100  # phases off the Niven table are met too

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from torusgauge import forms
-from torusgauge.cli import run
+from torusgauge.cli import load_scenario, run
 from torusgauge.errors import DegreeError
 from torusgauge.expr import parse_expr
 from torusgauge.forms import (
@@ -18,7 +18,7 @@ from torusgauge.forms import (
     integrate_path,
     integrate_simplex,
 )
-from torusgauge.gerbes import _ORDERINGS, _integrate_unit_cube, constant_flux_gerbe
+from torusgauge.gerbes import _ORDERINGS, _integrate_unit_cube, constant_flux_gerbe, flux_class
 from torusgauge.polytrig import MODE_NONE, PolyTrig, translate, value_at
 from torusgauge.sampling import (
     rand_form,
@@ -30,7 +30,7 @@ from torusgauge.sampling import (
 )
 from torusgauge.scalar import Scalar
 from torusgauge.vectors import basis_vec, det, vneg, vsub, vzero
-from tests_util import is_exact, op_calls
+from tests_util import code_calls, is_exact, op_calls
 
 
 def quad_simplex(omega, simplex, base, n=32):
@@ -341,9 +341,8 @@ TIER_F_GERBE = Path(__file__).resolve().parent / "data" / "tier_f_gerbe.json"
 
 def test_the_kernel_hashes_few_fractions_on_tier_f_data(monkeypatch, capsys):
     # Trig terms carry their frequencies and phases as ints over one chain
-    # denominator until the result leaves the kernel, so the kernel hashes a
-    # Fraction only in the cos2pi and sin2pi table lookups of its one phase
-    # expansion: 16 for these 8 chains.
+    # denominator until the result leaves the kernel, and cos2pi and sin2pi
+    # look a phase up by its int residue, so the kernel hashes no Fraction.
     counts = {"chains": 0, "hashes": 0}
     inside = [False]
     fraction_hash = Fraction.__hash__
@@ -367,7 +366,17 @@ def test_the_kernel_hashes_few_fractions_on_tier_f_data(monkeypatch, capsys):
         assert run([command, "--config", str(TIER_F_GERBE), "--seed", "0"]) == 0
     capsys.readouterr()
     assert counts["chains"] == 8
-    assert counts["hashes"] <= 16, counts
+    assert counts["hashes"] == 0, counts
+
+
+def test_loading_tier_f_configs_pulls_back_nothing():
+    # A parsed trig atom is one PolyTrig.trig term at its phase, not a wave
+    # pulled back along an affine map.
+    for name in ("tier_f_gerbe.json", "tier_f_line.json"):
+        with code_calls() as calls:
+            load_scenario(TIER_F_GERBE.parent / name)
+        assert calls[PolyTrig._pullback.__code__] == 0, name
+        assert calls[PolyTrig.trig.__code__] > 0, name
 
 
 def _scalars_made(monkeypatch, omega, chain):
@@ -661,3 +670,12 @@ def test_box_integral_of_the_unit_cube():
     assert integrate_chain(H, box_chain(edges)) == PolyTrig.const(3, flux)
     with pytest.raises(DegreeError):
         integrate_chain(H, box_chain(edges[:2]))
+
+
+def test_the_unit_cube_cells_are_built_once():
+    # a face's six Freudenthal cells are made on its first integral only
+    gerbe = constant_flux_gerbe(1)
+    flux_class(gerbe)
+    with code_calls() as calls:
+        assert flux_class(gerbe) == {(1, 2, 3): 1}
+    assert calls[AffineSimplex.__init__.__code__] == 0

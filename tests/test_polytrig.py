@@ -516,6 +516,24 @@ def test_public_constructors_make_canonical_keys():
                 make(2, bad)
 
 
+def test_a_wave_at_a_phase_is_the_composed_wave():
+    # PolyTrig.trig at a rational phase: the same keys, dict order and
+    # coefficients as the wave composed with u = freq.x + phase
+    r = random.Random(2708)
+    for _ in range(300):
+        d = r.choice((1, 2, 3))
+        freq = tuple(r.randint(-3, 3) for _ in range(d))
+        q = r.randint(1, 12)
+        phase = r.choice((0, 1, -2, Fraction(r.randint(-2 * q, 2 * q), q)))
+        c = r.choice((1, Fraction(-2, 3), Scalar.exact(3, 1), Scalar.approx(0.7, 1e-12)))
+        mode = r.choice((MODE_COS, MODE_SIN))
+        got, want = PolyTrig.trig(d, mode, freq, c, phase), trig_term(d, mode, freq, phase, c)
+        assert list(got.terms) == list(want.terms), (mode, freq, phase)
+        for key, v in got.terms.items():
+            w = want.terms[key]
+            assert (v.num, v.den, v.val, v.tol) == (w.num, w.den, w.val, w.tol), (mode, freq, phase)
+
+
 def test_mixed_int_and_fraction_keys_meet():
     a = PolyTrig.trig(2, MODE_COS, (Fraction(2), 1)) + PolyTrig.trig(2, MODE_COS, (2, 1))
     assert len(a.terms) == 1
@@ -718,3 +736,16 @@ def test_float_tier_sums_below_drop_eps_leave_no_term():
         report = CheckReport("float_drop")
         assert phase_item(report, "x1", slack), rest
         assert report.items[0].residue == "0"
+
+
+def test_a_float_zero_never_meets_an_exact_coefficient():
+    # A tier-F coefficient below DROP_EPS is a zero wherever terms merge, so
+    # it leaves an exact coefficient at its key exact: in a product,
+    # 1e-8 * x1 * 1e-8 is such a zero at the key of the exact x1.
+    tiny = Scalar.approx(1e-8)
+    f = PolyTrig.const(1, 1) + PolyTrig.monomial(1, (1,), tiny)
+    g = PolyTrig.var(1, 1) + PolyTrig.const(1, tiny)
+    x1 = ((1,), MODE_NONE, (0,))
+    for h in (f * g, g * f, PolyTrig.var(1, 1) + PolyTrig.monomial(1, (1,), Scalar.approx(1e-16))):
+        c = h.terms[x1]
+        assert c.is_exact and c.rational_value() == 1, str(h)

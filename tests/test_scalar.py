@@ -3,6 +3,8 @@ import random
 import sys
 from fractions import Fraction
 
+import pytest
+
 from torusgauge.scalar import Scalar, cos2pi, sin2pi
 
 
@@ -249,3 +251,52 @@ def test_scaled_with_a_pi_shift_is_the_product():
         n, d, s = rnd.randint(-50, 50), rnd.randint(1, 60), rnd.randint(-4, 4)
         assert _same(c.scaled(n, d, s), c * Scalar.exact(Fraction(n, d), s))
     assert Scalar.exact(2, 1).scaled(3, 4, -2).pi == {-1: Fraction(3, 2)}
+
+
+# The Fraction-keyed Niven table that cos2pi and sin2pi read before they took
+# the int residue of their argument, kept as their reference.
+_REFERENCE_COS = {
+    Fraction(0): Fraction(1),
+    Fraction(1, 2): Fraction(-1),
+    Fraction(1, 4): Fraction(0),
+    Fraction(3, 4): Fraction(0),
+    Fraction(1, 3): Fraction(-1, 2),
+    Fraction(2, 3): Fraction(-1, 2),
+    Fraction(1, 6): Fraction(1, 2),
+    Fraction(5, 6): Fraction(1, 2),
+}
+
+
+def _reference_cos2pi(t):
+    t = Fraction(t) % 1
+    q = _REFERENCE_COS.get(t)
+    if q is not None:
+        return Scalar.exact(q)
+    return Scalar.approx(math.cos(2.0 * math.pi * float(t)), 1e-14)
+
+
+def _reference_sin2pi(t):
+    t = Fraction(t) % 1
+    q = _REFERENCE_COS.get((Fraction(1, 4) - t) % 1)
+    if q is not None:
+        return Scalar.exact(q)
+    return Scalar.approx(math.sin(2.0 * math.pi * float(t)), 1e-14)
+
+
+def test_trig_values_match_the_fraction_table():
+    # the same tier, num/den, and bit for bit the same val and tol
+    args = [Fraction(n, q) for q in range(1, 241) for n in range(-2 * q, 2 * q)]
+    args += list(range(-5, 6))
+    exact = 0
+    for t in args:
+        for got, want in ((cos2pi(t), _reference_cos2pi(t)), (sin2pi(t), _reference_sin2pi(t))):
+            assert (got.num, got.den, got.val, got.tol) == (want.num, want.den, want.val, want.tol), t
+            exact += got.is_exact
+    assert exact > 1000  # every Niven value is met at many arguments
+
+
+def test_trig_values_refuse_a_non_rational_argument():
+    for t in (0.25, "1/4", Scalar.exact(1)):
+        for fn in (cos2pi, sin2pi):
+            with pytest.raises(TypeError):
+                fn(t)

@@ -157,9 +157,10 @@ def assert_int_key(key):
 
 def trig_term(d, mode, freq, phase, c=1):
     """The canonical c * cos or sin(2*pi*(freq.x + phase)) for a rational
-    phase, which the public constructors do not take: the wave
-    c * cos or sin(2*pi*u) on R^1 composed with u = freq.x + phase
-    (_Acc.add).  FrequencyError unless freq is an integer vector."""
+    phase, built as the wave c * cos or sin(2*pi*u) on R^1 composed with
+    u = freq.x + phase (_Acc.add): the reference for PolyTrig.trig at a
+    phase and the reader's trig atoms.  FrequencyError unless freq is an
+    integer vector."""
     acc = _Acc(d)
     acc.add(PolyTrig.trig(1, mode, (1,), c), 1, _Rows.rational([list(freq)], [phase], d))
     return acc.done()
