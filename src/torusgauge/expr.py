@@ -8,17 +8,21 @@
     var    := 'x' uint
 
 Numbers are integers, rationals p/q, or decimal/scientific literals; decimal
-literals are read exactly as rationals.  Exponents are unsigned except on
-'pi', where a negative exponent is allowed (antiderivatives produce 1/(2*pi)
+literals are read exactly as rationals, into ints from the digit groups the
+literal's match already holds.  Exponents are unsigned except on 'pi', where
+a negative exponent is allowed (antiderivatives produce 1/(2*pi)
 coefficients); an exponent above MAX_COUNT is a syntax error, and so are a
 term whose degree in a variable exceeds MAX_COUNT however it got there
 (x1^100^100, (x1^100)^100, x1^6000*x1^6000) and a power of a number past the
 digit limit (3^10000^300).  Arguments of cos/sin/exp2pii must be affine with
 integer frequencies and a rational phase: 2*pi*(k.x + c) with k in Z^d and c
-rational (for exp2pii, k.x + c), else FrequencyError; such an atom is one
-PolyTrig.trig term at the int frequency k and the rational phase c.  exp2pii
-is expanded through a complex intermediate, and only there: a real value
-carries no imaginary part.  The overall expression must be real-valued.
+rational (for exp2pii, k.x + c), else FrequencyError.  An argument's terms
+are merged into one dict, which is read into the int vector k and the
+rational c with no PolyTrig built for it, and the atom is one PolyTrig.trig
+call at k and c, with the plain coefficient written before the atom
+(3/2*pi*cos(...)) as its coefficient.  exp2pii is expanded through a complex
+intermediate, and only there: a real value carries no imaginary part.  The
+overall expression must be real-valued.
 
 The text is tokenized whole, then read in one pass (_Reader); the value is
 the PolyTrig that evaluating the grammar tree with PolyTrig ring ops, left to
@@ -38,7 +42,7 @@ from .errors import (
     FrequencyError,
     NonRealExpressionError,
 )
-from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, _Acc
+from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, _merge
 from .scalar import Scalar
 
 # Work bound on config counts: the largest `samples`, `equivalence_samples`
@@ -48,64 +52,53 @@ from .scalar import Scalar
 # config error.
 MAX_COUNT = 10_000
 _LOG10_2 = math.log10(2)
+# the interpreter sets no digit limit below this many digits
+_SAFE_DIGITS = sys.int_info.str_digits_check_threshold
 
-# One token per match, after optional whitespace: a number, a variable, a
-# name or an operator, or else any other non-space character, which is an
+# One token per match, after optional whitespace: an operator or a name, a
+# number, a variable, or else any other non-space character, which is an
 # error.  Trailing whitespace matches nothing.
 _TOKEN_RE = re.compile(
-    r"""
-    (\s*)
-    (?: (\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?:/\d+)?)
-      | (x\d+)
-      | (pi|cos|sin|exp2pii|[-+*^()])
-      | (\S)
-    )
-    """,
-    re.VERBOSE,
+    r"\s*([-+*^()]|pi|cos|sin|exp2pii|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?:/\d+)?|x\d+|\S)"
 )
+_NAMES = frozenset(("-", "+", "*", "^", "(", ")", "pi", "cos", "sin", "exp2pii"))
 
 
 def _tokenize(text):
-    """(kind, text, offset) per token, then ("end", "", len(text)).
+    """(kinds, texts) of the tokens, then "end" and "".
 
-    kind is "num" or "var", or the text itself for a name or an operator.  The
-    whole text is scanned before any of it is read, so a character no token
-    starts with is reported first, wherever it is.
+    A kind is "num" or "var", or the text itself for a name or an operator.
+    The whole text is scanned before any of it is read, so a character no
+    token starts with is reported first, wherever it is.  Offsets are not
+    kept: _offsets finds them again for an error message.
     """
-    tokens = []
-    pos = 0
-    for ws, num, var, sym, bad in _TOKEN_RE.findall(text):
-        pos += len(ws)
-        if num:
-            tokens.append(("num", num, pos))
-            pos += len(num)
-        elif var:
-            tokens.append(("var", var, pos))
-            pos += len(var)
-        elif sym:
-            tokens.append((sym, sym, pos))
-            pos += len(sym)
-        else:
-            word = re.match(r"[A-Za-z]+", text[pos:])
-            if word:
-                raise ExprSyntaxError(f"unknown name {word.group()!r}", pos + word.end())
-            raise ExprSyntaxError(f"unexpected character {bad!r}", pos)
-    tokens.append(("end", "", len(text)))
-    return tokens
+    texts = _TOKEN_RE.findall(text)
+    # a number starts with a digit (re's \d is str.isdecimal), a variable is
+    # the only other token of more than one character
+    kinds = [t if t in _NAMES else "num" if t[0].isdecimal() else "var" if len(t) > 1 else ""
+             for t in texts]
+    if "" in kinds:
+        pos = _offsets(text)[kinds.index("")]
+        word = re.match(r"[A-Za-z]+", text[pos:])
+        if word:
+            raise ExprSyntaxError(f"unknown name {word.group()!r}", pos + word.end())
+        raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    kinds.append("end")
+    texts.append("")
+    return kinds, texts
+
+
+def _offsets(text):
+    """The offset of each token of text, then len(text)."""
+    return [m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)]
 
 
 _RATIONAL_RE = re.compile(r"[-+]?(\d+)(?:\.(\d+))?(?:[eE]([-+]?\d+))?(?:/(\d+))?")
 
 
-def read_rational(text):
-    """The exact rational a literal denotes; ValueError if it is not one.
-
-    A literal is an integer, p/q, or a decimal or scientific number, with an
-    optional sign.  Its digit count plus its decimal exponent may not exceed
-    sys.get_int_max_str_digits(): that is checked before the Fraction is
-    built, since 10**e alone costs seconds for e in the millions, and a value
-    past that limit could not be printed.
-    """
+def _literal(text):
+    """(n, m), m > 0 and not reduced, with n / m the rational a literal
+    denotes; ValueError if it is not one (see read_rational)."""
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not a rational literal: {text[:40]!r}")
@@ -114,154 +107,160 @@ def read_rational(text):
         raise ValueError("rational literal must have integer parts")
     if den is not None and not int(den):
         raise ValueError(f"zero denominator in {text[:40]!r}")
-    _check_digits(text, len(whole) + len(frac or "") + len(den or "") + abs(int(exp or 0)))
-    return Fraction(text)
+    e = int(exp or 0)
+    msg = _digit_limit(text, len(whole) + len(frac or "") + len(den or "") + abs(e))
+    if msg:
+        raise ValueError(msg)
+    n = int(whole + frac) if frac else int(whole)
+    if text[0] == "-":
+        n = -n
+    if den is not None:
+        return n, int(den)
+    if frac:
+        e -= len(frac)
+    return (n * 10**e, 1) if e >= 0 else (n, 10**-e)
 
 
-def _check_digits(text, size, pos=None):
-    """Refuse a number of size digits past the limit: ValueError, or ExprSyntaxError at pos."""
+def read_rational(text):
+    """The exact rational a literal denotes; ValueError if it is not one.
+
+    A literal is an integer, p/q, or a decimal or scientific number, with an
+    optional sign.  Its digit count plus its decimal exponent may not exceed
+    sys.get_int_max_str_digits(): that is checked before any int of it is
+    built, since 10**e alone costs seconds for e in the millions, and a value
+    past that limit could not be printed.  The value is built from the digit
+    groups of the literal's match, not parsed a second time.
+    """
+    n, m = _literal(text)
+    return Fraction(n, m)
+
+
+def _digit_limit(text, size):
+    """The message refusing a number of size digits past the limit, or None."""
     limit = sys.get_int_max_str_digits()
     if limit and size > limit:
-        msg = f"literal {text[:40]!r} exceeds {limit} digits"
-        raise ValueError(msg) if pos is None else ExprSyntaxError(msg, pos)
+        return f"literal {text[:40]!r} exceeds {limit} digits"
+    return None
 
 
-def _number(text, pos):
-    """A number token's value: an int for a literal of digits only, else read_rational's."""
-    try:
-        if text.isdigit():
-            _check_digits(text, len(text))
-            return int(text)
-        return read_rational(text)
-    except ValueError as exc:
-        raise ExprSyntaxError(str(exc), pos) from None
+def _coefficient(n, m, pip):
+    """The exact Scalar n / m * pi^pip, m > 0."""
+    return Scalar.exact(n, pip) if m == 1 else Scalar.exact(Fraction(n, m), pip)
 
 
 class _Complex:
-    """Pair of real PolyTrigs standing for re + i*im; im is None for a real value.
+    """re + i*im on R^d, each part a dict of canonical terms
+    {(alpha, mode, freq): Scalar} as a PolyTrig holds them; im is None for a
+    real value.
 
     A real operand costs one real operation, so only exp2pii pays for complex
-    arithmetic.
+    arithmetic.  A product wraps the parts in PolyTrigs and uses their ring ops.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("d", "re", "im")
 
-    def __init__(self, re_, im_=None):
+    def __init__(self, d, re_, im_=None):
+        self.d = d
         self.re = re_
         self.im = im_
 
     def is_real(self):
-        return self.im is None or self.im.is_zero()
+        return self.im is None or PolyTrig(self.d, self.im).is_zero()
 
-    def scaled(self, c, alpha):
-        """c * x^alpha * self for an exact c."""
+    def is_exact(self):
+        """Whether every coefficient is exact, so that a product with it can
+        neither fail nor drop a float that rounds below the zero threshold."""
+        for part in (self.re, self.im):
+            if part:
+                for c in part.values():
+                    if c.num is None:
+                        return False
+        return True
+
+    def scaled(self, n, m, pip, alpha):
+        """n / m * pi^pip * x^alpha * self (see _scaled_into); self for 1."""
+        if n == m and not pip and alpha is None:
+            return self
         return _Complex(
-            _scaled(self.re, c, alpha), None if self.im is None else _scaled(self.im, c, alpha)
+            self.d,
+            _scaled_into({}, self.re, n, m, pip, alpha),
+            None if self.im is None else _scaled_into({}, self.im, n, m, pip, alpha),
         )
 
     def __mul__(self, o):
+        d = self.d
+        a, b = PolyTrig(d, self.re), PolyTrig(d, o.re)
         if o.im is None:
-            return _Complex(
-                self.re * o.re, None if self.im is None else self.im * o.re
-            )
+            return _Complex(d, (a * b).terms,
+                            None if self.im is None else (PolyTrig(d, self.im) * b).terms)
+        c = PolyTrig(d, o.im)
         if self.im is None:
-            return _Complex(self.re * o.re, self.re * o.im)
-        return _Complex(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+            return _Complex(d, (a * b).terms, (a * c).terms)
+        e = PolyTrig(d, self.im)
+        return _Complex(d, (a * b - e * c).terms, (a * c + e * b).terms)
 
     def __pow__(self, n):
         if n == 0:
-            return _Complex(PolyTrig.const(self.re.dim, 1))
+            return _Complex(self.d, PolyTrig.const(self.d, 1).terms)
         out = self
         for _ in range(n - 1):
             out = out * self
         return out
 
 
-def _freq_and_const(arg, d, two_pi_scaled, pos):
-    """Split an affine argument into (k, c) with k integral.
-
-    For cos/sin the argument reads 2*pi*(k.x) + c; for exp2pii it reads
-    k.x + c directly.  Raises FrequencyError on any other shape; pos is the
-    parser offset quoted in its message.
-    """
-    freq = [0] * d
-    const = Scalar.zero()
-    for (alpha, mode, _freq), c in arg.terms.items():
-        if mode != MODE_NONE:
-            raise FrequencyError(
-                f"trig argument must be affine in the variables (offset {pos})"
-            )
-        nz = [i for i, e in enumerate(alpha) if e]
-        if not nz:
-            const = const + c
-            continue
-        if len(nz) > 1 or alpha[nz[0]] != 1:
-            raise FrequencyError(
-                f"trig argument must be affine in the variables (offset {pos})"
-            )
-        j = nz[0]
-        # c is 2*pi*k (or k) with k an integer; lowest terms make that den == 1
-        num = c.num  # None on tier F
-        m = 1 if two_pi_scaled else 0
-        if num is None or len(num) != 1 or m not in num or c.den != 1 or num[m] % (m + 1):
-            raise FrequencyError(f"frequency on x{j + 1} is not an integer")
-        freq[j] = num[m] // (m + 1)
-    return tuple(freq), const
+def _scaled_into(out, terms, n, m, pip, alpha):
+    """Merge n / m * pi^pip * x^alpha * terms into the terms out, in the order
+    of terms, and return out: what PolyTrig.__mul__ gives for that one-term
+    factor, whose monomial shifts the keys apart (alpha None for none).  A
+    factor of 1 or -1 leaves each coefficient or negates it; an exact one is
+    scaled in ints, and a float one multiplied by the exact Scalar, which
+    raises SizeLimitError where that factor overflows a float."""
+    one = not pip and (n == m or n == -m)
+    for (a, mode, freq), v in terms.items():
+        if one:
+            if n < 0:
+                v = -v
+        elif v.num is not None:
+            v = v.scaled(n, m, pip)
+        else:
+            v = _coefficient(n, m, pip) * v
+        if alpha is not None:
+            a = tuple([i + j for i, j in zip(a, alpha)])
+        _merge(out, (a, mode, freq), v)
+    return out
 
 
-def _trig_from(d, mode, freq, const, pos):
-    """cos/sin(2*pi*(freq.x) + const) as a real PolyTrig: PolyTrig.trig at
-    the rational phase const / (2*pi).  const must be a rational multiple of
-    pi; FrequencyError otherwise, quoting the parser offset pos.
-    """
-    num = const.num
-    if num is None or not set(num) <= {1}:
-        raise FrequencyError(f"trig phase must be a rational multiple of pi (offset {pos})")
-    return PolyTrig.trig(d, mode, freq, 1, Fraction(num.get(1, 0), 2 * const.den))
-
-
-def _scaled(f, c, alpha):
-    """c * x^alpha * f, terms in f's order: what PolyTrig.__mul__ gives for the
-    one-term factor c * x^alpha, whose monomial shifts the keys of f apart."""
-    terms = {}
-    for (a, mode, freq), v in f.terms.items():
-        v = c * v
-        if not v.is_zero():
-            terms[(tuple([i + j for i, j in zip(a, alpha)]), mode, freq)] = v
-    return PolyTrig(f.dim, terms)
+def _atom(d, kind, freq, c, phase):
+    """c * cos, sin or exp2pii of the wave 2*pi*(freq.x + phase), as a
+    _Complex of PolyTrig.trig terms."""
+    if kind == "exp2pii":
+        # exp2pii(u) = cos(2*pi*u) + i*sin(2*pi*u)
+        return _Complex(d, PolyTrig.trig(d, MODE_COS, freq, c, phase).terms,
+                        PolyTrig.trig(d, MODE_SIN, freq, c, phase).terms)
+    mode = MODE_COS if kind == "cos" else MODE_SIN
+    return _Complex(d, PolyTrig.trig(d, mode, freq, c, phase).terms)
 
 
 def _degrees(f):
     """The largest exponent of each variable over the terms of a _Complex."""
-    out = [0] * f.re.dim
-    for part in (f.re, f.im):
-        if part is not None:
-            for alpha, _mode, _freq in part.terms:
-                for i, e in enumerate(alpha):
-                    if e > out[i]:
-                        out[i] = e
-    return out
+    alphas = [alpha for part in (f.re, f.im) if part for alpha, _mode, _freq in part]
+    return [max(es) for es in zip(*alphas)] if alphas else [0] * f.d
 
 
-def _check_power_digits(f, n, pos):
-    """Refuse f**n if a coefficient c**n of f would pass the digit limit, by
-    the bound that a literal's power takes: c = p/q has at least
-    (bit_length - 1) * n * log10(2) digits in p**n or q**n."""
+def _power_digit_limit(f, n):
+    """The message refusing f**n if a coefficient c**n of f would pass the
+    digit limit, by the bound that a literal's power takes: c = p/q has at
+    least (bit_length - 1) * n * log10(2) digits in p**n or q**n; or None."""
     for part in (f.re, f.im):
         if part is None:
             continue
-        for c in part.terms.values():
+        for c in part.values():
             if c.is_exact:
                 bits = max(c.den.bit_length(), *(abs(x).bit_length() for x in c.num.values()))
-                _check_digits(f"(...)^{n}", (bits - 1) * n * _LOG10_2, pos)
-
-
-def _check_degrees(degrees, pos):
-    for i, e in enumerate(degrees):
-        if e > MAX_COUNT:
-            raise ExprSyntaxError(f"degree {e} in x{i + 1} exceeds {MAX_COUNT}", pos)
+                msg = _digit_limit(f"(...)^{n}", (bits - 1) * n * _LOG10_2)
+                if msg:
+                    return msg
+    return None
 
 
 class _Reader:
@@ -270,186 +269,253 @@ class _Reader:
     The value of an expression is the same PolyTrig, with the same terms in
     the same order, as evaluating its grammar tree with PolyTrig ring ops
     left to right.  To get there with less work, a term folds its plain
-    factors (numbers, pi and variables, with their powers) into one exact
-    coefficient and one monomial; only a parenthesised expression or a
-    trig atom is a PolyTrig, multiplied in with PolyTrig.__mul__ when the
-    term already holds one.  A plain factor after such a factor shifts its
-    terms (_scaled).  A sum merges all its terms into one accumulator.
+    factors (numbers, pi and variables, with their powers) into ints n / m,
+    a power of pi and one monomial; only a parenthesised expression or a
+    trig atom is a _Complex, multiplied in with PolyTrig.__mul__ when the
+    term already holds one.  While its coefficients are exact, the plain
+    factors before such a factor, and then each plain factor after it, stay
+    pending until the next factor comes or the term is merged into its sum,
+    so the 2*pi of 2*pi*(k.x) scales no copy.  A plain coefficient right
+    before a trig atom with no power and exact values goes into the atom's
+    PolyTrig.trig.  A sum merges its terms into one dict of canonical terms,
+    a PolyTrig only at the end of the text, and a trig argument is read from
+    that dict (wave).  Token offsets are found only for an error message
+    (at).
     """
 
-    __slots__ = ("tokens", "i", "d")
+    __slots__ = ("text", "kinds", "texts", "i", "d", "zeros")
 
     def __init__(self, text, d):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.texts = _tokenize(text)
         self.i = 0
         self.d = d
+        self.zeros = (0,) * d
+
+    def at(self, i):
+        """The offset of token i."""
+        return _offsets(self.text)[i]
 
     def expect(self, op):
-        kind, _val, pos = self.tokens[self.i]
-        if kind != op:
-            raise ExprSyntaxError(f"expected {op!r}", pos)
+        if self.kinds[self.i] != op:
+            raise ExprSyntaxError(f"expected {op!r}", self.at(self.i))
         self.i += 1
+
+    def check_degrees(self, degrees, i):
+        for axis, e in enumerate(degrees):
+            if e > MAX_COUNT:
+                raise ExprSyntaxError(f"degree {e} in x{axis + 1} exceeds {MAX_COUNT}", self.at(i))
 
     def parse(self):
         v = self.expr()
-        kind, _val, pos = self.tokens[self.i]
-        if kind != "end":
-            raise ExprSyntaxError("trailing input", pos)
+        if self.kinds[self.i] != "end":
+            raise ExprSyntaxError("trailing input", self.at(self.i))
         if not v.is_real():
             raise NonRealExpressionError(
                 "expression has an imaginary part; combine exp2pii conjugates"
             )
-        return v.re
+        return PolyTrig(self.d, v.re)
 
     def expr(self):
         """expr := ['-'] term (('+'|'-') term)*, all terms merged into one sum."""
-        tokens = self.tokens
-        d = self.d
-        re_ = _Acc(d)
+        kinds = self.kinds
+        zeros = self.zeros
+        re_ = {}
         im = None
-        neg = tokens[self.i][0] == "-"
+        neg = kinds[self.i] == "-"
         if neg:
             self.i += 1
         while True:
-            q, pip, alpha, v = self.term()
+            n, m, pip, alpha, v = self.term()
+            if neg:
+                n = -n
             if v is None:
-                if q:
-                    alpha = (0,) * d if alpha is None else tuple(alpha)
-                    re_.put(alpha, MODE_NONE, re_.zero_freq, Scalar.exact(-q if neg else q, pip))
+                if n:
+                    alpha = zeros if alpha is None else tuple(alpha)
+                    _merge(re_, (alpha, MODE_NONE, zeros), _coefficient(n, m, pip))
             else:
-                re_.add(v.re, -1 if neg else 1)
+                _scaled_into(re_, v.re, n, m, pip, alpha)
                 if v.im is not None:
-                    if im is None:
-                        im = _Acc(d)
-                    im.add(v.im, -1 if neg else 1)
-            kind = tokens[self.i][0]
+                    im = _scaled_into({} if im is None else im, v.im, n, m, pip, alpha)
+            kind = kinds[self.i]
             if kind != "+" and kind != "-":
-                return _Complex(re_.done(), None if im is None else im.done())
+                return _Complex(self.d, re_, im)
             neg = kind == "-"
             self.i += 1
 
     def term(self):
-        """term := factor ('*' factor)*, as (q, pip, alpha, v).
+        """term := factor ('*' factor)*, as (n, m, pip, alpha, v).
 
-        While v is None the term is q * pi^pip * x^alpha (alpha None for no
-        variable); once a factor is a PolyTrig, v holds the product so far.
+        While v is None the term is n / m * pi^pip * x^alpha (alpha None for
+        no variable).  Once a factor is a _Complex, v holds the product so
+        far, and n / m * pi^pip * x^alpha is the pending plain factor that
+        multiplies it still.
         """
-        tokens = self.tokens
-        q, pip, alpha, v = 1, 0, None, None
+        kinds, texts, d = self.kinds, self.texts, self.d
+        n, m, pip, alpha, v = 1, 1, 0, None, None
         vdeg = None  # the degree of v in each variable, checked before v grows
         while True:
-            kind, val, pos = tokens[self.i]
+            i = self.i
+            kind = kinds[i]
             self.i += 1
             if kind == "num" or kind == "var" or kind == "pi":
-                fq, fpi, axis, e = 1, 0, -1, 1
+                fn, fm, fpi, axis, e = 1, 1, 0, -1, 1
                 if kind == "num":
-                    fq = _number(val, pos)
+                    t = texts[i]
+                    # a short literal of digits only is an int under any digit limit
+                    fn, fm = (int(t), 1) if len(t) < _SAFE_DIGITS and t.isdigit() else self.number(i)
                 elif kind == "pi":
                     fpi = 1
                 else:
-                    axis = int(val[1:]) - 1
-                    if not 0 <= axis < self.d:
-                        raise DimensionError(f"variable {val} exceeds dimension {self.d}")
+                    axis = int(texts[i][1:]) - 1
+                    if not 0 <= axis < d:
+                        raise DimensionError(f"variable {texts[i]} exceeds dimension {d}")
                 on_pi = kind == "pi"  # a bare pi: a negative exponent may follow
-                while tokens[self.i][0] == "^":
-                    n, negexp = self.exponent(on_pi)
+                while kinds[self.i] == "^":
+                    k, negexp = self.exponent(on_pi)
                     if negexp:
-                        fpi = -n
+                        fpi = -k
                     else:
-                        # fq**n has at least (bit_length - 1) * n * log10(2) digits
-                        bits = max(fq.numerator.bit_length(), fq.denominator.bit_length()) - 1
-                        _check_digits(f"{val}^...^{n}", bits * n * _LOG10_2, pos)
-                        fq, fpi, e = fq**n, fpi * n, e * n
+                        # (fn/fm)**k has at least (bit_length - 1) * k * log10(2) digits
+                        bits = max(fn.bit_length(), fm.bit_length()) - 1
+                        msg = _digit_limit(f"{texts[i]}^...^{k}", bits * k * _LOG10_2)
+                        if msg:
+                            raise ExprSyntaxError(msg, self.at(i))
+                        fn, fm, fpi, e = fn**k, fm**k, fpi * k, e * k
                     on_pi = False
                 if v is None:
-                    if kind == "num":
-                        q *= fq
-                    pip += fpi
+                    n, m, pip = n * fn, m * fm, pip + fpi
                     if axis >= 0:
                         if alpha is None:
-                            alpha = [0] * self.d
+                            alpha = [0] * d
                         alpha[axis] += e
                         if alpha[axis] > MAX_COUNT:
-                            _check_degrees(alpha, pos)
+                            self.check_degrees(alpha, i)
                 else:
-                    mono = [0] * self.d
+                    v = v.scaled(n, m, pip, alpha)
+                    n, m, pip, alpha = fn, fm, fpi, None
                     if axis >= 0:
-                        mono[axis] = e
+                        alpha = [0] * d
+                        alpha[axis] = e
                         vdeg[axis] += e
-                        _check_degrees(vdeg, pos)
-                    v = v.scaled(Scalar.exact(fq, fpi), mono)
+                        self.check_degrees(vdeg, i)
             else:
-                f = self.atom(kind, val, pos)
-                fdeg = _degrees(f)
-                while tokens[self.i][0] == "^":
-                    n, _ = self.exponent(False)
-                    fdeg = [e * n for e in fdeg]
-                    _check_degrees(fdeg, pos)
+                if kind == "(":
+                    f = self.expr()
+                    self.expect(")")
+                    fdeg = _degrees(f)
+                elif kind == "cos" or kind == "sin" or kind == "exp2pii":
+                    freq, phase = self.wave(kind == "exp2pii", i)
+                    c = 1
+                    # the plain coefficient goes into the atom's PolyTrig.trig
+                    # when the wave's values are exact, at a phase in Z/4
+                    if (v is None and alpha is None and n and kinds[self.i] != "^"
+                            and (4 * phase).denominator == 1):
+                        c, n, m, pip = _coefficient(n, m, pip), 1, 1, 0
+                    f, fdeg = _atom(d, kind, freq, c, phase), [0] * d
+                else:
+                    raise ExprSyntaxError(f"unexpected token {texts[i]!r}", self.at(i))
+                while kinds[self.i] == "^":
+                    k, _ = self.exponent(False)
+                    fdeg = [e * k for e in fdeg]
+                    self.check_degrees(fdeg, i)
                     if not any(fdeg):
                         # no degree bound applies: bound each coefficient's digits as a literal's
-                        _check_power_digits(f, n, pos)
-                    f = f**n
+                        msg = _power_digit_limit(f, k)
+                        if msg:
+                            raise ExprSyntaxError(msg, self.at(i))
+                    f = f**k
                 if v is not None:
+                    v = v.scaled(n, m, pip, alpha)
+                    n, m, pip, alpha = 1, 1, 0, None
                     # the degree of a product of nonzero functions is the sum
                     vdeg = [a + b for a, b in zip(vdeg, fdeg)]
-                    _check_degrees(vdeg, pos)
+                    self.check_degrees(vdeg, i)
                     v = v * f
-                elif not q:
-                    v, vdeg = _Complex(PolyTrig.zero(self.d)), [0] * self.d
-                elif q == 1 and not pip and alpha is None:
-                    v, vdeg = f, fdeg
+                elif not n:
+                    v, vdeg = _Complex(d, {}), [0] * d
+                    n, m, pip, alpha = 1, 1, 0, None
                 else:
-                    mono = alpha or [0] * self.d
-                    vdeg = [a + b for a, b in zip(mono, fdeg)]
-                    _check_degrees(vdeg, pos)
-                    v = f.scaled(Scalar.exact(q, pip), mono)
-            if tokens[self.i][0] != "*":
-                return q, pip, alpha, v
+                    v, vdeg = f, fdeg
+                    if alpha is not None:
+                        vdeg = [a + b for a, b in zip(alpha, fdeg)]
+                        self.check_degrees(vdeg, i)
+            if v is not None and not v.is_exact():
+                # a float coefficient takes each plain factor at once, as the tree does
+                v = v.scaled(n, m, pip, alpha)
+                n, m, pip, alpha = 1, 1, 0, None
+            if kinds[self.i] != "*":
+                return n, m, pip, alpha, v
             self.i += 1
+
+    def number(self, i):
+        """Number token i as ints (n, m) in lowest terms, m > 0."""
+        try:
+            n, m = _literal(self.texts[i])
+        except ValueError as exc:
+            raise ExprSyntaxError(str(exc), self.at(i)) from None
+        g = math.gcd(n, m)
+        return n // g, m // g
 
     def exponent(self, on_pi):
         """Read '^' [-] digits; (n, negative).  A negative exponent only follows pi."""
-        pos = self.tokens[self.i][2]
-        kind, val, pos2 = self.tokens[self.i + 1]
-        self.i += 2
-        negexp = kind == "-"
+        caret = self.i
+        j = caret + 1
+        negexp = self.kinds[j] == "-"
         if negexp:
-            kind, val, pos2 = self.tokens[self.i]
-            self.i += 1
-        if kind != "num" or not val.isdigit():
-            raise ExprSyntaxError("expected an integer exponent", pos2)
+            j += 1
+        self.i = j + 1
+        val = self.texts[j]
+        if self.kinds[j] != "num" or not val.isdigit():
+            raise ExprSyntaxError("expected an integer exponent", self.at(j))
         n = int(val)
         if n > MAX_COUNT:
-            raise ExprSyntaxError(f"exponent {val[:40]} exceeds {MAX_COUNT}", pos2)
+            raise ExprSyntaxError(f"exponent {val[:40]} exceeds {MAX_COUNT}", self.at(j))
         if negexp and not on_pi:
-            raise ExprSyntaxError("negative exponents are only allowed on pi", pos)
+            raise ExprSyntaxError("negative exponents are only allowed on pi", self.at(caret))
         return n, negexp
 
-    def atom(self, kind, val, pos):
-        """A parenthesised expression or a trig atom, as a _Complex."""
-        if kind == "(":
-            v = self.expr()
-            self.expect(")")
-            return v
-        if kind != "cos" and kind != "sin" and kind != "exp2pii":
-            raise ExprSyntaxError(f"unexpected token {val!r}", pos)
+    def wave(self, exp2pii, i):
+        """Read '(' expr ')' after the trig name at token i into (k, p), the
+        int frequency vector and the rational phase of the wave
+        2*pi*(k.x + p).
+
+        The argument must read 2*pi*(k.x) + c with c a rational multiple of
+        pi, p = c / (2*pi), or for exp2pii k.x + p.  Its merged terms are read
+        in order, and FrequencyError names the first that is not affine or
+        whose frequency is not an integer; then the phase is checked.
+        """
         self.expect("(")
         arg = self.expr()
         self.expect(")")
         if not arg.is_real():
             raise NonRealExpressionError("trig argument must be real")
-        d = self.d
-        if kind != "exp2pii":
-            freq, const = _freq_and_const(arg.re, d, True, pos)
-            mode = MODE_COS if kind == "cos" else MODE_SIN
-            return _Complex(_trig_from(d, mode, freq, const, pos))
-        # exp2pii(u) = cos(2*pi*u) + i*sin(2*pi*u) with u = k.x + c
-        freq, const = _freq_and_const(arg.re, d, False, pos)
-        two_pi_const = const * Scalar.exact(2, 1)
-        return _Complex(
-            _trig_from(d, MODE_COS, freq, two_pi_const, pos),
-            _trig_from(d, MODE_SIN, freq, two_pi_const, pos),
-        )
+        s = 0 if exp2pii else 1  # the power of pi in a frequency and in the phase
+        freq = [0] * self.d
+        const = None
+        for (alpha, mode, _freq), c in arg.re.items():
+            deg = sum(alpha)
+            if mode != MODE_NONE or deg > 1:
+                raise FrequencyError(
+                    f"trig argument must be affine in the variables (offset {self.at(i)})"
+                )
+            if not deg:
+                const = c
+                continue
+            j = alpha.index(1)
+            # c is 2*pi*k (or k) with k an integer; lowest terms make that den == 1
+            num = c.num  # None on tier F
+            if num is None or len(num) != 1 or s not in num or c.den != 1 or num[s] % (s + 1):
+                raise FrequencyError(f"frequency on x{j + 1} is not an integer")
+            freq[j] = num[s] // (s + 1)
+        if const is None:
+            return freq, 0
+        num = const.num
+        if num is None or len(num) != 1 or s not in num:
+            raise FrequencyError(
+                f"trig phase must be a rational multiple of pi (offset {self.at(i)})"
+            )
+        return freq, Fraction(num[s], (s + 1) * const.den)
 
 
 def parse_expr(text, d):

@@ -203,6 +203,59 @@ def test_trig_atoms_match_the_pulled_back_wave():
             assert same(got, trig_term(d, mode, freq, c / 2)), (name, freq, c)
             floats += any(not v.is_exact for v in got.terms.values())
         got = _Reader(f"exp2pii({affine(freq, c / 2)})", d).expr()
-        assert same(got.re, trig_term(d, MODE_COS, freq, c / 2)), ("exp2pii", freq, c)
-        assert same(got.im, trig_term(d, MODE_SIN, freq, c / 2)), ("exp2pii", freq, c)
+        # the reader's value holds the real and imaginary terms as dicts
+        assert same(PolyTrig(d, got.re), trig_term(d, MODE_COS, freq, c / 2)), ("exp2pii", freq, c)
+        assert same(PolyTrig(d, got.im), trig_term(d, MODE_SIN, freq, c / 2)), ("exp2pii", freq, c)
     assert floats > 100  # phases off the Niven table are met too
+
+
+def split_sum(r, freq, phase):
+    """2*pi*(k.x + p) as a sum of terms: each frequency split in two, in the
+    shapes 2*pi*x_i and pi*x_i*2, and the phase a term 2*pi*p, shuffled."""
+    parts = []
+    for i, k in enumerate(freq):
+        if k:
+            a = r.randint(-3, 3)
+            parts += [(a, f"2*pi*x{i + 1}"), (k - a, f"pi*x{i + 1}*2")]
+    if phase:
+        parts.append((1 if phase > 0 else -1, f"2*pi*{abs(phase)}"))
+    r.shuffle(parts)
+    text = ""
+    for n, body in parts or [(0, "x1")]:
+        piece = f"{abs(n)}*{body}"
+        if not text:
+            text = f"-{piece}" if n < 0 else piece
+        else:
+            text += f" - {piece}" if n < 0 else f" + {piece}"
+    return text
+
+
+def test_trig_arguments_in_every_shape_read_alike():
+    # one wave 2*pi*(k.x + p) written with its coefficients inside the parens,
+    # with the factor 2*pi after the paren or around it, and as a split sum,
+    # is one PolyTrig.trig term at k and p; a conjugate exp2pii pair at the
+    # rational constant p, with a coefficient, is c*cos + c*cos by ring ops
+    r = random.Random(2811)
+    for i in range(150):
+        d = r.choice((1, 2, 3))
+        freq = tuple(r.randint(-3, 3) for _ in range(d))
+        q = r.randint(1, 12)
+        phase = Fraction(r.randint(-2 * q, 2 * q), q)
+        inner = affine(freq, phase)
+        shapes = [f"2*pi*({inner})", f"({inner})*2*pi", f"pi*({inner})*2", f"2*({inner})*pi",
+                  split_sum(r, freq, phase)]
+        for name, mode in (("cos", MODE_COS), ("sin", MODE_SIN)):
+            want = trig_term(d, mode, freq, phase)
+            for arg in shapes:
+                assert same(parse_expr(f"{name}({arg})", d), want), (i, name, arg)
+        c = r.choice((1, 3, Fraction(3, 2), Fraction(-2, 5)))
+        neg = tuple(-k for k in freq)
+        pair = (f"exp2pii({inner})", f"exp2pii({affine(neg, -phase)})")
+        if c == 1:
+            text = f"{pair[0]} + {pair[1]}"
+        else:
+            sign = "-" if c < 0 else "+"
+            text = f"{sign}{abs(c)}*{pair[0]} {sign} {abs(c)}*{pair[1]}".lstrip("+")
+        cc = PolyTrig.const(d, c)
+        want = cc * trig_term(d, MODE_COS, freq, phase) + cc * trig_term(d, MODE_COS, neg, -phase)
+        assert same(parse_expr(text, d), want), (i, text)

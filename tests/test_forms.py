@@ -190,6 +190,25 @@ def test_boundary_of_triangle_matches_three_segments():
     assert tops[2] == ((Fraction(0), Fraction(-1)), vp, 1)
 
 
+def test_rand_simplex_draws_the_fraction_simplex_in_ints():
+    # the same randints, in the same order, as Fraction(randint, den) edges
+    # handed to from_edges, and the same simplex: points, den and sign
+    for seed in range(30):
+        for d in (1, 2, 3):
+            for k in range(4):
+                for den in (1, 2, 3):
+                    r, ref = rng(seed), rng(seed)
+                    got = rand_simplex(r, d, k, den=den)
+                    want = AffineSimplex.from_edges(
+                        [tuple(Fraction(ref.randint(-2, 2), den) for _ in range(d)) for _ in range(k)]
+                    )
+                    case = (seed, d, k, den)
+                    assert (got.dim, got.k, got.sign) == (want.dim, want.k, want.sign), case
+                    assert (got.top, got.edges) == (want.top, want.edges), case
+                    assert (got._top, got._edges, got._den) == (want._top, want._edges, want._den), case
+                    assert r.random() == ref.random(), case  # as many draws made
+
+
 def test_boundary_squared_vanishes_as_chain():
     r = rng(25)
     for _ in range(10):

@@ -12,7 +12,8 @@ from torusgauge.errors import (
     FrequencyError,
     NonRealExpressionError,
 )
-from torusgauge.expr import parse_expr, print_expr
+from torusgauge import expr
+from torusgauge.expr import parse_expr, print_expr, read_rational
 from torusgauge.forms import integrate_simplex
 from torusgauge.polytrig import (
     MODE_COS,
@@ -74,6 +75,37 @@ def test_parse_dimension_and_frequency_errors():
 def test_parse_rational_and_decimal_numbers():
     assert parse_expr("1/3*x1", 1) == PolyTrig.monomial(1, (1,), Fraction(1, 3))
     assert parse_expr("0.5*x1", 1) == PolyTrig.monomial(1, (1,), Fraction(1, 2))
+
+
+def test_a_trig_atom_argument_is_read_into_ints(monkeypatch):
+    # 2*pi*(x1 - 2*x2) + 2/5*pi becomes no PolyTrig and no _Acc: one of each
+    # is made for the atom's PolyTrig.trig and one PolyTrig for the sum
+    want = PolyTrig.trig(2, MODE_COS, (1, -2), 1, Fraction(1, 5))
+    made = {PolyTrig: 0, _Acc: 0}
+    for cls in made:
+        def counted(self, *args, _cls=cls, _init=cls.__init__):
+            made[_cls] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    got = parse_expr("cos(2*pi*(x1 - 2*x2) + 2/5*pi)", 2)
+    assert made[PolyTrig] <= 2 and made[_Acc] <= 2, made
+    assert got == want
+
+
+def test_read_rational_parses_its_text_once(monkeypatch):
+    # the value is built from the matched digit groups: Fraction never
+    # parses a string
+    args = []
+
+    def spy(*a):
+        args.extend(a)
+        return Fraction(*a)
+
+    monkeypatch.setattr(expr, "Fraction", spy)
+    for text in ("3/7", "-12/8", "+7", "1.25", "-0.5", "2.5e-3", "1E5", "-3.75E+2", "007/014"):
+        assert read_rational(text) == Fraction(text), text
+    assert args and not any(isinstance(a, str) for a in args), args
 
 
 def test_roundtrip_on_random_canonical_forms():
