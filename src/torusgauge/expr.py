@@ -19,8 +19,8 @@ integer frequencies and a rational phase: 2*pi*(k.x + c) with k in Z^d and c
 rational (for exp2pii, k.x + c), else FrequencyError.  An argument's terms
 are merged into one dict, which is read into the int vector k and the
 rational c with no PolyTrig built for it, and the atom is one PolyTrig.trig
-call at k and c, with the plain coefficient written before the atom
-(3/2*pi*cos(...)) as its coefficient.  exp2pii is expanded through a complex
+call at k and c; a plain coefficient written before it (3/2*pi*cos(...))
+scales its terms as they are merged into the sum.  exp2pii is expanded through a complex
 intermediate, and only there: a real value carries no imaginary part.  The
 overall expression must be real-valued.
 
@@ -167,16 +167,6 @@ class _Complex:
     def is_real(self):
         return self.im is None or PolyTrig(self.d, self.im).is_zero()
 
-    def is_exact(self):
-        """Whether every coefficient is exact, so that a product with it can
-        neither fail nor drop a float that rounds below the zero threshold."""
-        for part in (self.re, self.im):
-            if part:
-                for c in part.values():
-                    if c.num is None:
-                        return False
-        return True
-
     def scaled(self, n, m, pip, alpha):
         """n / m * pi^pip * x^alpha * self (see _scaled_into); self for 1."""
         if n == m and not pip and alpha is None:
@@ -230,15 +220,15 @@ def _scaled_into(out, terms, n, m, pip, alpha):
     return out
 
 
-def _atom(d, kind, freq, c, phase):
-    """c * cos, sin or exp2pii of the wave 2*pi*(freq.x + phase), as a
-    _Complex of PolyTrig.trig terms."""
+def _atom(d, kind, freq, phase):
+    """cos, sin or exp2pii of the wave 2*pi*(freq.x + phase), as a _Complex
+    of PolyTrig.trig terms."""
     if kind == "exp2pii":
         # exp2pii(u) = cos(2*pi*u) + i*sin(2*pi*u)
-        return _Complex(d, PolyTrig.trig(d, MODE_COS, freq, c, phase).terms,
-                        PolyTrig.trig(d, MODE_SIN, freq, c, phase).terms)
+        return _Complex(d, PolyTrig.trig(d, MODE_COS, freq, 1, phase).terms,
+                        PolyTrig.trig(d, MODE_SIN, freq, 1, phase).terms)
     mode = MODE_COS if kind == "cos" else MODE_SIN
-    return _Complex(d, PolyTrig.trig(d, mode, freq, c, phase).terms)
+    return _Complex(d, PolyTrig.trig(d, mode, freq, 1, phase).terms)
 
 
 def _degrees(f):
@@ -272,12 +262,11 @@ class _Reader:
     factors (numbers, pi and variables, with their powers) into ints n / m,
     a power of pi and one monomial; only a parenthesised expression or a
     trig atom is a _Complex, multiplied in with PolyTrig.__mul__ when the
-    term already holds one.  While its coefficients are exact, the plain
-    factors before such a factor, and then each plain factor after it, stay
-    pending until the next factor comes or the term is merged into its sum,
-    so the 2*pi of 2*pi*(k.x) scales no copy.  A plain coefficient right
-    before a trig atom with no power and exact values goes into the atom's
-    PolyTrig.trig.  A sum merges its terms into one dict of canonical terms,
+    term already holds one.  The plain factors read since the _Complex last
+    changed multiply it at the next '*', before the next factor is read, as
+    the tree's product would, or else as the term is merged into its sum, so
+    the 2*pi of 2*pi*(k.x) and the 3/2*pi of 3/2*pi*cos(...) scale no copy.
+    A sum merges its terms into one dict of canonical terms,
     a PolyTrig only at the end of the text, and a trig argument is read from
     that dict (wave).  Token offsets are found only for an error message
     (at).
@@ -348,8 +337,8 @@ class _Reader:
 
         While v is None the term is n / m * pi^pip * x^alpha (alpha None for
         no variable).  Once a factor is a _Complex, v holds the product so
-        far, and n / m * pi^pip * x^alpha is the pending plain factor that
-        multiplies it still.
+        far, and n / m * pi^pip * x^alpha is the plain factor read since v
+        last changed, which multiplies it still.
         """
         kinds, texts, d = self.kinds, self.texts, self.d
         n, m, pip, alpha, v = 1, 1, 0, None, None
@@ -383,22 +372,17 @@ class _Reader:
                             raise ExprSyntaxError(msg, self.at(i))
                         fn, fm, fpi, e = fn**k, fm**k, fpi * k, e * k
                     on_pi = False
-                if v is None:
-                    n, m, pip = n * fn, m * fm, pip + fpi
-                    if axis >= 0:
-                        if alpha is None:
-                            alpha = [0] * d
-                        alpha[axis] += e
-                        if alpha[axis] > MAX_COUNT:
-                            self.check_degrees(alpha, i)
-                else:
-                    v = v.scaled(n, m, pip, alpha)
-                    n, m, pip, alpha = fn, fm, fpi, None
-                    if axis >= 0:
+                n, m, pip = n * fn, m * fm, pip + fpi
+                if axis >= 0:
+                    if alpha is None:
                         alpha = [0] * d
-                        alpha[axis] = e
-                        vdeg[axis] += e
-                        self.check_degrees(vdeg, i)
+                    alpha[axis] += e
+                    deg = alpha
+                    if v is not None:
+                        deg = vdeg
+                        deg[axis] += e
+                    if deg[axis] > MAX_COUNT:
+                        self.check_degrees(deg, i)
             else:
                 if kind == "(":
                     f = self.expr()
@@ -406,13 +390,7 @@ class _Reader:
                     fdeg = _degrees(f)
                 elif kind == "cos" or kind == "sin" or kind == "exp2pii":
                     freq, phase = self.wave(kind == "exp2pii", i)
-                    c = 1
-                    # the plain coefficient goes into the atom's PolyTrig.trig
-                    # when the wave's values are exact, at a phase in Z/4
-                    if (v is None and alpha is None and n and kinds[self.i] != "^"
-                            and (4 * phase).denominator == 1):
-                        c, n, m, pip = _coefficient(n, m, pip), 1, 1, 0
-                    f, fdeg = _atom(d, kind, freq, c, phase), [0] * d
+                    f, fdeg = _atom(d, kind, freq, phase), [0] * d
                 else:
                     raise ExprSyntaxError(f"unexpected token {texts[i]!r}", self.at(i))
                 while kinds[self.i] == "^":
@@ -426,8 +404,6 @@ class _Reader:
                             raise ExprSyntaxError(msg, self.at(i))
                     f = f**k
                 if v is not None:
-                    v = v.scaled(n, m, pip, alpha)
-                    n, m, pip, alpha = 1, 1, 0, None
                     # the degree of a product of nonzero functions is the sum
                     vdeg = [a + b for a, b in zip(vdeg, fdeg)]
                     self.check_degrees(vdeg, i)
@@ -440,13 +416,12 @@ class _Reader:
                     if alpha is not None:
                         vdeg = [a + b for a, b in zip(alpha, fdeg)]
                         self.check_degrees(vdeg, i)
-            if v is not None and not v.is_exact():
-                # a float coefficient takes each plain factor at once, as the tree does
-                v = v.scaled(n, m, pip, alpha)
-                n, m, pip, alpha = 1, 1, 0, None
             if kinds[self.i] != "*":
                 return n, m, pip, alpha, v
             self.i += 1
+            if v is not None:
+                v = v.scaled(n, m, pip, alpha)
+                n, m, pip, alpha = 1, 1, 0, None
 
     def number(self, i):
         """Number token i as ints (n, m) in lowest terms, m > 0."""

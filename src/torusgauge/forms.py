@@ -264,6 +264,14 @@ class AffineSimplex:
         """Simplex with the given ordered edges and top vertex x."""
         return AffineSimplex(vzero(len(edges[0]) if edges else 0), edges)
 
+    @staticmethod
+    def from_int_edges(edges, den):
+        """AffineSimplex.from_edges of the edges whose int numerators over den
+        are edges, kept in lowest terms."""
+        g = gcd(den, *(n for e in edges for n in e))
+        edges = tuple(tuple(n // g for n in e) for e in edges)
+        return AffineSimplex._scaled((0,) * len(edges[0]) if edges else (), edges, den // g, 1)
+
     @property
     def top(self):
         return unscale(self._top, self._den)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 
 from .forms import AffineSimplex, Form, PLPath, integrate_chain, integrate_simplex
 from .gerbes import GerbeData
@@ -70,13 +69,10 @@ def rand_form(rnd, d, degree, freq_step=1):
 def rand_simplex(rnd, d, k, den=1, spread=2):
     """Random simplex with symbolic base; edge denominators divide den.
 
-    The k edges are drawn as int numerators over den and kept so, in lowest
-    terms: the simplex AffineSimplex.from_edges makes of those rationals
-    (of dimension 0 for k = 0, as there)."""
-    nums = [[rnd.randint(-spread, spread) for _ in range(d)] for _ in range(k)]
-    g = gcd(den, *(n for e in nums for n in e))
-    edges = tuple(tuple(n // g for n in e) for e in nums)
-    return AffineSimplex._scaled((0,) * d if k else (), edges, den // g, 1)
+    The k edges are drawn as int numerators over den (of dimension 0 for
+    k = 0, as AffineSimplex.from_edges gives)."""
+    edges = [[rnd.randint(-spread, spread) for _ in range(d)] for _ in range(k)]
+    return AffineSimplex.from_int_edges(edges, den)
 
 
 def stokes_sample(rnd, d, k):
