@@ -33,6 +33,9 @@ from scaled keys (polytrig._from_int_terms and _expand_into).
 Simplices and paths are integer-scaled: AffineSimplex and PLPath keep their
 points once, as int numerators over one positive denominator, so vertices,
 faces, segment edges, determinants and the kernel's rows are int arithmetic.
+A cell's rows are no matrix but den times the identity plus its edges as
+columns (polytrig._Rows), and the minor that pulls dx_I back to dt is read
+off the edges: for k = 1 it is the entry v_1[I].
 
 An integral at a concrete base point p is the symbolic one evaluated at p,
 which is composition with the constant map to p (polytrig.value_at).
@@ -42,7 +45,7 @@ Everything here is exact: integration is closed-form, never quadrature.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul, sub
 
 from .errors import DegreeError, DimensionError, PathError
@@ -383,9 +386,10 @@ def _iterated_integral(omega, cells):
     A cell is (edges, p0, den, sign): k = omega.degree edge vectors and the
     point p0 as int numerator tuples over the positive int den, and a sign
     of 1 or -1.  Each term of omega is pulled back along each cell's
-    parametrisation, whose rows and their powers are built once for all
-    components.  The kernel is linear in omega: it numbers omega's terms i,
-    with coefficients c_i, and carries every coefficient as int terms
+    parametrisation, whose rows (the identity plus the edges as columns,
+    see _Rows) and their powers are built once for all components.  The
+    kernel is linear in omega: it numbers omega's terms i, with
+    coefficients c_i, and carries every coefficient as int terms
     (i, s, alpha, mode, F, P): (n, m), worth c_i * n / m * pi**s (see
     polytrig._axis_pass).  Every trig factor is in scaled keys (see polytrig)
     over M = 4 lcm(cell denominators): a wave cos or sin 2 pi q.x, q an int
@@ -399,7 +403,8 @@ def _iterated_integral(omega, cells):
     limit: t_j -> t_{j-1} moves F_tj and the exponent onto t_{j-1}, t_1 -> 1
     adds F_t1 to P.  polytrig._from_int_terms makes the moments, then the
     terms left with their t axes dropped, one Scalar per scaled key, and the
-    result leaves the scaled keys once, by polytrig._expand_into.
+    result leaves the scaled keys once, by polytrig._expand_into, or at once
+    when no wave is left.
     """
     d = omega.dim
     k = omega.degree
@@ -412,18 +417,15 @@ def _iterated_integral(omega, cells):
             terms.append((len(coeffs), alpha, mode, tuple([M * q for q in freq])))
             coeffs.append(c)
         comps.append((I, terms))
+    zeros = (0,) * d
+    const = {zeros: (1, factorial(k))}  # a constant term's moments on every cell
     moments, trig = {}, {}
     for edges, p0, den, sign in cells:
-        rows = _Rows(
-            [[den * (a == i) for a in range(d)] + [e[i] for e in edges] for i in range(d)],
-            p0,
-            d + k,
-            den,
-        )
+        rows = _Rows(None, p0, d + k, den, edges)
         dk = den**k
-        cell_moments = {}
+        cell_moments = {zeros: const}
         for I, terms in comps:
-            dd = det([[e[i] for e in edges] for i in I])
+            dd = edges[0][I[0]] if k == 1 else det([[e[i] for e in edges] for i in I])
             if dd == 0:
                 continue
             g = gcd(dd, dk)
@@ -520,10 +522,14 @@ class PLPath:
         With n and m segments, the breakpoints i/n and j/m are the multiples
         of L/n and L/m on the integer grid 0..L, L = lcm(n, m); a constant
         path counts as one segment.  On equal grids every point is a vertex
-        of both paths, so the sum is vertex-wise.
+        of both paths, so the sum is vertex-wise.  The constant path at the
+        origin is the unit: a sum with it is the other path itself.
         """
         if self.dim != other.dim:
             raise DimensionError("path dimension mismatch")
+        for unit, path in ((self, other), (other, self)):
+            if len(unit._points) == 1 and not any(unit._points[0]):
+                return path
         p, q = _segments(self._points), _segments(other._points)
         n, m = len(p) - 1, len(q) - 1
         grid = lcm(n, m)
@@ -556,7 +562,8 @@ def integrate_path(alpha, path):
 
     The path vertices are offsets against the base point x, and the segments
     are one chain for the kernel.  A path integrated again against the same
-    form object returns its first result.
+    form object returns its first result; a path with no segment integrates
+    to zero.
     """
     if alpha.degree != 1:
         raise DegreeError("integrate_path expects a 1-form")
@@ -568,5 +575,5 @@ def integrate_path(alpha, path):
         return path._integrals[alpha]
     points, den = path._points, path._den
     cells = [((tuple(map(sub, b, a)),), a, den, 1) for a, b in zip(points, points[1:]) if a != b]
-    total = path._integrals[alpha] = _iterated_integral(alpha, cells)
+    total = path._integrals[alpha] = _iterated_integral(alpha, cells) if cells else PolyTrig.zero(path.dim)
     return total

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math as _math
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionError, FrequencyError
 from .scalar import DEFAULT_TOL, Scalar, cos2pi, sin2pi
@@ -638,11 +639,17 @@ def _from_int_terms(d, coeffs, den, *int_terms):
     """The PolyTrig on R^d of int terms over den (see _axis_pass): one Scalar
     per scaled key, the sum of coeffs[i] * n / m * pi**s over the int terms
     (i, s, alpha, mode, F, P): (n, m) at (alpha, mode, F, P) cut to d axes,
-    in the order of the terms, then expanded by _expand_into."""
+    in the order of the terms, then expanded by _expand_into, unless no wave
+    is among them: then each key maps one to one onto its canonical key."""
     scaled = {}
+    waves = MODE_NONE
     for terms in int_terms:
         for (i, s, alpha, mode, F, P), (n, m) in terms.items():
+            waves |= mode
             _merge(scaled, (alpha[:d], mode, F[:d], P), coeffs[i].scaled(n, m, s))
+    if not waves:
+        zero_freq = (0,) * d
+        return PolyTrig(d, {(key[0], MODE_NONE, zero_freq): c for key, c in scaled.items()})
     acc = _Acc(d)
     _expand_into(acc, scaled.items(), den)
     return acc.done()
@@ -658,13 +665,14 @@ class _Rows:
     multiplication with the row, and the products prod_i row_i**alpha_i and
     the pulled frequencies, scaled over pden = 4 den, are kept per monomial
     and per frequency: one _Rows serves every term of every function pulled
-    back along the same map.  lin None stands for den times the identity:
-    the rows of a translation, whose frequencies are unchanged.
+    back along the same map.  lin None stands for den times the identity
+    plus the int columns cols, on R^(len(trans) + len(cols)): the rows of a
+    kernel cell, whose columns are its edges, or of a translation, with none.
     """
 
-    __slots__ = ("lin", "trans", "den", "pden", "in_dim", "zeros", "_powers", "_products", "_freqs")
+    __slots__ = ("lin", "trans", "den", "pden", "in_dim", "zeros", "cols", "_powers", "_products", "_freqs")
 
-    def __init__(self, lin, trans, in_dim, den):
+    def __init__(self, lin, trans, in_dim, den, cols=()):
         if lin is not None and len(trans) != len(lin):
             raise DimensionError("translation length does not match linear part")
         self.lin = lin
@@ -673,6 +681,7 @@ class _Rows:
         self.pden = 4 * den
         self.in_dim = in_dim
         self.zeros = (0,) * in_dim
+        self.cols = cols
         self._powers = {}
         self._products = {}
         self._freqs = {}
@@ -699,19 +708,16 @@ class _Rows:
 
     def _row(self, i):
         """Row i as (int polynomial, denominator)."""
-        t, den = self.trans[i], self.den
-        row = [den * (j == i) for j in range(self.in_dim)] if self.lin is None else self.lin[i]
-        g = _math.gcd(den, t, *row)
-        if g > 1:
-            row, t, den = [v // g for v in row], t // g, den // g
-        zeros = self.zeros
-        poly = {}
-        for j, v in enumerate(row):
-            if v:
-                poly[zeros[:j] + (1,) + zeros[j + 1 :]] = v
+        t, den, zeros = self.trans[i], self.den, self.zeros
+        if self.lin is None:
+            row = [(i, den), *((j, e[i]) for j, e in enumerate(self.cols, len(self.trans)))]
+        else:
+            row = list(enumerate(self.lin[i]))
+        g = _math.gcd(den, t, *(v for _, v in row))
+        poly = {zeros[:j] + (1,) + zeros[j + 1 :]: v // g for j, v in row if v}
         if t:
-            poly[zeros] = t
-        return poly, den
+            poly[zeros] = t // g
+        return poly, den // g
 
     def _power(self, i, e):
         powers = self._powers.get(i)
@@ -738,15 +744,17 @@ class _Rows:
 
     def frequency(self, freq):
         """The wave q.(L y + t) pulled from the int frequency q, as scaled ints
-        (F, P) over pden: F = 4 L^T q, pden q for a translation, and P = 4 q.t."""
+        (F, P) over pden: F = 4 L^T q (for lin None pden q, then 4 q.c per
+        column c) and P = 4 q.t."""
         got = self._freqs.get(freq)
         if got is None:
             lin = self.lin
-            F = tuple([self.pden * f for f in freq]) if lin is None else tuple(
-                4 * sum(f * row[j] for f, row in zip(freq, lin) if f) for j in range(self.in_dim)
-            )
+            if lin is None:
+                F = [self.pden * f for f in freq] + [4 * sum(map(mul, freq, c)) for c in self.cols]
+            else:
+                F = [4 * sum(f * row[j] for f, row in zip(freq, lin) if f) for j in range(self.in_dim)]
             P = 4 * sum(f * t for f, t in zip(freq, self.trans) if f)
-            got = self._freqs[freq] = (F, P)
+            got = self._freqs[freq] = (tuple(F), P)
         return got
 
 

@@ -19,6 +19,8 @@ from .magnetic import LineData
 from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, _Acc, translate
 from .scalar import Scalar
 
+_ONE = Scalar.exact(1)
+
 
 def rng(seed):
     return random.Random(seed)
@@ -37,7 +39,7 @@ def rand_int_vector(rnd, d, lo=-2, hi=2):
 
 
 def rand_scalar(rnd):
-    return Scalar.exact(Fraction(rnd.randint(-3, 3), rnd.choice((1, 2))), rnd.choice((0, 1)))
+    return _ONE.scaled(rnd.randint(-3, 3), rnd.choice((1, 2)), rnd.choice((0, 1)))
 
 
 def rand_polytrig(rnd, d, freq_step=1, n_terms=2, max_deg=2):

@@ -196,7 +196,10 @@ class Scalar:
             return Scalar({}, 1, 0.0, 0.0)
         a = self.num
         if a is None:
-            q = n / d * math.pi**s if s else n / d
+            try:
+                q = n / d * math.pi**s if s else n / d
+            except OverflowError:
+                raise SizeLimitError("an exact number is too large for a float") from None
             return Scalar(None, 1, self._val * q, abs(q) * self.tol)
         return _reduced({k + s: x * n for k, x in a.items()}, self.den * d)
 

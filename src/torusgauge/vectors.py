@@ -75,13 +75,12 @@ def det(rows):
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        if rows[0][j] != 0:
-            minor = [
-                [rows[i][k] for k in range(n) if k != j] for i in range(1, n)
-            ]
-            total += sign * rows[0][j] * det(minor)
-        sign = -sign
-    return total
+    if n == 3:  # the rule of Sarrus
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * e * i + b * f * g + c * d * h - c * e * g - a * f * h - b * d * i
+    # cofactor expansion along the first row
+    return sum(
+        (-1) ** j * x * det([[r for k, r in enumerate(row) if k != j] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )

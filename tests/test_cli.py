@@ -758,3 +758,10 @@ def test_sampled_identities_are_fused_shifted_sums(capsys, command, scenario, pi
         assert run([command, "--config", cfg, "--seed", "0"]) == 0
     capsys.readouterr()
     assert {op: calls[op] for op in pinned} == dict.fromkeys(pinned, 0)
+
+
+def test_a_float_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "landau_n1.json").read_text())
+    doc["cocycle"] = {"1": "cos(2*pi*(x2 + 1/5))*x1^1500"}
+    doc["params"] = {"range": 1, "samples": 1, "vectors": [["1", "0"]]}
+    assert_config_error(capsys, ["section", "--config", write_config(tmp_path, doc)], "section")

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from operator import add
@@ -698,3 +699,33 @@ def test_the_unit_cube_cells_are_built_once():
     with code_calls() as calls:
         assert flux_class(gerbe) == {(1, 2, 3): 1}
     assert calls[AffineSimplex.__init__.__code__] == 0
+
+
+def _cofactor_det(rows):
+    """The determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _cofactor_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def test_det_matches_the_cofactor_expansion():
+    rnd = random.Random(33)
+    for n in (0, 1, 2, 3, 3, 3, 4):
+        for _ in range(40):
+            ints = [[rnd.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            fracs = [[Fraction(rnd.randint(-4, 4), rnd.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+            for rows in (ints, fracs):
+                assert det(rows) == _cofactor_det(rows), rows
+    # a singular 3 x 3 matrix
+    assert det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
+
+
+def test_path_integrals_read_their_minors_off_the_edges():
+    A = Form.one_form(2, {1: F2("x2^2 + cos(2*pi*x1)"), 2: F2("-x1*x2")})
+    path = PLPath([(0, 0), (1, Fraction(1, 2)), (Fraction(-1, 3), 2)])
+    with code_calls() as calls:
+        integrate_path(A, path)
+    assert calls[det.__code__] == 0

@@ -6,7 +6,7 @@ import pytest
 
 from torusgauge.errors import PathError, TorusGaugeError
 from torusgauge.expr import parse_expr
-from torusgauge.forms import Form, PLPath
+from torusgauge.forms import Form, PLPath, integrate_path
 from torusgauge.magnetic import (
     LineData,
     PathSymmetry,
@@ -26,7 +26,7 @@ from torusgauge.polytrig import PolyTrig, constant_mod_free, translate
 from torusgauge.sampling import rand_based_path, rand_periodic_gauge
 from torusgauge.scalar import Scalar
 
-from tests_util import phase_descends, phase_is_one
+from tests_util import kernel_calls, phase_descends, phase_is_one
 
 F2 = lambda s: parse_expr(s, 2)
 
@@ -292,6 +292,18 @@ def test_unit_laws(landau1, rnd):
         assert phase_is_one(left.gauge - a.gauge)
         assert phase_is_one(right.gauge - a.gauge)
         assert left.path.vertices[-1] == a.path.vertices[-1]
+
+
+def test_unit_law_products_integrate_nothing_new(landau1, rnd):
+    unit = PathSymmetry.unit(2)
+    a = PathSymmetry(rand_based_path(rnd, 2), rand_periodic_gauge(rnd, 2))
+    integrate_path(landau1.require_connection(), a.path)
+    with kernel_calls() as calls:
+        right = lift_product(a, unit, landau1)
+        left = lift_product(unit, a, landau1)
+    assert calls[0] == 0
+    assert right.path is a.path and left.path is a.path
+    assert phase_is_one(right.gauge - a.gauge) and phase_is_one(left.gauge - a.gauge)
 
 
 def test_associativity_exact(landau1, rnd):

@@ -27,6 +27,7 @@ from torusgauge.polytrig import (
     _expand_into,
     _merge,
     _reduce_scaled,
+    _Rows,
 )
 from torusgauge.reports import CheckReport, phase_item
 from torusgauge.sampling import rand_form, rand_polytrig, rand_simplex, rng
@@ -781,3 +782,25 @@ def test_a_float_zero_never_meets_an_exact_coefficient():
     for h in (f * g, g * f, PolyTrig.var(1, 1) + PolyTrig.monomial(1, (1,), Scalar.approx(1e-16))):
         c = h.terms[x1]
         assert c.is_exact and c.rational_value() == 1, str(h)
+
+
+def test_rows_with_edge_columns_match_the_dense_matrix():
+    # a kernel cell's rows: den times the identity plus the edges as columns
+    rnd = random.Random(29)
+    for d in (1, 2, 3):
+        for k in (0, 1, 2, 3):
+            for _ in range(8):
+                den = rnd.choice((1, 2, 3, 6))
+                edges = tuple(tuple(rnd.randint(-3, 3) for _ in range(d)) for _ in range(k))
+                p0 = tuple(rnd.randint(-4, 4) for _ in range(d))
+                cols = _Rows(None, p0, d + k, den, edges)
+                dense = _Rows(
+                    [[den * (a == i) for a in range(d)] + [e[i] for e in edges] for i in range(d)],
+                    p0, d + k, den,
+                )
+                for _ in range(6):
+                    alpha = tuple(rnd.randint(0, 2) for _ in range(d))
+                    got, want = cols.product(alpha), dense.product(alpha)
+                    assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1]
+                    q = tuple(rnd.randint(-2, 2) for _ in range(d))
+                    assert cols.frequency(q) == dense.frequency(q)

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from torusgauge.errors import SizeLimitError
+from torusgauge.expr import parse_expr
+from torusgauge.polytrig import translate
+from torusgauge.sampling import rand_scalar
 from torusgauge.scalar import Scalar, cos2pi, sin2pi
+from tests_util import code_calls
 
 
 def test_exact_arithmetic_is_exact():
@@ -300,3 +305,29 @@ def test_trig_values_refuse_a_non_rational_argument():
         for fn in (cos2pi, sin2pi):
             with pytest.raises(TypeError):
                 fn(t)
+
+
+def test_a_float_scaled_past_the_float_range_is_a_size_limit():
+    with pytest.raises(SizeLimitError):
+        Scalar.approx(0.5).scaled(10**400, 3, 1)
+    # (x1 - 1)^1500 has binomial coefficients past the float range
+    with pytest.raises(SizeLimitError):
+        translate(parse_expr("cos(2*pi*(x2 + 1/5))*x1^1500", 2), (1, 0))
+
+
+def test_rand_scalar_is_the_drawn_fraction():
+    got_rnd, want_rnd = random.Random(31), random.Random(31)
+    for _ in range(300):
+        got = rand_scalar(got_rnd)
+        n, q, s = want_rnd.randint(-3, 3), want_rnd.choice((1, 2)), want_rnd.choice((0, 1))
+        assert _same(got, Scalar.exact(Fraction(n, q), s)), (n, q, s)
+
+
+def test_rand_scalar_builds_no_fraction():
+    import fractions
+
+    rnd = random.Random(32)
+    with code_calls() as calls:
+        for _ in range(100):
+            rand_scalar(rnd)
+    assert not [code.co_name for code in calls if code.co_filename == fractions.__file__]
