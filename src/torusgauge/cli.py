@@ -39,7 +39,7 @@ from .gerbes import (
     gerbe_translation_section,
     pentagon_check,
 )
-from .hilbert import operator_cocycle_slack, translation_matrix
+from .hilbert import cocycle_form, first_failure, translation_matrix
 from .magnetic import (
     LineData,
     PathSymmetry,
@@ -52,7 +52,7 @@ from .magnetic import (
     translation_section,
     verify_projective_relation,
 )
-from .polytrig import PolyTrig, constant_mod_free, shifted_sum
+from .polytrig import MODE_NONE, constant_mod_free, shifted_sum
 from .reports import CheckReport, phase_item, vec_label
 from .sampling import (
     rand_based_path,
@@ -393,12 +393,15 @@ def cmd_cohomology(scn, rnd, values):
 
 def _landau_flux(line):
     """N if line lives on T^2 with constant curvature 2*pi*N dx1^dx2 for an
-    integer N >= 1, else None."""
+    integer N >= 1, else None.  The dx1^dx2 component must be one exact
+    constant term: a float term within tolerance of zero is no constant."""
     if line.d != 2:
         return None
-    f = line.curvature().comps.get((0, 1), PolyTrig.zero(2))
-    c = f.constant_term()
-    if not f.equals(PolyTrig.const(2, c)):
+    f = line.curvature().comps.get((0, 1))
+    if f is None or len(f.terms) != 1:
+        return None
+    ((alpha, mode, _freq), c), = f.terms.items()
+    if any(alpha) or mode != MODE_NONE or not c.is_exact:
         return None
     n = c / Scalar.exact(2, 1)
     if not n.is_rational():
@@ -427,19 +430,18 @@ def cmd_operators(scn, rnd, values):
     rep = CheckReport("operator_cocycle")
     for N in flux_list:
         # the scenario's own c(v, v') at its flux; the Landau model at any other
-        line = scn.data if N == flux else landau_line(N)
-        fracs = [Fraction(a, N) for a in range(N)]
-        lattice = list(itertools.product(fracs, repeat=2))
-        # one matrix per v + v' with v, v' on the lattice: entries a/N, 0 <= a <= 2N - 2
-        sums = [Fraction(a, N) for a in range(2 * N - 1)]
-        mats = {v: translation_matrix(N, v) for v in itertools.product(sums, repeat=2)}
+        form = cocycle_form(scn.data if N == flux else landau_line(N))
+        # one matrix per v + v' with v, v' on the lattice: numerators 0 <= a <= 2N - 2
+        mats = {
+            p: translation_matrix(N, (Fraction(p[0], N), Fraction(p[1], N)))
+            for p in itertools.product(range(2 * N - 1), repeat=2)
+        }
         residue, note = "0", None
-        for v, vp in itertools.product(lattice, repeat=2):
-            slack = operator_cocycle_slack(N, v, vp, line=line, mats=mats)
-            if slack is None or not slack.in_two_pi_Z():
-                residue = "nonconstant" if slack is None else str(slack.mod_two_pi())
-                note = "first failing pair " + vec_label(v, vp)
-                break
+        failure = first_failure(N, form, mats)
+        if failure is not None:
+            v, vp, slack = failure
+            residue = "nonconstant" if slack is None else str(slack.mod_two_pi())
+            note = "first failing pair " + vec_label(v, vp)
         rep.add(f"twisted algebra N={N}", note is None, residue=residue, note=note)
     return [rep]
 

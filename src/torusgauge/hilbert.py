@@ -11,14 +11,24 @@ two-cocycle of the flux-N line bundle; the scalar prefactor is forced by that
 requirement, not chosen.  P(v) is a monomial matrix: column n holds its one
 entry exp(i*pi*e_n/N), e_n = -a*b - 2*n*b, in row n + a (mod N).  It is kept
 as that shift and those integer exponents mod 2N, so the relation is checked
-over the integers and unitarity holds by construction.  Gerbe data has no
-finite-dimensional analogue here: nonassociativity obstructs operator
-realizations, so only d = 2 line-bundle data is represented.
+over the integers and unitarity holds by construction.
+
+The curvature the operators command accepts is a constant 2*pi*N dx1^dx2,
+and for a constant curvature c is bilinear and alternating in (v, v') (Zak's
+magnetic translation phase): c(v, v') = v2 v'1 c(e2, e1) + v1 v'2 c(e1, e2).
+cocycle_form reads those two constants once per line, each an exact multiple
+of pi, and first_failure decides every pair of the (1/N)-lattice in ints;
+operator_cocycle_slack, the slack of one pair as a Scalar, is built only for
+a pair that fails.  Gerbe data has no finite-dimensional analogue here:
+nonassociativity obstructs operator realizations, so only d = 2 line-bundle
+data is represented.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionError, TorusGaugeError
 from .magnetic import landau_line, two_cocycle
@@ -42,27 +52,94 @@ def translation_matrix(N, v):
     return a % N, tuple((-a * b - 2 * n * b) % (2 * N) for n in range(N))
 
 
-def operator_cocycle_slack(N, v, vp, line=None, mats=None):
+def _column_phase(N, m, mp, ms):
+    """Delta mod 2N with P(v) P(v') = exp(i*pi*Delta/N) P(v + v'), from the
+    translation_matrix m, mp and ms of v, v' and v + v'.
+
+    With e, e' and e'' their exponents the monomials are composed column by
+    column: column n of the product is exp(i*pi*Delta_n/N) times column n of
+    P(v + v'), Delta_n = e'_n + e_{n+a'} - e''_n.  None when the product is
+    no scalar multiple of P(v + v'): the shifts differ, or Delta_n mod 2N
+    varies with n.
+    """
+    (a, e), (ap, ep), (sa, se) = m, mp, ms
+    deltas = {(ep[n] + e[(n + ap) % N] - se[n]) % (2 * N) for n in range(N)}
+    if (a + ap - sa) % N or len(deltas) != 1:
+        return None
+    return deltas.pop()
+
+
+def cocycle_form(line):
+    """(k21, k12), Fractions with c(e2, e1) = k21*pi and c(e1, e2) = k12*pi.
+
+    Each is the constant of one two_cocycle integral over line.  They give
+    c(v, v') = (v2 v'1 k21 + v1 v'2 k12)*pi on every pair only when the
+    curvature of line is constant, which the caller makes sure of.
+    TorusGaugeError if either is not an exact multiple of pi.
+    """
+    ks = []
+    for v, vp in (((0, 1), (1, 0)), ((1, 0), (0, 1))):
+        c = constant_mod_free(two_cocycle(line, v, vp))
+        if c is None or not c.is_exact or any(k != 1 for k in c.num):
+            raise TorusGaugeError(f"c({v}, {vp}) = {c} is not an exact multiple of pi")
+        ks.append(Fraction(c.num.get(1, 0), c.den))
+    return tuple(ks)
+
+
+def lattice_verdicts(N, form, mats):
+    """(p, q, holds) for every pair of lattice points p, q, int pairs with
+    entries in range(N) standing for v = p/N and v' = q/N, in lexicographic
+    order: whether P(v) P(v') = c(v, v') P(v + v') holds, decided in ints.
+
+    form is cocycle_form's (k21, k12) and mats maps p, q and p + q to their
+    translation_matrix.  Over the common denominator N^2 L of c/pi, with
+    k21 = m21/L and k12 = m12/L, operator_cocycle_slack's slack over pi is
+    (Delta*N*L - q1*p2*m21 - q2*p1*m12) / (N^2 L), and it lies in 2Z iff its
+    numerator is divisible by 2 N^2 L.
+    """
+    k21, k12 = form
+    L = lcm(k21.denominator, k12.denominator)
+    nl, mod = N * L, 2 * N * N * L
+    m21, m12 = k21.numerator * (L // k21.denominator), k12.numerator * (L // k12.denominator)
+    lattice = list(itertools.product(range(N), repeat=2))
+    for p, q in itertools.product(lattice, repeat=2):
+        (a, b), (ap, bp) = p, q
+        delta = _column_phase(N, mats[p], mats[q], mats[a + ap, b + bp])
+        yield p, q, delta is not None and (delta * nl - ap * b * m21 - bp * a * m12) % mod == 0
+
+
+def first_failure(N, form, mats):
+    """None if every pair of lattice_verdicts holds, else (v, v', slack) at
+    the first one that fails: v and v' as Fraction vectors and slack as
+    operator_cocycle_slack gives it from the same form and matrices."""
+    for p, q, holds in lattice_verdicts(N, form, mats):
+        if not holds:
+            s = (p[0] + q[0], p[1] + q[1])
+            v, vp, vs = (tuple(Fraction(x, N) for x in w) for w in (p, q, s))
+            at = {v: mats[p], vp: mats[q], vs: mats[s]}
+            return v, vp, operator_cocycle_slack(N, v, vp, mats=at, form=form)
+    return None
+
+
+def operator_cocycle_slack(N, v, vp, line=None, mats=None, form=None):
     """The exponent slack of P(v) P(v') = c(v, v') P(v + v'), a Scalar.
 
-    With e, e' and e'' the exponents of P(v), P(v') and P(v + v'), the two
-    monomials are composed column by column: column n of the product is
-    exp(i*pi*Delta_n/N) times column n of P(v + v'), Delta_n =
-    e'_n + e_{n+a'} - e''_n, and the slack pi*Delta/N - c lies in 2*pi*Z iff
-    the relation holds.  None when the slack is not one constant: c is
-    nonconstant, or the product is no scalar multiple of P(v + v') (their
-    shifts differ, or Delta_n mod 2N varies with n).  c comes from line, the
-    flux-N line bundle (landau_line(N) if None).  mats, if given, maps each
-    of v, v' and v + v' to its translation_matrix.
+    The slack pi*Delta/N - c, Delta from _column_phase, lies in 2*pi*Z iff
+    the relation holds; None when the product is no scalar multiple of
+    P(v + v').  c is the bilinear form of cocycle_form, form if given, else
+    read from line, the flux-N line bundle (landau_line(N) if None).  mats,
+    if given, maps each of v, v' and v + v' to its translation_matrix.
     """
     v = tuple(Fraction(x) for x in v)
     vp = tuple(Fraction(x) for x in vp)
     vs = tuple(x + y for x, y in zip(v, vp))
-    c = constant_mod_free(two_cocycle(landau_line(N) if line is None else line, v, vp))
+    if form is None:
+        form = cocycle_form(landau_line(N) if line is None else line)
+    k21, k12 = form
+    c = Scalar.exact(v[1] * vp[0] * k21 + v[0] * vp[1] * k12, 1)
     if mats is None:
         mats = {w: translation_matrix(N, w) for w in (v, vp, vs)}
-    (a, e), (ap, ep), (sa, se) = mats[v], mats[vp], mats[vs]
-    deltas = {(ep[n] + e[(n + ap) % N] - se[n]) % (2 * N) for n in range(N)}
-    if c is None or (a + ap - sa) % N or len(deltas) != 1:
+    delta = _column_phase(N, mats[v], mats[vp], mats[vs])
+    if delta is None:
         return None
-    return Scalar.exact(Fraction(deltas.pop(), N), 1) - c
+    return Scalar.exact(Fraction(delta, N), 1) - c

@@ -662,12 +662,14 @@ class _Rows:
     polynomial in y (a dict exponent tuple -> int) over its own denominator
     D_i, den in lowest terms against the row, so its e-th power is an int
     polynomial over D_i**e.  Powers are built once each, by repeated
-    multiplication with the row, and the products prod_i row_i**alpha_i and
-    the pulled frequencies, scaled over pden = 4 den, are kept per monomial
-    and per frequency: one _Rows serves every term of every function pulled
-    back along the same map.  lin None stands for den times the identity
-    plus the int columns cols, on R^(len(trans) + len(cols)): the rows of a
-    kernel cell, whose columns are its edges, or of a translation, with none.
+    multiplication with the row; a translation's row involves one variable,
+    so its powers are binomial expansions instead, linear in the degree.
+    The products prod_i row_i**alpha_i and the pulled frequencies, scaled
+    over pden = 4 den, are kept per monomial and per frequency: one _Rows
+    serves every term of every function pulled back along the same map.
+    lin None stands for den times the identity plus the int columns cols, on
+    R^(len(trans) + len(cols)): the rows of a kernel cell, whose columns are
+    its edges, or of a translation, with none.
     """
 
     __slots__ = ("lin", "trans", "den", "pden", "in_dim", "zeros", "cols", "_powers", "_products", "_freqs")
@@ -732,7 +734,9 @@ class _Rows:
     def product(self, alpha):
         """prod_i row_i**alpha_i as (int polynomial in y, positive denominator)."""
         out = self._products.get(alpha)
-        if out is None:
+        if out is None and self.lin is None and not self.cols:
+            out = self._products[alpha] = self._binomial_product(alpha)
+        elif out is None:
             poly, den = None, 1
             for i, e in enumerate(alpha):
                 if e:
@@ -741,6 +745,30 @@ class _Rows:
                     den *= d
             out = self._products[alpha] = ({self.zeros: 1} if poly is None else poly, den)
         return out
+
+    def _binomial_product(self, alpha):
+        """product for the rows of a translation, row i = (A y_i + B) / A in
+        lowest terms: each power expands by the binomial theorem, and the
+        rows, one per axis, multiply as a tensor product.  Keys come in
+        descending power per axis, axes outer to inner, as repeated
+        multiplication leaves them."""
+        terms, den = [(self.zeros, 1)], 1
+        for i, e in enumerate(alpha):
+            if not e:
+                continue
+            t = self.trans[i]
+            g = _math.gcd(self.den, t)
+            A, B = self.den // g, t // g
+            # C(e, k) A^k B^(e-k) from k = e down, each from the one before
+            c = A**e
+            den *= c
+            powers = [(e, c)]
+            if B:
+                for k in range(e, 0, -1):
+                    c = c * k * B // ((e - k + 1) * A)
+                    powers.append((k - 1, c))
+            terms = [(key[:i] + (k,) + key[i + 1 :], x * y) for key, x in terms for k, y in powers]
+        return dict(terms), den
 
     def frequency(self, freq):
         """The wave q.(L y + t) pulled from the int frequency q, as scaled ints

@@ -225,6 +225,45 @@ def test_operators_builds_each_matrix_once(monkeypatch, tmp_path, capsys):
     assert len(built) <= sum((2 * N - 1) ** 2 for N in (1, 2, 3)) == 35
 
 
+def test_operators_fails_a_cocycle_that_is_not_alternating(monkeypatch, tmp_path, capsys):
+    import torusgauge.cli as cli
+
+    cocycle_form = cli.cocycle_form
+
+    def flipped(line):
+        k21, k12 = cocycle_form(line)
+        return k21, -k12
+
+    monkeypatch.setattr(cli, "cocycle_form", flipped)
+    code, report = run_cmd(tmp_path, "operators", "--config", str(SCENARIOS / "landau_n1.json"))
+    capsys.readouterr()
+    assert code == 1
+    items = report["checks"][0]["items"]
+    assert items[0] == {"label": "twisted algebra N=1", "residue": "0", "status": "pass"}
+    # c(e1, e2) flipped: the pair (e2, e1)/2 keeps its c, (e1, e2)/2 is off by pi
+    assert items[1] == {
+        "label": "twisted algebra N=2",
+        "note": "first failing pair (1/2,0); (0,1/2)",
+        "residue": "pi",
+        "status": "fail",
+    }
+
+
+def test_landau_flux_needs_one_exact_constant_term():
+    from torusgauge.cli import _landau_flux
+    from torusgauge.expr import parse_expr
+    from torusgauge.forms import Form
+    from torusgauge.magnetic import LineData
+
+    x2 = parse_expr("-2*pi*x2", 2)
+    assert _landau_flux(LineData(2, {}, Form.one_form(2, {1: x2}))) == 1
+    # curvature 2*pi + 2e-13*x1: within the float tolerance of 2*pi, but no constant
+    tiny = PolyTrig.monomial(2, (2, 0), Scalar.approx(1e-13, 1e-12))
+    line = LineData(2, {}, Form.one_form(2, {1: x2, 2: tiny}))
+    assert len(line.curvature().comps[(0, 1)].terms) == 2
+    assert _landau_flux(line) is None
+
+
 def _kernel_calls(tmp_path, command, scenario, **params):
     doc = json.loads((SCENARIOS / f"{scenario}.json").read_text())
     doc["params"] = {**doc["params"], **params}
@@ -233,6 +272,13 @@ def _kernel_calls(tmp_path, command, scenario, **params):
         code, _ = run_cmd(tmp_path, command, "--config", cfg)
     assert code == 0
     return calls[0]
+
+
+def test_operators_reads_the_cocycle_twice_per_flux(tmp_path, capsys):
+    # c(e2, e1) and c(e1, e2) for each N of flux_list [1, ..., 6]; one
+    # kernel call per lattice pair would make 2275
+    assert _kernel_calls(tmp_path, "operators", "landau_n1") <= 12
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("scenario", ["constant_flux_m1", "landau_n1"])

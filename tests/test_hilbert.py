@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from torusgauge.errors import TorusGaugeError
-from torusgauge.hilbert import operator_cocycle_slack, translation_matrix
-from torusgauge.magnetic import landau_line
+from torusgauge.expr import parse_expr
+from torusgauge.forms import Form
+from torusgauge.hilbert import (
+    cocycle_form,
+    lattice_verdicts,
+    operator_cocycle_slack,
+    translation_matrix,
+)
+from torusgauge.magnetic import LineData, landau_line, two_cocycle
+from torusgauge.polytrig import PolyTrig, constant_mod_free
+from torusgauge.scalar import Scalar
 
 # acceptance criterion 3's sup-norm bound on a dense rendering
 OPERATOR_TOL = 1e-10
@@ -144,3 +153,67 @@ def test_unitarity_lattice():
         for v in lattice(N):
             P = dense(N, v)
             assert np.max(np.abs(P @ P.conj().T - np.eye(N))) < UNITARITY_TOL
+
+
+def non_landau_line():
+    """d((-4*pi*x2 + x1*x2) dx1 + 1/2*x1^2 dx2) = 4*pi dx1^dx2: flux 2 with
+    a connection that is no Landau gauge."""
+    A = {1: parse_expr("-4*pi*x2 + x1*x2", 2), 2: parse_expr("1/2*x1^2", 2)}
+    return LineData(2, {}, Form.one_form(2, A))
+
+
+def lines(N):
+    return [landau_line(N), landau_line(-N), non_landau_line()]
+
+
+def sum_grid_matrices(N):
+    """translation_matrix at every int pair p with 0 <= p_i <= 2N - 2, keyed by p."""
+    grid = itertools.product(range(2 * N - 1), repeat=2)
+    return {p: translation_matrix(N, (Fraction(p[0], N), Fraction(p[1], N))) for p in grid}
+
+
+def test_the_bilinear_form_is_the_cocycle_on_every_lattice_pair():
+    # the per-pair integral as oracle for c(v, v') = (v2 v'1 k21 + v1 v'2 k12)*pi
+    for N in range(1, 7):
+        for line in lines(N):
+            k21, k12 = cocycle_form(line)
+            for v, vp in itertools.product(lattice(N), repeat=2):
+                want = constant_mod_free(two_cocycle(line, v, vp))
+                got = Scalar.exact(v[1] * vp[0] * k21 + v[0] * vp[1] * k12, 1)
+                assert want.is_exact and want.pi == got.pi, (N, v, vp)
+
+
+def test_the_int_verdict_is_the_slack_verdict():
+    # every pair, on lines whose c passes everywhere, fails on some pairs
+    # (the wrong sign), or belongs to another flux than N (non_landau_line)
+    for N in range(1, 7):
+        mats = sum_grid_matrices(N)
+        for line in lines(N):
+            form = cocycle_form(line)
+            verdicts = list(lattice_verdicts(N, form, mats))
+            assert len(verdicts) == N**4
+            for p, q, holds in verdicts:
+                v, vp = (tuple(Fraction(x, N) for x in w) for w in (p, q))
+                slack = operator_cocycle_slack(N, v, vp, form=form)
+                assert holds == slack.in_two_pi_Z(), (N, p, q, str(slack))
+
+
+def test_the_int_verdict_fails_a_product_that_is_no_multiple():
+    N = 3
+    form = cocycle_form(landau_line(N))
+    mats = sum_grid_matrices(N)
+    assert all(holds for _, _, holds in lattice_verdicts(N, form, mats))
+    shift, exps = mats[1, 0]
+    for bad in ((shift + 1, exps), (shift, (exps[0] + 1,) + exps[1:])):
+        failing = {(p, q) for p, q, holds in lattice_verdicts(N, form, {**mats, (1, 0): bad}) if not holds}
+        assert ((1, 0), (0, 1)) in failing and ((0, 0), (0, 0)) not in failing
+
+
+def test_the_cocycle_form_needs_exact_multiples_of_pi():
+    assert cocycle_form(landau_line(3)) == (-3, 3)
+    assert cocycle_form(non_landau_line()) == (-2, 2)
+    half = LineData(2, {}, Form.one_form(2, {1: parse_expr("-x2", 2)}))  # c(e1, e2) = 1/2
+    float_flux = LineData(2, {}, Form.one_form(2, {1: PolyTrig.var(2, 2) * Scalar.approx(-6.0)}))
+    for line in (half, float_flux):
+        with pytest.raises(TorusGaugeError):
+            cocycle_form(line)

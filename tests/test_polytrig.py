@@ -804,3 +804,63 @@ def test_rows_with_edge_columns_match_the_dense_matrix():
                     assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1]
                     q = tuple(rnd.randint(-2, 2) for _ in range(d))
                     assert cols.frequency(q) == dense.frequency(q)
+
+
+def _repeated_product(d, v, alpha):
+    """_Rows.shift(d, v).product(alpha) as repeated multiplication builds it:
+    row i = (den*y_i - t_i) / den in lowest terms, raised one factor at a
+    time, the rows multiplied axis by axis."""
+
+    def poly_mul(p, q):
+        out = {}
+        for a, x in p.items():
+            for b, y in q.items():
+                key = tuple(i + j for i, j in zip(a, b))
+                out[key] = out.get(key, 0) + x * y
+        return {k: c for k, c in out.items() if c}
+
+    den = math.lcm(*(Fraction(x).denominator for x in v))
+    zeros = (0,) * d
+    poly, pden = {zeros: 1}, 1
+    for i, e in enumerate(alpha):
+        t = -Fraction(v[i]) * den
+        g = math.gcd(den, int(t))
+        row = {zeros[:i] + (1,) + zeros[i + 1 :]: den // g}
+        if t:
+            row[zeros] = int(t) // g
+        power = {zeros: 1}
+        for _ in range(e):
+            power = poly_mul(power, row)
+        poly = poly_mul(poly, power)
+        pden *= (den // g) ** e
+    return poly, pden
+
+
+def test_translation_rows_match_repeated_multiplication():
+    rnd = random.Random(30)
+    for d in (1, 2, 3):
+        for _ in range(40):
+            v = tuple(
+                rnd.choice((0, Fraction(rnd.randint(-9, 9), rnd.choice((1, 2, 3, 5, 7)))))
+                for _ in range(d)
+            )
+            rows = _Rows.shift(d, v)
+            if rows is None:
+                continue
+            for _ in range(6):
+                alpha = tuple(rnd.randint(0, 8) for _ in range(d))
+                got, want = rows.product(alpha), _repeated_product(d, v, alpha)
+                assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (v, alpha)
+
+
+def test_translation_powers_multiply_no_polynomials(monkeypatch):
+    import torusgauge.polytrig as polytrig
+
+    calls = []
+    poly_mul = polytrig._poly_mul
+    monkeypatch.setattr(polytrig, "_poly_mul", lambda p, q: calls.append(1) or poly_mul(p, q))
+    f = parse_expr("2*pi*x2^400", 2)
+    for v in ((Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, -1), (Fraction(-2, 7), Fraction(5, 3))):
+        g = translate(f, v)
+        assert len(g.terms) == (401 if v[1] else 1)
+    assert calls == []

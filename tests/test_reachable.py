@@ -61,8 +61,13 @@ KEEP = {
     "forms.PLPath.closed": "holonomy_exponent checks that its loop is closed",
     "gerbes.GerbeData.connection": TRACER,
     "gerbes.flat_gerbe_2d": "acceptance criterion 8, the d = 2 degeneration",
+    "hilbert.operator_cocycle_slack": (
+        "the slack of the failing pair that operators reports; its tests and"
+        " acceptance criterion 3 decide single pairs with it"
+    ),
     "magnetic.LineData.phi": TRACER,
     "magnetic.holonomy_exponent": "the paper's parallel transport; closed loops cross-check integrate_path",
+    "polytrig.PolyTrig.equals": "function equality up to tolerance; Form.equals and the kernel oracles use it",
     "polytrig.PolyTrig.__eq__": "exact equality of canonical functions; the exact oracles use it",
     "polytrig.PolyTrig.eval_float": "the quadrature and finite-difference cross-checks",
     "polytrig.PolyTrig.antiderivative": TRACER,
