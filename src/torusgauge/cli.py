@@ -29,17 +29,16 @@ from .expr import MAX_COUNT, parse_expr, read_rational
 from .forms import Form, PLPath
 from .gerbes import (
     GerbeData,
-    associator,
     associator_cocycle_check,
+    check_associator_descends,
     check_gerbe_cocycle,
     check_gerbe_connection,
     check_section_constraint,
     composition_phase,
     flux_class,
-    gerbe_translation_section,
     pentagon_check,
 )
-from .hilbert import cocycle_form, first_failure, translation_matrix
+from .hilbert import cocycle_form, first_failure, operator_cocycle_slack, translation_matrix
 from .magnetic import (
     LineData,
     PathSymmetry,
@@ -49,10 +48,9 @@ from .magnetic import (
     landau_line,
     lift_equivalence_check,
     lift_product,
-    translation_section,
     verify_projective_relation,
 )
-from .polytrig import MODE_NONE, constant_mod_free, shifted_sum
+from .polytrig import MODE_NONE, constant_mod_free
 from .reports import CheckReport, phase_item, vec_label
 from .sampling import (
     rand_based_path,
@@ -63,7 +61,7 @@ from .sampling import (
     stokes_sample,
 )
 from .scalar import DEFAULT_TOL, Scalar
-from .vectors import basis_vec, vneg
+from .vectors import basis_vec
 
 DEFAULT_COHOMOLOGY_SAMPLES = 100
 DEFAULT_ASSOCIATIVITY_SAMPLES = 50
@@ -235,7 +233,8 @@ def cmd_check_cocycle(scn, rnd, values):
         r = _count_param(scn, "range", 2)
         pairs = _sample_lattice_tuples(rnd, r, d, 2, _count_param(scn, "samples", 400))
         return [check_line_cocycle(scn.data, pairs)]
-    triples = _sample_lattice_tuples(rnd, 1, d, 3, _count_param(scn, "samples", 200))
+    r = _count_param(scn, "range", 1)
+    triples = _sample_lattice_tuples(rnd, r, d, 3, _count_param(scn, "samples", 200))
     return [check_gerbe_cocycle(scn.data, triples)]
 
 
@@ -253,15 +252,14 @@ def cmd_section(scn, rnd, values):
     sections = {}
     for v in vecs:
         if scn.kind == "line":
-            theta = translation_section(scn.data, v)
+            rep, theta = check_section_membership(scn.data, v)
             sections[vec_label(v)] = str(theta)
-            reports.append(check_section_membership(scn.data, v, theta=theta))
         else:
-            sec = gerbe_translation_section(scn.data, v)
+            rep, sec = check_section_constraint(scn.data, v)
             sections[vec_label(v)] = {
                 f"e{a}": str(g) for a, g in sorted(sec.g.items())
             }
-            reports.append(check_section_constraint(scn.data, v, section=sec))
+        reports.append(rep)
     values["sections"] = sections
     return reports
 
@@ -292,22 +290,12 @@ def cmd_twist2(scn, rnd, values):
 def cmd_twist3(scn, rnd, values):
     d = scn.data.d
     vecs = _vectors(scn, _sample_vectors(rnd, d, 3))
-    phases = {}
     gens = [basis_vec(d, a) for a in range(1, min(d, 3) + 1)]
     tuples = [tuple(gens[:3])] if len(gens) >= 3 else []
     for i in range(len(vecs) - 2):
         tuples.append((vecs[i], vecs[i + 1], vecs[i + 2]))
-    rep = CheckReport("associator_descends")
-    for u, v, w in tuples:
-        key = ";".join(map(vec_label, (u, v, w)))
-        if key in phases:
-            continue
-        om = associator(scn.data, u, v, w)
-        phases[key] = str(om)
-        for a in range(1, d + 1):
-            step = shifted_sum(d, ((1, om, vneg(basis_vec(d, a))), (-1, om, None)))
-            phase_item(rep, f"{key} axis {a}", step)
-    values["twist3"] = phases
+    rep, omegas = check_associator_descends(scn.data, tuples)
+    values["twist3"] = {key: str(om) for key, om in omegas.items()}
     return [rep]
 
 
@@ -317,14 +305,14 @@ def cmd_pentagon(scn, rnd, values):
     reports = []
     if d >= 3:
         e1, e2, e3 = (basis_vec(d, a) for a in (1, 2, 3))
-        om = associator(scn.data, e1, e2, e3)
+        rep, om = pentagon_check(scn.data, e1, e2, e3)
         res = constant_mod_free(om)
         values["associator_e1_e2_e3"] = str(om) if res is None else str(res)
-        reports.append(pentagon_check(scn.data, e1, e2, e3, omega=om))
+        reports.append(rep)
     agg = CheckReport("pentagon_relation")
     for _ in range(n):
         u, v, w = _sample_vectors(rnd, d, 3)
-        rep = pentagon_check(scn.data, u, v, w)
+        rep, _ = pentagon_check(scn.data, u, v, w)
         agg.items.extend(rep.items)
     reports.append(agg)
     return reports
@@ -439,7 +427,8 @@ def cmd_operators(scn, rnd, values):
         residue, note = "0", None
         failure = first_failure(N, form, mats)
         if failure is not None:
-            v, vp, slack = failure
+            v, vp = failure
+            slack = operator_cocycle_slack(N, v, vp, form)
             residue = "nonconstant" if slack is None else str(slack.mod_two_pi())
             note = "first failing pair " + vec_label(v, vp)
         rep.add(f"twisted algebra N={N}", note is None, residue=residue, note=note)

@@ -229,10 +229,9 @@ class HigherSection:
     g_i = prod_a g_{e_a}^{i_a}, in the same way as A_i = sum_a i_a A_a.
     """
 
-    __slots__ = ("v", "g")
+    __slots__ = ("g",)
 
-    def __init__(self, v, g):
-        self.v = as_vec(v)
+    def __init__(self, g):
         self.g = dict(g)
 
     def parts(self, i, k=1, shift=None):
@@ -247,20 +246,17 @@ def gerbe_translation_section(gerbe, v):
         a: integrate_simplex(gerbe.gen_connection(a), seg)
         for a in range(1, gerbe.d + 1)
     }
-    return HigherSection(v, gens)
+    return HigherSection(gens)
 
 
-def check_section_constraint(gerbe, v, pairs=None, section=None):
+def check_section_constraint(gerbe, v, pairs=None):
     """f_{i,j}(x) g_i(x) g_j(x+i) = g_{i+j}(x) f_{i,j}(x-v), exactly in exponents.
-
-    section is gerbe_translation_section(gerbe, v), built here if None.
-    """
+    Returns (report, section = gerbe_translation_section(gerbe, v))."""
     v = as_vec(v)
     report = CheckReport("section_constraint")
     if pairs is None:
         pairs = _generator_pairs(gerbe.d)
-    if section is None:
-        section = gerbe_translation_section(gerbe, v)
+    section = gerbe_translation_section(gerbe, v)
     for i, j in pairs:
         ij = tuple(a + b for a, b in zip(i, j))
         # phi_{i,j} + g_i + g_j(. + i) - g_{i+j} - phi_{i,j}(. - v)
@@ -272,7 +268,7 @@ def check_section_constraint(gerbe, v, pairs=None, section=None):
             *gerbe.phi_parts(i, j, -1, v),
         ])
         phase_item(report, vec_label(i, j), slack)
-    return report
+    return report, section
 
 
 def composition_phase(gerbe, v, vp):
@@ -287,19 +283,36 @@ def associator(gerbe, u, v, w):
     return integrate_simplex(gerbe.curvature(), tet)
 
 
-def pentagon_check(gerbe, u, v, w, omega=None):
+def check_associator_descends(gerbe, triples):
+    """omega_{u,v,w}(. + e_a) = omega_{u,v,w} mod 2*pi*Z along every axis a, once
+    per distinct triple.  Returns (report, {label: omega}), the label of
+    (u, v, w) their vec_labels joined by ";"."""
+    d = gerbe.d
+    report = CheckReport("associator_descends")
+    omegas = {}
+    for u, v, w in triples:
+        key = ";".join(map(vec_label, (u, v, w)))
+        if key in omegas:
+            continue
+        om = omegas[key] = associator(gerbe, u, v, w)
+        for a in range(1, d + 1):
+            step = shifted_sum(d, ((1, om, vneg(basis_vec(d, a))), (-1, om, None)))
+            phase_item(report, f"{key} axis {a}", step)
+    return report, omegas
+
+
+def pentagon_check(gerbe, u, v, w):
     """Pi_{u,v+w} . Pi_{v,w}(. - u) = omega_{u,v,w} . Pi_{u+v,w} . Pi_{u,v}, i.e.
     delta(Pi) = omega: Stokes' theorem on the associator's tetrahedron T =
     Delta^3(x; w, v, u).  delta(Pi), the integral of B over the boundary of T,
-    less omega = associator(gerbe, u, v, w), the integral of H = dB over T
-    (computed if None)."""
+    less omega = associator(gerbe, u, v, w), the integral of H = dB over T.
+    Returns (report, omega)."""
     u, v, w = as_vec(u), as_vec(v), as_vec(w)
-    if omega is None:
-        omega = associator(gerbe, u, v, w)
+    omega = associator(gerbe, u, v, w)
     d_pi = integrate_chain(gerbe.curving, AffineSimplex.from_edges([w, v, u]).boundary())
     report = CheckReport("pentagon_relation")
     phase_item(report, vec_label(u, v, w), d_pi - omega)
-    return report
+    return report, omega
 
 
 def associator_cocycle_check(gerbe, quadruples):

@@ -109,37 +109,28 @@ def lattice_verdicts(N, form, mats):
 
 
 def first_failure(N, form, mats):
-    """None if every pair of lattice_verdicts holds, else (v, v', slack) at
-    the first one that fails: v and v' as Fraction vectors and slack as
-    operator_cocycle_slack gives it from the same form and matrices."""
+    """None if every pair of lattice_verdicts holds, else the first pair
+    (v, v') that fails, as Fraction vectors."""
     for p, q, holds in lattice_verdicts(N, form, mats):
         if not holds:
-            s = (p[0] + q[0], p[1] + q[1])
-            v, vp, vs = (tuple(Fraction(x, N) for x in w) for w in (p, q, s))
-            at = {v: mats[p], vp: mats[q], vs: mats[s]}
-            return v, vp, operator_cocycle_slack(N, v, vp, mats=at, form=form)
+            return tuple(tuple(Fraction(x, N) for x in w) for w in (p, q))
     return None
 
 
-def operator_cocycle_slack(N, v, vp, line=None, mats=None, form=None):
+def operator_cocycle_slack(N, v, vp, form=None):
     """The exponent slack of P(v) P(v') = c(v, v') P(v + v'), a Scalar.
 
     The slack pi*Delta/N - c, Delta from _column_phase, lies in 2*pi*Z iff
     the relation holds; None when the product is no scalar multiple of
     P(v + v').  c is the bilinear form of cocycle_form, form if given, else
-    read from line, the flux-N line bundle (landau_line(N) if None).  mats,
-    if given, maps each of v, v' and v + v' to its translation_matrix.
+    that of the flux-N Landau model landau_line(N).
     """
     v = tuple(Fraction(x) for x in v)
     vp = tuple(Fraction(x) for x in vp)
     vs = tuple(x + y for x, y in zip(v, vp))
-    if form is None:
-        form = cocycle_form(landau_line(N) if line is None else line)
-    k21, k12 = form
+    k21, k12 = cocycle_form(landau_line(N)) if form is None else form
     c = Scalar.exact(v[1] * vp[0] * k21 + v[0] * vp[1] * k12, 1)
-    if mats is None:
-        mats = {w: translation_matrix(N, w) for w in (v, vp, vs)}
-    delta = _column_phase(N, mats[v], mats[vp], mats[vs])
+    delta = _column_phase(N, *(translation_matrix(N, w) for w in (v, vp, vs)))
     if delta is None:
         return None
     return Scalar.exact(Fraction(delta, N), 1) - c

@@ -157,14 +157,11 @@ def translation_section(line, v):
     return -integrate_simplex(A, seg)
 
 
-def check_section_membership(line, v, theta=None):
+def check_section_membership(line, v):
     """Quasi-periodicity of the section: s(v)(x+i) = f_i(x) f_i(x-v)^{-1} s(v)(x).
-
-    theta is translation_section(line, v), built here if None.
-    """
+    Returns (report, theta = translation_section(line, v))."""
     v = as_vec(v)
-    if theta is None:
-        theta = translation_section(line, v)
+    theta = translation_section(line, v)
     report = CheckReport("section_quasiperiodicity")
     for a in range(1, line.d + 1):
         e = basis_vec(line.d, a)
@@ -173,7 +170,7 @@ def check_section_membership(line, v, theta=None):
             line.d, [(1, theta, vneg(e)), (-1, theta, None), (-1, phi, None), (1, phi, v)]
         )
         phase_item(report, f"axis {a}", slack)
-    return report
+    return report, theta
 
 
 def two_cocycle(line, v, vp):

@@ -23,7 +23,7 @@ from torusgauge.gerbes import (
     flux_class,
     pentagon_check,
 )
-from torusgauge.hilbert import operator_cocycle_slack
+from torusgauge.hilbert import cocycle_form, operator_cocycle_slack
 from torusgauge.magnetic import (
     LineData,
     PathSymmetry,
@@ -143,7 +143,7 @@ def test_criterion_4_gerbe_pentagon():
         g = constant_flux_gerbe(m)
         for _ in range(100):
             u, v, w = (rational_vec3(r) for _ in range(3))
-            assert pentagon_check(g, u, v, w).passed
+            assert pentagon_check(g, u, v, w)[0].passed
         om = associator(g, (1, 0, 0), (0, 1, 0), (0, 0, 1))
         res = constant_mod_free(om)
         assert res is not None and res.pi == {1: Fraction(-m, 3)}
@@ -243,7 +243,7 @@ def test_criterion_7_falsification_controls():
     controls.append(
         (
             "corrupted connection membership",
-            not check_section_membership(bad_line, (Fraction(1, 2), Fraction(1, 5))).passed,
+            not check_section_membership(bad_line, (Fraction(1, 2), Fraction(1, 5)))[0].passed,
         )
     )
     # half-flux gerbe cocycle
@@ -273,7 +273,7 @@ def test_criterion_7_falsification_controls():
     # wrong-sign scalar in the operator relation: -c is the flux -N two-cocycle
     N = 3
     v2, vp2 = (Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(1, 3))
-    slack = operator_cocycle_slack(N, v2, vp2, line=landau_line(-N))
+    slack = operator_cocycle_slack(N, v2, vp2, form=cocycle_form(landau_line(-N)))
     controls.append(("wrong-sign operator cocycle", slack is None or not slack.in_two_pi_Z()))
     # corrupted equivalence gauge
     r = rng(0x77)
@@ -314,5 +314,5 @@ def test_criterion_8_two_dimensional_degeneration():
         for _ in range(25):
             u, v, w = (rational_vec2(r) for _ in range(3))
             assert phase_is_one(associator(g, u, v, w))
-            assert pentagon_check(g, u, v, w).passed
+            assert pentagon_check(g, u, v, w)[0].passed
     report("8 (d=2 degeneration)", "associator trivial, pentagon exact on 50 triples")

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -289,7 +290,6 @@ def test_cohomology_takes_one_kernel_call_per_sample(tmp_path, capsys, scenario)
 
 
 def test_pentagon_takes_two_kernel_calls_per_triple(tmp_path, capsys, monkeypatch):
-    import torusgauge.cli as cli
     import torusgauge.gerbes as gerbes
 
     omegas = []
@@ -299,10 +299,9 @@ def test_pentagon_takes_two_kernel_calls_per_triple(tmp_path, capsys, monkeypatc
         omegas.append(args[1:])
         return associator(*args)
 
-    monkeypatch.setattr(cli, "associator", counting)
     monkeypatch.setattr(gerbes, "associator", counting)
     # per triple the chain of delta(Pi) and the associator; (e1, e2, e3)
-    # reuses the associator it reports
+    # reports the associator its pentagon check integrated
     for n in (2, 5):
         omegas.clear()
         assert _kernel_calls(tmp_path, "pentagon", "constant_flux_m1", samples=n) == 2 + 2 * n
@@ -424,6 +423,17 @@ def test_check_cocycle_samples_without_building_all_pairs(tmp_path, capsys):
     assert code == 0
     assert len(report["checks"][0]["items"]) == 20
     assert peak < 8 * 2**20
+
+
+def test_gerbe_check_cocycle_reads_its_range(tmp_path, capsys):
+    # triples of lattice vectors in {-2..2}^3, not only {-1..1}^3
+    doc = {**GERBE, "params": {"range": 2, "samples": 20}}
+    code, report = run_cmd(tmp_path, "check-cocycle", "--config", write_config(tmp_path, doc))
+    capsys.readouterr()
+    assert code == 0
+    items = report["checks"][0]["items"]
+    entries = {int(x) for it in items for x in re.findall(r"-?\d+", it["label"])}
+    assert len(items) == 20 and entries <= set(range(-2, 3)) and entries & {-2, 2}
 
 
 LINE = {
@@ -601,6 +611,30 @@ def test_section_builds_each_gerbe_section_once(monkeypatch, capsys):
         assert len(calls) == want, scenario
 
 
+@pytest.mark.parametrize(
+    "module, name, scenario",
+    [
+        ("gerbes", "gerbe_translation_section", "constant_flux_m1"),
+        ("magnetic", "translation_section", "landau_n1"),
+    ],
+)
+def test_section_builds_one_section_per_vector(monkeypatch, tmp_path, capsys, module, name, scenario):
+    module = importlib.import_module(f"torusgauge.{module}")
+    built = []
+    build = getattr(module, name)
+
+    def counting(data, v):
+        built.append(v)
+        return build(data, v)
+
+    monkeypatch.setattr(module, name, counting)
+    code, report = run_cmd(tmp_path, "section", "--config", str(SCENARIOS / f"{scenario}.json"))
+    capsys.readouterr()
+    assert code == 0
+    # the section a check builds is the one the report shows: one per vector
+    assert len(built) == len(report["checks"]) == len(report["values"]["sections"]) == 3
+
+
 def test_sym_product_integrates_each_path_once_per_connection(monkeypatch, capsys):
     import torusgauge.forms as forms
 
@@ -714,6 +748,7 @@ def test_counts_over_the_work_bound_are_config_errors(tmp_path, capsys, monkeypa
         ("check-cocycle", LINE, {"samples": 10**9}),
         ("check-cocycle", GERBE, {"samples": 10**9}),
         ("check-cocycle", LINE, {"range": MAX_COUNT + 1}),
+        ("check-cocycle", GERBE, {"range": MAX_COUNT + 1}),
         ("sym-product", LINE, {"samples": 10**9}),
         ("sym-product", LINE, {"equivalence_samples": 10**9}),
         ("stokes-selftest", LINE, {"samples": 10**9}),

@@ -9,6 +9,7 @@ from torusgauge.errors import TorusGaugeError
 from torusgauge.expr import parse_expr
 from torusgauge.forms import Form
 from torusgauge.hilbert import (
+    _column_phase,
     cocycle_form,
     lattice_verdicts,
     operator_cocycle_slack,
@@ -47,9 +48,9 @@ def lattice(N):
 
 def wrong_sign_failures(N):
     """Pairs that fail when c is replaced by -c, the two-cocycle at flux -N."""
-    flipped = landau_line(-N)
+    flipped = cocycle_form(landau_line(-N))
     return sum(
-        not operator_cocycle_slack(N, v, vp, line=flipped).in_two_pi_Z()
+        not operator_cocycle_slack(N, v, vp, form=flipped).in_two_pi_Z()
         for v, vp in itertools.product(lattice(N), repeat=2)
     )
 
@@ -112,7 +113,7 @@ def test_wrong_sign_cocycle_fails():
     N = 3
     v, vp = (Fraction(1, 3), 0), (0, Fraction(1, 3))
     assert operator_cocycle_slack(N, v, vp).in_two_pi_Z()
-    slack = operator_cocycle_slack(N, v, vp, line=landau_line(-N))
+    slack = operator_cocycle_slack(N, v, vp, form=cocycle_form(landau_line(-N)))
     assert slack.is_exact and not slack.in_two_pi_Z()
     assert str(slack.mod_two_pi()) == "2/3*pi"  # 2c, c = pi/3
 
@@ -125,14 +126,14 @@ def test_wrong_sign_cocycle_fails_the_pinned_pair_counts():
 def test_a_product_that_is_no_multiple_has_no_slack():
     N = 3
     v, vp = (Fraction(1, 3), 0), (0, Fraction(1, 3))
-    mats = {w: translation_matrix(N, w) for w in (v, vp, (Fraction(1, 3), Fraction(1, 3)))}
-    assert operator_cocycle_slack(N, v, vp, mats=mats) is not None
-    shift, exps = mats[v]
+    m, mp, ms = (translation_matrix(N, w) for w in (v, vp, (Fraction(1, 3), Fraction(1, 3))))
+    assert _column_phase(N, m, mp, ms) is not None
+    shift, exps = m
     # the product lands in other rows than P(v + v')
-    assert operator_cocycle_slack(N, v, vp, mats={**mats, v: (shift + 1, exps)}) is None
+    assert _column_phase(N, (shift + 1, exps), mp, ms) is None
     # the product's columns carry different phases relative to P(v + v')
     bent = (exps[0] + 1,) + exps[1:]
-    assert operator_cocycle_slack(N, v, vp, mats={**mats, v: (shift, bent)}) is None
+    assert _column_phase(N, (shift, bent), mp, ms) is None
 
 
 def test_commutation_iff_cocycle_ratio_trivial():

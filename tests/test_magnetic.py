@@ -148,16 +148,16 @@ def test_section_of_flat_connection_is_one():
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("v", [(Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(1, 3))])
 def test_section_membership(N, v):
-    assert check_section_membership(landau_line(N), v).passed
+    assert check_section_membership(landau_line(N), v)[0].passed
 
 
 def test_section_membership_trivial_v(landau1):
-    assert check_section_membership(landau1, (0, 0)).passed
+    assert check_section_membership(landau1, (0, 0))[0].passed
 
 
 def test_corrupted_connection_fails_membership(landau1):
     bad = LineData(2, landau1.generators, Form.one_form(2, {1: F2("-2*pi*x2 + x2^2")}))
-    rep = check_section_membership(bad, (Fraction(1, 2), Fraction(1, 5)))
+    rep, _ = check_section_membership(bad, (Fraction(1, 2), Fraction(1, 5)))
     assert not rep.passed
 
 
@@ -383,6 +383,6 @@ def test_projective_relation_on_random_conforming_data(rnd):
 
         for _ in range(4):
             v, vp = rational_vec2(rnd), rational_vec2(rnd)
-            assert check_section_membership(line, v).passed
+            assert check_section_membership(line, v)[0].passed
             r2, _c = verify_projective_relation(line, v, vp)
             assert r2.passed
