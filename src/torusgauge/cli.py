@@ -38,19 +38,18 @@ from .gerbes import (
     flux_class,
     pentagon_check,
 )
-from .hilbert import cocycle_form, first_failure, operator_cocycle_slack, translation_matrix
+from .hilbert import check_operator_cocycle, landau_flux
 from .magnetic import (
     LineData,
     PathSymmetry,
     check_line_cocycle,
     check_connection,
     check_section_membership,
-    landau_line,
     lift_equivalence_check,
     lift_product,
     verify_projective_relation,
 )
-from .polytrig import MODE_NONE, constant_mod_free
+from .polytrig import constant_mod_free
 from .reports import CheckReport, phase_item, vec_label
 from .sampling import (
     rand_based_path,
@@ -60,7 +59,7 @@ from .sampling import (
     stokes_defect,
     stokes_sample,
 )
-from .scalar import DEFAULT_TOL, Scalar
+from .scalar import DEFAULT_TOL
 from .vectors import basis_vec
 
 DEFAULT_COHOMOLOGY_SAMPLES = 100
@@ -379,27 +378,8 @@ def cmd_cohomology(scn, rnd, values):
     return [associator_cocycle_check(scn.data, samples)]
 
 
-def _landau_flux(line):
-    """N if line lives on T^2 with constant curvature 2*pi*N dx1^dx2 for an
-    integer N >= 1, else None.  The dx1^dx2 component must be one exact
-    constant term: a float term within tolerance of zero is no constant."""
-    if line.d != 2:
-        return None
-    f = line.curvature().comps.get((0, 1))
-    if f is None or len(f.terms) != 1:
-        return None
-    ((alpha, mode, _freq), c), = f.terms.items()
-    if any(alpha) or mode != MODE_NONE or not c.is_exact:
-        return None
-    n = c / Scalar.exact(2, 1)
-    if not n.is_rational():
-        return None
-    n = n.rational_value()
-    return int(n) if n.denominator == 1 and n >= 1 else None
-
-
 def cmd_operators(scn, rnd, values):
-    flux = _landau_flux(scn.data)
+    flux = landau_flux(scn.data)
     if flux is None:
         raise ConfigError(
             "operators needs d = 2 and a constant curvature 2*pi*N dx1^dx2 with integer N >= 1"
@@ -415,24 +395,7 @@ def cmd_operators(scn, rnd, values):
         raise ConfigError(
             f"params 'flux_list' asks for more than {MAX_COUNT} operator pairs: {flux_list!r}"
         )
-    rep = CheckReport("operator_cocycle")
-    for N in flux_list:
-        # the scenario's own c(v, v') at its flux; the Landau model at any other
-        form = cocycle_form(scn.data if N == flux else landau_line(N))
-        # one matrix per v + v' with v, v' on the lattice: numerators 0 <= a <= 2N - 2
-        mats = {
-            p: translation_matrix(N, (Fraction(p[0], N), Fraction(p[1], N)))
-            for p in itertools.product(range(2 * N - 1), repeat=2)
-        }
-        residue, note = "0", None
-        failure = first_failure(N, form, mats)
-        if failure is not None:
-            v, vp = failure
-            slack = operator_cocycle_slack(N, v, vp, form)
-            residue = "nonconstant" if slack is None else str(slack.mod_two_pi())
-            note = "first failing pair " + vec_label(v, vp)
-        rep.add(f"twisted algebra N={N}", note is None, residue=residue, note=note)
-    return [rep]
+    return [check_operator_cocycle(scn.data, flux, flux_list)]
 
 
 def cmd_stokes_selftest(scn, rnd, values):

@@ -99,12 +99,6 @@ class Form:
         """comps: map (a, b) 1-based, a < b -> coefficient of dx_a ^ dx_b."""
         return Form(d, 2, {(a - 1, b - 1): f for (a, b), f in comps.items()})
 
-    @staticmethod
-    def const_two_form(d, comps):
-        return Form.two_form(
-            d, {ab: PolyTrig.const(d, c) for ab, c in comps.items()}
-        )
-
     # -- basics ------------------------------------------------------------
 
     def is_zero(self, tol=0.0):

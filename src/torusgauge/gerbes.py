@@ -341,5 +341,5 @@ def flat_gerbe_2d(m):
     two_pi_m = Scalar.exact(2 * m, 1)
     psi = PolyTrig.monomial(2, (0, 1), -two_pi_m)
     a1 = Form.one_form(2, {2: PolyTrig.monomial(2, (0, 1), two_pi_m)})
-    curving = Form.const_two_form(2, {(1, 2): two_pi_m})
+    curving = Form.two_form(2, {(1, 2): PolyTrig.const(2, two_pi_m)})
     return GerbeData(2, {(2, 1): psi}, {1: a1}, curving)

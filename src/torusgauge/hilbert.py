@@ -13,15 +13,14 @@ entry exp(i*pi*e_n/N), e_n = -a*b - 2*n*b, in row n + a (mod N).  It is kept
 as that shift and those integer exponents mod 2N, so the relation is checked
 over the integers and unitarity holds by construction.
 
-The curvature the operators command accepts is a constant 2*pi*N dx1^dx2,
-and for a constant curvature c is bilinear and alternating in (v, v') (Zak's
-magnetic translation phase): c(v, v') = v2 v'1 c(e2, e1) + v1 v'2 c(e1, e2).
-cocycle_form reads those two constants once per line, each an exact multiple
-of pi, and first_failure decides every pair of the (1/N)-lattice in ints;
-operator_cocycle_slack, the slack of one pair as a Scalar, is built only for
-a pair that fails.  Gerbe data has no finite-dimensional analogue here:
-nonassociativity obstructs operator realizations, so only d = 2 line-bundle
-data is represented.
+The curvature the operators command accepts (landau_flux) is a constant
+2*pi*N dx1^dx2, and for a constant curvature c is bilinear and alternating in
+(v, v') (Zak's magnetic translation phase): c(v, v') = v2 v'1 c(e2, e1) +
+v1 v'2 c(e1, e2).  cocycle_form reads those two constants once per line, and
+lattice_verdicts decides every pair of the (1/N)-lattice in ints; a failing
+pair's residue is rendered from the int slack that failed it.  Gerbe data has
+no finite-dimensional analogue here: nonassociativity obstructs operator
+realizations, so only d = 2 line-bundle data is represented.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from math import lcm
 
 from .errors import DimensionError, TorusGaugeError
 from .magnetic import landau_line, two_cocycle
-from .polytrig import constant_mod_free
+from .polytrig import MODE_NONE, constant_mod_free
+from .reports import CheckReport, vec_label
 from .scalar import Scalar
 
 
@@ -69,12 +69,31 @@ def _column_phase(N, m, mp, ms):
     return deltas.pop()
 
 
+def landau_flux(line):
+    """N if line lives on T^2 with constant curvature 2*pi*N dx1^dx2 for an
+    integer N >= 1, else None.  The dx1^dx2 component must be one exact
+    constant term: a float term within tolerance of zero is no constant."""
+    if line.d != 2:
+        return None
+    f = line.curvature().comps.get((0, 1))
+    if f is None or len(f.terms) != 1:
+        return None
+    ((alpha, mode, _freq), c), = f.terms.items()
+    if any(alpha) or mode != MODE_NONE or not c.is_exact:
+        return None
+    n = c / Scalar.exact(2, 1)
+    if not n.is_rational():
+        return None
+    n = n.rational_value()
+    return int(n) if n.denominator == 1 and n >= 1 else None
+
+
 def cocycle_form(line):
     """(k21, k12), Fractions with c(e2, e1) = k21*pi and c(e1, e2) = k12*pi.
 
     Each is the constant of one two_cocycle integral over line.  They give
     c(v, v') = (v2 v'1 k21 + v1 v'2 k12)*pi on every pair only when the
-    curvature of line is constant, which the caller makes sure of.
+    curvature of line is constant, which landau_flux makes sure of.
     TorusGaugeError if either is not an exact multiple of pi.
     """
     ks = []
@@ -86,14 +105,15 @@ def cocycle_form(line):
     return tuple(ks)
 
 
-def lattice_verdicts(N, form, mats):
-    """(p, q, holds) for every pair of lattice points p, q, int pairs with
+def lattice_verdicts(N, form):
+    """(p, q, residue) for every pair of lattice points p, q, int pairs with
     entries in range(N) standing for v = p/N and v' = q/N, in lexicographic
-    order: whether P(v) P(v') = c(v, v') P(v + v') holds, decided in ints.
+    order.  residue is None when P(v) P(v') = c(v, v') P(v + v') holds,
+    decided in ints, else the slack pi*Delta/N - c(v, v') mod 2*pi as a report
+    residue: "nonconstant" when the product is no scalar multiple of P(v + v').
 
-    form is cocycle_form's (k21, k12) and mats maps p, q and p + q to their
-    translation_matrix.  Over the common denominator N^2 L of c/pi, with
-    k21 = m21/L and k12 = m12/L, operator_cocycle_slack's slack over pi is
+    form is cocycle_form's (k21, k12).  Over the common denominator N^2 L of
+    c/pi, with k21 = m21/L and k12 = m12/L, the slack over pi is
     (Delta*N*L - q1*p2*m21 - q2*p1*m12) / (N^2 L), and it lies in 2Z iff its
     numerator is divisible by 2 N^2 L.
     """
@@ -101,36 +121,35 @@ def lattice_verdicts(N, form, mats):
     L = lcm(k21.denominator, k12.denominator)
     nl, mod = N * L, 2 * N * N * L
     m21, m12 = k21.numerator * (L // k21.denominator), k12.numerator * (L // k12.denominator)
+    # one matrix per v + v' with v, v' on the lattice: numerators 0 <= a <= 2N - 2
+    mats = {
+        p: translation_matrix(N, (Fraction(p[0], N), Fraction(p[1], N)))
+        for p in itertools.product(range(2 * N - 1), repeat=2)
+    }
     lattice = list(itertools.product(range(N), repeat=2))
     for p, q in itertools.product(lattice, repeat=2):
         (a, b), (ap, bp) = p, q
         delta = _column_phase(N, mats[p], mats[q], mats[a + ap, b + bp])
-        yield p, q, delta is not None and (delta * nl - ap * b * m21 - bp * a * m12) % mod == 0
+        if delta is None:
+            yield p, q, "nonconstant"
+            continue
+        num = (delta * nl - ap * b * m21 - bp * a * m12) % mod
+        yield p, q, None if num == 0 else str(Scalar.exact(Fraction(num, N * nl), 1))
 
 
-def first_failure(N, form, mats):
-    """None if every pair of lattice_verdicts holds, else the first pair
-    (v, v') that fails, as Fraction vectors."""
-    for p, q, holds in lattice_verdicts(N, form, mats):
-        if not holds:
-            return tuple(tuple(Fraction(x, N) for x in w) for w in (p, q))
-    return None
-
-
-def operator_cocycle_slack(N, v, vp, form=None):
-    """The exponent slack of P(v) P(v') = c(v, v') P(v + v'), a Scalar.
-
-    The slack pi*Delta/N - c, Delta from _column_phase, lies in 2*pi*Z iff
-    the relation holds; None when the product is no scalar multiple of
-    P(v + v').  c is the bilinear form of cocycle_form, form if given, else
-    that of the flux-N Landau model landau_line(N).
-    """
-    v = tuple(Fraction(x) for x in v)
-    vp = tuple(Fraction(x) for x in vp)
-    vs = tuple(x + y for x, y in zip(v, vp))
-    k21, k12 = cocycle_form(landau_line(N)) if form is None else form
-    c = Scalar.exact(v[1] * vp[0] * k21 + v[0] * vp[1] * k12, 1)
-    delta = _column_phase(N, *(translation_matrix(N, w) for w in (v, vp, vs)))
-    if delta is None:
-        return None
-    return Scalar.exact(Fraction(delta, N), 1) - c
+def check_operator_cocycle(line, flux, flux_list):
+    """The operator_cocycle report for line, flux = landau_flux(line): one
+    item per N in flux_list, with the first failing pair of the (1/N)-lattice
+    and its residue if any."""
+    rep = CheckReport("operator_cocycle")
+    for N in flux_list:
+        # the scenario's own c(v, v') at its flux; the Landau model at any other
+        form = cocycle_form(line if N == flux else landau_line(N))
+        residue, note = "0", None
+        for p, q, slack in lattice_verdicts(N, form):
+            if slack is not None:
+                v, vp = (tuple(Fraction(x, N) for x in w) for w in (p, q))
+                residue, note = slack, "first failing pair " + vec_label(v, vp)
+                break
+        rep.add(f"twisted algebra N={N}", note is None, residue=residue, note=note)
+    return rep

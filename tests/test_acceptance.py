@@ -23,7 +23,7 @@ from torusgauge.gerbes import (
     flux_class,
     pentagon_check,
 )
-from torusgauge.hilbert import cocycle_form, operator_cocycle_slack
+from torusgauge.hilbert import cocycle_form
 from torusgauge.magnetic import (
     LineData,
     PathSymmetry,
@@ -46,7 +46,13 @@ from torusgauge.sampling import (
     stokes_sample,
 )
 from torusgauge.scalar import Scalar
-from tests_util import is_exact, phase_is_one, rational_vec2, rational_vec3
+from tests_util import (
+    is_exact,
+    operator_cocycle_slack,
+    phase_is_one,
+    rational_vec2,
+    rational_vec3,
+)
 
 
 def report(name, detail):

@@ -3,6 +3,7 @@ import importlib
 import json
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -204,7 +205,6 @@ def test_operators_reports_the_first_failing_pair(monkeypatch, tmp_path, capsys)
 
 
 def test_operators_builds_each_matrix_once(monkeypatch, tmp_path, capsys):
-    import torusgauge.cli as cli
     import torusgauge.hilbert as hilbert
 
     built = []
@@ -214,7 +214,6 @@ def test_operators_builds_each_matrix_once(monkeypatch, tmp_path, capsys):
         built.append((N, v))
         return translation_matrix(N, v)
 
-    monkeypatch.setattr(cli, "translation_matrix", counting)
     monkeypatch.setattr(hilbert, "translation_matrix", counting)
     doc = json.loads((SCENARIOS / "landau_n1.json").read_text())
     doc["params"]["flux_list"] = [1, 2, 3]
@@ -227,15 +226,15 @@ def test_operators_builds_each_matrix_once(monkeypatch, tmp_path, capsys):
 
 
 def test_operators_fails_a_cocycle_that_is_not_alternating(monkeypatch, tmp_path, capsys):
-    import torusgauge.cli as cli
+    import torusgauge.hilbert as hilbert
 
-    cocycle_form = cli.cocycle_form
+    cocycle_form = hilbert.cocycle_form
 
     def flipped(line):
         k21, k12 = cocycle_form(line)
         return k21, -k12
 
-    monkeypatch.setattr(cli, "cocycle_form", flipped)
+    monkeypatch.setattr(hilbert, "cocycle_form", flipped)
     code, report = run_cmd(tmp_path, "operators", "--config", str(SCENARIOS / "landau_n1.json"))
     capsys.readouterr()
     assert code == 1
@@ -250,19 +249,47 @@ def test_operators_fails_a_cocycle_that_is_not_alternating(monkeypatch, tmp_path
     }
 
 
+def test_operators_verdict_and_residue_read_the_same_matrices(monkeypatch, tmp_path, capsys):
+    import torusgauge.hilbert as hilbert
+
+    translation_matrix = hilbert.translation_matrix
+    v_bent = (Fraction(1, 3), 0)
+
+    def bent(N, v):
+        # one column of P(1/3, 0) at N = 3 takes another phase
+        a, exps = translation_matrix(N, v)
+        if (N, tuple(v)) == (3, v_bent):
+            exps = (exps[0] + 1,) + exps[1:]
+        return a, exps
+
+    monkeypatch.setattr(hilbert, "translation_matrix", bent)
+    code, report = run_cmd(tmp_path, "operators", "--config", str(SCENARIOS / "landau_n1.json"))
+    capsys.readouterr()
+    assert code == 1
+    items = {i["label"]: i for i in report["checks"][0]["items"]}
+    # the first pair that reads P(1/3, 0): its product's columns carry different phases
+    assert items["twisted algebra N=3"] == {
+        "label": "twisted algebra N=3",
+        "note": "first failing pair (0,1/3); (1/3,0)",
+        "residue": "nonconstant",
+        "status": "fail",
+    }
+    assert all(i["status"] == "pass" for label, i in items.items() if label != "twisted algebra N=3")
+
+
 def test_landau_flux_needs_one_exact_constant_term():
-    from torusgauge.cli import _landau_flux
+    from torusgauge.hilbert import landau_flux
     from torusgauge.expr import parse_expr
     from torusgauge.forms import Form
     from torusgauge.magnetic import LineData
 
     x2 = parse_expr("-2*pi*x2", 2)
-    assert _landau_flux(LineData(2, {}, Form.one_form(2, {1: x2}))) == 1
+    assert landau_flux(LineData(2, {}, Form.one_form(2, {1: x2}))) == 1
     # curvature 2*pi + 2e-13*x1: within the float tolerance of 2*pi, but no constant
     tiny = PolyTrig.monomial(2, (2, 0), Scalar.approx(1e-13, 1e-12))
     line = LineData(2, {}, Form.one_form(2, {1: x2, 2: tiny}))
     assert len(line.curvature().comps[(0, 1)].terms) == 2
-    assert _landau_flux(line) is None
+    assert landau_flux(line) is None
 
 
 def _kernel_calls(tmp_path, command, scenario, **params):
@@ -703,7 +730,7 @@ def test_sym_product_memory_does_not_grow_with_samples(tmp_path):
 
 
 def test_operators_uses_the_scenario_line(monkeypatch, tmp_path, capsys):
-    import torusgauge.cli as cli
+    import torusgauge.hilbert as hilbert
     import torusgauge.magnetic as magnetic
 
     built = []
@@ -713,7 +740,7 @@ def test_operators_uses_the_scenario_line(monkeypatch, tmp_path, capsys):
         built.append(N)
         return landau_line(N)
 
-    monkeypatch.setattr(cli, "landau_line", counting, raising=False)
+    monkeypatch.setattr(hilbert, "landau_line", counting)
     monkeypatch.setattr(magnetic, "landau_line", counting)
     code, _ = run_cmd(tmp_path, "operators", "--config", str(SCENARIOS / "landau_n2.json"))
     capsys.readouterr()

@@ -8,16 +8,12 @@ import pytest
 from torusgauge.errors import TorusGaugeError
 from torusgauge.expr import parse_expr
 from torusgauge.forms import Form
-from torusgauge.hilbert import (
-    _column_phase,
-    cocycle_form,
-    lattice_verdicts,
-    operator_cocycle_slack,
-    translation_matrix,
-)
+import torusgauge.hilbert as hilbert
+from torusgauge.hilbert import _column_phase, cocycle_form, lattice_verdicts, translation_matrix
 from torusgauge.magnetic import LineData, landau_line, two_cocycle
 from torusgauge.polytrig import PolyTrig, constant_mod_free
 from torusgauge.scalar import Scalar
+from tests_util import operator_cocycle_slack
 
 # acceptance criterion 3's sup-norm bound on a dense rendering
 OPERATOR_TOL = 1e-10
@@ -167,12 +163,6 @@ def lines(N):
     return [landau_line(N), landau_line(-N), non_landau_line()]
 
 
-def sum_grid_matrices(N):
-    """translation_matrix at every int pair p with 0 <= p_i <= 2N - 2, keyed by p."""
-    grid = itertools.product(range(2 * N - 1), repeat=2)
-    return {p: translation_matrix(N, (Fraction(p[0], N), Fraction(p[1], N))) for p in grid}
-
-
 def test_the_bilinear_form_is_the_cocycle_on_every_lattice_pair():
     # the per-pair integral as oracle for c(v, v') = (v2 v'1 k21 + v1 v'2 k12)*pi
     for N in range(1, 7):
@@ -186,27 +176,33 @@ def test_the_bilinear_form_is_the_cocycle_on_every_lattice_pair():
 
 def test_the_int_verdict_is_the_slack_verdict():
     # every pair, on lines whose c passes everywhere, fails on some pairs
-    # (the wrong sign), or belongs to another flux than N (non_landau_line)
+    # (the wrong sign), or belongs to another flux than N (non_landau_line),
+    # and on forms whose constants have other denominators than 1
+    extra = [(Fraction(1, 3), Fraction(2, 5)), (Fraction(-7, 2), Fraction(5, 6))]
     for N in range(1, 7):
-        mats = sum_grid_matrices(N)
-        for line in lines(N):
-            form = cocycle_form(line)
-            verdicts = list(lattice_verdicts(N, form, mats))
+        for form in [cocycle_form(line) for line in lines(N)] + extra:
+            verdicts = list(lattice_verdicts(N, form))
             assert len(verdicts) == N**4
-            for p, q, holds in verdicts:
+            for p, q, residue in verdicts:
                 v, vp = (tuple(Fraction(x, N) for x in w) for w in (p, q))
                 slack = operator_cocycle_slack(N, v, vp, form=form)
-                assert holds == slack.in_two_pi_Z(), (N, p, q, str(slack))
+                assert (residue is None) == slack.in_two_pi_Z(), (N, p, q, str(slack))
+                assert (residue or "0") == str(slack.mod_two_pi()), (N, p, q, residue, str(slack))
 
 
-def test_the_int_verdict_fails_a_product_that_is_no_multiple():
+def test_the_int_verdict_fails_a_product_that_is_no_multiple(monkeypatch):
     N = 3
     form = cocycle_form(landau_line(N))
-    mats = sum_grid_matrices(N)
-    assert all(holds for _, _, holds in lattice_verdicts(N, form, mats))
-    shift, exps = mats[1, 0]
+    assert all(residue is None for _, _, residue in lattice_verdicts(N, form))
+    v_bad = (Fraction(1, 3), 0)
+    shift, exps = translation_matrix(N, v_bad)
     for bad in ((shift + 1, exps), (shift, (exps[0] + 1,) + exps[1:])):
-        failing = {(p, q) for p, q, holds in lattice_verdicts(N, form, {**mats, (1, 0): bad}) if not holds}
+
+        def bent(n, v, bad=bad):
+            return bad if (n, tuple(v)) == (N, v_bad) else translation_matrix(n, v)
+
+        monkeypatch.setattr(hilbert, "translation_matrix", bent)
+        failing = {(p, q) for p, q, residue in lattice_verdicts(N, form) if residue is not None}
         assert ((1, 0), (0, 1)) in failing and ((0, 0), (0, 0)) not in failing
 
 

@@ -53,7 +53,6 @@ KEEP = {
     "forms.AffineSimplex.edges": "verdictbench/tracer.py's _integral_key reads it; the face oracles compare it",
     "forms.AffineSimplex.top": "verdictbench/tracer.py's _integral_key reads it; the face oracles compare it",
     "forms.AffineSimplex.vertices": "the quadrature and sympy oracles place a simplex by its vertices",
-    "forms.Form.const_two_form": "flat_gerbe_2d's curving",
     "forms.Form.equals": "form equality up to tolerance, as PolyTrig.equals; the form oracles use it",
     "forms.Form.pullback": TRACER,
     "forms.Form.wedge": "the Leibniz-rule oracle for d",
@@ -61,10 +60,6 @@ KEEP = {
     "forms.PLPath.closed": "holonomy_exponent checks that its loop is closed",
     "gerbes.GerbeData.connection": TRACER,
     "gerbes.flat_gerbe_2d": "acceptance criterion 8, the d = 2 degeneration",
-    "hilbert.operator_cocycle_slack": (
-        "the slack of the failing pair that operators reports; its tests and"
-        " acceptance criterion 3 decide single pairs with it"
-    ),
     "magnetic.LineData.phi": TRACER,
     "magnetic.holonomy_exponent": "the paper's parallel transport; closed loops cross-check integrate_path",
     "polytrig.PolyTrig.equals": "function equality up to tolerance; Form.equals and the kernel oracles use it",

@@ -6,9 +6,12 @@ from operator import add
 
 from torusgauge import forms
 from torusgauge.cohomology import GroupCochain
+from torusgauge.hilbert import _column_phase, cocycle_form, translation_matrix
+from torusgauge.magnetic import landau_line
 from torusgauge.polytrig import PolyTrig, _Acc, _Rows, translate
 from torusgauge.reports import CheckReport, phase_item, vec_label
 from torusgauge.sampling import rand_scalar
+from torusgauge.scalar import Scalar
 from torusgauge.vectors import as_vec, basis_vec, vneg
 
 
@@ -164,3 +167,26 @@ def trig_term(d, mode, freq, phase, c=1):
     acc = _Acc(d)
     acc.add(PolyTrig.trig(1, mode, (1,), c), 1, _Rows.rational([list(freq)], [phase], d))
     return acc.done()
+
+
+# ---------------------------------------------------------------------------
+# oracle: the operator relation's slack for one pair, as a Scalar
+
+
+def operator_cocycle_slack(N, v, vp, form=None):
+    """The exponent slack of P(v) P(v') = c(v, v') P(v + v'), a Scalar.
+
+    The slack pi*Delta/N - c, Delta from _column_phase, lies in 2*pi*Z iff
+    the relation holds; None when the product is no scalar multiple of
+    P(v + v').  c is the bilinear form of cocycle_form, form if given, else
+    that of the flux-N Landau model landau_line(N).
+    """
+    v = tuple(Fraction(x) for x in v)
+    vp = tuple(Fraction(x) for x in vp)
+    vs = tuple(x + y for x, y in zip(v, vp))
+    k21, k12 = cocycle_form(landau_line(N)) if form is None else form
+    c = Scalar.exact(v[1] * vp[0] * k21 + v[0] * vp[1] * k12, 1)
+    delta = _column_phase(N, *(translation_matrix(N, w) for w in (v, vp, vs)))
+    if delta is None:
+        return None
+    return Scalar.exact(Fraction(delta, N), 1) - c
