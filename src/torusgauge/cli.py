@@ -23,20 +23,18 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .cohomology import is_cocycle
+from .cohomology import check_coboundary, coboundary_slack
 from .errors import QuantizationError, SizeLimitError, TorusGaugeError
 from .expr import MAX_COUNT, parse_expr, read_rational
 from .forms import Form, PLPath
 from .gerbes import (
     GerbeData,
-    associator_cocycle_check,
     check_associator_descends,
     check_gerbe_cocycle,
     check_gerbe_connection,
     check_section_constraint,
     composition_phase,
     flux_class,
-    pentagon_check,
 )
 from .hilbert import check_operator_cocycle, landau_flux
 from .magnetic import (
@@ -47,7 +45,6 @@ from .magnetic import (
     check_section_membership,
     lift_equivalence_check,
     lift_product,
-    verify_projective_relation,
 )
 from .polytrig import constant_mod_free
 from .reports import CheckReport, phase_item, vec_label
@@ -56,7 +53,6 @@ from .sampling import (
     rand_periodic_gauge,
     rand_vector,
     rng,
-    stokes_defect,
     stokes_sample,
 )
 from .scalar import DEFAULT_TOL
@@ -229,10 +225,10 @@ def _sample_lattice_tuples(rnd, r, d, parts, cap):
 def cmd_check_cocycle(scn, rnd, values):
     d = scn.data.d
     if scn.kind == "line":
-        r = _count_param(scn, "range", 2)
+        r = _count_param(scn, "range", 2, least=1)
         pairs = _sample_lattice_tuples(rnd, r, d, 2, _count_param(scn, "samples", 400))
         return [check_line_cocycle(scn.data, pairs)]
-    r = _count_param(scn, "range", 1)
+    r = _count_param(scn, "range", 1, least=1)
     triples = _sample_lattice_tuples(rnd, r, d, 3, _count_param(scn, "samples", 200))
     return [check_gerbe_cocycle(scn.data, triples)]
 
@@ -273,7 +269,10 @@ def cmd_twist2(scn, rnd, values):
     for v, vp in itertools.combinations(vecs, 2):
         key = vec_label(v) + ";" + vec_label(vp)
         if scn.kind == "line":
-            rep, c = verify_projective_relation(scn.data, v, vp)
+            # delta(theta) = c for theta = -int A over Delta^1; one report per pair
+            rep, (c,) = check_coboundary(
+                "projective_product", -1, scn.data.connection, [(v, vp)], scn.data.curvature()
+            )
             phases[key] = str(c)
             reports.append(rep)
         else:
@@ -301,19 +300,17 @@ def cmd_twist3(scn, rnd, values):
 def cmd_pentagon(scn, rnd, values):
     d = scn.data.d
     n = _count_param(scn, "samples", DEFAULT_ASSOCIATIVITY_SAMPLES)
+    # delta(Pi) = omega for Pi = -int B over Delta^2, omega = int dB over Delta^3
+    B, H = scn.data.curving, scn.data.curvature()
     reports = []
     if d >= 3:
-        e1, e2, e3 = (basis_vec(d, a) for a in (1, 2, 3))
-        rep, om = pentagon_check(scn.data, e1, e2, e3)
+        e123 = tuple(basis_vec(d, a) for a in (1, 2, 3))
+        rep, (om,) = check_coboundary("pentagon_relation", -1, B, [e123], H)
         res = constant_mod_free(om)
         values["associator_e1_e2_e3"] = str(om) if res is None else str(res)
         reports.append(rep)
-    agg = CheckReport("pentagon_relation")
-    for _ in range(n):
-        u, v, w = _sample_vectors(rnd, d, 3)
-        rep, _ = pentagon_check(scn.data, u, v, w)
-        agg.items.extend(rep.items)
-    reports.append(agg)
+    samples = [tuple(_sample_vectors(rnd, d, 3)) for _ in range(n)]
+    reports.append(check_coboundary("pentagon_relation", -1, B, samples, H)[0])
     return reports
 
 
@@ -368,14 +365,18 @@ def cmd_sym_product(scn, rnd, values):
     return reports
 
 
+# the law delta(kappa) = 1 of the cochain kappa = (-1)^{n+1} int over Delta^n
+# of the curvature, by its degree n: the line twist c and the associator omega
+COCYCLE_LAWS = {2: "twist_cocycle", 3: "associator_cocycle"}
+
+
 def cmd_cohomology(scn, rnd, values):
     d = scn.data.d
     n = _count_param(scn, "samples", DEFAULT_COHOMOLOGY_SAMPLES)
-    if scn.kind == "line":
-        samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(3)) for _ in range(n)]
-        return [is_cocycle(scn.data.curvature(), samples, "twist_cocycle")]
-    samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(4)) for _ in range(n)]
-    return [associator_cocycle_check(scn.data, samples)]
+    F = scn.data.curvature()
+    parts = F.degree + 1
+    samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(parts)) for _ in range(n)]
+    return [check_coboundary(COCYCLE_LAWS[F.degree], (-1) ** parts, F, samples)[0]]
 
 
 def cmd_operators(scn, rnd, values):
@@ -406,7 +407,9 @@ def cmd_stokes_selftest(scn, rnd, values):
             bad = 0
             for _ in range(count):
                 omega, simplex = stokes_sample(rnd, d, k)
-                if not stokes_defect(omega, simplex).is_zero():
+                # as the cochain (-1)^k int omega, no integral is negated
+                slack, _ = coboundary_slack((-1) ** k, omega, simplex, omega.d())
+                if not slack.is_zero():
                     bad += 1
             rep.add(f"d={d} k={k} ({count} samples)", bad == 0)
     return [rep]

@@ -1,9 +1,10 @@
 """Group cochains on the translation group, and the sampled cocycle laws.
 
 Every cochain the checker samples -- the section theta, the twist c, the
-composition Pi and the associator omega -- is plus or minus the integral of a
-form over one simplex Delta^n(x; v_n, ..., v_1).  Under the module action
-rho_v f = f(. - v) the inhomogeneous differential
+composition Pi and the associator omega -- is kappa = s * int over
+Delta^n(x; v_n, ..., v_1) of an n-form alpha, s = +-1 (cochain_simplex builds
+that simplex).  Under the module action rho_v f = f(. - v) the inhomogeneous
+differential
 
     (delta c)(v_1, ..., v_{n+1}) = rho_{v_1} c(v_2, ..., v_{n+1})
         + sum_i (-1)^i c(..., v_i + v_{i+1}, ...) + (-1)^{n+1} c(v_1, ..., v_n)
@@ -15,14 +16,19 @@ takes such a cochain to a chain, and cell for cell
 face j of the boundary (vertex j dropped, vertex 0 the farthest from x) is
 c(v_1, ..., v_n) for j = 0, the term merging v_i + v_{i+1} with i = n + 1 - j,
 and the translated term rho_{v_1} c(v_2, ...) for j = n + 1.  So each sampled
-law integrates the boundary() of one simplex in one kernel pass: it is Stokes'
-theorem on that simplex.  GroupCochain is the cochain type of the
-exponent-valued test oracle.
+law integrates the boundary() of one simplex in one kernel pass, and by
+Stokes' theorem on that simplex delta(kappa) is the next cochain
+s * (-1)^{n+1} * int over Delta^{n+1} of d(alpha).  coboundary_slack is that
+one computation, and check_coboundary decides it on samples: the projective
+relation delta(theta) = c, the twist's law delta(c) = 1, the pentagon
+delta(Pi) = omega and the associator's law delta(omega) = 1 are its four
+uses, and the Stokes self-test checks the kernel with its slack.
+GroupCochain is the cochain type of the exponent-valued test oracle.
 """
 
 from __future__ import annotations
 
-from .forms import AffineSimplex, integrate_chain
+from .forms import AffineSimplex, integrate_chain, integrate_simplex
 from .reports import CheckReport, phase_item, vec_label
 from .vectors import as_vec
 
@@ -45,13 +51,38 @@ class GroupCochain:
         return self.evaluator(tuple(as_vec(v) for v in args))
 
 
-def is_cocycle(omega, samples, identity):
-    """delta of the cochain (-1)^{n+1} int over Delta^n(x; v_n, ..., v_1) of
-    the closed form omega is in 2*pi*Z on each sampled (n+1)-tuple: there it
-    is the integral of omega over the boundary of Delta^{n+1}(x; v_{n+1},
-    ..., v_1)."""
+def cochain_simplex(vectors):
+    """Delta^n(x; v_n, ..., v_1) for the tuple (v_1, ..., v_n): the simplex
+    with top vertex x and the vectors as its edges, last first."""
+    return AffineSimplex.from_edges(vectors[::-1])
+
+
+def coboundary_slack(sign, alpha, cell, d_alpha=None):
+    """(slack, interior) of delta(kappa) on the (n+1)-simplex cell, kappa =
+    sign * int of the n-form alpha: the integral of alpha over cell.boundary(),
+    one kernel call, less the interior, the integral of d_alpha over cell
+    (None without d_alpha), each times sign * (-1)^{n+1} before the difference."""
+    negate = sign * (-1) ** (alpha.degree + 1) < 0
+    slack = integrate_chain(alpha, cell.boundary())
+    if negate:
+        slack = -slack
+    if d_alpha is None:
+        return slack, None
+    interior = integrate_simplex(d_alpha, cell)
+    if negate:
+        interior = -interior
+    return slack - interior, interior
+
+
+def check_coboundary(identity, sign, alpha, samples, d_alpha=None):
+    """The law delta(kappa) = interior (= 1 without d_alpha) on each sampled
+    (n+1)-tuple, kappa = sign * int over Delta^n of alpha: coboundary_slack,
+    decided by phase_item.  Returns (report, the interiors in sample order)."""
     report = CheckReport(identity)
+    interiors = []
     for args in samples:
-        chain = AffineSimplex.from_edges(args[::-1]).boundary()
-        phase_item(report, vec_label(*map(as_vec, args)), integrate_chain(omega, chain))
-    return report
+        args = tuple(map(as_vec, args))
+        slack, interior = coboundary_slack(sign, alpha, cochain_simplex(args), d_alpha)
+        phase_item(report, vec_label(*args), slack)
+        interiors.append(interior)
+    return report, interiors

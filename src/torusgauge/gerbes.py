@@ -23,8 +23,10 @@ verification suite.
 The composition phase Pi_{v,v'} = exp(-i int_{Delta^2(x; v', v)} B) mediates
 s(v) . s(v') -> s(v+v'), and reassociating a triple product picks up the
 associator exp(i int_{Delta^3(x; w, v, u)} H); the pentagon identity relating
-them is an exact Stokes consequence.  Every phase here is returned as its
-exponent, a PolyTrig, and every identity is verified at exponent level.
+them is an exact Stokes consequence, which cohomology.check_coboundary
+decides, as it decides the associator's cocycle law.  Every phase here is
+returned as its exponent, a PolyTrig, and every identity is verified at
+exponent level.
 """
 
 from __future__ import annotations
@@ -32,15 +34,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .cohomology import is_cocycle
+from .cohomology import cochain_simplex
 from .errors import DegreeError, DimensionError, QuantizationError
-from .forms import (
-    AffineSimplex,
-    Form,
-    integrate_chain,
-    integrate_simplex,
-    shifted_form_sum,
-)
+from .forms import AffineSimplex, Form, integrate_chain, integrate_simplex, shifted_form_sum
 from .polytrig import PolyTrig, shifted_sum, value_at
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
@@ -241,7 +237,7 @@ class HigherSection:
 
 
 def gerbe_translation_section(gerbe, v):
-    seg = AffineSimplex.from_edges([v])
+    seg = cochain_simplex((v,))
     gens = {
         a: integrate_simplex(gerbe.gen_connection(a), seg)
         for a in range(1, gerbe.d + 1)
@@ -273,14 +269,12 @@ def check_section_constraint(gerbe, v, pairs=None):
 
 def composition_phase(gerbe, v, vp):
     """Exponent of Pi_{v,v'} = exp(-i int over Delta^2(x; v', v) of B)."""
-    tri = AffineSimplex.from_edges([vp, v])
-    return -integrate_simplex(gerbe.curving, tri)
+    return -integrate_simplex(gerbe.curving, cochain_simplex((v, vp)))
 
 
 def associator(gerbe, u, v, w):
     """Exponent of omega_{u,v,w} = exp(i int over Delta^3(x; w, v, u) of H)."""
-    tet = AffineSimplex.from_edges([w, v, u])
-    return integrate_simplex(gerbe.curvature(), tet)
+    return integrate_simplex(gerbe.curvature(), cochain_simplex((u, v, w)))
 
 
 def check_associator_descends(gerbe, triples):
@@ -299,25 +293,6 @@ def check_associator_descends(gerbe, triples):
             step = shifted_sum(d, ((1, om, vneg(basis_vec(d, a))), (-1, om, None)))
             phase_item(report, f"{key} axis {a}", step)
     return report, omegas
-
-
-def pentagon_check(gerbe, u, v, w):
-    """Pi_{u,v+w} . Pi_{v,w}(. - u) = omega_{u,v,w} . Pi_{u+v,w} . Pi_{u,v}, i.e.
-    delta(Pi) = omega: Stokes' theorem on the associator's tetrahedron T =
-    Delta^3(x; w, v, u).  delta(Pi), the integral of B over the boundary of T,
-    less omega = associator(gerbe, u, v, w), the integral of H = dB over T.
-    Returns (report, omega)."""
-    u, v, w = as_vec(u), as_vec(v), as_vec(w)
-    omega = associator(gerbe, u, v, w)
-    d_pi = integrate_chain(gerbe.curving, AffineSimplex.from_edges([w, v, u]).boundary())
-    report = CheckReport("pentagon_relation")
-    phase_item(report, vec_label(u, v, w), d_pi - omega)
-    return report, omega
-
-
-def associator_cocycle_check(gerbe, quadruples):
-    """delta(omega) = 1 on the sampled quadruples (group 3-cocycle law)."""
-    return is_cocycle(gerbe.curvature(), quadruples, "associator_cocycle")
 
 
 def constant_flux_gerbe(m):

@@ -28,16 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import sub
 
+from .cohomology import cochain_simplex
 from .errors import DimensionError, PathError, TorusGaugeError
-from .forms import (
-    AffineSimplex,
-    Form,
-    PLPath,
-    integrate_chain,
-    integrate_path,
-    integrate_simplex,
-    shifted_form_sum,
-)
+from .forms import Form, PLPath, integrate_path, integrate_simplex, shifted_form_sum
 from .polytrig import PolyTrig, shifted_sum, value_at
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
@@ -153,8 +146,7 @@ def check_connection(line):
 def translation_section(line, v):
     """Exponent of s_A(v) = exp(-i * integral of A over the segment from x - v to x)."""
     A = line.require_connection()
-    seg = AffineSimplex.from_edges([v])
-    return -integrate_simplex(A, seg)
+    return -integrate_simplex(A, cochain_simplex((v,)))
 
 
 def check_section_membership(line, v):
@@ -176,22 +168,7 @@ def check_section_membership(line, v):
 def two_cocycle(line, v, vp):
     """Exponent of the twisting phase c(v, v'): -int over Delta^2(x; v', v) of dA."""
     B = line.curvature()
-    tri = AffineSimplex.from_edges([vp, v])
-    return -integrate_simplex(B, tri)
-
-
-def verify_projective_relation(line, v, vp):
-    """s(v) . translate_v s(v') = c(v, v') . s(v+v'), exactly in exponents:
-    Stokes' theorem on the twist's triangle T = Delta^2(x; v', v).  delta(theta),
-    minus the integral of A over the boundary of T, less c = two_cocycle(line,
-    v, v'), minus the integral of dA over T."""
-    v, vp = as_vec(v), as_vec(vp)
-    A = line.require_connection()
-    d_theta = -integrate_chain(A, AffineSimplex.from_edges([vp, v]).boundary())
-    c = two_cocycle(line, v, vp)
-    report = CheckReport("projective_product")
-    phase_item(report, vec_label(v, vp), d_theta - c)
-    return report, c
+    return -integrate_simplex(B, cochain_simplex((v, vp)))
 
 
 def holonomy_exponent(line, loop, on_torus=False):

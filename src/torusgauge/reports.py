@@ -24,10 +24,10 @@ class CheckItem(namedtuple("CheckItem", "label passed residue note", defaults=(N
 class CheckReport:
     """The items checked for one identity, and notes on how they were checked."""
 
-    def __init__(self, identity, items=None, notes=None):
+    def __init__(self, identity):
         self.identity = identity
-        self.items = [] if items is None else items
-        self.notes = [] if notes is None else notes
+        self.items = []
+        self.notes = []
 
     @property
     def passed(self):

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .forms import AffineSimplex, Form, PLPath, integrate_chain, integrate_simplex
+from .forms import AffineSimplex, Form, PLPath
 from .gerbes import GerbeData
 from .magnetic import LineData
 from .polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, _Acc, translate
@@ -83,11 +83,6 @@ def stokes_sample(rnd, d, k):
     simplex = rand_simplex(rnd, d, k, den=den)
     omega = rand_form(rnd, d, k - 1, freq_step=den)
     return omega, simplex
-
-
-def stokes_defect(omega, simplex):
-    """integral of d(omega) minus the boundary integral; must vanish."""
-    return integrate_simplex(omega.d(), simplex) - integrate_chain(omega, simplex.boundary())
 
 
 def rand_based_path(rnd, d, segments=2, num=2, dens=(1, 2, 3)):

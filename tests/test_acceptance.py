@@ -14,14 +14,12 @@ from torusgauge.cli import run as cli_run
 from torusgauge.forms import Form, PLPath
 from torusgauge.gerbes import (
     associator,
-    associator_cocycle_check,
     check_gerbe_cocycle,
     check_gerbe_connection,
     composition_phase,
     constant_flux_gerbe,
     flat_gerbe_2d,
     flux_class,
-    pentagon_check,
 )
 from torusgauge.hilbert import cocycle_form
 from torusgauge.magnetic import (
@@ -35,23 +33,25 @@ from torusgauge.magnetic import (
     lift_equivalence_check,
     lift_product,
     translation_section,
-    verify_projective_relation,
 )
 from torusgauge.polytrig import PolyTrig, constant_mod_free, translate
 from torusgauge.sampling import (
     rand_based_path,
     rand_periodic_gauge,
     rng,
-    stokes_defect,
     stokes_sample,
 )
 from torusgauge.scalar import Scalar
 from tests_util import (
+    cocycle_law,
     is_exact,
     operator_cocycle_slack,
+    pentagon_relation,
     phase_is_one,
+    projective_relation,
     rational_vec2,
     rational_vec3,
+    stokes_slack,
 )
 
 
@@ -71,7 +71,7 @@ def test_criterion_1_stokes_suite():
         for k in (1, 2, 3):
             for _ in range(200):
                 omega, s = stokes_sample(r, d, k)
-                defect = stokes_defect(omega, s)
+                defect = stokes_slack(omega, s)
                 assert defect.is_zero(), (d, k, defect)
                 assert is_exact(defect), "tier degraded inside the exact suite"
                 checked += 1
@@ -108,7 +108,7 @@ def test_criterion_2_landau_reproduction():
         # projective relation with the pinned cocycle on 50 random pairs
         for _ in range(50):
             v, vp = rational_vec2(r), rational_vec2(r)
-            repp, c = verify_projective_relation(line, v, vp)
+            repp, c = projective_relation(line, v, vp)
             assert repp.passed
             res = constant_mod_free(c)
             want = Scalar.exact(-Fraction(N) * (vp[0] * v[1] - vp[1] * v[0]), 1)
@@ -149,12 +149,12 @@ def test_criterion_4_gerbe_pentagon():
         g = constant_flux_gerbe(m)
         for _ in range(100):
             u, v, w = (rational_vec3(r) for _ in range(3))
-            assert pentagon_check(g, u, v, w)[0].passed
+            assert pentagon_relation(g, [(u, v, w)])[0].passed
         om = associator(g, (1, 0, 0), (0, 1, 0), (0, 0, 1))
         res = constant_mod_free(om)
         assert res is not None and res.pi == {1: Fraction(-m, 3)}
         quads = [tuple(rational_vec3(r) for _ in range(4)) for _ in range(100)]
-        assert associator_cocycle_check(g, quads).passed
+        assert cocycle_law(g, quads).passed
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"pentagon suite too slow: {elapsed:.1f}s"
     report(
@@ -320,5 +320,5 @@ def test_criterion_8_two_dimensional_degeneration():
         for _ in range(25):
             u, v, w = (rational_vec2(r) for _ in range(3))
             assert phase_is_one(associator(g, u, v, w))
-            assert pentagon_check(g, u, v, w)[0].passed
+            assert pentagon_relation(g, [(u, v, w)])[0].passed
     report("8 (d=2 degeneration)", "associator trivial, pentagon exact on 50 triples")

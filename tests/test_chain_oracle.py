@@ -2,10 +2,12 @@
 
 Each sampled identity integrates the boundary() of one simplex in one kernel
 call: delta of the cochain of a signed simplex is, cell for cell, the signed
-boundary of the next simplex (see cohomology).  Here the slack each check
-decides is compared, as a PolyTrig with ==, with the same slack summed from
-separate integrals and translate calls by the oracle coboundary of tests_util
-(on the float tier, float coefficients within DEFAULT_TOL):
+boundary of the next simplex (see cohomology).  All four are decided by
+cohomology.check_coboundary.  Here the slack it hands to phase_item is
+compared, as a PolyTrig with ==, with the same slack summed from separate
+integrals and translate calls by the oracle coboundary of tests_util (on the
+float tier, float coefficients within DEFAULT_TOL), and the interior it
+returns, c or omega, with two_cocycle or associator:
 
   * the line twist, delta(c);
   * the associator, delta(omega);
@@ -21,20 +23,21 @@ from pathlib import Path
 
 import pytest
 
-from torusgauge import cohomology, gerbes, magnetic
+from torusgauge import cohomology
 from torusgauge.cli import load_scenario
 from torusgauge.cohomology import GroupCochain
 from torusgauge.forms import AffineSimplex
-from torusgauge.gerbes import (
-    associator,
-    associator_cocycle_check,
-    composition_phase,
-    pentagon_check,
-)
-from torusgauge.magnetic import translation_section, two_cocycle, verify_projective_relation
+from torusgauge.gerbes import associator, composition_phase
+from torusgauge.magnetic import translation_section, two_cocycle
 from torusgauge.sampling import rand_gerbe_data, rand_line_data, rand_vector, rng
 from torusgauge.scalar import DEFAULT_TOL
-from tests_util import coboundary, is_exact
+from tests_util import (
+    coboundary,
+    cocycle_law,
+    is_exact,
+    pentagon_relation,
+    projective_relation,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,51 +66,51 @@ def _samples(d, parts, dens, count=4, seed=5):
     return [tuple(rand_vector(rnd, d, 3, dens) for _ in range(parts)) for _ in range(count)]
 
 
-def _record_slacks(monkeypatch, module):
-    """The slacks the module's checks hand to phase_item, in order."""
+def _record_slacks(monkeypatch):
+    """The slacks cohomology.check_coboundary hands to phase_item, in order."""
     slacks = []
-    decide = module.phase_item
+    decide = cohomology.phase_item
 
     def record(report, label, slack):
         slacks.append(slack)
         return decide(report, label, slack)
 
-    monkeypatch.setattr(module, "phase_item", record)
+    monkeypatch.setattr(cohomology, "phase_item", record)
     return slacks
 
 
-def _twist_cocycle(line, samples):
-    return cohomology.is_cocycle(line.curvature(), samples, "twist_cocycle")
+# Each runner returns the recorded slacks, the oracle's slacks, and the
+# interiors the check returned beside the cochain they must equal with ==.
 
 
 def _run_twist(monkeypatch, line, samples):
-    got = _record_slacks(monkeypatch, cohomology)
-    _twist_cocycle(line, samples)
+    got = _record_slacks(monkeypatch)
+    cocycle_law(line, samples)
     oracle = coboundary(GroupCochain(2, line.d, lambda args: two_cocycle(line, *args)))
-    return got, [oracle(*args) for args in samples]
+    return got, [oracle(*args) for args in samples], []
 
 
 def _run_associator(monkeypatch, gerbe, samples):
-    got = _record_slacks(monkeypatch, cohomology)
-    associator_cocycle_check(gerbe, samples)
+    got = _record_slacks(monkeypatch)
+    cocycle_law(gerbe, samples)
     oracle = coboundary(GroupCochain(3, gerbe.d, lambda args: associator(gerbe, *args)))
-    return got, [oracle(*args) for args in samples]
+    return got, [oracle(*args) for args in samples], []
 
 
 def _run_pentagon(monkeypatch, gerbe, samples):
-    got = _record_slacks(monkeypatch, gerbes)
-    for u, v, w in samples:
-        pentagon_check(gerbe, u, v, w)
+    got = _record_slacks(monkeypatch)
+    _, omegas = pentagon_relation(gerbe, samples)
     oracle = coboundary(GroupCochain(2, gerbe.d, lambda args: composition_phase(gerbe, *args)))
-    return got, [oracle(*args) - associator(gerbe, *args) for args in samples]
+    want = [associator(gerbe, *args) for args in samples]
+    return got, [oracle(*args) - om for args, om in zip(samples, want)], list(zip(omegas, want))
 
 
 def _run_projective(monkeypatch, line, samples):
-    got = _record_slacks(monkeypatch, magnetic)
-    for v, vp in samples:
-        verify_projective_relation(line, v, vp)
+    got = _record_slacks(monkeypatch)
+    cs = [projective_relation(line, v, vp)[1] for v, vp in samples]
     oracle = coboundary(GroupCochain(1, line.d, lambda args: translation_section(line, *args)))
-    return got, [oracle(*args) - two_cocycle(line, *args) for args in samples]
+    want = [two_cocycle(line, *args) for args in samples]
+    return got, [oracle(*args) - c for args, c in zip(samples, want)], list(zip(cs, want))
 
 
 # identity -> (data table, tuple length, runner, faces in its chain)
@@ -129,10 +132,13 @@ def test_chained_slack_equals_the_separate_integrals(monkeypatch, identity, name
     table, parts, runner, _ = IDENTITIES[identity]
     build, dens = table[name]
     data = build()
-    got, want = runner(monkeypatch, data, _samples(data.d, parts, dens))
+    got, want, interiors = runner(monkeypatch, data, _samples(data.d, parts, dens))
     assert len(got) == len(want) == 4
     for g, w in zip(got, want):
         assert _agree(g, w), (g, w)
+    if identity in ("pentagon", "projective"):
+        # the sign rule: the interior returned is the next cochain itself
+        assert len(interiors) == 4 and all(i == c for i, c in interiors)
 
 
 def _agree(got, want):
@@ -169,6 +175,6 @@ def test_a_flipped_cell_fails_the_comparison(monkeypatch, identity, index):
     build, dens = next(iter(table.values()))
     data = build()
     monkeypatch.setattr(AffineSimplex, "boundary", _flipping(index))
-    got, want = runner(monkeypatch, data, _samples(data.d, parts, dens))
+    got, want, _ = runner(monkeypatch, data, _samples(data.d, parts, dens))
     assert len(got) == len(want) == 4
     assert not all(_agree(g, w) for g, w in zip(got, want))

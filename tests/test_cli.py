@@ -317,18 +317,18 @@ def test_cohomology_takes_one_kernel_call_per_sample(tmp_path, capsys, scenario)
 
 
 def test_pentagon_takes_two_kernel_calls_per_triple(tmp_path, capsys, monkeypatch):
-    import torusgauge.gerbes as gerbes
+    import torusgauge.cohomology as cohomology
 
     omegas = []
-    associator = gerbes.associator
+    integrate_simplex = cohomology.integrate_simplex
 
-    def counting(*args):
-        omegas.append(args[1:])
-        return associator(*args)
+    def counting(omega, simplex):
+        omegas.append(simplex.edges[::-1])  # the triple (u, v, w) of Delta^3(x; w, v, u)
+        return integrate_simplex(omega, simplex)
 
-    monkeypatch.setattr(gerbes, "associator", counting)
-    # per triple the chain of delta(Pi) and the associator; (e1, e2, e3)
-    # reports the associator its pentagon check integrated
+    monkeypatch.setattr(cohomology, "integrate_simplex", counting)
+    # per triple the chain of delta(Pi) and the interior omega; (e1, e2, e3)
+    # reports the omega its pentagon check integrated
     for n in (2, 5):
         omegas.clear()
         assert _kernel_calls(tmp_path, "pentagon", "constant_flux_m1", samples=n) == 2 + 2 * n
@@ -425,12 +425,16 @@ def test_twist3_labels_match_their_triples(tmp_path, capsys):
 
 
 def test_check_cocycle_rejects_bad_counts(tmp_path, capsys):
-    for params in ({"samples": -5}, {"samples": 2.5}, {"samples": "10"},
-                   {"range": -1}, {"range": 1.5}, {"range": 10**6}):
-        cfg = write_config(tmp_path, {"dimension": 3, "kind": "line", "params": params})
-        assert run(["check-cocycle", "--config", cfg]) == 2, params
+    for kind, params in (
+        ("line", {"samples": -5}), ("line", {"samples": 2.5}), ("line", {"samples": "10"}),
+        ("line", {"range": -1}), ("line", {"range": 1.5}), ("line", {"range": 10**6}),
+        # range 0 leaves only the all-zero tuple: nothing would be tested
+        ("line", {"range": 0}), ("gerbe", {"range": 0}),
+    ):
+        cfg = write_config(tmp_path, {"dimension": 3, "kind": kind, "params": params})
+        assert run(["check-cocycle", "--config", cfg]) == 2, (kind, params)
         err = capsys.readouterr().err
-        assert err.startswith("config error:"), params
+        assert err.startswith("config error:"), (kind, params)
 
 
 def test_check_cocycle_samples_without_building_all_pairs(tmp_path, capsys):

@@ -2,13 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from torusgauge import cohomology
 from torusgauge.cohomology import GroupCochain
 from torusgauge.forms import Form
 from torusgauge.magnetic import LineData, translation_section
 from torusgauge.polytrig import PolyTrig, translate
 from torusgauge.scalar import Scalar
-from tests_util import coboundary, is_cocycle, phase_is_one, rational_vec2, rational_vec3
+from tests_util import (
+    coboundary,
+    cocycle_law,
+    is_cocycle,
+    phase_is_one,
+    rational_vec2,
+    rational_vec3,
+)
 
 # The algebraic laws below run against the exponent-valued oracle in
 # tests_util; the checker's boundary chains are compared with it in
@@ -69,12 +75,12 @@ def test_normalization_preserved_by_delta(rnd):
 
 def test_magnetic_two_cocycle_is_cocycle(landau1, rnd):
     samples = [tuple(rational_vec2(rnd) for _ in range(3)) for _ in range(25)]
-    assert cohomology.is_cocycle(landau1.curvature(), samples, "twist_cocycle").passed
+    assert cocycle_law(landau1, samples).passed
 
 
 def test_associator_is_three_cocycle(gerbe_m2, rnd):
     samples = [tuple(rational_vec3(rnd) for _ in range(4)) for _ in range(15)]
-    assert cohomology.is_cocycle(gerbe_m2.curvature(), samples, "associator_cocycle").passed
+    assert cocycle_law(gerbe_m2, samples).passed
 
 
 def test_broken_equivariance_fails(rnd):

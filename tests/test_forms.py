@@ -26,12 +26,11 @@ from torusgauge.sampling import (
     rand_simplex,
     rand_vector,
     rng,
-    stokes_defect,
     stokes_sample,
 )
 from torusgauge.scalar import Scalar
 from torusgauge.vectors import basis_vec, det, vneg, vsub, vzero
-from tests_util import code_calls, is_exact, op_calls
+from tests_util import code_calls, is_exact, op_calls, stokes_slack
 
 
 def quad_simplex(omega, simplex, base, n=32):
@@ -150,7 +149,7 @@ def test_form_arithmetic_makes_no_polytrig_sums():
 
 
 def test_stokes_selftest_sums_once_per_sample(capsys):
-    # the only PolyTrig + left is stokes_defect's difference, one per sample
+    # the only PolyTrig + left is the difference in each sample's slack
     with op_calls() as calls:
         assert run(["stokes-selftest", "--seed", "0"]) == 0
     capsys.readouterr()
@@ -531,7 +530,7 @@ def test_stokes_randomized_exact():
         for k in (1, 2, 3):
             for _ in range(25):
                 omega, s = stokes_sample(r, d, k)
-                assert stokes_defect(omega, s).is_zero()
+                assert stokes_slack(omega, s).is_zero()
 
 
 def test_stokes_concrete_base():

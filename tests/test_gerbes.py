@@ -9,7 +9,6 @@ from torusgauge.forms import AffineSimplex, Form, integrate_chain, integrate_sim
 from torusgauge.gerbes import (
     GerbeData,
     associator,
-    associator_cocycle_check,
     check_gerbe_cocycle,
     check_gerbe_connection,
     check_section_constraint,
@@ -17,11 +16,17 @@ from torusgauge.gerbes import (
     constant_flux_gerbe,
     flux_class,
     gerbe_translation_section,
-    pentagon_check,
 )
 from torusgauge.polytrig import PolyTrig, constant_mod_free, shifted_sum, translate
 from torusgauge.scalar import Scalar
-from tests_util import phase_descends, phase_is_one, rational_vec2, rational_vec3
+from tests_util import (
+    cocycle_law,
+    pentagon_relation,
+    phase_descends,
+    phase_is_one,
+    rational_vec2,
+    rational_vec3,
+)
 
 F3 = lambda s: parse_expr(s, 3)
 
@@ -268,12 +273,12 @@ def test_pentagon_random_rational(m, rnd):
     g = constant_flux_gerbe(m)
     for _ in range(25):
         u, v, w = (rational_vec3(rnd) for _ in range(3))
-        assert pentagon_check(g, u, v, w)[0].passed
+        assert pentagon_relation(g, [(u, v, w)])[0].passed
 
 
 def test_pentagon_with_unit_argument(gerbe_m1, rnd):
     u, v = rational_vec3(rnd), rational_vec3(rnd)
-    assert pentagon_check(gerbe_m1, u, v, (0, 0, 0))[0].passed
+    assert pentagon_relation(gerbe_m1, [(u, v, (0, 0, 0))])[0].passed
 
 
 def test_pentagon_fails_without_associator(gerbe_m1, rnd):
@@ -295,7 +300,7 @@ def test_pentagon_fails_without_associator(gerbe_m1, rnd):
 
 def test_associator_cocycle_law(gerbe_m1, rnd):
     quads = [tuple(rational_vec3(rnd) for _ in range(4)) for _ in range(20)]
-    assert associator_cocycle_check(gerbe_m1, quads).passed
+    assert cocycle_law(gerbe_m1, quads).passed
 
 
 def test_curving_shift_leaves_associator_alone(gerbe_m1, rnd):
@@ -308,7 +313,7 @@ def test_curving_shift_leaves_associator_alone(gerbe_m1, rnd):
     om1 = associator(gerbe_m1, u, v, w)
     om2 = associator(shifted, u, v, w)
     assert phase_is_one(om1 - om2)
-    assert pentagon_check(shifted, u, v, w)[0].passed
+    assert pentagon_relation(shifted, [(u, v, w)])[0].passed
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +332,7 @@ def test_2d_associator_trivial(gerbe_2d, rnd):
     for _ in range(10):
         u, v, w = (rational_vec2(rnd) for _ in range(3))
         assert phase_is_one(associator(gerbe_2d, u, v, w))
-        assert pentagon_check(gerbe_2d, u, v, w)[0].passed
+        assert pentagon_relation(gerbe_2d, [(u, v, w)])[0].passed
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +356,10 @@ def test_pentagon_on_random_conforming_data(rnd):
         flux_class(g)  # integral by construction
         for _ in range(3):
             u, v, w = (rational_vec3(rnd) for _ in range(3))
-            assert pentagon_check(g, u, v, w)[0].passed
+            assert pentagon_relation(g, [(u, v, w)])[0].passed
             assert check_section_constraint(g, rational_vec3(rnd))[0].passed
         quads = [tuple(rational_vec3(rnd) for _ in range(4)) for _ in range(3)]
-        assert associator_cocycle_check(g, quads).passed
+        assert cocycle_law(g, quads).passed
 
 
 def test_curving_shift_moves_composition_phase_by_coboundary(gerbe_m1, rnd):

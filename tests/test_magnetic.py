@@ -20,13 +20,12 @@ from torusgauge.magnetic import (
     lift_product,
     translation_section,
     two_cocycle,
-    verify_projective_relation,
 )
 from torusgauge.polytrig import PolyTrig, constant_mod_free, translate
 from torusgauge.sampling import rand_based_path, rand_periodic_gauge
 from torusgauge.scalar import Scalar
 
-from tests_util import kernel_calls, phase_descends, phase_is_one
+from tests_util import kernel_calls, phase_descends, phase_is_one, projective_relation
 
 F2 = lambda s: parse_expr(s, 2)
 
@@ -198,12 +197,12 @@ def test_projective_relation_random(landau1, rnd):
 
     for _ in range(20):
         v, vp = rational_vec2(rnd), rational_vec2(rnd)
-        rep, _ = verify_projective_relation(landau1, v, vp)
+        rep, _ = projective_relation(landau1, v, vp)
         assert rep.passed
 
 
 def test_projective_relation_trivial_vp(landau1):
-    rep, c = verify_projective_relation(landau1, (Fraction(1, 2), Fraction(1, 3)), (0, 0))
+    rep, c = projective_relation(landau1, (Fraction(1, 2), Fraction(1, 3)), (0, 0))
     assert rep.passed and phase_is_one(c)
 
 
@@ -384,5 +383,5 @@ def test_projective_relation_on_random_conforming_data(rnd):
         for _ in range(4):
             v, vp = rational_vec2(rnd), rational_vec2(rnd)
             assert check_section_membership(line, v)[0].passed
-            r2, _c = verify_projective_relation(line, v, vp)
+            r2, _c = projective_relation(line, v, vp)
             assert r2.passed

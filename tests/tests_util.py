@@ -5,7 +5,7 @@ from fractions import Fraction
 from operator import add
 
 from torusgauge import forms
-from torusgauge.cohomology import GroupCochain
+from torusgauge.cohomology import GroupCochain, check_coboundary, coboundary_slack
 from torusgauge.hilbert import _column_phase, cocycle_form, translation_matrix
 from torusgauge.magnetic import landau_line
 from torusgauge.polytrig import PolyTrig, _Acc, _Rows, translate
@@ -128,6 +128,40 @@ def is_cocycle(c, samples):
     for args in samples:
         phase_item(report, vec_label(*map(as_vec, args)), dc(*args))
     return report
+
+
+# ---------------------------------------------------------------------------
+# the chained laws, each checked by cohomology.check_coboundary with the
+# cochain's sign and forms that the CLI hands it
+
+
+def projective_relation(line, v, vp):
+    """(report, c) of delta(theta) = c at (v, v'), theta = -int over Delta^1
+    of A: twist2's check on a line."""
+    rep, (c,) = check_coboundary(
+        "projective_product", -1, line.connection, [(v, vp)], line.curvature()
+    )
+    return rep, c
+
+
+def pentagon_relation(gerbe, samples):
+    """(report, omegas) of delta(Pi) = omega on the sampled triples, Pi = -int
+    over Delta^2 of B: pentagon's check."""
+    return check_coboundary("pentagon_relation", -1, gerbe.curving, samples, gerbe.curvature())
+
+
+def cocycle_law(data, samples):
+    """The report of delta(kappa) = 1 on the samples, kappa = (-1)^{n+1} int
+    over Delta^n of the curvature of a line (the twist c) or of a gerbe (the
+    associator omega): cohomology's check."""
+    F = data.curvature()
+    return check_coboundary("cocycle_law", (-1) ** (F.degree + 1), F, samples)[0]
+
+
+def stokes_slack(omega, simplex):
+    """The integral of omega over simplex.boundary() less that of d(omega)
+    over simplex: stokes-selftest's slack, zero by Stokes' theorem."""
+    return coboundary_slack((-1) ** simplex.k, omega, simplex, omega.d())[0]
 
 
 def rand_polytrig_by_add(rnd, d, freq_step=1, n_terms=2, max_deg=2):
