@@ -19,6 +19,7 @@ import csv
 import functools
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
@@ -251,9 +252,7 @@ def cmd_section(scn, rnd, values):
             sections[vec_label(v)] = str(theta)
         else:
             rep, sec = check_section_constraint(scn.data, v)
-            sections[vec_label(v)] = {
-                f"e{a}": str(g) for a, g in sorted(sec.g.items())
-            }
+            sections[vec_label(v)] = {f"e{a}": str(g) for a, g in sorted(sec.items())}
         reports.append(rep)
     values["sections"] = sections
     return reports
@@ -375,6 +374,8 @@ def cmd_cohomology(scn, rnd, values):
     n = _count_param(scn, "samples", DEFAULT_COHOMOLOGY_SAMPLES)
     F = scn.data.curvature()
     parts = F.degree + 1
+    # a curvature of degree above d is the zero form: its law would test nothing
+    n = n if F.degree <= d else 0
     samples = [tuple(rand_vector(rnd, d, 2, (1, 2, 3)) for _ in range(parts)) for _ in range(n)]
     return [check_coboundary(COCYCLE_LAWS[F.degree], (-1) ** parts, F, samples)[0]]
 
@@ -561,7 +562,10 @@ def _emit(report, args, reports):
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left: the exit-time flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.csv_path:
         write_csv(args.csv_path, reports)
 

@@ -23,14 +23,24 @@ one computation, and check_coboundary decides it on samples: the projective
 relation delta(theta) = c, the twist's law delta(c) = 1, the pentagon
 delta(Pi) = omega and the associator's law delta(omega) = 1 are its four
 uses, and the Stokes self-test checks the kernel with its slack.
+
+The same differential on Z^d, with rho_i f = f(. + i), needs no integral: the
+presentation data are Z^d cochains given by their shifted_sum parts,
+kappa(args, k, shift) those of k * kappa(args)(x - shift) -- the phi of a line
+or a gerbe, linear_cochain of generator values (A_i, the section gauges g_i)
+and cochain0 of one function or form -- and lattice_coboundary lists the parts
+of k * delta(kappa).  Every cocycle, connection, section and descent check on
+that data is one such coboundary plus at most two extra parts.
 GroupCochain is the cochain type of the exponent-valued test oracle.
 """
 
 from __future__ import annotations
 
+from operator import add
+
 from .forms import AffineSimplex, integrate_chain, integrate_simplex
 from .reports import CheckReport, phase_item, vec_label
-from .vectors import as_vec
+from .vectors import as_vec, vneg
 
 
 class GroupCochain:
@@ -86,3 +96,33 @@ def check_coboundary(identity, sign, alpha, samples, d_alpha=None):
         phase_item(report, vec_label(*args), slack)
         interiors.append(interior)
     return report, interiors
+
+
+def lattice_coboundary(kappa, args, k=1):
+    """The shifted_sum parts of k * (delta kappa)(g_1, ..., g_{n+1}) for the
+    integer vectors args = (g_1, ..., g_{n+1}) and a degree-n cochain kappa,
+    by the differential above with rho_{g_1} the part shift -g_1."""
+    n = len(args) - 1
+    parts = list(kappa(args[1:], k, vneg(args[0])))
+    for i in range(1, n + 1):
+        merged = (*args[: i - 1], tuple(map(add, args[i - 1], args[i])), *args[i + 1 :])
+        parts += kappa(merged, -k if i % 2 else k, None)
+    parts += kappa(args[:n], k if n % 2 else -k, None)
+    return parts
+
+
+def linear_cochain(values):
+    """The 1-cochain i -> sum_a i_a values[a] on Z^d of the generator values
+    keyed by 1-based axis, as the parts function lattice_coboundary takes."""
+
+    def kappa(args, k=1, shift=None):
+        (i,) = args
+        return [(k * i[a - 1], f, shift) for a, f in values.items() if i[a - 1]]
+
+    return kappa
+
+
+def cochain0(f):
+    """The 0-cochain of one function or form f, as the parts function
+    lattice_coboundary takes: delta of it at (i,) is f(. + i) - f."""
+    return lambda args, k=1, shift=None: [(k, f, shift)]

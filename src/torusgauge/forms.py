@@ -51,7 +51,7 @@ from operator import add, mul, sub
 from .errors import DegreeError, DimensionError, PathError
 from . import polytrig
 from .polytrig import MODE_NONE, PolyTrig, _Acc, _axis_pass, _from_int_terms, _merge_pair, _Rows
-from .vectors import basis_vec, det, scale_vecs, unscale, vneg, vzero
+from .vectors import det, scale_vecs, unscale, vzero
 
 
 class Form:
@@ -162,14 +162,6 @@ class Form:
     def translate(self, v):
         """tau_v^* in the shift convention: coefficients become f(x - v)."""
         return shifted_form_sum(self.dim, self.degree, ((1, self, v),))
-
-    def lattice_steps(self):
-        """[self(. + e_a) - self for a = 1..dim]; all vanish iff the form descends to T^d."""
-        d, p = self.dim, self.degree
-        return [
-            shifted_form_sum(d, p, ((1, self, vneg(basis_vec(d, a))), (-1, self, None)))
-            for a in range(1, d + 1)
-        ]
 
     def __repr__(self):
         if not self.comps:

@@ -12,10 +12,10 @@ Cocycle exponents and connection forms are stored on generators and extended
 multilinearly: phi_{i,j} = sum_{a,b} i_a j_b psi_{ab} and A_i = sum_a i_a A_a.
 The translation section at v is likewise its generator gauges
 g_{e_a} = exp(i int_{[x - v, x]} A_a), extended linearly like A_i:
-g_i = prod_a g_{e_a}^{i_a}.  The extensions are kept as parts (k, f, shift),
-one per generator term, and each sampled identity sums the parts of all its
-(shifted) terms in one polytrig.shifted_sum (forms.shifted_form_sum for the
-connection), so no intermediate phi_{i,j}, A_i or g_i is built.
+g_i = prod_a g_{e_a}^{i_a}.  The extensions are Z^d cochains kept as parts,
+one per generator term (GerbeData.phi_parts, cohomology.linear_cochain), and
+each check is cohomology.lattice_coboundary of phi, A, B, H, g or omega, plus
+at most two parts, in one shifted_sum: no phi_{i,j}, A_i or g_i is built.
 Any presentation differing from a word-synthesized one is absorbed by the
 mod-2*pi equality used in every check, and nonconforming data still fails the
 verification suite.
@@ -34,19 +34,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .cohomology import cochain_simplex
+from .cohomology import cochain0, cochain_simplex, lattice_coboundary, linear_cochain
 from .errors import DegreeError, DimensionError, QuantizationError
 from .forms import AffineSimplex, Form, integrate_chain, integrate_simplex, shifted_form_sum
 from .polytrig import PolyTrig, shifted_sum, value_at
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
-from .vectors import as_vec, basis_vec, vneg, vzero
-
-
-def _parts(weighted, k, shift):
-    """The parts (k * c, f, shift) of k * sum c f(x - shift) over the (c, f) in
-    weighted with integer c, the terms with c = 0 left out."""
-    return [(k * c, f, shift) for c, f in weighted if c]
+from .vectors import as_vec, basis_vec, vzero
 
 
 def _generator_pairs(d):
@@ -84,30 +78,26 @@ class GerbeData:
         self.curving = curving
         self._curvature = None
 
-    def phi_parts(self, i, j, k=1, shift=None):
-        """The shifted_sum parts of k * phi_{i,j}(x - shift) for integer vectors
-        i, j: the bilinear extension sum_{a,b} i_a j_b psi_ab."""
+    def phi_parts(self, args, k=1, shift=None):
+        """The shifted_sum parts of k * phi_{i,j}(x - shift) for args = (i, j),
+        integer vectors: the bilinear extension sum_{a,b} i_a j_b psi_ab."""
+        i, j = args
         weighted = ((i[a - 1] * j[b - 1], psi) for (a, b), psi in self.pair_exponents.items())
-        return _parts(weighted, k, shift)
+        return [(k * c, psi, shift) for c, psi in weighted if c]
 
     def phi(self, i, j):
         """Exponent of f_{i,j} for arbitrary integer vectors (bilinear extension)."""
         i = tuple(int(x) for x in i)
         j = tuple(int(x) for x in j)
-        return shifted_sum(self.d, self.phi_parts(i, j))
+        return shifted_sum(self.d, self.phi_parts((i, j)))
 
     def gen_connection(self, a):
         return self.gen_connections.get(a, Form.zero(self.d, 1))
 
-    def connection_parts(self, i, k=1, shift=None):
-        """The shifted_form_sum parts of k * A_i(x - shift) for an integer vector
-        i: the linear extension sum_a i_a A_a."""
-        return _parts(((i[a - 1], A) for a, A in self.gen_connections.items()), k, shift)
-
     def connection(self, i):
         """A_i for an arbitrary integer vector (linear extension)."""
         i = tuple(int(x) for x in i)
-        return shifted_form_sum(self.d, 1, self.connection_parts(i))
+        return shifted_form_sum(self.d, 1, linear_cochain(self.gen_connections)((i,)))
 
     def curvature(self):
         """H = dB, computed once per gerbe object."""
@@ -117,21 +107,13 @@ class GerbeData:
 
 
 def check_gerbe_cocycle(gerbe, triples):
-    """phi_{i,j} + phi_{i+j,k} = phi_{i,j+k} + phi_{j,k}(. + i) mod 2*pi*Z."""
+    """phi_{i,j} + phi_{i+j,k} = phi_{i,j+k} + phi_{j,k}(. + i) mod 2*pi*Z: the
+    slack is -(delta phi)(i, j, k)."""
     report = CheckReport("gerbe_cocycle")
-    for i, j, k in triples:
-        i = tuple(int(x) for x in i)
-        j = tuple(int(x) for x in j)
-        k = tuple(int(x) for x in k)
-        ij = tuple(a + b for a, b in zip(i, j))
-        jk = tuple(a + b for a, b in zip(j, k))
-        slack = shifted_sum(gerbe.d, [
-            *gerbe.phi_parts(i, j),
-            *gerbe.phi_parts(ij, k),
-            *gerbe.phi_parts(i, jk, -1),
-            *gerbe.phi_parts(j, k, -1, vneg(i)),
-        ])
-        phase_item(report, vec_label(i, j, k), slack)
+    for triple in triples:
+        triple = tuple(tuple(int(x) for x in v) for v in triple)
+        slack = shifted_sum(gerbe.d, lattice_coboundary(gerbe.phi_parts, triple, -1))
+        phase_item(report, vec_label(*triple), slack)
     return report
 
 
@@ -141,29 +123,23 @@ def check_gerbe_connection(gerbe, pairs=None):
     d = gerbe.d
     if pairs is None:
         pairs = _generator_pairs(d)
+    A = linear_cochain(gerbe.gen_connections)
     for i, j in pairs:
-        ij = tuple(a + b for a, b in zip(i, j))
         phi = gerbe.phi(i, j)
         dphi = Form.one_form(d, {b: phi.partial(b) for b in range(1, d + 1)})
-        # d(phi_{i,j}) - (A_{i+j} - A_i - A_j(. + i))
-        slack = shifted_form_sum(d, 1, [
-            (1, dphi, None),
-            *gerbe.connection_parts(ij, -1),
-            *gerbe.connection_parts(i),
-            *gerbe.connection_parts(j, 1, vneg(i)),
-        ])
+        # d(phi_{i,j}) + (delta A)(i, j)
+        slack = shifted_form_sum(d, 1, [(1, dphi, None), *lattice_coboundary(A, (i, j))])
         report.add(f"cocycle vs connections {vec_label(i, j)}", slack.is_zero(DEFAULT_TOL))
-    B = gerbe.curving
+    B = cochain0(gerbe.curving)
     for a in range(1, d + 1):
-        # dA_a - (B(. + e_a) - B)
-        slack = shifted_form_sum(d, 2, [
-            (1, gerbe.gen_connection(a).d(), None),
-            (-1, B, vneg(basis_vec(d, a))),
-            (1, B, None),
-        ])
+        # dA_a - (delta B)(e_a)
+        parts = [(1, gerbe.gen_connection(a).d(), None),
+                 *lattice_coboundary(B, (basis_vec(d, a),), -1)]
+        slack = shifted_form_sum(d, 2, parts)
         report.add(f"curving step along axis {a}", slack.is_zero(DEFAULT_TOL))
     H = gerbe.curvature()
-    for a, step in enumerate(H.lattice_steps(), 1):
+    for a in range(1, d + 1):
+        step = shifted_form_sum(d, 3, lattice_coboundary(cochain0(H), (basis_vec(d, a),)))
         report.add(f"curvature descends along axis {a}", step.is_zero(DEFAULT_TOL))
     return report, H
 
@@ -218,31 +194,13 @@ def _integrate_unit_cube(H, face):
     return value_at(integrate_chain(H, chain), vzero(d))
 
 
-class HigherSection:
-    """Section datum at translation v: the exponents g = {a: exponent of g_{e_a}}.
-
-    The gauge at any integer vector i is their linear extension,
-    g_i = prod_a g_{e_a}^{i_a}, in the same way as A_i = sum_a i_a A_a.
-    """
-
-    __slots__ = ("g",)
-
-    def __init__(self, g):
-        self.g = dict(g)
-
-    def parts(self, i, k=1, shift=None):
-        """The shifted_sum parts of k * (exponent of g_i)(x - shift) for an
-        integer vector i: sum_a i_a (exponent of g_{e_a})."""
-        return _parts(((i[a - 1], g) for a, g in self.g.items()), k, shift)
-
-
 def gerbe_translation_section(gerbe, v):
+    """The section datum at translation v: {a: exponent of g_{e_a}}, each
+    int over the segment [x - v, x] of A_a.  The gauge at an integer vector i
+    is their linear extension g_i = prod_a g_{e_a}^{i_a}, as A_i = sum_a i_a A_a
+    (cohomology.linear_cochain)."""
     seg = cochain_simplex((v,))
-    gens = {
-        a: integrate_simplex(gerbe.gen_connection(a), seg)
-        for a in range(1, gerbe.d + 1)
-    }
-    return HigherSection(gens)
+    return {a: integrate_simplex(gerbe.gen_connection(a), seg) for a in range(1, gerbe.d + 1)}
 
 
 def check_section_constraint(gerbe, v, pairs=None):
@@ -253,15 +211,13 @@ def check_section_constraint(gerbe, v, pairs=None):
     if pairs is None:
         pairs = _generator_pairs(gerbe.d)
     section = gerbe_translation_section(gerbe, v)
+    g = linear_cochain(section)
     for i, j in pairs:
-        ij = tuple(a + b for a, b in zip(i, j))
-        # phi_{i,j} + g_i + g_j(. + i) - g_{i+j} - phi_{i,j}(. - v)
+        # (delta g)(i, j) + phi_{i,j} - phi_{i,j}(. - v)
         slack = shifted_sum(gerbe.d, [
-            *gerbe.phi_parts(i, j),
-            *section.parts(i),
-            *section.parts(j, 1, vneg(i)),
-            *section.parts(ij, -1),
-            *gerbe.phi_parts(i, j, -1, v),
+            *lattice_coboundary(g, (i, j)),
+            *gerbe.phi_parts((i, j)),
+            *gerbe.phi_parts((i, j), -1, v),
         ])
         phase_item(report, vec_label(i, j), slack)
     return report, section
@@ -290,7 +246,7 @@ def check_associator_descends(gerbe, triples):
             continue
         om = omegas[key] = associator(gerbe, u, v, w)
         for a in range(1, d + 1):
-            step = shifted_sum(d, ((1, om, vneg(basis_vec(d, a))), (-1, om, None)))
+            step = shifted_sum(d, lattice_coboundary(cochain0(om), (basis_vec(d, a),)))
             phase_item(report, f"{key} axis {a}", step)
     return report, omegas
 

@@ -5,9 +5,9 @@ A line bundle is presented by exponents phi_i of the transition functions
 f_i = exp(i*phi_i) for i in Z^d, stored on the generators and synthesized for
 general i along a fixed axis-ordered word; any two synthesis orders differ by
 the (verified) cocycle slack in 2*pi*Z, which exponential equality absorbs.
-The word is kept as its parts, one shifted generator per step, and each
-sampled identity sums all the shifted terms it compares in one
-polytrig.shifted_sum (forms.shifted_form_sum for 1-forms).
+The word is kept as its parts, one shifted generator per step: a Z^d cochain
+(LineData.phi_parts), and each check is cohomology.lattice_coboundary of phi,
+A, dA or the section theta, plus at most two parts, in one shifted_sum.
 A connection is a global 1-form A with d(phi_i) = A - A(. + i), and the
 curvature dA descends to the torus automatically.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import sub
 
-from .cohomology import cochain_simplex
+from .cohomology import cochain0, cochain_simplex, lattice_coboundary
 from .errors import DimensionError, PathError, TorusGaugeError
 from .forms import Form, PLPath, integrate_path, integrate_simplex, shifted_form_sum
 from .polytrig import PolyTrig, shifted_sum, value_at
@@ -69,11 +69,12 @@ class LineData:
     def gen(self, axis):
         return self.generators.get(axis, PolyTrig.zero(self.d))
 
-    def phi_parts(self, i, k=1, shift=None):
-        """The shifted_sum parts of k * phi_i(x - shift) for i in Z^d: the
-        axis-ordered word, one part per step.  A step s from pos adds
+    def phi_parts(self, args, k=1, shift=None):
+        """The shifted_sum parts of k * phi_i(x - shift) for args = (i,), i in
+        Z^d: the axis-ordered word, one part per step.  A step s from pos adds
         phi_s(x + pos), by phi_{pos + s}(x) = phi_pos(x) + phi_s(x + pos), and
         phi_{-e}(y) = -phi_e(y - e)."""
+        (i,) = args
         i = tuple(int(x) for x in i)
         if len(i) != self.d:
             raise DimensionError("translation vector has wrong length")
@@ -95,7 +96,7 @@ class LineData:
 
     def phi(self, i):
         """Exponent of f_i for arbitrary i in Z^d (axis-ordered word synthesis)."""
-        return shifted_sum(self.d, self.phi_parts(i))
+        return shifted_sum(self.d, self.phi_parts((i,)))
 
     def require_connection(self):
         if self.connection is None:
@@ -110,35 +111,30 @@ class LineData:
 
 
 def check_line_cocycle(line, pairs):
-    """Verify phi_i(x) + phi_j(x + i) = phi_{i+j}(x) mod 2*pi*Z per pair."""
+    """Verify phi_i(x) + phi_j(x + i) = phi_{i+j}(x) mod 2*pi*Z per pair: the
+    slack is (delta phi)(i, j)."""
     report = CheckReport("translation_cocycle")
-    for i, j in pairs:
-        i = tuple(int(x) for x in i)
-        j = tuple(int(x) for x in j)
-        slack = shifted_sum(line.d, [
-            *line.phi_parts(i),
-            *line.phi_parts(j, 1, vneg(i)),
-            *line.phi_parts(tuple(a + b for a, b in zip(i, j)), -1),
-        ])
-        phase_item(report, vec_label(i, j), slack)
+    for pair in pairs:
+        pair = tuple(tuple(int(x) for x in v) for v in pair)
+        slack = shifted_sum(line.d, lattice_coboundary(line.phi_parts, pair))
+        phase_item(report, vec_label(*pair), slack)
     return report
 
 
 def check_connection(line):
     """Verify d(phi_i) = A - A(. + i) on generators; also that dA descends."""
-    A = line.require_connection()
+    d = line.d
+    A = cochain0(line.require_connection())
     report = CheckReport("connection_compatibility")
     report.notes.append(GAUGE_NOTE)
-    for a in range(1, line.d + 1):
-        e = basis_vec(line.d, a)
-        lhs = Form.one_form(
-            line.d, {b: line.gen(a).partial(b) for b in range(1, line.d + 1)}
-        )
-        # d(phi_e) - (A - A(. + e))
-        slack = shifted_form_sum(line.d, 1, [(1, lhs, None), (-1, A, None), (1, A, vneg(e))])
-        report.add(f"axis {a}", slack.is_zero(DEFAULT_TOL))
+    for a in range(1, d + 1):
+        dphi = Form.one_form(d, {b: line.gen(a).partial(b) for b in range(1, d + 1)})
+        # d(phi_e) + (delta A)(e)
+        parts = [(1, dphi, None), *lattice_coboundary(A, (basis_vec(d, a),))]
+        report.add(f"axis {a}", shifted_form_sum(d, 1, parts).is_zero(DEFAULT_TOL))
     B = line.curvature()
-    for a, step in enumerate(B.lattice_steps(), 1):
+    for a in range(1, d + 1):
+        step = shifted_form_sum(d, 2, lattice_coboundary(cochain0(B), (basis_vec(d, a),)))
         report.add(f"curvature descends along axis {a}", step.is_zero(DEFAULT_TOL))
     return report, B
 
@@ -156,12 +152,11 @@ def check_section_membership(line, v):
     theta = translation_section(line, v)
     report = CheckReport("section_quasiperiodicity")
     for a in range(1, line.d + 1):
-        e = basis_vec(line.d, a)
         phi = line.gen(a)
-        slack = shifted_sum(
-            line.d, [(1, theta, vneg(e)), (-1, theta, None), (-1, phi, None), (1, phi, v)]
-        )
-        phase_item(report, f"axis {a}", slack)
+        # (delta theta)(e) - phi_e + phi_e(. - v)
+        parts = [*lattice_coboundary(cochain0(theta), (basis_vec(line.d, a),)),
+                 (-1, phi, None), (1, phi, v)]
+        phase_item(report, f"axis {a}", shifted_sum(line.d, parts))
     return report, theta
 
 

@@ -1,7 +1,10 @@
 import gc
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -575,6 +578,8 @@ def test_operators_rejects_bad_flux_list(tmp_path, capsys):
 
 
 FLAT_GERBE_2D = {"dimension": 2, "kind": "gerbe"}
+# dA is a 2-form on R^1, zero whatever A is: its cocycle law tests nothing
+LINE_1D = {"dimension": 1, "kind": "line", "connection": {"1": "x1"}}
 
 
 @pytest.mark.parametrize(
@@ -588,6 +593,8 @@ FLAT_GERBE_2D = {"dimension": 2, "kind": "gerbe"}
         ("flux", FLAT_GERBE_2D, {}),
         ("twist3", FLAT_GERBE_2D, {"vectors": [["1/2", "0"]]}),
         ("sym-product", LINE, {"equivalence_samples": 0}),
+        ("cohomology", LINE_1D, {}),
+        ("cohomology", FLAT_GERBE_2D, {}),
     ],
 )
 def test_empty_report_fails(tmp_path, capsys, command, doc, params):
@@ -877,3 +884,19 @@ def test_a_float_past_the_float_range_is_a_config_error(tmp_path, capsys):
     doc["cocycle"] = {"1": "cos(2*pi*(x2 + 1/5))*x1^1500"}
     doc["params"] = {"range": 1, "samples": 1, "vectors": [["1", "0"]]}
     assert_config_error(capsys, ["section", "--config", write_config(tmp_path, doc)], "section")
+
+
+def test_closed_stdout_is_no_traceback():
+    # the reader closes the pipe before the report is written
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SCENARIOS.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torusgauge.cli", "cohomology",
+         "--config", str(SCENARIOS / "landau_n1.json")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from torusgauge.cohomology import GroupCochain
+from torusgauge.cohomology import GroupCochain, cochain0, lattice_coboundary, linear_cochain
 from torusgauge.forms import Form
 from torusgauge.magnetic import LineData, translation_section
-from torusgauge.polytrig import PolyTrig, translate
+from torusgauge.polytrig import PolyTrig, shifted_sum, translate
+from torusgauge.sampling import rand_gerbe_data, rand_line_data, rand_polytrig, rng
 from torusgauge.scalar import Scalar
 from tests_util import (
     coboundary,
@@ -158,3 +159,28 @@ def test_wrong_arity_call():
     c = GroupCochain(2, 2, lambda args: PolyTrig.zero(2))
     with pytest.raises(ValueError):
         c((1, 0))
+
+
+def _lattice_cochains(rnd):
+    """(name, d, degree, kappa): seeded random cochains on Z^d as parts functions."""
+    d = rnd.choice((2, 3))
+    return [
+        ("function", d, 0, cochain0(rand_polytrig(rnd, d))),
+        ("linear", d, 1, linear_cochain({a: rand_polytrig(rnd, d) for a in range(1, d + 1)})),
+        ("line phi", 2, 1, rand_line_data(rnd).phi_parts),
+        ("gerbe phi", 3, 2, rand_gerbe_data(rnd).phi_parts),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_lattice_coboundary_squares_to_zero(seed):
+    rnd = rng(seed)
+    for name, d, degree, kappa in _lattice_cochains(rnd):
+
+        def d_kappa(args, k=1, shift=None):
+            return [(k, shifted_sum(d, lattice_coboundary(kappa, args)), shift)]
+
+        args = tuple(
+            tuple(rnd.randint(-2, 2) for _ in range(d)) for _ in range(degree + 2)
+        )
+        assert shifted_sum(d, lattice_coboundary(d_kappa, args)) == PolyTrig.zero(d), (name, args)
