@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .cohomology import check_coboundary, coboundary_slack
 from .errors import QuantizationError, SizeLimitError, TorusGaugeError
 from .expr import MAX_COUNT, parse_expr, read_rational
-from .forms import Form, PLPath
+from .forms import Form
 from .gerbes import (
     GerbeData,
     check_associator_descends,
@@ -51,6 +51,7 @@ from .polytrig import constant_mod_free
 from .reports import CheckReport, phase_item, vec_label
 from .sampling import (
     rand_based_path,
+    rand_path_pair,
     rand_periodic_gauge,
     rand_vector,
     rng,
@@ -162,9 +163,10 @@ def load_scenario(path):
     return Scenario(name, kind, data, params)
 
 
-def _vectors(scn, default):
+def _vectors(scn, rnd, count):
+    """params 'vectors', or count vectors drawn from rnd if the config has none."""
     if "vectors" not in scn.params:
-        return default
+        return _sample_vectors(rnd, scn.data.d, count)
     vecs = scn.params["vectors"]
     if not isinstance(vecs, list) or not vecs or not all(isinstance(v, list) for v in vecs):
         raise ConfigError(f"params 'vectors' must be a non-empty list of lists, got {vecs!r}")
@@ -242,8 +244,7 @@ def cmd_check_connection(scn, rnd, values):
 
 
 def cmd_section(scn, rnd, values):
-    d = scn.data.d
-    vecs = _vectors(scn, _sample_vectors(rnd, d, 3))
+    vecs = _vectors(scn, rnd, 3)
     reports = []
     sections = {}
     for v in vecs:
@@ -259,8 +260,7 @@ def cmd_section(scn, rnd, values):
 
 
 def cmd_twist2(scn, rnd, values):
-    d = scn.data.d
-    vecs = _vectors(scn, _sample_vectors(rnd, d, 4))
+    vecs = _vectors(scn, rnd, 4)
     if len(vecs) < 2:
         raise ConfigError("twist2 needs at least two vectors in params 'vectors'")
     phases = {}
@@ -286,7 +286,7 @@ def cmd_twist2(scn, rnd, values):
 
 def cmd_twist3(scn, rnd, values):
     d = scn.data.d
-    vecs = _vectors(scn, _sample_vectors(rnd, d, 3))
+    vecs = _vectors(scn, rnd, 3)
     gens = [basis_vec(d, a) for a in range(1, min(d, 3) + 1)]
     tuples = [tuple(gens[:3])] if len(gens) >= 3 else []
     for i in range(len(vecs) - 2):
@@ -337,7 +337,7 @@ def cmd_sym_product(scn, rnd, values):
         lhs = lift_product(ab, elems[2], scn.data, paths)
         bc = lift_product(elems[1], elems[2], scn.data, paths)
         rhs = lift_product(elems[0], bc, scn.data, paths)
-        if lhs.path.vertices == rhs.path.vertices:
+        if lhs.path == rhs.path:
             phase_item(rep, f"triple {i}", lhs.gauge - rhs.gauge)
         else:
             rep.add(f"triple {i}", False, note="paths differ")
@@ -350,10 +350,7 @@ def cmd_sym_product(scn, rnd, values):
     reports = [rep]
     eq = CheckReport("lift_equivalence")
     for i in range(m):
-        end = rand_vector(rnd, d, num=2, dens=(1, 2))
-        gamma = PLPath([tuple(Fraction(0) for _ in range(d)), end])
-        mid = rand_vector(rnd, d, num=2, dens=(1, 2))
-        alpha = PLPath([tuple(Fraction(0) for _ in range(d)), mid, end])
+        gamma, alpha = rand_path_pair(rnd, d)
         sub = lift_equivalence_check(
             scn.data, gamma, alpha, rand_periodic_gauge(rnd, d),
             PathSymmetry(rand_based_path(rnd, d), rand_periodic_gauge(rnd, d)),

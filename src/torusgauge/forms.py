@@ -448,10 +448,10 @@ class PLPath:
     """Piecewise-linear path through rational vertices.
 
     The vertices are kept once, integer-scaled: int numerator tuples over one
-    positive denominator, in lowest terms; vertices, start and end present
-    them as rational tuples.  integrate_path keeps its results on the path
-    (_integrals, keyed by the form object), so they live exactly as long as
-    the path.
+    positive denominator, in lowest terms, by which paths compare and hash;
+    vertices, start and end present them as rational tuples.  integrate_path
+    keeps its results on the path (_integrals, keyed by the form object), so
+    they live exactly as long as the path.
     """
 
     __slots__ = ("_points", "_den", "_integrals")
@@ -481,6 +481,12 @@ class PLPath:
     @staticmethod
     def constant(point):
         return PLPath([point])
+
+    def __eq__(self, other):
+        return isinstance(other, PLPath) and self._den == other._den and self._points == other._points
+
+    def __hash__(self):
+        return hash((self._den, self._points))
 
     @property
     def vertices(self):

@@ -31,10 +31,10 @@ from operator import sub
 from .cohomology import cochain0, cochain_simplex, lattice_coboundary
 from .errors import DimensionError, PathError, TorusGaugeError
 from .forms import Form, PLPath, integrate_path, integrate_simplex, shifted_form_sum
-from .polytrig import PolyTrig, shifted_sum, value_at
+from .polytrig import PolyTrig, _Acc, _Rows, shifted_sum, value_at
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
-from .vectors import as_vec, basis_vec, vneg, vsub, vzero
+from .vectors import as_vec, basis_vec, vsub, vzero
 
 GAUGE_NOTE = (
     "connection identities are invariant under adding a constant 1-form to A"
@@ -201,7 +201,7 @@ class PathSymmetry:
     __slots__ = ("path", "gauge")
 
     def __init__(self, path, gauge):
-        if any(x != 0 for x in path.start):
+        if any(path._points[0]):
             raise PathError("symmetry paths are based at the origin")
         if gauge.dim != path.dim:
             raise DimensionError("gauge and path dimension mismatch")
@@ -236,29 +236,28 @@ def lift_product(a, b, line, paths=None):
                 + theta_a(. + e') + theta_b,   e' = gamma'(1),
 
     with I(path)(x) the line integral of A along the path translated to x;
-    the five terms are summed in one shifted_sum.  paths, if given, maps
-    vertex tuples to PLPath objects: a sum path with the same
-    vertices as one already there is taken from it, so that products sharing
-    it (the two bracketings of a triple) integrate it once.
+    the five terms are summed in one accumulator, the two translated ones
+    along one _Rows of x -> x + e' read off the int endpoint of gamma'.  paths,
+    if given, is a dict of PLPaths keyed by themselves: a sum path equal to
+    one already there is taken from it, so that products sharing it (the
+    two bracketings of a triple) integrate it once.
     """
     A = line.require_connection()
     gamma, gamma_p = a.path, b.path
-    e_p = gamma_p.end
     total = gamma.pointwise_add(gamma_p)
     if paths is not None:
-        total = paths.setdefault(total.vertices, total)
+        total = paths.setdefault(total, total)
     i_total = integrate_path(A, total)
     i_gamma = integrate_path(A, gamma)
     i_gamma_p = integrate_path(A, gamma_p)
-    shift = vneg(e_p)
-    theta = shifted_sum(line.d, [
-        (1, i_total, None),
-        (-1, i_gamma, shift),
-        (1, a.gauge, shift),
-        (-1, i_gamma_p, None),
-        (1, b.gauge, None),
-    ])
-    return PathSymmetry(total, theta)
+    step = _Rows.translation(gamma_p._points[-1], gamma_p._den)
+    acc = _Acc(line.d)
+    acc.add(i_total)
+    acc.add(i_gamma, -1, step)
+    acc.add(a.gauge, 1, step)
+    acc.add(i_gamma_p, -1)
+    acc.add(b.gauge)
+    return PathSymmetry(total, acc.done())
 
 
 def equivalence_gauge(line, gamma, alpha):

@@ -708,6 +708,14 @@ class _Rows:
         den, (t,) = scale_vecs([t])
         return _Rows(None, t, d, den)
 
+    @staticmethod
+    def translation(t, den):
+        """The rows of x -> x + t / den for ints t over den > 0, or None (the identity) when t is zero."""
+        if not any(t):
+            return None
+        g = _math.gcd(den, *t)
+        return _Rows(None, tuple(n // g for n in t), len(t), den // g)
+
     def _row(self, i):
         """Row i as (int polynomial, denominator)."""
         t, den, zeros = self.trans[i], self.den, self.zeros

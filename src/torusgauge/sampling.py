@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .forms import AffineSimplex, Form, PLPath
 from .gerbes import GerbeData
@@ -85,12 +86,27 @@ def stokes_sample(rnd, d, k):
     return omega, simplex
 
 
+def _draws(rnd, d, num, dens):
+    """rand_vector's draws as int pairs: a randint numerator and a choice denominator per coordinate."""
+    return [(rnd.randint(-num, num), rnd.choice(dens)) for _ in range(d)]
+
+
+def _based_path(d, points):
+    """The PLPath from the origin through points of _draws, as int numerators over their lcm."""
+    den = lcm(*(q for p in points for _, q in p))
+    return PLPath._scaled([(0,) * d] + [tuple(n * (den // q) for n, q in p) for p in points], den)
+
+
 def rand_based_path(rnd, d, segments=2, num=2, dens=(1, 2, 3)):
-    """PL path with the given number of segments based at the origin."""
-    verts = [tuple(Fraction(0) for _ in range(d))]
-    for _ in range(segments):
-        verts.append(rand_vector(rnd, d, num, dens))
-    return PLPath(verts)
+    """PL path with the given number of segments based at the origin, through rand_vector's draws."""
+    return _based_path(d, [_draws(rnd, d, num, dens) for _ in range(segments)])
+
+
+def rand_path_pair(rnd, d):
+    """Two paths from the origin to one end, drawn first as rand_vector draws
+    it: the segment, and the path through a second draw as its midpoint."""
+    end, mid = _draws(rnd, d, 2, (1, 2)), _draws(rnd, d, 2, (1, 2))
+    return _based_path(d, [end]), _based_path(d, [mid, end])
 
 
 def rand_periodic_gauge(rnd, d):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from torusgauge import cli
 from torusgauge.cli import HANDLERS, MAX_COUNT, build_parser, load_scenario, main, run
 from torusgauge.forms import integrate_simplex
 from torusgauge.polytrig import PolyTrig
@@ -344,6 +345,20 @@ def test_twist2_on_a_line_takes_two_kernel_calls_per_pair(tmp_path, capsys):
     # the three segments of delta(theta) are one chain, and c one triangle
     vectors = [["1/2", "0"], ["0", "1/2"], ["1/3", "1/3"], ["1/4", "-1"]]
     assert _kernel_calls(tmp_path, "twist2", "landau_n1", vectors=vectors) == 2 * 6
+    capsys.readouterr()
+
+
+def test_given_vectors_draw_no_default_vectors(monkeypatch, capsys):
+    # section, twist2 and twist3 draw default vectors only for a config
+    # without params 'vectors'
+    def drawn(*args):
+        raise AssertionError("default vectors drawn for a config that gives its vectors")
+
+    monkeypatch.setattr(cli, "_sample_vectors", drawn)
+    jobs = [(c, s) for c in ("section", "twist2") for s in ("landau_n1", "constant_flux_m1")]
+    for command, name in jobs + [("twist3", "constant_flux_m1")]:
+        assert "vectors" in load_scenario(SCENARIOS / f"{name}.json").params
+        assert run([command, "--config", str(SCENARIOS / f"{name}.json")]) == 0, (command, name)
     capsys.readouterr()
 
 

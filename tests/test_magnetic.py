@@ -1,9 +1,12 @@
 import itertools
 from fractions import Fraction
 from operator import add
+from pathlib import Path
 
 import pytest
 
+from torusgauge import cli, magnetic
+from torusgauge.cli import load_scenario, run
 from torusgauge.errors import PathError, TorusGaugeError
 from torusgauge.expr import parse_expr
 from torusgauge.forms import Form, PLPath, integrate_path
@@ -21,13 +24,22 @@ from torusgauge.magnetic import (
     translation_section,
     two_cocycle,
 )
-from torusgauge.polytrig import PolyTrig, constant_mod_free, translate
-from torusgauge.sampling import rand_based_path, rand_periodic_gauge
+from torusgauge.polytrig import PolyTrig, _Rows, constant_mod_free, translate
+from torusgauge.sampling import rand_based_path, rand_path_pair, rand_periodic_gauge, rand_vector, rng
 from torusgauge.scalar import Scalar
 
-from tests_util import kernel_calls, phase_descends, phase_is_one, projective_relation
+from tests_util import (
+    is_exact,
+    kernel_calls,
+    lift_product_gauge,
+    phase_descends,
+    phase_is_one,
+    projective_relation,
+)
 
 F2 = lambda s: parse_expr(s, 2)
+DATA = Path(__file__).resolve().parent / "data"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 ALL_PAIRS_2 = [
     (i, j)
@@ -359,6 +371,87 @@ def test_corrupted_equivalence_gauge_fails(landau1, rnd):
     slack = p1.invariant_exponent(landau1) - p2.invariant_exponent(landau1)
     r = constant_mod_free(slack)
     assert r is None or not r.in_two_pi_Z()
+
+
+def test_drawn_paths_are_the_rational_constructions():
+    # the paths are drawn as int numerators and denominators; the same draws
+    # as rational vertices give the same paths and leave rnd in the same state
+    for seed in range(30):
+        for d in (1, 2, 3):
+            new, old = rng(seed), rng(seed)
+            got = rand_based_path(new, d)
+            want = PLPath([(0,) * d, rand_vector(old, d, 2, (1, 2, 3)), rand_vector(old, d, 2, (1, 2, 3))])
+            assert (got._points, got._den) == (want._points, want._den)
+            assert new.getstate() == old.getstate()
+            gamma, alpha = rand_path_pair(new, d)
+            end, mid = rand_vector(old, d, 2, (1, 2)), rand_vector(old, d, 2, (1, 2))
+            for got, want in ((gamma, PLPath([(0,) * d, end])), (alpha, PLPath([(0,) * d, mid, end]))):
+                assert (got._points, got._den) == (want._points, want._den)
+            assert new.getstate() == old.getstate()
+
+
+def test_lift_product_gauge_is_the_rational_shift_sum(landau1, rnd):
+    # one translation read off the right path's int endpoint gives the
+    # gauge of the five-part shifted_sum with rational vneg(end) shifts,
+    # float-tier coefficients included: the endpoints in sixths put waves at
+    # sixth-turn phases
+    sixths = [
+        PLPath([(0, 0), (Fraction(1, 6), Fraction(-1, 3))]),
+        PLPath([(0, 0), (Fraction(1, 2), 0), (Fraction(2, 3), Fraction(5, 6))]),
+    ]
+    wave = F2("cos(2*pi*x1) + 3*sin(2*pi*(x1 - x2))")
+    floats = 0
+    for line in (landau1, load_scenario(DATA / "tier_f_line.json").data):
+        for _ in range(8):
+            a = PathSymmetry(rand_based_path(rnd, 2), rand_periodic_gauge(rnd, 2))
+            b = PathSymmetry(rand_based_path(rnd, 2), rand_periodic_gauge(rnd, 2))
+            pairs = [(a, b), (b, a)]
+            pairs += [(PathSymmetry(a.path, wave), PathSymmetry(p, b.gauge)) for p in sixths]
+            for x, y in pairs:
+                got = lift_product(x, y, line).gauge
+                assert got == lift_product_gauge(x, y, line)
+                floats += not is_exact(got)
+    assert floats
+
+
+def test_sym_product_hashes_no_fraction_and_translates_once(monkeypatch, capsys):
+    # Paths stay int points over one denominator from the draw to the
+    # translation: they key and compare by those ints, and each product
+    # translates both shifted parts along one _Rows of the right path's int
+    # endpoint, so the command hashes no Fraction.
+    hashes = [0]
+    made = []  # translation _Rows built per lift_product call
+    inside = [False]
+    fraction_hash = Fraction.__hash__
+    init = _Rows.__init__
+    product = magnetic.lift_product
+
+    def hashing(self):
+        hashes[0] += 1
+        return fraction_hash(self)
+
+    def rows(self, lin, trans, in_dim, den, cols=()):
+        if inside[0] and lin is None and not cols:
+            made[-1] += 1
+        init(self, lin, trans, in_dim, den, cols)
+
+    def counted(*args):
+        made.append(0)
+        inside[0] = True
+        try:
+            return product(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Fraction, "__hash__", hashing)
+    monkeypatch.setattr(_Rows, "__init__", rows)
+    monkeypatch.setattr(magnetic, "lift_product", counted)
+    monkeypatch.setattr(cli, "lift_product", counted)
+    for config in (SCENARIOS / "landau_n1.json", DATA / "tier_f_line.json"):
+        assert run(["sym-product", "--config", str(config), "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert hashes[0] == 0
+    assert made and max(made) == 1, made
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from operator import add
 
 from torusgauge import forms
 from torusgauge.cohomology import GroupCochain, check_coboundary, coboundary_slack
+from torusgauge.forms import integrate_path
 from torusgauge.hilbert import _column_phase, cocycle_form, translation_matrix
 from torusgauge.magnetic import landau_line
-from torusgauge.polytrig import PolyTrig, _Acc, _Rows, translate
+from torusgauge.polytrig import PolyTrig, _Acc, _Rows, shifted_sum, translate
 from torusgauge.reports import CheckReport, phase_item, vec_label
 from torusgauge.sampling import rand_scalar
 from torusgauge.scalar import Scalar
@@ -224,3 +225,23 @@ def operator_cocycle_slack(N, v, vp, form=None):
     if delta is None:
         return None
     return Scalar.exact(Fraction(delta, N), 1) - c
+
+
+# ---------------------------------------------------------------------------
+# oracle: the extension product's gauge, each translated part shifted by a
+# rational vector
+
+
+def lift_product_gauge(a, b, line):
+    """The gauge of lift_product(a, b, line) as the five parts of one
+    shifted_sum, I(gamma) and a.gauge each shifted by -gamma'(1) given as a
+    rational vector (vneg of the right path's end)."""
+    A = line.require_connection()
+    shift = vneg(b.path.end)
+    return shifted_sum(line.d, [
+        (1, integrate_path(A, a.path.pointwise_add(b.path)), None),
+        (-1, integrate_path(A, a.path), shift),
+        (1, a.gauge, shift),
+        (-1, integrate_path(A, b.path), None),
+        (1, b.gauge, None),
+    ])
