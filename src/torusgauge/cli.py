@@ -202,38 +202,12 @@ def _count_param(scn, key, default, least=0):
     return n
 
 
-def _sample_lattice_tuples(rnd, r, d, parts, cap):
-    """Up to cap tuples of parts vectors in {-r..r}^d: the picks (and rnd draws)
-    of rnd.sample over the full lexicographic product, or all of it if it holds
-    at most cap, decoded from sampled indices without building the product.
-    """
-    base = 2 * r + 1
-    n = base ** (parts * d)
-    if n > sys.maxsize:
-        raise ConfigError(f"cannot sample from {base}^{parts * d} lattice tuples")
-    out = []
-    for i in rnd.sample(range(n), cap) if n > cap else range(n):
-        digits = []
-        for _ in range(parts * d):
-            i, q = divmod(i, base)
-            digits.append(q - r)
-        digits.reverse()
-        out.append(tuple(tuple(digits[p * d : (p + 1) * d]) for p in range(parts)))
-    return out
-
-
 # -- command handlers --------------------------------------------------------
 
 
 def cmd_check_cocycle(scn, rnd, values):
-    d = scn.data.d
-    if scn.kind == "line":
-        r = _count_param(scn, "range", 2, least=1)
-        pairs = _sample_lattice_tuples(rnd, r, d, 2, _count_param(scn, "samples", 400))
-        return [check_line_cocycle(scn.data, pairs)]
-    r = _count_param(scn, "range", 1, least=1)
-    triples = _sample_lattice_tuples(rnd, r, d, 3, _count_param(scn, "samples", 200))
-    return [check_gerbe_cocycle(scn.data, triples)]
+    check = check_line_cocycle if scn.kind == "line" else check_gerbe_cocycle
+    return [check(scn.data)]
 
 
 def cmd_check_connection(scn, rnd, values):

@@ -39,6 +39,7 @@ from __future__ import annotations
 from operator import add
 
 from .forms import AffineSimplex, integrate_chain, integrate_simplex
+from .polytrig import shifted_sum
 from .reports import CheckReport, phase_item, vec_label
 from .vectors import as_vec, vneg
 
@@ -109,6 +110,22 @@ def lattice_coboundary(kappa, args, k=1):
         parts += kappa(merged, -k if i % 2 else k, None)
     parts += kappa(args[:n], k if n % 2 else -k, None)
     return parts
+
+
+def check_lattice_cocycle(identity, d, slacks, why=None):
+    """A cocycle law mod 2*pi*Z on Z^d, decided by phase_item at each (args,
+    parts) of slacks: the integer vectors args and the shifted_sum parts of
+    the law's slack there.  why, if given, says why these args (the law's
+    generator relations, maybe none) decide it on all of Z^d, in a note."""
+    report = CheckReport(identity)
+    for args, parts in slacks:
+        phase_item(report, vec_label(*args), shifted_sum(d, parts))
+    if why is not None:
+        if not slacks:
+            report.add("no relations", True, note="the law holds by construction")
+        verdict = "proved for all of Z^d" if report.passed else "fails on Z^d, as decided"
+        report.notes.append(f"{verdict} from its generator relations ({len(slacks)}): {why}")
+    return report
 
 
 def linear_cochain(values):

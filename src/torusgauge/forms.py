@@ -449,9 +449,9 @@ class PLPath:
 
     The vertices are kept once, integer-scaled: int numerator tuples over one
     positive denominator, in lowest terms, by which paths compare and hash;
-    vertices, start and end present them as rational tuples.  integrate_path
-    keeps its results on the path (_integrals, keyed by the form object), so
-    they live exactly as long as the path.
+    vertices presents them as rational tuples.  integrate_path keeps its
+    results on the path (_integrals, keyed by the form object), so they live
+    exactly as long as the path.
     """
 
     __slots__ = ("_points", "_den", "_integrals")
@@ -495,18 +495,6 @@ class PLPath:
     @property
     def dim(self):
         return len(self._points[0])
-
-    @property
-    def start(self):
-        return unscale(self._points[0], self._den)
-
-    @property
-    def end(self):
-        return unscale(self._points[-1], self._den)
-
-    @property
-    def closed(self):
-        return self._points[0] == self._points[-1]
 
     def pointwise_add(self, other):
         """Pointwise sum of paths on the common refinement of parameters.

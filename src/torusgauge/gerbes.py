@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .cohomology import cochain0, cochain_simplex, lattice_coboundary, linear_cochain
+from .cohomology import check_lattice_cocycle, cochain0, cochain_simplex, lattice_coboundary, linear_cochain
 from .errors import DegreeError, DimensionError, QuantizationError
 from .forms import AffineSimplex, Form, integrate_chain, integrate_simplex, shifted_form_sum
 from .polytrig import PolyTrig, shifted_sum, value_at
@@ -106,15 +106,19 @@ class GerbeData:
         return self._curvature
 
 
-def check_gerbe_cocycle(gerbe, triples):
+def check_gerbe_cocycle(gerbe, triples=None):
     """phi_{i,j} + phi_{i+j,k} = phi_{i,j+k} + phi_{j,k}(. + i) mod 2*pi*Z: the
-    slack is -(delta phi)(i, j, k)."""
-    report = CheckReport("gerbe_cocycle")
-    for triple in triples:
-        triple = tuple(tuple(int(x) for x in v) for v in triple)
-        slack = shifted_sum(gerbe.d, lattice_coboundary(gerbe.phi_parts, triple, -1))
-        phase_item(report, vec_label(*triple), slack)
-    return report
+    slack is -(delta phi)(i, j, k).  triples=None decides it on all of Z^d
+    from the psi-steps (e_c, e_a, e_b), one per given psi_ab and axis c,
+    where the slack is -(psi_ab(. + e_c) - psi_ab) since phi is bilinear."""
+    if triples is not None:
+        slacks = [(t, lattice_coboundary(gerbe.phi_parts, t, -1)) for t in triples]
+        return check_lattice_cocycle("gerbe_cocycle", gerbe.d, slacks)
+    e = [basis_vec(gerbe.d, a) for a in range(1, gerbe.d + 1)]
+    steps = [((e[c], e[a - 1], e[b - 1]), lattice_coboundary(cochain0(psi), (e[c],), -1))
+             for (a, b), psi in gerbe.pair_exponents.items() for c in range(gerbe.d)]
+    why = "phi is bilinear, so (delta phi)(i, j, k) = sum j_a k_b (psi_ab(. + i) - psi_ab), a sum of psi-steps"
+    return check_lattice_cocycle("gerbe_cocycle", gerbe.d, steps, why)
 
 
 def check_gerbe_connection(gerbe, pairs=None):
@@ -205,11 +209,21 @@ def gerbe_translation_section(gerbe, v):
 
 def check_section_constraint(gerbe, v, pairs=None):
     """f_{i,j}(x) g_i(x) g_j(x+i) = g_{i+j}(x) f_{i,j}(x-v), exactly in exponents.
-    Returns (report, section = gerbe_translation_section(gerbe, v))."""
+    Returns (report, section = gerbe_translation_section(gerbe, v)).
+
+    pairs=None checks the d^2 generator pairs.  With g linear the slack is
+    S(i, j) = sum_b j_b (g_b(. + i) - g_b + sum_a i_a D_ab), D_ab = psi_ab -
+    psi_ab(. - v).  Once the psi-steps are constants, D_ab(. + i) = D_ab, so
+    S(i + i', e_b) = S(i, e_b) + S(i', e_b)(. + i): S is linear in j and a
+    1-cocycle in i, and its values on the generator pairs decide it."""
     v = as_vec(v)
     report = CheckReport("section_constraint")
     if pairs is None:
         pairs = _generator_pairs(gerbe.d)
+        report.notes.append(
+            "given the psi-step relations, psi_ab - psi_ab(. - v) is Z^d-periodic, so the"
+            " slack is linear in j and a 1-cocycle in i: the d^2 generator pairs decide every (i, j)"
+        )
     section = gerbe_translation_section(gerbe, v)
     g = linear_cochain(section)
     for i, j in pairs:

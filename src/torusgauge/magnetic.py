@@ -28,13 +28,13 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import sub
 
-from .cohomology import cochain0, cochain_simplex, lattice_coboundary
+from .cohomology import check_lattice_cocycle, cochain0, cochain_simplex, lattice_coboundary
 from .errors import DimensionError, PathError, TorusGaugeError
 from .forms import Form, PLPath, integrate_path, integrate_simplex, shifted_form_sum
 from .polytrig import PolyTrig, _Acc, _Rows, shifted_sum, value_at
 from .reports import CheckReport, phase_item, vec_label
 from .scalar import DEFAULT_TOL, Scalar
-from .vectors import as_vec, basis_vec, vsub, vzero
+from .vectors import as_vec, basis_vec, unscale, vzero
 
 GAUGE_NOTE = (
     "connection identities are invariant under adding a constant 1-form to A"
@@ -110,15 +110,18 @@ class LineData:
         return self._curvature
 
 
-def check_line_cocycle(line, pairs):
+def check_line_cocycle(line, pairs=None):
     """Verify phi_i(x) + phi_j(x + i) = phi_{i+j}(x) mod 2*pi*Z per pair: the
-    slack is (delta phi)(i, j)."""
-    report = CheckReport("translation_cocycle")
-    for pair in pairs:
-        pair = tuple(tuple(int(x) for x in v) for v in pair)
-        slack = shifted_sum(line.d, lattice_coboundary(line.phi_parts, pair))
-        phase_item(report, vec_label(*pair), slack)
-    return report
+    slack is (delta phi)(i, j).  pairs=None decides it on all of Z^d =
+    <e_1, ..., e_d | e_a e_b = e_b e_a> from the commutator pairs (e_b, e_a),
+    a < b; a d = 1 line has none."""
+    why = None
+    if pairs is None:
+        e = [basis_vec(line.d, a) for a in range(1, line.d + 1)]
+        pairs = [(e[b], e[a]) for b in range(line.d) for a in range(b)]
+        why = "each reordering of the axis-ordered word costs one commutator (e_b, e_a), translated"
+    slacks = [(pair, lattice_coboundary(line.phi_parts, pair)) for pair in pairs]
+    return check_lattice_cocycle("translation_cocycle", line.d, slacks, why)
 
 
 def check_connection(line):
@@ -151,6 +154,10 @@ def check_section_membership(line, v):
     v = as_vec(v)
     theta = translation_section(line, v)
     report = CheckReport("section_quasiperiodicity")
+    report.notes.append(
+        "(delta theta)(i) and phi_i - phi_i(. - v) are 1-cocycles in i once phi is"
+        " one, so agreement on the generators e_a proves the law for every i in Z^d"
+    )
     for a in range(1, line.d + 1):
         phi = line.gen(a)
         # (delta theta)(e) - phi_e + phi_e(. - v)
@@ -175,19 +182,20 @@ def holonomy_exponent(line, loop, on_torus=False):
     invariance (mod 2*pi) under translating the lift by a lattice vector,
     which is the statement that the phase belongs to the loop on the torus
     and not to the chosen lift.  The loop's vertices are points, so its
-    integral is the symbolic one at x = 0, and the phase is taken at
-    loop.start.
+    integral is the symbolic one at x = 0, and the phase is taken at the
+    loop's start.
     """
     A = line.require_connection()
-    if on_torus:
-        wind = [b - a for a, b in zip(loop.start, loop.end)]
-        if any(w.denominator != 1 for w in wind):
-            raise PathError("loop does not close on the torus")
-        base = value_at(integrate_path(A, loop), vzero(line.d))
-        return base + value_at(line.phi(tuple(int(w) for w in wind)), loop.start)
-    if not loop.closed:
+    start, den = loop._points[0], loop._den
+    wind = [b - a for a, b in zip(start, loop._points[-1])]  # int numerators over den
+    if on_torus and any(w % den for w in wind):
+        raise PathError("loop does not close on the torus")
+    if not on_torus and any(wind):
         raise PathError("holonomy needs a closed loop")
-    return value_at(integrate_path(A, loop), vzero(line.d))
+    holonomy = value_at(integrate_path(A, loop), vzero(line.d))
+    if on_torus:
+        holonomy += value_at(line.phi(tuple(w // den for w in wind)), unscale(start, den))
+    return holonomy
 
 
 class PathSymmetry:
@@ -211,10 +219,6 @@ class PathSymmetry:
     @staticmethod
     def unit(d):
         return PathSymmetry(PLPath.constant(vzero(d)), PolyTrig.zero(d))
-
-    @property
-    def endpoint(self):
-        return self.path.end
 
     def transport_exponent(self, line):
         """T(x) = -int over the path translated to x of A; exp(i T) transports."""
@@ -260,13 +264,18 @@ def lift_product(a, b, line, paths=None):
     return PathSymmetry(total, acc.done())
 
 
+def _end_gap(p, q):
+    """The end of path p less that of q, as int numerators over p._den * q._den."""
+    return tuple(a * q._den - b * p._den for a, b in zip(p._points[-1], q._points[-1]))
+
+
 def equivalence_gauge(line, gamma, alpha):
     """Exponent of the reattachment gauge h with (gamma, phi) ~ (alpha, h . phi).
 
     h(x) = exp(i * (integral over alpha_x - integral over gamma_x) of A), the
     holonomy of the loop running along alpha and back along gamma.
     """
-    if gamma.end != alpha.end:
+    if any(_end_gap(gamma, alpha)):
         raise PathError("paths must share their endpoint")
     A = line.require_connection()
     i_gamma = integrate_path(A, gamma)
@@ -287,7 +296,7 @@ def lift_equivalence_check(line, gamma, alpha, phi, probe):
     p2 = lift_product(a2, probe, line)
     slack = p1.invariant_exponent(line) - p2.invariant_exponent(line)
     phase_item(report, "product invariance", slack)
-    gap = vsub(p1.endpoint, p2.endpoint)
+    gap = unscale(_end_gap(p1.path, p2.path), p1.path._den * p2.path._den)
     report.add("endpoints agree", not any(gap), residue=vec_label(gap))
     # the two representatives themselves act identically
     slack0 = a1.invariant_exponent(line) - a2.invariant_exponent(line)

@@ -25,6 +25,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BAD_VALUES = [-1, 0, "x", 2.5, [], {}, None, 10**9, float("inf"), float("nan"), "1e10000000"]
 # keep every command cheap on the unbroken config
 CHEAP_PARAMS = {"samples": 2, "equivalence_samples": 1, "flux_list": [1]}
+# "range" is read by no command: a key no command reads must stay harmless
 PARAM_KEYS = ("samples", "equivalence_samples", "range", "vectors", "flux_list")
 
 

@@ -29,8 +29,8 @@ from torusgauge.sampling import (
     stokes_sample,
 )
 from torusgauge.scalar import Scalar
-from torusgauge.vectors import basis_vec, det, vneg, vsub, vzero
-from tests_util import code_calls, is_exact, op_calls, stokes_slack
+from torusgauge.vectors import basis_vec, det, vneg, vzero
+from tests_util import code_calls, is_exact, op_calls, stokes_slack, vsub
 
 
 def quad_simplex(omega, simplex, base, n=32):
@@ -652,7 +652,7 @@ def test_cell_integral_matches_boundary_of_exact_form():
         g1 = PLPath([(0, 0), rand_vector(r, 2, 2, (1, 2)), rand_vector(r, 2, 2, (1, 2))])
         g2 = PLPath([(0, 0), rand_vector(r, 2, 2, (1, 2))])
         got = cell_integral(A.d(), g1, g2)
-        e1, e2 = g1.end, g2.end
+        e1, e2 = g1.vertices[-1], g2.vertices[-1]
         # boundary: gamma at x, then gamma' at x+e1, minus gamma at x+e2, minus gamma' at x
         i_g1 = integrate_path(A, g1)
         i_g2 = integrate_path(A, g2)

@@ -26,8 +26,8 @@ from torusgauge.forms import AffineSimplex, Form, integrate_chain, integrate_sim
 from torusgauge.gerbes import _integrate_unit_cube
 from torusgauge.polytrig import MODE_COS, MODE_NONE, MODE_SIN, PolyTrig, value_at
 from torusgauge.scalar import Scalar
-from torusgauge.vectors import basis_vec, det, vsub, vzero
-from tests_util import assert_int_key
+from torusgauge.vectors import basis_vec, det, vzero
+from tests_util import assert_int_key, vsub
 
 sympy = pytest.importorskip("sympy")
 

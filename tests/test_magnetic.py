@@ -333,7 +333,8 @@ def test_endpoint_is_homomorphism(landau1, rnd):
     a = PathSymmetry(rand_based_path(rnd, 2), rand_periodic_gauge(rnd, 2))
     b = PathSymmetry(rand_based_path(rnd, 2), rand_periodic_gauge(rnd, 2))
     p = lift_product(a, b, landau1)
-    assert p.endpoint == tuple(x + y for x, y in zip(a.endpoint, b.endpoint))
+    end = lambda s: s.path.vertices[-1]
+    assert end(p) == tuple(x + y for x, y in zip(end(a), end(b)))
 
 
 def test_path_symmetry_requires_base_point():
@@ -418,8 +419,11 @@ def test_sym_product_hashes_no_fraction_and_translates_once(monkeypatch, capsys)
     # Paths stay int points over one denominator from the draw to the
     # translation: they key and compare by those ints, and each product
     # translates both shifted parts along one _Rows of the right path's int
-    # endpoint, so the command hashes no Fraction.
+    # endpoint, so the command hashes no Fraction.  Path ends are compared in
+    # ints too: the Fractions left are the phases of _expand_into.
     hashes = [0]
+    fractions = []  # Fractions made per config
+    fraction_new = Fraction.__new__
     made = []  # translation _Rows built per lift_product call
     inside = [False]
     fraction_hash = Fraction.__hash__
@@ -435,6 +439,10 @@ def test_sym_product_hashes_no_fraction_and_translates_once(monkeypatch, capsys)
             made[-1] += 1
         init(self, lin, trans, in_dim, den, cols)
 
+    def making(cls, *args, **kwargs):
+        fractions[-1] += 1
+        return fraction_new(cls, *args, **kwargs)
+
     def counted(*args):
         made.append(0)
         inside[0] = True
@@ -444,13 +452,16 @@ def test_sym_product_hashes_no_fraction_and_translates_once(monkeypatch, capsys)
             inside[0] = False
 
     monkeypatch.setattr(Fraction, "__hash__", hashing)
+    monkeypatch.setattr(Fraction, "__new__", making)
     monkeypatch.setattr(_Rows, "__init__", rows)
     monkeypatch.setattr(magnetic, "lift_product", counted)
     monkeypatch.setattr(cli, "lift_product", counted)
     for config in (SCENARIOS / "landau_n1.json", DATA / "tier_f_line.json"):
+        fractions.append(0)
         assert run(["sym-product", "--config", str(config), "--seed", "0"]) == 0
     capsys.readouterr()
     assert hashes[0] == 0
+    assert fractions == [68, 14]
     assert made and max(made) == 1, made
 
 

@@ -57,8 +57,6 @@ KEEP = {
     "forms.Form.pullback": TRACER,
     "forms.Form.wedge": "the Leibniz-rule oracle for d",
     "forms._perm_sign": "the sign of Form.wedge",
-    "forms.PLPath.closed": "holonomy_exponent checks that its loop is closed",
-    "forms.PLPath.start": "holonomy_exponent reads its loop's start",
     "forms.PLPath.vertices": (
         "test_forms' concatenation, reversal and cell_integral oracles and"
         " test_magnetic's lattice-translated loop read paths by their vertices"

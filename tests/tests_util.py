@@ -13,7 +13,12 @@ from torusgauge.polytrig import PolyTrig, _Acc, _Rows, shifted_sum, translate
 from torusgauge.reports import CheckReport, phase_item, vec_label
 from torusgauge.sampling import rand_scalar
 from torusgauge.scalar import Scalar
-from torusgauge.vectors import as_vec, basis_vec, vneg
+from torusgauge.vectors import as_vec, basis_vec, int_if_integral, vneg
+
+
+def vsub(a, b):
+    """The rational vector a - b, entries ints where integral."""
+    return tuple(int_if_integral(x - y) for x, y in zip(a, b))
 
 
 def rational_vec2(rnd, num=3, dens=(1, 2, 3, 4)):
@@ -237,7 +242,7 @@ def lift_product_gauge(a, b, line):
     shifted_sum, I(gamma) and a.gauge each shifted by -gamma'(1) given as a
     rational vector (vneg of the right path's end)."""
     A = line.require_connection()
-    shift = vneg(b.path.end)
+    shift = vneg(b.path.vertices[-1])
     return shifted_sum(line.d, [
         (1, integrate_path(A, a.path.pointwise_add(b.path)), None),
         (-1, integrate_path(A, a.path), shift),
